@@ -26,7 +26,7 @@ BM_Cm5PacketDelivery(benchmark::State &state)
     cfg.nodes = 16;
     Cm5Network net(sim, cfg);
     std::uint64_t got = 0;
-    net.attach(1, [&got](Packet &&) {
+    net.attach(1, [&got](Packet &) {
         ++got;
         return true;
     });
@@ -46,7 +46,7 @@ BM_CrPacketDelivery(benchmark::State &state)
     cfg.nodes = 16;
     CrNetwork net(sim, cfg);
     std::uint64_t got = 0;
-    net.attach(1, [&got](Packet &&) {
+    net.attach(1, [&got](Packet &) {
         ++got;
         return true;
     });

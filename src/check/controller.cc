@@ -120,7 +120,7 @@ ScheduleController::apply(const Choice &choice)
       case ChoiceKind::Deliver: {
         Packet pkt = std::move(it->pkt);
         flight_.erase(it);
-        if (!net_.gateDeliver(std::move(pkt)))
+        if (!net_.gateDeliver(pkt))
             msgsim_panic("schedule gate: sink refused a delivery "
                          "(bounded receive capacity under a gate "
                          "is not modeled)");
@@ -137,7 +137,7 @@ ScheduleController::apply(const Choice &choice)
         net_.gateCorrupt(it->pkt);
         Packet pkt = std::move(it->pkt);
         flight_.erase(it);
-        if (!net_.gateDeliver(std::move(pkt)))
+        if (!net_.gateDeliver(pkt))
             msgsim_panic("schedule gate: sink refused a corrupted "
                          "delivery");
         break;

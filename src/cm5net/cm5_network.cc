@@ -8,19 +8,9 @@ namespace msgsim
 
 Cm5Network::Cm5Network(Simulator &sim, const Config &cfg)
     : Network(sim), cfg_(cfg), tree_(cfg.nodes, cfg.arity),
-      faults_(cfg.faults), rng_(cfg.seed)
+      faults_(cfg.faults), rng_(cfg.seed),
+      order_(cfg.orderFactory, cfg.nodes)
 {
-    if (!cfg_.orderFactory)
-        cfg_.orderFactory = fifoOrderFactory();
-}
-
-OrderPolicy &
-Cm5Network::policyFor(const FlowKey &flow)
-{
-    auto it = policies_.find(flow);
-    if (it == policies_.end())
-        it = policies_.emplace(flow, cfg_.orderFactory()).first;
-    return *it->second;
 }
 
 bool
@@ -68,39 +58,21 @@ Cm5Network::routeToEdge(Packet &&pkt)
     // Link-bandwidth serialization: packets leave a node no faster
     // than the injection port drains, and arrive at a node no faster
     // than its input port fills.
-    Tick departure = sim_.now();
-    if (cfg_.injectGap > 0) {
-        auto it = lastDeparture_.find(pkt.src);
-        if (it != lastDeparture_.end())
-            departure = std::max(departure,
-                                 it->second + cfg_.injectGap);
-        lastDeparture_[pkt.src] = departure;
-    }
-    Tick arrival = departure + latency;
-    if (cfg_.deliverGap > 0) {
-        auto it = lastArrival_.find(pkt.dst);
-        if (it != lastArrival_.end())
-            arrival = std::max(arrival, it->second + cfg_.deliverGap);
-        lastArrival_[pkt.dst] = arrival;
-    }
+    const Tick departure = serialize(nextDeparture_, pkt.src, sim_.now(),
+                                     cfg_.injectGap);
+    const Tick arrival = serialize(nextArrival_, pkt.dst,
+                                   departure + latency, cfg_.deliverGap);
 
-    // Move the packet into the scheduled closure.
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.scheduleAt(arrival, [this, carried]() mutable {
-        arriveAtEdge(std::move(*carried));
-    });
+    scheduleParked<&Cm5Network::arriveAtEdge>(arrival, this,
+                                              std::move(pkt));
 }
 
 void
 Cm5Network::arriveAtEdge(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
-    auto &policy =
-        policyFor({pkt.src, pkt.dst, static_cast<int>(pkt.vnet)});
-    std::vector<Packet> release;
-    policy.arrive(std::move(pkt), release);
-    for (auto &p : release)
-        tryDeliver(std::move(p));
+    order_.arrive(std::move(pkt),
+                  [this](Packet &&p) { tryDeliver(std::move(p)); });
 }
 
 void
@@ -109,26 +81,19 @@ Cm5Network::tryDeliver(Packet &&pkt)
     // Retry closures re-enter here outside arriveAtEdge, so the
     // delivery scope opens here too (same-site nesting is fine).
     hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
-    if (presentToSink(std::move(pkt)))
+    if (presentToSink(pkt))
         return;
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.
     ++stats_.deliveryRetries;
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.schedule(cfg_.retryDelay, [this, carried]() mutable {
-        tryDeliver(std::move(*carried));
-    });
+    scheduleParked<&Cm5Network::tryDeliver>(sim_.now() + cfg_.retryDelay,
+                                            this, std::move(pkt));
 }
 
 void
 Cm5Network::flushHeldPackets()
 {
-    for (auto &[flow, policy] : policies_) {
-        std::vector<Packet> release;
-        policy->flush(release);
-        for (auto &p : release)
-            tryDeliver(std::move(p));
-    }
+    order_.flush([this](Packet &&p) { tryDeliver(std::move(p)); });
 }
 
 } // namespace msgsim

@@ -23,10 +23,8 @@
 #define MSGSIM_CM5NET_CM5_NETWORK_HH
 
 #include <cstdint>
-#include <map>
-#include <tuple>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/fault.hh"
 #include "net/network.hh"
@@ -84,11 +82,6 @@ class Cm5Network : public Network
     bool injectImpl(Packet &&pkt) override;
 
   private:
-    using FlowKey = std::tuple<NodeId, NodeId, int>;
-
-    /** The per-flow order-scrambling stage at the destination edge. */
-    OrderPolicy &policyFor(const FlowKey &flow);
-
     /** Route one packet to the destination edge (latency model). */
     void routeToEdge(Packet &&pkt);
 
@@ -102,9 +95,10 @@ class Cm5Network : public Network
     FatTree tree_;
     FaultInjector faults_;
     Rng rng_;
-    std::map<FlowKey, std::unique_ptr<OrderPolicy>> policies_;
-    std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
-    std::map<NodeId, Tick> lastArrival_;   ///< delivery serialization
+    OrderStage order_;
+    /// Earliest next departure / arrival per node (link serialization).
+    std::vector<Tick> nextDeparture_;
+    std::vector<Tick> nextArrival_;
 };
 
 } // namespace msgsim

@@ -356,6 +356,10 @@ Cmam::genericReceive(const Packet &head)
     // loop already read (4 for AMs and control packets).  Copy the
     // dispatch fields now: draining the payload below pops the packet
     // out of the NI's receive FIFO, after which @p head is dangling.
+    // Rule for every handler: @p head points into the fabric's shared
+    // packet pool, so any send (from any node) or any delivery into
+    // any NI on the fabric may also move it.  Never read @p head after
+    // a send, a poll or a settle.
     const int n = static_cast<int>(head.data.size());
     const NodeId src = head.src;
     const HwTag tag = head.tag;
@@ -371,7 +375,18 @@ Cmam::genericReceive(const Packet &head)
         RowScope r(a, CostRow::ReadNi);
         header = ni.readRecvHeader(a);
     }
-    std::vector<Word> args(static_cast<std::size_t>(n));
+    // The argument buffer of this nesting depth: a handler may poll
+    // (and so re-enter here) while it still reads its own arguments.
+    if (recvDepth_ == argBufs_.size())
+        argBufs_.push_back(std::make_unique<std::vector<Word>>());
+    std::vector<Word> &args = *argBufs_[recvDepth_];
+    args.resize(static_cast<std::size_t>(n));
+    struct DepthGuard
+    {
+        std::size_t &depth;
+        explicit DepthGuard(std::size_t &d) : depth(d) { ++depth; }
+        ~DepthGuard() { --depth; }
+    } nested(recvDepth_);
     {
         RowScope r(a, CostRow::ReadNi);
         for (int i = 0; i < n; i += 2) {

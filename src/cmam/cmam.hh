@@ -27,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "cmam/segment.hh"
@@ -231,6 +232,11 @@ class Cmam
         ctrlSinks_;
     RawSink streamDataSink_;
     RawSink streamAckSink_;
+    /// genericReceive's argument buffers, one per re-entrant nesting
+    /// depth (heap-held so a deeper level never moves a shallower
+    /// handler's arguments); reused, so receiving never allocates.
+    std::vector<std::unique_ptr<std::vector<Word>>> argBufs_;
+    std::size_t recvDepth_ = 0;
     std::uint64_t pollsHandled_ = 0;
     std::uint64_t staleXferDrops_ = 0;
     std::uint64_t interruptsTaken_ = 0;

@@ -1,7 +1,5 @@
 #include "crnet/cr_network.hh"
 
-#include <memory>
-
 #include "hostprof/hostprof.hh"
 #include "sim/log.hh"
 
@@ -24,8 +22,9 @@ CrNetwork::injectImpl(Packet &&pkt)
     // Packet-level fault tolerance: probe the injector on a copy; every
     // hit (drop, corruption, or a would-be duplicate) models a
     // killed-and-retransmitted packet.  The payload that finally
-    // arrives is always intact, exactly once.
-    for (;;) {
+    // arrives is always intact, exactly once.  An unarmed injector
+    // can only answer None, so no probe is copied for it.
+    while (faults_.armed()) {
         Packet probe = pkt;
         if (faults_.apply(probe) == FaultAction::None)
             break;
@@ -35,53 +34,40 @@ CrNetwork::injectImpl(Packet &&pkt)
     }
 
     // Link-bandwidth serialization at both endpoints.
-    Tick departure = sim_.now();
-    if (cfg_.injectGap > 0) {
-        auto it = lastDeparture_.find(pkt.src);
-        if (it != lastDeparture_.end())
-            departure = std::max(departure,
-                                 it->second + cfg_.injectGap);
-        lastDeparture_[pkt.src] = departure;
-    }
+    const Tick departure = serialize(nextDeparture_, pkt.src, sim_.now(),
+                                     cfg_.injectGap);
     // Order preservation: a packet never arrives before its flow
     // predecessor.
-    const FlowKey flow{pkt.src, pkt.dst,
-                       static_cast<int>(pkt.vnet)};
-    Tick arrival =
-        std::max(departure + latency,
-                 lastArrival_.count(flow) ? lastArrival_[flow] + 1 : 0);
-    if (cfg_.deliverGap > 0) {
-        auto it = lastAtDest_.find(pkt.dst);
-        if (it != lastAtDest_.end())
-            arrival = std::max(arrival, it->second + cfg_.deliverGap);
-        lastAtDest_[pkt.dst] = arrival;
-    }
-    lastArrival_[flow] = arrival;
+    FlowState &flow = flows_.at(pkt, cfg_.nodes);
+    const Tick arrival =
+        serialize(nextAtDest_, pkt.dst,
+                  std::max(departure + latency, flow.nextArrival),
+                  cfg_.deliverGap);
+    flow.nextArrival = arrival + 1;
 
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.scheduleAt(arrival, [this, flow, carried]() mutable {
-        arrive(flow, std::move(*carried));
-    });
+    scheduleParked<&CrNetwork::arrive>(arrival, this, std::move(pkt));
     return true;
 }
 
 void
-CrNetwork::arrive(FlowKey flow, Packet &&pkt)
+CrNetwork::arrive(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::CrDeliver);
-    flows_[flow].queue.push_back(std::move(pkt));
-    drain(flow);
+    const NodeId src = pkt.src;
+    const std::uint32_t lane = flowLane(pkt.dst, pkt.vnet);
+    flows_.at(src, lane, cfg_.nodes).queue.push_back(std::move(pkt));
+    drain(src, lane);
 }
 
 void
-CrNetwork::drain(FlowKey flow)
+CrNetwork::drain(NodeId src, std::uint32_t lane)
 {
     // Reject-retry closures re-enter here outside arrive().
     hostprof::HostScope hs(hostprof::Site::CrDeliver);
-    auto &state = flows_[flow];
+    FlowState &state = flows_.at(src, lane, cfg_.nodes);
     state.drainScheduled = false;
     while (!state.queue.empty()) {
-        if (!presentToSink(Packet(state.queue.front()))) {
+        if (!presentToSink(state.queue.front())) {
             // Header rejected: hardware tears the path down and
             // retransmits later; younger packets wait behind, so
             // order is preserved.
@@ -89,7 +75,7 @@ CrNetwork::drain(FlowKey flow)
             if (!state.drainScheduled) {
                 state.drainScheduled = true;
                 sim_.schedule(cfg_.rejectRetryDelay,
-                              [this, flow] { drain(flow); });
+                              [this, src, lane] { drain(src, lane); });
             }
             return;
         }

@@ -22,13 +22,12 @@
 #define MSGSIM_CRNET_CR_NETWORK_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "net/fault.hh"
 #include "net/network.hh"
+#include "net/ring.hh"
 #include "net/topology.hh"
 
 namespace msgsim
@@ -69,27 +68,27 @@ class CrNetwork : public Network
     bool injectImpl(Packet &&pkt) override;
 
   private:
-    using FlowKey = std::tuple<NodeId, NodeId, int>;
-
     struct FlowState
     {
-        std::deque<Packet> queue; ///< arrived, not yet accepted
+        Ring<Packet> queue;   ///< arrived, not yet accepted
+        Tick nextArrival = 0; ///< order: earliest arrival of the next
         bool drainScheduled = false;
     };
 
     /** Enqueue an arrived packet and try to drain its flow. */
-    void arrive(FlowKey flow, Packet &&pkt);
+    void arrive(Packet &&pkt);
 
-    /** Deliver queued packets of @p flow in order until one rejects. */
-    void drain(FlowKey flow);
+    /** Deliver queued packets of flow (src, lane) in order until one
+     *  rejects (lane: see flowLane()). */
+    void drain(NodeId src, std::uint32_t lane);
 
     Config cfg_;
     FatTree tree_;
     FaultInjector faults_;
-    std::map<FlowKey, FlowState> flows_;
-    std::map<FlowKey, Tick> lastArrival_;
-    std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
-    std::map<NodeId, Tick> lastAtDest_;    ///< delivery serialization
+    FlowTable<FlowState> flows_;
+    /// Earliest next departure / arrival per node (link serialization).
+    std::vector<Tick> nextDeparture_;
+    std::vector<Tick> nextAtDest_;
 };
 
 } // namespace msgsim

@@ -163,7 +163,7 @@ pumpNetwork(bool cm5, std::uint64_t packets)
         net = std::make_unique<CrNetwork>(sim, cfg);
     }
     std::uint64_t delivered = 0;
-    net->attach(1, [&delivered](Packet &&) {
+    net->attach(1, [&delivered](Packet &) {
         ++delivered;
         return true;
     });
@@ -187,7 +187,7 @@ pumpRdma(std::uint64_t packets)
     cfg.nodes = 16;
     RdmaNetwork net(sim, cfg);
     std::uint64_t delivered = 0;
-    net.attach(1, [&delivered](Packet &&) {
+    net.attach(1, [&delivered](Packet &) {
         ++delivered;
         return true;
     });
@@ -215,7 +215,7 @@ pumpNicam(std::uint64_t packets)
     // the offload dispatch path, not the host fallback.
     net.offloadHandler(1, HwTag::UserAm, 0,
                        [&delivered](const Packet &) { ++delivered; });
-    net.attach(1, [](Packet &&) { return true; });
+    net.attach(1, [](Packet &) { return true; });
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < packets; ++i) {
         net.inject(Packet(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4}));

@@ -1381,7 +1381,7 @@ makeP1()
                 cfg.nodes = 16;
                 net = std::make_unique<Cm5Network>(sim, cfg);
             }
-            net->attach(1, [&delivered, pi](Packet &&) {
+            net->attach(1, [&delivered, pi](Packet &) {
                 if (pi != 6) // nicam counts in the offload handler
                     ++delivered;
                 return true;

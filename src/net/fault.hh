@@ -61,6 +61,19 @@ class FaultInjector
      */
     FaultAction apply(Packet &pkt);
 
+    /**
+     * True when apply() can return anything but None: a scripted fault
+     * is pending or a rate is non-zero.  When false, apply() has no
+     * side effects (no RNG draw), so a caller may skip it.
+     */
+    bool
+    armed() const
+    {
+        return !scriptedDrops_.empty() || !scriptedCorrupts_.empty() ||
+               !scriptedDuplicates_.empty() || cfg_.dropRate > 0.0 ||
+               cfg_.corruptRate > 0.0 || cfg_.duplicateRate > 0.0;
+    }
+
     /** Script a drop of the packet with global injection seq @p n. */
     void scriptDrop(std::uint64_t n) { scriptedDrops_.insert(n); }
 

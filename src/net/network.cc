@@ -9,7 +9,7 @@ namespace msgsim
 void
 Network::attach(NodeId id, DeliverFn fn)
 {
-    sinks_[id] = std::move(fn);
+    growTo(sinks_, id) = std::move(fn);
     // Boot-time sizing of the per-destination link counters: the hot
     // paths below only ever increment, never allocate.
     if (id >= injectedTo_.size()) {
@@ -23,11 +23,10 @@ bool
 Network::inject(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::NetInject);
-    const auto flow =
-        std::make_tuple(pkt.src, pkt.dst, static_cast<int>(pkt.vnet));
+    std::uint64_t &flowCount = flowCounters_.at(pkt, sinks_.size());
     const NodeId flowDst = pkt.dst;
     pkt.injectSeq = nextInjectSeq_;
-    pkt.flowIndex = flowCounters_[flow];
+    pkt.flowIndex = flowCount;
     pkt.seal();
     trace(TraceEvent::Inject, pkt);
     if (gate_ != nullptr) {
@@ -40,7 +39,7 @@ Network::inject(Packet &&pkt)
         return false;
     }
     ++nextInjectSeq_;
-    ++flowCounters_[flow];
+    ++flowCount;
     ++stats_.injected;
     if (flowDst < injectedTo_.size())
         ++injectedTo_[flowDst];
@@ -48,9 +47,9 @@ Network::inject(Packet &&pkt)
 }
 
 bool
-Network::gateDeliver(Packet &&pkt)
+Network::gateDeliver(Packet &pkt)
 {
-    return presentToSink(std::move(pkt));
+    return presentToSink(pkt);
 }
 
 void
@@ -81,11 +80,10 @@ Network::gateDuplicate(const Packet &pkt)
 }
 
 bool
-Network::presentToSink(Packet &&pkt)
+Network::presentToSink(Packet &pkt)
 {
     hostprof::HostScope hs(hostprof::Site::NetDeliver);
-    auto it = sinks_.find(pkt.dst);
-    if (it == sinks_.end())
+    if (pkt.dst >= sinks_.size() || !sinks_[pkt.dst])
         msgsim_panic("no sink attached for node ", pkt.dst);
     // Capture trace metadata before the sink may consume the packet.
     Packet meta;
@@ -98,7 +96,7 @@ Network::presentToSink(Packet &&pkt)
         meta.lineage = pkt.lineage;
     }
     const NodeId sinkDst = pkt.dst;
-    const bool accepted = it->second(std::move(pkt));
+    const bool accepted = sinks_[sinkDst](pkt);
     if (accepted) {
         ++stats_.delivered;
         noteDelivered(sinkDst);
@@ -107,6 +105,27 @@ Network::presentToSink(Packet &&pkt)
         trace(TraceEvent::Reject, meta);
     }
     return accepted;
+}
+
+Network::Slot
+Network::park(Packet &&pkt)
+{
+    if (freeSlots_.empty()) {
+        pool_.push_back(std::move(pkt));
+        return static_cast<Slot>(pool_.size() - 1);
+    }
+    const Slot slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    pool_[slot] = std::move(pkt);
+    return slot;
+}
+
+Packet
+Network::unpark(Slot slot)
+{
+    Packet pkt = std::move(pool_[slot]);
+    freeSlots_.push_back(slot);
+    return pkt;
 }
 
 } // namespace msgsim

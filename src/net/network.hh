@@ -33,10 +33,10 @@
 #ifndef MSGSIM_NET_NETWORK_HH
 #define MSGSIM_NET_NETWORK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,9 +45,71 @@
 #include "net/packet.hh"
 #include "net/tracer.hh"
 #include "sim/event.hh"
+#include "sim/log.hh"
 
 namespace msgsim
 {
+
+/** Virtual data networks per fabric (CM-5: the left and right trees). */
+constexpr unsigned numVirtualNets = 2;
+
+/** Column of flow (src, @p dst, @p vnet) in its source's FlowTable row. */
+inline std::uint32_t
+flowLane(NodeId dst, unsigned vnet)
+{
+    if (vnet >= numVirtualNets)
+        msgsim_panic("virtual network ", vnet, " out of range");
+    return dst * numVirtualNets + vnet;
+}
+
+/**
+ * Per-flow state keyed by (src, dst, vnet): two vector indexings per
+ * lookup instead of a tuple-keyed map.  A source gets its row when it
+ * first sends, sized to @p width destinations (the fabric's node
+ * count), so memory follows the sources that are active rather than
+ * N².  Rows never move their elements once sized, except when a
+ * destination beyond @p width shows up.
+ */
+template <typename T>
+class FlowTable
+{
+  public:
+    /** The state of flow (src, lane), created on first use. */
+    T &
+    at(NodeId src, std::uint32_t lane, std::size_t width)
+    {
+        if (src >= rows_.size())
+            rows_.resize(static_cast<std::size_t>(src) + 1);
+        std::vector<T> &row = rows_[src];
+        if (lane >= row.size())
+            row.resize(std::max<std::size_t>(lane + 1,
+                                             width * numVirtualNets));
+        return row[lane];
+    }
+
+    /** The state of @p pkt's flow, created on first use. */
+    T &
+    at(const Packet &pkt, std::size_t width)
+    {
+        return at(pkt.src, flowLane(pkt.dst, pkt.vnet), width);
+    }
+
+    /**
+     * Call @p fn on every entry in (src, dst, vnet) order.  Indexes
+     * afresh on every step, so @p fn may add flows.
+     */
+    template <typename Fn>
+    void
+    forEach(Fn fn)
+    {
+        for (std::size_t s = 0; s < rows_.size(); ++s)
+            for (std::size_t k = 0; k < rows_[s].size(); ++k)
+                fn(rows_[s][k]);
+    }
+
+  private:
+    std::vector<std::vector<T>> rows_;
+};
 
 /** High-level service guarantees a network provides in hardware. */
 struct NetFeatures
@@ -109,9 +171,12 @@ class Network
     /**
      * Delivery sink: the destination NI.  Returns false when the NI
      * cannot accept the packet right now (receive queue full or, on
-     * CR, resource-based header rejection).
+     * CR, resource-based header rejection).  A sink moves from the
+     * packet only when it accepts it: a refused packet is left intact,
+     * so the fabric offers the same packet again later without
+     * keeping a copy.
      */
-    using DeliverFn = std::function<bool(Packet &&)>;
+    using DeliverFn = std::function<bool(Packet &)>;
 
     explicit Network(Simulator &sim) : sim_(sim) {}
     virtual ~Network() = default;
@@ -123,12 +188,56 @@ class Network
     void attach(NodeId id, DeliverFn fn);
 
     /**
+     * Register a sink written against the consuming signature
+     * bool(Packet &&).  It is held to the same contract: it may move
+     * from the packet only when it accepts it.  Kept only for the
+     * bare-fabric probe in perfbench/perfbench.cc, which is written
+     * against bool(Packet &&); remove it once that probe takes
+     * Packet &.
+     */
+    template <typename Fn>
+        requires(!std::is_invocable_v<Fn &, Packet &> &&
+                 std::is_invocable_r_v<bool, Fn &, Packet &&>)
+    void
+    attach(NodeId id, Fn fn)
+    {
+        attach(id, DeliverFn([fn = std::move(fn)](Packet &pkt) mutable {
+                   return fn(std::move(pkt));
+               }));
+    }
+
+    /**
      * Inject a packet.  Stamps injection and flow sequence numbers.
      * Returns false when the injection port is backpressured (the
      * software must retry, like re-pushing a CM-5 packet whose
      * send_ok read failed).
      */
     bool inject(Packet &&pkt);
+
+    // ------------------------------------------------------------
+    // Packet pool, shared by every substrate and the NIs.  A packet
+    // between two fabric events, or waiting in an NI receive FIFO,
+    // sits in a pool slot; fabric event closures and FIFO entries
+    // carry only the slot.  The pool grows to the high-water mark of
+    // packets alive at once and recycles its slots, so carrying a
+    // packet from injection to consumption never allocates.
+    // ------------------------------------------------------------
+
+    /** Handle of a parked packet. */
+    using Slot = std::uint32_t;
+
+    /** Park @p pkt; its slot stays valid until unpark(). */
+    Slot park(Packet &&pkt);
+
+    /** Take a parked packet out, freeing its slot. */
+    Packet unpark(Slot slot);
+
+    /**
+     * The packet in @p slot.  The reference is invalidated by the next
+     * park() (the pool may grow), so hold it only across code that
+     * parks nothing.
+     */
+    const Packet &parked(Slot slot) const { return pool_[slot]; }
 
     /** Hardware service levels of this substrate. */
     virtual NetFeatures features() const = 0;
@@ -196,8 +305,8 @@ class Network
     // ------------------------------------------------------------
 
     /** Deliver a gated packet to its sink now.  Returns the sink's
-     *  acceptance result (false = refused; the gate keeps it). */
-    bool gateDeliver(Packet &&pkt);
+     *  acceptance result (false = refused, @p pkt left intact). */
+    bool gateDeliver(Packet &pkt);
 
     /** Account a gate decision to drop @p pkt. */
     void gateDrop(const Packet &pkt);
@@ -224,10 +333,29 @@ class Network
 
     /**
      * Present a packet to the destination sink.  Returns the sink's
-     * acceptance result; panics when the destination was never
-     * attached.
+     * acceptance result (a refused @p pkt is left intact); panics
+     * when the destination was never attached.
      */
-    bool presentToSink(Packet &&pkt);
+    bool presentToSink(Packet &pkt);
+
+    /**
+     * At tick @p when, call (self->*Handler)(the packet) with @p pkt
+     * parked until then.
+     */
+    template <auto Handler, typename Self>
+    void
+    scheduleParked(Tick when, Self *self, Packet &&pkt)
+    {
+        const Slot slot = park(std::move(pkt));
+        auto event = [self, slot] { (self->*Handler)(self->unpark(slot)); };
+        // libstdc++'s std::function stores a trivially copyable
+        // functor of up to 16 bytes in place: no heap allocation.
+        static_assert(sizeof(event) <= 16 &&
+                          std::is_trivially_copyable_v<decltype(event)>,
+                      "a parked-packet event must fit std::function's "
+                      "local buffer");
+        sim_.scheduleAt(when, event);
+    }
 
     /**
      * A packet bound for @p dst left the fabric by delivery outside
@@ -260,15 +388,43 @@ class Network
   private:
     PacketTracer *tracer_ = nullptr;
     ScheduleGate *gate_ = nullptr;
-    std::map<NodeId, DeliverFn> sinks_;
+    std::vector<DeliverFn> sinks_; ///< by node id; empty = unattached
     /// Per-destination link counters (boot-sized in attach()).
     std::vector<std::uint64_t> injectedTo_;
     std::vector<std::uint64_t> settledTo_;
     std::vector<std::uint64_t> deliveredTo_;
     std::uint64_t nextInjectSeq_ = 0;
-    std::map<std::tuple<NodeId, NodeId, int>, std::uint64_t>
-        flowCounters_;
+    FlowTable<std::uint64_t> flowCounters_;
+    std::vector<Packet> pool_;    ///< parked packets, by slot
+    std::vector<Slot> freeSlots_; ///< recycled slots of pool_
 };
+
+/** Element @p i of @p v, growing @p v (value-initialized) to reach it. */
+template <typename T>
+T &
+growTo(std::vector<T> &v, std::size_t i)
+{
+    if (i >= v.size())
+        v.resize(i + 1);
+    return v[i];
+}
+
+/**
+ * Link serialization at node @p id: the first tick at or after
+ * @p earliest at which its port is free, which then stays busy for
+ * @p gap ticks.  @p nextFree holds each node's next free tick.  A zero
+ * gap is an infinitely fast port and leaves @p nextFree alone.
+ */
+inline Tick
+serialize(std::vector<Tick> &nextFree, NodeId id, Tick earliest, Tick gap)
+{
+    if (gap == 0)
+        return earliest;
+    Tick &next = growTo(nextFree, id);
+    const Tick t = std::max(earliest, next);
+    next = t + gap;
+    return t;
+}
 
 } // namespace msgsim
 

@@ -18,8 +18,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "net/network.hh"
 #include "net/packet.hh"
 #include "sim/rng.hh"
 
@@ -133,6 +135,75 @@ OrderPolicyFactory pairSwapChanceFactory(double swapChance,
                                          std::uint64_t seed);
 OrderPolicyFactory randomWindowFactory(std::size_t window,
                                        std::uint64_t seed);
+
+/**
+ * The order-scrambling destination edge of an out-of-order fabric
+ * (cm5, nicam): one policy per (src, dst, vnet) flow, created on the
+ * flow's first packet, and a reused release buffer.
+ */
+class OrderStage
+{
+  public:
+    /** @p nodes sizes each source's flow row (the fabric's nodes). */
+    OrderStage(OrderPolicyFactory factory, std::size_t nodes)
+        : factory_(factory ? std::move(factory) : fifoOrderFactory()),
+          nodes_(nodes)
+    {
+    }
+
+    /** Run @p pkt through its flow's policy; call @p deliver on each
+     *  released packet, in presentation order. */
+    template <typename Deliver>
+    void
+    arrive(Packet &&pkt, Deliver deliver)
+    {
+        std::unique_ptr<OrderPolicy> &policy = policies_.at(pkt, nodes_);
+        if (!policy)
+            policy = factory_();
+        OrderPolicy &p = *policy;
+        release([&](std::vector<Packet> &out) {
+            p.arrive(std::move(pkt), out);
+        }, deliver);
+    }
+
+    /** Release every held packet, flow by flow in (src, dst, vnet)
+     *  order (teardown). */
+    template <typename Deliver>
+    void
+    flush(Deliver deliver)
+    {
+        policies_.forEach([&](std::unique_ptr<OrderPolicy> &policy) {
+            if (policy)
+                release([&](std::vector<Packet> &out) {
+                    policy->flush(out);
+                }, deliver);
+        });
+    }
+
+  private:
+    /**
+     * Borrow the spare buffer, let @p fill put packets in it and hand
+     * them to @p deliver.  A delivery may re-enter the fabric; a
+     * nested call then finds the spare lent out and starts its own.
+     */
+    template <typename Fill, typename Deliver>
+    void
+    release(Fill fill, Deliver &deliver)
+    {
+        std::vector<Packet> out = std::exchange(spare_, {});
+        fill(out);
+        for (Packet &p : out)
+            deliver(std::move(p));
+        out.clear();
+        if (out.capacity() > spare_.capacity())
+            spare_.swap(out);
+    }
+
+    OrderPolicyFactory factory_;
+    std::size_t nodes_;
+    FlowTable<std::unique_ptr<OrderPolicy>> policies_;
+    std::vector<Packet> spare_; ///< empty while lent out
+};
 
 } // namespace msgsim
 

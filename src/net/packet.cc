@@ -1,7 +1,92 @@
 #include "net/packet.hh"
 
+#include <algorithm>
+
 namespace msgsim
 {
+
+Payload::Payload(std::initializer_list<Word> words)
+{
+    reserve(words.size());
+    std::copy(words.begin(), words.end(), data());
+    size_ = static_cast<std::uint32_t>(words.size());
+}
+
+Payload::Payload(const std::vector<Word> &words)
+{
+    reserve(words.size());
+    std::copy(words.begin(), words.end(), data());
+    size_ = static_cast<std::uint32_t>(words.size());
+}
+
+Payload::Payload(const Payload &other)
+{
+    reserve(other.size_);
+    std::copy(other.begin(), other.end(), data());
+    size_ = other.size_;
+}
+
+Payload &
+Payload::operator=(const Payload &other)
+{
+    if (this != &other) {
+        reserve(other.size_);
+        std::copy(other.begin(), other.end(), data());
+        size_ = other.size_;
+    }
+    return *this;
+}
+
+Payload &
+Payload::operator=(Payload &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        steal(other);
+    }
+    return *this;
+}
+
+void
+Payload::reserve(std::size_t n)
+{
+    if (n <= cap_)
+        return;
+    Word *block = new Word[n];
+    std::copy(begin(), end(), block);
+    if (spilled())
+        delete[] heap_;
+    heap_ = block;
+    cap_ = static_cast<std::uint32_t>(n);
+}
+
+void
+Payload::release()
+{
+    if (spilled())
+        delete[] heap_;
+    cap_ = inlineWords;
+    size_ = 0;
+}
+
+void
+Payload::steal(Payload &other) noexcept
+{
+    size_ = other.size_;
+    cap_ = other.cap_;
+    if (other.spilled())
+        heap_ = other.heap_;
+    else
+        std::copy(other.inline_, other.inline_ + other.size_, inline_);
+    other.cap_ = inlineWords;
+    other.size_ = 0;
+}
+
+bool
+operator==(const Payload &a, const Payload &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 const char *
 toString(HwTag tag)

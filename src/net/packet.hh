@@ -18,13 +18,81 @@
 #ifndef MSGSIM_NET_PACKET_HH
 #define MSGSIM_NET_PACKET_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "core/types.hh"
 
 namespace msgsim
 {
+
+/**
+ * The data words of one packet.  Up to inlineWords are held in place —
+ * the CMAM_4 format and the default packet size — so carrying a packet
+ * never touches the heap; larger payloads (the Figure 8 sweep runs to
+ * n = 128) spill to one heap block.  The surface is the subset of
+ * std::vector the packet path uses.  A moved-from payload is empty.
+ */
+class Payload
+{
+  public:
+    static constexpr std::size_t inlineWords = 4;
+
+    using value_type = Word;
+    using iterator = Word *;
+    using const_iterator = const Word *;
+
+    Payload() = default;
+    Payload(std::initializer_list<Word> words);
+    Payload(const std::vector<Word> &words);
+    Payload(const Payload &other);
+    Payload(Payload &&other) noexcept { steal(other); }
+    Payload &operator=(const Payload &other);
+    Payload &operator=(Payload &&other) noexcept;
+    ~Payload() { release(); }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /** True when the words live on the heap (size above inlineWords). */
+    bool spilled() const { return cap_ > inlineWords; }
+
+    Word *data() { return spilled() ? heap_ : inline_; }
+    const Word *data() const { return spilled() ? heap_ : inline_; }
+    Word *begin() { return data(); }
+    Word *end() { return data() + size_; }
+    const Word *begin() const { return data(); }
+    const Word *end() const { return data() + size_; }
+    Word &operator[](std::size_t i) { return data()[i]; }
+    Word operator[](std::size_t i) const { return data()[i]; }
+
+    void reserve(std::size_t n);
+
+    void
+    push_back(Word w)
+    {
+        if (size_ == cap_)
+            reserve(2 * static_cast<std::size_t>(cap_));
+        data()[size_++] = w;
+    }
+
+    friend bool operator==(const Payload &a, const Payload &b);
+
+  private:
+    /** Free any heap block; leaves an empty inline payload. */
+    void release();
+    /** Take @p other's words (and heap block); @p other becomes empty. */
+    void steal(Payload &other) noexcept;
+
+    union
+    {
+        Word inline_[inlineWords] = {};
+        Word *heap_;
+    };
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = inlineWords;
+};
 
 /** Hardware message tags, the NI's dispatch vector (4 bits on CM-5). */
 enum class HwTag : std::uint8_t
@@ -55,7 +123,7 @@ struct Packet
     /// the two separate CM-5 networks however is safe."
     std::uint8_t vnet = 0;
     Word header = 0;           ///< messaging-layer header word
-    std::vector<Word> data;    ///< n data words
+    Payload data;              ///< n data words
 
     /// CRC over header+data, computed at injection (hardware).
     std::uint32_t crc = 0;
@@ -72,7 +140,7 @@ struct Packet
 
     Packet() = default;
 
-    Packet(NodeId s, NodeId d, HwTag t, Word hdr, std::vector<Word> words)
+    Packet(NodeId s, NodeId d, HwTag t, Word hdr, Payload words)
         : src(s), dst(d), tag(t), header(hdr), data(std::move(words))
     {
     }
@@ -89,6 +157,9 @@ struct Packet
     /** CRC32-like hash of header and data words. */
     std::uint32_t computeCrc() const;
 };
+
+static_assert(sizeof(Payload) <= 24 && sizeof(Packet) <= 72,
+              "the inline payload must not grow the packet");
 
 /**
  * Header-word packing helpers.  Layout (32 bits):

@@ -16,9 +16,7 @@ NetIface::NetIface(NodeId id, Network &net, const Config &cfg)
     if (cfg_.dataWords < 4 || cfg_.dataWords % 2 != 0)
         msgsim_fatal("NI data words must be even and >= 4 (the CMAM_4 "
                      "single-packet format), got ", cfg_.dataWords);
-    net_.attach(id_, [this](Packet &&pkt) {
-        return hwDeliver(std::move(pkt));
-    });
+    net_.attach(id_, [this](Packet &pkt) { return hwDeliver(pkt); });
 }
 
 void
@@ -34,7 +32,7 @@ NetIface::writeSendCtl(Accounting &acct, NodeId dst, HwTag tag,
                      cfg_.dataWords, ")");
     if (vnet < 0 || vnet >= numVnets)
         msgsim_panic("bad virtual network ", vnet);
-    staged_.emplace(id_, dst, tag, header, std::vector<Word>{});
+    staged_.emplace(id_, dst, tag, header, Payload{});
     staged_->vnet = static_cast<std::uint8_t>(vnet);
     staged_->data.reserve(static_cast<std::size_t>(lenWords));
     stagedLen_ = lenWords;
@@ -99,7 +97,7 @@ NetIface::hwPeekRecv() const
     const int v = pickServiceVnet();
     if (v < 0)
         return nullptr;
-    return &recvQueues_[static_cast<std::size_t>(v)].front();
+    return &net_.parked(recvQueues_[static_cast<std::size_t>(v)].front());
 }
 
 Word
@@ -126,7 +124,7 @@ NetIface::headPacket(const char *what)
         msgsim_panic("NI ", what, " with empty receive FIFO on node ",
                      id_);
     serviceVnet_ = v; // latch until this packet is fully consumed
-    return recvQueues_[static_cast<std::size_t>(v)].front();
+    return net_.parked(recvQueues_[static_cast<std::size_t>(v)].front());
 }
 
 void
@@ -135,9 +133,9 @@ NetIface::consumeData(std::size_t nwords)
     if (serviceVnet_ < 0)
         msgsim_panic("NI data consume with no packet in service");
     auto &queue = recvQueues_[static_cast<std::size_t>(serviceVnet_)];
-    const Packet &pkt = queue.front();
     recvReadIndex_ += nwords;
-    if (recvReadIndex_ >= pkt.data.size()) {
+    if (recvReadIndex_ >= net_.parked(queue.front()).data.size()) {
+        (void)net_.unpark(queue.front()); // consumed: free the slot
         queue.pop_front();
         recvReadIndex_ = 0;
         serviceVnet_ = -1;
@@ -223,7 +221,7 @@ NetIface::dmaScatterRecv(Accounting &acct, Addr dst)
 }
 
 bool
-NetIface::hwDeliver(Packet &&pkt)
+NetIface::hwDeliver(Packet &pkt)
 {
     hostprof::HostScope hs(hostprof::Site::NiHwDeliver);
     TraceSession *ts = TraceSession::current();
@@ -248,7 +246,7 @@ NetIface::hwDeliver(Packet &&pkt)
             ts->instant(id_, "ni", "recv_refusal");
         return false;
     }
-    queue.push_back(std::move(pkt));
+    queue.push_back(net_.park(std::move(pkt)));
     if (ts) {
         std::size_t depth = 0;
         for (const auto &q : recvQueues_)

@@ -27,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -36,6 +35,7 @@
 #include "core/types.hh"
 #include "net/network.hh"
 #include "net/packet.hh"
+#include "net/ring.hh"
 
 namespace msgsim
 {
@@ -62,7 +62,7 @@ class NetIface
     /// networks.  Network 1 is the reply network: it drains with
     /// priority and its FIFO is independent of network 0, so replies
     /// always get past backed-up requests (paper footnote 6).
-    static constexpr int numVnets = 2;
+    static constexpr int numVnets = static_cast<int>(numVirtualNets);
 
     struct Config
     {
@@ -172,8 +172,11 @@ class NetIface
     // Hardware-side (uncharged).
     // ------------------------------------------------------------
 
-    /** Delivery from the network; false = refused (FIFO full/reject). */
-    bool hwDeliver(Packet &&pkt);
+    /**
+     * Delivery from the network; false = refused (FIFO full/reject).
+     * Moves from @p pkt only when it accepts it.
+     */
+    bool hwDeliver(Packet &pkt);
 
     /** True when a packet waits on any network (uncharged). */
     bool
@@ -196,7 +199,10 @@ class NetIface
      * Uncharged peek at the packet the next read will service
      * (nullptr when empty) — the reply network drains first.  Used
      * for metadata the modeled hardware exposes out-of-band (source
-     * node, dispatch) — never for payload shortcuts.
+     * node, dispatch) — never for payload shortcuts.  The pointer is
+     * valid until the next packet is sent or delivered anywhere on the
+     * fabric: it points into the Network's packet pool, which a
+     * park() may grow.  Copy the fields you need before sending.
      */
     const Packet *hwPeekRecv() const;
 
@@ -251,7 +257,8 @@ class NetIface
     // Receive FIFOs, one per virtual network.  Reads are latched to
     // one queue for the duration of a packet (serviceVnet_), and the
     // reply network (1) has drain priority between packets.
-    std::array<std::deque<Packet>, numVnets> recvQueues_;
+    // Each entry is the network pool slot holding the packet.
+    std::array<Ring<Network::Slot>, numVnets> recvQueues_;
     std::size_t recvReadIndex_ = 0;
     int serviceVnet_ = -1;
 

@@ -148,7 +148,8 @@ NicamLayer::installAmHandler(Word handler, AmFn fn)
     const bool offloaded = net_.offloadHandler(
         node_.id(), HwTag::UserAm, handler,
         [fn](const Packet &pkt) {
-            fn(pkt.src, pkt.header, pkt.data);
+            fn(pkt.src, pkt.header,
+               std::vector<Word>(pkt.data.begin(), pkt.data.end()));
         });
     if (!offloaded)
         hostHandlers_[handler] = std::move(fn);
@@ -270,7 +271,7 @@ NicamLayer::nicStreamArrive(Word chan, const Packet &pkt)
     const std::uint32_t seq = hdr::fieldB(pkt.header);
     if (seq < st.expect)
         return; // stale duplicate; the NIC's reorder stage drops it
-    st.pending[seq] = pkt.data;
+    st.pending[seq].assign(pkt.data.begin(), pkt.data.end());
     // Release in sequence order into the host-visible ring.
     Memory &mem = node_.mem();
     const auto n = static_cast<std::uint32_t>(dataWords());

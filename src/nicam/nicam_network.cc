@@ -9,10 +9,9 @@ namespace msgsim
 
 NicamNetwork::NicamNetwork(Simulator &sim, const Config &cfg)
     : Network(sim), cfg_(cfg), tree_(cfg.nodes, cfg.arity),
-      faults_(cfg.faults), rng_(cfg.seed)
+      faults_(cfg.faults), rng_(cfg.seed),
+      order_(cfg.orderFactory, cfg.nodes)
 {
-    if (!cfg_.orderFactory)
-        cfg_.orderFactory = fifoOrderFactory();
     if (cfg_.maxOffloadEntries < 1)
         msgsim_fatal("nicam handler table needs at least one entry");
 }
@@ -58,15 +57,6 @@ NicamNetwork::offloadEntries(NodeId dst) const
                                : static_cast<int>(it->second.size());
 }
 
-OrderPolicy &
-NicamNetwork::policyFor(const FlowKey &flow)
-{
-    auto it = policies_.find(flow);
-    if (it == policies_.end())
-        it = policies_.emplace(flow, cfg_.orderFactory()).first;
-    return *it->second;
-}
-
 bool
 NicamNetwork::injectImpl(Packet &&pkt)
 {
@@ -105,38 +95,21 @@ NicamNetwork::routeToEdge(Packet &&pkt)
     if (cfg_.maxJitter > 0)
         latency += rng_.below(cfg_.maxJitter + 1);
 
-    Tick departure = sim_.now();
-    if (cfg_.injectGap > 0) {
-        auto it = lastDeparture_.find(pkt.src);
-        if (it != lastDeparture_.end())
-            departure = std::max(departure,
-                                 it->second + cfg_.injectGap);
-        lastDeparture_[pkt.src] = departure;
-    }
-    Tick arrival = departure + latency;
-    if (cfg_.deliverGap > 0) {
-        auto it = lastArrival_.find(pkt.dst);
-        if (it != lastArrival_.end())
-            arrival = std::max(arrival, it->second + cfg_.deliverGap);
-        lastArrival_[pkt.dst] = arrival;
-    }
+    const Tick departure = serialize(nextDeparture_, pkt.src, sim_.now(),
+                                     cfg_.injectGap);
+    const Tick arrival = serialize(nextArrival_, pkt.dst,
+                                   departure + latency, cfg_.deliverGap);
 
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.scheduleAt(arrival, [this, carried]() mutable {
-        arriveAtEdge(std::move(*carried));
-    });
+    scheduleParked<&NicamNetwork::arriveAtEdge>(arrival, this,
+                                                std::move(pkt));
 }
 
 void
 NicamNetwork::arriveAtEdge(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::NicamDeliver);
-    auto &policy =
-        policyFor({pkt.src, pkt.dst, static_cast<int>(pkt.vnet)});
-    std::vector<Packet> release;
-    policy.arrive(std::move(pkt), release);
-    for (auto &p : release)
-        tryDeliver(std::move(p));
+    order_.arrive(std::move(pkt),
+                  [this](Packet &&p) { tryDeliver(std::move(p)); });
 }
 
 void
@@ -176,26 +149,19 @@ NicamNetwork::tryDeliver(Packet &&pkt)
         ++offloadMisses_; // non-empty table, no match: host fallback
     }
 
-    if (presentToSink(std::move(pkt)))
+    if (presentToSink(pkt))
         return;
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.
     ++stats_.deliveryRetries;
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.schedule(cfg_.retryDelay, [this, carried]() mutable {
-        tryDeliver(std::move(*carried));
-    });
+    scheduleParked<&NicamNetwork::tryDeliver>(
+        sim_.now() + cfg_.retryDelay, this, std::move(pkt));
 }
 
 void
 NicamNetwork::flushHeldPackets()
 {
-    for (auto &[flow, policy] : policies_) {
-        std::vector<Packet> release;
-        policy->flush(release);
-        for (auto &p : release)
-            tryDeliver(std::move(p));
-    }
+    order_.flush([this](Packet &&p) { tryDeliver(std::move(p)); });
 }
 
 } // namespace msgsim

@@ -25,8 +25,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "net/fault.hh"
 #include "net/network.hh"
@@ -110,7 +110,6 @@ class NicamNetwork : public Network
     bool injectImpl(Packet &&pkt) override;
 
   private:
-    using FlowKey = std::tuple<NodeId, NodeId, int>;
     using TableKey = std::pair<int, Word>; ///< (tag, selector)
 
     struct OffloadEntry
@@ -119,7 +118,6 @@ class NicamNetwork : public Network
         std::uint64_t hits = 0;
     };
 
-    OrderPolicy &policyFor(const FlowKey &flow);
     void routeToEdge(Packet &&pkt);
     void arriveAtEdge(Packet &&pkt);
 
@@ -130,10 +128,11 @@ class NicamNetwork : public Network
     FatTree tree_;
     FaultInjector faults_;
     Rng rng_;
-    std::map<FlowKey, std::unique_ptr<OrderPolicy>> policies_;
+    OrderStage order_;
     std::map<NodeId, std::map<TableKey, OffloadEntry>> tables_;
-    std::map<NodeId, Tick> lastDeparture_; ///< injection serialization
-    std::map<NodeId, Tick> lastArrival_;   ///< delivery serialization
+    /// Earliest next departure / arrival per node (link serialization).
+    std::vector<Tick> nextDeparture_;
+    std::vector<Tick> nextArrival_;
     std::uint64_t offloadHits_ = 0;
     std::uint64_t offloadMisses_ = 0;
     std::uint64_t offloadCrcDrops_ = 0;

@@ -1,7 +1,5 @@
 #include "rdmanet/rdma_network.hh"
 
-#include <memory>
-
 #include "hostprof/hostprof.hh"
 #include "sim/log.hh"
 
@@ -24,8 +22,9 @@ RdmaNetwork::injectImpl(Packet &&pkt)
     // Link-level reliability: probe the injector on a copy; every hit
     // models a CRC-failed (or PFC-paused) link transfer retried by
     // the adjacent switches.  The payload that finally crosses is
-    // intact, exactly once.
-    for (;;) {
+    // intact, exactly once.  An unarmed injector can only answer
+    // None, so no probe is copied for it.
+    while (faults_.armed()) {
         Packet probe = pkt;
         if (faults_.apply(probe) == FaultAction::None)
             break;
@@ -35,53 +34,40 @@ RdmaNetwork::injectImpl(Packet &&pkt)
     }
 
     // Link-bandwidth serialization at both endpoints.
-    Tick departure = sim_.now();
-    if (cfg_.injectGap > 0) {
-        auto it = lastDeparture_.find(pkt.src);
-        if (it != lastDeparture_.end())
-            departure = std::max(departure,
-                                 it->second + cfg_.injectGap);
-        lastDeparture_[pkt.src] = departure;
-    }
+    const Tick departure = serialize(nextDeparture_, pkt.src, sim_.now(),
+                                     cfg_.injectGap);
     // Per-QP ordering: a packet never arrives before its flow
     // predecessor.
-    const FlowKey flow{pkt.src, pkt.dst,
-                       static_cast<int>(pkt.vnet)};
-    Tick arrival =
-        std::max(departure + latency,
-                 lastArrival_.count(flow) ? lastArrival_[flow] + 1 : 0);
-    if (cfg_.deliverGap > 0) {
-        auto it = lastAtDest_.find(pkt.dst);
-        if (it != lastAtDest_.end())
-            arrival = std::max(arrival, it->second + cfg_.deliverGap);
-        lastAtDest_[pkt.dst] = arrival;
-    }
-    lastArrival_[flow] = arrival;
+    FlowState &flow = flows_.at(pkt, cfg_.nodes);
+    const Tick arrival =
+        serialize(nextAtDest_, pkt.dst,
+                  std::max(departure + latency, flow.nextArrival),
+                  cfg_.deliverGap);
+    flow.nextArrival = arrival + 1;
 
-    auto carried = std::make_shared<Packet>(std::move(pkt));
-    sim_.scheduleAt(arrival, [this, flow, carried]() mutable {
-        arrive(flow, std::move(*carried));
-    });
+    scheduleParked<&RdmaNetwork::arrive>(arrival, this, std::move(pkt));
     return true;
 }
 
 void
-RdmaNetwork::arrive(FlowKey flow, Packet &&pkt)
+RdmaNetwork::arrive(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::RdmaDeliver);
-    flows_[flow].queue.push_back(std::move(pkt));
-    drain(flow);
+    const NodeId src = pkt.src;
+    const std::uint32_t lane = flowLane(pkt.dst, pkt.vnet);
+    flows_.at(src, lane, cfg_.nodes).queue.push_back(std::move(pkt));
+    drain(src, lane);
 }
 
 void
-RdmaNetwork::drain(FlowKey flow)
+RdmaNetwork::drain(NodeId src, std::uint32_t lane)
 {
     // RNR-retry closures re-enter here outside arrive().
     hostprof::HostScope hs(hostprof::Site::RdmaDeliver);
-    auto &state = flows_[flow];
+    FlowState &state = flows_.at(src, lane, cfg_.nodes);
     state.drainScheduled = false;
     while (!state.queue.empty()) {
-        if (!presentToSink(Packet(state.queue.front()))) {
+        if (!presentToSink(state.queue.front())) {
             // Receiver not ready (no posted receive / CQ full): the
             // fabric NAKs and retries later; younger packets wait
             // behind, so per-QP order is preserved.
@@ -89,7 +75,7 @@ RdmaNetwork::drain(FlowKey flow)
             if (!state.drainScheduled) {
                 state.drainScheduled = true;
                 sim_.schedule(cfg_.rnrRetryDelay,
-                              [this, flow] { drain(flow); });
+                              [this, src, lane] { drain(src, lane); });
             }
             return;
         }

@@ -42,9 +42,8 @@ RdmaNic::RdmaNic(Node &node, Network &net, const Config &cfg)
 
     // The NIC is the delivery sink: zero-copy DMA placement replaces
     // the NI receive FIFO entirely.
-    net_.attach(node_.id(), [this](Packet &&pkt) {
-        return nicDeliver(std::move(pkt));
-    });
+    net_.attach(node_.id(),
+                [this](Packet &pkt) { return nicDeliver(pkt); });
 }
 
 void
@@ -242,10 +241,10 @@ RdmaNic::postSend(Word qp, Addr laddr, std::uint32_t words, Word userTag)
     bool first = true;
     for (std::uint32_t off = 0; off < words;
          off += static_cast<std::uint32_t>(n)) {
-        std::vector<Word> payload(static_cast<std::size_t>(n));
+        Payload payload;
+        payload.reserve(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i)
-            payload[static_cast<std::size_t>(i)] =
-                mem.read(laddr + off + static_cast<Addr>(i));
+            payload.push_back(mem.read(laddr + off + static_cast<Addr>(i)));
         Packet pkt(node_.id(), it->second.peer, HwTag::XferData,
                    hdr::pack(qp, first ? words : 0),
                    std::move(payload));
@@ -326,7 +325,7 @@ RdmaNic::pollCq(int max)
 }
 
 bool
-RdmaNic::nicDeliver(Packet &&pkt)
+RdmaNic::nicDeliver(const Packet &pkt)
 {
     // Hardware-side placement: never charges the host.
     if (pkt.tag != HwTag::XferData)

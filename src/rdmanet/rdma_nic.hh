@@ -128,7 +128,7 @@ class RdmaNic
     // ------------------------------------------------------------
 
     /** Fragment arrival from the fabric; false = receiver not ready. */
-    bool nicDeliver(Packet &&pkt);
+    bool nicDeliver(const Packet &pkt);
 
     // ------------------------------------------------------------
     // Accounting (diagnostics; never charged).

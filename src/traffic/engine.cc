@@ -170,8 +170,8 @@ TrafficEngine::sendAck(NodeId self, NodeId src, std::uint32_t ackIdx)
     Node &node = stack_.node(self);
     const Word meta = packMeta(self, ackIdx);
     FeatureScope ft(node.acct(), Feature::FaultTolerance);
-    stack_.cmam(self).am4Reply(src, ackHandler_[src],
-                               {meta, 0, checksum(meta, 0)});
+    ackArgs_.assign({meta, 0, checksum(meta, 0)});
+    stack_.cmam(self).am4Reply(src, ackHandler_[src], ackArgs_);
     ++shape_.acksSent;
 }
 
@@ -202,8 +202,8 @@ TrafficEngine::onData(NodeId self, NodeId src,
 
       case TrafficProto::Seq: {
         const std::uint32_t fragSeq = metaSeq(meta);
-        std::uint32_t &expect = expect_[self][src];
-        auto &stash = stash_[self][src];
+        std::uint32_t &expect = expect_[pairIndex(self, src)];
+        auto &stash = stash_[pairIndex(self, src)];
         FeatureScope io(a, Feature::InOrderDelivery);
         p.regOps(tc::seqCheckReg);
         if (fragSeq == expect) {
@@ -235,7 +235,7 @@ TrafficEngine::onData(NodeId self, NodeId src,
         consume(self, src, meta, pay);
         FeatureScope ft(a, Feature::FaultTolerance);
         p.regOps(tc::ackTrackReg);
-        const std::uint32_t got = ++fragsGot_[self][src];
+        const std::uint32_t got = ++fragsGot_[pairIndex(self, src)];
         const std::uint32_t k = spec_->fragmentsPerMessage();
         if (got % k == 0)
             sendAck(self, src, got / k - 1);
@@ -295,10 +295,10 @@ TrafficEngine::run(const TrafficSpec &spec)
     shape_.acked = spec.proto == TrafficProto::Acked;
     badPayloads_ = 0;
     consumed_ = 0;
-    expect_.assign(n, std::vector<std::uint32_t>(n, 0));
-    stash_.assign(
-        n, std::vector<std::map<std::uint32_t, Word>>(n));
-    fragsGot_.assign(n, std::vector<std::uint32_t>(n, 0));
+    const std::size_t pairs = static_cast<std::size_t>(n) * n;
+    expect_.assign(pairs, 0);
+    stash_.assign(pairs, {});
+    fragsGot_.assign(pairs, 0);
     acksGot_.assign(n, 0);
 
     // Latency bookkeeping: a flow (src, dst) carries at most
@@ -327,8 +327,7 @@ TrafficEngine::run(const TrafficSpec &spec)
     // receiver's in-order machinery orders against, so a source whose
     // pattern spreads messages over many destinations must not leave
     // sequence gaps in any one flow.
-    std::vector<std::vector<std::uint32_t>> flowSeq(
-        n, std::vector<std::uint32_t>(n, 0));
+    std::vector<std::uint32_t> flowSeq(pairs, 0);
 
     const auto drainOnce = [&]() -> bool {
         hostprof::HostScope hs(hostprof::Site::TrafficDrain);
@@ -353,7 +352,7 @@ TrafficEngine::run(const TrafficSpec &spec)
                 const NodeId dst = gen.destFor(src);
                 Node &node = stack_.node(src);
                 for (std::uint32_t f = 0; f < frags; ++f) {
-                    const std::uint32_t fragSeq = flowSeq[src][dst]++;
+                    const std::uint32_t fragSeq = flowSeq[pairIndex(src, dst)]++;
                     if (f == 0)
                         msgBirth_[msgIndex(src, dst,
                                            fragSeq / frags)] =
@@ -364,9 +363,9 @@ TrafficEngine::run(const TrafficSpec &spec)
                     {
                         FeatureScope fs(node.acct(),
                                         Feature::BaseCost);
-                        stack_.cmam(src).am4(
-                            dst, dataHandler_[dst],
-                            {meta, pay, checksum(meta, pay)});
+                        fragArgs_.assign({meta, pay, checksum(meta, pay)});
+                        stack_.cmam(src).am4(dst, dataHandler_[dst],
+                                             fragArgs_);
                     }
                     ++shape_.fragmentsSent;
                     if (spec.proto == TrafficProto::Acked) {
@@ -402,10 +401,9 @@ TrafficEngine::run(const TrafficSpec &spec)
             break;
 
     bool stashesEmpty = true;
-    for (const auto &row : stash_)
-        for (const auto &s : row)
-            if (!s.empty())
-                stashesEmpty = false;
+    for (const auto &s : stash_)
+        if (!s.empty())
+            stashesEmpty = false;
 
     // Collect the completed-message timings in flow order (no
     // hostprof scope is open here, so growing the vector is fine).

@@ -187,15 +187,21 @@ class TrafficEngine
     std::uint64_t badPayloads_ = 0;
     /// Per-node charge target for the protocols' memory operations.
     std::vector<Addr> scratchAddr_;
-    /// seq proto: [dst][src] expected fragment sequence.
-    std::vector<std::vector<std::uint32_t>> expect_;
+    /// seq proto: [dst][src] expected fragment sequence (all three
+    /// per-pair tables are flat, indexed by pairIndex()).
+    std::vector<std::uint32_t> expect_;
     /// seq proto: [dst][src] reorder stash (fragSeq -> payload).
-    std::vector<std::vector<std::map<std::uint32_t, Word>>> stash_;
+    std::vector<std::map<std::uint32_t, Word>> stash_;
     /// acked proto: [dst][src] fragments seen (ack every k-th).
-    std::vector<std::vector<std::uint32_t>> fragsGot_;
+    std::vector<std::uint32_t> fragsGot_;
     /// acked proto: [src] acks consumed.
     std::vector<std::uint32_t> acksGot_;
     std::uint64_t consumed_ = 0;
+    /// Reused {meta, pay, checksum} argument words of the fragment
+    /// and ack sends (one each: an ack goes out inside a fragment's
+    /// handler, never inside another ack's send).
+    std::vector<Word> fragArgs_;
+    std::vector<Word> ackArgs_;
 
     // Closed-loop latency bookkeeping.  Flat [src][dst][msg] arrays,
     // preallocated in run() so the charged send/consume paths only
@@ -206,6 +212,13 @@ class TrafficEngine
     std::vector<Tick> msgBirth_;
     std::vector<Tick> msgDone_;
     std::vector<std::uint32_t> msgFrags_;
+
+    /** Flat index of node pair (@p a, @p b) in an n × n table. */
+    std::size_t
+    pairIndex(NodeId a, NodeId b) const
+    {
+        return static_cast<std::size_t>(a) * latNodes_ + b;
+    }
 
     std::size_t
     msgIndex(NodeId src, NodeId dst, std::uint32_t m) const

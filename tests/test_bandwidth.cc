@@ -25,7 +25,7 @@ TEST(Bandwidth, InjectGapSpacesDepartures)
     Cm5Network net(sim, cfg);
 
     std::vector<Tick> arrivals;
-    net.attach(1, [&](Packet &&) {
+    net.attach(1, [&](Packet &) {
         arrivals.push_back(sim.now());
         return true;
     });
@@ -48,7 +48,7 @@ TEST(Bandwidth, DeliverGapSerializesFanIn)
     Cm5Network net(sim, cfg);
 
     std::vector<Tick> arrivals;
-    net.attach(2, [&](Packet &&) {
+    net.attach(2, [&](Packet &) {
         arrivals.push_back(sim.now());
         return true;
     });
@@ -74,7 +74,7 @@ TEST(Bandwidth, CrGapsPreserveOrder)
     CrNetwork net(sim, cfg);
 
     std::vector<Word> got;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         got.push_back(p.header);
         return true;
     });

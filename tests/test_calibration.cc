@@ -87,9 +87,12 @@ TEST(Table1, IdenticalOnCrSubstrate)
 // Table 2 + Table 3: finite-sequence, multi-packet delivery.
 // ------------------------------------------------------------------
 
+// Table rows hold only 64-bit fields: gtest names each case by the raw
+// bytes of its parameter, and padding after a narrower field would put
+// uninitialised (address-dependent) bytes into the test name.
 struct FiniteCase
 {
-    std::uint32_t words;
+    std::uint64_t words;
     // Feature totals [src, dst]: base, buf, ord, ft; grand totals.
     std::uint64_t base_s, base_d, buf_s, buf_d, ord_s, ord_d, ft_s,
         ft_d, tot_s, tot_d;
@@ -218,7 +221,7 @@ cm5SwapConfig()
 
 struct StreamCase
 {
-    std::uint32_t words;
+    std::uint64_t words; // 64-bit for padding-free names; see FiniteCase.
     std::uint64_t base_s, base_d, ord_s, ord_d, ft_s, ft_d, tot_s,
         tot_d;
 };

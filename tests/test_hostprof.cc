@@ -114,6 +114,44 @@ TEST(HostProf, DisabledScopesAllocateNothing)
 }
 
 // ------------------------------------------------------------------
+// The packet path in steady state: not one heap allocation.
+// ------------------------------------------------------------------
+
+TEST(HostProf, SteadyStatePacketPathAllocatesNothing)
+{
+    for (Substrate sub : {Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
+                          Substrate::Nicam}) {
+        StackConfig cfg;
+        cfg.substrate = sub;
+        cfg.nodes = 2;
+        Stack stack(cfg);
+        Cmam &src = stack.cmam(0);
+        Cmam &dst = stack.cmam(1);
+        std::uint64_t got = 0;
+        const int h = dst.registerHandler(
+            [&got](NodeId, const std::vector<Word> &) { ++got; });
+        const std::vector<Word> args = {1, 2, 3, 4};
+        const auto round = [&] {
+            src.am4(1, h, args);
+            stack.settle();
+            dst.poll();
+        };
+
+        // Warm-up sizes the pool, rings, flow tables and buffers.
+        for (int i = 0; i < 64; ++i)
+            round();
+        const std::uint64_t before = hostprof::globalAllocCount();
+        for (int i = 0; i < 1000; ++i)
+            round();
+        const std::uint64_t allocs =
+            hostprof::globalAllocCount() - before;
+
+        EXPECT_EQ(allocs, 0u) << toString(sub);
+        EXPECT_EQ(got, 1064u) << toString(sub);
+    }
+}
+
+// ------------------------------------------------------------------
 // Calling-context-tree arithmetic.
 // ------------------------------------------------------------------
 

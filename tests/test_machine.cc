@@ -115,7 +115,7 @@ TEST(NetIface, SendAssemblesAndLaunchesPacket)
     const Packet *p = ni1.hwPeekRecv();
     EXPECT_EQ(p->src, 0u);
     EXPECT_EQ(p->tag, HwTag::UserAm);
-    EXPECT_EQ(p->data, (std::vector<Word>{10, 11, 12, 13}));
+    EXPECT_EQ(p->data, (Payload{10, 11, 12, 13}));
 
     // Charges: 3 devStores on the sender.
     EXPECT_EQ(a.counter().categoryTotal(Category::Dev), 3u);

@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "cm5net/cm5_network.hh"
 #include "net/fault.hh"
 #include "net/order.hh"
 #include "net/packet.hh"
@@ -46,6 +47,112 @@ TEST(Packet, SizeIsHeaderPlusData)
 {
     Packet p(0, 1, HwTag::XferData, 0, {1, 2, 3, 4});
     EXPECT_EQ(p.sizeWords(), 5u); // the CM-5's five-word packet
+}
+
+// ------------------------------------------------------------------
+// Payload: inline up to four words, one heap block above that.
+// ------------------------------------------------------------------
+
+Payload
+sequence(std::size_t n)
+{
+    Payload p;
+    for (std::size_t i = 0; i < n; ++i)
+        p.push_back(static_cast<Word>(100 + i));
+    return p;
+}
+
+TEST(Payload, InlineUpToFourWordsHeapAbove)
+{
+    for (std::size_t n : {std::size_t(4), std::size_t(6),
+                          std::size_t(128)}) {
+        const Payload p = sequence(n);
+        ASSERT_EQ(p.size(), n);
+        EXPECT_EQ(p.spilled(), n > Payload::inlineWords) << n;
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(p[i], static_cast<Word>(100 + i)) << n;
+        EXPECT_EQ(std::vector<Word>(p.begin(), p.end()).size(), n);
+    }
+    EXPECT_FALSE(Payload({1, 2, 3, 4}).spilled());
+    EXPECT_TRUE(Payload({1, 2, 3, 4, 5}).spilled());
+    EXPECT_EQ(Payload(std::vector<Word>{7, 8, 9}), (Payload{7, 8, 9}));
+}
+
+TEST(Payload, CopyAndMove)
+{
+    for (std::size_t n : {std::size_t(4), std::size_t(6),
+                          std::size_t(128)}) {
+        Payload a = sequence(n);
+        const Payload copy = a;
+        EXPECT_EQ(copy, a) << n;
+
+        Payload moved = std::move(a);
+        EXPECT_EQ(moved, copy) << n;
+        EXPECT_TRUE(a.empty()) << n;
+        EXPECT_FALSE(a.spilled()) << n;
+
+        Payload assigned{1};
+        assigned = std::move(moved);
+        EXPECT_EQ(assigned, copy) << n;
+        EXPECT_TRUE(moved.empty()) << n;
+
+        Payload copiedOver = sequence(2);
+        copiedOver = copy;
+        EXPECT_EQ(copiedOver, copy) << n;
+
+        // A moved-from payload is reusable.
+        a.push_back(42);
+        EXPECT_EQ(a, (Payload{42})) << n;
+    }
+}
+
+TEST(Payload, EqualityComparesWords)
+{
+    EXPECT_EQ(sequence(6), sequence(6));
+    EXPECT_NE(sequence(6), sequence(5));
+    Payload p = sequence(6);
+    p[5] ^= 1;
+    EXPECT_NE(p, sequence(6));
+    EXPECT_EQ(Payload{}, Payload(std::vector<Word>{}));
+}
+
+TEST(Payload, FaultCorruptionOnASpilledPayload)
+{
+    Packet p(0, 1, HwTag::XferData, 3, sequence(8));
+    ASSERT_TRUE(p.data.spilled());
+    p.injectSeq = 5;
+    p.seal();
+    FaultInjector f;
+    f.scriptCorrupt(5);
+    EXPECT_TRUE(f.armed());
+    EXPECT_EQ(f.apply(p), FaultAction::Corrupt);
+    EXPECT_FALSE(f.armed());
+    EXPECT_EQ(p.data[0], 100u ^ (1u << 5));
+    EXPECT_FALSE(p.checksumOk());
+
+    Simulator sim;
+    Cm5Network net(sim, Cm5Network::Config{});
+    Packet q(0, 1, HwTag::XferData, 3, sequence(8));
+    q.injectSeq = 33;
+    q.seal();
+    net.gateCorrupt(q);
+    EXPECT_EQ(q.data[0], 100u ^ (1u << 1));
+    EXPECT_EQ(q.data[7], 107u);
+    EXPECT_TRUE(q.corrupted);
+    EXPECT_FALSE(q.checksumOk());
+    EXPECT_EQ(net.stats().corrupted, 1u);
+}
+
+TEST(Payload, CrcIsPinned)
+{
+    // FNV-1a over the header and data words, as before the payload
+    // went inline: these values must never change.
+    EXPECT_EQ(Packet(0, 1, HwTag::UserAm, 0x1234, {1, 2, 3, 4})
+                  .computeCrc(),
+              0x22b08ddfu);
+    EXPECT_EQ(Packet(0, 1, HwTag::UserAm, 0x1234, sequence(6))
+                  .computeCrc(),
+              0xd0fd25eau);
 }
 
 TEST(HeaderPacking, RoundTrips)

@@ -13,6 +13,7 @@
 
 #include "cm5net/cm5_network.hh"
 #include "crnet/cr_network.hh"
+#include "protocols/stack.hh"
 #include "sim/event.hh"
 
 namespace msgsim
@@ -35,7 +36,7 @@ TEST(Cm5Network, DeliversAllPacketsFifoByDefault)
     Cm5Network net(sim, cfg);
 
     std::vector<Word> got;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         got.push_back(p.header);
         return true;
     });
@@ -59,7 +60,7 @@ TEST(Cm5Network, JitterProducesGenuineReordering)
     Cm5Network net(sim, cfg);
 
     std::vector<Word> got;
-    net.attach(5, [&](Packet &&p) {
+    net.attach(5, [&](Packet &p) {
         got.push_back(p.header);
         return true;
     });
@@ -82,7 +83,7 @@ TEST(Cm5Network, SwapAdjacentPolicyScramblesDeterministically)
     Cm5Network net(sim, cfg);
 
     std::vector<Word> got;
-    net.attach(2, [&](Packet &&p) {
+    net.attach(2, [&](Packet &p) {
         got.push_back(p.header);
         return true;
     });
@@ -101,7 +102,7 @@ TEST(Cm5Network, BackpressureRetriesUntilSinkAccepts)
 
     int refusals_left = 3;
     std::vector<Word> got;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         if (refusals_left > 0) {
             --refusals_left;
             return false;
@@ -125,7 +126,7 @@ TEST(Cm5Network, DropsAreSilent)
     net.faults().scriptDrop(0);
 
     int delivered = 0;
-    net.attach(1, [&](Packet &&) {
+    net.attach(1, [&](Packet &) {
         ++delivered;
         return true;
     });
@@ -147,7 +148,7 @@ TEST(Cm5Network, CorruptionTravelsToSink)
     net.faults().scriptCorrupt(0);
 
     bool saw_bad = false;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         saw_bad = !p.checksumOk();
         return true;
     });
@@ -164,7 +165,7 @@ TEST(Cm5Network, InjectBusyRefusesAtInjection)
     cfg.nodes = 4;
     cfg.injectBusyRate = 1.0;
     Cm5Network net(sim, cfg);
-    net.attach(1, [](Packet &&) { return true; });
+    net.attach(1, [](Packet &) { return true; });
     EXPECT_FALSE(net.inject(mkPacket(0, 1, 0)));
     EXPECT_EQ(net.stats().injected, 0u);
 }
@@ -179,7 +180,7 @@ TEST(Cm5Network, FartherNodesTakeLonger)
 
     std::map<NodeId, Tick> arrival;
     for (NodeId d : {1u, 4u}) {
-        net.attach(d, [&, d](Packet &&) {
+        net.attach(d, [&, d](Packet &) {
             arrival[d] = sim.now();
             return true;
         });
@@ -201,7 +202,7 @@ TEST(CrNetwork, InOrderAlways)
     CrNetwork net(sim, cfg);
 
     std::vector<Word> got;
-    net.attach(3, [&](Packet &&p) {
+    net.attach(3, [&](Packet &p) {
         got.push_back(p.header);
         return true;
     });
@@ -225,7 +226,7 @@ TEST(CrNetwork, FaultsAreCorrectedInHardware)
 
     std::vector<Word> got;
     int bad = 0;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         got.push_back(p.header);
         bad += !p.checksumOk();
         return true;
@@ -251,7 +252,7 @@ TEST(CrNetwork, RejectionRetriesPreserveOrder)
     // must still arrive after it.
     int refusals_left = 3;
     std::vector<Word> got;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         if (p.header == 0 && refusals_left > 0) {
             --refusals_left;
             return false;
@@ -275,7 +276,7 @@ TEST(CrNetwork, IndependentFlowsDontBlockEachOther)
 
     std::vector<std::pair<NodeId, Word>> got;
     bool reject0 = true;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         if (p.src == 0 && reject0)
             return false; // flow 0->1 stuck
         got.emplace_back(p.src, p.header);
@@ -289,6 +290,63 @@ TEST(CrNetwork, IndependentFlowsDontBlockEachOther)
     reject0 = false;
     sim.run();
     ASSERT_EQ(got.size(), 2u);
+}
+
+TEST(CrNetwork, RefusingSinkIsOfferedTheSamePacketAgain)
+{
+    // The DeliverFn contract: a sink that refuses leaves the packet
+    // intact, so the fabric re-offers it without having kept a copy.
+    Simulator sim;
+    CrNetwork::Config cfg;
+    cfg.nodes = 4;
+    CrNetwork net(sim, cfg);
+
+    std::vector<Packet> offers;
+    Packet accepted;
+    net.attach(1, [&](Packet &p) {
+        offers.push_back(p);
+        if (offers.size() == 1)
+            return false;
+        accepted = std::move(p);
+        return true;
+    });
+    const Payload words{1, 2, 3, 4, 5, 6, 7, 8}; // spills to the heap
+    net.inject(Packet(0, 1, HwTag::XferData, 7, words));
+    sim.run();
+    ASSERT_EQ(offers.size(), 2u);
+    EXPECT_EQ(offers[1].data, words);
+    EXPECT_EQ(offers[1].header, offers[0].header);
+    EXPECT_EQ(offers[1].crc, offers[0].crc);
+    EXPECT_TRUE(offers[1].checksumOk());
+    EXPECT_EQ(accepted.data, words);
+    EXPECT_EQ(net.stats().deliveryRetries, 1u);
+}
+
+TEST(CrNetwork, AcceptPredicateRefusalDeliversBitIdenticalPayload)
+{
+    for (Substrate sub : {Substrate::Cr, Substrate::Rdma}) {
+        StackConfig cfg;
+        cfg.substrate = sub;
+        cfg.nodes = 2;
+        Stack stack(cfg);
+        int offers = 0;
+        stack.node(1).ni().setAcceptFn(
+            [&offers](const Packet &) { return offers++ > 0; });
+        const std::vector<Word> args = {0xdeadbeefu, 0x01234567u,
+                                        0x89abcdefu, 0xfeedfaceu};
+        std::vector<Word> got;
+        const int h = stack.cmam(1).registerHandler(
+            [&got](NodeId, const std::vector<Word> &a) { got = a; });
+
+        stack.cmam(0).am4(1, h, args);
+        stack.settle();
+        stack.cmam(1).poll();
+
+        EXPECT_EQ(offers, 2) << toString(sub);
+        EXPECT_EQ(stack.node(1).ni().acceptRefusals(), 1u);
+        EXPECT_EQ(stack.network().stats().deliveryRetries, 1u);
+        EXPECT_EQ(got, args) << toString(sub);
+    }
 }
 
 } // namespace

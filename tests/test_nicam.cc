@@ -60,7 +60,7 @@ TEST(NicamNetwork, HitsRunOnNicMissesFallToHost)
     net.offloadHandler(1, HwTag::UserAm, 5,
                        [&nicRuns](const Packet &) { ++nicRuns; });
     std::vector<Word> hostGot;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         hostGot.push_back(p.header);
         return true;
     });
@@ -95,7 +95,7 @@ TEST(NicamNetwork, NicCrcCheckDiscardsCorruptPackets)
     int nicRuns = 0;
     net.offloadHandler(1, HwTag::UserAm, 5,
                        [&nicRuns](const Packet &) { ++nicRuns; });
-    net.attach(1, [](Packet &&) { return true; });
+    net.attach(1, [](Packet &) { return true; });
     net.inject(Packet(0, 1, HwTag::UserAm, hdr::pack(5, 0),
                       {1, 2, 3, 4}));
     sim.run();

@@ -33,7 +33,7 @@ TEST(RdmaNetwork, DeliversInOrderPerFlow)
     RdmaNetwork net(sim, cfg);
 
     std::vector<Word> got;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         got.push_back(p.header);
         return true;
     });
@@ -64,7 +64,7 @@ TEST(RdmaNetwork, LinkFaultsAreAbsorbedByHardwareRetry)
     RdmaNetwork net(sim, cfg);
 
     std::vector<Word> got;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         EXPECT_TRUE(p.checksumOk());
         got.push_back(p.header);
         return true;
@@ -91,7 +91,7 @@ TEST(RdmaNetwork, StalledFlowHoldsYoungerPackets)
 
     int refusals = 2;
     std::vector<Word> got;
-    net.attach(1, [&](Packet &&p) {
+    net.attach(1, [&](Packet &p) {
         if (refusals > 0) {
             --refusals;
             return false; // receiver not ready: fabric must retry

@@ -175,7 +175,7 @@ TEST(Tracer, SeesCrHardwareRetries)
     CrNetwork net(sim, cfg);
     PacketTracer tracer;
     net.setTracer(&tracer);
-    net.attach(1, [](Packet &&) { return true; });
+    net.attach(1, [](Packet &) { return true; });
     for (Word i = 0; i < 50; ++i)
         net.inject(Packet(0, 1, HwTag::StreamData, i, {1, 2, 3, 4}));
     sim.run();

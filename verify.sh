@@ -42,6 +42,11 @@
 #                                -j, the Perfetto ph:"C" counter-track
 #                                schema check, a heatmap/report smoke,
 #                                and the samples/s trajectory entry
+#   ./verify.sh --perfbench      only the host-time benchmark gate:
+#                                perfbench/selftest.py, then a short
+#                                traced am_single run whose heap
+#                                allocations per packet must stay at
+#                                or below 0.01 on every substrate
 set -euo pipefail
 
 repo_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -458,6 +463,34 @@ EOF
     echo "tele ok: O1 golden + byte-identical, counter timeline valid, bottlenecks attributed"
 }
 
+check_perfbench() {
+    # The benchmark's self-test (every metric emitted with its unit,
+    # digest gate, a second seed), then the allocation gate: the
+    # steady-state packet path allocates nothing, so what a traced
+    # am_single run reports is only first-use sizing of the pools,
+    # rings and buffers.
+    (cd "$repo_dir" && python3 perfbench/selftest.py)
+    local result
+    result="$(cd "$repo_dir" && python3 perfbench/run.py \
+        --workload am_single --seconds 1 --trace 1 | tail -n 1)"
+    python3 - "$result" <<'EOF'
+import json, sys
+doc = json.loads(sys.argv[1])
+assert doc["correct"], f"am_single failed its correctness gate: {doc}"
+for sub in ("cm5", "cr", "rdma", "nicam"):
+    v = doc["metrics"][f"proc.allocs_per_pkt.{sub}"]["value"]
+    assert v <= 0.01, f"{sub}: {v} heap allocations per packet (max 0.01)"
+    print(f"allocs/packet {sub}: {v:.4f}")
+EOF
+    echo "perfbench ok: self-test passed, packet path allocation-free"
+}
+
+if [[ "${1:-}" == "--perfbench" ]]; then
+    check_perfbench
+    echo "verify --perfbench: OK"
+    exit 0
+fi
+
 if [[ "${1:-}" == "--tele" ]]; then
     check_tele
     echo "verify --tele: OK"
@@ -523,4 +556,5 @@ check_hostprof
 check_traffic
 check_wire
 check_tele
+check_perfbench
 echo "verify: OK"
