@@ -19,7 +19,10 @@ Cm5Network::injectImpl(Packet &&pkt)
     if (cfg_.injectBusyRate > 0.0 && rng_.chance(cfg_.injectBusyRate))
         return false; // send_ok will read 0; software retries the push
 
-    switch (faults_.apply(pkt)) {
+    // An unarmed injector would answer None with no side effects.
+    const FaultAction action =
+        faults_.armed() ? faults_.apply(pkt) : FaultAction::None;
+    switch (action) {
       case FaultAction::Drop:
         ++stats_.dropped;
         noteAbsorbed(pkt.dst);

@@ -1,6 +1,6 @@
 /**
  * @file
- * A growable FIFO ring for packet queues.
+ * A growable FIFO ring for packet and frame queues.
  *
  * std::deque allocates on construction and frees and re-allocates a
  * chunk every few elements as a queue slides forward.  A Ring grows
@@ -29,6 +29,14 @@ class Ring
 
     T &front() { return slots_[head_]; }
     const T &front() const { return slots_[head_]; }
+    T &back() { return (*this)[size_ - 1]; }
+
+    /** The @p i-th value from the front. */
+    T &
+    operator[](std::size_t i)
+    {
+        return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
 
     void
     push_back(T &&value)
@@ -46,6 +54,14 @@ class Ring
         slots_[head_] = T();
         head_ = (head_ + 1) & (slots_.size() - 1);
         --size_;
+    }
+
+    /** Remove every value, keeping the capacity. */
+    void
+    clear()
+    {
+        while (!empty())
+            pop_front();
     }
 
   private:

@@ -1,5 +1,7 @@
 #include "protocols/stream.hh"
 
+#include <algorithm>
+
 #include "cmam/send_path.hh"
 #include "hostprof/hostprof.hh"
 #include "sim/log.hh"
@@ -99,6 +101,7 @@ StreamProtocol::openChannel(const StreamParams &params, DeliverFn cb)
 
     stack_.node(ch.src).mem().write(ch.seqAddr, 0);
     stack_.node(ch.dst).mem().write(ch.listHeadAddr, nilLink);
+    ch.freeSlots.reserve(ch.arenaSlots);
     for (std::uint32_t i = 0; i < ch.arenaSlots; ++i)
         ch.freeSlots.push_back(ch.arenaBase + i * slot_words);
     return ch;
@@ -166,8 +169,8 @@ StreamProtocol::sendPacket(Channel &ch, const std::vector<Word> &data)
                           data[static_cast<std::size_t>(i)],
                           data[static_cast<std::size_t>(i + 1)]);
         p.regOps(4); // ring index update, wrap test, branch
-        ch.unacked[seq] = data;
-        ch.sentAt[seq] = stack_.sim().now();
+        // Sequences only grow, so appending keeps the list ascending.
+        ch.unacked.push_back({seq, stack_.sim().now()});
     }
 
     // Base cost: the single-packet send itself (register-to-register:
@@ -179,7 +182,7 @@ StreamProtocol::sendPacket(Channel &ch, const std::vector<Word> &data)
 }
 
 void
-StreamProtocol::retransmit(Channel &ch, std::uint32_t seq)
+StreamProtocol::retransmit(Channel &ch, InFlight &pkt)
 {
     Node &s = srcNode(ch);
     Processor &p = s.proc();
@@ -189,19 +192,21 @@ StreamProtocol::retransmit(Channel &ch, std::uint32_t seq)
 
     FeatureScope ft(a, Feature::FaultTolerance);
     // Reload the payload from the retransmission ring and resend.
+    const std::uint32_t seq = pkt.seq;
     p.regOps(4);
     const Addr slot = ch.retxBase +
                       (seq % ch.retxSlots) * static_cast<std::uint32_t>(n);
-    std::vector<Word> data(static_cast<std::size_t>(n));
+    ScratchPool<std::vector<Word>>::Lease data(wordBufs_);
+    data->resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; i += 2) {
         const auto [w0, w1] = p.loadDouble(slot + static_cast<Addr>(i));
-        data[static_cast<std::size_t>(i)] = w0;
-        data[static_cast<std::size_t>(i + 1)] = w1;
+        (*data)[static_cast<std::size_t>(i)] = w0;
+        (*data)[static_cast<std::size_t>(i + 1)] = w1;
     }
     stack_.cmam(ch.src).sendTagged(
         HwTag::StreamData, ch.dst,
-        hdr::pack(ch.id, seq & hdr::maxFieldB), data, 0);
-    ch.sentAt[seq] = stack_.sim().now();
+        hdr::pack(ch.id, seq & hdr::maxFieldB), *data, 0);
+    pkt.sentAt = stack_.sim().now();
     ++ch.retx;
     ++totals_.retransmissions;
 }
@@ -223,13 +228,16 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
         RowScope r(a, CostRow::ReadNi);
         header = ni.readRecvHeader(a);
     }
-    std::vector<Word> data(static_cast<std::size_t>(n));
+    // Leased: delivery runs the channel's callback, which may poll and
+    // so re-enter here while this packet's words are still being read.
+    ScratchPool<std::vector<Word>>::Lease data(wordBufs_);
+    data->resize(static_cast<std::size_t>(n));
     {
         RowScope r(a, CostRow::ReadNi);
         for (int i = 0; i < n; i += 2) {
             const auto [w0, w1] = ni.readRecvDouble(a);
-            data[static_cast<std::size_t>(i)] = w0;
-            data[static_cast<std::size_t>(i + 1)] = w1;
+            (*data)[static_cast<std::size_t>(i)] = w0;
+            (*data)[static_cast<std::size_t>(i + 1)] = w1;
         }
     }
     p.regOps(3); // tag-vector dispatch
@@ -261,7 +269,7 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
             FeatureScope io(a, Feature::InOrderDelivery);
             p.regOps(4);
         }
-        deliverInSeq(ch, seq, data);
+        deliverInSeq(ch, seq, *data);
         drainReorder(ch);
         ackArrival(ch, seq);
     } else if (seq > ch.expected && !ch.pending.count(seq)) {
@@ -271,7 +279,7 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
             // acknowledged yet lost.
             ackArrival(ch, seq);
         } else {
-            insertReorder(ch, seq, data);
+            insertReorder(ch, seq, *data);
             ++ch.ooo;
             ++totals_.oooBuffered;
             ackArrival(ch, seq);
@@ -283,11 +291,7 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
         ++ch.dups;
         ++totals_.duplicatesSuppressed;
         FeatureScope ft(a, Feature::FaultTolerance);
-        stack_.cmam(ch.dst).sendTagged(
-            HwTag::StreamAck, ch.src,
-            hdr::pack(ch.id, seq & hdr::maxFieldB), {seq, 0}, 4, 1);
-        ++ch.acksSent;
-        ++totals_.acksSent;
+        sendAck(ch, seq, false);
     }
     (void)pktSrc;
 }
@@ -298,8 +302,9 @@ StreamProtocol::deliverInSeq(Channel &ch, std::uint32_t seq,
 {
     // Delivery itself is the user handler consuming register-resident
     // data; the linkage was charged in the flat per-packet base cost.
-    for (Word w : data)
-        ch.deliveredWords.push_back(w);
+    if (ch.journal)
+        ch.deliveredWords.insert(ch.deliveredWords.end(), data.begin(),
+                                 data.end());
     ++ch.deliveredPackets;
     ch.expected = seq + 1;
     if (ch.userCb)
@@ -368,12 +373,13 @@ StreamProtocol::drainReorder(Channel &ch)
         (void)p.loadWord(ch.listHeadAddr);                    // mem 1
         (void)p.loadWord(slot + 0);                           // mem 2
         (void)p.loadWord(slot + 1);                           // mem 3
-        std::vector<Word> data(static_cast<std::size_t>(n));
+        ScratchPool<std::vector<Word>>::Lease data(wordBufs_);
+        data->resize(static_cast<std::size_t>(n));
         for (int i = 0; i < n; i += 2) {
             const auto [w0, w1] =
                 p.loadDouble(slot + 2 + static_cast<Addr>(i)); // n/2
-            data[static_cast<std::size_t>(i)] = w0;
-            data[static_cast<std::size_t>(i + 1)] = w1;
+            (*data)[static_cast<std::size_t>(i)] = w0;
+            (*data)[static_cast<std::size_t>(i + 1)] = w1;
         }
         p.storeWord(ch.listHeadAddr, nd.mem().read(slot + 1)); // mem 4
         p.storeWord(slot + 1, nilLink);                        // mem 5
@@ -386,7 +392,7 @@ StreamProtocol::drainReorder(Channel &ch)
         p.regOps(14); // head/seq compares, unlink, free-list return
 
         ch.freeSlots.push_back(slot);
-        deliverInSeq(ch, seq, data);
+        deliverInSeq(ch, seq, *data);
     }
 }
 
@@ -402,11 +408,7 @@ StreamProtocol::ackArrival(Channel &ch, std::uint32_t seq)
     if (ch.groupAck <= 1) {
         // Per-packet selective acknowledgement: one single-packet
         // send (20 at n = 4).
-        stack_.cmam(ch.dst).sendTagged(
-            HwTag::StreamAck, ch.src,
-            hdr::pack(ch.id, seq & hdr::maxFieldB), {seq, 0}, 4, 1);
-        ++ch.acksSent;
-        ++totals_.acksSent;
+        sendAck(ch, seq, false);
         return;
     }
     // Group acknowledgement: track arrivals (2 reg) and emit one
@@ -415,12 +417,7 @@ StreamProtocol::ackArrival(Channel &ch, std::uint32_t seq)
     ++ch.groupCount;
     if (ch.groupCount >= ch.groupAck && ch.expected > 0) {
         ch.groupCount = 0;
-        const std::uint32_t cum = ch.expected - 1;
-        stack_.cmam(ch.dst).sendTagged(
-            HwTag::StreamAck, ch.src,
-            hdr::pack(ch.id, cum & hdr::maxFieldB), {cum, 1}, 4, 1);
-        ++ch.acksSent;
-        ++totals_.acksSent;
+        sendAck(ch, ch.expected - 1, true);
     }
 }
 
@@ -432,10 +429,17 @@ StreamProtocol::flushGroupAck(Channel &ch)
     Node &nd = dstNode(ch);
     FeatureScope ft(nd.proc().acct(), Feature::FaultTolerance);
     ch.groupCount = 0;
-    const std::uint32_t cum = ch.expected - 1;
+    sendAck(ch, ch.expected - 1, true);
+}
+
+void
+StreamProtocol::sendAck(Channel &ch, std::uint32_t seq, bool cumulative)
+{
+    ScratchPool<std::vector<Word>>::Lease args(wordBufs_);
+    args->assign({seq, cumulative ? Word(1) : Word(0)});
     stack_.cmam(ch.dst).sendTagged(
-        HwTag::StreamAck, ch.src,
-        hdr::pack(ch.id, cum & hdr::maxFieldB), {cum, 1}, 4, 1);
+        HwTag::StreamAck, ch.src, hdr::pack(ch.id, seq & hdr::maxFieldB),
+        *args, 4, 1);
     ++ch.acksSent;
     ++totals_.acksSent;
 }
@@ -461,13 +465,17 @@ StreamProtocol::onStreamAck(NodeId self, NodeId pktSrc)
         header = ni.readRecvHeader(a);
         (void)ni.readRecvSource(a); // window lookup key
     }
-    std::vector<Word> payload(static_cast<std::size_t>(n));
+    // Payload: {seq, cumulative flag}, then padding.
+    std::uint32_t seq = 0;
+    bool cumulative = false;
     {
         RowScope r(a, CostRow::ReadNi);
         for (int i = 0; i < n; i += 2) {
             const auto [w0, w1] = ni.readRecvDouble(a);
-            payload[static_cast<std::size_t>(i)] = w0;
-            payload[static_cast<std::size_t>(i + 1)] = w1;
+            if (i == 0) {
+                seq = w0;
+                cumulative = w1 != 0;
+            }
         }
     }
     p.regOps(3); // dispatch
@@ -479,18 +487,21 @@ StreamProtocol::onStreamAck(NodeId self, NodeId pktSrc)
         msgsim_panic("stream ack for unknown channel ", chan);
     Channel &ch = it->second;
 
-    const std::uint32_t seq = payload[0];
-    const bool cumulative = payload[1] != 0;
     p.regOps(6); // window bitmap update, ring head advance
     p.regOps(2); // release branches
+    std::vector<InFlight> &u = ch.unacked;
     if (cumulative) {
-        auto upto = ch.unacked.upper_bound(seq);
-        ch.unacked.erase(ch.unacked.begin(), upto);
-        auto upto_t = ch.sentAt.upper_bound(seq);
-        ch.sentAt.erase(ch.sentAt.begin(), upto_t);
+        u.erase(u.begin(),
+                std::partition_point(u.begin(), u.end(),
+                                     [seq](const InFlight &f) {
+                                         return f.seq <= seq;
+                                     }));
     } else {
-        ch.unacked.erase(seq);
-        ch.sentAt.erase(seq);
+        const auto it = std::partition_point(
+            u.begin(), u.end(),
+            [seq](const InFlight &f) { return f.seq < seq; });
+        if (it != u.end() && it->seq == seq)
+            u.erase(it);
     }
     // Window flow control: freed slots admit backlogged packets.
     if (!ch.sendQueue.empty())
@@ -556,6 +567,7 @@ StreamProtocol::sendOn(Word chan, const std::vector<Word> &words)
         msgsim_fatal("socket write of ", words.size(),
                      " words: must be a positive multiple of ", n);
 
+    ScratchPool<std::vector<Word>>::Lease pkt(wordBufs_);
     for (std::size_t off = 0; off < words.size();
          off += static_cast<std::size_t>(n)) {
         // Software end-to-end flow control: the retransmission ring
@@ -581,10 +593,9 @@ StreamProtocol::sendOn(Word chan, const std::vector<Word> &words)
                 msgsim_panic("socket write stalled: ring never "
                              "drains on channel ", chan);
         }
-        std::vector<Word> pkt(words.begin() + static_cast<long>(off),
-                              words.begin() +
-                                  static_cast<long>(off) + n);
-        sendPacket(ch, pkt);
+        pkt->assign(words.begin() + static_cast<long>(off),
+                    words.begin() + static_cast<long>(off) + n);
+        sendPacket(ch, *pkt);
     }
 }
 
@@ -680,12 +691,10 @@ void
 StreamProtocol::retransmitUnacked(Word chan)
 {
     Channel &ch = channels_.at(chan);
-    std::vector<std::uint32_t> seqs;
-    seqs.reserve(ch.unacked.size());
-    for (const auto &[seq, data] : ch.unacked)
-        seqs.push_back(seq);
-    for (auto seq : seqs)
-        retransmit(ch, seq);
+    // retransmit() sends without polling, so nothing can ack (and so
+    // erase) an entry while this walks the list.
+    for (InFlight &pkt : ch.unacked)
+        retransmit(ch, pkt);
 }
 
 void
@@ -768,12 +777,9 @@ StreamProtocol::armRetxTimer(Word chanId, const StreamParams &params)
             return;
         }
         const Tick now = stack_.sim().now();
-        std::vector<std::uint32_t> stale;
-        for (const auto &[seq, when] : ch.sentAt)
-            if (now - when >= params.retxTimeout)
-                stale.push_back(seq);
-        for (auto seq : stale)
-            retransmit(ch, seq);
+        for (InFlight &pkt : ch.unacked)
+            if (now - pkt.sentAt >= params.retxTimeout)
+                retransmit(ch, pkt);
         pumpWindow(ch, params.window);
         armRetxTimer(chanId, params);
     });
@@ -793,6 +799,8 @@ StreamProtocol::run(const StreamParams &params)
         params.words / static_cast<std::uint32_t>(n);
 
     Channel &ch = openChannel(params, nullptr);
+    ch.journal = true;
+    ch.deliveredWords.reserve(params.words);
     Node &src = stack_.node(params.src);
     Node &dst = stack_.node(params.dst);
 

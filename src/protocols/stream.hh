@@ -40,6 +40,7 @@
 
 #include "protocols/result.hh"
 #include "protocols/stack.hh"
+#include "sim/scratch.hh"
 
 namespace msgsim
 {
@@ -172,6 +173,14 @@ class StreamProtocol
     int packetWords() const { return stack_.dataWords(); }
 
   private:
+    /// A sent, unacknowledged packet.  Its payload lives only in the
+    /// modeled retransmission ring, which retransmit() reloads.
+    struct InFlight
+    {
+        std::uint32_t seq = 0;
+        Tick sentAt = 0; ///< last (re)transmission
+    };
+
     struct Channel
     {
         NodeId src = 0;
@@ -185,8 +194,7 @@ class StreamProtocol
         Addr retxBase = 0;     ///< retransmission ring
         std::uint32_t retxSlots = 0;
         std::uint32_t nextSeq = 0; ///< mirror of the modeled counter
-        std::map<std::uint32_t, std::vector<Word>> unacked;
-        std::map<std::uint32_t, Tick> sentAt;
+        std::vector<InFlight> unacked; ///< ascending seq
         std::vector<std::vector<Word>> sendQueue; ///< window backlog
         std::uint32_t nextToSend = 0;             ///< index into queue
         std::uint32_t window = 0; ///< event mode: max unacked (0 = off)
@@ -202,6 +210,8 @@ class StreamProtocol
         std::map<std::uint32_t, Addr> pending; ///< seq -> slot
         int groupCount = 0;
         std::uint32_t deliveredPackets = 0;
+        /// run()'s integrity journal; persistent channels keep none.
+        bool journal = false;
         std::vector<Word> deliveredWords;
 
         // Statistics.
@@ -220,7 +230,7 @@ class StreamProtocol
     void sendPacket(Channel &ch, const std::vector<Word> &data);
 
     /** Source: retransmit one unacked packet (FaultTol). */
-    void retransmit(Channel &ch, std::uint32_t seq);
+    void retransmit(Channel &ch, InFlight &pkt);
 
     /** Source: consume waiting acks without poll-entry overhead. */
     void consumeAcks(Channel &ch);
@@ -238,6 +248,8 @@ class StreamProtocol
     void drainReorder(Channel &ch);
     void ackArrival(Channel &ch, std::uint32_t seq);
     void flushGroupAck(Channel &ch);
+    /** Destination: one StreamAck packet for @p seq. */
+    void sendAck(Channel &ch, std::uint32_t seq, bool cumulative);
 
     /** Event mode: window pump + retransmission timer. */
     void pumpWindow(Channel &ch, std::uint32_t window);
@@ -280,6 +292,9 @@ class StreamProtocol
     std::vector<Word> freeIds_;
     std::vector<ChannelResources> resourcePool_;
     Word nextChanId_ = 1;
+    /// Packet-sized host buffers.  Leased, because a delivery callback
+    /// or a blocked sendOn can re-enter the protocol mid-use.
+    ScratchPool<std::vector<Word>> wordBufs_;
 };
 
 } // namespace msgsim

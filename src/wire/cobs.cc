@@ -1,5 +1,6 @@
 #include "wire/cobs.hh"
 
+#include <algorithm>
 #include <array>
 
 namespace msgsim::wire
@@ -8,45 +9,57 @@ namespace msgsim::wire
 void
 cobsEncode(const std::uint8_t *p, std::size_t n, Bytes &out)
 {
-    std::size_t codeAt = out.size();
-    out.push_back(0); // placeholder for the first code byte
+    // Write into the worst-case size, then trim: no per-byte growth.
+    const std::size_t start = out.size();
+    out.resize(start + cobsMaxEncoded(n));
+    std::uint8_t *o = out.data() + start;
+    std::size_t codeAt = 0; // placeholder for the current code byte
+    std::size_t at = 1;
     std::uint8_t code = 1;
     for (std::size_t i = 0; i < n; ++i) {
         if (p[i] == 0) {
-            out[codeAt] = code;
-            codeAt = out.size();
-            out.push_back(0);
+            o[codeAt] = code;
+            codeAt = at++;
             code = 1;
             continue;
         }
-        out.push_back(p[i]);
+        o[at++] = p[i];
         if (++code == 0xff) {
-            out[codeAt] = code;
-            codeAt = out.size();
-            out.push_back(0);
+            o[codeAt] = code;
+            codeAt = at++;
             code = 1;
         }
     }
-    out[codeAt] = code;
+    o[codeAt] = code;
+    out.resize(start + at);
 }
 
 bool
 cobsDecode(const std::uint8_t *p, std::size_t n, Bytes &out)
 {
+    // The decoding is never longer than the encoding.
+    const std::size_t start = out.size();
+    out.resize(start + n);
+    std::uint8_t *o = out.data() + start;
+    std::size_t at = 0;
     std::size_t i = 0;
+    bool ok = true;
     while (i < n) {
         const std::uint8_t code = p[i];
-        if (code == 0 || i + code > n)
-            return false; // malformed: zero code or overrun
-        for (std::uint8_t j = 1; j < code; ++j)
-            out.push_back(p[i + j]);
+        if (code == 0 || i + code > n) {
+            ok = false; // malformed: zero code or overrun
+            break;
+        }
+        std::copy(p + i + 1, p + i + code, o + at);
+        at += code - 1u;
         i += code;
         // A code below 0xff encodes a zero — unless it closed the
         // block, where the delimiter itself supplied it.
         if (code != 0xff && i < n)
-            out.push_back(0);
+            o[at++] = 0;
     }
-    return true;
+    out.resize(start + at);
+    return ok;
 }
 
 namespace

@@ -13,7 +13,14 @@ encodeFrame(const StreamHeader &header, const Bytes &payload,
     Writer w(body);
     header.encode(w);
     w.bytes(payload.data(), payload.size());
-    w.u32(crc32(body.data(), body.size()));
+    sealFrame(body, false, out);
+}
+
+void
+sealFrame(Bytes &body, bool corruptCrc, Bytes &out)
+{
+    Writer w(body);
+    w.u32(crc32(body.data(), body.size()) ^ (corruptCrc ? 0x1u : 0x0u));
     cobsEncode(body.data(), body.size(), out);
     out.push_back(0); // frame delimiter
 }
@@ -21,44 +28,43 @@ encodeFrame(const StreamHeader &header, const Bytes &payload,
 void
 FrameDecoder::push(const std::uint8_t *p, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        if (p[i] != 0) {
-            buf_.push_back(p[i]);
-            continue;
-        }
-        if (!buf_.empty())
-            finishBlock();
-        // Empty block: inter-frame padding, skipped silently.
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        feed(p[i]);
+}
+
+void
+FrameDecoder::pushWords(const std::uint32_t *w, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        for (int k = 0; k < 32; k += 8)
+            feed(static_cast<std::uint8_t>(w[i] >> k));
 }
 
 void
 FrameDecoder::finishBlock()
 {
-    Bytes body;
-    body.reserve(buf_.size());
-    const bool cobsOk = cobsDecode(buf_.data(), buf_.size(), body);
+    // The body is leased, not a member: the sink may feed this decoder
+    // again before it returns, and its Frame views the body.
+    ScratchPool<Bytes>::Lease body(bodies_);
+    const bool cobsOk = cobsDecode(buf_.data(), buf_.size(), *body);
     buf_.clear();
-    if (!cobsOk || body.size() < 8 + 4) {
+    if (!cobsOk || body->size() < 8 + 4) {
         ++malformed_;
         return;
     }
-    const std::size_t bodyLen = body.size() - 4;
-    Reader tail(body.data() + bodyLen, 4);
-    if (tail.u32() != crc32(body.data(), bodyLen)) {
+    const std::size_t bodyLen = body->size() - 4;
+    Reader tail(body->data() + bodyLen, 4);
+    if (tail.u32() != crc32(body->data(), bodyLen)) {
         ++crcRejects_;
         return;
     }
     Frame f;
-    Reader r(body.data(), bodyLen);
+    Reader r(body->data(), bodyLen);
     if (!f.header.decode(r)) {
         ++malformed_;
         return;
     }
-    if (!r.bytes(f.payload, r.remaining())) {
-        ++malformed_;
-        return;
-    }
+    f.payload = {body->data() + (bodyLen - r.remaining()), r.remaining()};
     ++frames_;
     if (sink_)
         sink_(f);

@@ -20,18 +20,24 @@
 #define MSGSIM_WIRE_FRAME_HH
 
 #include <functional>
+#include <span>
 
+#include "sim/scratch.hh"
 #include "wire/cobs.hh"
 #include "wire/header.hh"
 
 namespace msgsim::wire
 {
 
-/** One decoded frame: its header and the raw payload bytes. */
+/**
+ * One decoded frame: its header and the raw payload bytes.  The
+ * payload views the decoder's buffer, so a sink's Frame is valid
+ * only during the call; copy what must outlive it.
+ */
 struct Frame
 {
     StreamHeader header;
-    Bytes payload;
+    std::span<const std::uint8_t> payload;
 };
 
 /** Append the encoded wire bytes of (@p header, payload) to @p out. */
@@ -39,9 +45,19 @@ void encodeFrame(const StreamHeader &header, const Bytes &payload,
                  Bytes &out);
 
 /**
+ * Finish a frame whose body (header || payload) is already marshalled
+ * in @p body: append its CRC-32 to @p body, then append COBS(body) and
+ * the delimiter to @p out.  @p corruptCrc flips the CRC's low bit (the
+ * deterministic corruption knob): the COBS encoding stays well formed,
+ * so a receiver reaches the CRC check and rejects there.
+ */
+void sealFrame(Bytes &body, bool corruptCrc, Bytes &out);
+
+/**
  * Incremental frame decoder.  push() consumes arbitrary byte chunks;
  * complete frames invoke the sink, malformed ones bump a counter and
- * the decoder resynchronizes at the next delimiter.
+ * the decoder resynchronizes at the next delimiter.  The sink may
+ * push more bytes into the same decoder before it returns.
  */
 class FrameDecoder
 {
@@ -59,6 +75,9 @@ class FrameDecoder
         push(b.data(), b.size());
     }
 
+    /** Consume @p n words, each as 4 little-endian wire bytes. */
+    void pushWords(const std::uint32_t *w, std::size_t n);
+
     /** Frames delivered to the sink. */
     std::uint64_t frames() const { return frames_; }
 
@@ -72,10 +91,21 @@ class FrameDecoder
     std::size_t pendingBytes() const { return buf_.size(); }
 
   private:
+    void
+    feed(std::uint8_t b)
+    {
+        if (b != 0)
+            buf_.push_back(b);
+        else if (!buf_.empty())
+            finishBlock();
+        // An empty block is inter-frame padding, skipped silently.
+    }
+
     void finishBlock();
 
     FrameSink sink_;
     Bytes buf_; ///< current delimiter-free block
+    ScratchPool<Bytes> bodies_; ///< decoded bodies, one per live sink
     std::uint64_t frames_ = 0;
     std::uint64_t crcRejects_ = 0;
     std::uint64_t malformed_ = 0;

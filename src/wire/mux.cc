@@ -1,5 +1,7 @@
 #include "wire/mux.hh"
 
+#include <algorithm>
+
 #include "hostprof/hostprof.hh"
 #include "sim/log.hh"
 
@@ -21,41 +23,6 @@ bytesToWords(const Bytes &b, int packetWords, std::vector<Word> &out)
     out.assign(words, 0);
     for (std::size_t i = 0; i < b.size(); ++i)
         out[i / 4] |= static_cast<Word>(b[i]) << (8 * (i % 4));
-}
-
-void
-wordsToBytes(const std::vector<Word> &w, Bytes &out)
-{
-    out.resize(w.size() * 4);
-    for (std::size_t i = 0; i < w.size(); ++i)
-        for (int k = 0; k < 4; ++k)
-            out[i * 4 + static_cast<std::size_t>(k)] =
-                static_cast<std::uint8_t>(w[i] >> (8 * k));
-}
-
-void
-payloadToBytes(const std::vector<Word> &payload, Bytes &out)
-{
-    Writer w(out);
-    for (const Word word : payload)
-        w.u32(word);
-}
-
-/// Like encodeFrame, but with the CRC flipped: the deterministic
-/// corruption knob.  The COBS encoding stays well formed, so the
-/// receiver reaches the CRC check and rejects there — guaranteed
-/// crcRejects, never malformed.
-void
-encodeFrameCorrupt(const StreamHeader &header, const Bytes &payload,
-                   Bytes &out)
-{
-    Bytes body;
-    Writer w(body);
-    header.encode(w);
-    w.bytes(payload.data(), payload.size());
-    w.u32(crc32(body.data(), body.size()) ^ 0x1u);
-    cobsEncode(body.data(), body.size(), out);
-    out.push_back(0);
 }
 
 } // namespace
@@ -213,34 +180,42 @@ StreamMux::chargeRxFrame(const Frame &f)
 // Transmission.
 // ------------------------------------------------------------------
 
+// Re-entrancy: proto_.sendOn blocks on a full retransmit ring by
+// polling, and the frames that polling delivers transmit before it
+// returns (an ACK pumps the backlog, a DATA frame is acked).  So a
+// buffer still in use across sendOn or a sink call is leased from
+// wordBufs_; body_ and wire_ are finished before anything re-enters.
+
 void
 StreamMux::transmitOn(bool fwd, const StreamHeader &h,
-                      const Bytes &payload, bool corrupt)
+                      const Word *payload, std::size_t payloadWords,
+                      bool corrupt)
 {
     const NodeId at = fwd ? sender_ : receiver_;
-    Bytes wire;
     {
         hostprof::HostScope hs(hostprof::Site::WireEncode);
         FeatureScope fs(stack_.node(at).acct(), Feature::Framing);
-        if (corrupt)
-            encodeFrameCorrupt(h, payload, wire);
-        else
-            encodeFrame(h, payload, wire);
-        const std::size_t bodyBytes =
-            StreamHeader::encodedSize(h.type) + payload.size() + 4;
-        chargeTxFrame(at, bodyBytes, wire.size(), payload.size() / 4);
+        body_.clear();
+        Writer w(body_);
+        h.encode(w);
+        for (std::size_t i = 0; i < payloadWords; ++i)
+            w.u32(payload[i]);
+        const std::size_t bodyBytes = body_.size() + 4;
+        wire_.clear();
+        sealFrame(body_, corrupt, wire_);
+        chargeTxFrame(at, bodyBytes, wire_.size(), payloadWords);
     }
-    std::vector<Word> words;
-    bytesToWords(wire, stack_.dataWords(), words);
+    ScratchPool<std::vector<Word>>::Lease words(wordBufs_);
+    bytesToWords(wire_, stack_.dataWords(), *words);
     ++stats_.framesSent;
-    stats_.framedBytes += words.size() * 4;
+    stats_.framedBytes += words->size() * 4;
     if (corrupt)
         ++stats_.corruptedTx;
     // The underlying channel's send path charges under the ambient
     // feature; transmits triggered from inside a Framing-scoped
     // handler (acks, resets) must not bill the hw packet to Framing.
     FeatureScope base(stack_.node(at).acct(), Feature::BaseCost);
-    proto_.sendOn(fwd ? fwdChan_ : revChan_, words);
+    proto_.sendOn(fwd ? fwdChan_ : revChan_, *words);
 }
 
 std::uint16_t
@@ -254,7 +229,7 @@ StreamMux::openStream()
     h.sid = sid;
     h.type = PacketType::Attach;
     h.window = opt_.window;
-    transmitOn(true, h, {}, false);
+    transmitOn(true, h);
     return sid;
 }
 
@@ -274,38 +249,47 @@ StreamMux::send(std::uint16_t sid, const std::vector<Word> &payload)
     if (!ss.backlog.empty() || ss.unacked.size() >= opt_.window) {
         // Window stall: defer until a cumulative ack frees a slot.
         ++stats_.windowStalls;
-        ss.backlog.push_back(payload);
+        hold(ss.backlog, payload);
         return;
     }
-    transmitData(sid, ss, payload);
+    hold(ss.unacked, payload);
+    transmitData(sid, ss);
 }
 
 void
-StreamMux::transmitData(std::uint16_t sid, SendStream &ss,
-                        const std::vector<Word> &payload)
+StreamMux::hold(Ring<HeldFrame> &q, const std::vector<Word> &payload)
 {
+    q.push_back(HeldFrame{});
+    HeldFrame &f = q.back();
+    f.size = static_cast<std::uint32_t>(payload.size());
+    std::copy(payload.begin(), payload.end(), f.words.begin());
+}
+
+void
+StreamMux::transmitData(std::uint16_t sid, SendStream &ss)
+{
+    // The frame to send was just put at the back of the unacked ring;
+    // transmitOn reads it before anything can re-enter and move it.
+    HeldFrame &f = ss.unacked.back();
     StreamHeader h;
     h.sid = sid;
     h.type = PacketType::Data;
     h.window = opt_.window;
-    h.seq = ss.nextSeq++;
-    ss.unacked[h.seq] = payload;
+    h.seq = f.seq = ss.nextSeq++;
     ++stats_.dataFrames;
     ++dataTxCount_;
     const bool corrupt =
         corruptEvery_ != 0 && dataTxCount_ % corruptEvery_ == 0;
-    Bytes bytes;
-    payloadToBytes(payload, bytes);
-    transmitOn(true, h, bytes, corrupt);
+    transmitOn(true, h, f.words.data(), f.size, corrupt);
 }
 
 void
 StreamMux::pumpBacklog(std::uint16_t sid, SendStream &ss)
 {
     while (!ss.backlog.empty() && ss.unacked.size() < opt_.window) {
-        const std::vector<Word> payload = ss.backlog.front();
+        ss.unacked.push_back(std::move(ss.backlog.front()));
         ss.backlog.pop_front();
-        transmitData(sid, ss, payload);
+        transmitData(sid, ss);
     }
 }
 
@@ -319,7 +303,7 @@ StreamMux::maybeDetach(std::uint16_t sid, SendStream &ss)
     h.sid = sid;
     h.type = PacketType::Detach;
     h.window = 0;
-    transmitOn(true, h, {}, false);
+    transmitOn(true, h);
     ss.state = SendState::Detached;
 }
 
@@ -354,7 +338,7 @@ StreamMux::sendResetFromReceiver(std::uint16_t sid)
     h.type = PacketType::Reset;
     h.window = 0;
     ++stats_.resetsSent;
-    transmitOn(false, h, {}, false);
+    transmitOn(false, h);
 }
 
 // ------------------------------------------------------------------
@@ -366,10 +350,8 @@ StreamMux::onFwdPacket(const std::vector<Word> &words)
 {
     hostprof::HostScope hs(hostprof::Site::WireDecode);
     FeatureScope fs(stack_.node(receiver_).acct(), Feature::Framing);
-    Bytes bytes;
-    wordsToBytes(words, bytes);
-    chargeRxChunk(bytes.size());
-    rxDecoder_.push(bytes);
+    chargeRxChunk(words.size() * 4);
+    rxDecoder_.pushWords(words.data(), words.size());
 }
 
 void
@@ -377,18 +359,15 @@ StreamMux::onRevPacket(const std::vector<Word> &words)
 {
     hostprof::HostScope hs(hostprof::Site::WireDecode);
     FeatureScope fs(stack_.node(sender_).acct(), Feature::Framing);
-    Bytes bytes;
-    wordsToBytes(words, bytes);
     if (!offloaded_) {
         // Control-channel delimiter scan at the sender.
         Processor &p = stack_.node(sender_).proc();
-        p.regOps(bytes.size());
-        const std::size_t w = (bytes.size() + 3) / 4;
-        for (std::size_t i = 0; i < w; ++i)
+        p.regOps(words.size() * 4);
+        for (std::size_t i = 0; i < words.size(); ++i)
             (void)p.loadWord(txScratch_.buf +
                              static_cast<Addr>(i % 64));
     }
-    txDecoder_.push(bytes);
+    txDecoder_.pushWords(words.data(), words.size());
 }
 
 void
@@ -453,25 +432,15 @@ StreamMux::handleData(const Frame &f, RecvStream &rs)
         if (bugResetDeliver_) {
             // Seeded bug: keep delivering on the reset stream.
             ++stats_.deliveredAfterReset;
-            std::vector<Word> payload(f.payload.size() / 4);
-            Reader r(f.payload);
-            for (Word &w : payload)
-                w = r.u32();
-            if (deliverFn_)
-                deliverFn_(sid, f.header.seq, payload);
+            deliver(f);
         }
         return;
     }
     if (f.header.seq == rs.expected) {
-        std::vector<Word> payload(f.payload.size() / 4);
-        Reader r(f.payload);
-        for (Word &w : payload)
-            w = r.u32();
         ++rs.expected;
         ++rs.delivered;
         ++stats_.dataDelivered;
-        if (deliverFn_)
-            deliverFn_(sid, f.header.seq, payload);
+        deliver(f);
         ++rs.ackCount;
         if (rs.ackCount >= opt_.ackEvery)
             sendAck(sid, rs);
@@ -489,6 +458,21 @@ StreamMux::handleData(const Frame &f, RecvStream &rs)
 }
 
 void
+StreamMux::deliver(const Frame &f)
+{
+    if (!deliverFn_)
+        return;
+    // Leased: the app may reset or send, and so re-enter the mux,
+    // while it still reads the payload.
+    ScratchPool<std::vector<Word>>::Lease payload(wordBufs_);
+    payload->resize(f.payload.size() / 4);
+    Reader r(f.payload.data(), f.payload.size());
+    for (Word &w : *payload)
+        w = r.u32();
+    deliverFn_(f.header.sid, f.header.seq, *payload);
+}
+
+void
 StreamMux::sendAck(std::uint16_t sid, RecvStream &rs)
 {
     rs.ackCount = 0;
@@ -498,7 +482,7 @@ StreamMux::sendAck(std::uint16_t sid, RecvStream &rs)
     h.window = opt_.window;
     h.seq = rs.expected; // cumulative: everything below is acked
     ++stats_.wireAcks;
-    transmitOn(false, h, {}, false);
+    transmitOn(false, h);
 }
 
 void
@@ -534,8 +518,8 @@ StreamMux::onRevFrame(const Frame &f)
             ss.state == SendState::Reset)
             break; // late ack after retirement
         const std::uint32_t cum = f.header.seq;
-        ss.unacked.erase(ss.unacked.begin(),
-                         ss.unacked.lower_bound(cum));
+        while (!ss.unacked.empty() && ss.unacked.front().seq < cum)
+            ss.unacked.pop_front();
         pumpBacklog(f.header.sid, ss);
         maybeDetach(f.header.sid, ss);
         break;
@@ -570,16 +554,19 @@ StreamMux::kick()
         if (ss.state != SendState::Open &&
             ss.state != SendState::Closing)
             continue;
-        for (const auto &[seq, payload] : ss.unacked) {
+        // Walk by sequence, not ring position: a resend may block and
+        // poll, and the acks that polling delivers pop the front and
+        // pump the backlog onto the back before the next resend.
+        std::uint32_t next = 0;
+        while (const HeldFrame *f = unackedFrom(ss, next)) {
             StreamHeader h;
             h.sid = sid;
             h.type = PacketType::Data;
             h.window = opt_.window;
-            h.seq = seq;
-            Bytes bytes;
-            payloadToBytes(payload, bytes);
+            h.seq = f->seq;
+            next = f->seq + 1;
             ++stats_.wireRetransmits;
-            transmitOn(true, h, bytes, false);
+            transmitOn(true, h, f->words.data(), f->size);
             acted = true;
         }
     }
@@ -607,6 +594,17 @@ StreamMux::kick()
         }
     }
     return acted;
+}
+
+StreamMux::HeldFrame *
+StreamMux::unackedFrom(SendStream &ss, std::uint32_t seq)
+{
+    if (ss.unacked.empty())
+        return nullptr;
+    // The unacked seqs are consecutive from the front's.
+    const std::uint32_t first = ss.unacked.front().seq;
+    const std::size_t i = seq > first ? seq - first : 0;
+    return i < ss.unacked.size() ? &ss.unacked[i] : nullptr;
 }
 
 bool

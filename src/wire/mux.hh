@@ -32,13 +32,15 @@
 #ifndef MSGSIM_WIRE_MUX_HH
 #define MSGSIM_WIRE_MUX_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
 
+#include "net/ring.hh"
 #include "protocols/stream.hh"
+#include "sim/scratch.hh"
 #include "wire/frame.hh"
 
 namespace msgsim::wire
@@ -207,12 +209,22 @@ class StreamMux
     static constexpr std::size_t maxPayloadWords = 48;
 
   private:
+    /// A DATA payload the sender holds: fixed-size, so a ring slot
+    /// never owns heap and popping one frees nothing.
+    struct HeldFrame
+    {
+        std::uint32_t seq = 0; ///< wire sequence, once transmitted
+        std::uint32_t size = 0;
+        std::array<Word, maxPayloadWords> words{};
+    };
+
     struct SendStream
     {
         SendState state = SendState::Open;
         std::uint32_t nextSeq = 0;
-        std::map<std::uint32_t, std::vector<Word>> unacked;
-        std::deque<std::vector<Word>> backlog;
+        /// Transmitted, not yet acked: consecutive seqs, oldest first.
+        Ring<HeldFrame> unacked;
+        Ring<HeldFrame> backlog; ///< deferred by a full window
     };
 
     struct RecvStream
@@ -235,11 +247,13 @@ class StreamMux
     // Frame transmission (fwd = sender->receiver data channel,
     // rev = receiver->sender control channel).
     void transmitOn(bool fwd, const StreamHeader &h,
-                    const Bytes &payload, bool corrupt);
-    void transmitData(std::uint16_t sid, SendStream &ss,
-                      const std::vector<Word> &payload);
+                    const Word *payload = nullptr,
+                    std::size_t payloadWords = 0, bool corrupt = false);
+    void transmitData(std::uint16_t sid, SendStream &ss);
     void pumpBacklog(std::uint16_t sid, SendStream &ss);
     void maybeDetach(std::uint16_t sid, SendStream &ss);
+    static void hold(Ring<HeldFrame> &q, const std::vector<Word> &payload);
+    static HeldFrame *unackedFrom(SendStream &ss, std::uint32_t seq);
 
     // Frame reception.
     void onFwdPacket(const std::vector<Word> &words);
@@ -247,6 +261,7 @@ class StreamMux
     void onFwdFrame(const Frame &f);  ///< at the receiver
     void onRevFrame(const Frame &f);  ///< at the sender
     void handleData(const Frame &f, RecvStream &rs);
+    void deliver(const Frame &f);
     void sendAck(std::uint16_t sid, RecvStream &rs);
     void sendResetFromReceiver(std::uint16_t sid);
 
@@ -275,6 +290,13 @@ class StreamMux
 
     FrameDecoder rxDecoder_; ///< receiver side of the fwd channel
     FrameDecoder txDecoder_; ///< sender side of the rev channel
+
+    // Host buffers, reused (docs/WIRE.md, "Buffers and re-entrancy").
+    Bytes body_; ///< frame body being encoded
+    Bytes wire_; ///< its COBS encoding
+    /// Packed frames handed to sendOn, and payloads handed to the app:
+    /// both stay in use while the call re-enters the mux.
+    ScratchPool<std::vector<Word>> wordBufs_;
 
     std::uint32_t corruptEvery_ = 0;
     std::uint64_t dataTxCount_ = 0;

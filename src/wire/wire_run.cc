@@ -8,6 +8,27 @@
 namespace msgsim::wire
 {
 
+namespace
+{
+
+/** The payload words of frame @p frame on stream @p sid, in order. */
+class FrameFill
+{
+  public:
+    FrameFill(std::uint64_t fillSeed, std::uint16_t sid,
+              std::uint32_t frame)
+        : sm_(fillSeed ^ (static_cast<std::uint64_t>(sid) << 32) ^ frame)
+    {
+    }
+
+    Word next() { return static_cast<Word>(splitMix64(sm_)); }
+
+  private:
+    std::uint64_t sm_;
+};
+
+} // namespace
+
 std::size_t
 frameWireBytes(std::uint32_t payloadWords)
 {
@@ -45,17 +66,28 @@ runWireWorkload(Stack &stack, const WireWorkload &w)
     opt.window = w.window;
     opt.ackEvery = w.ackEvery;
 
-    // Per-(sid, seq) delivery journal for the integrity check.
-    std::map<std::uint16_t, std::vector<std::vector<Word>>> got;
+    // Per-stream delivery tally for the integrity check: each payload
+    // is compared with the fill pattern as it arrives.
+    struct Got
+    {
+        std::uint32_t frames = 0;
+        bool intact = true;
+    };
+    std::map<std::uint16_t, Got> got;
     StreamMux mux(stack, proto, w.sender, w.receiver, opt,
-                  [&got](std::uint16_t sid, std::uint32_t seq,
-                         const std::vector<Word> &payload) {
-                      auto &log = got[sid];
-                      if (seq != log.size())
+                  [&got, &w](std::uint16_t sid, std::uint32_t seq,
+                             const std::vector<Word> &payload) {
+                      Got &g = got[sid];
+                      if (seq != g.frames)
                           msgsim_panic("wire delivery out of order: "
                                        "stream ", sid, " seq ", seq,
-                                       " after ", log.size());
-                      log.push_back(payload);
+                                       " after ", g.frames);
+                      ++g.frames;
+                      FrameFill fill(w.fillSeed, sid, seq);
+                      g.intact = g.intact &&
+                                 payload.size() == w.payloadWords;
+                      for (const Word word : payload)
+                          g.intact = g.intact && word == fill.next();
                   });
     mux.setCorruptEveryN(w.corruptEvery);
 
@@ -74,15 +106,12 @@ runWireWorkload(Stack &stack, const WireWorkload &w)
     if (w.onStart)
         w.onStart(proto, mux, sids);
 
+    std::vector<Word> payload(w.payloadWords);
     for (std::uint32_t f = 0; f < w.framesPerStream; ++f) {
         for (std::uint32_t s = 0; s < w.streams; ++s) {
-            std::uint64_t sm = w.fillSeed ^ (static_cast<std::uint64_t>(
-                                                 sids[s])
-                                             << 32) ^
-                               f;
-            std::vector<Word> payload(w.payloadWords);
+            FrameFill fill(w.fillSeed, sids[s], f);
             for (Word &word : payload)
-                word = static_cast<Word>(splitMix64(sm));
+                word = fill.next();
             mux.send(sids[s], payload);
         }
     }
@@ -112,18 +141,7 @@ runWireWorkload(Stack &stack, const WireWorkload &w)
         const std::uint16_t sid = sids[s];
         ok = mux.sendState(sid) == SendState::Detached &&
              mux.recvState(sid) == RecvState::Detached &&
-             got[sid].size() == w.framesPerStream;
-        for (std::uint32_t f = 0; ok && f < w.framesPerStream; ++f) {
-            std::uint64_t sm = w.fillSeed ^ (static_cast<std::uint64_t>(
-                                                 sid)
-                                             << 32) ^
-                               f;
-            for (const Word word : got[sid][f])
-                if (word != static_cast<Word>(splitMix64(sm))) {
-                    ok = false;
-                    break;
-                }
-        }
+             got[sid].frames == w.framesPerStream && got[sid].intact;
     }
     out.run.dataOk = ok;
     return out;

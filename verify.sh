@@ -463,26 +463,37 @@ EOF
     echo "tele ok: O1 golden + byte-identical, counter timeline valid, bottlenecks attributed"
 }
 
-check_perfbench() {
-    # The benchmark's self-test (every metric emitted with its unit,
-    # digest gate, a second seed), then the allocation gate: the
-    # steady-state packet path allocates nothing, so what a traced
-    # am_single run reports is only first-use sizing of the pools,
-    # rings and buffers.
-    (cd "$repo_dir" && python3 perfbench/selftest.py)
+# gate_allocs WORKLOAD MAX: a short traced perfbench run of WORKLOAD
+# must be correct and report at most MAX heap allocations per packet
+# on every substrate.
+gate_allocs() {
     local result
     result="$(cd "$repo_dir" && python3 perfbench/run.py \
-        --workload am_single --seconds 1 --trace 1 | tail -n 1)"
-    python3 - "$result" <<'EOF'
+        --workload "$1" --seconds 1 --trace 1 | tail -n 1)"
+    python3 - "$1" "$2" "$result" <<'EOF'
 import json, sys
-doc = json.loads(sys.argv[1])
-assert doc["correct"], f"am_single failed its correctness gate: {doc}"
+workload, limit = sys.argv[1], float(sys.argv[2])
+doc = json.loads(sys.argv[3])
+assert doc["correct"], f"{workload} failed its correctness gate: {doc}"
 for sub in ("cm5", "cr", "rdma", "nicam"):
     v = doc["metrics"][f"proc.allocs_per_pkt.{sub}"]["value"]
-    assert v <= 0.01, f"{sub}: {v} heap allocations per packet (max 0.01)"
-    print(f"allocs/packet {sub}: {v:.4f}")
+    assert v <= limit, \
+        f"{workload} {sub}: {v} heap allocations per packet (max {limit})"
+    print(f"{workload} allocs/packet {sub}: {v:.4f}")
 EOF
-    echo "perfbench ok: self-test passed, packet path allocation-free"
+}
+
+check_perfbench() {
+    # The benchmark's self-test (every metric emitted with its unit,
+    # digest gate, a second seed), then the allocation gates: the
+    # steady-state packet and framed-stream paths allocate nothing, so
+    # what a traced run reports is only first-use sizing of the pools,
+    # rings and buffers (a wire_stream rep also builds its protocol
+    # channels and mux).
+    (cd "$repo_dir" && python3 perfbench/selftest.py)
+    gate_allocs am_single 0.01
+    gate_allocs wire_stream 0.25
+    echo "perfbench ok: self-test passed, packet and stream paths allocation-free"
 }
 
 if [[ "${1:-}" == "--perfbench" ]]; then
