@@ -111,15 +111,7 @@ parseCli(int argc, char **argv, CliOptions &cli)
             cli.scenario.protocol = valueOf("--protocol=");
         } else if (arg.rfind("--substrate=", 0) == 0) {
             const std::string s = valueOf("--substrate=");
-            if (s == "cm5")
-                cli.scenario.substrate = Substrate::Cm5;
-            else if (s == "cr")
-                cli.scenario.substrate = Substrate::Cr;
-            else if (s == "rdma")
-                cli.scenario.substrate = Substrate::Rdma;
-            else if (s == "nicam")
-                cli.scenario.substrate = Substrate::Nicam;
-            else {
+            if (!substrateFromString(s, cli.scenario.substrate)) {
                 std::fprintf(stderr,
                              "error: unknown substrate '%s'\n",
                              s.c_str());

@@ -5,7 +5,7 @@
  *
  *     msgsim-selfprof --workload=p1 --flame-out=self.folded
  *
- * runs the P1 throughput workloads (cm5 pump, cr pump, cmam am4
+ * runs the default p1 workload set (cm5 pump, cr pump, cmam am4
  * round) with the host self-profiler attached and prints the
  * per-subsystem breakdown: self TSC cycles, share of the total
  * (sums to 100% by construction), scope entries, and heap allocation
@@ -15,8 +15,6 @@
  *
  * Composes with --trace-out / --metrics-out; the metrics dump gains
  * the hostprof.* gauges including hostprof.counters_available.
- * --bench-append records the profiled wall-clock rows as a labelled
- * entry in the BENCH_throughput.json trajectory.
  */
 
 #include <algorithm>
@@ -33,8 +31,6 @@
 #include "rdmanet/rdma_network.hh"
 #include "hostprof/hostprof.hh"
 #include "hostprof/hw_counters.hh"
-#include "lab/reporter.hh"
-#include "lab/result_table.hh"
 #include "protocols/finite_xfer.hh"
 #include "protocols/stack.hh"
 #include "protocols/stream.hh"
@@ -65,10 +61,6 @@ usage(std::FILE *out)
         "  --flame-out=F      write folded flamegraph stacks "
         "(self cycles)\n"
         "  --json-out=F       write the full profile report\n"
-        "  --bench-append=F   append a labelled wall-clock entry to "
-        "the\n"
-        "                     BENCH_throughput.json trajectory\n"
-        "  --bench-label=L    entry label (default: selfprof)\n"
         "  --smoke            small run + internal self-checks "
         "(CTest)\n"
         "  --trace-out=F / --metrics-out=F   PR 1 observability\n",
@@ -84,8 +76,6 @@ struct Options
     bool smoke = false;
     std::string flameOut;
     std::string jsonOut;
-    std::string benchAppend;
-    std::string benchLabel = "selfprof";
 };
 
 bool
@@ -115,10 +105,6 @@ parse(int argc, char **argv, Options &opt)
             opt.flameOut = valueOf("--flame-out=");
         } else if (arg.rfind("--json-out=", 0) == 0) {
             opt.jsonOut = valueOf("--json-out=");
-        } else if (arg.rfind("--bench-append=", 0) == 0) {
-            opt.benchAppend = valueOf("--bench-append=");
-        } else if (arg.rfind("--bench-label=", 0) == 0) {
-            opt.benchLabel = valueOf("--bench-label=");
         } else {
             std::fprintf(stderr,
                          "msgsim-selfprof: unknown argument '%s'\n",
@@ -550,30 +536,6 @@ main(int argc, char **argv)
         ok = writeFile(opt.jsonOut, doc.dump(2) + "\n", "report") &&
              ok;
     }
-    if (!opt.benchAppend.empty()) {
-        lab::ResultTable t;
-        t.name = "H1-wall";
-        t.title = "Profiled simulator throughput (hostprof "
-                  "attached, host wall-clock)";
-        t.columns = {"workload", "packets", "wall us", "packets/s"};
-        for (const WorkloadRun &run : runs) {
-            const double perSec =
-                run.wallUs > 0
-                    ? 1e6 * static_cast<double>(run.packets) /
-                          run.wallUs
-                    : 0.0;
-            t.addRow({lab::Cell::text(run.label),
-                      lab::Cell::integer(run.packets),
-                      lab::Cell::real(run.wallUs),
-                      lab::Cell::real(perSec)});
-        }
-        lab::Reporter::appendBench(opt.benchAppend, t,
-                                   opt.benchLabel);
-        std::printf("bench entry '%s' appended to %s\n",
-                    opt.benchLabel.c_str(),
-                    opt.benchAppend.c_str());
-    }
-
     if (opt.smoke)
         return smokeChecks(hp, shareSum);
     return ok ? 0 : 1;

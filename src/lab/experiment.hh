@@ -4,11 +4,11 @@
  * of measurement whose execution yields rows of a ResultTable.
  *
  * Every entry of the EXPERIMENTS.md E-index (T1, T2a/b, T3, F6, F8,
- * D1, D2, A1, X1–X10) plus the perf-trajectory micro measurement (P1)
- * is registered as one Experiment.  Points of the parameter grid are
- * independent seeded simulations, so the SweepRunner may execute them
- * concurrently; their rows are merged back in grid order, which keeps
- * the assembled table byte-deterministic regardless of parallelism.
+ * D1, D2, A1, X1–X10, ...) is registered as one Experiment.  Points
+ * of the parameter grid are independent seeded simulations, so the
+ * SweepRunner may execute them concurrently; their rows are merged
+ * back in grid order, which keeps the assembled table
+ * byte-deterministic regardless of parallelism.
  */
 
 #ifndef MSGSIM_LAB_EXPERIMENT_HH
@@ -30,13 +30,10 @@ struct Experiment
 {
     std::string name;  ///< E-index key, e.g. "T2a" (unique)
     std::string title; ///< one-line description
-    /// False for wall-clock measurements (P1): excluded from golden
-    /// checking and from the byte-determinism guarantee.
-    bool deterministic = true;
     /// True for experiments that gate themselves (W1's
-    /// predicted-vs-measured status column): deterministic — the
-    /// byte-identity guarantee still applies — but carrying no golden
-    /// file, because the analytic model is the reference.
+    /// predicted-vs-measured status column): the byte-identity
+    /// guarantee still applies, but there is no golden file, because
+    /// the analytic model is the reference.
     bool goldenExempt = false;
     std::vector<std::string> columns;
     /// Labels of the parameter-grid points (size = number of points).

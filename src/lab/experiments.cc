@@ -1,18 +1,16 @@
 /**
  * @file
  * The built-in experiment catalog: every entry of the EXPERIMENTS.md
- * E-index (T1, T2a/b, T3, F6, F8, D1, D2, A1, X1–X10) plus the perf
- * -trajectory micro measurement (P1), registered as declarative
- * Experiments over the existing protocol/model/workload layers.
+ * E-index, registered as declarative Experiments over the existing
+ * protocol/model/workload layers.
  *
  * Each grid point builds its own stacks and touches no shared mutable
  * state, so the SweepRunner may execute points concurrently; all
  * random behaviour is seeded through StackConfig, so results are
- * bit-deterministic (P1, which measures host wall-clock, is the one
- * exception and is flagged non-deterministic).
+ * bit-deterministic.  Host wall-clock is measured by perfbench, not
+ * here.
  */
 
-#include <chrono>
 #include <cmath>
 
 #include "check/explorer.hh"
@@ -24,12 +22,10 @@
 #include "hlam/hl_stack.hh"
 #include "lab/registry.hh"
 #include "model/analytic.hh"
-#include "nicam/nicam_network.hh"
 #include "protocols/finite_xfer.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "model/traffic_model.hh"
-#include "rdmanet/rdma_network.hh"
 #include "tele/tele_run.hh"
 #include "traffic/engine.hh"
 #include "traffic/traffic.hh"
@@ -1303,131 +1299,6 @@ makeC1()
 }
 
 // ------------------------------------------------------------------
-// P1 — perf trajectory: simulator packet throughput (host
-// wall-clock; NOT deterministic, excluded from golden gating).
-// ------------------------------------------------------------------
-
-Experiment
-makeP1()
-{
-    Experiment e;
-    e.name = "P1";
-    e.title = "Simulator micro throughput: packets/s through each "
-              "substrate (host wall-clock)";
-    e.deterministic = false;
-    e.columns = {"substrate", "packets", "wall us", "packets/s"};
-    e.points = {"cm5", "cr", "cmam am4", "prof differential",
-                "cm5 profiled", "rdma", "nicam"};
-    e.notes = {"Measures this repository's simulator, not the "
-               "modeled machine; feeds the repo-root "
-               "BENCH_throughput.json perf trajectory."};
-    e.runPoint = [](std::size_t pi) {
-        constexpr std::uint64_t kPackets = 200'000;
-        using clock = std::chrono::steady_clock;
-        std::uint64_t delivered = 0;
-        double wallUs = 0;
-        const char *label = "";
-
-        if (pi == 3) {
-            // Wall-clock of the msgsim-prof headline comparison
-            // (observe = false: the sweep runs points concurrently
-            // and the observability sessions are process-global).
-            label = "prof differential";
-            prof::ProfConfig pc;
-            pc.observe = false;
-            prof::ProfConfig bc = pc;
-            bc.substrate = Substrate::Cr;
-            const auto t0 = clock::now();
-            const auto primary = prof::runProfiled(pc);
-            const auto baseline = prof::runProfiled(bc);
-            wallUs = std::chrono::duration<double, std::micro>(
-                         clock::now() - t0)
-                         .count();
-            delivered = primary.result.packets +
-                        baseline.result.packets;
-        } else if (pi == 0 || pi == 1 || pi >= 4) {
-            // The fifth point repeats the cm5 pump with the host
-            // self-profiler attached: the trajectory shows what the
-            // instrumentation itself costs (thread-local attach, so
-            // concurrent grid points are unaffected).  The modern
-            // substrates pump the same packet train so the trajectory
-            // compares all four fabrics like-for-like; nicam routes
-            // every packet through an on-NIC offload handler.
-            label = pi == 0 ? "cm5 network"
-                  : pi == 1 ? "cr network"
-                  : pi == 4 ? "cm5 network (hostprof)"
-                  : pi == 5 ? "rdma"
-                            : "nicam";
-            Simulator sim;
-            std::unique_ptr<Network> net;
-            if (pi == 1) {
-                CrNetwork::Config cfg;
-                cfg.nodes = 16;
-                net = std::make_unique<CrNetwork>(sim, cfg);
-            } else if (pi == 5) {
-                RdmaNetwork::Config cfg;
-                cfg.nodes = 16;
-                net = std::make_unique<RdmaNetwork>(sim, cfg);
-            } else if (pi == 6) {
-                NicamNetwork::Config cfg;
-                cfg.nodes = 16;
-                auto nicam = std::make_unique<NicamNetwork>(sim, cfg);
-                nicam->offloadHandler(
-                    1, HwTag::UserAm, 0,
-                    [&delivered](const Packet &) { ++delivered; });
-                net = std::move(nicam);
-            } else {
-                Cm5Network::Config cfg;
-                cfg.nodes = 16;
-                net = std::make_unique<Cm5Network>(sim, cfg);
-            }
-            net->attach(1, [&delivered, pi](Packet &) {
-                if (pi != 6) // nicam counts in the offload handler
-                    ++delivered;
-                return true;
-            });
-            hostprof::HostProfiler hp;
-            if (pi == 4)
-                hp.attach();
-            const auto t0 = clock::now();
-            for (std::uint64_t i = 0; i < kPackets; ++i) {
-                net->inject(
-                    Packet(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4}));
-                sim.run();
-            }
-            wallUs = std::chrono::duration<double, std::micro>(
-                         clock::now() - t0)
-                         .count();
-            if (pi == 4)
-                hp.detach();
-        } else {
-            label = "cmam am4 round";
-            StackConfig cfg;
-            cfg.nodes = 2;
-            Stack stack(cfg);
-            const int h = stack.cmam(1).registerHandler(
-                [](NodeId, const std::vector<Word> &) {});
-            const auto t0 = clock::now();
-            for (std::uint64_t i = 0; i < kPackets / 4; ++i) {
-                stack.cmam(0).am4(1, h, {1, 2, 3, 4});
-                stack.settle();
-                stack.cmam(1).poll();
-                ++delivered;
-            }
-            wallUs = std::chrono::duration<double, std::micro>(
-                         clock::now() - t0)
-                         .count();
-        }
-        const double perSec =
-            wallUs > 0 ? 1e6 * static_cast<double>(delivered) / wallUs
-                       : 0.0;
-        return std::vector<Row>{
-            {T(label), I(delivered), R(wallUs), R(perSec)}};
-    };
-    return e;
-}
-
-// ------------------------------------------------------------------
 // P2 — the profiler's headline differential (PR 5): run the same
 // finite transfer through the CMAM/CM-5 stack and the CR stack and
 // diff the per-feature instruction bill — the paper's "overhead that
@@ -1502,16 +1373,13 @@ makeM1()
                "itemized separately, as the paper itemizes its "
                "per-feature overheads."};
     e.runPoint = [](std::size_t pi) {
-        static const Substrate subs[] = {
-            Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
-            Substrate::Nicam};
         static const char *protos[] = {"single", "am4", "xfer",
                                        "stream"};
         std::vector<Row> rows;
         for (const char *proto : protos) {
             prof::ProfConfig pc;
             pc.protocol = proto;
-            pc.substrate = subs[pi];
+            pc.substrate = allSubstrates[pi];
             pc.observe = false;
             const prof::ProfRun run = prof::runProfiled(pc);
             const auto &c = run.result.counts;
@@ -1537,7 +1405,7 @@ makeM1()
 // ------------------------------------------------------------------
 // H1 — host self-profile *counts*: scope entries and heap allocation
 // traffic per subsystem under the PR 6 self-profiler.  Cycle costs
-// are wall-clock and belong to the bench trajectory; the counts are
+// are wall-clock and belong to perfbench; the counts are
 // pure functions of the (deterministic) simulation and golden-gate
 // that the instrumentation keeps firing from every layer.
 // ------------------------------------------------------------------
@@ -1552,9 +1420,9 @@ makeH1()
     e.columns = {"workload", "subsystem", "enters", "allocs",
                  "alloc bytes", "check"};
     e.points = {"xfer cm5", "xfer cr", "stream cm5", "am4 round"};
-    e.notes = {"Self cycles are host wall-clock and feed "
-               "BENCH_throughput.json via msgsim-selfprof; this "
-               "table pins only the deterministic counts.",
+    e.notes = {"Self cycles are host wall-clock and are measured "
+               "by perfbench; this table pins only the "
+               "deterministic counts.",
                "The (total) row's check verifies the share-sum "
                "identity: scopes balanced, enters == exits, and the "
                "per-node self costs summing exactly to the root "
@@ -1661,10 +1529,7 @@ makeW1()
                "analytic; interleaving-dependent counts (polls, "
                "out-of-order arrivals) are realized, as in X1."};
     e.runPoint = [](std::size_t pi) {
-        static constexpr Substrate substrates[] = {
-            Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
-            Substrate::Nicam};
-        const Substrate sub = substrates[pi];
+        const Substrate sub = allSubstrates[pi];
         std::vector<Row> rows;
 
         // Traffic grid: 5 patterns x 3 protocols, 9 nodes, 5
@@ -1806,13 +1671,10 @@ makeF1()
                "(the NIC gathers, stuffs and checksums inline): the "
                "differential's 'vanishes' row, golden-pinned here."};
     e.runPoint = [](std::size_t pi) {
-        static constexpr Substrate subs[] = {
-            Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
-            Substrate::Nicam};
         std::vector<Row> rows;
         for (const int corrupt : {0, 3}) {
             StackConfig cfg;
-            cfg.substrate = subs[pi];
+            cfg.substrate = allSubstrates[pi];
             cfg.nodes = 4;
             cfg.dataWords = 4;
             Stack stack(cfg);
@@ -1949,7 +1811,6 @@ registerBuiltins(ExperimentRegistry &reg)
     reg.add(makeX10());
     reg.add(makeS1());
     reg.add(makeC1());
-    reg.add(makeP1());
     reg.add(makeP2());
     reg.add(makeM1());
     reg.add(makeH1());

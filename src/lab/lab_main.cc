@@ -3,14 +3,13 @@
  * msgsim-lab: the experiment-engine CLI.
  *
  *   msgsim-lab --list                      show the catalog
- *   msgsim-lab --all [-j N]                run every deterministic experiment
+ *   msgsim-lab --all [-j N]                run every experiment
  *   msgsim-lab --filter=GLOB [...]         select by name glob (repeatable)
  *   msgsim-lab T1 T2a [...]                select by exact name
  *   msgsim-lab --json-out=DIR              write <DIR>/<name>.json artifacts
  *   msgsim-lab --csv-out=DIR               write <DIR>/<name>.csv artifacts
  *   msgsim-lab --check-golden              gate against lab/golden/*.json
  *   msgsim-lab --golden-dir=DIR            alternate golden directory
- *   msgsim-lab --bench-out=FILE            run P1, write throughput JSON
  *   msgsim-lab --quiet / --progress        output volume control
  *
  * PR 1's observability flags (--trace-out=, --metrics-out=) are also
@@ -18,7 +17,6 @@
  * process-global state.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +44,7 @@ usage(std::FILE *out)
         "\n"
         "selection:\n"
         "  --list             list registered experiments and exit\n"
-        "  --all              select every deterministic experiment\n"
+        "  --all              select every experiment\n"
         "  --filter=GLOB      select experiments matching GLOB ('*', '?');\n"
         "                     repeatable, union of matches\n"
         "  EXPERIMENT         exact experiment name (e.g. T1, X4a)\n"
@@ -62,10 +60,6 @@ usage(std::FILE *out)
         "  --check-golden     diff results against golden files; exit 1\n"
         "                     on any mismatch\n"
         "  --golden-dir=DIR   golden directory (default: lab/golden)\n"
-        "  --bench-out=FILE   run the P1 throughput micro-benchmark and\n"
-        "                     append a labelled entry to the FILE\n"
-        "                     trajectory (prior entries preserved)\n"
-        "  --bench-label=L    trajectory entry label (default: p1)\n"
         "  --quiet            suppress the markdown report on stdout\n"
         "\n"
         "observability (PR 1):\n"
@@ -84,8 +78,6 @@ struct CliOptions
     int jobs = 1;
     std::string jsonOut;
     std::string csvOut;
-    std::string benchOut;
-    std::string benchLabel = "p1";
     std::string goldenDir = "lab/golden";
     std::vector<std::string> filters;
     std::vector<std::string> names;
@@ -120,10 +112,6 @@ parseCli(int argc, char **argv, CliOptions &cli)
             cli.csvOut = valueOf("--csv-out=");
         } else if (arg.rfind("--golden-dir=", 0) == 0) {
             cli.goldenDir = valueOf("--golden-dir=");
-        } else if (arg.rfind("--bench-out=", 0) == 0) {
-            cli.benchOut = valueOf("--bench-out=");
-        } else if (arg.rfind("--bench-label=", 0) == 0) {
-            cli.benchLabel = valueOf("--bench-label=");
         } else if (arg == "-j") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "error: -j needs a value\n");
@@ -156,7 +144,7 @@ select(const ExperimentRegistry &reg, const CliOptions &cli,
     selectionError = false;
     std::vector<const Experiment *> out;
     auto want = [&](const Experiment &e) {
-        if (cli.all && e.deterministic)
+        if (cli.all)
             return true;
         for (const auto &g : cli.filters)
             if (globMatch(g, e.name))
@@ -207,12 +195,10 @@ main(int argc, char **argv)
 
     if (cli.list) {
         for (const auto &e : reg.all())
-            std::printf("%-5s %3zu point%s %s %s\n", e.name.c_str(),
+            std::printf("%-5s %3zu point%s %s\n", e.name.c_str(),
                         e.points.size(),
                         e.points.size() == 1 ? " " : "s",
-                        e.deterministic ? " " : "~", e.title.c_str());
-        std::printf("\n('~' marks wall-clock experiments excluded "
-                    "from --all and golden gating)\n");
+                        e.title.c_str());
         return 0;
     }
 
@@ -220,12 +206,6 @@ main(int argc, char **argv)
     auto selection = select(reg, cli, selectionError);
     if (selectionError)
         return 2;
-    if (!cli.benchOut.empty()) {
-        const Experiment *p1 = reg.find("P1");
-        if (p1 && std::find(selection.begin(), selection.end(), p1) ==
-                      selection.end())
-            selection.push_back(p1);
-    }
     if (selection.empty()) {
         std::fprintf(stderr, "error: nothing selected — use --all, "
                              "--filter=GLOB, or experiment names\n");
@@ -263,12 +243,6 @@ main(int argc, char **argv)
         Reporter::writeJson(cli.jsonOut, tables);
     if (!cli.csvOut.empty())
         Reporter::writeCsv(cli.csvOut, tables);
-    if (!cli.benchOut.empty()) {
-        for (const auto &t : tables)
-            if (t.name == "P1")
-                Reporter::appendBench(cli.benchOut, t,
-                                      cli.benchLabel);
-    }
 
     int status = 0;
     if (cli.checkGolden) {
@@ -276,8 +250,8 @@ main(int argc, char **argv)
         std::uint64_t checked = 0, failed = 0, skipped = 0;
         for (const auto &t : tables) {
             const Experiment *e = reg.find(t.name);
-            if (e && (!e->deterministic || e->goldenExempt)) {
-                ++skipped; // wall-clock / self-gated: no golden
+            if (e && e->goldenExempt) {
+                ++skipped; // self-gated: no golden
                 continue;
             }
             const auto rep = checker.check(t);
@@ -290,7 +264,7 @@ main(int argc, char **argv)
         }
         std::fprintf(stderr,
                      "golden: %llu checked, %llu failed, %llu "
-                     "skipped (non-deterministic)\n",
+                     "skipped (golden-exempt)\n",
                      static_cast<unsigned long long>(checked),
                      static_cast<unsigned long long>(failed),
                      static_cast<unsigned long long>(skipped));

@@ -2,8 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <utility>
 
 #include "sim/log.hh"
 
@@ -70,77 +68,6 @@ Reporter::writeCsv(const std::string &dir,
                    const std::vector<ResultTable> &tables)
 {
     return writeAll(dir, tables, ".csv", &ResultTable::csv);
-}
-
-void
-Reporter::appendBench(const std::string &path,
-                      const ResultTable &table,
-                      const std::string &label)
-{
-    Json entry = table.toJson();
-    // "label" distinguishes trajectory sources (verify refresh,
-    // selfprof, ad-hoc dev runs); place it first for readability.
-    Json labelled = Json::object();
-    labelled.set("label", label);
-    for (const auto &[key, value] : entry.members())
-        labelled.set(key, value);
-
-    Json entries = Json::array();
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        Json prior;
-        std::string error;
-        if (!Json::parse(text, prior, &error))
-            msgsim_fatal("bench trajectory ", path,
-                         " is not valid JSON: ", error);
-        if (const Json *list = prior.find("entries")) {
-            for (std::size_t i = 0; i < list->size(); ++i)
-                entries.push(list->at(i));
-        } else if (prior.find("experiment") != nullptr) {
-            // Pre-trajectory format: one bare ResultTable document
-            // (the PR 5 --bench-out overwrite) becomes the first
-            // preserved entry.
-            Json migrated = Json::object();
-            migrated.set("label", "pre-trajectory snapshot");
-            for (const auto &[key, value] : prior.members())
-                migrated.set(key, value);
-            entries.push(std::move(migrated));
-        } else {
-            msgsim_fatal("bench trajectory ", path,
-                         " has neither \"entries\" nor "
-                         "\"experiment\"");
-        }
-    }
-
-    // Replace in place on a (experiment, label) match; append
-    // otherwise.
-    Json out = Json::array();
-    bool replaced = false;
-    auto keyOf = [](const Json &e) {
-        const Json *exp = e.find("experiment");
-        const Json *lbl = e.find("label");
-        return std::pair<std::string, std::string>(
-            exp != nullptr ? exp->asString() : "",
-            lbl != nullptr ? lbl->asString() : "");
-    };
-    const auto newKey = keyOf(labelled);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (keyOf(entries.at(i)) == newKey) {
-            out.push(labelled);
-            replaced = true;
-        } else {
-            out.push(entries.at(i));
-        }
-    }
-    if (!replaced)
-        out.push(std::move(labelled));
-
-    Json doc = Json::object();
-    doc.set("bench", "msgsim perf trajectory");
-    doc.set("entries", std::move(out));
-    writeFile(path, doc.dump(2) + "\n");
 }
 
 } // namespace msgsim::lab

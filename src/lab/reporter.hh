@@ -40,23 +40,6 @@ class Reporter
     /** Write one file; fatal on failure. */
     static void writeFile(const std::string &path,
                           const std::string &content);
-
-    /**
-     * Append @p table as a labelled entry to the perf-trajectory
-     * file at @p path, preserving every prior entry:
-     *
-     *     { "bench": "msgsim perf trajectory",
-     *       "entries": [ { "label": ..., "experiment": ..., ... } ] }
-     *
-     * A pre-trajectory file holding one bare ResultTable document is
-     * migrated into the first entry.  An existing entry with the
-     * same (experiment, label) is replaced in place, so repeated
-     * verify runs keep one entry per labelled source instead of
-     * growing without bound.
-     */
-    static void appendBench(const std::string &path,
-                            const ResultTable &table,
-                            const std::string &label);
 };
 
 } // namespace msgsim::lab

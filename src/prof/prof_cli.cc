@@ -51,26 +51,4 @@ parseArgs(int &argc, char **argv)
     return opts;
 }
 
-bool
-parseSubstrate(const std::string &name, Substrate &out)
-{
-    if (name == "cm5") {
-        out = Substrate::Cm5;
-        return true;
-    }
-    if (name == "cr") {
-        out = Substrate::Cr;
-        return true;
-    }
-    if (name == "rdma") {
-        out = Substrate::Rdma;
-        return true;
-    }
-    if (name == "nicam") {
-        out = Substrate::Nicam;
-        return true;
-    }
-    return false;
-}
-
 } // namespace msgsim::prof

@@ -35,8 +35,6 @@
 #include <cstdint>
 #include <string>
 
-#include "protocols/stack.hh"
-
 namespace msgsim::prof
 {
 
@@ -61,9 +59,6 @@ struct CliOptions
  * obs::parseArgs).
  */
 CliOptions parseArgs(int &argc, char **argv);
-
-/** Map a substrate name to the enum; false on unknown names. */
-bool parseSubstrate(const std::string &name, Substrate &out);
 
 } // namespace msgsim::prof
 

@@ -78,7 +78,7 @@ main(int argc, char **argv)
     }
 
     Substrate primarySub;
-    if (!prof::parseSubstrate(cli.substrate, primarySub)) {
+    if (!substrateFromString(cli.substrate, primarySub)) {
         std::fprintf(stderr, "msgsim-prof: unknown substrate '%s'\n",
                      cli.substrate.c_str());
         usage();
@@ -86,7 +86,7 @@ main(int argc, char **argv)
     }
     Substrate baselineSub = Substrate::Cr;
     if (!cli.baseline.empty() &&
-        !prof::parseSubstrate(cli.baseline, baselineSub)) {
+        !substrateFromString(cli.baseline, baselineSub)) {
         std::fprintf(stderr, "msgsim-prof: unknown baseline '%s'\n",
                      cli.baseline.c_str());
         usage();

@@ -17,6 +17,18 @@ toString(Substrate s)
     }
 }
 
+bool
+substrateFromString(const std::string &name, Substrate &out)
+{
+    for (Substrate s : allSubstrates) {
+        if (name == toString(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 const char *
 toString(RecvDiscipline d)
 {

@@ -9,6 +9,7 @@
 #define MSGSIM_PROTOCOLS_STACK_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cm5net/cm5_network.hh"
@@ -30,8 +31,15 @@ enum class Substrate
     Nicam, ///< CM-5 fabric with an on-NIC handler table
 };
 
+/** Every substrate, in declaration order. */
+inline constexpr Substrate allSubstrates[] = {
+    Substrate::Cm5, Substrate::Cr, Substrate::Rdma, Substrate::Nicam};
+
 /** Printable name of a substrate. */
 const char *toString(Substrate s);
+
+/** Inverse of toString(Substrate); false on an unknown name. */
+bool substrateFromString(const std::string &name, Substrate &out);
 
 /**
  * How a node learns of arrived packets in event-driven execution:

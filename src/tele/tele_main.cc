@@ -16,7 +16,6 @@
  * scenario, same period, same bytes.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,7 +27,6 @@
 #include "tele/heatmap.hh"
 #include "tele/report.hh"
 #include "tele/tele_run.hh"
-#include "traffic/engine.hh"
 
 namespace
 {
@@ -49,8 +47,6 @@ struct Options
     std::string heatmapOut;
     std::string reportOut;
     std::string jsonOut;
-    std::string benchOut;
-    std::string benchLabel = "tele";
 };
 
 void
@@ -72,9 +68,6 @@ usage(std::FILE *to)
         "  --report-out=<f>    write the bottleneck report (plus\n"
         "                      <f>.json)\n"
         "  --json-out=<f>      write the summary table as JSON\n"
-        "  --bench-out=<f>     append wall-clock entry to the perf\n"
-        "                      trajectory file\n"
-        "  --bench-label=<l>   trajectory entry label  [tele]\n"
         "  --quiet             suppress the stdout report\n"
         "  --trace-out=<file>, --metrics-out=<file>  (observability;\n"
         "                      counter tracks merge onto --trace-out)\n",
@@ -107,9 +100,7 @@ parse(int argc, char **argv, Options &opt)
                    eat(arg, "--timeline-out=", opt.timelineOut) ||
                    eat(arg, "--heatmap-out=", opt.heatmapOut) ||
                    eat(arg, "--report-out=", opt.reportOut) ||
-                   eat(arg, "--json-out=", opt.jsonOut) ||
-                   eat(arg, "--bench-out=", opt.benchOut) ||
-                   eat(arg, "--bench-label=", opt.benchLabel)) {
+                   eat(arg, "--json-out=", opt.jsonOut)) {
         } else if (eat(arg, "--period=", v)) {
             opt.period = std::stoull(v);
         } else if (eat(arg, "--ring=", v)) {
@@ -172,11 +163,7 @@ main(int argc, char **argv)
     sopt.threshold = opt.threshold;
     sopt.trace = scope.session();
 
-    const auto w0 = std::chrono::steady_clock::now();
     const tele::ScenarioResult res = tele::runScenario(sopt, &sampler);
-    const auto w1 = std::chrono::steady_clock::now();
-    const double wallUs =
-        std::chrono::duration<double, std::micro>(w1 - w0).count();
 
     const tele::BottleneckReport report =
         tele::buildReport(sampler, sopt.windowTicks, sopt.threshold);
@@ -238,28 +225,6 @@ main(int argc, char **argv)
     }
     if (scope.tracing())
         sampler.exportCounters(*scope.session());
-
-    if (!opt.benchOut.empty()) {
-        lab::ResultTable bt;
-        bt.name = "W-tele";
-        bt.title = "Telemetry sampling throughput: samples/s "
-                   "(host wall-clock)";
-        bt.columns = {"scenario", "samples", "wall us", "samples/s"};
-        const double sps =
-            wallUs > 0 ? 1e6 * static_cast<double>(
-                                   sampler.samplesObserved()) /
-                             wallUs
-                       : 0;
-        bt.addRow({lab::Cell::text(opt.scenario + "/" +
-                                   opt.substrate),
-                   lab::Cell::integer(sampler.samplesObserved()),
-                   lab::Cell::real(wallUs), lab::Cell::real(sps)});
-        bt.notes = {"Measures this repository's simulator with the "
-                    "sampler attached, not the modeled machine; "
-                    "feeds the repo-root BENCH_throughput.json perf "
-                    "trajectory."};
-        lab::Reporter::appendBench(opt.benchOut, bt, opt.benchLabel);
-    }
 
     if (!res.ok)
         std::fprintf(stderr,

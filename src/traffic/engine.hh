@@ -58,9 +58,6 @@ const char *toString(TrafficProto p);
 /** Parse "am" / "seq" / "acked"; false = unknown. */
 bool protoFromString(const std::string &name, TrafficProto &out);
 
-/** Parse "cm5" / "cr" / "rdma" / "nicam"; false = unknown. */
-bool substrateFromString(const std::string &name, Substrate &out);
-
 /**
  * One declarative traffic scenario.
  */

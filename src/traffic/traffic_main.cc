@@ -9,11 +9,8 @@
  * With --predict the tool prints the predicted-vs-measured
  * per-feature bill and exits 1 on any disagreement — the same
  * golden-free gate lab experiment W1 applies across the full grid.
- * --bench-out appends a wall-clock throughput entry to the perf
- * trajectory file (BENCH_throughput.json), labelled --bench-label.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +44,6 @@ struct Options
     bool predict = false;
     bool quiet = false;
     std::string jsonOut;
-    std::string benchOut;
-    std::string benchLabel = "traffic";
 };
 
 void
@@ -73,9 +68,6 @@ usage(std::FILE *to)
         "                     predictor; exit 1 on drift\n"
         "  --quiet            suppress the stdout tables\n"
         "  --json-out=<file>  write the run table as JSON\n"
-        "  --bench-out=<file> append wall-clock entry to the perf\n"
-        "                     trajectory file\n"
-        "  --bench-label=<l>  trajectory entry label  [traffic]\n"
         "  --trace-out=<file>, --metrics-out=<file>  (observability)\n",
         to);
 }
@@ -106,9 +98,7 @@ parse(int argc, char **argv, Options &opt)
         } else if (eat(arg, "--pattern=", opt.pattern) ||
                    eat(arg, "--protocol=", opt.proto) ||
                    eat(arg, "--substrate=", opt.substrate) ||
-                   eat(arg, "--json-out=", opt.jsonOut) ||
-                   eat(arg, "--bench-out=", opt.benchOut) ||
-                   eat(arg, "--bench-label=", opt.benchLabel)) {
+                   eat(arg, "--json-out=", opt.jsonOut)) {
         } else if (eat(arg, "--nodes=", v)) {
             opt.nodes = static_cast<std::uint32_t>(std::stoul(v));
         } else if (eat(arg, "--msgs=", v)) {
@@ -189,11 +179,7 @@ main(int argc, char **argv)
     scope.bindClock(stack.sim());
     TrafficEngine engine(stack);
 
-    const auto w0 = std::chrono::steady_clock::now();
     const TrafficResult res = engine.run(spec);
-    const auto w1 = std::chrono::steady_clock::now();
-    const double wallUs =
-        std::chrono::duration<double, std::micro>(w1 - w0).count();
     scope.collect(stack.sim(), "sim");
 
     lab::ResultTable t;
@@ -264,28 +250,6 @@ main(int argc, char **argv)
 
     if (!opt.jsonOut.empty())
         lab::Reporter::writeFile(opt.jsonOut, t.jsonText());
-
-    if (!opt.benchOut.empty()) {
-        lab::ResultTable bt;
-        bt.name = "W-traffic";
-        bt.title = "Traffic-engine throughput: fragments/s "
-                   "(host wall-clock)";
-        bt.columns = {"scenario", "fragments", "wall us",
-                      "fragments/s"};
-        const double fps =
-            wallUs > 0 ? 1e6 * static_cast<double>(
-                                   res.shape.fragmentsSent) /
-                             wallUs
-                       : 0;
-        bt.addRow({lab::Cell::text(opt.pattern + "/" + opt.proto +
-                                   "/" + opt.substrate),
-                   lab::Cell::integer(res.shape.fragmentsSent),
-                   lab::Cell::real(wallUs), lab::Cell::real(fps)});
-        bt.notes = {"Measures this repository's simulator, not the "
-                    "modeled machine; feeds the repo-root "
-                    "BENCH_throughput.json perf trajectory."};
-        lab::Reporter::appendBench(opt.benchOut, bt, opt.benchLabel);
-    }
 
     if (!res.ok)
         std::fprintf(stderr, "msgsim-traffic: run FAILED "

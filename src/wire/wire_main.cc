@@ -7,12 +7,9 @@
  *
  * The table shows the framing feature's instruction cost next to the
  * classic four, plus the mux counters (window stalls, wire acks, CRC
- * rejects when --corrupt-every is set).  --bench-out appends a
- * framed-bytes/s wall-clock entry to the perf trajectory file
- * (BENCH_throughput.json), labelled --bench-label.
+ * rejects when --corrupt-every is set).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +17,7 @@
 
 #include "lab/reporter.hh"
 #include "lab/result_table.hh"
+#include "protocols/stack.hh"
 #include "sim/obs_cli.hh"
 #include "wire/wire_run.hh"
 
@@ -42,8 +40,6 @@ struct Options
     std::uint64_t seed = 0x5eedf00dULL;
     bool quiet = false;
     std::string jsonOut;
-    std::string benchOut;
-    std::string benchLabel = "wire";
 };
 
 void
@@ -65,9 +61,6 @@ usage(std::FILE *to)
         "  --seed=<n>           payload fill seed\n"
         "  --quiet              suppress the stdout table\n"
         "  --json-out=<file>    write the run table as JSON\n"
-        "  --bench-out=<file>   append framed-bytes/s entry to the\n"
-        "                       perf trajectory file\n"
-        "  --bench-label=<l>    trajectory entry label  [wire]\n"
         "  --trace-out=<file>, --metrics-out=<file>  (observability)\n",
         to);
 }
@@ -94,9 +87,7 @@ parse(int argc, char **argv, Options &opt)
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else if (eat(arg, "--substrate=", opt.substrate) ||
-                   eat(arg, "--json-out=", opt.jsonOut) ||
-                   eat(arg, "--bench-out=", opt.benchOut) ||
-                   eat(arg, "--bench-label=", opt.benchLabel)) {
+                   eat(arg, "--json-out=", opt.jsonOut)) {
         } else if (eat(arg, "--nodes=", v)) {
             opt.nodes = static_cast<std::uint32_t>(std::stoul(v));
         } else if (eat(arg, "--streams=", v)) {
@@ -126,22 +117,6 @@ parse(int argc, char **argv, Options &opt)
     return true;
 }
 
-bool
-substrateOf(const std::string &name, Substrate &out)
-{
-    if (name == "cm5")
-        out = Substrate::Cm5;
-    else if (name == "cr")
-        out = Substrate::Cr;
-    else if (name == "rdma")
-        out = Substrate::Rdma;
-    else if (name == "nicam")
-        out = Substrate::Nicam;
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 int
@@ -155,7 +130,7 @@ main(int argc, char **argv)
         return 2;
 
     Substrate substrate;
-    if (!substrateOf(opt.substrate, substrate)) {
+    if (!substrateFromString(opt.substrate, substrate)) {
         std::fprintf(stderr, "msgsim-wire: unknown substrate '%s'\n",
                      opt.substrate.c_str());
         return 2;
@@ -181,11 +156,7 @@ main(int argc, char **argv)
     w.corruptEvery = opt.corruptEvery;
     w.fillSeed = opt.seed;
 
-    const auto w0 = std::chrono::steady_clock::now();
     const wire::WireRunResult res = wire::runWireWorkload(stack, w);
-    const auto w1 = std::chrono::steady_clock::now();
-    const double wallUs =
-        std::chrono::duration<double, std::micro>(w1 - w0).count();
     scope.collect(stack.sim(), "sim");
 
     lab::ResultTable t;
@@ -227,29 +198,6 @@ main(int argc, char **argv)
 
     if (!opt.jsonOut.empty())
         lab::Reporter::writeFile(opt.jsonOut, t.jsonText());
-
-    if (!opt.benchOut.empty()) {
-        lab::ResultTable bt;
-        bt.name = "W-wire";
-        bt.title = "Wire-layer throughput: framed bytes/s "
-                   "(host wall-clock)";
-        bt.columns = {"scenario", "framed bytes", "wall us",
-                      "framed bytes/s"};
-        const double bps =
-            wallUs > 0 ? 1e6 * static_cast<double>(
-                                   res.wire.framedBytes) /
-                             wallUs
-                       : 0;
-        bt.addRow({lab::Cell::text(opt.substrate + "/s" +
-                                   std::to_string(opt.streams) +
-                                   "/f" + std::to_string(opt.frames)),
-                   lab::Cell::integer(res.wire.framedBytes),
-                   lab::Cell::real(wallUs), lab::Cell::real(bps)});
-        bt.notes = {"Measures this repository's simulator, not the "
-                    "modeled machine; feeds the repo-root "
-                    "BENCH_throughput.json perf trajectory."};
-        lab::Reporter::appendBench(opt.benchOut, bt, opt.benchLabel);
-    }
 
     if (!res.run.dataOk)
         std::fprintf(stderr,

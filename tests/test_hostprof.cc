@@ -6,28 +6,21 @@
  * allocations — then the reporting surface (calling-context tree
  * self-cost arithmetic, shares summing to 100%, the folded-stack
  * grammar, metrics publication), allocation attribution, thread-local
- * isolation, the perf_event_open probe's graceful fallback, and the
- * bench-trajectory migration/replacement rules.
+ * isolation, and the perf_event_open probe's graceful fallback.
  */
 
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "hostprof/hostprof.hh"
 #include "hostprof/hw_counters.hh"
-#include "lab/reporter.hh"
-#include "lab/result_table.hh"
 #include "protocols/finite_xfer.hh"
 #include "protocols/stream.hh"
 #include "sim/metrics.hh"
@@ -119,8 +112,7 @@ TEST(HostProf, DisabledScopesAllocateNothing)
 
 TEST(HostProf, SteadyStatePacketPathAllocatesNothing)
 {
-    for (Substrate sub : {Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
-                          Substrate::Nicam}) {
+    for (Substrate sub : allSubstrates) {
         StackConfig cfg;
         cfg.substrate = sub;
         cfg.nodes = 2;
@@ -406,103 +398,6 @@ TEST(HostProf, HwCountersNeverCrash)
     ASSERT_TRUE(reg.has("hostprof.counters_available"));
     EXPECT_EQ(reg.gauge("hostprof.counters_available"),
               available ? 1.0 : 0.0);
-}
-
-// ------------------------------------------------------------------
-// Bench trajectory (satellite 1).
-// ------------------------------------------------------------------
-
-class BenchTrajectory : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        path_ = std::filesystem::temp_directory_path() /
-                ("msgsim_bench_test_" +
-                 std::to_string(::getpid()) + ".json");
-        std::filesystem::remove(path_);
-    }
-
-    void TearDown() override { std::filesystem::remove(path_); }
-
-    static lab::ResultTable
-    table(const char *name, std::int64_t value)
-    {
-        lab::ResultTable t;
-        t.name = name;
-        t.title = "test table";
-        t.columns = {"value"};
-        t.addRow({lab::Cell::integer(
-            static_cast<std::uint64_t>(value))});
-        return t;
-    }
-
-    Json
-    readDoc() const
-    {
-        std::ifstream in(path_);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        Json doc;
-        std::string error;
-        EXPECT_TRUE(Json::parse(text, doc, &error)) << error;
-        return doc;
-    }
-
-    std::filesystem::path path_;
-};
-
-TEST_F(BenchTrajectory, AppendsAndPreservesEntries)
-{
-    lab::Reporter::appendBench(path_.string(), table("P1", 1), "p1");
-    lab::Reporter::appendBench(path_.string(), table("H1-wall", 2),
-                               "selfprof");
-
-    const Json doc = readDoc();
-    const Json *bench = doc.find("bench");
-    ASSERT_NE(bench, nullptr);
-    EXPECT_EQ(bench->asString(), "msgsim perf trajectory");
-    const Json *entries = doc.find("entries");
-    ASSERT_NE(entries, nullptr);
-    ASSERT_EQ(entries->size(), 2u);
-    EXPECT_EQ(entries->at(0).find("label")->asString(), "p1");
-    EXPECT_EQ(entries->at(1).find("label")->asString(), "selfprof");
-}
-
-TEST_F(BenchTrajectory, ReplacesMatchingEntryInPlace)
-{
-    lab::Reporter::appendBench(path_.string(), table("P1", 1), "p1");
-    lab::Reporter::appendBench(path_.string(), table("H1-wall", 2),
-                               "selfprof");
-    lab::Reporter::appendBench(path_.string(), table("P1", 3), "p1");
-
-    const Json doc = readDoc();
-    const Json *entries = doc.find("entries");
-    ASSERT_NE(entries, nullptr);
-    ASSERT_EQ(entries->size(), 2u); // replaced, not appended
-    const Json &first = entries->at(0);
-    EXPECT_EQ(first.find("label")->asString(), "p1");
-    const Json *rows = first.find("rows");
-    ASSERT_NE(rows, nullptr);
-    EXPECT_EQ(rows->at(0).at(0).asInt(), 3);
-}
-
-TEST_F(BenchTrajectory, MigratesPreTrajectorySnapshot)
-{
-    // The PR 5 format: one bare ResultTable document.
-    lab::Reporter::writeFile(path_.string(),
-                             table("P1", 7).jsonText());
-    lab::Reporter::appendBench(path_.string(), table("P1", 8), "p1");
-
-    const Json doc = readDoc();
-    const Json *entries = doc.find("entries");
-    ASSERT_NE(entries, nullptr);
-    ASSERT_EQ(entries->size(), 2u);
-    EXPECT_EQ(entries->at(0).find("label")->asString(),
-              "pre-trajectory snapshot");
-    EXPECT_EQ(entries->at(0).find("rows")->at(0).at(0).asInt(), 7);
-    EXPECT_EQ(entries->at(1).find("label")->asString(), "p1");
 }
 
 // ------------------------------------------------------------------

@@ -91,7 +91,7 @@ TEST(LabRegistry, BuiltinCatalogCoversTheEIndex)
     for (const char *name :
          {"T1", "T2a", "T2b", "T3", "F6", "F8", "D1", "D2", "A1",
           "X1", "X2", "X3a", "X3b", "X4a", "X4b", "X5", "X6", "X7",
-          "X8", "X9", "X10", "S1", "P1"})
+          "X8", "X9", "X10", "S1"})
         EXPECT_NE(reg.find(name), nullptr) << name;
     EXPECT_EQ(reg.find("nope"), nullptr);
 
@@ -100,10 +100,6 @@ TEST(LabRegistry, BuiltinCatalogCoversTheEIndex)
     ASSERT_EQ(ts.size(), 4u);
     EXPECT_EQ(ts[0]->name, "T1");
     EXPECT_EQ(ts[3]->name, "T3");
-
-    // P1 is the only wall-clock (non-deterministic) experiment.
-    for (const auto &e : reg.all())
-        EXPECT_EQ(e.deterministic, e.name != "P1") << e.name;
 }
 
 // ------------------------------------------------------------------
@@ -313,7 +309,6 @@ TEST(LabExperiments, W1PredictsTheWholeTrafficGrid)
     // the compositional predictor and the charged run.
     const auto *w1 = builtinRegistry().find("W1");
     ASSERT_NE(w1, nullptr);
-    EXPECT_TRUE(w1->deterministic);
     EXPECT_TRUE(w1->goldenExempt); // model is the reference, no file
     ASSERT_EQ(w1->points.size(), 4u); // one per substrate
 
@@ -347,16 +342,16 @@ TEST(LabExperiments, W1IsDeterministicPerPoint)
 
 TEST(LabExperiments, GoldenExemptSkipsTheFileCheck)
 {
-    // A deterministic experiment flagged goldenExempt must not fail
-    // the golden gate just because no file exists.
+    // An experiment flagged goldenExempt must not fail the golden
+    // gate just because no file exists.
     const auto *w1 = builtinRegistry().find("W1");
     ASSERT_NE(w1, nullptr);
-    EXPECT_TRUE(w1->deterministic && w1->goldenExempt);
-    // Every non-exempt deterministic experiment keeps a golden.
+    EXPECT_TRUE(w1->goldenExempt);
+    // Every non-exempt experiment keeps a golden.
     const std::string dir =
         std::string(MSGSIM_SOURCE_DIR) + "/lab/golden";
     for (const auto &e : builtinRegistry().all()) {
-        if (!e.deterministic || e.goldenExempt)
+        if (e.goldenExempt)
             continue;
         std::ifstream is(dir + "/" + e.name + ".json");
         EXPECT_TRUE(is.good()) << e.name;

@@ -421,15 +421,5 @@ TEST(ProfCli, StripsItsFlagsAndComposesWithObs)
     EXPECT_STREQ(argv[1], "leftover");
 }
 
-TEST(ProfCli, SubstrateNamesRoundTrip)
-{
-    Substrate s = Substrate::Cm5;
-    EXPECT_TRUE(prof::parseSubstrate("cr", s));
-    EXPECT_EQ(s, Substrate::Cr);
-    EXPECT_TRUE(prof::parseSubstrate("cm5", s));
-    EXPECT_EQ(s, Substrate::Cm5);
-    EXPECT_FALSE(prof::parseSubstrate("tcp", s));
-}
-
 } // namespace
 } // namespace msgsim

@@ -215,9 +215,7 @@ runSampled(tele::ScenarioOptions opt, Tick period = 16)
 TEST(TeleScenarios, SamplerCannotPerturbAnySubstrate)
 {
     for (const char *scen : {"incast", "wire"})
-        for (const Substrate sub :
-             {Substrate::Cm5, Substrate::Cr, Substrate::Rdma,
-              Substrate::Nicam}) {
+        for (const Substrate sub : allSubstrates) {
             if (std::string(scen) == "wire" && sub == Substrate::Rdma)
                 continue; // wire scenario targets classic substrates
             tele::ScenarioOptions opt;

@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
 #include <vector>
 
 #include "model/traffic_model.hh"
+#include "protocols/stack.hh"
 #include "traffic/engine.hh"
 #include "traffic/traffic.hh"
 
@@ -68,10 +70,13 @@ TEST(TrafficSpec, StringRoundTrips)
     TrafficProto p;
     EXPECT_FALSE(protoFromString("bogus", p));
 
-    for (const char *name : {"cm5", "cr", "rdma", "nicam"}) {
+    const char *subNames[] = {"cm5", "cr", "rdma", "nicam"};
+    ASSERT_EQ(std::size(allSubstrates), std::size(subNames));
+    for (std::size_t i = 0; i < std::size(subNames); ++i) {
         Substrate s;
-        ASSERT_TRUE(substrateFromString(name, s)) << name;
-        EXPECT_STREQ(toString(s), name);
+        ASSERT_TRUE(substrateFromString(subNames[i], s)) << subNames[i];
+        EXPECT_EQ(s, allSubstrates[i]);
+        EXPECT_STREQ(toString(s), subNames[i]);
     }
     Substrate s;
     EXPECT_FALSE(substrateFromString("myrinet", s));

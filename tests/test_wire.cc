@@ -504,9 +504,6 @@ TEST(WireMux, FramingChargesLandOnTheFramingFeature)
     EXPECT_GT(c.featureTotal(Feature::Framing), 0u);
 }
 
-constexpr Substrate kAllSubstrates[] = {Substrate::Cm5, Substrate::Cr,
-                                        Substrate::Rdma, Substrate::Nicam};
-
 StackConfig
 twoNodeStack(Substrate sub)
 {
@@ -534,7 +531,7 @@ TEST(WireMux, NestedTransmitsKeepTheirPayloads)
     constexpr std::size_t kWords = 6;
     const std::pair<std::uint32_t, std::uint64_t> rings[] = {
         {8, 429}, {6, 166}, {64, 128}};
-    for (const Substrate sub : kAllSubstrates) {
+    for (const Substrate sub : allSubstrates) {
         for (const auto &[ring, retransmits] : rings) {
             SCOPED_TRACE(std::string(toString(sub)) + " ring " +
                          std::to_string(ring));
@@ -659,7 +656,7 @@ TEST(WireMux, SteadyStateAllocatesNothing)
     wire::MuxOptions nested;
     nested.ringPackets = 8;
     nested.window = 8;
-    for (const Substrate sub : kAllSubstrates) {
+    for (const Substrate sub : allSubstrates) {
         expectSteadyStateAllocatesNothing(sub, wire::MuxOptions{});
         expectSteadyStateAllocatesNothing(sub, nested);
     }
