@@ -15,7 +15,6 @@
 #include "lab/registry.hh"
 #include "lab/reporter.hh"
 #include "lab/runner.hh"
-#include "sim/obs_cli.hh"
 
 namespace
 {
@@ -25,16 +24,12 @@ using namespace msgsim::lab;
 
 /**
  * Run the comma-separated registered experiments @p names
- * sequentially and print their markdown tables; honours
- * `--trace-out=` / `--metrics-out=` via obs::parseArgs.  Returns a
- * process exit status.
+ * sequentially and print their markdown tables.  Returns a process
+ * exit status.
  */
 int
-labBenchMain(int argc, char **argv, const std::string &names)
+labBenchMain(const std::string &names)
 {
-    auto obsOpts = obs::parseArgs(argc, argv);
-    obs::Scope scope(obsOpts);
-
     ExperimentRegistry &reg = builtinRegistry();
     std::vector<const Experiment *> selection;
     std::istringstream list(names);
@@ -59,7 +54,7 @@ labBenchMain(int argc, char **argv, const std::string &names)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    return labBenchMain(argc, argv, MSGSIM_BENCH_EXPERIMENTS);
+    return labBenchMain(MSGSIM_BENCH_EXPERIMENTS);
 }

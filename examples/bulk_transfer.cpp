@@ -43,17 +43,20 @@ main(int argc, char **argv)
 
     obs::Scope scope(obsOpts);
 
+    // One tracer records the hardware events of both stacks' networks
+    // (it observes every network driven on this thread).
+    PacketTracer tracer(1u << 14);
+    if (scope.tracing()) {
+        tracer.attach();
+        attachTraceBridge(tracer, *scope.session());
+    }
+
     // --- CMAM on the CM-5-like network --------------------------
     StackConfig cfg;
     cfg.nodes = 2;
     cfg.memWords = 1u << 24;
     Stack cm5(cfg);
-    PacketTracer tracer(1u << 14);
-    if (scope.tracing()) {
-        scope.bindClock(cm5.sim());
-        cm5.network().setTracer(&tracer);
-        attachTraceBridge(tracer, *scope.session());
-    }
+    scope.bindClock(cm5.sim());
     FiniteXfer proto(cm5);
     FiniteXferParams p;
     p.words = words;
@@ -73,14 +76,9 @@ main(int argc, char **argv)
     hcfg.nodes = 2;
     hcfg.memWords = 1u << 24;
     HlStack hl(hcfg);
-    PacketTracer hlTracer(1u << 14);
-    if (scope.tracing()) {
-        // The second stack has its own simulator: rebind the trace
-        // clock so its spans stay on a consistent timeline.
-        scope.bindClock(hl.sim());
-        hl.machine().network().setTracer(&hlTracer);
-        attachTraceBridge(hlTracer, *scope.session());
-    }
+    // The second stack has its own simulator: rebind the trace clock
+    // so its spans stay on a consistent timeline.
+    scope.bindClock(hl.sim());
     HlXferParams hp;
     hp.words = words;
     const auto rh = runHlFinite(hl, hp);

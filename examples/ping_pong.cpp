@@ -30,6 +30,13 @@ main(int argc, char **argv)
     if (argc > 1)
         rounds = std::atoi(argv[1]);
 
+    // One tracer bridges the hardware events of every stack below.
+    PacketTracer tracer(1u << 14);
+    if (scope.tracing()) {
+        tracer.attach();
+        attachTraceBridge(tracer, *scope.session());
+    }
+
     std::printf("%8s  %14s  %14s  %12s\n", "words",
                 "instr/roundtrip", "cycles(dev=5)", "sim ticks");
     for (std::uint32_t words : {4u, 16u, 64u, 256u, 1024u}) {
@@ -37,14 +44,8 @@ main(int argc, char **argv)
         cfg.nodes = 2;
         cfg.memWords = 1u << 24;
         Stack stack(cfg);
-        PacketTracer tracer(1u << 14);
-        if (scope.tracing()) {
-            // One stack per message size: rebind the clock and bridge
-            // the hardware events of the current network.
-            scope.bindClock(stack.sim());
-            stack.network().setTracer(&tracer);
-            attachTraceBridge(tracer, *scope.session());
-        }
+        // One stack per message size: rebind the trace clock.
+        scope.bindClock(stack.sim());
         MsgPassing mp(stack);
         Node &a = stack.node(0);
         Node &b = stack.node(1);
@@ -84,7 +85,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(instr), cycles,
                     ticks, ok ? "" : "  [FAILED]");
         scope.collect(stack.sim(), "sim.w" + std::to_string(words));
-        stack.network().setTracer(nullptr);
     }
     std::printf("\neach round trip = 2 x (rendezvous handshake + "
                 "offset-stamped data + end-to-end ack) on the "

@@ -242,8 +242,10 @@ runReplay(const CliOptions &cli, obs::Scope &scope)
     // exported timeline then draws the counterexample's causal
     // send -> deliver -> handler arrows.
     std::unique_ptr<prof::LineageSession> lineage;
-    if (scope.tracing())
+    if (scope.tracing()) {
         lineage = std::make_unique<prof::LineageSession>();
+        lineage->attach();
+    }
 
     Explorer explorer(ce.scenario, cli.limits);
     const ScheduleResult res = explorer.replay(ce.schedule);

@@ -13,11 +13,6 @@ namespace msgsim::hostprof
 namespace
 {
 
-// The thread-local binding.  A plain pointer with trivial
-// initialization: reading it from the interposed operator new is safe
-// at any point of the process lifetime (zero before any attach).
-thread_local HostProfiler *t_profiler = nullptr;
-
 // Process-wide allocation meters, maintained whether or not any
 // profiler is attached (the disabled-mode zero-allocation test and
 // the CLI's totals both read these).
@@ -113,33 +108,6 @@ HostProfiler::HostProfiler()
     stack_.reserve(64);
     nodes_.push_back(Node{}); // the root
     inProfiler_ = false;
-}
-
-HostProfiler::~HostProfiler()
-{
-    if (t_profiler == this)
-        t_profiler = nullptr;
-}
-
-void
-HostProfiler::attach()
-{
-    t_profiler = this;
-    attached_ = true;
-}
-
-void
-HostProfiler::detach()
-{
-    if (t_profiler == this)
-        t_profiler = nullptr;
-    attached_ = false;
-}
-
-HostProfiler *
-HostProfiler::current()
-{
-    return t_profiler;
 }
 
 int
@@ -397,7 +365,7 @@ noteAllocGlobal(std::size_t n)
     using namespace msgsim::hostprof;
     g_allocCount.fetch_add(1, std::memory_order_relaxed);
     g_allocBytes.fetch_add(n, std::memory_order_relaxed);
-    if (HostProfiler *hp = t_profiler)
+    if (HostProfiler *hp = HostProfiler::current())
         hp->noteAlloc(n);
 }
 

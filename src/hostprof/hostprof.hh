@@ -9,15 +9,15 @@
  * / handler phases, both substrates' route/deliver paths, the NI ring
  * operations, the CMAM/HLAM layers, and the protocol drivers.
  *
- * Design rules, identical to TraceSession / LineageHooks:
+ * Design rules, identical to every other observer:
  *
- *  - disabled cost is one thread-local pointer test per scope
+ *  - the profiler lives in the host slot of obs::context and
+ *    attaches by its one rule (sim/obs_context.hh), so a profiler
+ *    attached on one lab worker thread is invisible to every other
+ *    thread, and a disabled scope costs one thread-local load
  *    (HostScope's constructor), nothing else;
  *  - the profiler NEVER touches Accounting — simulation results are
- *    bit-identical with the profiler attached or not (tested);
- *  - attachment is *thread-local*, so the lab's concurrent sweeps
- *    stay byte-deterministic: a profiler attached on one worker
- *    thread is invisible to every other thread.
+ *    bit-identical with the profiler attached or not (tested).
  *
  * Scopes nest into a calling-context tree; a node's *self* cost is
  * its total minus its children's totals, so self costs sum exactly to
@@ -48,6 +48,7 @@
 #endif
 
 #include "core/json.hh"
+#include "sim/obs_context.hh"
 
 namespace msgsim
 {
@@ -149,19 +150,19 @@ class HostProfiler
 {
   public:
     HostProfiler();
-    ~HostProfiler();
+    ~HostProfiler() { detach(); }
 
     HostProfiler(const HostProfiler &) = delete;
     HostProfiler &operator=(const HostProfiler &) = delete;
 
-    /** Bind to the calling thread (replacing any previous binding). */
-    void attach();
+    /** Bind to the calling thread. */
+    void attach() { obs::attach(obs::context.host, this, "HostProfiler"); }
 
     /** Unbind; recorded data stays readable. */
-    void detach();
+    void detach() { obs::detach(obs::context.host, this); }
 
     /** The calling thread's attached profiler (nullptr = disabled). */
-    static HostProfiler *current();
+    static HostProfiler *current() { return obs::context.host; }
 
     // ---------------- hot path (via HostScope) ----------------
 
@@ -271,7 +272,6 @@ class HostProfiler
     std::vector<Frame> stack_;
     int cur_ = 0;
     bool inProfiler_ = false; ///< route bookkeeping allocs to overhead
-    bool attached_ = false;
     std::uint64_t enters_ = 0;
     std::uint64_t exits_ = 0;
     std::uint64_t scopedAllocs_ = 0;
@@ -283,8 +283,8 @@ class HostProfiler
 };
 
 /**
- * RAII scope: one thread-local pointer test when no profiler is
- * attached — the same discipline as ScopedSpan / LineageHooks.
+ * RAII scope: one thread-local load when no profiler is attached —
+ * the same discipline as ScopedSpan / LineageHooks.
  */
 class HostScope
 {

@@ -1317,13 +1317,9 @@ makeP2()
     e.notes = {"Computed by prof::differential() — the same code "
                "behind msgsim-prof --baseline; buffer management, "
                "in-order delivery and fault tolerance vanish on CR "
-               "while the base cost stays put (paper sections 3-4).",
-               "Profiling runs with observe = false here (the sweep "
-               "is concurrent); instruction counts are bit-identical "
-               "either way, by design."};
+               "while the base cost stays put (paper sections 3-4)."};
     e.runPoint = [](std::size_t) {
         prof::ProfConfig pc;
-        pc.observe = false;
         prof::ProfConfig bc = pc;
         bc.substrate = Substrate::Cr;
         const auto primary = prof::runProfiled(pc);
@@ -1361,9 +1357,7 @@ makeM1()
                  "in-order", "fault-tol", "compl-poll", "regist",
                  "dispatch", "total", "check"};
     e.points = {"cm5", "cr", "rdma", "nicam"};
-    e.notes = {"Instruction counts from prof::runProfiled "
-               "(observe = false: the sweep is concurrent; counts "
-               "are bit-identical either way, by design).",
+    e.notes = {"Instruction counts from prof::runProfiled.",
                "On rdma the buffering/in-order/fault columns vanish "
                "but completion-poll and registration appear; on "
                "nicam the host dispatch column empties because the "
@@ -1380,7 +1374,6 @@ makeM1()
             prof::ProfConfig pc;
             pc.protocol = proto;
             pc.substrate = allSubstrates[pi];
-            pc.observe = false;
             const prof::ProfRun run = prof::runProfiled(pc);
             const auto &c = run.result.counts;
             rows.push_back(

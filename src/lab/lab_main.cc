@@ -11,10 +11,10 @@
  *   msgsim-lab --check-golden              gate against lab/golden/*.json
  *   msgsim-lab --golden-dir=DIR            alternate golden directory
  *   msgsim-lab --quiet / --progress        output volume control
+ *   msgsim-lab --metrics-out=FILE          dump the lab.* sweep counters
  *
- * PR 1's observability flags (--trace-out=, --metrics-out=) are also
- * honoured; tracing forces -j 1 because the trace session hooks into
- * process-global state.
+ * --trace-out= is refused: no grid point binds a clock, so a sweep
+ * timeline would hold nothing but tick 0.  The per-run CLIs trace.
  */
 
 #include <cstdio>
@@ -61,10 +61,10 @@ usage(std::FILE *out)
         "                     on any mismatch\n"
         "  --golden-dir=DIR   golden directory (default: lab/golden)\n"
         "  --quiet            suppress the markdown report on stdout\n"
+        "  --metrics-out=FILE dump the lab.* sweep counters as JSON\n"
         "\n"
-        "observability (PR 1):\n"
-        "  --trace-out=FILE   Chrome trace-event timeline (forces -j 1)\n"
-        "  --metrics-out=FILE metrics registry dump\n",
+        "Timelines come from the per-run CLIs (--trace-out= on\n"
+        "msgsim-prof, -traffic, -wire, -tele and -check), not the lab.\n",
         out);
 }
 
@@ -184,7 +184,15 @@ select(const ExperimentRegistry &reg, const CliOptions &cli,
 int
 main(int argc, char **argv)
 {
-    auto obsOpts = obs::parseArgs(argc, argv);
+    const auto obsOpts = obs::parseArgs(argc, argv);
+    if (!obsOpts.traceOut.empty()) {
+        std::fprintf(stderr,
+                     "error: msgsim-lab does not trace (no grid point "
+                     "binds a clock); use --trace-out= on msgsim-prof, "
+                     "msgsim-traffic, msgsim-wire, msgsim-tele or "
+                     "msgsim-check\n");
+        return 2;
+    }
     obs::Scope scope(obsOpts);
 
     CliOptions cli;
@@ -216,11 +224,6 @@ main(int argc, char **argv)
     SweepOptions opts;
     opts.jobs = cli.jobs;
     opts.progress = cli.progress;
-    if (scope.tracing() && opts.jobs > 1) {
-        std::fprintf(stderr, "msgsim-lab: tracing attaches "
-                             "process-global hooks; forcing -j 1\n");
-        opts.jobs = 1;
-    }
 
     SweepRunner runner(opts);
     const auto tables = runner.run(selection);

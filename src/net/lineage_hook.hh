@@ -12,10 +12,12 @@
  * `src/net` lets the low layers stay free of any profiling
  * dependency.
  *
- * Design rules (same as TraceSession): when no hooks are attached
- * each site is a single pointer test, and no hook implementation may
- * ever touch an Accounting object — lineage tracing can never
- * perturb instruction counts.
+ * Design rules (same as every observer): the hooks live in the
+ * lineage slot of obs::context and attach by its one rule
+ * (sim/obs_context.hh), so with nothing attached each site is one
+ * thread-local load; and no hook implementation may ever touch an
+ * Accounting object — lineage tracing can never perturb instruction
+ * counts.
  */
 
 #ifndef MSGSIM_NET_LINEAGE_HOOK_HH
@@ -24,22 +26,29 @@
 #include "core/types.hh"
 #include "net/packet.hh"
 #include "net/tracer.hh"
+#include "sim/obs_context.hh"
 
 namespace msgsim
 {
 
 /**
- * Process-wide packet-lifecycle observer.  All methods are invoked
- * synchronously from the simulation thread; call sites pass their own
- * clock so the recorder needs no clock binding of its own.
+ * Packet-lifecycle observer.  All methods are invoked synchronously
+ * from the simulation thread; call sites pass their own clock so the
+ * recorder needs no clock binding of its own.
  */
 class LineageHooks
 {
   public:
-    virtual ~LineageHooks();
+    virtual ~LineageHooks() { detach(); }
 
-    /** The attached hooks, or nullptr (the sites' fast path). */
-    static LineageHooks *current() { return current_; }
+    /** This thread's hooks, or nullptr (the sites' fast path). */
+    static LineageHooks *current() { return obs::context.lineage; }
+
+    /** Make this instance the calling thread's hook target. */
+    void attach() { obs::attach(obs::context.lineage, this, "LineageHooks"); }
+
+    /** Stop being the target (no-op if not attached). */
+    void detach() { obs::detach(obs::context.lineage, this); }
 
     /**
      * A packet was staged for sending (NetIface::writeSendCtl).  The
@@ -63,16 +72,6 @@ class LineageHooks
 
     /** The dispatch that began with handlerBegin finished. */
     virtual void handlerEnd(NodeId node, Tick now) = 0;
-
-  protected:
-    /** Make this instance the process-wide hook target. */
-    void attach();
-
-    /** Stop being the target (no-op if not attached). */
-    void detach();
-
-  private:
-    static LineageHooks *current_;
 };
 
 } // namespace msgsim

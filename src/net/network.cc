@@ -87,7 +87,7 @@ Network::presentToSink(Packet &pkt)
         msgsim_panic("no sink attached for node ", pkt.dst);
     // Capture trace metadata before the sink may consume the packet.
     Packet meta;
-    if (tracer_ || LineageHooks::current()) {
+    if (PacketTracer::current() || LineageHooks::current()) {
         meta.src = pkt.src;
         meta.dst = pkt.dst;
         meta.tag = pkt.tag;

@@ -282,12 +282,6 @@ class Network
     Simulator &sim() { return sim_; }
 
     /**
-     * Attach (or detach, with nullptr) a packet tracer.  A pure
-     * observer: hardware events are recorded, nothing else changes.
-     */
-    void setTracer(PacketTracer *tracer) { tracer_ = tracer; }
-
-    /**
      * Attach (or detach, with nullptr) a schedule gate.  While a gate
      * is attached the substrate never sees injected packets: the gate
      * owns them and decides delivery order and faults explicitly.
@@ -322,8 +316,8 @@ class Network
     void
     trace(TraceEvent ev, const Packet &pkt)
     {
-        if (tracer_)
-            tracer_->record(sim_.now(), ev, pkt);
+        if (PacketTracer *pt = PacketTracer::current())
+            pt->record(sim_.now(), ev, pkt);
         if (LineageHooks *lh = LineageHooks::current())
             lh->hwEvent(ev, pkt, sim_.now());
     }
@@ -386,7 +380,6 @@ class Network
     NetStats stats_;
 
   private:
-    PacketTracer *tracer_ = nullptr;
     ScheduleGate *gate_ = nullptr;
     std::vector<DeliverFn> sinks_; ///< by node id; empty = unattached
     /// Per-destination link counters (boot-sized in attach()).

@@ -8,7 +8,9 @@
  * event-level properties in tests (e.g. "every injected packet was
  * delivered or dropped", "no delivery precedes its injection").
  * Tracing is a pure observer: it never perturbs instruction counts
- * or simulation behaviour.
+ * or simulation behaviour.  An attached tracer occupies the packets
+ * slot of obs::context (sim/obs_context.hh) and records the events
+ * of every Network driven on its thread.
  */
 
 #ifndef MSGSIM_NET_TRACER_HH
@@ -21,6 +23,7 @@
 
 #include "core/types.hh"
 #include "net/packet.hh"
+#include "sim/obs_context.hh"
 
 namespace msgsim
 {
@@ -67,6 +70,16 @@ class PacketTracer
     using Observer = std::function<void(const TraceRecord &)>;
 
     explicit PacketTracer(std::size_t capacity = 1u << 16);
+    ~PacketTracer() { detach(); }
+
+    /** Record the calling thread's hardware packet events. */
+    void attach() { obs::attach(obs::context.packets, this, "PacketTracer"); }
+
+    /** Stop recording (no-op if not attached). */
+    void detach() { obs::detach(obs::context.packets, this); }
+
+    /** This thread's tracer, or nullptr (Network::trace's fast path). */
+    static PacketTracer *current() { return obs::context.packets; }
 
     /** Record one event (oldest entries are evicted when full). */
     void record(Tick when, TraceEvent ev, const Packet &pkt);

@@ -50,15 +50,7 @@ edgeOf(TraceEvent ev)
 
 LineageSession::LineageSession() : LineageSession(Config()) {}
 
-LineageSession::LineageSession(const Config &cfg) : cfg_(cfg)
-{
-    attach();
-}
-
-LineageSession::~LineageSession()
-{
-    detach();
-}
+LineageSession::LineageSession(const Config &cfg) : cfg_(cfg) {}
 
 void
 LineageSession::record(const Edge &e)

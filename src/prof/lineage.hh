@@ -23,10 +23,12 @@
  *    send-side software, wire transit, queue wait, receive-side
  *    software, and ack wait.
  *
- * Design rules (PR 1): every hook site is a single pointer test when
- * no session is attached, and the recorder never touches an
- * Accounting object — instruction counts are bit-identical with
- * lineage tracing on or off (enforced by test_trace_session).
+ * Design rules (PR 1): a session records only while attached
+ * (LineageHooks::attach(), the lineage slot of obs::context), every
+ * hook site is one thread-local load when none is, and the recorder
+ * never touches an Accounting object — instruction counts are
+ * bit-identical with lineage tracing on or off (enforced by
+ * test_trace_session).
  */
 
 #ifndef MSGSIM_PROF_LINEAGE_HH
@@ -74,8 +76,8 @@ struct WaterfallReport
 };
 
 /**
- * The lineage recorder.  Construction attaches it as the
- * process-wide LineageHooks target; destruction detaches.
+ * The lineage recorder.  It records once attach()ed on the thread
+ * that drives the simulation; destruction detaches.
  */
 class LineageSession : public LineageHooks
 {
@@ -113,7 +115,6 @@ class LineageSession : public LineageHooks
 
     LineageSession();
     explicit LineageSession(const Config &cfg);
-    ~LineageSession() override;
 
     // LineageHooks implementation.
     void packetBorn(Packet &pkt, NodeId node, Tick now) override;

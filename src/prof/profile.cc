@@ -67,33 +67,21 @@ runAm4Round(Stack &stack)
 
 } // namespace
 
-ProfRun
-runProfiled(const ProfConfig &cfg)
+RunResult
+runProtocol(const ProfConfig &cfg,
+            const std::function<void(Machine &)> &onStack)
 {
     if (cfg.protocol != "single" && cfg.protocol != "am4" &&
         cfg.protocol != "xfer" && cfg.protocol != "stream" &&
         cfg.protocol != "wire")
         msgsim_fatal("unknown protocol '", cfg.protocol,
                      "' (single | am4 | xfer | stream | wire)");
+    auto built = [&onStack](auto &stack) {
+        if (onStack)
+            onStack(stack.machine());
+    };
 
-    // Fold spans and flows into the caller's timeline when one is
-    // attached; otherwise attach a private session for the run.
-    std::unique_ptr<TraceSession> privateSession;
-    TraceSession *ts = nullptr;
-    std::unique_ptr<LineageSession> lineage;
-    CostProfiler profiler(toString(cfg.substrate));
-    if (cfg.observe) {
-        ts = TraceSession::current();
-        if (ts == nullptr) {
-            privateSession = std::make_unique<TraceSession>();
-            privateSession->attach();
-            ts = privateSession.get();
-        }
-        lineage = std::make_unique<LineageSession>();
-        ts->setSpanObserver(&profiler);
-    }
-
-    ProfRun out;
+    RunResult res;
     // The CMAM layer runs both classic substrates; the high-level
     // layer is the Section-4 counterpart for the multi-packet
     // protocols; the modern substrates bring their own stacks.
@@ -110,117 +98,126 @@ runProfiled(const ProfConfig &cfg)
         sc.nodes = cfg.nodes;
         sc.dataWords = cfg.dataWords;
         Stack stack(sc);
-        if (ts)
-            ts->bindClock(&stack.sim());
-        for (NodeId n = 0; n < cfg.nodes; ++n)
-            profiler.bindNode(n, &stack.node(n).proc().acct());
+        built(stack);
         wire::WireWorkload w;
         w.groupAck = cfg.groupAck;
         w.framesPerStream =
             cfg.words < w.streams * w.payloadWords
                 ? 1
                 : cfg.words / (w.streams * w.payloadWords);
-        out.result = wire::runWireWorkload(stack, w).run;
-        out.result.dispatchOps = stack.cmam(1).dispatchOps();
+        res = wire::runWireWorkload(stack, w).run;
+        res.dispatchOps = stack.cmam(1).dispatchOps();
     } else if (cfg.substrate == Substrate::Rdma) {
         RdmaStackConfig sc;
         sc.nodes = cfg.nodes;
         sc.dataWords = cfg.dataWords;
         RdmaStack stack(sc);
-        if (ts)
-            ts->bindClock(&stack.sim());
-        for (NodeId n = 0; n < cfg.nodes; ++n)
-            profiler.bindNode(n, &stack.node(n).proc().acct());
+        built(stack);
         RdmaRunParams p;
         p.words = cfg.words;
         if (cfg.protocol == "single")
-            out.result = runRdmaSingle(stack, p);
+            res = runRdmaSingle(stack, p);
         else if (cfg.protocol == "am4")
-            out.result = runRdmaAm4(stack, p);
+            res = runRdmaAm4(stack, p);
         else if (cfg.protocol == "xfer")
-            out.result = runRdmaFinite(stack, p);
+            res = runRdmaFinite(stack, p);
         else
-            out.result = runRdmaStream(stack, p);
+            res = runRdmaStream(stack, p);
     } else if (cfg.substrate == Substrate::Nicam) {
         NicamStackConfig sc;
         sc.nodes = cfg.nodes;
         sc.dataWords = cfg.dataWords;
         NicamStack stack(sc);
-        if (ts)
-            ts->bindClock(&stack.sim());
-        for (NodeId n = 0; n < cfg.nodes; ++n)
-            profiler.bindNode(n, &stack.node(n).proc().acct());
+        built(stack);
         NicamRunParams p;
         p.words = cfg.words;
         if (cfg.protocol == "single")
-            out.result = runNicamSingle(stack, p);
+            res = runNicamSingle(stack, p);
         else if (cfg.protocol == "am4")
-            out.result = runNicamAm4(stack, p);
+            res = runNicamAm4(stack, p);
         else if (cfg.protocol == "xfer")
-            out.result = runNicamFinite(stack, p);
+            res = runNicamFinite(stack, p);
         else
-            out.result = runNicamStream(stack, p);
+            res = runNicamStream(stack, p);
     } else if (hlRun) {
         HlStackConfig sc;
         sc.nodes = cfg.nodes;
         sc.dataWords = cfg.dataWords;
         HlStack stack(sc);
-        if (ts)
-            ts->bindClock(&stack.sim());
-        for (NodeId n = 0; n < cfg.nodes; ++n)
-            profiler.bindNode(n, &stack.node(n).proc().acct());
+        built(stack);
         if (cfg.protocol == "xfer") {
             HlXferParams p;
             p.words = cfg.words;
-            out.result = runHlFinite(stack, p);
+            res = runHlFinite(stack, p);
         } else {
             HlStreamParams p;
             p.words = cfg.words;
-            out.result = runHlStream(stack, p);
+            res = runHlStream(stack, p);
         }
-        out.result.dispatchOps = stack.hl(1).dispatchOps();
+        res.dispatchOps = stack.hl(1).dispatchOps();
     } else {
         StackConfig sc;
         sc.substrate = cfg.substrate;
         sc.nodes = cfg.nodes;
         sc.dataWords = cfg.dataWords;
         Stack stack(sc);
-        if (ts)
-            ts->bindClock(&stack.sim());
-        for (NodeId n = 0; n < cfg.nodes; ++n)
-            profiler.bindNode(n, &stack.node(n).proc().acct());
+        built(stack);
         if (cfg.protocol == "single") {
-            out.result = runSinglePacket(stack, SinglePacketParams{});
-            out.result.dispatchOps = stack.cmam(1).dispatchOps();
+            res = runSinglePacket(stack, SinglePacketParams{});
+            res.dispatchOps = stack.cmam(1).dispatchOps();
         } else if (cfg.protocol == "am4") {
-            out.result = runAm4Round(stack);
+            res = runAm4Round(stack);
         } else if (cfg.protocol == "xfer") {
             FiniteXfer fx(stack);
             FiniteXferParams p;
             p.words = cfg.words;
-            out.result = fx.run(p);
-            out.result.dispatchOps = stack.cmam(1).dispatchOps();
+            res = fx.run(p);
+            res.dispatchOps = stack.cmam(1).dispatchOps();
         } else {
             StreamProtocol sp(stack);
             StreamParams p;
             p.words = cfg.words;
             p.groupAck = cfg.groupAck;
-            out.result = sp.run(p);
-            out.result.dispatchOps = stack.cmam(1).dispatchOps();
+            res = sp.run(p);
+            res.dispatchOps = stack.cmam(1).dispatchOps();
         }
     }
+    return res;
+}
 
-    // The stacks above are gone: unbind the clock before anything
-    // (e.g. an obs::Scope export) asks the session for "now".
-    if (ts) {
-        ts->setSpanObserver(nullptr);
-        ts->bindClock(nullptr);
-        lineage->exportTo(*ts);
-        out.folded = profiler.foldedStacks();
-        out.waterfall = lineage->waterfall();
-        out.packetsTracked = lineage->packetsTracked();
-        out.lineageEdges = lineage->edges().size();
+ProfRun
+runProfiled(const ProfConfig &cfg)
+{
+    // Fold spans and flows into the caller's timeline when one is
+    // attached; otherwise attach a private session for the run.
+    std::unique_ptr<TraceSession> privateSession;
+    TraceSession *ts = TraceSession::current();
+    if (ts == nullptr) {
+        privateSession = std::make_unique<TraceSession>();
+        privateSession->attach();
+        ts = privateSession.get();
     }
+    LineageSession lineage;
+    lineage.attach();
+    CostProfiler profiler(toString(cfg.substrate));
+    ts->setSpanObserver(&profiler);
+
+    ProfRun out;
+    out.result = runProtocol(cfg, [&](Machine &m) {
+        ts->bindClock(&m.sim());
+        for (NodeId n = 0; n < m.nodeCount(); ++n)
+            profiler.bindNode(n, &m.node(n).proc().acct());
+    });
+
+    // The stack is gone: unbind the clock before anything (e.g. an
+    // obs::Scope export) asks the session for "now".
+    ts->setSpanObserver(nullptr);
+    ts->bindClock(nullptr);
+    lineage.exportTo(*ts);
+    out.folded = profiler.foldedStacks();
+    out.waterfall = lineage.waterfall();
+    out.packetsTracked = lineage.packetsTracked();
+    out.lineageEdges = lineage.edges().size();
     return out;
 }
 

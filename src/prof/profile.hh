@@ -2,13 +2,16 @@
  * @file
  * Profiled protocol runs and the differential cost report.
  *
- * runProfiled() executes one protocol exchange (single / xfer /
- * stream) on one substrate with the full observability kit attached:
- * a LineageSession stamping causal lineage onto every packet, and a
+ * runProtocol() executes one protocol exchange (single / am4 / xfer
+ * / stream / wire) on one substrate; runProfiled() runs the same
+ * exchange with the full observability kit attached: a
+ * LineageSession stamping causal lineage onto every packet, and a
  * CostProfiler folding span-resolved instruction deltas into
  * flamegraph stacks.  The lineage flows are exported into the
  * attached TraceSession when one exists (--trace-out), so the
- * Perfetto timeline gains send → deliver → handler arrows.
+ * Perfetto timeline gains send → deliver → handler arrows.  Every
+ * session attaches on the calling thread only, so concurrent lab
+ * workers profile side by side.
  *
  * differential() diffs two such runs per messaging feature — the
  * paper's headline experiment: run the same transfer on the CM-5
@@ -30,6 +33,7 @@
 #define MSGSIM_PROF_PROFILE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -50,12 +54,6 @@ struct ProfConfig
     int dataWords = 4;
     std::uint32_t words = 64; ///< transfer volume (xfer / stream)
     int groupAck = 1;         ///< stream: ack every G packets
-    /// Attach the lineage/profiling sessions (process-global state).
-    /// The lab runs grid points concurrently and therefore profiles
-    /// with observe = false: instruction counts are bit-identical
-    /// either way (the PR 1 design rule), so the differential table
-    /// is unaffected — only folded/waterfall artifacts are skipped.
-    bool observe = true;
 };
 
 /** One profiled run: protocol result plus the derived artifacts. */
@@ -67,6 +65,15 @@ struct ProfRun
     std::uint64_t packetsTracked = 0;
     std::uint64_t lineageEdges = 0;
 };
+
+/**
+ * Run @p cfg's protocol on a fresh stack of its substrate, attaching
+ * nothing.  @p onStack, when set, sees the stack's machine once it
+ * is built and before the protocol starts.
+ */
+RunResult
+runProtocol(const ProfConfig &cfg,
+            const std::function<void(Machine &)> &onStack = {});
 
 /**
  * Run @p cfg's protocol with lineage + profiling attached.  Uses the

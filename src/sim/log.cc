@@ -8,8 +8,6 @@ namespace msgsim
 namespace log_detail
 {
 
-bool throwOnError = false;
-
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)
 {

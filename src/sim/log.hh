@@ -38,8 +38,12 @@ concat(Args &&...args)
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
-/** Test hook: when true, panic/fatal throw instead of terminating. */
-extern bool throwOnError;
+/**
+ * When true, panic/fatal throw instead of terminating.  Per thread:
+ * the model checker sets it around each schedule it explores, and
+ * lab workers explore concurrently.
+ */
+inline constinit thread_local bool throwOnError = false;
 
 /** Exception thrown by panic/fatal when throwOnError is set. */
 struct SimError

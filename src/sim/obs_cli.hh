@@ -2,7 +2,7 @@
  * @file
  * Command-line wiring for the observability layer.
  *
- * Benches and examples accept
+ * The per-run CLIs and the examples accept
  *
  *     --trace-out=<file>     write a Chrome trace-event JSON timeline
  *     --metrics-out=<file>   write the metrics registry as JSON

@@ -10,18 +10,17 @@
  * Accounting, so an attached observer cannot perturb event counts,
  * dispatch order, or instruction totals.
  *
- * Attachment follows the hostprof discipline rather than the
- * TraceSession one: the current pointer is thread-local, so lab
- * sweep workers running independent simulators in parallel can each
- * attach their own sampler without racing (byte-identical across
- * -j).  When nothing is attached the hook site in Simulator::step()
- * is a single thread-local pointer test.
+ * The observer lives in the tick slot of obs::context and attaches
+ * by its one rule (sim/obs_context.hh): lab sweep workers each
+ * sample their own simulator, and with nothing attached the hook
+ * site in Simulator::step() is one thread-local load.
  */
 
 #ifndef MSGSIM_SIM_TICK_HOOK_HH
 #define MSGSIM_SIM_TICK_HOOK_HH
 
 #include "core/types.hh"
+#include "sim/obs_context.hh"
 
 namespace msgsim
 {
@@ -34,7 +33,7 @@ class Simulator;
 class TickHooks
 {
   public:
-    virtual ~TickHooks();
+    virtual ~TickHooks() { detach(); }
 
     /**
      * The clock of @p sim is moving from @p prev to @p next
@@ -45,17 +44,13 @@ class TickHooks
                                Tick next) = 0;
 
     /** The attached hooks on this thread, or nullptr (fast path). */
-    static TickHooks *current() { return current_; }
+    static TickHooks *current() { return obs::context.tick; }
 
-  protected:
-    /** Make this instance the thread's observer (at most one). */
-    void attachHooks();
+    /** Make this instance the thread's clock-advance observer. */
+    void attach() { obs::attach(obs::context.tick, this, "TickHooks"); }
 
     /** Stop observing (no-op when not attached). */
-    void detachHooks();
-
-  private:
-    static thread_local TickHooks *current_;
+    void detach() { obs::detach(obs::context.tick, this); }
 };
 
 } // namespace msgsim

@@ -7,12 +7,9 @@
 #include <sstream>
 
 #include "sim/event.hh"
-#include "sim/log.hh"
 
 namespace msgsim
 {
-
-TraceSession *TraceSession::current_ = nullptr;
 
 TraceSession::TraceSession() : TraceSession(Config()) {}
 
@@ -21,26 +18,6 @@ TraceSession::TraceSession(const Config &cfg) : cfg_(cfg)
     if (cfg_.capacity == 0)
         cfg_.capacity = 1;
     ring_.reserve(cfg_.capacity);
-}
-
-TraceSession::~TraceSession()
-{
-    detach();
-}
-
-void
-TraceSession::attach()
-{
-    if (current_ != nullptr && current_ != this)
-        msgsim_warn("replacing an attached TraceSession");
-    current_ = this;
-}
-
-void
-TraceSession::detach()
-{
-    if (current_ == this)
-        current_ = nullptr;
 }
 
 Tick

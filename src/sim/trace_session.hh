@@ -11,10 +11,11 @@
  * as instants on the same clock.
  *
  * Instrumentation sites throughout the stack (event loop, NI, CMAM
- * send/poll paths, the protocol engines) consult the process-wide
- * TraceSession::current() pointer: when no session is attached the
- * hook is a single pointer test, and no hook ever touches an
- * Accounting object — tracing can never perturb instruction counts.
+ * send/poll paths, the protocol engines) consult
+ * TraceSession::current(), the calling thread's trace slot of
+ * obs::context (sim/obs_context.hh, which also states the attach
+ * rule).  No hook ever touches an Accounting object — tracing can
+ * never perturb instruction counts.
  */
 
 #ifndef MSGSIM_SIM_TRACE_SESSION_HH
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/types.hh"
+#include "sim/obs_context.hh"
 
 namespace msgsim
 {
@@ -96,23 +98,23 @@ class TraceSession
 
     TraceSession();
     explicit TraceSession(const Config &cfg);
-    ~TraceSession();
+    ~TraceSession() { detach(); }
 
     TraceSession(const TraceSession &) = delete;
     TraceSession &operator=(const TraceSession &) = delete;
 
     // ------------------------------------------------------------
-    // Process-wide attachment (the null-check fast path).
+    // Attachment (sim/obs_context.hh).
     // ------------------------------------------------------------
 
-    /** Make this session the process-wide recording target. */
-    void attach();
+    /** Make this session the calling thread's recording target. */
+    void attach() { obs::attach(obs::context.trace, this, "TraceSession"); }
 
-    /** Stop being the process-wide target (no-op if not attached). */
-    void detach();
+    /** Stop being the target (no-op if not attached). */
+    void detach() { obs::detach(obs::context.trace, this); }
 
-    /** The attached session, or nullptr (the hooks' fast path). */
-    static TraceSession *current() { return current_; }
+    /** This thread's session, or nullptr (the hooks' fast path). */
+    static TraceSession *current() { return obs::context.trace; }
 
     // ------------------------------------------------------------
     // Clock binding.
@@ -236,8 +238,6 @@ class TraceSession
 
     void push(const Record &rec);
 
-    static TraceSession *current_;
-
     Config cfg_;
     const Simulator *clock_ = nullptr;
 
@@ -256,7 +256,7 @@ class TraceSession
 
 /**
  * RAII span: opens on construction and closes on destruction when a
- * session is attached; otherwise a no-op (one pointer test).
+ * session is attached; otherwise a no-op (one thread-local load).
  */
 class ScopedSpan
 {

@@ -44,23 +44,6 @@ TeleSession::TeleSession(const Config &cfg) : cfg_(cfg)
         msgsim_fatal("tele ring capacity must be >= 1");
 }
 
-TeleSession::~TeleSession()
-{
-    detach();
-}
-
-void
-TeleSession::attach()
-{
-    attachHooks();
-}
-
-void
-TeleSession::detach()
-{
-    detachHooks();
-}
-
 std::size_t
 TeleSession::addProbe(const TrackDesc &desc, ReadFn read)
 {

@@ -18,13 +18,15 @@
  * one snapshot per crossed boundary loses nothing; the series is a
  * step function and bit-deterministic, with no wall clock anywhere.
  *
- * The discipline matches TraceSession/LineageHooks: detached costs
- * one thread-local pointer test per clock advance, probes only read
- * (never charge Accounting, never schedule events), so attaching a
- * sampler cannot perturb simulation results — RunResult, NetStats
- * and every golden stay bit-identical sampler on or off (tested).
- * The current pointer is thread-local so lab sweep workers sample
- * their private simulators concurrently, byte-identical across -j.
+ * The discipline matches every other observer: the session holds
+ * the tick slot of obs::context and attaches by its one rule
+ * (sim/obs_context.hh), so lab sweep workers sample their private
+ * simulators concurrently, byte-identical across -j, and a detached
+ * session costs one thread-local load per clock advance.  Probes
+ * only read (never charge Accounting, never schedule events), so
+ * attaching a sampler cannot perturb simulation results — RunResult,
+ * NetStats and every golden stay bit-identical sampler on or off
+ * (tested).
  *
  * Samples land in fixed-capacity per-track rings (oldest evicted,
  * eviction counted).  Export paths: Perfetto counter tracks merged
@@ -116,20 +118,13 @@ class TeleSession : public TickHooks
 
     TeleSession();
     explicit TeleSession(const Config &cfg);
-    ~TeleSession() override;
 
     TeleSession(const TeleSession &) = delete;
     TeleSession &operator=(const TeleSession &) = delete;
 
     // ------------------------------------------------------------
-    // Attachment and clock binding.
+    // Clock binding (attach()/detach() come from TickHooks).
     // ------------------------------------------------------------
-
-    /** Start sampling on this thread (at most one session). */
-    void attach();
-
-    /** Stop sampling (no-op when not attached). */
-    void detach();
 
     /** Sample instants come from @p sim's clock. */
     void bindClock(const Simulator *sim) { clock_ = sim; }

@@ -30,7 +30,7 @@ TEST(Api, Am4ReplyCostsTheSameButRidesVnet1)
 {
     Stack stack(StackConfig{});
     PacketTracer tracer;
-    stack.network().setTracer(&tracer);
+    tracer.attach();
     int got = 0;
     const int h = stack.cmam(1).registerHandler(
         [&](NodeId, const std::vector<Word> &) { ++got; });

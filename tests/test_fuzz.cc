@@ -91,7 +91,7 @@ TEST_P(SeedSweep, PacketConservationAlwaysHolds)
     cfg.faults.seed = knobs.next();
     Stack stack(cfg);
     PacketTracer tracer;
-    stack.network().setTracer(&tracer);
+    tracer.attach();
 
     StreamProtocol proto(stack);
     StreamParams p;

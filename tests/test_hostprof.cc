@@ -9,7 +9,6 @@
  * isolation, and the perf_event_open probe's graceful fallback.
  */
 
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -21,9 +20,13 @@
 
 #include "hostprof/hostprof.hh"
 #include "hostprof/hw_counters.hh"
+#include "net/tracer.hh"
+#include "prof/lineage.hh"
 #include "protocols/finite_xfer.hh"
 #include "protocols/stream.hh"
 #include "sim/metrics.hh"
+#include "sim/trace_session.hh"
+#include "tele/tele.hh"
 
 namespace msgsim
 {
@@ -304,27 +307,43 @@ TEST(HostProf, GlobalAllocCountersAreAlwaysMaintained)
 }
 
 // ------------------------------------------------------------------
-// Thread-local attachment.
+// Thread-local attachment, the same for every observer kind.
 // ------------------------------------------------------------------
 
 TEST(HostProf, AttachmentIsThreadLocal)
 {
-    HostProfiler hp;
-    hp.attach();
-    ASSERT_EQ(HostProfiler::current(), &hp);
+    TraceSession trace;
+    prof::LineageSession lineage;
+    HostProfiler host;
+    tele::TeleSession tick;
+    PacketTracer packets;
+    auto forEachKind = [&](auto &&fn) {
+        fn(trace);
+        fn(lineage);
+        fn(host);
+        fn(tick);
+        fn(packets);
+    };
 
-    std::atomic<bool> otherSawProfiler{true};
+    forEachKind([](auto &obs) {
+        obs.attach();
+        EXPECT_EQ(obs.current(), &obs);
+    });
     std::thread other([&] {
-        otherSawProfiler = HostProfiler::current() != nullptr;
-        // Scopes on an unattached thread must be inert.
-        HostScope s(Site::SimStep);
+        // Another thread sees none of them, and its run feeds none.
+        forEachKind([](auto &obs) { EXPECT_EQ(obs.current(), nullptr); });
+        runXfer(16);
     });
     other.join();
-    EXPECT_FALSE(otherSawProfiler);
-    EXPECT_EQ(hp.totalEnters(), 0u);
+    EXPECT_TRUE(trace.spanCounts().empty());
+    EXPECT_TRUE(lineage.edges().empty());
+    EXPECT_EQ(host.totalEnters(), 0u);
+    EXPECT_EQ(packets.observed(), 0u);
 
-    hp.detach();
-    EXPECT_EQ(HostProfiler::current(), nullptr);
+    forEachKind([](auto &obs) {
+        obs.detach();
+        EXPECT_EQ(obs.current(), nullptr);
+    });
 }
 
 // ------------------------------------------------------------------

@@ -217,23 +217,21 @@ TEST(NicamLayer, AllFourProtocolsRunEventMode)
 TEST(NicamLayer, CountsAreBitIdenticalWithTracingOnOrOff)
 {
     for (const char *proto : {"single", "am4", "xfer", "stream"}) {
-        prof::ProfConfig on;
-        on.protocol = proto;
-        on.substrate = Substrate::Nicam;
-        prof::ProfConfig off = on;
-        off.observe = false;
-        const auto a = prof::runProfiled(on);
-        const auto b = prof::runProfiled(off);
+        prof::ProfConfig cfg;
+        cfg.protocol = proto;
+        cfg.substrate = Substrate::Nicam;
+        const auto a = prof::runProfiled(cfg);
+        const RunResult b = prof::runProtocol(cfg);
         ASSERT_TRUE(a.result.dataOk) << proto;
-        EXPECT_EQ(a.result.dispatchOps, b.result.dispatchOps)
+        EXPECT_EQ(a.result.dispatchOps, b.dispatchOps)
             << proto;
         EXPECT_EQ(a.result.counts.paperTotal(),
-                  b.result.counts.paperTotal())
+                  b.counts.paperTotal())
             << proto;
         for (int fi = 0; fi < numFeatures; ++fi) {
             const auto f = static_cast<Feature>(fi);
             EXPECT_EQ(a.result.counts.featureTotal(f),
-                      b.result.counts.featureTotal(f))
+                      b.counts.featureTotal(f))
                 << proto << "/" << toString(f);
         }
     }

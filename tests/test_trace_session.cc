@@ -344,7 +344,7 @@ TEST(TraceExport, TracedProtocolRunContainsAllSixStepsAndHwEvents)
     Stack stack(cfg);
     ts.bindClock(&stack.sim());
     PacketTracer tracer;
-    stack.network().setTracer(&tracer);
+    tracer.attach();
     attachTraceBridge(tracer, ts);
 
     FiniteXfer proto(stack);
@@ -424,7 +424,7 @@ runInstrumented(bool traced)
         PacketTracer tracer;
         if (traced) {
             ts.bindClock(&stack.sim());
-            stack.network().setTracer(&tracer);
+            tracer.attach();
             attachTraceBridge(tracer, ts);
         }
         FiniteXfer proto(stack);
@@ -444,7 +444,7 @@ runInstrumented(bool traced)
         PacketTracer tracer;
         if (traced) {
             ts.bindClock(&stack.sim());
-            stack.network().setTracer(&tracer);
+            tracer.attach();
             attachTraceBridge(tracer, ts);
         }
         StreamProtocol proto(stack);

@@ -113,7 +113,7 @@ TEST(Tracer, ObservesWholeProtocolRun)
 {
     Stack stack(StackConfig{});
     PacketTracer tracer;
-    stack.network().setTracer(&tracer);
+    tracer.attach();
 
     FiniteXfer proto(stack);
     FiniteXferParams p;
@@ -146,7 +146,7 @@ TEST(Tracer, AccountsForEveryPacketUnderFaults)
     cfg.faults.seed = 21;
     Stack stack(cfg);
     PacketTracer tracer;
-    stack.network().setTracer(&tracer);
+    tracer.attach();
 
     StreamProtocol proto(stack);
     StreamParams p;
@@ -174,7 +174,7 @@ TEST(Tracer, SeesCrHardwareRetries)
     cfg.faults.seed = 4;
     CrNetwork net(sim, cfg);
     PacketTracer tracer;
-    net.setTracer(&tracer);
+    tracer.attach();
     net.attach(1, [](Packet &) { return true; });
     for (Word i = 0; i < 50; ++i)
         net.inject(Packet(0, 1, HwTag::StreamData, i, {1, 2, 3, 4}));
@@ -191,7 +191,7 @@ TEST(Tracer, IsAPureObserver)
         Stack stack(StackConfig{});
         PacketTracer tracer;
         if (traced)
-            stack.network().setTracer(&tracer);
+            tracer.attach();
         FiniteXfer proto(stack);
         FiniteXferParams p;
         p.words = 64;

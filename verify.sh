@@ -13,6 +13,12 @@
 #                                it must NOT recurse into ctest)
 #   ./verify.sh --sanitize       build tier-1 tests under ASan+UBSan
 #                                in a separate build tree and run them
+#   ./verify.sh --tsan           build msgsim-lab and the threaded tests
+#                                under ThreadSanitizer in a separate
+#                                build tree; run those tests and a
+#                                -j 4 golden sweep (every observer kind
+#                                attached concurrently), halting on the
+#                                first warning
 #   ./verify.sh --check          only the model-checker gate, against
 #                                an already-built build/ tree: report
 #                                determinism, the seeded bug caught and
@@ -413,6 +419,23 @@ if [[ "${1:-}" == "--sanitize" ]]; then
     cmake --build build-sanitize -j"$(nproc)"
     (cd build-sanitize && ctest --output-on-failure -j"$(nproc)")
     echo "verify --sanitize: OK"
+    exit 0
+fi
+
+if [[ "${1:-}" == "--tsan" ]]; then
+    cd "$repo_dir"
+    cmake -B build-tsan -S . \
+        -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+        -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" > /dev/null
+    cmake --build build-tsan -j"$(nproc)" --target msgsim-lab \
+        test_hostprof test_obs_context test_lab
+    export TSAN_OPTIONS="halt_on_error=1 exitcode=66"
+    build-tsan/tests/test_hostprof \
+        --gtest_filter='HostProf.AttachmentIsThreadLocal'
+    build-tsan/tests/test_obs_context
+    build-tsan/tests/test_lab --gtest_filter='LabRunner.*'
+    build-tsan/src/lab/msgsim-lab --all -j 4 --quiet --check-golden
+    echo "verify --tsan: OK"
     exit 0
 fi
 
