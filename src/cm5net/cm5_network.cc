@@ -14,11 +14,12 @@ Cm5Network::Cm5Network(Simulator &sim, const Config &cfg)
 }
 
 bool
-Cm5Network::injectImpl(Packet &&pkt)
+Cm5Network::injectImpl(Slot slot)
 {
     if (cfg_.injectBusyRate > 0.0 && rng_.chance(cfg_.injectBusyRate))
         return false; // send_ok will read 0; software retries the push
 
+    Packet &pkt = parked(slot);
     // An unarmed injector would answer None with no side effects.
     const FaultAction action =
         faults_.armed() ? faults_.apply(pkt) : FaultAction::None;
@@ -27,6 +28,7 @@ Cm5Network::injectImpl(Packet &&pkt)
         ++stats_.dropped;
         noteAbsorbed(pkt.dst);
         trace(TraceEvent::Drop, pkt);
+        release(slot);
         return true; // accepted by the network, silently lost inside
       case FaultAction::Corrupt:
         ++stats_.corrupted;
@@ -39,20 +41,21 @@ Cm5Network::injectImpl(Packet &&pkt)
         // sequence-number machinery upstairs must suppress it.
         ++stats_.duplicated;
         trace(TraceEvent::Duplicate, pkt);
-        routeToEdge(Packet(pkt));
+        routeToEdge(park(Packet(pkt)));
         break;
       case FaultAction::None:
         break;
     }
 
-    routeToEdge(std::move(pkt));
+    routeToEdge(slot);
     return true;
 }
 
 void
-Cm5Network::routeToEdge(Packet &&pkt)
+Cm5Network::routeToEdge(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::Cm5Route);
+    const Packet &pkt = parked(slot);
     Tick latency = cfg_.baseLatency +
                    cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
     if (cfg_.maxJitter > 0)
@@ -66,37 +69,35 @@ Cm5Network::routeToEdge(Packet &&pkt)
     const Tick arrival = serialize(nextArrival_, pkt.dst,
                                    departure + latency, cfg_.deliverGap);
 
-    scheduleParked<&Cm5Network::arriveAtEdge>(arrival, this,
-                                              std::move(pkt));
+    sim_.scheduleAt<&Cm5Network::arriveAtEdge>(arrival, this, slot);
 }
 
 void
-Cm5Network::arriveAtEdge(Packet &&pkt)
+Cm5Network::arriveAtEdge(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
-    order_.arrive(std::move(pkt),
-                  [this](Packet &&p) { tryDeliver(std::move(p)); });
+    order_.arrive(parked(slot), slot, [this](Slot s) { tryDeliver(s); });
 }
 
 void
-Cm5Network::tryDeliver(Packet &&pkt)
+Cm5Network::tryDeliver(Slot slot)
 {
-    // Retry closures re-enter here outside arriveAtEdge, so the
+    // Retry events re-enter here outside arriveAtEdge, so the
     // delivery scope opens here too (same-site nesting is fine).
     hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
-    if (presentToSink(pkt))
+    if (presentToSink(slot))
         return;
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.
     ++stats_.deliveryRetries;
-    scheduleParked<&Cm5Network::tryDeliver>(sim_.now() + cfg_.retryDelay,
-                                            this, std::move(pkt));
+    sim_.scheduleAt<&Cm5Network::tryDeliver>(sim_.now() + cfg_.retryDelay,
+                                             this, slot);
 }
 
 void
 Cm5Network::flushHeldPackets()
 {
-    order_.flush([this](Packet &&p) { tryDeliver(std::move(p)); });
+    order_.flush([this](Slot s) { tryDeliver(s); });
 }
 
 } // namespace msgsim

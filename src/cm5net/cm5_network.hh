@@ -79,17 +79,17 @@ class Cm5Network : public Network
     FaultInjector &faults() { return faults_; }
 
   protected:
-    bool injectImpl(Packet &&pkt) override;
+    bool injectImpl(Slot slot) override;
 
   private:
     /** Route one packet to the destination edge (latency model). */
-    void routeToEdge(Packet &&pkt);
+    void routeToEdge(Slot slot);
 
     /** A packet reached the destination edge. */
-    void arriveAtEdge(Packet &&pkt);
+    void arriveAtEdge(Slot slot);
 
     /** Try to hand a released packet to the sink; retry while full. */
-    void tryDeliver(Packet &&pkt);
+    void tryDeliver(Slot slot);
 
     Config cfg_;
     FatTree tree_;

@@ -354,12 +354,10 @@ Cmam::genericReceive(const Packet &head)
     NetIface &ni = node_.ni();
     // Packet length comes from the status/length register the poll
     // loop already read (4 for AMs and control packets).  Copy the
-    // dispatch fields now: draining the payload below pops the packet
-    // out of the NI's receive FIFO, after which @p head is dangling.
-    // Rule for every handler: @p head points into the fabric's shared
-    // packet pool, so any send (from any node) or any delivery into
-    // any NI on the fabric may also move it.  Never read @p head after
-    // a send, a poll or a settle.
+    // dispatch fields now: reading the last data word below consumes
+    // the packet and frees its slot, after which @p head is dangling.
+    // Rule for every handler: @p head stays valid, whatever is sent or
+    // delivered meanwhile, until its packet's last word is read.
     const int n = static_cast<int>(head.data.size());
     const NodeId src = head.src;
     const HwTag tag = head.tag;
@@ -375,24 +373,15 @@ Cmam::genericReceive(const Packet &head)
         RowScope r(a, CostRow::ReadNi);
         header = ni.readRecvHeader(a);
     }
-    // The argument buffer of this nesting depth: a handler may poll
-    // (and so re-enter here) while it still reads its own arguments.
-    if (recvDepth_ == argBufs_.size())
-        argBufs_.push_back(std::make_unique<std::vector<Word>>());
-    std::vector<Word> &args = *argBufs_[recvDepth_];
-    args.resize(static_cast<std::size_t>(n));
-    struct DepthGuard
-    {
-        std::size_t &depth;
-        explicit DepthGuard(std::size_t &d) : depth(d) { ++depth; }
-        ~DepthGuard() { --depth; }
-    } nested(recvDepth_);
+    ScratchPool<std::vector<Word>>::Lease argsLease(argBufs_);
+    std::vector<Word> &args = *argsLease;
+    args.reserve(static_cast<std::size_t>(n));
     {
         RowScope r(a, CostRow::ReadNi);
         for (int i = 0; i < n; i += 2) {
             const auto [w0, w1] = ni.readRecvDouble(a);
-            args[static_cast<std::size_t>(i)] = w0;
-            args[static_cast<std::size_t>(i + 1)] = w1;
+            args.push_back(w0);
+            args.push_back(w1);
         }
     }
     {

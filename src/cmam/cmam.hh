@@ -27,12 +27,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cmam/segment.hh"
 #include "machine/node.hh"
 #include "net/packet.hh"
+#include "sim/scratch.hh"
 
 namespace msgsim
 {
@@ -232,11 +232,10 @@ class Cmam
         ctrlSinks_;
     RawSink streamDataSink_;
     RawSink streamAckSink_;
-    /// genericReceive's argument buffers, one per re-entrant nesting
-    /// depth (heap-held so a deeper level never moves a shallower
-    /// handler's arguments); reused, so receiving never allocates.
-    std::vector<std::unique_ptr<std::vector<Word>>> argBufs_;
-    std::size_t recvDepth_ = 0;
+    /// genericReceive's argument buffers.  Leased, because a handler
+    /// may poll (and so re-enter genericReceive) while it still reads
+    /// its own arguments; reused, so receiving never allocates.
+    ScratchPool<std::vector<Word>> argBufs_;
     std::uint64_t pollsHandled_ = 0;
     std::uint64_t staleXferDrops_ = 0;
     std::uint64_t interruptsTaken_ = 0;

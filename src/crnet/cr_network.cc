@@ -13,9 +13,10 @@ CrNetwork::CrNetwork(Simulator &sim, const Config &cfg)
 }
 
 bool
-CrNetwork::injectImpl(Packet &&pkt)
+CrNetwork::injectImpl(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::CrRoute);
+    const Packet &pkt = parked(slot);
     Tick latency = cfg_.baseLatency +
                    cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
 
@@ -45,17 +46,18 @@ CrNetwork::injectImpl(Packet &&pkt)
                   cfg_.deliverGap);
     flow.nextArrival = arrival + 1;
 
-    scheduleParked<&CrNetwork::arrive>(arrival, this, std::move(pkt));
+    sim_.scheduleAt<&CrNetwork::arrive>(arrival, this, slot);
     return true;
 }
 
 void
-CrNetwork::arrive(Packet &&pkt)
+CrNetwork::arrive(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::CrDeliver);
+    const Packet &pkt = parked(slot);
     const NodeId src = pkt.src;
     const std::uint32_t lane = flowLane(pkt.dst, pkt.vnet);
-    flows_.at(src, lane, cfg_.nodes).queue.push_back(std::move(pkt));
+    flows_.at(src, lane, cfg_.nodes).queue.push_back(slot);
     drain(src, lane);
 }
 

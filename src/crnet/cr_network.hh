@@ -65,18 +65,18 @@ class CrNetwork : public Network
     FaultInjector &faults() { return faults_; }
 
   protected:
-    bool injectImpl(Packet &&pkt) override;
+    bool injectImpl(Slot slot) override;
 
   private:
     struct FlowState
     {
-        Ring<Packet> queue;   ///< arrived, not yet accepted
+        Ring<Slot> queue;     ///< arrived, not yet accepted
         Tick nextArrival = 0; ///< order: earliest arrival of the next
         bool drainScheduled = false;
     };
 
     /** Enqueue an arrived packet and try to drain its flow. */
-    void arrive(Packet &&pkt);
+    void arrive(Slot slot);
 
     /** Deliver queued packets of flow (src, lane) in order until one
      *  rejects (lane: see flowLane()). */

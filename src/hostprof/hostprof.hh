@@ -62,11 +62,11 @@ namespace hostprof
 enum class Site : std::uint8_t
 {
     SimStep,     ///< one event-loop iteration (self = dispatch cost)
-    SimHeapPop,  ///< priority-queue pop
-    SimHandler,  ///< scheduled closure execution
+    SimHeapPop,  ///< event-heap pop
+    SimHandler,  ///< scheduled event execution
     NetInject,   ///< Network::inject (stamp, seal, gate/substrate)
     NetDeliver,  ///< Network::presentToSink
-    Cm5Route,    ///< CM-5 latency calc + packet carry into the heap
+    Cm5Route,    ///< CM-5 latency calc + scheduling the arrival
     Cm5Deliver,  ///< CM-5 edge arrival: order policy + delivery
     CrRoute,     ///< CR inject: hw retry probe, flow ordering
     CrDeliver,   ///< CR edge arrival: flow queue drain

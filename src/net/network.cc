@@ -6,10 +6,9 @@
 namespace msgsim
 {
 
-void
-Network::attach(NodeId id, DeliverFn fn)
+Network::Sink &
+Network::sinkAt(NodeId id)
 {
-    growTo(sinks_, id) = std::move(fn);
     // Boot-time sizing of the per-destination link counters: the hot
     // paths below only ever increment, never allocate.
     if (id >= injectedTo_.size()) {
@@ -17,6 +16,21 @@ Network::attach(NodeId id, DeliverFn fn)
         settledTo_.resize(id + 1, 0);
         deliveredTo_.resize(id + 1, 0);
     }
+    Sink &sink = growTo(sinks_, id);
+    sink = Sink();
+    return sink;
+}
+
+void
+Network::attach(NodeId id, DeliverFn fn)
+{
+    sinkAt(id).packet = std::move(fn);
+}
+
+void
+Network::attach(NodeId id, SlotSinkFn fn)
+{
+    sinkAt(id).slot = std::move(fn);
 }
 
 bool
@@ -35,8 +49,12 @@ Network::inject(Packet &&pkt)
         // points.  Injection always succeeds (port backpressure is a
         // substrate behaviour the gate models explicitly, if at all).
         gate_->capture(std::move(pkt));
-    } else if (!injectImpl(std::move(pkt))) {
-        return false;
+    } else {
+        const Slot slot = park(std::move(pkt));
+        if (!injectImpl(slot)) {
+            pkt = unpark(slot); // port busy: the caller keeps the packet
+            return false;
+        }
     }
     ++nextInjectSeq_;
     ++flowCount;
@@ -49,7 +67,11 @@ Network::inject(Packet &&pkt)
 bool
 Network::gateDeliver(Packet &pkt)
 {
-    return presentToSink(pkt);
+    const Slot slot = park(std::move(pkt));
+    if (presentToSink(slot))
+        return true;
+    pkt = unpark(slot);
+    return false;
 }
 
 void
@@ -80,44 +102,56 @@ Network::gateDuplicate(const Packet &pkt)
 }
 
 bool
-Network::presentToSink(Packet &pkt)
+Network::presentToSink(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::NetDeliver);
-    if (pkt.dst >= sinks_.size() || !sinks_[pkt.dst])
-        msgsim_panic("no sink attached for node ", pkt.dst);
-    // Capture trace metadata before the sink may consume the packet.
-    Packet meta;
-    if (PacketTracer::current() || LineageHooks::current()) {
-        meta.src = pkt.src;
-        meta.dst = pkt.dst;
-        meta.tag = pkt.tag;
-        meta.header = pkt.header;
-        meta.injectSeq = pkt.injectSeq;
-        meta.lineage = pkt.lineage;
+    Packet &pkt = pool_[slot];
+    const NodeId dst = pkt.dst;
+    if (dst >= sinks_.size())
+        msgsim_panic("no sink attached for node ", dst);
+    Take took;
+    if (const Sink &sink = sinks_[dst]; sink.slot)
+        took = sink.slot(slot);
+    else if (sink.packet)
+        took = sink.packet(pkt) ? Take::Consumed : Take::Refused;
+    else
+        msgsim_panic("no sink attached for node ", dst);
+    // The packet is still in its slot (a Kept one sits in the sink's
+    // queue; a consuming sink moved at most its payload out), so the
+    // trace reads its envelope from there.
+    if (took == Take::Refused) {
+        trace(TraceEvent::Reject, pkt);
+        return false;
     }
-    const NodeId sinkDst = pkt.dst;
-    const bool accepted = sinks_[sinkDst](pkt);
-    if (accepted) {
-        ++stats_.delivered;
-        noteDelivered(sinkDst);
-        trace(TraceEvent::Deliver, meta);
-    } else {
-        trace(TraceEvent::Reject, meta);
-    }
-    return accepted;
+    ++stats_.delivered;
+    noteDelivered(dst);
+    trace(TraceEvent::Deliver, pkt);
+    if (took == Take::Consumed)
+        release(slot);
+    return true;
 }
 
 Network::Slot
 Network::park(Packet &&pkt)
 {
+    Slot slot;
     if (freeSlots_.empty()) {
-        pool_.push_back(std::move(pkt));
-        return static_cast<Slot>(pool_.size() - 1);
+        slot = pool_.fresh();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
     }
-    const Slot slot = freeSlots_.back();
-    freeSlots_.pop_back();
     pool_[slot] = std::move(pkt);
     return slot;
+}
+
+void
+Network::release(Slot slot)
+{
+    Packet &pkt = pool_[slot];
+    if (pkt.data.spilled())
+        pkt.data = Payload(); // free a large payload's block now
+    freeSlots_.push_back(slot);
 }
 
 Packet

@@ -34,8 +34,11 @@
 #define MSGSIM_NET_NETWORK_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -111,6 +114,64 @@ class FlowTable
     std::vector<std::vector<T>> rows_;
 };
 
+/**
+ * Address-stable packet storage.  Chunk k holds 16 * 2^k packets and
+ * never moves, so a packet keeps its address from park to release
+ * while the pool grows around it: a handler may inject (and so park)
+ * while it still reads its own parked request.
+ */
+class PacketPool
+{
+  public:
+    /** A slot never handed out before, adding a chunk when all are. */
+    std::uint32_t
+    fresh()
+    {
+        if (handedOut_ == firstOf(chunkCount_)) {
+            if (chunkCount_ == maxChunks)
+                msgsim_panic("packet pool exhausted at ", handedOut_,
+                             " slots");
+            chunks_[chunkCount_] =
+                std::make_unique<Packet[]>(firstChunk << chunkCount_);
+            ++chunkCount_;
+        }
+        return handedOut_++;
+    }
+
+    Packet &operator[](std::uint32_t slot) { return at(slot); }
+    const Packet &operator[](std::uint32_t slot) const { return at(slot); }
+
+  private:
+    static constexpr int firstChunkBits = 4;
+    static constexpr std::uint32_t firstChunk = 1u << firstChunkBits;
+    /// Chunks 0..27 hold 16 * (2^28 - 1) slots, all a 32-bit slot names.
+    static constexpr std::size_t maxChunks = 32 - firstChunkBits;
+
+    Packet &
+    at(std::uint32_t slot) const
+    {
+        // Slot s lives in the chunk whose range [16 * (2^k - 1),
+        // 16 * (2^(k+1) - 1)) holds it: the top bit of s + 16 names k.
+        const std::uint64_t u = std::uint64_t{slot} + firstChunk;
+        const int k = std::bit_width(u) - firstChunkBits - 1;
+        return chunks_[static_cast<std::size_t>(k)]
+                      [u - (std::uint64_t{firstChunk} << k)];
+    }
+
+    /** First slot of chunk @p k (= slots in chunks 0..k-1). */
+    static std::uint32_t
+    firstOf(std::size_t k)
+    {
+        return static_cast<std::uint32_t>((std::uint64_t{firstChunk} << k) -
+                                          firstChunk);
+    }
+
+    /// A fixed table, so an access is one load of the chunk's base.
+    std::array<std::unique_ptr<Packet[]>, maxChunks> chunks_;
+    std::size_t chunkCount_ = 0;
+    std::uint32_t handedOut_ = 0; ///< slots fresh() has returned
+};
+
 /** High-level service guarantees a network provides in hardware. */
 struct NetFeatures
 {
@@ -168,15 +229,34 @@ class ScheduleGate
 class Network
 {
   public:
+    /** Handle of a parked packet. */
+    using Slot = std::uint32_t;
+
     /**
-     * Delivery sink: the destination NI.  Returns false when the NI
-     * cannot accept the packet right now (receive queue full or, on
-     * CR, resource-based header rejection).  A sink moves from the
-     * packet only when it accepts it: a refused packet is left intact,
-     * so the fabric offers the same packet again later without
-     * keeping a copy.
+     * Delivery sink.  Returns false when the destination cannot accept
+     * the packet right now (receive queue full or, on CR,
+     * resource-based header rejection).  The packet is offered in its
+     * pool slot; a sink moves from it only when it accepts it, and the
+     * network frees the slot after an acceptance.  A refused packet is
+     * left intact, so the fabric offers the same packet again later
+     * without moving it.
      */
     using DeliverFn = std::function<bool(Packet &)>;
+
+    /** What a slot sink did with an offered packet. */
+    enum class Take : std::uint8_t
+    {
+        Refused,  ///< not accepted; the fabric keeps the slot
+        Consumed, ///< accepted and used up; the network frees the slot
+        Kept,     ///< accepted into the sink's queue, which frees it
+    };
+
+    /**
+     * Delivery sink that queues accepted packets by slot (the NI
+     * receive FIFO): a Kept packet stays parked until the sink
+     * releases its slot.
+     */
+    using SlotSinkFn = std::function<Take(Slot)>;
 
     explicit Network(Simulator &sim) : sim_(sim) {}
     virtual ~Network() = default;
@@ -186,6 +266,9 @@ class Network
 
     /** Register the delivery sink of node @p id. */
     void attach(NodeId id, DeliverFn fn);
+
+    /** Register a slot sink as the delivery sink of node @p id. */
+    void attach(NodeId id, SlotSinkFn fn);
 
     /**
      * Register a sink written against the consuming signature
@@ -215,28 +298,26 @@ class Network
     bool inject(Packet &&pkt);
 
     // ------------------------------------------------------------
-    // Packet pool, shared by every substrate and the NIs.  A packet
-    // between two fabric events, or waiting in an NI receive FIFO,
-    // sits in a pool slot; fabric event closures and FIFO entries
-    // carry only the slot.  The pool grows to the high-water mark of
-    // packets alive at once and recycles its slots, so carrying a
-    // packet from injection to consumption never allocates.
+    // Packet pool, shared by every substrate and the NIs.  Injection
+    // parks a packet once; from then on only its slot travels, through
+    // fabric events, order stages, flow queues and the NI receive
+    // FIFO, until the consumer reads its last word.  The pool grows to
+    // the high-water mark of packets alive at once, never moves a
+    // packet and recycles its slots, so carrying a packet from
+    // injection to consumption never allocates.
     // ------------------------------------------------------------
 
-    /** Handle of a parked packet. */
-    using Slot = std::uint32_t;
-
-    /** Park @p pkt; its slot stays valid until unpark(). */
+    /** Park @p pkt; it stays in its slot until release() or unpark(). */
     Slot park(Packet &&pkt);
+
+    /** Free @p slot: its packet was consumed or absorbed. */
+    void release(Slot slot);
 
     /** Take a parked packet out, freeing its slot. */
     Packet unpark(Slot slot);
 
-    /**
-     * The packet in @p slot.  The reference is invalidated by the next
-     * park() (the pool may grow), so hold it only across code that
-     * parks nothing.
-     */
+    /** The packet in @p slot, at one address until the slot is freed. */
+    Packet &parked(Slot slot) { return pool_[slot]; }
     const Packet &parked(Slot slot) const { return pool_[slot]; }
 
     /** Hardware service levels of this substrate. */
@@ -298,8 +379,9 @@ class Network
     // in checked and unchecked runs.
     // ------------------------------------------------------------
 
-    /** Deliver a gated packet to its sink now.  Returns the sink's
-     *  acceptance result (false = refused, @p pkt left intact). */
+    /** Deliver a gated packet to its sink now, through the same
+     *  presentation as a fabric's.  Returns the sink's acceptance
+     *  result (false = refused, @p pkt handed back intact). */
     bool gateDeliver(Packet &pkt);
 
     /** Account a gate decision to drop @p pkt. */
@@ -322,34 +404,20 @@ class Network
             lh->hwEvent(ev, pkt, sim_.now());
     }
 
-    /** Substrate-specific injection behaviour. */
-    virtual bool injectImpl(Packet &&pkt) = 0;
+    /**
+     * Substrate-specific injection of the packet parked in @p slot.
+     * Returns false, leaving the slot to the caller, when the
+     * injection port is busy; otherwise the substrate owns the slot.
+     */
+    virtual bool injectImpl(Slot slot) = 0;
 
     /**
-     * Present a packet to the destination sink.  Returns the sink's
-     * acceptance result (a refused @p pkt is left intact); panics
-     * when the destination was never attached.
+     * Offer the packet in @p slot to its destination sink, in place.
+     * Returns the sink's acceptance result; a refused packet stays in
+     * its slot, intact, for the fabric to offer again.  Panics when
+     * the destination was never attached.
      */
-    bool presentToSink(Packet &pkt);
-
-    /**
-     * At tick @p when, call (self->*Handler)(the packet) with @p pkt
-     * parked until then.
-     */
-    template <auto Handler, typename Self>
-    void
-    scheduleParked(Tick when, Self *self, Packet &&pkt)
-    {
-        const Slot slot = park(std::move(pkt));
-        auto event = [self, slot] { (self->*Handler)(self->unpark(slot)); };
-        // libstdc++'s std::function stores a trivially copyable
-        // functor of up to 16 bytes in place: no heap allocation.
-        static_assert(sizeof(event) <= 16 &&
-                          std::is_trivially_copyable_v<decltype(event)>,
-                      "a parked-packet event must fit std::function's "
-                      "local buffer");
-        sim_.scheduleAt(when, event);
-    }
+    bool presentToSink(Slot slot);
 
     /**
      * A packet bound for @p dst left the fabric by delivery outside
@@ -380,16 +448,26 @@ class Network
     NetStats stats_;
 
   private:
+    /** A node's sink: one of the two kinds, or neither (unattached). */
+    struct Sink
+    {
+        DeliverFn packet;
+        SlotSinkFn slot;
+    };
+
+    /** Node @p id's sink, reset to unattached (sizes the counters). */
+    Sink &sinkAt(NodeId id);
+
     ScheduleGate *gate_ = nullptr;
-    std::vector<DeliverFn> sinks_; ///< by node id; empty = unattached
+    std::vector<Sink> sinks_; ///< by node id
     /// Per-destination link counters (boot-sized in attach()).
     std::vector<std::uint64_t> injectedTo_;
     std::vector<std::uint64_t> settledTo_;
     std::vector<std::uint64_t> deliveredTo_;
     std::uint64_t nextInjectSeq_ = 0;
     FlowTable<std::uint64_t> flowCounters_;
-    std::vector<Packet> pool_;    ///< parked packets, by slot
-    std::vector<Slot> freeSlots_; ///< recycled slots of pool_
+    PacketPool pool_;             ///< parked packets, by slot
+    std::vector<Slot> freeSlots_; ///< released slots, reused first
 };
 
 /** Element @p i of @p v, growing @p v (value-initialized) to reach it. */

@@ -4,71 +4,69 @@ namespace msgsim
 {
 
 void
-SwapAdjacentOrder::arrive(Packet &&pkt, std::vector<Packet> &release)
+SwapAdjacentOrder::arrive(Slot pkt, std::vector<Slot> &release)
 {
     if (!held_) {
-        held_ = std::move(pkt);
+        held_ = pkt;
         return;
     }
     // Release the later packet first, then the earlier one.
-    release.push_back(std::move(pkt));
-    release.push_back(std::move(*held_));
+    release.push_back(pkt);
+    release.push_back(*held_);
     held_.reset();
 }
 
 void
-SwapAdjacentOrder::flush(std::vector<Packet> &release)
+SwapAdjacentOrder::flush(std::vector<Slot> &release)
 {
     if (held_) {
-        release.push_back(std::move(*held_));
+        release.push_back(*held_);
         held_.reset();
     }
 }
 
 void
-PairSwapChanceOrder::arrive(Packet &&pkt, std::vector<Packet> &release)
+PairSwapChanceOrder::arrive(Slot pkt, std::vector<Slot> &release)
 {
     if (!held_) {
         swapCurrent_ = rng_.chance(swapChance_);
         if (swapCurrent_) {
-            held_ = std::move(pkt);
+            held_ = pkt;
             return;
         }
-        release.push_back(std::move(pkt));
+        release.push_back(pkt);
         return;
     }
-    release.push_back(std::move(pkt));
-    release.push_back(std::move(*held_));
+    release.push_back(pkt);
+    release.push_back(*held_);
     held_.reset();
 }
 
 void
-PairSwapChanceOrder::flush(std::vector<Packet> &release)
+PairSwapChanceOrder::flush(std::vector<Slot> &release)
 {
     if (held_) {
-        release.push_back(std::move(*held_));
+        release.push_back(*held_);
         held_.reset();
     }
 }
 
 void
-RandomWindowOrder::arrive(Packet &&pkt, std::vector<Packet> &release)
+RandomWindowOrder::arrive(Slot pkt, std::vector<Slot> &release)
 {
-    held_.push_back(std::move(pkt));
+    held_.push_back(pkt);
     if (held_.size() >= window_) {
         rng_.shuffle(held_);
-        for (auto &p : held_)
-            release.push_back(std::move(p));
+        release.insert(release.end(), held_.begin(), held_.end());
         held_.clear();
     }
 }
 
 void
-RandomWindowOrder::flush(std::vector<Packet> &release)
+RandomWindowOrder::flush(std::vector<Slot> &release)
 {
     rng_.shuffle(held_);
-    for (auto &p : held_)
-        release.push_back(std::move(p));
+    release.insert(release.end(), held_.begin(), held_.end());
     held_.clear();
 }
 

@@ -24,18 +24,22 @@
 #include "net/network.hh"
 #include "net/packet.hh"
 #include "sim/rng.hh"
+#include "sim/scratch.hh"
 
 namespace msgsim
 {
 
 /**
- * Per-flow delivery-order stage.  The network feeds packets of one
- * (src, dst) flow in transmission order; the policy emits them in the
- * order the destination should see them.
+ * Per-flow delivery-order stage.  The network feeds the pool slots of
+ * one (src, dst) flow's packets in transmission order; the policy
+ * emits them in the order the destination should see them.  Policies
+ * reorder handles only: the packets stay parked.
  */
 class OrderPolicy
 {
   public:
+    using Slot = Network::Slot;
+
     virtual ~OrderPolicy() = default;
 
     /**
@@ -43,10 +47,10 @@ class OrderPolicy
      * packets to present to the NI (possibly none, possibly several)
      * to @p release, in presentation order.
      */
-    virtual void arrive(Packet &&pkt, std::vector<Packet> &release) = 0;
+    virtual void arrive(Slot pkt, std::vector<Slot> &release) = 0;
 
     /** Release any held packets (end of measurement / teardown). */
-    virtual void flush(std::vector<Packet> &release) = 0;
+    virtual void flush(std::vector<Slot> &release) = 0;
 };
 
 /** Factory producing a fresh policy instance per flow. */
@@ -57,12 +61,12 @@ class FifoOrder : public OrderPolicy
 {
   public:
     void
-    arrive(Packet &&pkt, std::vector<Packet> &release) override
+    arrive(Slot pkt, std::vector<Slot> &release) override
     {
-        release.push_back(std::move(pkt));
+        release.push_back(pkt);
     }
 
-    void flush(std::vector<Packet> &) override {}
+    void flush(std::vector<Slot> &) override {}
 };
 
 /**
@@ -74,11 +78,11 @@ class FifoOrder : public OrderPolicy
 class SwapAdjacentOrder : public OrderPolicy
 {
   public:
-    void arrive(Packet &&pkt, std::vector<Packet> &release) override;
-    void flush(std::vector<Packet> &release) override;
+    void arrive(Slot pkt, std::vector<Slot> &release) override;
+    void flush(std::vector<Slot> &release) override;
 
   private:
-    std::optional<Packet> held_;
+    std::optional<Slot> held_;
 };
 
 /**
@@ -96,13 +100,13 @@ class PairSwapChanceOrder : public OrderPolicy
     {
     }
 
-    void arrive(Packet &&pkt, std::vector<Packet> &release) override;
-    void flush(std::vector<Packet> &release) override;
+    void arrive(Slot pkt, std::vector<Slot> &release) override;
+    void flush(std::vector<Slot> &release) override;
 
   private:
     double swapChance_;
     Rng rng_;
-    std::optional<Packet> held_;
+    std::optional<Slot> held_;
     bool swapCurrent_ = false;
 };
 
@@ -119,13 +123,13 @@ class RandomWindowOrder : public OrderPolicy
     {
     }
 
-    void arrive(Packet &&pkt, std::vector<Packet> &release) override;
-    void flush(std::vector<Packet> &release) override;
+    void arrive(Slot pkt, std::vector<Slot> &release) override;
+    void flush(std::vector<Slot> &release) override;
 
   private:
     std::size_t window_;
     Rng rng_;
-    std::vector<Packet> held_;
+    std::vector<Slot> held_;
 };
 
 /** Factory helpers. */
@@ -139,11 +143,13 @@ OrderPolicyFactory randomWindowFactory(std::size_t window,
 /**
  * The order-scrambling destination edge of an out-of-order fabric
  * (cm5, nicam): one policy per (src, dst, vnet) flow, created on the
- * flow's first packet, and a reused release buffer.
+ * flow's first packet.
  */
 class OrderStage
 {
   public:
+    using Slot = Network::Slot;
+
     /** @p nodes sizes each source's flow row (the fabric's nodes). */
     OrderStage(OrderPolicyFactory factory, std::size_t nodes)
         : factory_(factory ? std::move(factory) : fifoOrderFactory()),
@@ -151,19 +157,18 @@ class OrderStage
     {
     }
 
-    /** Run @p pkt through its flow's policy; call @p deliver on each
-     *  released packet, in presentation order. */
+    /** Run @p slot, holding @p pkt, through its flow's policy; call
+     *  @p deliver on each released slot, in presentation order. */
     template <typename Deliver>
     void
-    arrive(Packet &&pkt, Deliver deliver)
+    arrive(const Packet &pkt, Slot slot, Deliver deliver)
     {
         std::unique_ptr<OrderPolicy> &policy = policies_.at(pkt, nodes_);
         if (!policy)
             policy = factory_();
         OrderPolicy &p = *policy;
-        release([&](std::vector<Packet> &out) {
-            p.arrive(std::move(pkt), out);
-        }, deliver);
+        release([&](std::vector<Slot> &out) { p.arrive(slot, out); },
+                deliver);
     }
 
     /** Release every held packet, flow by flow in (src, dst, vnet)
@@ -174,7 +179,7 @@ class OrderStage
     {
         policies_.forEach([&](std::unique_ptr<OrderPolicy> &policy) {
             if (policy)
-                release([&](std::vector<Packet> &out) {
+                release([&](std::vector<Slot> &out) {
                     policy->flush(out);
                 }, deliver);
         });
@@ -182,27 +187,24 @@ class OrderStage
 
   private:
     /**
-     * Borrow the spare buffer, let @p fill put packets in it and hand
-     * them to @p deliver.  A delivery may re-enter the fabric; a
-     * nested call then finds the spare lent out and starts its own.
+     * Let @p fill put released slots in a leased buffer and hand them
+     * to @p deliver.  Leased, because a delivery may re-enter the
+     * fabric and release more while this buffer is still being read.
      */
     template <typename Fill, typename Deliver>
     void
     release(Fill fill, Deliver &deliver)
     {
-        std::vector<Packet> out = std::exchange(spare_, {});
-        fill(out);
-        for (Packet &p : out)
-            deliver(std::move(p));
-        out.clear();
-        if (out.capacity() > spare_.capacity())
-            spare_.swap(out);
+        ScratchPool<std::vector<Slot>>::Lease out(buffers_);
+        fill(*out);
+        for (const Slot s : *out)
+            deliver(s);
     }
 
     OrderPolicyFactory factory_;
     std::size_t nodes_;
     FlowTable<std::unique_ptr<OrderPolicy>> policies_;
-    std::vector<Packet> spare_; ///< empty while lent out
+    ScratchPool<std::vector<Slot>> buffers_;
 };
 
 } // namespace msgsim

@@ -38,6 +38,8 @@ class Ring
         return slots_[(head_ + i) & (slots_.size() - 1)];
     }
 
+    void push_back(const T &value) { push_back(T(value)); }
+
     void
     push_back(T &&value)
     {

@@ -16,7 +16,8 @@ NetIface::NetIface(NodeId id, Network &net, const Config &cfg)
     if (cfg_.dataWords < 4 || cfg_.dataWords % 2 != 0)
         msgsim_fatal("NI data words must be even and >= 4 (the CMAM_4 "
                      "single-packet format), got ", cfg_.dataWords);
-    net_.attach(id_, [this](Packet &pkt) { return hwDeliver(pkt); });
+    net_.attach(id_,
+                [this](Network::Slot slot) { return hwDeliver(slot); });
 }
 
 void
@@ -135,7 +136,7 @@ NetIface::consumeData(std::size_t nwords)
     auto &queue = recvQueues_[static_cast<std::size_t>(serviceVnet_)];
     recvReadIndex_ += nwords;
     if (recvReadIndex_ >= net_.parked(queue.front()).data.size()) {
-        (void)net_.unpark(queue.front()); // consumed: free the slot
+        net_.release(queue.front()); // consumed: free the slot
         queue.pop_front();
         recvReadIndex_ = 0;
         serviceVnet_ = -1;
@@ -220,33 +221,34 @@ NetIface::dmaScatterRecv(Accounting &acct, Addr dst)
     consumeData(remaining);
 }
 
-bool
-NetIface::hwDeliver(Packet &pkt)
+Network::Take
+NetIface::hwDeliver(Network::Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::NiHwDeliver);
     TraceSession *ts = TraceSession::current();
+    const Packet &pkt = net_.parked(slot);
     // Hardware CRC check: detection without correction.  A bad packet
     // is consumed and discarded; software only notices the loss.
     if (!pkt.checksumOk()) {
         ++crcDiscards_;
         if (ts)
             ts->instant(id_, "ni", "crc_discard");
-        return true;
+        return Network::Take::Consumed;
     }
     if (acceptFn_ && !acceptFn_(pkt)) {
         ++acceptRefusals_;
         if (ts)
             ts->instant(id_, "ni", "accept_refusal");
-        return false;
+        return Network::Take::Refused;
     }
     auto &queue = recvQueues_[pkt.vnet % numVnets];
     if (queue.size() >= cfg_.recvCapacity) {
         ++recvRefusals_;
         if (ts)
             ts->instant(id_, "ni", "recv_refusal");
-        return false;
+        return Network::Take::Refused;
     }
-    queue.push_back(net_.park(std::move(pkt)));
+    queue.push_back(slot);
     if (ts) {
         std::size_t depth = 0;
         for (const auto &q : recvQueues_)
@@ -256,7 +258,7 @@ NetIface::hwDeliver(Packet &pkt)
     }
     if (arrivalHook_)
         arrivalHook_();
-    return true;
+    return Network::Take::Kept;
 }
 
 void

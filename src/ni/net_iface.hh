@@ -173,10 +173,12 @@ class NetIface
     // ------------------------------------------------------------
 
     /**
-     * Delivery from the network; false = refused (FIFO full/reject).
-     * Moves from @p pkt only when it accepts it.
+     * Delivery from the network of the packet parked in @p slot.  An
+     * accepted packet stays in its slot, queued by the receive FIFO,
+     * until its last data word is read; a CRC-failed one is consumed
+     * and discarded; a refused one (FIFO full, reject) is left as is.
      */
-    bool hwDeliver(Packet &pkt);
+    Network::Take hwDeliver(Network::Slot slot);
 
     /** True when a packet waits on any network (uncharged). */
     bool
@@ -200,9 +202,9 @@ class NetIface
      * (nullptr when empty) — the reply network drains first.  Used
      * for metadata the modeled hardware exposes out-of-band (source
      * node, dispatch) — never for payload shortcuts.  The pointer is
-     * valid until the next packet is sent or delivered anywhere on the
-     * fabric: it points into the Network's packet pool, which a
-     * park() may grow.  Copy the fields you need before sending.
+     * the packet's pool slot, valid until the packet is consumed
+     * (its last data word read), whatever is sent or delivered
+     * meanwhile.
      */
     const Packet *hwPeekRecv() const;
 

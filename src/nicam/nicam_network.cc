@@ -58,11 +58,12 @@ NicamNetwork::offloadEntries(NodeId dst) const
 }
 
 bool
-NicamNetwork::injectImpl(Packet &&pkt)
+NicamNetwork::injectImpl(Slot slot)
 {
     if (cfg_.injectBusyRate > 0.0 && rng_.chance(cfg_.injectBusyRate))
         return false; // send_ok will read 0; software retries the push
 
+    Packet &pkt = parked(slot);
     // An unarmed injector would answer None with no side effects.
     const FaultAction action =
         faults_.armed() ? faults_.apply(pkt) : FaultAction::None;
@@ -71,6 +72,7 @@ NicamNetwork::injectImpl(Packet &&pkt)
         ++stats_.dropped;
         noteAbsorbed(pkt.dst);
         trace(TraceEvent::Drop, pkt);
+        release(slot);
         return true; // accepted by the network, silently lost inside
       case FaultAction::Corrupt:
         ++stats_.corrupted;
@@ -79,20 +81,21 @@ NicamNetwork::injectImpl(Packet &&pkt)
       case FaultAction::Duplicate:
         ++stats_.duplicated;
         trace(TraceEvent::Duplicate, pkt);
-        routeToEdge(Packet(pkt));
+        routeToEdge(park(Packet(pkt)));
         break;
       case FaultAction::None:
         break;
     }
 
-    routeToEdge(std::move(pkt));
+    routeToEdge(slot);
     return true;
 }
 
 void
-NicamNetwork::routeToEdge(Packet &&pkt)
+NicamNetwork::routeToEdge(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::NicamRoute);
+    const Packet &pkt = parked(slot);
     Tick latency = cfg_.baseLatency +
                    cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
     if (cfg_.maxJitter > 0)
@@ -103,24 +106,23 @@ NicamNetwork::routeToEdge(Packet &&pkt)
     const Tick arrival = serialize(nextArrival_, pkt.dst,
                                    departure + latency, cfg_.deliverGap);
 
-    scheduleParked<&NicamNetwork::arriveAtEdge>(arrival, this,
-                                                std::move(pkt));
+    sim_.scheduleAt<&NicamNetwork::arriveAtEdge>(arrival, this, slot);
 }
 
 void
-NicamNetwork::arriveAtEdge(Packet &&pkt)
+NicamNetwork::arriveAtEdge(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::NicamDeliver);
-    order_.arrive(std::move(pkt),
-                  [this](Packet &&p) { tryDeliver(std::move(p)); });
+    order_.arrive(parked(slot), slot, [this](Slot s) { tryDeliver(s); });
 }
 
 void
-NicamNetwork::tryDeliver(Packet &&pkt)
+NicamNetwork::tryDeliver(Slot slot)
 {
-    // Retry closures re-enter here outside arriveAtEdge, so the
+    // Retry events re-enter here outside arriveAtEdge, so the
     // delivery scope opens here too (same-site nesting is fine).
     hostprof::HostScope hs(hostprof::Site::NicamDeliver);
+    const Packet &pkt = parked(slot);
 
     // NIC handler-table lookup (hardware match-action; uncharged).
     auto nt = tables_.find(pkt.dst);
@@ -134,6 +136,7 @@ NicamNetwork::tryDeliver(Packet &&pkt)
             if (!pkt.checksumOk()) {
                 ++offloadCrcDrops_;
                 noteAbsorbed(pkt.dst);
+                release(slot);
                 return; // consumed and dropped, as the NI would
             }
             ++stats_.delivered;
@@ -144,27 +147,31 @@ NicamNetwork::tryDeliver(Packet &&pkt)
             LineageHooks *lh = LineageHooks::current();
             if (lh)
                 lh->handlerBegin(pkt.dst, pkt, sim_.now());
+            // The handler may inject (a reply parks beside this
+            // request); the pool never moves a parked packet, so pkt
+            // stays valid until its slot is released.
             entry->second.fn(pkt);
             if (lh)
                 lh->handlerEnd(pkt.dst, sim_.now());
+            release(slot);
             return;
         }
         ++offloadMisses_; // non-empty table, no match: host fallback
     }
 
-    if (presentToSink(pkt))
+    if (presentToSink(slot))
         return;
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.
     ++stats_.deliveryRetries;
-    scheduleParked<&NicamNetwork::tryDeliver>(
-        sim_.now() + cfg_.retryDelay, this, std::move(pkt));
+    sim_.scheduleAt<&NicamNetwork::tryDeliver>(
+        sim_.now() + cfg_.retryDelay, this, slot);
 }
 
 void
 NicamNetwork::flushHeldPackets()
 {
-    order_.flush([this](Packet &&p) { tryDeliver(std::move(p)); });
+    order_.flush([this](Slot s) { tryDeliver(s); });
 }
 
 } // namespace msgsim

@@ -107,7 +107,7 @@ class NicamNetwork : public Network
     int offloadEntries(NodeId dst) const;
 
   protected:
-    bool injectImpl(Packet &&pkt) override;
+    bool injectImpl(Slot slot) override;
 
   private:
     using TableKey = std::pair<int, Word>; ///< (tag, selector)
@@ -118,11 +118,11 @@ class NicamNetwork : public Network
         std::uint64_t hits = 0;
     };
 
-    void routeToEdge(Packet &&pkt);
-    void arriveAtEdge(Packet &&pkt);
+    void routeToEdge(Slot slot);
+    void arriveAtEdge(Slot slot);
 
     /** NIC-table lookup, then the normal sink path on a miss. */
-    void tryDeliver(Packet &&pkt);
+    void tryDeliver(Slot slot);
 
     Config cfg_;
     FatTree tree_;

@@ -1,6 +1,8 @@
 #include "protocols/stream.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "cmam/send_path.hh"
 #include "hostprof/hostprof.hh"
@@ -272,7 +274,7 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
         deliverInSeq(ch, seq, *data);
         drainReorder(ch);
         ackArrival(ch, seq);
-    } else if (seq > ch.expected && !ch.pending.count(seq)) {
+    } else if (seq > ch.expected && !ch.buffered(seq)) {
         if (bugAckBeforeInsert_) {
             // Injected bug (see setBugAckBeforeInsert): the ack goes
             // out first, and the insert never happens — the packet is
@@ -327,6 +329,18 @@ StreamProtocol::insertReorder(Channel &ch, std::uint32_t seq,
     FeatureScope io(a, Feature::InOrderDelivery);
     if (ch.freeSlots.empty())
         msgsim_panic("reorder arena exhausted on channel ", ch.id);
+    if (ch.pending.empty()) {
+        // Sized on the first early arrival.  Every sequence from
+        // `expected` to the newest one sent is either buffered (at
+        // most arenaSlots) or unacknowledged at the source (at most
+        // retxSlots), so a ring this wide never wraps onto a live
+        // entry.
+        ch.pending.assign(std::bit_ceil(ch.arenaSlots + ch.retxSlots),
+                          Channel::noSlot);
+    }
+    if (seq - ch.expected >= ch.pending.size())
+        msgsim_panic("sequence ", seq, " beyond the reorder ring of "
+                     "channel ", ch.id);
     const Addr slot = ch.freeSlots.back();
     ch.freeSlots.pop_back();
 
@@ -346,11 +360,12 @@ StreamProtocol::insertReorder(Channel &ch, std::uint32_t seq,
     (void)p.loadWord(slot + 0);                               // mem 6
     p.storeWord(ch.listHeadAddr, slot);                       // mem 7
     p.storeWord(ch.pendingCountAddr,
-                static_cast<Word>(ch.pending.size() + 1));    // mem 8
+                static_cast<Word>(ch.pendingCount + 1));      // mem 8
     p.storeWord(ch.lastDeliveredAddr, ch.expected);           // mem 9
     p.regOps(9); // scan compares, splice branches
 
-    ch.pending[seq] = slot;
+    ch.reorderEntry(seq) = slot;
+    ++ch.pendingCount;
 }
 
 void
@@ -363,12 +378,15 @@ StreamProtocol::drainReorder(Channel &ch)
 
     // Deliver buffered successors now in sequence: 14 reg +
     // (10 + n/2) mem per drained packet.
-    while (!ch.pending.empty() &&
-           ch.pending.begin()->first == ch.expected) {
+    while (ch.pendingCount > 0) {
+        const std::uint32_t seq = ch.expected;
+        Addr &entry = ch.reorderEntry(seq);
+        if (entry == Channel::noSlot)
+            break;
         ScopedSpan span(ch.dst, "stream", "reorder_drain");
         FeatureScope io(a, Feature::InOrderDelivery);
-        const auto [seq, slot] = *ch.pending.begin();
-        ch.pending.erase(ch.pending.begin());
+        const Addr slot = std::exchange(entry, Channel::noSlot);
+        --ch.pendingCount;
 
         (void)p.loadWord(ch.listHeadAddr);                    // mem 1
         (void)p.loadWord(slot + 0);                           // mem 2
@@ -384,7 +402,7 @@ StreamProtocol::drainReorder(Channel &ch)
         p.storeWord(ch.listHeadAddr, nd.mem().read(slot + 1)); // mem 4
         p.storeWord(slot + 1, nilLink);                        // mem 5
         p.storeWord(ch.pendingCountAddr,
-                    static_cast<Word>(ch.pending.size()));     // mem 6
+                    static_cast<Word>(ch.pendingCount));       // mem 6
         p.storeWord(ch.lastDeliveredAddr, seq);                // mem 7
         (void)p.loadWord(ch.pendingCountAddr);                 // mem 8
         (void)p.loadWord(ch.lastDeliveredAddr);                // mem 9
@@ -659,7 +677,7 @@ StreamProtocol::channelDelivered(Word chan) const
 std::size_t
 StreamProtocol::channelPending(Word chan) const
 {
-    return channels_.at(chan).pending.size();
+    return channels_.at(chan).pendingCount;
 }
 
 std::size_t

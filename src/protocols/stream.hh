@@ -207,7 +207,12 @@ class StreamProtocol
         Addr pendingCountAddr = 0;
         Addr lastDeliveredAddr = 0;
         std::vector<Addr> freeSlots;
-        std::map<std::uint32_t, Addr> pending; ///< seq -> slot
+        /// Reorder ring: the arena slot buffering sequence s sits at
+        /// pending[s % pending.size()] (a power of two), or noSlot;
+        /// empty until the first out-of-order arrival.
+        std::vector<Addr> pending;
+        std::uint32_t pendingCount = 0;
+        static constexpr Addr noSlot = ~Addr(0);
         int groupCount = 0;
         std::uint32_t deliveredPackets = 0;
         /// run()'s integrity journal; persistent channels keep none.
@@ -221,6 +226,21 @@ class StreamProtocol
         std::uint64_t retx = 0;
 
         DeliverFn userCb;
+
+        /** The reorder-ring entry of sequence @p seq. */
+        Addr &
+        reorderEntry(std::uint32_t seq)
+        {
+            return pending[seq & (pending.size() - 1)];
+        }
+
+        /** True when sequence @p seq waits in the reorder ring. */
+        bool
+        buffered(std::uint32_t seq) const
+        {
+            return seq - expected < pending.size() &&
+                   pending[seq & (pending.size() - 1)] != noSlot;
+        }
     };
 
     Channel &openChannel(const StreamParams &params, DeliverFn cb);

@@ -13,9 +13,10 @@ RdmaNetwork::RdmaNetwork(Simulator &sim, const Config &cfg)
 }
 
 bool
-RdmaNetwork::injectImpl(Packet &&pkt)
+RdmaNetwork::injectImpl(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::RdmaRoute);
+    const Packet &pkt = parked(slot);
     Tick latency = cfg_.baseLatency +
                    cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
 
@@ -45,17 +46,18 @@ RdmaNetwork::injectImpl(Packet &&pkt)
                   cfg_.deliverGap);
     flow.nextArrival = arrival + 1;
 
-    scheduleParked<&RdmaNetwork::arrive>(arrival, this, std::move(pkt));
+    sim_.scheduleAt<&RdmaNetwork::arrive>(arrival, this, slot);
     return true;
 }
 
 void
-RdmaNetwork::arrive(Packet &&pkt)
+RdmaNetwork::arrive(Slot slot)
 {
     hostprof::HostScope hs(hostprof::Site::RdmaDeliver);
+    const Packet &pkt = parked(slot);
     const NodeId src = pkt.src;
     const std::uint32_t lane = flowLane(pkt.dst, pkt.vnet);
-    flows_.at(src, lane, cfg_.nodes).queue.push_back(std::move(pkt));
+    flows_.at(src, lane, cfg_.nodes).queue.push_back(slot);
     drain(src, lane);
 }
 

@@ -78,18 +78,18 @@ class RdmaNetwork : public Network
     FaultInjector &faults() { return faults_; }
 
   protected:
-    bool injectImpl(Packet &&pkt) override;
+    bool injectImpl(Slot slot) override;
 
   private:
     struct FlowState
     {
-        Ring<Packet> queue;   ///< arrived, not yet accepted
+        Ring<Slot> queue;     ///< arrived, not yet accepted
         Tick nextArrival = 0; ///< per-QP order: earliest next arrival
         bool drainScheduled = false;
     };
 
     /** Enqueue an arrived packet and try to drain its flow. */
-    void arrive(Packet &&pkt);
+    void arrive(Slot slot);
 
     /** Deliver queued packets of flow (src, lane) in order until one
      *  stalls (lane: see flowLane()). */

@@ -8,6 +8,78 @@
 namespace msgsim
 {
 
+void
+EventQueue::push(const Entry &entry)
+{
+    std::size_t i = heap_.size();
+    heap_.push_back(entry);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (!entry.before(heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = entry;
+}
+
+EventQueue::Event
+EventQueue::pop(Tick &when)
+{
+    if (heap_.empty())
+        msgsim_panic("pop() on empty event queue");
+    const Entry top = heap_.front();
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n > 0) {
+        // Sift the old last entry down from the root.
+        std::size_t i = 0;
+        for (;;) {
+            const std::size_t first = 4 * i + 1;
+            if (first >= n)
+                break;
+            std::size_t best = first;
+            const std::size_t end = first + 4 < n ? first + 4 : n;
+            for (std::size_t c = first + 1; c < end; ++c)
+                if (heap_[c].before(heap_[best]))
+                    best = c;
+            if (!heap_[best].before(last))
+                break;
+            heap_[i] = heap_[best];
+            i = best;
+        }
+        heap_[i] = last;
+    }
+    when = top.when;
+    return top.event;
+}
+
+std::uint32_t
+EventQueue::stash(Action &&action)
+{
+    if (freeClosures_.empty()) {
+        closures_.push_back(std::move(action));
+        return static_cast<std::uint32_t>(closures_.size() - 1);
+    }
+    const std::uint32_t index = freeClosures_.back();
+    freeClosures_.pop_back();
+    closures_[index] = std::move(action);
+    return index;
+}
+
+void
+EventQueue::runClosure(void *queue, std::uint32_t index)
+{
+    // Move the closure out and free its entry before running it: the
+    // closure may schedule more closures, which may reuse the entry or
+    // grow the slab.
+    EventQueue &q = *static_cast<EventQueue *>(queue);
+    const Action action = std::move(q.closures_[index]);
+    q.freeClosures_.push_back(index);
+    action();
+}
+
 bool
 Simulator::step()
 {
@@ -19,10 +91,10 @@ Simulator::step()
     // test each when no profiler is attached.
     hostprof::HostScope stepScope(hostprof::Site::SimStep);
     Tick when = 0;
-    EventQueue::Action action;
+    EventQueue::Event event;
     {
         hostprof::HostScope popScope(hostprof::Site::SimHeapPop);
-        action = queue_.pop(when);
+        event = queue_.pop(when);
     }
     if (when != now_) {
         ++tickAdvances_;
@@ -45,7 +117,7 @@ Simulator::step()
     }
     {
         hostprof::HostScope runScope(hostprof::Site::SimHandler);
-        action();
+        event();
     }
     return true;
 }

@@ -2,10 +2,14 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single EventQueue orders closures by (tick, insertion sequence);
- * ties break FIFO so the simulation is deterministic.  The Simulator
- * owns the queue and the global clock and provides run-to-completion
- * and run-until-predicate drivers.
+ * A single EventQueue orders events by (tick, insertion sequence);
+ * ties break FIFO so the simulation is deterministic.  An event is a
+ * trivially copyable record: a handler function, its target and one
+ * 32-bit argument (the fabrics' packet events carry a pool slot).
+ * Protocol timers and other closures wait in a free-listed slab and
+ * their record carries the slab index.  The Simulator owns the queue
+ * and the global clock and provides run-to-completion and
+ * run-until-predicate drivers.
  */
 
 #ifndef MSGSIM_SIM_EVENT_HH
@@ -13,7 +17,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include <string>
@@ -27,18 +31,44 @@ namespace msgsim
 class MetricsRegistry;
 
 /**
- * Time-ordered queue of scheduled actions.
+ * Time-ordered queue of scheduled events: a 4-ary min-heap of
+ * (tick, sequence) keyed records.
  */
 class EventQueue
 {
   public:
     using Action = std::function<void()>;
 
+    /** A typed event's handler: called as fn(target, arg). */
+    using Handler = void (*)(void *target, std::uint32_t arg);
+
+    /** One popped event; calling it runs the event once. */
+    struct Event
+    {
+        Handler fn = nullptr;
+        void *target = nullptr;
+        std::uint32_t arg = 0;
+
+        void operator()() const { fn(target, arg); }
+    };
+
+    EventQueue() = default;
+    // Closure records point back at the queue that holds the closure.
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
+    /** Schedule fn(target, arg) at absolute time @p when. */
+    void
+    schedule(Tick when, Handler fn, void *target, std::uint32_t arg)
+    {
+        push(Entry{when, nextSeq_++, Event{fn, target, arg}});
+    }
+
     /** Schedule @p action at absolute time @p when. */
     void
     schedule(Tick when, Action action)
     {
-        heap_.push(Entry{when, nextSeq_++, std::move(action)});
+        schedule(when, &runClosure, this, stash(std::move(action)));
     }
 
     /** Events scheduled over the queue's lifetime. */
@@ -56,44 +86,45 @@ class EventQueue
     {
         if (heap_.empty())
             msgsim_panic("nextTick() on empty event queue");
-        return heap_.top().when;
+        return heap_.front().when;
     }
 
     /**
-     * Pop and return the earliest action; queue must be non-empty.
-     * The action's scheduled time is written to @p when.
+     * Pop and return the earliest event; queue must be non-empty.
+     * The event's scheduled time is written to @p when.
      */
-    Action
-    pop(Tick &when)
-    {
-        if (heap_.empty())
-            msgsim_panic("pop() on empty event queue");
-        // top() is const&; move out via const_cast, safe because we
-        // pop immediately afterwards.
-        Entry &top = const_cast<Entry &>(heap_.top());
-        when = top.when;
-        Action action = std::move(top.action);
-        heap_.pop();
-        return action;
-    }
+    Event pop(Tick &when);
 
   private:
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
-        Action action;
+        Event event;
 
         bool
-        operator>(const Entry &other) const
+        before(const Entry &other) const
         {
             if (when != other.when)
-                return when > other.when;
-            return seq > other.seq;
+                return when < other.when;
+            return seq < other.seq;
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    static_assert(std::is_trivially_copyable_v<Entry>,
+                  "the heap moves events as plain records");
+
+    void push(const Entry &entry);
+
+    /** Put @p action in the closure slab; returns its index. */
+    std::uint32_t stash(Action &&action);
+
+    /** The closure kind's handler: run and free slab entry @p index. */
+    static void runClosure(void *queue, std::uint32_t index);
+
+    std::vector<Entry> heap_; ///< 4-ary heap: children of i are 4i+1..4i+4
+    std::vector<Action> closures_;           ///< closure slab
+    std::vector<std::uint32_t> freeClosures_; ///< free slab indexes
     std::uint64_t nextSeq_ = 0;
 };
 
@@ -117,9 +148,20 @@ class Simulator
     void
     scheduleAt(Tick when, EventQueue::Action action)
     {
-        if (when < now_)
-            msgsim_panic("scheduleAt() in the past: ", when, " < ", now_);
+        checkNotPast(when);
         queue_.schedule(when, std::move(action));
+    }
+
+    /**
+     * At absolute time @p when (>= now), call (target->*Method)(arg):
+     * one typed record, no closure.
+     */
+    template <auto Method, typename T>
+    void
+    scheduleAt(Tick when, T *target, std::uint32_t arg)
+    {
+        checkNotPast(when);
+        queue_.schedule(when, &invoke<Method, T>, target, arg);
     }
 
     /** True when no events are pending. */
@@ -179,6 +221,20 @@ class Simulator
 
   private:
     bool step();
+
+    void
+    checkNotPast(Tick when) const
+    {
+        if (when < now_)
+            msgsim_panic("scheduleAt() in the past: ", when, " < ", now_);
+    }
+
+    template <auto Method, typename T>
+    static void
+    invoke(void *target, std::uint32_t arg)
+    {
+        (static_cast<T *>(target)->*Method)(arg);
+    }
 
     Tick now_ = 0;
     EventQueue queue_;

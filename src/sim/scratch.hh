@@ -15,33 +15,34 @@
 #ifndef MSGSIM_SIM_SCRATCH_HH
 #define MSGSIM_SIM_SCRATCH_HH
 
-#include <utility>
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 namespace msgsim
 {
 
-/** Buffers of a clear()-able, movable type T, lent one per live call. */
+/** Buffers of a clear()-able type T, lent one per live call. */
 template <typename T>
 class ScratchPool
 {
   public:
-    /** One borrowed buffer, empty on arrival; returned when destroyed. */
+    /**
+     * One borrowed buffer, empty on arrival; returned when destroyed.
+     * Leases are scoped, so they end in the reverse order they began:
+     * the pool lends its buffers as a stack, one per nesting depth.
+     */
     class Lease
     {
       public:
-        explicit Lease(ScratchPool &pool) : pool_(pool)
+        explicit Lease(ScratchPool &pool) : pool_(pool), buf_(pool.take())
         {
-            if (!pool_.free_.empty()) {
-                buf_ = std::move(pool_.free_.back());
-                pool_.free_.pop_back();
-            }
         }
 
         ~Lease()
         {
             buf_.clear();
-            pool_.free_.push_back(std::move(buf_));
+            --pool_.lent_;
         }
 
         Lease(const Lease &) = delete;
@@ -52,11 +53,32 @@ class ScratchPool
 
       private:
         ScratchPool &pool_;
-        T buf_;
+        T &buf_;
     };
 
   private:
-    std::vector<T> free_; ///< buffers no live call holds
+    /** The buffer of the next nesting depth. */
+    T &
+    take()
+    {
+        const std::size_t depth = lent_++;
+        return depth == 0 ? outer_ : nested(depth);
+    }
+
+    /** The buffer of nesting depth @p depth >= 1, made on first use. */
+    T &
+    nested(std::size_t depth)
+    {
+        if (depth > nested_.size())
+            nested_.push_back(std::make_unique<T>());
+        return *nested_[depth - 1];
+    }
+
+    T outer_; ///< depth 0: most leases never nest
+    /// Depths 1 and up, heap-held so that growing the list never moves
+    /// a buffer a shallower call is still using.
+    std::vector<std::unique_ptr<T>> nested_;
+    std::size_t lent_ = 0; ///< buffers currently lent out
 };
 
 } // namespace msgsim

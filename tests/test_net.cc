@@ -323,32 +323,23 @@ TEST(FaultInjector, DropScriptOutranksDuplicateScript)
 
 // --- Order policies -----------------------------------------------
 
-std::vector<Packet>
-makeFlow(std::uint64_t count)
-{
-    std::vector<Packet> flow;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Packet p(0, 1, HwTag::StreamData, 0, {Word(i), 0});
-        p.flowIndex = i;
-        flow.push_back(p);
-    }
-    return flow;
-}
-
+/**
+ * The presentation order of a @p count-packet flow: policies reorder
+ * opaque slot handles, and slot i stands for the flow's i-th packet.
+ */
 std::vector<std::uint64_t>
 runPolicy(OrderPolicy &policy, std::uint64_t count)
 {
     std::vector<std::uint64_t> out;
-    for (auto &p : makeFlow(count)) {
-        std::vector<Packet> rel;
-        policy.arrive(std::move(p), rel);
-        for (const auto &r : rel)
-            out.push_back(r.flowIndex);
+    std::vector<Network::Slot> rel;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        rel.clear();
+        policy.arrive(static_cast<Network::Slot>(i), rel);
+        out.insert(out.end(), rel.begin(), rel.end());
     }
-    std::vector<Packet> rel;
+    rel.clear();
     policy.flush(rel);
-    for (const auto &r : rel)
-        out.push_back(r.flowIndex);
+    out.insert(out.end(), rel.begin(), rel.end());
     return out;
 }
 

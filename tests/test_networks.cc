@@ -322,6 +322,40 @@ TEST(CrNetwork, RefusingSinkIsOfferedTheSamePacketAgain)
     EXPECT_EQ(net.stats().deliveryRetries, 1u);
 }
 
+TEST(Network, RefusedPacketIsOfferedInPlace)
+{
+    // A refused packet stays parked: every substrate offers the same
+    // packet object again, not a moved copy, and it is intact when the
+    // sink finally accepts it.
+    const Payload words{1, 2, 3, 4, 5, 6, 7, 8}; // spills to the heap
+    for (const Substrate sub : allSubstrates) {
+        SCOPED_TRACE(toString(sub));
+        StackConfig cfg;
+        cfg.substrate = sub;
+        cfg.nodes = 2;
+        Stack stack(cfg);
+        Network &net = stack.network();
+        std::vector<const Packet *> offers;
+        Payload accepted;
+        net.attach(1, [&](Packet &p) {
+            offers.push_back(&p);
+            if (offers.size() < 3)
+                return false;
+            EXPECT_TRUE(p.checksumOk());
+            accepted = std::move(p.data);
+            return true;
+        });
+        ASSERT_TRUE(net.inject(Packet(0, 1, HwTag::XferData, 7, words)));
+        stack.sim().run();
+        ASSERT_EQ(offers.size(), 3u);
+        EXPECT_EQ(offers[1], offers[0]);
+        EXPECT_EQ(offers[2], offers[0]);
+        EXPECT_EQ(accepted, words);
+        EXPECT_EQ(net.stats().deliveryRetries, 2u);
+        EXPECT_EQ(net.stats().delivered, 1u);
+    }
+}
+
 TEST(CrNetwork, AcceptPredicateRefusalDeliversBitIdenticalPayload)
 {
     for (Substrate sub : {Substrate::Cr, Substrate::Rdma}) {

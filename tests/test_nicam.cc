@@ -13,6 +13,7 @@
 
 #include "nicam/nicam_network.hh"
 #include "nicam/nicam_stack.hh"
+#include "prof/lineage.hh"
 #include "prof/profile.hh"
 #include "sim/event.hh"
 
@@ -132,6 +133,28 @@ TEST(NicamLayer, Am4RoundTripNeverWakesTheDestinationHost)
     EXPECT_EQ(res.counts.dst.paperTotal(), 0u);
     EXPECT_GT(res.counts.src.paperTotal(), 0u);
     EXPECT_EQ(res.dispatchOps, 0u);
+}
+
+TEST(NicamLayer, OffloadReplyMayGrowThePoolUnderItsRequest)
+{
+    // The am4 request handler runs on the NIC while its request is
+    // parked, and injects (so parks) the reply; with lineage attached,
+    // handlerEnd then reads the request again.  Pre-parking 0..48
+    // packets puts the reply's park on a pool growth for some fill
+    // level, whatever the pool's growth steps: a pool that moved
+    // packets when it grew would leave the request dangling (caught
+    // by the ASan build).
+    for (std::uint32_t held = 0; held <= 48; ++held) {
+        SCOPED_TRACE(held);
+        NicamStack stack{NicamStackConfig{}};
+        for (std::uint32_t i = 0; i < held; ++i)
+            (void)stack.net().park(Packet());
+        prof::LineageSession lineage;
+        lineage.attach();
+        const RunResult res = runNicamAm4(stack, NicamRunParams{});
+        ASSERT_TRUE(res.dataOk);
+        EXPECT_EQ(res.counts.dst.paperTotal(), 0u);
+    }
 }
 
 TEST(NicamLayer, TableMissFallsBackToFullCostHostDispatch)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
 #include <vector>
 
 #include "sim/event.hh"
@@ -31,6 +34,85 @@ TEST(EventQueue, OrdersByTimeThenFifo)
         q.pop(t)();
     }
     EXPECT_EQ(order, (std::vector<int>{4, 2, 1, 3}));
+}
+
+TEST(EventQueue, MatchesReferenceOrder)
+{
+    // Typed records and closures, many same-tick ties, pops
+    // interleaved with pushes, and closures that schedule from inside
+    // a running closure (reusing the slab entry the running one just
+    // left): the pop order must be a stable sort on (tick, insertion).
+    struct Scheduled
+    {
+        Tick when;
+        std::uint32_t id;
+    };
+    EventQueue q;
+    Rng rng(2024);
+    std::vector<Scheduled> scheduled; // in insertion order
+    std::vector<std::uint32_t> popped;
+    std::vector<Tick> poppedAt;
+    const EventQueue::Handler record = [](void *log, std::uint32_t id) {
+        static_cast<std::vector<std::uint32_t> *>(log)->push_back(id);
+    };
+    std::function<void(Tick)> push = [&](Tick when) {
+        const auto id = static_cast<std::uint32_t>(scheduled.size());
+        scheduled.push_back({when, id});
+        if (rng.chance(0.5)) {
+            q.schedule(when, record, &popped, id);
+            return;
+        }
+        const bool nests = rng.chance(0.3);
+        if (rng.chance(0.5)) {
+            q.schedule(when, [&, id, when, nests] {
+                popped.push_back(id);
+                if (nests)
+                    push(when + rng.below(3));
+            });
+        } else {
+            // Too big for std::function's in-place buffer.
+            const std::array<Tick, 6> pad{when, when, when, when, when,
+                                          when};
+            q.schedule(when, [&, id, pad, nests] {
+                popped.push_back(id);
+                if (nests)
+                    push(pad[5] + rng.below(3));
+            });
+        }
+    };
+
+    Tick now = 0;
+    const auto popOne = [&] {
+        Tick t = 0;
+        const EventQueue::Event ev = q.pop(t);
+        ASSERT_GE(t, now);
+        now = t;
+        poppedAt.push_back(t);
+        ev();
+    };
+    for (int round = 0; round < 400; ++round) {
+        const auto batch = rng.below(6);
+        for (std::uint64_t i = 0; i < batch; ++i)
+            push(now + rng.below(5));
+        const auto pops = rng.below(q.size() + 1);
+        for (std::uint64_t i = 0; i < pops; ++i)
+            popOne();
+    }
+    while (!q.empty())
+        popOne();
+
+    std::vector<Scheduled> reference = scheduled;
+    std::stable_sort(reference.begin(), reference.end(),
+                     [](const Scheduled &a, const Scheduled &b) {
+                         return a.when < b.when;
+                     });
+    ASSERT_EQ(popped.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(popped[i], reference[i].id) << "pop " << i;
+        EXPECT_EQ(poppedAt[i], reference[i].when) << "pop " << i;
+    }
+    EXPECT_EQ(q.scheduled(), scheduled.size());
+    EXPECT_GT(scheduled.size(), 1000u);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime)

@@ -585,14 +585,17 @@ TEST(WireMux, NestedTransmitsKeepTheirPayloads)
 // nothing.
 void
 expectSteadyStateAllocatesNothing(Substrate sub,
-                                  const wire::MuxOptions &mo)
+                                  const wire::MuxOptions &mo,
+                                  OrderPolicyFactory order = {})
 {
     constexpr std::uint32_t kStreams = 4;
     constexpr std::uint32_t kFramesPerRound = 16;
     constexpr std::size_t kWords = 6;
     SCOPED_TRACE(std::string(toString(sub)) + " ring " +
                  std::to_string(mo.ringPackets));
-    Stack stack(twoNodeStack(sub));
+    StackConfig cfg = twoNodeStack(sub);
+    cfg.order = std::move(order);
+    Stack stack(cfg);
     StreamProtocol proto(stack);
     std::vector<std::uint32_t> next(kStreams + 1, 0);
     std::uint64_t delivered = 0;
@@ -660,6 +663,15 @@ TEST(WireMux, SteadyStateAllocatesNothing)
         expectSteadyStateAllocatesNothing(sub, wire::MuxOptions{});
         expectSteadyStateAllocatesNothing(sub, nested);
     }
+}
+
+TEST(WireMux, SteadyStateAllocatesNothingOutOfOrder)
+{
+    // On an out-of-order fabric every other packet arrives early and
+    // waits in the stream's reorder ring.
+    for (const Substrate sub : {Substrate::Cm5, Substrate::Nicam})
+        expectSteadyStateAllocatesNothing(sub, wire::MuxOptions{},
+                                          swapAdjacentFactory());
 }
 
 } // namespace

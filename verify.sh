@@ -39,10 +39,11 @@
 #                                ph:"C" counter-track schema check and
 #                                a heatmap/report smoke
 #   ./verify.sh --perfbench      only the host-time benchmark gate:
-#                                perfbench/selftest.py, then a short
-#                                traced am_single run whose heap
-#                                allocations per packet must stay at
-#                                or below 0.01 on every substrate
+#                                perfbench/selftest.py, then short
+#                                traced runs whose heap allocations
+#                                per packet must stay at or below
+#                                0.01 (am_single), 0.15 (incast) and
+#                                0.25 (wire_stream) on every substrate
 set -euo pipefail
 
 repo_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -355,10 +356,12 @@ check_perfbench() {
     # digest gate, a second seed), then the allocation gates: the
     # steady-state packet and framed-stream paths allocate nothing, so
     # what a traced run reports is only first-use sizing of the pools,
-    # rings and buffers (a wire_stream rep also builds its protocol
-    # channels and mux).
+    # rings and buffers (an incast rep also builds its traffic engine
+    # on 16 nodes and a deep event heap; a wire_stream rep its
+    # protocol channels and mux).
     (cd "$repo_dir" && python3 perfbench/selftest.py)
     gate_allocs am_single 0.01
+    gate_allocs incast 0.15
     gate_allocs wire_stream 0.25
     echo "perfbench ok: self-test passed, packet and stream paths allocation-free"
 }
