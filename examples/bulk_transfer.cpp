@@ -19,9 +19,9 @@
 #include <cstdlib>
 
 #include "core/report.hh"
-#include "hlam/hl_stack.hh"
 #include "net/tracer.hh"
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "sim/obs_cli.hh"
 
 using namespace msgsim;
@@ -72,14 +72,14 @@ main(int argc, char **argv)
         cm5.node(id).ni().publishMetrics(scope.metrics(), "ni.cm5");
 
     // --- High-level features on the CR network ------------------
-    HlStackConfig hcfg;
+    StackConfig hcfg = stackConfigFor(HostLayer::Hl);
     hcfg.nodes = 2;
     hcfg.memWords = 1u << 24;
-    HlStack hl(hcfg);
+    Stack hl(hcfg);
     // The second stack has its own simulator: rebind the trace clock
     // so its spans stay on a consistent timeline.
     scope.bindClock(hl.sim());
-    HlXferParams hp;
+    RunParams hp;
     hp.words = words;
     const auto rh = runHlFinite(hl, hp);
     std::printf("%s", featureTable("High-level-features protocol "

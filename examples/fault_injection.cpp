@@ -14,7 +14,7 @@
 
 #include <cstdio>
 
-#include "hlam/hl_stack.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/stream.hh"
 
 using namespace msgsim;
@@ -70,14 +70,14 @@ main()
     std::printf("== packet-level fault-tolerant network (CR-like) "
                 "==\n\n");
     {
-        HlStackConfig cfg;
+        StackConfig cfg = stackConfigFor(HostLayer::Hl);
         cfg.nodes = 2;
         // Much harsher conditions: 20% drops, 10% corruption.
         cfg.faults.dropRate = 0.20;
         cfg.faults.corruptRate = 0.10;
         cfg.faults.seed = 99;
-        HlStack stack(cfg);
-        HlStreamParams p;
+        Stack stack(cfg);
+        RunParams p;
         p.words = 64;
         const auto res = runHlStream(stack, p);
 

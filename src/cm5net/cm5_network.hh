@@ -63,12 +63,10 @@ class Cm5Network : public Network
 
     Cm5Network(Simulator &sim, const Config &cfg);
 
-    NetFeatures
-    features() const override
-    {
-        return {/*inOrder=*/false, /*reliable=*/false,
-                /*acceptanceIndependent=*/false};
-    }
+    /// Detection only: unordered, lossy, acceptance-dependent.
+    static constexpr NetFeatures hwFeatures{};
+
+    NetFeatures features() const override { return hwFeatures; }
 
     void flushHeldPackets() override;
 

@@ -54,12 +54,13 @@ class CrNetwork : public Network
 
     CrNetwork(Simulator &sim, const Config &cfg);
 
-    NetFeatures
-    features() const override
-    {
-        return {/*inOrder=*/true, /*reliable=*/true,
-                /*acceptanceIndependent=*/true};
-    }
+    static constexpr NetFeatures hwFeatures{
+        .inOrderDelivery = true,
+        .reliableDelivery = true,
+        .acceptanceIndependent = true,
+    };
+
+    NetFeatures features() const override { return hwFeatures; }
 
     const FatTree &topology() const { return tree_; }
     FaultInjector &faults() { return faults_; }

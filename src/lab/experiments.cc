@@ -19,10 +19,10 @@
 #include "hostprof/hostprof.hh"
 #include "prof/profile.hh"
 #include "core/cost_model.hh"
-#include "hlam/hl_stack.hh"
 #include "lab/registry.hh"
 #include "model/analytic.hh"
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "model/traffic_model.hh"
@@ -301,8 +301,8 @@ makeF6()
             FiniteXferParams p;
             p.words = words;
             rc = proto.run(p);
-            HlStack hl({});
-            HlXferParams hp;
+            Stack hl(stackConfigFor(HostLayer::Hl));
+            RunParams hp;
             hp.words = words;
             rh = runHlFinite(hl, hp);
         } else {
@@ -311,8 +311,8 @@ makeF6()
             StreamParams p;
             p.words = words;
             rc = proto.run(p);
-            HlStack hl({});
-            HlStreamParams hp;
+            Stack hl(stackConfigFor(HostLayer::Hl));
+            RunParams hp;
             hp.words = words;
             rh = runHlStream(hl, hp);
         }
@@ -584,11 +584,11 @@ makeX2()
         p.maxRetx = 4096;
         const auto rc = proto.run(p);
 
-        HlStackConfig hcfg;
+        StackConfig hcfg = stackConfigFor(HostLayer::Hl);
         hcfg.faults.dropRate = rate;
         hcfg.faults.seed = 404;
-        HlStack hl(hcfg);
-        HlStreamParams hp;
+        Stack hl(hcfg);
+        RunParams hp;
         hp.words = 1024;
         hp.eventMode = true;
         const auto rh = runHlStream(hl, hp);
@@ -915,12 +915,12 @@ makeX6()
         p.retxTimeout = 100'000;
         const auto rc = proto.run(p);
 
-        HlStackConfig hcfg;
+        StackConfig hcfg = stackConfigFor(HostLayer::Hl);
         hcfg.memWords = 1u << 24;
         hcfg.injectGap = 5;
         hcfg.deliverGap = 5;
-        HlStack hl(hcfg);
-        HlStreamParams hp;
+        Stack hl(hcfg);
+        RunParams hp;
         hp.words = words;
         hp.eventMode = true;
         const auto rh = runHlStream(hl, hp);
@@ -1561,7 +1561,8 @@ makeW1()
                 // The reliable, in-order fabrics must realize the
                 // paper's "overheads vanish" argument: no reorder
                 // stash activity, no fabric retransmissions.
-                if (sub == Substrate::Cr || sub == Substrate::Rdma)
+                const NetFeatures hw = netFeatures(sub);
+                if (hw.inOrderDelivery && hw.reliableDelivery)
                     ok = ok && res.shape.ooo == 0 &&
                          res.hwRetries == 0;
                 // Structural counts are analytic.

@@ -1,5 +1,6 @@
 #include "lab/golden.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -56,12 +57,29 @@ GoldenChecker::compare(const Json &golden, const ResultTable &table)
         rep.mismatches.push_back(table.name + ": " + msg);
     };
 
+    const Json *title = golden.find("title");
+    const Json *notes = golden.find("notes");
     const Json *cols = golden.find("columns");
     const Json *rows = golden.find("rows");
-    if (!cols || !rows) {
-        mismatch("golden document lacks 'columns'/'rows'");
+    if (!title || !notes || !cols || !rows) {
+        mismatch("golden document lacks 'title'/'notes'/'columns'/"
+                 "'rows'");
         return rep;
     }
+
+    if (title->asString() != table.title)
+        mismatch("title: golden '" + title->asString() + "', got '" +
+                 table.title + "'");
+    if (notes->size() != table.notes.size())
+        mismatch("note count: golden " + std::to_string(notes->size()) +
+                 ", got " + std::to_string(table.notes.size()));
+    for (std::size_t i = 0;
+         i < std::min<std::size_t>(notes->size(), table.notes.size());
+         ++i)
+        if (notes->at(i).asString() != table.notes[i])
+            mismatch("note " + std::to_string(i) + ": golden '" +
+                     notes->at(i).asString() + "', got '" +
+                     table.notes[i] + "'");
 
     if (cols->size() != table.columns.size()) {
         mismatch("column count: golden " +

@@ -5,8 +5,9 @@
  * recovered paper cell, and report mismatches precisely enough to
  * act on ("which cell, expected what, got what").
  *
- * Integer cells (instruction counts, packet counts) must match
- * exactly; real cells (overhead fractions, ratios) match within a
+ * The title and every note must match exactly, so a stale caption
+ * fails like a stale cell.  Integer cells (instruction counts,
+ * packet counts) must match exactly; real cells (overhead fractions, ratios) match within a
  * small relative tolerance so golden files stay robust to printf
  * round-tripping; text and null cells must match exactly.
  */

@@ -6,7 +6,8 @@
  *
  * Layering (bottom-up): core accounting -> simulation kernel ->
  * network substrates and NI -> machine -> messaging layers (CMAM,
- * high-level) -> protocols -> user libraries (message passing,
+ * high-level, verbs, NIC offload) -> stacks and protocols -> user
+ * libraries (message passing,
  * collectives, RPC) -> analytic model and workloads.
  */
 
@@ -50,10 +51,12 @@
 #include "cmam/segment.hh"
 #include "cmam/send_path.hh"
 #include "hlam/hl_layer.hh"
-#include "hlam/hl_stack.hh"
+#include "nicam/nicam_layer.hh"
+#include "rdmanet/rdma_nic.hh"
 
 // Protocols and stacks.
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/result.hh"
 #include "protocols/rpc.hh"
 #include "protocols/single_packet.hh"

@@ -68,13 +68,10 @@ class NicamNetwork : public Network
 
     NicamNetwork(Simulator &sim, const Config &cfg);
 
-    NetFeatures
-    features() const override
-    {
-        NetFeatures f; // fabric properties are the CM-5's
-        f.offloadDispatch = true;
-        return f;
-    }
+    /// Fabric properties are the CM-5's; only dispatch moves.
+    static constexpr NetFeatures hwFeatures{.offloadDispatch = true};
+
+    NetFeatures features() const override { return hwFeatures; }
 
     void flushHeldPackets() override;
 

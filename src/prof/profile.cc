@@ -3,14 +3,12 @@
 #include <cstdio>
 #include <memory>
 
-#include "hlam/hl_stack.hh"
-#include "nicam/nicam_stack.hh"
 #include "prof/profiler.hh"
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/rpc.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
-#include "rdmanet/rdma_stack.hh"
 #include "sim/log.hh"
 #include "sim/trace_session.hh"
 #include "wire/wire_run.hh"
@@ -28,10 +26,6 @@ namespace
 RunResult
 runAm4Round(Stack &stack)
 {
-    RunResult res;
-    Node &src = stack.node(0);
-    Node &dst = stack.node(1);
-
     RpcEngine rpc(stack);
     const Word proc = 3;
     rpc.registerProcedure(
@@ -42,19 +36,12 @@ runAm4Round(Stack &stack)
             return rep;
         });
 
-    const InstrCounter src_before = src.acct().counter();
-    const InstrCounter dst_before = dst.acct().counter();
-    const std::uint64_t dd0 = stack.cmam(1).dispatchOps();
-    const Tick t0 = stack.sim().now();
-
+    RunResult res;
+    const RunFrame frame(stack, 0, 1, true);
     const std::vector<Word> request{11, 22};
     const std::vector<Word> reply =
         rpc.callSync(0, 1, proc, request);
-
-    res.counts.src = src.acct().counter().diff(src_before);
-    res.counts.dst = dst.acct().counter().diff(dst_before);
-    res.dispatchOps = stack.cmam(1).dispatchOps() - dd0;
-    res.elapsed = stack.sim().now() - t0;
+    frame.finish(res);
     res.packets = 2;
     // The reply packet pads its payload to the fixed packet size;
     // only the request-length prefix is meaningful.
@@ -65,123 +52,120 @@ runAm4Round(Stack &stack)
     return res;
 }
 
+using Driver = RunResult (*)(Stack &, const ProfConfig &);
+
+/** A hl, verbs or offload driver, run on @p cfg's volume. */
+template <RunResult (*Run)(Stack &, const RunParams &)>
+RunResult
+layerDriver(Stack &stack, const ProfConfig &cfg)
+{
+    RunParams p;
+    p.words = cfg.words;
+    return Run(stack, p);
+}
+
+/** One (host layer, protocol) cell of the driver table. */
+struct DriverEntry
+{
+    HostLayer layer;
+    const char *protocol;
+    Driver run;
+};
+
+/**
+ * Which driver runs each protocol on each host layer.  The wire
+ * layer rides CMAM only: its framing cost model flips on the fabric
+ * itself, so the substrate x feature comparison holds the protocol
+ * machinery constant.
+ */
+constexpr DriverEntry drivers[] = {
+    {HostLayer::Cmam, "single",
+     [](Stack &s, const ProfConfig &) -> RunResult {
+         return runSinglePacket(s, SinglePacketParams{});
+     }},
+    {HostLayer::Cmam, "am4",
+     [](Stack &s, const ProfConfig &) { return runAm4Round(s); }},
+    {HostLayer::Cmam, "xfer",
+     [](Stack &s, const ProfConfig &cfg) {
+         FiniteXfer fx(s);
+         FiniteXferParams p;
+         p.words = cfg.words;
+         return fx.run(p);
+     }},
+    {HostLayer::Cmam, "stream",
+     [](Stack &s, const ProfConfig &cfg) {
+         StreamProtocol sp(s);
+         StreamParams p;
+         p.words = cfg.words;
+         p.groupAck = cfg.groupAck;
+         return sp.run(p);
+     }},
+    {HostLayer::Cmam, "wire",
+     [](Stack &s, const ProfConfig &cfg) {
+         wire::WireWorkload w;
+         w.groupAck = cfg.groupAck;
+         w.framesPerStream =
+             cfg.words < w.streams * w.payloadWords
+                 ? 1
+                 : cfg.words / (w.streams * w.payloadWords);
+         return wire::runWireWorkload(s, w).run;
+     }},
+    {HostLayer::Hl, "xfer", layerDriver<runHlFinite>},
+    {HostLayer::Hl, "stream", layerDriver<runHlStream>},
+    {HostLayer::Verbs, "single", layerDriver<runRdmaSingle>},
+    {HostLayer::Verbs, "am4", layerDriver<runRdmaAm4>},
+    {HostLayer::Verbs, "xfer", layerDriver<runRdmaFinite>},
+    {HostLayer::Verbs, "stream", layerDriver<runRdmaStream>},
+    {HostLayer::Offload, "single", layerDriver<runNicamSingle>},
+    {HostLayer::Offload, "am4", layerDriver<runNicamAm4>},
+    {HostLayer::Offload, "xfer", layerDriver<runNicamFinite>},
+    {HostLayer::Offload, "stream", layerDriver<runNicamStream>},
+};
+
+/** The driver table's entry for (@p layer, @p protocol), or null. */
+const DriverEntry *
+findDriver(HostLayer layer, const std::string &protocol)
+{
+    for (const DriverEntry &d : drivers)
+        if (d.layer == layer && protocol == d.protocol)
+            return &d;
+    return nullptr;
+}
+
+/** True when @p s's own host layer is a 2020s one (verbs, offload). */
+bool
+isModern(Substrate s)
+{
+    const HostLayer l = nativeLayer(s);
+    return l == HostLayer::Verbs || l == HostLayer::Offload;
+}
+
 } // namespace
 
 RunResult
 runProtocol(const ProfConfig &cfg,
             const std::function<void(Machine &)> &onStack)
 {
-    if (cfg.protocol != "single" && cfg.protocol != "am4" &&
-        cfg.protocol != "xfer" && cfg.protocol != "stream" &&
-        cfg.protocol != "wire")
+    // The fabric's own layer runs the protocol when it has a driver
+    // for it; CMAM runs everything else.
+    StackConfig sc;
+    sc.substrate = cfg.substrate;
+    sc.layer = nativeLayer(cfg.substrate);
+    const DriverEntry *d = findDriver(sc.layer, cfg.protocol);
+    if (d == nullptr) {
+        sc.layer = HostLayer::Cmam;
+        d = findDriver(sc.layer, cfg.protocol);
+    }
+    if (d == nullptr)
         msgsim_fatal("unknown protocol '", cfg.protocol,
                      "' (single | am4 | xfer | stream | wire)");
-    auto built = [&onStack](auto &stack) {
-        if (onStack)
-            onStack(stack.machine());
-    };
-
-    RunResult res;
-    // The CMAM layer runs both classic substrates; the high-level
-    // layer is the Section-4 counterpart for the multi-packet
-    // protocols; the modern substrates bring their own stacks.
-    const bool hlRun = cfg.substrate == Substrate::Cr &&
-                       (cfg.protocol == "xfer" ||
-                        cfg.protocol == "stream");
-    if (cfg.protocol == "wire") {
-        // The wire layer rides the plain CMAM stack on every
-        // substrate (its framing cost model flips on the substrate
-        // itself), so the substrate x feature comparison holds the
-        // protocol machinery constant.
-        StackConfig sc;
-        sc.substrate = cfg.substrate;
-        sc.nodes = cfg.nodes;
-        sc.dataWords = cfg.dataWords;
-        Stack stack(sc);
-        built(stack);
-        wire::WireWorkload w;
-        w.groupAck = cfg.groupAck;
-        w.framesPerStream =
-            cfg.words < w.streams * w.payloadWords
-                ? 1
-                : cfg.words / (w.streams * w.payloadWords);
-        res = wire::runWireWorkload(stack, w).run;
-        res.dispatchOps = stack.cmam(1).dispatchOps();
-    } else if (cfg.substrate == Substrate::Rdma) {
-        RdmaStackConfig sc;
-        sc.nodes = cfg.nodes;
-        sc.dataWords = cfg.dataWords;
-        RdmaStack stack(sc);
-        built(stack);
-        RdmaRunParams p;
-        p.words = cfg.words;
-        if (cfg.protocol == "single")
-            res = runRdmaSingle(stack, p);
-        else if (cfg.protocol == "am4")
-            res = runRdmaAm4(stack, p);
-        else if (cfg.protocol == "xfer")
-            res = runRdmaFinite(stack, p);
-        else
-            res = runRdmaStream(stack, p);
-    } else if (cfg.substrate == Substrate::Nicam) {
-        NicamStackConfig sc;
-        sc.nodes = cfg.nodes;
-        sc.dataWords = cfg.dataWords;
-        NicamStack stack(sc);
-        built(stack);
-        NicamRunParams p;
-        p.words = cfg.words;
-        if (cfg.protocol == "single")
-            res = runNicamSingle(stack, p);
-        else if (cfg.protocol == "am4")
-            res = runNicamAm4(stack, p);
-        else if (cfg.protocol == "xfer")
-            res = runNicamFinite(stack, p);
-        else
-            res = runNicamStream(stack, p);
-    } else if (hlRun) {
-        HlStackConfig sc;
-        sc.nodes = cfg.nodes;
-        sc.dataWords = cfg.dataWords;
-        HlStack stack(sc);
-        built(stack);
-        if (cfg.protocol == "xfer") {
-            HlXferParams p;
-            p.words = cfg.words;
-            res = runHlFinite(stack, p);
-        } else {
-            HlStreamParams p;
-            p.words = cfg.words;
-            res = runHlStream(stack, p);
-        }
-        res.dispatchOps = stack.hl(1).dispatchOps();
-    } else {
-        StackConfig sc;
-        sc.substrate = cfg.substrate;
-        sc.nodes = cfg.nodes;
-        sc.dataWords = cfg.dataWords;
-        Stack stack(sc);
-        built(stack);
-        if (cfg.protocol == "single") {
-            res = runSinglePacket(stack, SinglePacketParams{});
-            res.dispatchOps = stack.cmam(1).dispatchOps();
-        } else if (cfg.protocol == "am4") {
-            res = runAm4Round(stack);
-        } else if (cfg.protocol == "xfer") {
-            FiniteXfer fx(stack);
-            FiniteXferParams p;
-            p.words = cfg.words;
-            res = fx.run(p);
-            res.dispatchOps = stack.cmam(1).dispatchOps();
-        } else {
-            StreamProtocol sp(stack);
-            StreamParams p;
-            p.words = cfg.words;
-            p.groupAck = cfg.groupAck;
-            res = sp.run(p);
-            res.dispatchOps = stack.cmam(1).dispatchOps();
-        }
-    }
+    sc.nodes = cfg.nodes;
+    sc.dataWords = cfg.dataWords;
+    Stack stack(sc);
+    if (onStack)
+        onStack(stack.machine());
+    RunResult res = d->run(stack, cfg);
+    res.dispatchOps = stack.dispatchOps(1);
     return res;
 }
 
@@ -231,9 +215,6 @@ differential(const ProfConfig &primaryCfg, const ProfRun &primary,
     d.primaryTotal = primary.result.counts.paperTotal();
     d.baselineTotal = baseline.result.counts.paperTotal();
 
-    auto isModern = [](Substrate s) {
-        return s == Substrate::Rdma || s == Substrate::Nicam;
-    };
     d.modern = isModern(primaryCfg.substrate) ||
                isModern(baselineCfg.substrate);
 

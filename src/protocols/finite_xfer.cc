@@ -1,8 +1,8 @@
 #include "protocols/finite_xfer.hh"
 
 #include "hostprof/hostprof.hh"
+#include "protocols/layer_drivers.hh"
 #include "sim/log.hh"
-#include "sim/rng.hh"
 #include "sim/trace_session.hh"
 
 namespace msgsim
@@ -186,30 +186,39 @@ FiniteXfer::sendData(Word transferId)
 }
 
 Word
-FiniteXfer::beginTransfer(const FiniteXferParams &params)
+FiniteXfer::newTransfer(const FiniteXferParams &params)
 {
     const int n = stack_.dataWords();
     if (params.words == 0 ||
         params.words % static_cast<std::uint32_t>(n) != 0)
         msgsim_fatal("finite xfer of ", params.words,
                      " words: not a multiple of packet size ", n);
+    if (params.dma && !stack_.config().dmaXfer)
+        msgsim_fatal("DMA transfer on a stack built without "
+                     "StackConfig::dmaXfer");
 
     Node &src = stack_.node(params.src);
-    Node &dst = stack_.node(params.dst);
-
     const Word tid = nextTransferId_++;
     Transfer &t = transfers_[tid];
     t.src = params.src;
     t.dst = params.dst;
+    t.dma = params.dma;
     t.words = params.words;
     t.packets = params.words / static_cast<std::uint32_t>(n);
     t.srcBuf = src.mem().alloc(params.words);
-    t.dstBuf = dst.mem().alloc(params.words);
+    t.dstBuf = stack_.node(params.dst).mem().alloc(params.words);
+    // Fill the source buffer with a seeded pattern (application data;
+    // uncharged setup).
+    fillWords(src, t.srcBuf, params.words, params.fillSeed);
+    return tid;
+}
 
-    std::uint64_t sm = params.fillSeed;
-    for (std::uint32_t i = 0; i < params.words; ++i)
-        src.mem().write(t.srcBuf + i,
-                        static_cast<Word>(splitMix64(sm)));
+Word
+FiniteXfer::beginTransfer(const FiniteXferParams &params)
+{
+    const Word tid = newTransfer(params);
+    const Transfer &t = transfers_[tid];
+    Node &src = stack_.node(params.src);
 
     // Reactive mode: the polled alloc reply triggers the data phase
     // (the checker drives polls from its schedule, not from timers).
@@ -277,42 +286,15 @@ FiniteXfer::run(const FiniteXferParams &params)
 {
     hostprof::HostScope hps(hostprof::Site::ProtoXfer);
     RunResult res;
-    const int n = stack_.dataWords();
-    if (params.words == 0 ||
-        params.words % static_cast<std::uint32_t>(n) != 0)
-        msgsim_fatal("finite xfer of ", params.words,
-                     " words: not a multiple of packet size ", n);
-
+    const Word tid = newTransfer(params);
+    Transfer &t = transfers_[tid];
     Node &src = stack_.node(params.src);
     Node &dst = stack_.node(params.dst);
     Cmam &csrc = stack_.cmam(params.src);
     Cmam &cdst = stack_.cmam(params.dst);
 
-    if (params.dma && !stack_.config().dmaXfer)
-        msgsim_fatal("DMA transfer on a stack built without "
-                     "StackConfig::dmaXfer");
-
-    const Word tid = nextTransferId_++;
-    Transfer &t = transfers_[tid];
-    t.src = params.src;
-    t.dst = params.dst;
-    t.dma = params.dma;
-    t.words = params.words;
-    t.packets = params.words / static_cast<std::uint32_t>(n);
-    t.srcBuf = src.mem().alloc(params.words);
-    t.dstBuf = dst.mem().alloc(params.words);
-
-    // Fill the source buffer with a seeded pattern (application data;
-    // uncharged setup).
-    std::uint64_t sm = params.fillSeed;
-    for (std::uint32_t i = 0; i < params.words; ++i)
-        src.mem().write(t.srcBuf + i,
-                        static_cast<Word>(splitMix64(sm)));
-
-    const InstrCounter src_before = src.acct().counter();
-    const InstrCounter dst_before = dst.acct().counter();
-    const Tick t0 = stack_.sim().now();
-    Tick done_at = t0;
+    const RunFrame frame(stack_, params.src, params.dst);
+    Tick done_at = frame.t0();
 
     eventMode_ = params.eventMode;
     if (!params.eventMode) {
@@ -390,9 +372,7 @@ FiniteXfer::run(const FiniteXferParams &params)
         dst.ni().setArrivalHook(nullptr);
     }
 
-    res.counts.src = src.acct().counter().diff(src_before);
-    res.counts.dst = dst.acct().counter().diff(dst_before);
-    res.elapsed = done_at - t0;
+    frame.finish(res, done_at);
     res.packets = t.packets;
     res.acksSent = 1;
     res.retransmissions = t.retransmitted;

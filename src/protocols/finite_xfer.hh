@@ -117,6 +117,8 @@ class FiniteXfer
         std::uint64_t retransmitted = 0;
     };
 
+    /** Validate @p params and register a transfer, source filled. */
+    Word newTransfer(const FiniteXferParams &params);
     void installSinks();
     void onAllocReq(NodeId dstNode, NodeId srcNode, Word transferId,
                     const std::vector<Word> &args);

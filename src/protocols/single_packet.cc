@@ -30,11 +30,9 @@ runSinglePacket(Stack &stack, const SinglePacketParams &params)
             received = args;
         });
 
-    const InstrCounter src_before = src.acct().counter();
-    const InstrCounter dst_before = dst.acct().counter();
+    const RunFrame frame(stack, params.src, params.dst);
     const auto src_rows_before = src.acct().rowTotals();
     const auto dst_rows_before = dst.acct().rowTotals();
-    const Tick t0 = stack.sim().now();
 
     {
         FeatureScope fs(src.acct(), Feature::BaseCost);
@@ -46,8 +44,7 @@ runSinglePacket(Stack &stack, const SinglePacketParams &params)
         cdst.poll();
     }
 
-    res.counts.src = src.acct().counter().diff(src_before);
-    res.counts.dst = dst.acct().counter().diff(dst_before);
+    frame.finish(res);
     for (int r = 0; r < numCostRows; ++r) {
         res.srcRows[static_cast<std::size_t>(r)] =
             src.acct().rowTotals()[static_cast<std::size_t>(r)] -
@@ -56,7 +53,6 @@ runSinglePacket(Stack &stack, const SinglePacketParams &params)
             dst.acct().rowTotals()[static_cast<std::size_t>(r)] -
             dst_rows_before[static_cast<std::size_t>(r)];
     }
-    res.elapsed = stack.sim().now() - t0;
     res.packets = 1;
 
     // Integrity: the handler must have observed the payload,

@@ -39,8 +39,116 @@ toString(RecvDiscipline d)
     }
 }
 
+const char *
+toString(HostLayer l)
+{
+    switch (l) {
+      case HostLayer::Cmam:    return "cmam";
+      case HostLayer::Hl:      return "hl";
+      case HostLayer::Verbs:   return "verbs";
+      case HostLayer::Offload: return "offload";
+      default:                 return "?";
+    }
+}
+
+HostLayer
+nativeLayer(Substrate s)
+{
+    for (const StackPair &p : stackPairs)
+        if (p.substrate == s && p.layer != HostLayer::Cmam)
+            return p.layer;
+    return HostLayer::Cmam;
+}
+
+StackConfig
+stackConfigFor(HostLayer layer)
+{
+    StackConfig cfg;
+    for (const StackPair &p : stackPairs)
+        if (p.layer == layer) {
+            cfg.substrate = p.substrate;
+            break;
+        }
+    cfg.layer = layer;
+    return cfg;
+}
+
+namespace
+{
+
+bool
+pairInUse(Substrate s, HostLayer l)
+{
+    for (const StackPair &p : stackPairs)
+        if (p.substrate == s && p.layer == l)
+            return true;
+    return false;
+}
+
+/** The link knobs every fabric takes. */
+template <class Net>
+typename Net::Config
+linkConfig(const StackConfig &cfg)
+{
+    typename Net::Config nc;
+    nc.nodes = cfg.nodes;
+    nc.faults = cfg.faults;
+    nc.injectGap = cfg.injectGap;
+    nc.deliverGap = cfg.deliverGap;
+    return nc;
+}
+
+/** The link knobs plus the CM-5 fabric's own (cm5 and nicam). */
+template <class Net>
+typename Net::Config
+cm5ClassConfig(const StackConfig &cfg)
+{
+    typename Net::Config nc = linkConfig<Net>(cfg);
+    nc.orderFactory = cfg.order; // OrderStage maps empty to FIFO
+    nc.maxJitter = cfg.maxJitter;
+    nc.injectBusyRate = cfg.injectBusyRate;
+    nc.seed = cfg.seed;
+    return nc;
+}
+
+template <class Net>
+Machine::NetworkFactory
+factoryOf(const typename Net::Config &nc)
+{
+    return [nc](Simulator &sim) { return std::make_unique<Net>(sim, nc); };
+}
+
+/** Layer @p v's entry for node @p id; panics when @p v was not built. */
+template <class Layer>
+Layer &
+layerAt(const std::vector<std::unique_ptr<Layer>> &v, NodeId id,
+        const char *name)
+{
+    if (id >= v.size())
+        msgsim_panic(name, ": node id ", id, " out of range");
+    return *v[id];
+}
+
+} // namespace
+
+NetFeatures
+netFeatures(Substrate s)
+{
+    switch (s) {
+      case Substrate::Cm5:   return Cm5Network::hwFeatures;
+      case Substrate::Cr:    return CrNetwork::hwFeatures;
+      case Substrate::Rdma:  return RdmaNetwork::hwFeatures;
+      case Substrate::Nicam: return NicamNetwork::hwFeatures;
+    }
+    msgsim_panic("unknown substrate");
+}
+
 Stack::Stack(const StackConfig &cfg) : cfg_(cfg)
 {
+    if (!pairInUse(cfg_.substrate, cfg_.layer))
+        msgsim_fatal("no ", toString(cfg_.layer), " layer on the ",
+                     toString(cfg_.substrate), " fabric");
+
     Machine::Config mc;
     mc.nodes = cfg_.nodes;
     mc.dataWords = cfg_.dataWords;
@@ -48,75 +156,133 @@ Stack::Stack(const StackConfig &cfg) : cfg_(cfg)
     mc.recvCapacity = cfg_.recvCapacity;
 
     Machine::NetworkFactory factory;
-    if (cfg_.substrate == Substrate::Cm5) {
-        Cm5Network::Config nc;
-        nc.nodes = cfg_.nodes;
-        nc.orderFactory = cfg_.order ? cfg_.order : fifoOrderFactory();
-        nc.faults = cfg_.faults;
-        nc.maxJitter = cfg_.maxJitter;
-        nc.injectBusyRate = cfg_.injectBusyRate;
-        nc.seed = cfg_.seed;
-        nc.injectGap = cfg_.injectGap;
-        nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<Cm5Network>(sim, nc);
-        };
-    } else if (cfg_.substrate == Substrate::Cr) {
-        CrNetwork::Config nc;
-        nc.nodes = cfg_.nodes;
-        nc.faults = cfg_.faults;
-        nc.injectGap = cfg_.injectGap;
-        nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<CrNetwork>(sim, nc);
-        };
-    } else if (cfg_.substrate == Substrate::Rdma) {
-        // CMAM over the RDMA fabric: the model checker drives the
-        // NI sink directly, exercising per-QP in-order reliable
-        // delivery underneath unchanged software.
-        RdmaNetwork::Config nc;
-        nc.nodes = cfg_.nodes;
-        nc.faults = cfg_.faults;
-        nc.injectGap = cfg_.injectGap;
-        nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<RdmaNetwork>(sim, nc);
-        };
-    } else {
-        // CMAM over the nicam fabric with an empty handler table:
-        // every packet misses to the host, so software-recovery
-        // exploration (drop/duplicate choices) still applies.
-        NicamNetwork::Config nc;
-        nc.nodes = cfg_.nodes;
-        nc.orderFactory = cfg_.order ? cfg_.order : fifoOrderFactory();
-        nc.faults = cfg_.faults;
-        nc.maxJitter = cfg_.maxJitter;
-        nc.injectBusyRate = cfg_.injectBusyRate;
-        nc.seed = cfg_.seed;
-        nc.injectGap = cfg_.injectGap;
-        nc.deliverGap = cfg_.deliverGap;
-        factory = [nc](Simulator &sim) {
-            return std::make_unique<NicamNetwork>(sim, nc);
-        };
+    switch (cfg_.substrate) {
+      case Substrate::Cm5:
+        factory = factoryOf<Cm5Network>(cm5ClassConfig<Cm5Network>(cfg_));
+        break;
+      case Substrate::Cr:
+        factory = factoryOf<CrNetwork>(linkConfig<CrNetwork>(cfg_));
+        break;
+      case Substrate::Rdma:
+        factory = factoryOf<RdmaNetwork>(linkConfig<RdmaNetwork>(cfg_));
+        break;
+      case Substrate::Nicam: {
+        auto nc = cm5ClassConfig<NicamNetwork>(cfg_);
+        nc.maxOffloadEntries = cfg_.maxOffloadEntries;
+        factory = factoryOf<NicamNetwork>(nc);
+        break;
+      }
     }
-
     machine_ = std::make_unique<Machine>(mc, factory);
 
-    Cmam::Config cc;
-    cc.maxSegments = cfg_.maxSegments;
-    cc.dmaXfer = cfg_.dmaXfer;
-    cc.kernelMediated = cfg_.kernelMediated;
-    cmams_.reserve(cfg_.nodes);
-    for (std::uint32_t i = 0; i < cfg_.nodes; ++i)
-        cmams_.push_back(std::make_unique<Cmam>(machine_->node(i), cc));
+    const std::uint32_t nodes = cfg_.nodes;
+    switch (cfg_.layer) {
+      case HostLayer::Cmam: {
+        Cmam::Config cc;
+        cc.maxSegments = cfg_.maxSegments;
+        cc.dmaXfer = cfg_.dmaXfer;
+        cc.kernelMediated = cfg_.kernelMediated;
+        cmams_.reserve(nodes);
+        for (NodeId i = 0; i < nodes; ++i)
+            cmams_.push_back(std::make_unique<Cmam>(node(i), cc));
+        break;
+      }
+      case HostLayer::Hl: {
+        HlLayer::Config lc;
+        lc.maxTransfers = cfg_.maxTransfers;
+        hls_.reserve(nodes);
+        for (NodeId i = 0; i < nodes; ++i) {
+            HlLayer *layer =
+                hls_.emplace_back(std::make_unique<HlLayer>(node(i), lc))
+                    .get();
+            if (!cfg_.rejectWhenFull)
+                continue;
+            // CR acceptance check: a header packet for a transfer
+            // that cannot get a table slot is rejected in hardware
+            // and retransmitted later — no software handshake needed.
+            node(i).ni().setAcceptFn([layer](const Packet &pkt) {
+                if (pkt.tag != HwTag::XferData)
+                    return true;
+                if (hdr::fieldB(pkt.header) == 0)
+                    return true; // not a header packet
+                return layer->hasTransferSlot();
+            });
+        }
+        break;
+      }
+      case HostLayer::Verbs: {
+        RdmaNic::Config rc;
+        rc.mtuWords = cfg_.dataWords;
+        rc.mrCacheSlots = cfg_.mrCacheSlots;
+        rc.cqCapacity = cfg_.cqCapacity;
+        nics_.reserve(nodes);
+        for (NodeId i = 0; i < nodes; ++i)
+            nics_.push_back(
+                std::make_unique<RdmaNic>(node(i), network(), rc));
+        break;
+      }
+      case HostLayer::Offload: {
+        auto &net = static_cast<NicamNetwork &>(network());
+        offloads_.reserve(nodes);
+        for (NodeId i = 0; i < nodes; ++i)
+            offloads_.push_back(
+                std::make_unique<NicamLayer>(node(i), net));
+        break;
+      }
+    }
 }
 
 Cmam &
 Stack::cmam(NodeId id)
 {
-    if (id >= cmams_.size())
-        msgsim_panic("cmam: node id ", id, " out of range");
-    return *cmams_[id];
+    return layerAt(cmams_, id, "cmam");
+}
+
+HlLayer &
+Stack::hl(NodeId id)
+{
+    return layerAt(hls_, id, "hl");
+}
+
+RdmaNic &
+Stack::nic(NodeId id)
+{
+    return layerAt(nics_, id, "verbs");
+}
+
+NicamLayer &
+Stack::offload(NodeId id)
+{
+    return layerAt(offloads_, id, "offload");
+}
+
+std::uint64_t
+Stack::dispatchOps(NodeId id)
+{
+    switch (cfg_.layer) {
+      case HostLayer::Cmam:    return cmam(id).dispatchOps();
+      case HostLayer::Hl:      return hl(id).dispatchOps();
+      case HostLayer::Verbs:   return 0;
+      case HostLayer::Offload: return offload(id).dispatchOps();
+    }
+    return 0;
+}
+
+Word
+Stack::allocId()
+{
+    const Word id = nextId_;
+    nextId_ = nextId_ >= 200 ? 1 : nextId_ + 1;
+    return id;
+}
+
+Word
+Stack::connectQp(NodeId a, NodeId b)
+{
+    const Word qp = allocId();
+    nic(a).bindQp(qp, b);
+    nic(b).bindQp(qp, a);
+    return qp;
 }
 
 } // namespace msgsim

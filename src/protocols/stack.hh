@@ -1,8 +1,10 @@
 /**
  * @file
- * Protocol test-bench stack: a machine, a substrate, and one CMAM
- * layer per node, with convenience builders for the two substrates
- * the paper compares.
+ * Protocol test-bench stack: a machine on one fabric, with one host
+ * messaging layer per node.  The system has two axes — the fabric
+ * (cm5, cr, rdma, nicam) and the host layer (CMAM, the paper's §4
+ * high-level layer, verbs, NIC offload) — and stackPairs lists the
+ * (fabric, layer) pairs a Stack can be built as.
  */
 
 #ifndef MSGSIM_PROTOCOLS_STACK_HH
@@ -15,9 +17,12 @@
 #include "cm5net/cm5_network.hh"
 #include "cmam/cmam.hh"
 #include "crnet/cr_network.hh"
+#include "hlam/hl_layer.hh"
 #include "machine/machine.hh"
+#include "nicam/nicam_layer.hh"
 #include "nicam/nicam_network.hh"
 #include "rdmanet/rdma_network.hh"
+#include "rdmanet/rdma_nic.hh"
 
 namespace msgsim
 {
@@ -41,6 +46,52 @@ const char *toString(Substrate s);
 /** Inverse of toString(Substrate); false on an unknown name. */
 bool substrateFromString(const std::string &name, Substrate &out);
 
+/** The hardware service guarantees of a fabric (its features()). */
+NetFeatures netFeatures(Substrate s);
+
+/** Which host messaging layer the stack runs on every node. */
+enum class HostLayer
+{
+    Cmam,    ///< the paper's §3 active-message layer, on any fabric
+    Hl,      ///< the §4 high-level layer, built for CR's features
+    Verbs,   ///< RDMA verbs: queue pairs, registration, a polled CQ
+    Offload, ///< active messages dispatched on the NIC
+};
+
+/** Printable name of a host layer. */
+const char *toString(HostLayer l);
+
+/** One buildable (fabric, host layer) combination. */
+struct StackPair
+{
+    Substrate substrate;
+    HostLayer layer;
+};
+
+/**
+ * Every pair in use — the only place that says which pairs exist:
+ * CMAM on all four fabrics, and each later fabric's own layer.  CMAM
+ * on rdma runs unchanged software over per-QP in-order reliable
+ * delivery; CMAM on nicam leaves the NIC's handler table empty, so
+ * every packet misses to the host and software recovery (with the
+ * checker's drop/duplicate choices) still applies.
+ */
+inline constexpr StackPair stackPairs[] = {
+    {Substrate::Cm5, HostLayer::Cmam},
+    {Substrate::Cr, HostLayer::Cmam},
+    {Substrate::Rdma, HostLayer::Cmam},
+    {Substrate::Nicam, HostLayer::Cmam},
+    {Substrate::Cr, HostLayer::Hl},
+    {Substrate::Rdma, HostLayer::Verbs},
+    {Substrate::Nicam, HostLayer::Offload},
+};
+
+/**
+ * The layer built for fabric @p s: its non-CMAM pair in stackPairs,
+ * or CMAM on a fabric that has none (cm5).
+ */
+HostLayer nativeLayer(Substrate s);
+
 /**
  * How a node learns of arrived packets in event-driven execution:
  * polling (the CMAM default) or interrupts (paper footnote 2 — the
@@ -61,6 +112,7 @@ const char *toString(RecvDiscipline d);
 struct StackConfig
 {
     Substrate substrate = Substrate::Cm5;
+    HostLayer layer = HostLayer::Cmam;
     std::uint32_t nodes = 4;
     int dataWords = 4; ///< n, the hardware packet payload (CM-5: 4)
     std::size_t memWords = 1u << 20;
@@ -79,14 +131,26 @@ struct StackConfig
     std::uint64_t seed = 0xc0ffeeULL;
     Tick injectGap = 0;  ///< link bandwidth: per-source packet spacing
     Tick deliverGap = 0; ///< link bandwidth: per-dest packet spacing
+    int maxOffloadEntries = 8; ///< nicam: on-NIC handler-table size
+
+    // Host-layer knobs (CMAM's are above).
+    int maxTransfers = 64;       ///< hl: live finite-transfer table
+    bool rejectWhenFull = false; ///< hl: install the CR acceptance check
+    int mrCacheSlots = 4;        ///< verbs: registration-cache entries
+    std::size_t cqCapacity = 64; ///< verbs: completion-queue entries
 };
 
+/** @p layer on the first fabric stackPairs gives it (cm5 for CMAM). */
+StackConfig stackConfigFor(HostLayer layer);
+
 /**
- * Machine + substrate + per-node CMAM layers.
+ * Machine + fabric + one host layer per node.  Only the configured
+ * layer is built, so the accessor of any other layer panics.
  */
 class Stack
 {
   public:
+    /** Fatal unless (cfg.substrate, cfg.layer) is in stackPairs. */
     explicit Stack(const StackConfig &cfg);
 
     Machine &machine() { return *machine_; }
@@ -98,6 +162,34 @@ class Stack
 
     /** The CMAM layer on node @p id. */
     Cmam &cmam(NodeId id);
+    /** The high-level layer on node @p id. */
+    HlLayer &hl(NodeId id);
+    /** The verbs NIC on node @p id. */
+    RdmaNic &nic(NodeId id);
+    /** The offloading host layer on node @p id. */
+    NicamLayer &offload(NodeId id);
+
+    /**
+     * Host instructions node @p id's layer has spent on handler
+     * dispatch (the layers' dispatchOps() mirrors); zero for verbs,
+     * whose NIC dispatches.
+     */
+    std::uint64_t dispatchOps(NodeId id);
+
+    /**
+     * Next transfer or queue-pair id.  Ids live in the 8-bit header
+     * field and are recycled within it; the counter is per-stack so
+     * concurrent stacks (the lab's parallel sweeps) never share
+     * mutable state.
+     */
+    Word allocId();
+
+    /**
+     * Connect a verbs queue pair between @p a and @p b (uncharged
+     * control plane, like RDMA connection management).  Returns the
+     * qp id, valid at both ends.
+     */
+    Word connectQp(NodeId a, NodeId b);
 
     /** The node itself. */
     Node &node(NodeId id) { return machine_->node(id); }
@@ -108,7 +200,12 @@ class Stack
   private:
     StackConfig cfg_;
     std::unique_ptr<Machine> machine_;
+    // Per-node layers; only cfg_.layer's vector is filled.
     std::vector<std::unique_ptr<Cmam>> cmams_;
+    std::vector<std::unique_ptr<HlLayer>> hls_;
+    std::vector<std::unique_ptr<RdmaNic>> nics_;
+    std::vector<std::unique_ptr<NicamLayer>> offloads_;
+    Word nextId_ = 1;
 };
 
 } // namespace msgsim

@@ -832,10 +832,8 @@ StreamProtocol::run(const StreamParams &params)
             w = static_cast<Word>(splitMix64(sm));
     }
 
-    const InstrCounter src_before = src.acct().counter();
-    const InstrCounter dst_before = dst.acct().counter();
-    const Tick t0 = stack_.sim().now();
-    Tick done_at = t0;
+    const RunFrame frame(stack_, params.src, params.dst);
+    Tick done_at = frame.t0();
 
     if (!params.eventMode) {
         // ---- Calibration mode: minimum execution path.
@@ -880,9 +878,7 @@ StreamProtocol::run(const StreamParams &params)
         dst.ni().setArrivalHook(nullptr);
     }
 
-    res.counts.src = src.acct().counter().diff(src_before);
-    res.counts.dst = dst.acct().counter().diff(dst_before);
-    res.elapsed = done_at - t0;
+    frame.finish(res, done_at);
     res.packets = packets;
     res.oooArrivals = ch.ooo;
     res.acksSent = ch.acksSent;

@@ -62,17 +62,15 @@ class RdmaNetwork : public Network
 
     RdmaNetwork(Simulator &sim, const Config &cfg);
 
-    NetFeatures
-    features() const override
-    {
-        NetFeatures f;
-        f.inOrderDelivery = true;
-        f.reliableDelivery = true;
-        f.acceptanceIndependent = true;
-        f.zeroCopy = true;
-        f.completionQueue = true;
-        return f;
-    }
+    static constexpr NetFeatures hwFeatures{
+        .inOrderDelivery = true,
+        .reliableDelivery = true,
+        .acceptanceIndependent = true,
+        .zeroCopy = true,
+        .completionQueue = true,
+    };
+
+    NetFeatures features() const override { return hwFeatures; }
 
     const FatTree &topology() const { return tree_; }
     FaultInjector &faults() { return faults_; }

@@ -84,7 +84,7 @@ class RdmaNic
     // Control plane (uncharged, like connection management).
     // ------------------------------------------------------------
 
-    /** Bind queue pair @p qp to @p peer (done by RdmaStack). */
+    /** Bind queue pair @p qp to @p peer (done by Stack::connectQp). */
     void bindQp(Word qp, NodeId peer);
 
     // ------------------------------------------------------------

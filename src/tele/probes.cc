@@ -3,7 +3,6 @@
 #include "nicam/nicam_network.hh"
 #include "protocols/stack.hh"
 #include "protocols/stream.hh"
-#include "rdmanet/rdma_stack.hh"
 #include "sim/event.hh"
 #include "traffic/engine.hh"
 #include "wire/mux.hh"
@@ -33,6 +32,48 @@ addLinkProbes(TeleSession &s, Network &net, std::uint32_t nodes)
     }
 }
 
+/** Per-node verbs NIC state: CQ depth, posts and backpressure. */
+void
+addVerbsProbes(TeleSession &s, Stack &stack, std::uint32_t nodes)
+{
+    for (NodeId id = 0; id < nodes; ++id) {
+        RdmaNic &nic = stack.nic(id);
+        s.addProbe({"rdma", "cq_depth", id, ProbeKind::Gauge,
+                    static_cast<double>(nic.config().cqCapacity),
+                    "completion queue"},
+                   [&nic] {
+                       return static_cast<double>(nic.cqDepth());
+                   });
+        s.addProbe({"rdma", "posted_recvs", id, ProbeKind::Gauge,
+                    0.0, ""},
+                   [&nic] {
+                       return static_cast<double>(
+                           nic.postedRecvCount());
+                   });
+        s.addProbe({"rdma", "sends_posted", id, ProbeKind::Counter,
+                    0.0, ""},
+                   [&nic] {
+                       return static_cast<double>(nic.sendsPosted());
+                   });
+        s.addProbe({"rdma", "cq_overflow_stalls", id,
+                    ProbeKind::Counter, 0.0, ""},
+                   [&nic] {
+                       return static_cast<double>(
+                           nic.cqOverflowStalls());
+                   });
+        s.addProbe({"rdma", "rnr_no_recv", id, ProbeKind::Counter,
+                    0.0, ""},
+                   [&nic] {
+                       return static_cast<double>(nic.rnrNoRecv());
+                   });
+        s.addProbe({"rdma", "send_stalls", id, ProbeKind::Counter,
+                    0.0, ""},
+                   [&nic] {
+                       return static_cast<double>(nic.sendStalls());
+                   });
+    }
+}
+
 } // namespace
 
 std::size_t
@@ -56,6 +97,10 @@ registerStackProbes(TeleSession &s, Stack &stack)
     const std::size_t first = s.tracks().size();
     const std::uint32_t n = stack.machine().nodeCount();
     addLinkProbes(s, stack.network(), n);
+    if (stack.config().layer == HostLayer::Verbs) {
+        addVerbsProbes(s, stack, n);
+        return first;
+    }
 
     const std::size_t cap = stack.config().recvCapacity;
     const bool bounded = cap != static_cast<std::size_t>(-1);
@@ -91,52 +136,6 @@ registerStackProbes(TeleSession &s, Stack &stack)
                    [nicam] {
                        return static_cast<double>(
                            nicam->offloadMisses());
-                   });
-    }
-    return first;
-}
-
-std::size_t
-registerRdmaStackProbes(TeleSession &s, RdmaStack &stack)
-{
-    const std::size_t first = s.tracks().size();
-    const std::uint32_t n = stack.machine().nodeCount();
-    addLinkProbes(s, stack.net(), n);
-
-    for (NodeId id = 0; id < n; ++id) {
-        RdmaNic &nic = stack.nic(id);
-        s.addProbe({"rdma", "cq_depth", id, ProbeKind::Gauge,
-                    static_cast<double>(nic.config().cqCapacity),
-                    "completion queue"},
-                   [&nic] {
-                       return static_cast<double>(nic.cqDepth());
-                   });
-        s.addProbe({"rdma", "posted_recvs", id, ProbeKind::Gauge,
-                    0.0, ""},
-                   [&nic] {
-                       return static_cast<double>(
-                           nic.postedRecvCount());
-                   });
-        s.addProbe({"rdma", "sends_posted", id, ProbeKind::Counter,
-                    0.0, ""},
-                   [&nic] {
-                       return static_cast<double>(nic.sendsPosted());
-                   });
-        s.addProbe({"rdma", "cq_overflow_stalls", id,
-                    ProbeKind::Counter, 0.0, ""},
-                   [&nic] {
-                       return static_cast<double>(
-                           nic.cqOverflowStalls());
-                   });
-        s.addProbe({"rdma", "rnr_no_recv", id, ProbeKind::Counter,
-                    0.0, ""},
-                   [&nic] {
-                       return static_cast<double>(nic.rnrNoRecv());
-                   });
-        s.addProbe({"rdma", "send_stalls", id, ProbeKind::Counter,
-                    0.0, ""},
-                   [&nic] {
-                       return static_cast<double>(nic.sendStalls());
                    });
     }
     return first;

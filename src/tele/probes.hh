@@ -22,7 +22,6 @@ namespace msgsim
 
 class Simulator;
 class Stack;
-class RdmaStack;
 class StreamProtocol;
 class TrafficEngine;
 
@@ -38,20 +37,16 @@ namespace tele
 std::size_t registerSimProbes(TeleSession &s, const Simulator &sim);
 
 /**
- * Classic-stack probes (cm5 / cr / nicam): per-destination link
- * in-flight and delivered counters, per-node NI receive-ring
+ * Stack probes: per-destination link in-flight and delivered
+ * counters, then the host layer's own state.  A verbs stack adds
+ * per-node CQ depth (capacity = cqCapacity), posted receives,
+ * doorbells rung and the backpressure counters (CQ overflow, RNR,
+ * send stalls).  Every other stack adds per-node NI receive-ring
  * occupancy (with the ring capacity as the saturation denominator
  * when it is finite), send-stage occupancy and DMA activity; on the
  * nicam substrate also the machine-wide offload hit/miss counters.
  */
 std::size_t registerStackProbes(TeleSession &s, Stack &stack);
-
-/**
- * Verbs-stack probes: per-destination link occupancy plus per-node
- * CQ depth (capacity = cqCapacity), posted receives, doorbells rung
- * and the backpressure counters (CQ overflow, RNR, send stalls).
- */
-std::size_t registerRdmaStackProbes(TeleSession &s, RdmaStack &stack);
 
 /**
  * One persistent stream channel: unacked packets (capacity = the

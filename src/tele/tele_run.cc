@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "rdmanet/rdma_stack.hh"
+#include "protocols/layer_drivers.hh"
 #include "sim/log.hh"
-#include "sim/rng.hh"
 #include "sim/trace_session.hh"
 #include "tele/probes.hh"
 #include "traffic/engine.hh"
@@ -100,21 +99,6 @@ runTrafficIncast(const ScenarioOptions &opt, TeleSession *tele)
     return out;
 }
 
-/** Node 0's simulated CQ-drain loop (the verbs progress thread). */
-void
-pollLoop(RdmaStack &stack, std::shared_ptr<bool> stop, Tick delay,
-         Tick gap)
-{
-    stack.sim().schedule(delay, [&stack, stop, gap] {
-        if (*stop)
-            return;
-        Node &nd = stack.node(0);
-        FeatureScope fs(nd.acct(), Feature::BaseCost);
-        stack.nic(0).pollCq();
-        pollLoop(stack, stop, gap, gap);
-    });
-}
-
 /**
  * The same incast in verbs.  Phase one: 15 senders post 4
  * single-fragment messages each; the receiver never polls, so its
@@ -132,11 +116,11 @@ runVerbsIncast(const ScenarioOptions &opt, TeleSession *tele)
     constexpr Tick kFirstPoll = 400;     ///< CQ sits saturated till here
     constexpr Tick kPollGap = 50;
 
-    RdmaStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
     cfg.nodes = kNodes;
     cfg.cqCapacity = 64;
     cfg.deliverGap = 2;
-    RdmaStack stack(cfg);
+    Stack stack(cfg);
     if (opt.trace)
         opt.trace->bindClock(&stack.sim());
     const auto n = static_cast<std::uint32_t>(stack.dataWords());
@@ -172,10 +156,7 @@ runVerbsIncast(const ScenarioOptions &opt, TeleSession *tele)
     for (NodeId s = 1; s < kNodes; ++s) {
         Node &nd = stack.node(s);
         sbuf[s] = nd.mem().alloc(perSender * n);
-        std::uint64_t seed = 0x7e1eULL ^ s;
-        for (std::uint32_t i = 0; i < perSender * n; ++i)
-            nd.mem().write(sbuf[s] + i,
-                           static_cast<Word>(splitMix64(seed)));
+        fillWords(nd, sbuf[s], perSender * n, 0x7e1eULL ^ s);
         FeatureScope fs(nd.acct(), Feature::BaseCost);
         stack.nic(s).regMr(sbuf[s], perSender * n);
     }
@@ -183,7 +164,7 @@ runVerbsIncast(const ScenarioOptions &opt, TeleSession *tele)
     if (tele) {
         tele->bindClock(&stack.sim());
         registerSimProbes(*tele, stack.sim());
-        registerRdmaStackProbes(*tele, stack);
+        registerStackProbes(*tele, stack);
         tele->attach();
     }
     const Tick t0 = stack.sim().now();
@@ -207,8 +188,12 @@ runVerbsIncast(const ScenarioOptions &opt, TeleSession *tele)
                                    kPhase1))
             msgsim_panic("tele verbs incast: sender CQ full");
     }
+    // Node 0's simulated CQ-drain loop (the verbs progress thread).
     auto stop = std::make_shared<bool>(false);
-    pollLoop(stack, stop, kFirstPoll, kPollGap);
+    pollLoop(stack, 0, stop, kFirstPoll, kPollGap, [&stack] {
+        stack.nic(0).pollCq();
+        return false;
+    });
     stack.sim().runUntil(
         [&recvDone, total] { return recvDone == total; },
         50'000'000);
@@ -311,7 +296,7 @@ ScenarioResult
 runScenario(const ScenarioOptions &opt, TeleSession *tele)
 {
     if (opt.scenario == "incast")
-        return opt.substrate == Substrate::Rdma
+        return netFeatures(opt.substrate).completionQueue
                    ? runVerbsIncast(opt, tele)
                    : runTrafficIncast(opt, tele);
     if (opt.scenario == "wire")

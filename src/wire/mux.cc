@@ -55,7 +55,7 @@ StreamMux::StreamMux(Stack &stack, StreamProtocol &proto, NodeId sender,
                      DeliverFn cb)
     : stack_(stack), proto_(proto), sender_(sender),
       receiver_(receiver), opt_(opt), deliverFn_(std::move(cb)),
-      offloaded_(stack.substrate() == Substrate::Rdma),
+      offloaded_(stack.network().features().zeroCopy),
       rxDecoder_([this](const Frame &f) { onFwdFrame(f); }),
       txDecoder_([this](const Frame &f) { onRevFrame(f); })
 {

@@ -91,11 +91,7 @@ runWireWorkload(Stack &stack, const WireWorkload &w)
                   });
     mux.setCorruptEveryN(w.corruptEvery);
 
-    Node &src = stack.node(w.sender);
-    Node &dst = stack.node(w.receiver);
-    const InstrCounter srcBefore = src.acct().counter();
-    const InstrCounter dstBefore = dst.acct().counter();
-    const Tick t0 = stack.sim().now();
+    const RunFrame frame(stack, w.sender, w.receiver);
 
     // Open every stream, then interleave their frames round-robin so
     // consecutive wire frames belong to different streams.
@@ -122,9 +118,7 @@ runWireWorkload(Stack &stack, const WireWorkload &w)
         w.onFinish(mux);
 
     WireRunResult out;
-    out.run.counts.src = src.acct().counter().diff(srcBefore);
-    out.run.counts.dst = dst.acct().counter().diff(dstBefore);
-    out.run.elapsed = stack.sim().now() - t0;
+    frame.finish(out.run);
     out.run.packets = mux.stats().dataFrames;
     out.run.acksSent = mux.stats().wireAcks;
     out.run.retransmissions = mux.stats().wireRetransmits;

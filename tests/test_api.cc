@@ -1,11 +1,18 @@
 /**
  * @file
  * API-surface tests: the umbrella header is self-contained, the
- * reply-AM convenience works, and the high-level layer's unit costs
- * hold in isolation.
+ * reply-AM convenience works, the high-level layer's unit costs hold
+ * in isolation, and the fabric descriptors and (fabric, host layer)
+ * pair table say what the stacks build.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <iterator>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "msgsim/msgsim.hh"
 
@@ -58,9 +65,9 @@ TEST(Api, HlLayerUnitCosts)
     // HL finite at one packet: src = 3 + 22 = 25; dst = poll entry 13
     // + per-packet 11 reg + 2 mem + 4 dev + completion 5 + buffer
     // bind 13.
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlXferParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 4;
     const auto res = runHlFinite(stack, p);
     ASSERT_TRUE(res.dataOk);
@@ -72,9 +79,9 @@ TEST(Api, HlLayerUnitCosts)
 
 TEST(Api, HlStreamUnitCosts)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlStreamParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 4;
     const auto res = runHlStream(stack, p);
     ASSERT_TRUE(res.dataOk);
@@ -96,6 +103,99 @@ TEST(Api, NetFeatureDescriptorsMatchSubstrates)
     EXPECT_TRUE(b.network().features().inOrderDelivery);
     EXPECT_TRUE(b.network().features().reliableDelivery);
     EXPECT_TRUE(b.network().features().acceptanceIndependent);
+
+    // The whole DESIGN.md §3.1 table, four fabrics x six bits, as a
+    // built fabric reports it and as netFeatures() reads it unbuilt.
+    struct Row
+    {
+        Substrate sub;
+        bool inOrder, reliable, acceptance, zeroCopy, offload, cq;
+    };
+    const Row table[] = {
+        {Substrate::Cm5, false, false, false, false, false, false},
+        {Substrate::Cr, true, true, true, false, false, false},
+        {Substrate::Rdma, true, true, true, true, false, true},
+        {Substrate::Nicam, false, false, false, false, true, false},
+    };
+    for (const Row &want : table) {
+        cm5.substrate = want.sub;
+        Stack stack(cm5);
+        for (const NetFeatures &f :
+             {stack.network().features(), netFeatures(want.sub)}) {
+            SCOPED_TRACE(toString(want.sub));
+            EXPECT_EQ(f.inOrderDelivery, want.inOrder);
+            EXPECT_EQ(f.reliableDelivery, want.reliable);
+            EXPECT_EQ(f.acceptanceIndependent, want.acceptance);
+            EXPECT_EQ(f.zeroCopy, want.zeroCopy);
+            EXPECT_EQ(f.offloadDispatch, want.offload);
+            EXPECT_EQ(f.completionQueue, want.cq);
+        }
+    }
+}
+
+TEST(Api, StackPairTableListsTheSevenPairsInUse)
+{
+    std::set<std::pair<std::string, std::string>> got;
+    for (const StackPair &p : stackPairs) {
+        got.emplace(toString(p.substrate), toString(p.layer));
+        StackConfig cfg;
+        cfg.substrate = p.substrate;
+        cfg.layer = p.layer;
+        cfg.nodes = 2;
+        Stack stack(cfg); // every listed pair builds
+        EXPECT_EQ(stack.config().layer, p.layer);
+    }
+    const std::set<std::pair<std::string, std::string>> want = {
+        {"cm5", "cmam"},  {"cr", "cmam"},   {"rdma", "cmam"},
+        {"nicam", "cmam"}, {"cr", "hl"},    {"rdma", "verbs"},
+        {"nicam", "offload"},
+    };
+    EXPECT_EQ(std::size(stackPairs), want.size());
+    EXPECT_EQ(got, want);
+}
+
+TEST(Api, UnlistedStackPairIsFatal)
+{
+    log_detail::throwOnError = true;
+    const StackPair unlisted[] = {
+        {Substrate::Cm5, HostLayer::Hl},
+        {Substrate::Cr, HostLayer::Verbs},
+        {Substrate::Rdma, HostLayer::Offload},
+    };
+    for (const StackPair &p : unlisted) {
+        SCOPED_TRACE(toString(p.layer));
+        StackConfig cfg;
+        cfg.substrate = p.substrate;
+        cfg.layer = p.layer;
+        try {
+            Stack stack(cfg);
+            ADD_FAILURE() << "built an unlisted pair";
+        } catch (const log_detail::SimError &e) {
+            EXPECT_FALSE(e.isPanic); // fatal: a configuration error
+        }
+    }
+    log_detail::throwOnError = false;
+}
+
+TEST(Api, AccessorOfAnUnbuiltLayerPanics)
+{
+    log_detail::throwOnError = true;
+    auto panics = [](const std::function<void()> &access) {
+        try {
+            access();
+        } catch (const log_detail::SimError &e) {
+            return e.isPanic;
+        }
+        return false;
+    };
+    Stack cmam(StackConfig{});
+    EXPECT_TRUE(panics([&] { cmam.hl(0); }));
+    EXPECT_TRUE(panics([&] { cmam.nic(0); }));
+    EXPECT_TRUE(panics([&] { cmam.offload(0); }));
+    Stack hl(stackConfigFor(HostLayer::Hl));
+    EXPECT_TRUE(panics([&] { hl.cmam(0); }));
+    EXPECT_FALSE(panics([&] { hl.hl(0); }));
+    log_detail::throwOnError = false;
 }
 
 } // namespace

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "hlam/hl_stack.hh"
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 
@@ -309,9 +309,9 @@ TEST(Table3, StreamCategoryCells1024Words)
 
 TEST(HighLevel, FiniteReducesToBaseCost)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlXferParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 1024;
     const auto res = runHlFinite(stack, p);
     ASSERT_TRUE(res.dataOk);
@@ -331,9 +331,9 @@ TEST(HighLevel, FiniteReducesToBaseCost)
 
 TEST(HighLevel, StreamIsPureBaseCost)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlStreamParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 1024;
     const auto res = runHlStream(stack, p);
     ASSERT_TRUE(res.dataOk);
@@ -357,9 +357,9 @@ TEST(HighLevel, SeventyPercentReductionForStreams)
         sp.words = words;
         const auto base = proto.run(sp);
 
-        HlStackConfig cfg;
-        HlStack hl(cfg);
-        HlStreamParams hp;
+        StackConfig cfg = stackConfigFor(HostLayer::Hl);
+        Stack hl(cfg);
+        RunParams hp;
         hp.words = words;
         const auto better = runHlStream(hl, hp);
 

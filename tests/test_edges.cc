@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "hlam/hl_stack.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "sim/event.hh"
@@ -132,9 +132,9 @@ TEST(Edges, OddPacketCountWithSwapAdjacent)
 
 TEST(Edges, HlSinglePacketTransfer)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlXferParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 4; // header packet IS the only packet
     const auto res = runHlFinite(stack, p);
     EXPECT_TRUE(res.dataOk);

@@ -8,9 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include "hlam/hl_stack.hh"
 #include "net/tracer.hh"
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/stream.hh"
 #include "sim/rng.hh"
 
@@ -165,12 +165,12 @@ TEST(Determinism, DifferentSeedsDiverge)
 TEST(Determinism, HlRunsAreDeterministicUnderFaults)
 {
     auto run = [] {
-        HlStackConfig cfg;
+        StackConfig cfg = stackConfigFor(HostLayer::Hl);
         cfg.faults.dropRate = 0.2;
         cfg.faults.corruptRate = 0.1;
         cfg.faults.seed = 5;
-        HlStack stack(cfg);
-        HlStreamParams p;
+        Stack stack(cfg);
+        RunParams p;
         p.words = 256;
         return runHlStream(stack, p);
     };

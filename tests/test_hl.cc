@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "hlam/hl_stack.hh"
+#include "protocols/layer_drivers.hh"
 
 namespace msgsim
 {
@@ -17,9 +17,9 @@ namespace
 TEST(HlFinite, IntegrityAcrossSizes)
 {
     for (std::uint32_t words : {4u, 16u, 64u, 1024u}) {
-        HlStackConfig cfg;
-        HlStack stack(cfg);
-        HlXferParams p;
+        StackConfig cfg = stackConfigFor(HostLayer::Hl);
+        Stack stack(cfg);
+        RunParams p;
         p.words = words;
         const auto res = runHlFinite(stack, p);
         EXPECT_TRUE(res.dataOk) << words;
@@ -28,9 +28,9 @@ TEST(HlFinite, IntegrityAcrossSizes)
 
 TEST(HlFinite, NoHandshakeNoAckNoOrderingCosts)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlXferParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 64;
     const auto res = runHlFinite(stack, p);
     ASSERT_TRUE(res.dataOk);
@@ -47,12 +47,12 @@ TEST(HlFinite, NoHandshakeNoAckNoOrderingCosts)
 
 TEST(HlFinite, SurvivesHeavyFaultsViaHardwareRetry)
 {
-    HlStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
     cfg.faults.dropRate = 0.2;
     cfg.faults.corruptRate = 0.1;
     cfg.faults.seed = 31;
-    HlStack stack(cfg);
-    HlXferParams p;
+    Stack stack(cfg);
+    RunParams p;
     p.words = 256;
     const auto res = runHlFinite(stack, p);
     EXPECT_TRUE(res.dataOk);
@@ -67,10 +67,10 @@ TEST(HlFinite, HeaderRejectionDefersStalledTransfer)
     // Fill the transfer table; the CR network must park the header
     // packet (hardware retransmission) until a slot frees — no
     // deadlock, no software involvement at the source.
-    HlStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
     cfg.maxTransfers = 1;
     cfg.rejectWhenFull = true;
-    HlStack stack(cfg);
+    Stack stack(cfg);
 
     Node &src = stack.node(0);
     Node &dst = stack.node(1);
@@ -104,10 +104,10 @@ TEST(HlFinite, ConcurrentHeadersWithRejection)
     // Two transfers in flight with a one-slot table: the CR hardware
     // serializes them by rejecting the second header until the first
     // completes.  Event mode drives polls from arrivals.
-    HlStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
     cfg.maxTransfers = 1;
     cfg.rejectWhenFull = true;
-    HlStack stack(cfg);
+    Stack stack(cfg);
 
     Node &src = stack.node(0);
     Node &dst = stack.node(1);
@@ -156,9 +156,9 @@ TEST(HlFinite, ConcurrentHeadersWithRejection)
 
 TEST(HlStream, OrderedWithoutAnySoftwareHelp)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlStreamParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 256;
     const auto res = runHlStream(stack, p);
     ASSERT_TRUE(res.dataOk); // order verified by content comparison
@@ -170,12 +170,12 @@ TEST(HlStream, OrderedWithoutAnySoftwareHelp)
 
 TEST(HlStream, OrderedEvenUnderFaults)
 {
-    HlStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
     cfg.faults.dropRate = 0.15;
     cfg.faults.corruptRate = 0.1;
     cfg.faults.seed = 77;
-    HlStack stack(cfg);
-    HlStreamParams p;
+    Stack stack(cfg);
+    RunParams p;
     p.words = 512;
     const auto res = runHlStream(stack, p);
     EXPECT_TRUE(res.dataOk);
@@ -184,9 +184,9 @@ TEST(HlStream, OrderedEvenUnderFaults)
 
 TEST(HlStream, EventModeDelivers)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlStreamParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 128;
     p.eventMode = true;
     const auto res = runHlStream(stack, p);
@@ -195,9 +195,9 @@ TEST(HlStream, EventModeDelivers)
 
 TEST(HlFinite, EventModeDelivers)
 {
-    HlStackConfig cfg;
-    HlStack stack(cfg);
-    HlXferParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 128;
     p.eventMode = true;
     const auto res = runHlFinite(stack, p);
@@ -213,12 +213,12 @@ TEST(HlFinite, Figure6ImprovementShape)
         const std::uint64_t p = words / 4;
         return (77 + 24 * p) + (140 + 21 * p);
     };
-    HlStackConfig cfg;
-    HlStack small(cfg), big(cfg);
-    HlXferParams ps;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
+    Stack small(cfg), big(cfg);
+    RunParams ps;
     ps.words = 16;
     const auto rs = runHlFinite(small, ps);
-    HlXferParams pb;
+    RunParams pb;
     pb.words = 1024;
     const auto rb = runHlFinite(big, pb);
 

@@ -9,8 +9,8 @@
 
 #include <map>
 
-#include "hlam/hl_stack.hh"
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "sim/rng.hh"
@@ -147,10 +147,10 @@ TEST(Integration, SubstrateComparisonEndToEnd)
     const auto r_cm5 = proto.run(sp);
     ASSERT_TRUE(r_cm5.dataOk);
 
-    HlStackConfig hcfg;
+    StackConfig hcfg = stackConfigFor(HostLayer::Hl);
     hcfg.nodes = 2;
-    HlStack hl(hcfg);
-    HlStreamParams hp;
+    Stack hl(hcfg);
+    RunParams hp;
     hp.words = words;
     const auto r_hl = runHlStream(hl, hp);
     ASSERT_TRUE(r_hl.dataOk);

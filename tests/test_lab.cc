@@ -251,6 +251,31 @@ TEST(LabGolden, CompareReportsPreciseMismatches)
     rep = GoldenChecker::compare(golden, mutated);
     EXPECT_FALSE(rep.ok);
     EXPECT_NE(rep.mismatches[0].find("column 1"), std::string::npos);
+
+    // A reworded title or note fails like a changed cell.
+    mutated = tinyTable();
+    mutated.title = "tinier";
+    rep = GoldenChecker::compare(golden, mutated);
+    EXPECT_FALSE(rep.ok);
+    ASSERT_EQ(rep.mismatches.size(), 1u);
+    EXPECT_NE(rep.mismatches[0].find("title: golden 'tiny', got 'tinier'"),
+              std::string::npos);
+
+    auto noted = tinyTable();
+    noted.notes = {"first", "second"};
+    ASSERT_TRUE(Json::parse(noted.jsonText(), golden, &err)) << err;
+    EXPECT_TRUE(GoldenChecker::compare(golden, noted).ok);
+    mutated = noted;
+    mutated.notes[1] = "2nd";
+    rep = GoldenChecker::compare(golden, mutated);
+    EXPECT_FALSE(rep.ok);
+    ASSERT_EQ(rep.mismatches.size(), 1u);
+    EXPECT_NE(rep.mismatches[0].find("note 1: golden 'second', got '2nd'"),
+              std::string::npos);
+    mutated.notes.pop_back();
+    rep = GoldenChecker::compare(golden, mutated);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_NE(rep.mismatches[0].find("note count"), std::string::npos);
 }
 
 TEST(LabGolden, MissingGoldenFileIsFlagged)

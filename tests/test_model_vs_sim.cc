@@ -10,9 +10,9 @@
 
 #include <cmath>
 
-#include "hlam/hl_stack.hh"
 #include "model/analytic.hh"
 #include "protocols/finite_xfer.hh"
+#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 
@@ -144,11 +144,11 @@ TEST_P(ModelSweep, CmamStreamFifo)
 TEST_P(ModelSweep, HlFinite)
 {
     const auto [n, words] = GetParam();
-    HlStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
     cfg.nodes = 2;
     cfg.dataWords = n;
-    HlStack stack(cfg);
-    HlXferParams hp;
+    Stack stack(cfg);
+    RunParams hp;
     hp.words = words;
     const auto res = runHlFinite(stack, hp);
     ASSERT_TRUE(res.dataOk);
@@ -165,11 +165,11 @@ TEST_P(ModelSweep, HlFinite)
 TEST_P(ModelSweep, HlStream)
 {
     const auto [n, words] = GetParam();
-    HlStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Hl);
     cfg.nodes = 2;
     cfg.dataWords = n;
-    HlStack stack(cfg);
-    HlStreamParams hp;
+    Stack stack(cfg);
+    RunParams hp;
     hp.words = words;
     const auto res = runHlStream(stack, hp);
     ASSERT_TRUE(res.dataOk);

@@ -12,15 +12,22 @@
 #include <vector>
 
 #include "nicam/nicam_network.hh"
-#include "nicam/nicam_stack.hh"
 #include "prof/lineage.hh"
 #include "prof/profile.hh"
+#include "protocols/layer_drivers.hh"
 #include "sim/event.hh"
 
 namespace msgsim
 {
 namespace
 {
+
+/** An offload stack's fabric, for its hit/miss counters. */
+NicamNetwork &
+nicamFabric(Stack &stack)
+{
+    return static_cast<NicamNetwork &>(stack.network());
+}
 
 // ----------------------------------------------------------------
 // The on-NIC handler table.
@@ -111,21 +118,21 @@ TEST(NicamNetwork, NicCrcCheckDiscardsCorruptPackets)
 
 TEST(NicamLayer, SingleAmDispatchesOnNicWithZeroHostDispatch)
 {
-    NicamStackConfig cfg;
-    NicamStack stack(cfg);
-    NicamRunParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Offload);
+    Stack stack(cfg);
+    RunParams p;
     const RunResult res = runNicamSingle(stack, p);
     ASSERT_TRUE(res.dataOk);
     EXPECT_EQ(res.dispatchOps, 0u); // the NIC did the dispatch
-    EXPECT_GT(stack.net().offloadHits(), 0u);
-    EXPECT_EQ(stack.layer(p.dst).hostDispatches(), 0u);
+    EXPECT_GT(nicamFabric(stack).offloadHits(), 0u);
+    EXPECT_EQ(stack.offload(p.dst).hostDispatches(), 0u);
 }
 
 TEST(NicamLayer, Am4RoundTripNeverWakesTheDestinationHost)
 {
-    NicamStackConfig cfg;
-    NicamStack stack(cfg);
-    NicamRunParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Offload);
+    Stack stack(cfg);
+    RunParams p;
     const RunResult res = runNicamAm4(stack, p);
     ASSERT_TRUE(res.dataOk);
     // Request handled on dst's NIC, reply injected by the NIC: the
@@ -146,12 +153,12 @@ TEST(NicamLayer, OffloadReplyMayGrowThePoolUnderItsRequest)
     // by the ASan build).
     for (std::uint32_t held = 0; held <= 48; ++held) {
         SCOPED_TRACE(held);
-        NicamStack stack{NicamStackConfig{}};
+        Stack stack(stackConfigFor(HostLayer::Offload));
         for (std::uint32_t i = 0; i < held; ++i)
-            (void)stack.net().park(Packet());
+            (void)stack.network().park(Packet());
         prof::LineageSession lineage;
         lineage.attach();
-        const RunResult res = runNicamAm4(stack, NicamRunParams{});
+        const RunResult res = runNicamAm4(stack, RunParams{});
         ASSERT_TRUE(res.dataOk);
         EXPECT_EQ(res.counts.dst.paperTotal(), 0u);
     }
@@ -159,10 +166,10 @@ TEST(NicamLayer, OffloadReplyMayGrowThePoolUnderItsRequest)
 
 TEST(NicamLayer, TableMissFallsBackToFullCostHostDispatch)
 {
-    NicamStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Offload);
     cfg.maxOffloadEntries = 1;
-    NicamStack stack(cfg);
-    NicamLayer &dst = stack.layer(1);
+    Stack stack(cfg);
+    NicamLayer &dst = stack.offload(1);
 
     int nicRuns = 0, hostRuns = 0;
     ASSERT_TRUE(dst.installAmHandler(
@@ -175,8 +182,8 @@ TEST(NicamLayer, TableMissFallsBackToFullCostHostDispatch)
             ++hostRuns;
         }));
 
-    stack.layer(0).amSend(1, 1, {10, 11, 12, 13});
-    stack.layer(0).amSend(1, 2, {20, 21, 22, 23});
+    stack.offload(0).amSend(1, 1, {10, 11, 12, 13});
+    stack.offload(0).amSend(1, 2, {20, 21, 22, 23});
     stack.settle();
     EXPECT_EQ(nicRuns, 1);
     EXPECT_EQ(hostRuns, 0); // sits in the NI until the host polls
@@ -187,14 +194,14 @@ TEST(NicamLayer, TableMissFallsBackToFullCostHostDispatch)
     // The fallback is exactly the software AM dispatch the offload
     // removed — its instruction mirror must be nonzero.
     EXPECT_GT(dst.dispatchOps(), 0u);
-    EXPECT_EQ(stack.net().offloadMisses(), 1u);
+    EXPECT_EQ(nicamFabric(stack).offloadMisses(), 1u);
 }
 
 TEST(NicamLayer, FiniteXferPlacedByNicAndProbedByFlag)
 {
-    NicamStackConfig cfg;
-    NicamStack stack(cfg);
-    NicamRunParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Offload);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 32;
     const RunResult res = runNicamFinite(stack, p);
     ASSERT_TRUE(res.dataOk);
@@ -208,9 +215,9 @@ TEST(NicamLayer, FiniteXferPlacedByNicAndProbedByFlag)
 
 TEST(NicamLayer, StreamIsReorderedOnNicAndHarvestedInOrder)
 {
-    NicamStackConfig cfg;
-    NicamStack stack(cfg);
-    NicamRunParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Offload);
+    Stack stack(cfg);
+    RunParams p;
     p.words = 32;
     const RunResult res = runNicamStream(stack, p);
     ASSERT_TRUE(res.dataOk);
@@ -223,9 +230,9 @@ TEST(NicamLayer, StreamIsReorderedOnNicAndHarvestedInOrder)
 
 TEST(NicamLayer, AllFourProtocolsRunEventMode)
 {
-    NicamStackConfig cfg;
-    NicamStack stack(cfg);
-    NicamRunParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Offload);
+    Stack stack(cfg);
+    RunParams p;
     p.eventMode = true;
     EXPECT_TRUE(runNicamSingle(stack, p).dataOk);
     EXPECT_TRUE(runNicamAm4(stack, p).dataOk);

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "prof/profile.hh"
+#include "protocols/layer_drivers.hh"
 #include "rdmanet/rdma_network.hh"
-#include "rdmanet/rdma_stack.hh"
 #include "sim/event.hh"
 
 namespace msgsim
@@ -114,9 +114,9 @@ TEST(RdmaNetwork, StalledFlowHoldsYoungerPackets)
 
 TEST(RdmaNic, SingleMessageLandsZeroCopy)
 {
-    RdmaStackConfig cfg;
-    RdmaStack stack(cfg);
-    RdmaRunParams p;
+    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
+    Stack stack(cfg);
+    RunParams p;
     const RunResult res = runRdmaSingle(stack, p);
     ASSERT_TRUE(res.dataOk);
     // The 1994 overheads are hardware's problem now...
@@ -132,9 +132,9 @@ TEST(RdmaNic, SingleMessageLandsZeroCopy)
 TEST(RdmaNic, AllFourProtocolsRunEventAndSettledMode)
 {
     for (const bool eventMode : {false, true}) {
-        RdmaStackConfig cfg;
-        RdmaStack stack(cfg);
-        RdmaRunParams p;
+        StackConfig cfg = stackConfigFor(HostLayer::Verbs);
+        Stack stack(cfg);
+        RunParams p;
         p.eventMode = eventMode;
         EXPECT_TRUE(runRdmaSingle(stack, p).dataOk);
         EXPECT_TRUE(runRdmaAm4(stack, p).dataOk);
@@ -145,9 +145,9 @@ TEST(RdmaNic, AllFourProtocolsRunEventAndSettledMode)
 
 TEST(RdmaNic, MrCacheHitsAndMissesAreAccounted)
 {
-    RdmaStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
     cfg.mrCacheSlots = 2;
-    RdmaStack stack(cfg);
+    Stack stack(cfg);
     RdmaNic &nic = stack.nic(0);
     Node &nd = stack.node(0);
     const Addr a = nd.mem().alloc(16);
@@ -165,8 +165,8 @@ TEST(RdmaNic, MrCacheHitsAndMissesAreAccounted)
 
 TEST(RdmaNic, RegistrationMissCostsMoreThanHit)
 {
-    RdmaStackConfig cfg;
-    RdmaStack stack(cfg);
+    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
+    Stack stack(cfg);
     RdmaNic &nic = stack.nic(0);
     Node &nd = stack.node(0);
     const Addr buf = nd.mem().alloc(1024);
@@ -189,8 +189,8 @@ TEST(RdmaNic, RegistrationMissCostsMoreThanHit)
 
 TEST(RdmaNic, RnrWithoutPostedRecvThenRecovers)
 {
-    RdmaStackConfig cfg;
-    RdmaStack stack(cfg);
+    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
+    Stack stack(cfg);
     const Word qp = stack.connectQp(0, 1);
     Node &src = stack.node(0);
     Node &dst = stack.node(1);
@@ -226,10 +226,10 @@ TEST(RdmaNic, RnrWithoutPostedRecvThenRecovers)
 
 TEST(RdmaNic, CqOverflowBackpressuresInsteadOfDropping)
 {
-    RdmaStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
     cfg.cqCapacity = 2;
-    RdmaStack stack(cfg);
-    RdmaRunParams p;
+    Stack stack(cfg);
+    RunParams p;
     p.words = 32; // 8 messages of 4 words against a 2-slot CQ
     p.eventMode = true;
     const RunResult res = runRdmaStream(stack, p);
@@ -237,14 +237,14 @@ TEST(RdmaNic, CqOverflowBackpressuresInsteadOfDropping)
     // The sender hit the full send CQ and had to harvest first.
     EXPECT_GT(stack.nic(0).sendStalls(), 0u);
     // Nothing was lost to the pressure.
-    EXPECT_EQ(stack.net().stats().dropped, 0u);
+    EXPECT_EQ(stack.network().stats().dropped, 0u);
 }
 
 TEST(RdmaNic, ReceiverCqOverflowStallsTheFabric)
 {
-    RdmaStackConfig cfg;
+    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
     cfg.cqCapacity = 2; // the smallest legal CQ
-    RdmaStack stack(cfg);
+    Stack stack(cfg);
     const Word qp = stack.connectQp(0, 1);
     Node &src = stack.node(0);
     Node &dst = stack.node(1);

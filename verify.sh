@@ -25,8 +25,8 @@
 #                                replayed, and every committed replay
 #   ./verify.sh --prof           only the profiler gate, against an
 #                                already-built build/ tree: msgsim-prof
-#                                artifacts on cm5 and cr, and the rdma /
-#                                nicam matrix columns
+#                                artifacts on all four substrates, and
+#                                the rdma / nicam matrix columns
 #   ./verify.sh --hostprof       only the host self-profiler gate:
 #                                msgsim-selfprof on its p1 workload
 #                                (share sum, top-3, folded grammar)
@@ -140,7 +140,7 @@ check_prof() {
     # A profiled run on each substrate produces the full artifact
     # set: folded stacks, waterfall, trace with lineage flows.
     local sub
-    for sub in cm5 cr; do
+    for sub in cm5 cr rdma nicam; do
         "$prof" --protocol=xfer --substrate="$sub" \
             --flame-out="$tmpdir/$sub.folded" \
             --waterfall-out="$tmpdir/$sub.waterfall" \
