@@ -2,7 +2,6 @@
 
 #include "cmam/send_path.hh"
 #include "hostprof/hostprof.hh"
-#include "net/lineage_hook.hh"
 #include "sim/log.hh"
 #include "sim/trace_session.hh"
 
@@ -16,6 +15,15 @@ Cmam::Cmam(Node &node, const Config &cfg)
     // address, loaded once per send call in the modeled assembly.
     niBaseAddr_ = node_.mem().alloc(1);
     node_.mem().write(niBaseAddr_, 0x001ba5e0u);
+    if (!cfg_.trusted.acceptanceIndependent)
+        return;
+    // CR acceptance check: a header packet the segment table cannot
+    // bind is refused in hardware and retransmitted later, so no
+    // software handshake is needed.
+    node_.ni().setAcceptFn([this](const Packet &pkt) {
+        return pkt.tag != HwTag::XferData ||
+               hdr::fieldB(pkt.header) == 0 || segs_.hasFree();
+    });
 }
 
 int
@@ -87,164 +95,34 @@ Cmam::sendTagged(HwTag tag, NodeId dst, Word header,
 }
 
 void
-Cmam::xferSend(NodeId dst, Word segId, Addr srcBuf, std::uint32_t words)
+Cmam::xferSend(NodeId dst, Word id, Addr srcBuf, std::uint32_t words)
 {
-    Processor &p = node_.proc();
-    Accounting &a = p.acct();
-    NetIface &ni = node_.ni();
-    const int n = dataWords();
     ScopedSpan span(node_.id(), "cmam", "xfer_send");
     hostprof::HostScope hps(hostprof::Site::CmamSend);
-
     chargeSyscall();
-    if (words == 0 || words % static_cast<std::uint32_t>(n) != 0)
-        msgsim_fatal("xferSend: ", words, " words not a multiple of the "
-                     "packet size ", n);
-
-    // Fixed entry (2 reg + 1 mem): loop setup; the NI base pointer is
-    // loaded once and stays register-cached across the whole burst
-    // (unlike per-call am4 sends).
-    p.regOps(2);
-    (void)p.loadWord(niBaseAddr_);
-
-    std::uint32_t offset = 0;
-    while (offset < words) {
-        Word header;
-        {
-            // In-order delivery, source side (2 reg per packet):
-            // advance the running offset and pack it into the header
-            // so the destination can place data without sequencing.
-            FeatureScope io(a, Feature::InOrderDelivery);
-            p.regOps(2);
-            header = hdr::pack(segId, offset);
-        }
-
-        for (int attempt = 0;; ++attempt) {
-            if (attempt > 1000)
-                msgsim_panic("xfer send retry livelock");
-            {
-                // reg 4: destination/control-word assembly; dev 1:
-                // control-word store.
-                RowScope r(a, CostRow::NiSetup);
-                p.regOps(4);
-                ni.writeSendCtl(a, dst, HwTag::XferData, header);
-            }
-            {
-                // dev 1 + reg 2: send-space check.
-                RowScope r(a, CostRow::CheckStatus);
-                (void)ni.readStatus(a);
-                p.regOps(2);
-            }
-            // Data movement: n/2 ldd from the user buffer, n/2 std
-            // to the NI FIFO.
-            for (int i = 0; i < n; i += 2) {
-                const auto [w0, w1] = p.loadDouble(
-                    srcBuf + offset + static_cast<Addr>(i));
-                RowScope r(a, CostRow::WriteNi);
-                ni.writeSendDouble(a, w0, w1);
-            }
-            Word status;
-            {
-                // dev 1 + reg 3: send_ok confirm + incoming test.
-                RowScope r(a, CostRow::CheckStatus);
-                status = ni.readStatus(a);
-                p.regOps(3);
-            }
-            {
-                RowScope r(a, CostRow::ControlFlow);
-                p.branches(3);
-            }
-            if (status & ni_status::sendOk)
-                break;
-        }
-        // reg 3: buffer-pointer advance, remaining-count decrement,
-        // compare for loop exit.
-        p.regOps(3);
-        offset += static_cast<std::uint32_t>(n);
-    }
+    xferPacketLoop(node_, niBaseAddr_, dst, id, srcBuf, words,
+                   !cfg_.trusted.inOrderDelivery, cfg_.dmaXfer);
 }
 
 void
-Cmam::xferSendDma(NodeId dst, Word segId, Addr srcBuf,
-                  std::uint32_t words)
+Cmam::postTransfer(Word tid, Addr buf, XferDoneFn done)
 {
-    Processor &p = node_.proc();
-    Accounting &a = p.acct();
-    NetIface &ni = node_.ni();
-    const int n = dataWords();
-    ScopedSpan span(node_.id(), "cmam", "xfer_send_dma");
-    hostprof::HostScope hps(hostprof::Site::CmamSend);
-
-    chargeSyscall();
-    if (words == 0 || words % static_cast<std::uint32_t>(n) != 0)
-        msgsim_fatal("xferSendDma: ", words, " words not a multiple "
-                     "of the packet size ", n);
-
-    // Fixed entry as in the programmed-I/O loop.
-    p.regOps(2);
-    (void)p.loadWord(niBaseAddr_);
-
-    std::uint32_t offset = 0;
-    while (offset < words) {
-        Word header;
-        {
-            FeatureScope io(a, Feature::InOrderDelivery);
-            p.regOps(2);
-            header = hdr::pack(segId, offset);
-        }
-        for (int attempt = 0;; ++attempt) {
-            if (attempt > 1000)
-                msgsim_panic("dma xfer send retry livelock");
-            {
-                RowScope r(a, CostRow::NiSetup);
-                p.regOps(4);
-                ni.writeSendCtl(a, dst, HwTag::XferData, header);
-            }
-            {
-                RowScope r(a, CostRow::CheckStatus);
-                (void)ni.readStatus(a);
-                p.regOps(2);
-            }
-            {
-                // One descriptor store; the engine gathers the
-                // payload from memory and launches the packet.
-                RowScope r(a, CostRow::WriteNi);
-                ni.writeSendDma(a, srcBuf + offset, n);
-            }
-            Word status;
-            {
-                RowScope r(a, CostRow::CheckStatus);
-                status = ni.readStatus(a);
-                p.regOps(3);
-            }
-            {
-                RowScope r(a, CostRow::ControlFlow);
-                p.branches(3);
-            }
-            if (status & ni_status::sendOk)
-                break;
-        }
-        p.regOps(3);
-        offset += static_cast<std::uint32_t>(n);
-    }
+    if (!cfg_.trusted.acceptanceIndependent)
+        msgsim_fatal("postTransfer on a layer that allocates segments "
+                     "by handshake");
+    if (tid > hdr::maxFieldA)
+        msgsim_fatal("transfer id ", tid, " exceeds the header field");
+    if (!posted_.try_emplace(tid, Posted{buf, std::move(done)}).second)
+        msgsim_fatal("transfer ", tid, " already posted");
 }
 
 int
 Cmam::poll()
 {
-    Processor &p = node_.proc();
-    Accounting &a = p.acct();
     ScopedSpan span(node_.id(), "cmam", "poll");
     hostprof::HostScope hps(hostprof::Site::CmamPoll);
-
     chargeSyscall();
-    // CMAM_request_poll linkage: call, save, ret.
-    {
-        RowScope r(a, CostRow::CallReturn);
-        p.callRet(3);
-    }
-    dispatchOps_ += 3;
-    return drainLoop(/*entry_decode=*/true);
+    return drain(/*pollEntry=*/true);
 }
 
 int
@@ -269,105 +147,59 @@ Cmam::interruptService()
                     static_cast<std::uint64_t>(cfg_.trapDevOps);
     // The handler's mask/shift constants are set up by the trap
     // vector, so the drain loop skips the poll-entry decode.
-    return drainLoop(/*entry_decode=*/false);
+    return drain(/*pollEntry=*/false);
 }
 
 int
-Cmam::drainLoop(bool entry_decode)
+Cmam::drain(bool pollEntry)
 {
-    Processor &p = node_.proc();
-    Accounting &a = p.acct();
-    NetIface &ni = node_.ni();
-
-    int handled = 0;
-    bool first = entry_decode;
-    for (;;) {
-        Word status;
-        {
-            // One status read per iteration; the entry iteration also
-            // charges the mask/shift constant setup (reg 9), later
-            // ones just the ready test (reg 1).
-            RowScope r(a, CostRow::CheckStatus);
-            status = ni.readStatus(a);
-            p.regOps(first ? 9 : 1);
-            dispatchOps_ += first ? 10 : 2; // status read + decode
-            first = false;
-        }
-        if (!(status & ni_status::recvReady))
-            break;
-
-        const Packet *head = ni.hwPeekRecv();
-        if (head == nullptr)
-            msgsim_panic("recvReady set with empty FIFO");
-        const auto tag = static_cast<HwTag>(
-            (status >> ni_status::tagShift) & ni_status::tagMask);
-
-        // Lineage: the dispatch below is this packet's handler; any
-        // packet sent from inside it (replies, acks) inherits its
-        // lineage as causal parent.  Single pointer test when off.
-        LineageHooks *lh = LineageHooks::current();
-        if (lh)
-            lh->handlerBegin(node_.id(), *head, ni.sim().now());
-
-        hostprof::HostScope hdl(hostprof::Site::CmamHandler);
-        switch (tag) {
-          case HwTag::UserAm:
-          case HwTag::Control:
-            genericReceive(*head);
-            break;
-          case HwTag::XferData:
-            handleXferData(*head);
-            break;
-          case HwTag::StreamData:
-            if (!streamDataSink_)
-                msgsim_panic("stream data with no sink installed");
-            streamDataSink_(head->src);
-            break;
-          case HwTag::StreamAck:
-            if (!streamAckSink_)
-                msgsim_panic("stream ack with no sink installed");
-            streamAckSink_(head->src);
-            break;
-          default:
-            msgsim_panic("unknown hardware tag ",
-                         static_cast<int>(tag));
-        }
-        if (lh)
-            lh->handlerEnd(node_.id(), ni.sim().now());
-        ++handled;
-        ++pollsHandled_;
-        {
-            // Loop back-edge + dispatch-table branch.
-            RowScope r(a, CostRow::ControlFlow);
-            p.branches(2);
-        }
-        dispatchOps_ += 2;
-    }
-    return handled;
+    return drainRecvFifo(
+        node_, dispatchOps_, pollEntry,
+        [this](HwTag tag, const Packet &head) {
+            hostprof::HostScope hdl(hostprof::Site::CmamHandler);
+            switch (tag) {
+              case HwTag::UserAm:
+              case HwTag::Control:
+              case HwTag::StreamData:
+                genericReceive(tag, head);
+                break;
+              case HwTag::XferData:
+                handleXferData();
+                break;
+              case HwTag::StreamAck:
+                if (!streamAckSink_)
+                    msgsim_panic("stream ack with no sink installed");
+                streamAckSink_(head.src);
+                break;
+              default:
+                msgsim_panic("unknown hardware tag ",
+                             static_cast<int>(tag));
+            }
+        });
 }
 
 void
-Cmam::genericReceive(const Packet &head)
+Cmam::genericReceive(HwTag tag, const Packet &head)
 {
     Processor &p = node_.proc();
     Accounting &a = p.acct();
     NetIface &ni = node_.ni();
     // Packet length comes from the status/length register the poll
-    // loop already read (4 for AMs and control packets).  Copy the
-    // dispatch fields now: reading the last data word below consumes
-    // the packet and frees its slot, after which @p head is dangling.
-    // Rule for every handler: @p head stays valid, whatever is sent or
-    // delivered meanwhile, until its packet's last word is read.
+    // loop already read (4 for AMs and control packets, n for stream
+    // data).  Copy the dispatch fields now: reading the last data word
+    // below consumes the packet and frees its slot, after which
+    // @p head is dangling.  Rule for every handler: @p head stays
+    // valid, whatever is sent or delivered meanwhile, until its
+    // packet's last word is read.
     const int n = static_cast<int>(head.data.size());
     const NodeId src = head.src;
-    const HwTag tag = head.tag;
+    const bool stream = tag == HwTag::StreamData;
 
-    // CMAM_handle_left linkage.
-    {
+    if (!stream) {
+        // CMAM_handle_left linkage.
         RowScope r(a, CostRow::CallReturn);
         p.callRet(3);
     }
-    dispatchOps_ += 3;
     Word header;
     {
         RowScope r(a, CostRow::ReadNi);
@@ -384,16 +216,22 @@ Cmam::genericReceive(const Packet &head)
             args.push_back(w1);
         }
     }
+    if (stream)
+        p.regOps(3); // tag-vector dispatch into the stream path
     {
         // User-handler (or sink) linkage: CMAM_got_left vectoring +
         // call/save/restore/ret of the handler.
         RowScope r(a, CostRow::CallReturn);
         p.callRet(4);
     }
-    dispatchOps_ += 4;
+    dispatchOps_ += 7;
 
     const std::uint32_t sel = hdr::fieldA(header);
-    if (tag == HwTag::UserAm) {
+    if (stream) {
+        if (!streamDataSink_)
+            msgsim_panic("stream data with no sink installed");
+        streamDataSink_(src, header, args);
+    } else if (tag == HwTag::UserAm) {
         if (sel >= handlers_.size() || !handlers_[sel])
             msgsim_panic("AM to unregistered handler ", sel);
         handlers_[sel](src, args);
@@ -406,31 +244,32 @@ Cmam::genericReceive(const Packet &head)
 }
 
 void
-Cmam::handleXferData(const Packet &head)
+Cmam::handleXferData()
 {
     Processor &p = node_.proc();
     Accounting &a = p.acct();
     NetIface &ni = node_.ni();
     const int n = dataWords();
-    (void)head;
+    const bool inOrder = cfg_.trusted.inOrderDelivery;
 
     Word header;
     {
         RowScope r(a, CostRow::ReadNi);
         header = ni.readRecvHeader(a);
     }
-    Word segId, offset;
-    {
+    if (!inOrder) {
         // In-order delivery, destination side: extract the placement
         // offset the source packed into the header (shift + mask).
         FeatureScope io(a, Feature::InOrderDelivery);
         p.regOps(2);
-        segId = hdr::fieldA(header);
-        offset = hdr::fieldB(header);
     }
     // reg 3: tag-vector dispatch into the specialized xfer path
     // (no full handler linkage: CMAM_handle_left_xfer is inlined).
     p.regOps(3);
+    dispatchOps_ += 3;
+    const Word segId = cfg_.trusted.acceptanceIndependent
+                           ? boundSegment(header)
+                           : hdr::fieldA(header);
     if (!segs_.isActive(segId)) {
         // A stale packet from a transfer that was restarted: drain
         // the data words from the FIFO and discard.  Off the
@@ -443,11 +282,18 @@ Cmam::handleXferData(const Packet &head)
         ++staleXferDrops_;
         return;
     }
-    const Addr bufBase = segs_.bufBase(segId);
-    // reg 2: effective store address (segment base + offset);
-    // reg 2: segment record address computation.
-    p.regOps(4);
-    const Addr dst = bufBase + offset;
+    Addr dst;
+    if (inOrder) {
+        // reg 1: effective address — the running write pointer is
+        // register-resident, since delivery order is placement order.
+        p.regOps(1);
+        dst = segs_.advance(segId, static_cast<Word>(n));
+    } else {
+        // reg 2: effective store address (segment base + offset);
+        // reg 2: segment record address computation.
+        p.regOps(4);
+        dst = segs_.bufBase(segId) + hdr::fieldB(header);
+    }
     if (cfg_.dmaXfer) {
         // One scatter descriptor; the engine deposits the payload.
         RowScope r(a, CostRow::ReadNi);
@@ -467,7 +313,12 @@ Cmam::handleXferData(const Packet &head)
     p.regOps(2);
 
     bool done;
-    {
+    if (inOrder) {
+        // The base loop's own remaining count: decrement (1 reg) +
+        // last-packet branch (1 reg).
+        p.regOps(1);
+        done = segs_.packetArrived(p, segId);
+    } else {
         // In-order delivery: expected-count decrement (1 reg).
         FeatureScope io(a, Feature::InOrderDelivery);
         done = segs_.packetArrived(p, segId);
@@ -476,13 +327,51 @@ Cmam::handleXferData(const Packet &head)
         completeXfer(segId);
 }
 
+Word
+Cmam::boundSegment(Word header)
+{
+    const Word tid = hdr::fieldA(header);
+    const auto it = posted_.find(tid);
+    if (it == posted_.end())
+        msgsim_panic("xfer data for unposted transfer ", tid);
+    Posted &t = it->second;
+    const std::uint32_t totalWords = hdr::fieldB(header);
+    if (totalWords == 0) {
+        if (t.seg == invalidSegment)
+            msgsim_panic("xfer data of transfer ", tid,
+                         " before its header packet");
+        return t.seg;
+    }
+
+    // The header packet: bind the posted buffer to a segment record.
+    // This is the protocol's entire buffer-management cost (9 reg +
+    // 4 mem); the acceptance check has already made room for it.
+    const auto n = static_cast<std::uint32_t>(dataWords());
+    if (totalWords % n != 0)
+        msgsim_panic("header packet with bad size ", totalWords);
+    {
+        FeatureScope bm(node_.acct(), Feature::BufferMgmt);
+        t.seg = segs_.bind(node_.proc(), t.buf, totalWords / n, tid);
+    }
+    if (t.seg == invalidSegment)
+        msgsim_panic("header packet of transfer ", tid,
+                     " accepted with the segment table full");
+    segs_.setCompletion(t.seg, [this, tid](Word segId) {
+        segs_.release(segId);
+        auto posted = posted_.extract(tid);
+        if (posted.mapped().done)
+            posted.mapped().done(tid);
+    });
+    return t.seg;
+}
+
 void
 Cmam::completeXfer(Word segId)
 {
     Processor &p = node_.proc();
     Accounting &a = p.acct();
 
-    {
+    if (!cfg_.trusted.inOrderDelivery) {
         // Final count-zero confirmation (the paper's +1 in the
         // destination in-order total).
         FeatureScope io(a, Feature::InOrderDelivery);

@@ -14,6 +14,13 @@
  *  - the XferData receive path == CMAM_handle_left_xfer, storing
  *                   packet data into a preallocated segment.
  *
+ * The paper's Section 4 layer is this layer trusting its fabric
+ * (Config::trusted): on a fabric that keeps order, packets carry no
+ * placement offsets and land at a running write pointer; on one that
+ * may refuse a packet without deadlock, a transfer's header packet
+ * binds a posted buffer (postTransfer) with no handshake, and the NI
+ * refuses header packets the segment table cannot hold.
+ *
  * Every routine is written against the charged Processor/NetIface
  * primitives as a modeled SPARC instruction sequence; the counts it
  * produces are calibrated cell-by-cell to the paper's Tables 1-3
@@ -27,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "cmam/segment.hh"
@@ -63,11 +71,21 @@ class Cmam
         NodeId src, Word hdrArg, const std::vector<Word> &args)>;
 
     /**
+     * Stream data sink: the layer has read the packet (header and n
+     * data words) and charged its base receive; the sink charges
+     * only its own protocol steps.
+     */
+    using StreamSink = std::function<void(
+        NodeId src, Word header, const std::vector<Word> &words)>;
+
+    /**
      * Raw packet sink: the sink reads the packet from the NI itself,
-     * charging its own costs (used by the indefinite-sequence
-     * protocol's data and ack paths).
+     * charging its own costs (the indefinite-sequence ack path).
      */
     using RawSink = std::function<void(NodeId src)>;
+
+    /** Completion of a posted transfer. */
+    using XferDoneFn = std::function<void(Word tid)>;
 
     struct Config
     {
@@ -92,6 +110,13 @@ class Cmam
         /// why.
         bool kernelMediated = false;
         int syscallRegOps = 120; ///< trap + dispatch + copyin/out glue
+        /// The fabric services this layer leaves to the hardware
+        /// (paper Section 4).  Empty for CMAM; the hl layer trusts
+        /// CR's.  inOrderDelivery drops the per-packet offset step;
+        /// acceptanceIndependent (which needs inOrderDelivery: the
+        /// header packet carries the size) binds posted buffers
+        /// without a handshake and installs the NI acceptance check.
+        NetFeatures trusted;
     };
 
     explicit Cmam(Node &node) : Cmam(node, Config()) {}
@@ -111,7 +136,10 @@ class Cmam
     void setControlSink(CtrlOp op, ControlSink fn);
 
     /** Install the indefinite-sequence data-packet sink. */
-    void setStreamDataSink(RawSink fn) { streamDataSink_ = std::move(fn); }
+    void setStreamDataSink(StreamSink fn)
+    {
+        streamDataSink_ = std::move(fn);
+    }
 
     /** Install the indefinite-sequence ack sink. */
     void setStreamAckSink(RawSink fn) { streamAckSink_ = std::move(fn); }
@@ -157,23 +185,25 @@ class Cmam
                     int vnet = 0);
 
     /**
-     * CMAM_xfer_N: stream @p words words starting at @p srcBuf into
-     * segment @p segId on @p dst.  @p words must be a multiple of
-     * the packet size.  Charges BaseCost (3 + p*(16 + 1.5n) style)
-     * plus 2 reg per packet under InOrderDelivery (offset
-     * maintenance).
+     * CMAM_xfer_N: stream @p words words starting at @p srcBuf to
+     * @p dst, into segment @p id — or, when the layer trusts
+     * acceptanceIndependent, into the buffer posted for transfer
+     * @p id.  @p words must be a multiple of the packet size.
+     * Charges BaseCost (3 + p*(16 + 1.5n) style) plus 2 reg per
+     * packet under InOrderDelivery (offset maintenance) unless the
+     * layer trusts inOrderDelivery.  With Config::dmaXfer (set on
+     * the receiving node too) one descriptor store per packet
+     * replaces the per-word ldd/std traffic.
      */
-    void xferSend(NodeId dst, Word segId, Addr srcBuf,
-                  std::uint32_t words);
+    void xferSend(NodeId dst, Word id, Addr srcBuf, std::uint32_t words);
 
     /**
-     * DMA variant of the xfer source loop (requires Config::dmaXfer
-     * on the receiving node too): one descriptor store per packet
-     * replaces the per-word ldd/std traffic — base cost becomes
-     * 3 + p*(15 reg + 4 dev) regardless of packet size.
+     * Post the receive buffer of transfer @p tid (uncharged: the
+     * receiving application owning a buffer, not protocol work).  Its
+     * header packet binds it; @p done runs when the last packet has
+     * landed.  Only on a layer that trusts acceptanceIndependent.
      */
-    void xferSendDma(NodeId dst, Word segId, Addr srcBuf,
-                     std::uint32_t words);
+    void postTransfer(Word tid, Addr buf, XferDoneFn done);
 
     // ------------------------------------------------------------
     // Receive path.
@@ -198,9 +228,6 @@ class Cmam
     /** Interrupts taken via interruptService() so far. */
     std::uint64_t interruptsTaken() const { return interruptsTaken_; }
 
-    /** Packets handled by poll() so far (diagnostic). */
-    std::uint64_t pollsHandled() const { return pollsHandled_; }
-
     /** Stale xfer data packets discarded (restart recovery). */
     std::uint64_t staleXferDrops() const { return staleXferDrops_; }
 
@@ -215,11 +242,19 @@ class Cmam
      */
     std::uint64_t dispatchOps() const { return dispatchOps_; }
 
+    /**
+     * This node's payload buffers: the receive path reads each
+     * packet's words into one, and a handler composing a packet on
+     * this node (the stream ack) leases the next.
+     */
+    ScratchPool<std::vector<Word>> &wordBufs() { return argBufs_; }
+
   private:
     void chargeSyscall();
-    int drainLoop(bool entry_decode);
-    void genericReceive(const Packet &head);
-    void handleXferData(const Packet &head);
+    int drain(bool pollEntry);
+    void genericReceive(HwTag tag, const Packet &head);
+    void handleXferData();
+    Word boundSegment(Word header);
     void completeXfer(Word segId);
 
     Node &node_;
@@ -230,13 +265,21 @@ class Cmam
     std::vector<AmHandler> handlers_;
     std::array<ControlSink, static_cast<std::size_t>(CtrlOp::NumOps)>
         ctrlSinks_;
-    RawSink streamDataSink_;
+    StreamSink streamDataSink_;
     RawSink streamAckSink_;
+    /// A buffer posted for a transfer, and the segment its header
+    /// packet bound (trusted fabric only).
+    struct Posted
+    {
+        Addr buf = 0;
+        XferDoneFn done;
+        Word seg = invalidSegment;
+    };
+    std::map<Word, Posted> posted_; ///< by transfer id
     /// genericReceive's argument buffers.  Leased, because a handler
     /// may poll (and so re-enter genericReceive) while it still reads
     /// its own arguments; reused, so receiving never allocates.
     ScratchPool<std::vector<Word>> argBufs_;
-    std::uint64_t pollsHandled_ = 0;
     std::uint64_t staleXferDrops_ = 0;
     std::uint64_t interruptsTaken_ = 0;
     std::uint64_t dispatchOps_ = 0;

@@ -85,28 +85,74 @@ SegmentTable::alloc(Processor &proc, Addr bufBase, Word expectedPackets)
     return head;
 }
 
+Word
+SegmentTable::bind(Processor &proc, Addr bufBase, Word expectedPackets,
+                   Word aux)
+{
+    // Modeled assembly (9 reg + 4 mem): the free-list head is
+    // register-cached, so the unlink is uncharged; the four record
+    // stores are the whole bill.
+    proc.regOps(5);                              // record index, size
+    const Word head = mem_.read(freeHeadAddr_);
+    if (head == nilLink)
+        return invalidSegment;
+    const Word next = mem_.read(freeListBase_ + static_cast<Addr>(head));
+    mem_.write(freeHeadAddr_, next);
+    if (next == nilLink)
+        freeTail_ = nilLink;
+    const Addr rec = recordAddr(head);
+    proc.storeWord(rec + 0, bufBase);                           // mem 1
+    proc.storeWord(rec + 1, expectedPackets);                   // mem 2
+    proc.storeWord(rec + 2, flagActive);                        // mem 3
+    proc.storeWord(rec + 3, aux);                               // mem 4
+    proc.regOps(4);                              // flag packing, branch
+    ++allocated_;
+    return head;
+}
+
+std::array<std::pair<Addr, Word>, 3>
+SegmentTable::freeStores(Word segId) const
+{
+    // Append the record to the free list (FIFO reuse maximizes the
+    // id-reuse distance so stale in-flight packets cannot alias a
+    // fresh allocation) and clear the active flag.
+    const Addr tailLink =
+        freeTail_ == nilLink
+            ? freeHeadAddr_
+            : freeListBase_ + static_cast<Addr>(freeTail_);
+    return {{{freeListBase_ + static_cast<Addr>(segId), nilLink},
+             {tailLink, segId},
+             {recordAddr(segId) + 2, 0}}};
+}
+
+void
+SegmentTable::retire(Word segId)
+{
+    freeTail_ = segId;
+    completions_[segId] = nullptr;
+    --allocated_;
+}
+
 void
 SegmentTable::free(Processor &proc, Word segId)
 {
     checkActive(segId, "free");
-    // Modeled assembly (18 reg + 3 mem): append the record to the
-    // free list (FIFO reuse maximizes the id-reuse distance so stale
-    // in-flight packets cannot alias a fresh allocation) and clear
-    // the active flag.  The tail pointer is register-cached, so only
-    // the three stores are charged.
+    // Modeled assembly (18 reg + 3 mem).  The tail pointer is
+    // register-cached, so only the three stores are charged.
     proc.regOps(10);                             // id unpack, addresses
-    proc.storeWord(freeListBase_ + static_cast<Addr>(segId), nilLink); // 1
-    if (freeTail_ == nilLink) {
-        proc.storeWord(freeHeadAddr_, segId);                          // 2
-    } else {
-        proc.storeWord(freeListBase_ + static_cast<Addr>(freeTail_),
-                       segId);                                         // 2
-    }
-    freeTail_ = segId;
-    proc.storeWord(recordAddr(segId) + 2, 0);                          // 3
+    for (const auto &[addr, value] : freeStores(segId))
+        proc.storeWord(addr, value);
     proc.regOps(8);                              // flag masking, return
-    completions_[segId] = nullptr;
-    --allocated_;
+    retire(segId);
+}
+
+void
+SegmentTable::release(Word segId)
+{
+    checkActive(segId, "release");
+    for (const auto &[addr, value] : freeStores(segId))
+        mem_.write(addr, value);
+    retire(segId);
 }
 
 bool
@@ -149,6 +195,16 @@ SegmentTable::bufBase(Word segId) const
 {
     checkActive(segId, "bufBase");
     return mem_.read(recordAddr(segId) + 0);
+}
+
+Addr
+SegmentTable::advance(Word segId, Word words)
+{
+    checkActive(segId, "advance");
+    const Addr addr = recordAddr(segId) + 0;
+    const Addr at = mem_.read(addr);
+    mem_.write(addr, at + words);
+    return at;
 }
 
 Word

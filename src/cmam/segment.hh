@@ -14,6 +14,10 @@
  *
  *     alloc: 25 reg + 8 mem        free: 18 reg + 3 mem
  *
+ * On a fabric that accepts only what the table can hold (CR, paper
+ * Section 4) there is no handshake: the transfer's header packet binds
+ * a record (9 reg + 4 mem) and completion releases it uncharged.
+ *
  * The table itself lives in modeled node memory (free list plus
  * 4-word records), and the charged loads/stores really touch it.
  * The free-list head is modeled as register-cached across calls, so
@@ -24,8 +28,10 @@
 #ifndef MSGSIM_CMAM_SEGMENT_HH
 #define MSGSIM_CMAM_SEGMENT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/types.hh"
@@ -60,8 +66,8 @@ class SegmentTable
     /** True when @p segId names a live segment (uncharged). */
     bool isActive(Word segId) const;
 
-    /** True when at least one segment is free (uncharged; used by
-     *  the CR NI's hardware acceptance check). */
+    /** True when at least one segment is free (uncharged; the CR
+     *  NI's hardware acceptance check). */
     bool hasFree() const { return allocated_ < maxSegments_; }
 
     /**
@@ -71,8 +77,21 @@ class SegmentTable
      */
     Word alloc(Processor &proc, Addr bufBase, Word expectedPackets);
 
+    /**
+     * The header-packet bind: take a segment for @p expectedPackets
+     * packets landing at @p bufBase, its aux field holding @p aux (the
+     * transfer id).  Charges 9 reg + 4 mem, the record's four stores;
+     * the free list is register-cached here.  Returns invalidSegment
+     * when the table is full.
+     */
+    Word bind(Processor &proc, Addr bufBase, Word expectedPackets,
+              Word aux);
+
     /** Free a segment.  Charges 18 reg + 3 mem. */
     void free(Processor &proc, Word segId);
+
+    /** Free a bound segment at completion (uncharged). */
+    void release(Word segId);
 
     /**
      * Account one arrived data packet: decrement the remaining count
@@ -91,6 +110,13 @@ class SegmentTable
     /** Buffer base of an active segment (uncharged helper). */
     Addr bufBase(Word segId) const;
 
+    /**
+     * The running write pointer of an in-order fabric: the segment's
+     * buffer field, returned and then advanced by @p words (uncharged:
+     * register-resident, like the remaining count).
+     */
+    Addr advance(Word segId, Word words);
+
     /** Remaining packet count of an active segment (uncharged). */
     Word remaining(Word segId) const;
 
@@ -106,6 +132,10 @@ class SegmentTable
 
     Addr recordAddr(Word segId) const;
     void checkActive(Word segId, const char *what) const;
+    /** The three (address, value) stores that free @p segId. */
+    std::array<std::pair<Addr, Word>, 3> freeStores(Word segId) const;
+    /** Bookkeeping after @p segId's free stores. */
+    void retire(Word segId);
 
     Memory &mem_;
     int maxSegments_;

@@ -26,7 +26,7 @@ struct SiteInfo
 };
 
 constexpr const char *kSubsystems[numSubsystems] = {
-    "sim", "net", "cm5", "cr", "ni", "cmam", "hl", "proto",
+    "sim", "net", "cm5", "cr", "ni", "cmam", "proto",
     "rdma", "nicam", "traffic", "coll", "wire",
 };
 
@@ -47,26 +47,24 @@ constexpr SiteInfo kSites[numSites] = {
     {"cmam.send", 5},
     {"cmam.poll", 5},
     {"cmam.handler", 5},
-    {"hl.send", 6},
-    {"hl.poll", 6},
-    {"proto.single_packet", 7},
-    {"proto.finite_xfer", 7},
-    {"proto.stream", 7},
-    {"proto.socket", 7},
-    {"rdma.route", 8},
-    {"rdma.deliver", 8},
-    {"rdma.post", 8},
-    {"rdma.poll", 8},
-    {"nicam.route", 9},
-    {"nicam.deliver", 9},
-    {"nicam.send", 9},
-    {"traffic.send", 10},
-    {"traffic.drain", 10},
-    {"coll.send", 11},
-    {"coll.progress", 11},
-    {"wire.encode", 12},
-    {"wire.decode", 12},
-    {"wire.mux", 12},
+    {"proto.single_packet", 6},
+    {"proto.finite_xfer", 6},
+    {"proto.stream", 6},
+    {"proto.socket", 6},
+    {"rdma.route", 7},
+    {"rdma.deliver", 7},
+    {"rdma.post", 7},
+    {"rdma.poll", 7},
+    {"nicam.route", 8},
+    {"nicam.deliver", 8},
+    {"nicam.send", 8},
+    {"traffic.send", 9},
+    {"traffic.drain", 9},
+    {"coll.send", 10},
+    {"coll.progress", 10},
+    {"wire.encode", 11},
+    {"wire.decode", 11},
+    {"wire.mux", 11},
 };
 
 } // namespace

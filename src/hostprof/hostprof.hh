@@ -7,7 +7,7 @@
  * simulator's real TSC-cycle cost (plus heap allocation traffic) to
  * the subsystem that spent it — the event loop's heap pop / dispatch
  * / handler phases, both substrates' route/deliver paths, the NI ring
- * operations, the CMAM/HLAM layers, and the protocol drivers.
+ * operations, the CMAM layer, and the protocol drivers.
  *
  * Design rules, identical to every other observer:
  *
@@ -77,8 +77,6 @@ enum class Site : std::uint8_t
     CmamSend,    ///< CMAM send paths (single packet, xfer loops)
     CmamPoll,    ///< CMAM poll / interrupt entry + drain loop
     CmamHandler, ///< one CMAM handler dispatch
-    HlSend,      ///< HLAM send paths (xfer_send, stream_send)
-    HlPoll,      ///< HLAM poll
     ProtoSingle, ///< single-packet protocol driver
     ProtoXfer,   ///< finite-xfer protocol driver
     ProtoStream, ///< stream protocol driver
@@ -105,7 +103,7 @@ constexpr int numSites = static_cast<int>(Site::WireMux) + 1;
 const char *siteName(Site s);
 
 /** Subsystem names, aggregation targets for the share table. */
-constexpr int numSubsystems = 13;
+constexpr int numSubsystems = 12;
 const char *subsystemName(int idx);
 
 /** Which subsystem a site belongs to (index into subsystemName). */

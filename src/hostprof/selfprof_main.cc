@@ -31,9 +31,8 @@
 #include "rdmanet/rdma_network.hh"
 #include "hostprof/hostprof.hh"
 #include "hostprof/hw_counters.hh"
-#include "protocols/finite_xfer.hh"
+#include "prof/profile.hh"
 #include "protocols/stack.hh"
-#include "protocols/stream.hh"
 #include "sim/metrics.hh"
 #include "sim/obs_cli.hh"
 #include "traffic/engine.hh"
@@ -256,31 +255,20 @@ runIncast(std::uint64_t packets)
     return run;
 }
 
+/** The xfer or stream protocol on cm5, timed from the built stack. */
 WorkloadRun
-runProtocol(bool stream, Substrate sub, std::uint32_t words)
+runProfProtocol(const std::string &protocol, std::uint32_t words)
 {
     WorkloadRun run;
-    StackConfig cfg;
-    cfg.substrate = sub;
-    cfg.nodes = 4;
-    Stack stack(cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    if (stream) {
-        run.label = "stream protocol";
-        StreamProtocol proto(stack);
-        StreamParams params;
-        params.words = words;
-        const RunResult res = proto.run(params);
-        run.packets = res.packets;
-    } else {
-        run.label = "finite xfer";
-        FiniteXfer proto(stack);
-        FiniteXferParams params;
-        params.words = words;
-        const RunResult res = proto.run(params);
-        run.packets = res.packets;
-    }
+    run.label = protocol == "stream" ? "stream protocol" : "finite xfer";
+    prof::ProfConfig cfg;
+    cfg.protocol = protocol;
+    cfg.words = words;
+    auto t0 = std::chrono::steady_clock::now();
+    const RunResult res = prof::runProtocol(
+        cfg, [&t0](Machine &) { t0 = std::chrono::steady_clock::now(); });
     run.wallUs = usSince(t0);
+    run.packets = res.packets;
     return run;
 }
 
@@ -303,12 +291,8 @@ runWorkloads(const Options &opt)
         runs.push_back(pumpNicam(n));
     } else if (opt.workload == "am4") {
         runs.push_back(pumpAm4(n / 4));
-    } else if (opt.workload == "xfer") {
-        runs.push_back(
-            runProtocol(false, Substrate::Cm5, opt.words));
-    } else if (opt.workload == "stream") {
-        runs.push_back(
-            runProtocol(true, Substrate::Cm5, opt.words));
+    } else if (opt.workload == "xfer" || opt.workload == "stream") {
+        runs.push_back(runProfProtocol(opt.workload, opt.words));
     } else if (opt.workload == "incast") {
         runs.push_back(runIncast(n));
     }

@@ -692,7 +692,6 @@ makeX3b()
         dmaCfg.dmaXfer = true;
         Stack dma(dmaCfg);
         FiniteXfer p2(dma);
-        params.dma = true;
         const auto r2 = p2.run(params);
 
         return std::vector<Row>{

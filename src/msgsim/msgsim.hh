@@ -50,7 +50,6 @@
 #include "cmam/cmam.hh"
 #include "cmam/segment.hh"
 #include "cmam/send_path.hh"
-#include "hlam/hl_layer.hh"
 #include "nicam/nicam_layer.hh"
 #include "rdmanet/rdma_nic.hh"
 

@@ -46,70 +46,12 @@ void
 NicamLayer::xferSend(NodeId dst, Word sid, Addr srcBuf,
                      std::uint32_t words)
 {
-    Processor &p = node_.proc();
-    Accounting &a = p.acct();
-    NetIface &ni = node_.ni();
-    const int n = dataWords();
     ScopedSpan span(node_.id(), "nicam", "xfer_send");
     hostprof::HostScope hps(hostprof::Site::NicamSend);
-
-    if (words == 0 || words % static_cast<std::uint32_t>(n) != 0)
-        msgsim_fatal("nicam xfer of ", words,
-                     " words: not a multiple of packet size ", n);
-    if (words > hdr::maxFieldB)
-        msgsim_fatal("nicam xfer size exceeds header field");
-    if (sid > hdr::maxFieldA)
-        msgsim_fatal("transfer id ", sid, " exceeds the header field");
-
-    // Fixed entry (2 reg + 1 mem), as in the CMAM xfer loop.
-    p.regOps(2);
-    (void)p.loadWord(niBaseAddr_);
-
-    std::uint32_t offset = 0;
-    while (offset < words) {
-        {
-            // The fabric reorders: every packet must carry its
-            // placement offset for the NIC's offload engine.
-            FeatureScope ord(a, Feature::InOrderDelivery);
-            p.regOps(2); // offset field insert + advance
-        }
-        const Word header = hdr::pack(sid, offset);
-
-        for (int attempt = 0;; ++attempt) {
-            if (attempt > 1000)
-                msgsim_panic("nicam xfer send retry livelock");
-            {
-                RowScope r(a, CostRow::NiSetup);
-                p.regOps(4);
-                ni.writeSendCtl(a, dst, HwTag::XferData, header);
-            }
-            {
-                RowScope r(a, CostRow::CheckStatus);
-                (void)ni.readStatus(a);
-                p.regOps(2);
-            }
-            for (int i = 0; i < n; i += 2) {
-                const auto [w0, w1] = p.loadDouble(
-                    srcBuf + offset + static_cast<Addr>(i));
-                RowScope r(a, CostRow::WriteNi);
-                ni.writeSendDouble(a, w0, w1);
-            }
-            Word status;
-            {
-                RowScope r(a, CostRow::CheckStatus);
-                status = ni.readStatus(a);
-                p.regOps(3);
-            }
-            {
-                RowScope r(a, CostRow::ControlFlow);
-                p.branches(3);
-            }
-            if (status & ni_status::sendOk)
-                break;
-        }
-        p.regOps(3); // loop induction
-        offset += static_cast<std::uint32_t>(n);
-    }
+    // The fabric reorders: every packet carries its placement offset
+    // for the NIC's offload engine.
+    xferPacketLoop(node_, niBaseAddr_, dst, sid, srcBuf, words,
+                   /*stampOffsets=*/true, /*dma=*/false);
 }
 
 void
@@ -377,79 +319,47 @@ NicamLayer::poll()
     ScopedSpan span(node_.id(), "nicam", "poll");
     hostprof::HostScope hps(hostprof::Site::NicamSend);
 
-    {
-        RowScope r(a, CostRow::CallReturn);
-        p.callRet(3);
-    }
-    dispatchOps_ += 3;
-    int handled = 0;
-    bool first = true;
-    for (;;) {
-        Word status;
-        {
-            RowScope r(a, CostRow::CheckStatus);
-            status = ni.readStatus(a);
-            p.regOps(first ? 9 : 1);
-            dispatchOps_ += first ? 10 : 2; // status read + decode
-            first = false;
-        }
-        if (!(status & ni_status::recvReady))
-            break;
-        const Packet *head = ni.hwPeekRecv();
-        if (head == nullptr)
-            msgsim_panic("recvReady set with empty FIFO");
-        const auto tag = static_cast<HwTag>(
-            (status >> ni_status::tagShift) & ni_status::tagMask);
-        if (tag != HwTag::UserAm)
-            msgsim_panic("nicam host fallback: unexpected tag ",
-                         static_cast<int>(tag));
-        LineageHooks *lh = LineageHooks::current();
-        if (lh)
-            lh->handlerBegin(node_.id(), *head, ni.sim().now());
-        Word header;
-        {
-            RowScope r(a, CostRow::ReadNi);
-            header = ni.readRecvHeader(a);
-        }
-        p.regOps(3); // tag-vector dispatch
-        dispatchOps_ += 3;
-        const Word hid = hdr::fieldA(header);
-        auto fit = hostHandlers_.find(hid);
-        if (fit == hostHandlers_.end())
-            msgsim_panic("nicam host fallback: no handler ", hid);
-        NodeId src;
-        {
-            RowScope r(a, CostRow::ReadNi);
-            src = static_cast<NodeId>(ni.readRecvSource(a));
-        }
-        const auto words = head->data.size();
-        std::vector<Word> args;
-        args.reserve(words);
-        {
-            RowScope r(a, CostRow::ReadNi);
-            for (std::size_t i = 0; i < words; i += 2) {
-                const auto [w0, w1] = ni.readRecvDouble(a);
-                args.push_back(w0);
-                args.push_back(w1);
+    return drainRecvFifo(
+        node_, dispatchOps_, /*pollEntry=*/true,
+        [&](HwTag tag, const Packet &head) {
+            if (tag != HwTag::UserAm)
+                msgsim_panic("nicam host fallback: unexpected tag ",
+                             static_cast<int>(tag));
+            Word header;
+            {
+                RowScope r(a, CostRow::ReadNi);
+                header = ni.readRecvHeader(a);
             }
-        }
-        {
-            RowScope r(a, CostRow::CallReturn);
-            p.callRet(4); // user-handler linkage
-        }
-        dispatchOps_ += 4;
-        ++hostDispatches_;
-        fit->second(src, header, args);
-        if (lh)
-            lh->handlerEnd(node_.id(), ni.sim().now());
-        ++handled;
-        {
-            RowScope r(a, CostRow::ControlFlow);
-            p.branches(2);
-        }
-        dispatchOps_ += 2;
-    }
-    return handled;
+            p.regOps(3); // tag-vector dispatch
+            dispatchOps_ += 3;
+            const Word hid = hdr::fieldA(header);
+            auto fit = hostHandlers_.find(hid);
+            if (fit == hostHandlers_.end())
+                msgsim_panic("nicam host fallback: no handler ", hid);
+            NodeId src;
+            {
+                RowScope r(a, CostRow::ReadNi);
+                src = static_cast<NodeId>(ni.readRecvSource(a));
+            }
+            const auto words = head.data.size();
+            std::vector<Word> args;
+            args.reserve(words);
+            {
+                RowScope r(a, CostRow::ReadNi);
+                for (std::size_t i = 0; i < words; i += 2) {
+                    const auto [w0, w1] = ni.readRecvDouble(a);
+                    args.push_back(w0);
+                    args.push_back(w1);
+                }
+            }
+            {
+                RowScope r(a, CostRow::CallReturn);
+                p.callRet(4); // user-handler linkage
+            }
+            dispatchOps_ += 4;
+            ++hostDispatches_;
+            fit->second(src, header, args);
+        });
 }
 
 } // namespace msgsim

@@ -10,6 +10,9 @@ namespace msgsim
 
 FiniteXfer::FiniteXfer(Stack &stack) : stack_(stack)
 {
+    if (stack_.config().layer != HostLayer::Cmam)
+        msgsim_fatal("the finite-xfer handshake needs the cmam layer, "
+                     "not ", toString(stack_.config().layer));
     installSinks();
 }
 
@@ -176,11 +179,7 @@ FiniteXfer::sendData(Word transferId)
         t.restarts ? Feature::FaultTolerance : Feature::BaseCost;
     FeatureScope fs(s.acct(), feat);
     ScopedSpan sp(t.src, "finite_xfer", "data");
-    if (t.dma)
-        stack_.cmam(t.src).xferSendDma(t.dst, t.segId, t.srcBuf,
-                                       t.words);
-    else
-        stack_.cmam(t.src).xferSend(t.dst, t.segId, t.srcBuf, t.words);
+    stack_.cmam(t.src).xferSend(t.dst, t.segId, t.srcBuf, t.words);
     if (t.restarts)
         t.retransmitted += t.packets;
 }
@@ -193,16 +192,12 @@ FiniteXfer::newTransfer(const FiniteXferParams &params)
         params.words % static_cast<std::uint32_t>(n) != 0)
         msgsim_fatal("finite xfer of ", params.words,
                      " words: not a multiple of packet size ", n);
-    if (params.dma && !stack_.config().dmaXfer)
-        msgsim_fatal("DMA transfer on a stack built without "
-                     "StackConfig::dmaXfer");
 
     Node &src = stack_.node(params.src);
     const Word tid = nextTransferId_++;
     Transfer &t = transfers_[tid];
     t.src = params.src;
     t.dst = params.dst;
-    t.dma = params.dma;
     t.words = params.words;
     t.packets = params.words / static_cast<std::uint32_t>(n);
     t.srcBuf = src.mem().alloc(params.words);
@@ -324,12 +319,7 @@ FiniteXfer::run(const FiniteXferParams &params)
             // Step 4, source side.
             FeatureScope fs(src.acct(), Feature::BaseCost);
             ScopedSpan sp(params.src, "finite_xfer", "data");
-            if (t.dma)
-                csrc.xferSendDma(params.dst, t.segId, t.srcBuf,
-                                 params.words);
-            else
-                csrc.xferSend(params.dst, t.segId, t.srcBuf,
-                              params.words);
+            csrc.xferSend(params.dst, t.segId, t.srcBuf, params.words);
         }
         stack_.settle();
         {

@@ -48,9 +48,6 @@ struct FiniteXferParams
     int maxRestarts = 16;      ///< event mode: give-up bound
     /// Event mode: how arrivals are serviced (poll vs interrupt).
     RecvDiscipline discipline = RecvDiscipline::Poll;
-    /// Use the DMA data path (the stack must be built with
-    /// StackConfig::dmaXfer).
-    bool dma = false;
 };
 
 /**
@@ -110,7 +107,6 @@ class FiniteXfer
         std::uint32_t words = 0;
         std::uint32_t packets = 0;
         Word segId = invalidSegment; ///< source's view after reply
-        bool dma = false;
         bool gotReply = false;
         bool gotAck = false;
         int restarts = 0;

@@ -117,7 +117,7 @@ hlExchange(Stack &stack, const RunParams &params,
             stack.sim().schedule(1, [&stack, id] {
                 Node &nd = stack.node(id);
                 FeatureScope fs(nd.acct(), Feature::BaseCost);
-                stack.hl(id).poll();
+                stack.cmam(id).poll();
             });
         });
     {
@@ -127,7 +127,7 @@ hlExchange(Stack &stack, const RunParams &params,
     if (!params.eventMode) {
         stack.settle();
         FeatureScope fs(dst.acct(), Feature::BaseCost);
-        stack.hl(params.dst).poll();
+        stack.cmam(params.dst).poll();
         return;
     }
     stack.sim().runUntil(done, 50'000'000);
@@ -274,7 +274,9 @@ fillWords(Node &node, Addr buf, std::uint32_t words, std::uint64_t seed)
 RunResult
 runHlFinite(Stack &stack, const RunParams &params)
 {
-    const int n = stack.dataWords();
+    const auto n = static_cast<std::uint32_t>(stack.dataWords());
+    const std::uint32_t packets =
+        packetsOf("hl finite transfer", params.words, n);
     Node &src = stack.node(params.src);
     Node &dst = stack.node(params.dst);
 
@@ -284,21 +286,21 @@ runHlFinite(Stack &stack, const RunParams &params)
     fillWords(src, src_buf, params.words, params.fillSeed);
 
     bool done = false;
-    stack.hl(params.dst).postTransfer(tid, dst_buf,
-                                      [&done](Word) { done = true; });
+    stack.cmam(params.dst).postTransfer(tid, dst_buf,
+                                        [&done](Word) { done = true; });
 
     const RunFrame frame(stack, params.src, params.dst);
     hlExchange(
         stack, params,
         [&] {
-            stack.hl(params.src).xferSend(params.dst, tid, src_buf,
-                                          params.words);
+            stack.cmam(params.src).xferSend(params.dst, tid, src_buf,
+                                            params.words);
         },
         [&done] { return done; });
 
     RunResult res;
     frame.finish(res);
-    res.packets = params.words / static_cast<std::uint32_t>(n);
+    res.packets = packets;
     res.dataOk =
         done && sameWords(src, src_buf, dst, dst_buf, params.words);
     return res;
@@ -308,13 +310,15 @@ RunResult
 runHlStream(Stack &stack, const RunParams &params)
 {
     const auto n = static_cast<std::uint32_t>(stack.dataWords());
-    const std::uint32_t packets = params.words / n;
-    const std::vector<Word> data =
-        seededWords(packets * n, params.fillSeed);
+    const std::uint32_t packets =
+        packetsOf("hl stream", params.words, n);
+    const std::vector<Word> data = seededWords(params.words, params.fillSeed);
 
+    // Order and reliability are the fabric's: the layer's base receive
+    // hands each packet's words straight to the application.
     std::vector<Word> received;
-    stack.hl(params.dst).setStreamCb(
-        [&received](Word, NodeId, const std::vector<Word> &words) {
+    stack.cmam(params.dst).setStreamDataSink(
+        [&received](NodeId, Word, const std::vector<Word> &words) {
             received.insert(received.end(), words.begin(), words.end());
         });
 
@@ -323,10 +327,14 @@ runHlStream(Stack &stack, const RunParams &params)
     hlExchange(
         stack, params,
         [&] {
+            // Each packet is exactly a single-packet send (20 at
+            // n = 4): no sequence number, no source buffering.
             std::vector<Word> pkt(n);
             for (std::uint32_t p = 0; p < packets; ++p) {
                 std::copy_n(data.begin() + p * n, n, pkt.begin());
-                stack.hl(params.src).streamSend(params.dst, chan, pkt);
+                stack.cmam(params.src).sendTagged(
+                    HwTag::StreamData, params.dst, hdr::pack(chan, 0),
+                    pkt, 0);
             }
         },
         [&] { return received.size() == params.words; });

@@ -1,10 +1,11 @@
 /**
  * @file
  * The paper's protocols on the host layers other than CMAM: the
- * Section 4 high-level layer's finite and indefinite sequences
- * (over CR), and all four protocols re-expressed in verbs (rdma) and
- * with the receive side offloaded to the NIC (nicam).  Each driver
- * takes a Stack built with the matching HostLayer.
+ * Section 4 layer's finite and indefinite sequences (CMAM trusting
+ * CR, one poll per arrival in event mode), and all four protocols
+ * re-expressed in verbs (rdma) and with the receive side offloaded
+ * to the NIC (nicam).  Each driver takes a Stack built with the
+ * matching HostLayer.
  *
  * On rdma the 1994 overheads (buffering, in-order, fault tolerance)
  * are zero by construction, while two columns that do not exist on

@@ -177,37 +177,18 @@ Stack::Stack(const StackConfig &cfg) : cfg_(cfg)
 
     const std::uint32_t nodes = cfg_.nodes;
     switch (cfg_.layer) {
-      case HostLayer::Cmam: {
+      case HostLayer::Cmam:
+      case HostLayer::Hl: {
         Cmam::Config cc;
         cc.maxSegments = cfg_.maxSegments;
         cc.dmaXfer = cfg_.dmaXfer;
         cc.kernelMediated = cfg_.kernelMediated;
+        // The §4 layer leaves to the fabric what the fabric provides.
+        if (cfg_.layer == HostLayer::Hl)
+            cc.trusted = netFeatures(cfg_.substrate);
         cmams_.reserve(nodes);
         for (NodeId i = 0; i < nodes; ++i)
             cmams_.push_back(std::make_unique<Cmam>(node(i), cc));
-        break;
-      }
-      case HostLayer::Hl: {
-        HlLayer::Config lc;
-        lc.maxTransfers = cfg_.maxTransfers;
-        hls_.reserve(nodes);
-        for (NodeId i = 0; i < nodes; ++i) {
-            HlLayer *layer =
-                hls_.emplace_back(std::make_unique<HlLayer>(node(i), lc))
-                    .get();
-            if (!cfg_.rejectWhenFull)
-                continue;
-            // CR acceptance check: a header packet for a transfer
-            // that cannot get a table slot is rejected in hardware
-            // and retransmitted later — no software handshake needed.
-            node(i).ni().setAcceptFn([layer](const Packet &pkt) {
-                if (pkt.tag != HwTag::XferData)
-                    return true;
-                if (hdr::fieldB(pkt.header) == 0)
-                    return true; // not a header packet
-                return layer->hasTransferSlot();
-            });
-        }
         break;
       }
       case HostLayer::Verbs: {
@@ -238,12 +219,6 @@ Stack::cmam(NodeId id)
     return layerAt(cmams_, id, "cmam");
 }
 
-HlLayer &
-Stack::hl(NodeId id)
-{
-    return layerAt(hls_, id, "hl");
-}
-
 RdmaNic &
 Stack::nic(NodeId id)
 {
@@ -260,8 +235,8 @@ std::uint64_t
 Stack::dispatchOps(NodeId id)
 {
     switch (cfg_.layer) {
-      case HostLayer::Cmam:    return cmam(id).dispatchOps();
-      case HostLayer::Hl:      return hl(id).dispatchOps();
+      case HostLayer::Cmam:
+      case HostLayer::Hl:      return cmam(id).dispatchOps();
       case HostLayer::Verbs:   return 0;
       case HostLayer::Offload: return offload(id).dispatchOps();
     }

@@ -17,7 +17,6 @@
 #include "cm5net/cm5_network.hh"
 #include "cmam/cmam.hh"
 #include "crnet/cr_network.hh"
-#include "hlam/hl_layer.hh"
 #include "machine/machine.hh"
 #include "nicam/nicam_layer.hh"
 #include "nicam/nicam_network.hh"
@@ -53,7 +52,7 @@ NetFeatures netFeatures(Substrate s);
 enum class HostLayer
 {
     Cmam,    ///< the paper's §3 active-message layer, on any fabric
-    Hl,      ///< the §4 high-level layer, built for CR's features
+    Hl,      ///< the §4 layer: CMAM trusting its fabric (CR)
     Verbs,   ///< RDMA verbs: queue pairs, registration, a polled CQ
     Offload, ///< active messages dispatched on the NIC
 };
@@ -117,7 +116,7 @@ struct StackConfig
     int dataWords = 4; ///< n, the hardware packet payload (CM-5: 4)
     std::size_t memWords = 1u << 20;
     std::size_t recvCapacity = static_cast<std::size_t>(-1);
-    int maxSegments = 64;
+    int maxSegments = 64; ///< segment table (hl: live transfers)
     bool dmaXfer = false; ///< §5 extension: DMA bulk-data movement
     /// §5 ablation: every messaging call crosses into the kernel
     /// (no user-level NI access).
@@ -133,9 +132,7 @@ struct StackConfig
     Tick deliverGap = 0; ///< link bandwidth: per-dest packet spacing
     int maxOffloadEntries = 8; ///< nicam: on-NIC handler-table size
 
-    // Host-layer knobs (CMAM's are above).
-    int maxTransfers = 64;       ///< hl: live finite-transfer table
-    bool rejectWhenFull = false; ///< hl: install the CR acceptance check
+    // Host-layer knobs (CMAM's and hl's are above).
     int mrCacheSlots = 4;        ///< verbs: registration-cache entries
     std::size_t cqCapacity = 64; ///< verbs: completion-queue entries
 };
@@ -160,10 +157,11 @@ class Stack
     int dataWords() const { return cfg_.dataWords; }
     const StackConfig &config() const { return cfg_; }
 
-    /** The CMAM layer on node @p id. */
+    /**
+     * The CMAM layer on node @p id; on an hl stack, CMAM trusting the
+     * fabric's netFeatures().
+     */
     Cmam &cmam(NodeId id);
-    /** The high-level layer on node @p id. */
-    HlLayer &hl(NodeId id);
     /** The verbs NIC on node @p id. */
     RdmaNic &nic(NodeId id);
     /** The offloading host layer on node @p id. */
@@ -200,9 +198,9 @@ class Stack
   private:
     StackConfig cfg_;
     std::unique_ptr<Machine> machine_;
-    // Per-node layers; only cfg_.layer's vector is filled.
+    // Per-node layers; only cfg_.layer's vector is filled (CMAM's
+    // for hl).
     std::vector<std::unique_ptr<Cmam>> cmams_;
-    std::vector<std::unique_ptr<HlLayer>> hls_;
     std::vector<std::unique_ptr<RdmaNic>> nics_;
     std::vector<std::unique_ptr<NicamLayer>> offloads_;
     Word nextId_ = 1;

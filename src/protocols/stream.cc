@@ -23,9 +23,10 @@ constexpr std::uint32_t maxSeqHeader = hdr::maxFieldB;
 StreamProtocol::StreamProtocol(Stack &stack) : stack_(stack)
 {
     for (NodeId id = 0; id < stack_.machine().nodeCount(); ++id) {
-        stack_.cmam(id).setStreamDataSink([this, id](NodeId pktSrc) {
-            onStreamData(id, pktSrc);
-        });
+        stack_.cmam(id).setStreamDataSink(
+            [this, id](NodeId, Word header, const std::vector<Word> &data) {
+                onStreamData(id, header, data);
+            });
         stack_.cmam(id).setStreamAckSink([this, id](NodeId pktSrc) {
             onStreamAck(id, pktSrc);
         });
@@ -214,43 +215,17 @@ StreamProtocol::retransmit(Channel &ch, InFlight &pkt)
 }
 
 void
-StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
+StreamProtocol::onStreamData(NodeId self, Word header,
+                             const std::vector<Word> &data)
 {
     Node &nd = stack_.node(self);
     Processor &p = nd.proc();
     Accounting &a = p.acct();
-    NetIface &ni = nd.ni();
-    const int n = stack_.dataWords();
     ScopedSpan span(self, "stream", "recv_data");
 
-    // Base cost: header and payload extraction plus dispatch; the
-    // poll loop already charged its per-iteration status/branch cost.
-    Word header;
-    {
-        RowScope r(a, CostRow::ReadNi);
-        header = ni.readRecvHeader(a);
-    }
-    // Leased: delivery runs the channel's callback, which may poll and
-    // so re-enter here while this packet's words are still being read.
-    ScratchPool<std::vector<Word>>::Lease data(wordBufs_);
-    data->resize(static_cast<std::size_t>(n));
-    {
-        RowScope r(a, CostRow::ReadNi);
-        for (int i = 0; i < n; i += 2) {
-            const auto [w0, w1] = ni.readRecvDouble(a);
-            (*data)[static_cast<std::size_t>(i)] = w0;
-            (*data)[static_cast<std::size_t>(i + 1)] = w1;
-        }
-    }
-    p.regOps(3); // tag-vector dispatch
-    {
-        // Per-packet handler linkage, charged flat per the paper's
-        // per-packet base accounting (OOO packets pay it here even
-        // though their handler runs at drain time).
-        RowScope r(a, CostRow::CallReturn);
-        p.callRet(4);
-    }
-
+    // The layer has charged the base receive: header and payload
+    // extraction, dispatch and the handler linkage (OOO packets pay
+    // it on arrival even though their handler runs at drain time).
     const Word chan = hdr::fieldA(header);
     auto it = channels_.find(chan);
     if (it == channels_.end())
@@ -271,7 +246,7 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
             FeatureScope io(a, Feature::InOrderDelivery);
             p.regOps(4);
         }
-        deliverInSeq(ch, seq, *data);
+        deliverInSeq(ch, seq, data);
         drainReorder(ch);
         ackArrival(ch, seq);
     } else if (seq > ch.expected && !ch.buffered(seq)) {
@@ -281,7 +256,7 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
             // acknowledged yet lost.
             ackArrival(ch, seq);
         } else {
-            insertReorder(ch, seq, *data);
+            insertReorder(ch, seq, data);
             ++ch.ooo;
             ++totals_.oooBuffered;
             ackArrival(ch, seq);
@@ -295,7 +270,6 @@ StreamProtocol::onStreamData(NodeId self, NodeId pktSrc)
         FeatureScope ft(a, Feature::FaultTolerance);
         sendAck(ch, seq, false);
     }
-    (void)pktSrc;
 }
 
 void
@@ -453,9 +427,12 @@ StreamProtocol::flushGroupAck(Channel &ch)
 void
 StreamProtocol::sendAck(Channel &ch, std::uint32_t seq, bool cumulative)
 {
-    ScratchPool<std::vector<Word>>::Lease args(wordBufs_);
+    // Leased from the node's layer: the ack is composed inside the
+    // data packet's handler, whose words hold the layer's last lease.
+    Cmam &cm = stack_.cmam(ch.dst);
+    ScratchPool<std::vector<Word>>::Lease args(cm.wordBufs());
     args->assign({seq, cumulative ? Word(1) : Word(0)});
-    stack_.cmam(ch.dst).sendTagged(
+    cm.sendTagged(
         HwTag::StreamAck, ch.src, hdr::pack(ch.id, seq & hdr::maxFieldB),
         *args, 4, 1);
     ++ch.acksSent;

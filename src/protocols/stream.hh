@@ -256,7 +256,8 @@ class StreamProtocol
     void consumeAcks(Channel &ch);
 
     /** Destination: StreamData sink. */
-    void onStreamData(NodeId self, NodeId pktSrc);
+    void onStreamData(NodeId self, Word header,
+                      const std::vector<Word> &data);
 
     /** Source: StreamAck sink. */
     void onStreamAck(NodeId self, NodeId pktSrc);

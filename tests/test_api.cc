@@ -60,7 +60,7 @@ TEST(Api, Am4ReplyCostsTheSameButRidesVnet1)
     ASSERT_EQ(recs.size(), 1u);
 }
 
-TEST(Api, HlLayerUnitCosts)
+TEST(Api, HlFiniteUnitCosts)
 {
     // HL finite at one packet: src = 3 + 22 = 25; dst = poll entry 13
     // + per-packet 11 reg + 2 mem + 4 dev + completion 5 + buffer
@@ -189,12 +189,13 @@ TEST(Api, AccessorOfAnUnbuiltLayerPanics)
         return false;
     };
     Stack cmam(StackConfig{});
-    EXPECT_TRUE(panics([&] { cmam.hl(0); }));
+    EXPECT_FALSE(panics([&] { cmam.cmam(0); }));
     EXPECT_TRUE(panics([&] { cmam.nic(0); }));
     EXPECT_TRUE(panics([&] { cmam.offload(0); }));
+    // The hl layer is CMAM trusting its fabric.
     Stack hl(stackConfigFor(HostLayer::Hl));
-    EXPECT_TRUE(panics([&] { hl.cmam(0); }));
-    EXPECT_FALSE(panics([&] { hl.hl(0); }));
+    EXPECT_FALSE(panics([&] { hl.cmam(0); }));
+    EXPECT_TRUE(panics([&] { hl.nic(0); }));
     log_detail::throwOnError = false;
 }
 

@@ -122,7 +122,6 @@ TEST(Dma, TransferIntegrity)
     FiniteXfer proto(stack);
     FiniteXferParams p;
     p.words = 256;
-    p.dma = true;
     const auto res = proto.run(p);
     EXPECT_TRUE(res.dataOk);
     EXPECT_GT(stack.node(0).ni().dmaTransfers(), 0u);
@@ -139,7 +138,6 @@ TEST(Dma, MatchesAnalyticModel)
         FiniteXfer proto(stack);
         FiniteXferParams p;
         p.words = 1024;
-        p.dma = true;
         const auto res = proto.run(p);
         ASSERT_TRUE(res.dataOk);
 
@@ -170,7 +168,6 @@ TEST(Dma, EliminatesPerWordMemAndDevTraffic)
     dma_cfg.dmaXfer = true;
     Stack dma(dma_cfg);
     FiniteXfer pdma(dma);
-    params.dma = true;
     const auto r_dma = pdma.run(params);
 
     ASSERT_TRUE(r_pio.dataOk);
@@ -196,23 +193,11 @@ TEST(Dma, EventModeWithRecovery)
     FiniteXfer proto(stack);
     FiniteXferParams p;
     p.words = 64;
-    p.dma = true;
     p.eventMode = true;
     p.ackTimeout = 2000;
     const auto res = proto.run(p);
     EXPECT_TRUE(res.dataOk);
     EXPECT_GT(res.retransmissions, 0u);
-}
-
-TEST(Dma, RequiresMatchingStackConfig)
-{
-    log_detail::throwOnError = true;
-    Stack stack(baseConfig()); // no dmaXfer
-    FiniteXfer proto(stack);
-    FiniteXferParams p;
-    p.dma = true;
-    EXPECT_THROW(proto.run(p), log_detail::SimError);
-    log_detail::throwOnError = false;
 }
 
 } // namespace

@@ -1,13 +1,16 @@
 /**
  * @file
- * Functional tests of the high-level-features layer: no-handshake
- * transfers, hardware-order streams, CR header rejection with
- * hardware retransmission, and hardware fault correction.
+ * Functional tests of the high-level-features layer (CMAM trusting
+ * CR): no-handshake transfers, hardware-order streams, CR header
+ * rejection with hardware retransmission, and hardware fault
+ * correction.
  */
 
 #include <gtest/gtest.h>
 
 #include "protocols/layer_drivers.hh"
+#include "protocols/stream.hh"
+#include "sim/log.hh"
 
 namespace msgsim
 {
@@ -64,12 +67,11 @@ TEST(HlFinite, SurvivesHeavyFaultsViaHardwareRetry)
 
 TEST(HlFinite, HeaderRejectionDefersStalledTransfer)
 {
-    // Fill the transfer table; the CR network must park the header
+    // Fill the segment table; the CR network must park the header
     // packet (hardware retransmission) until a slot frees — no
     // deadlock, no software involvement at the source.
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
-    cfg.maxTransfers = 1;
-    cfg.rejectWhenFull = true;
+    cfg.maxSegments = 1;
     Stack stack(cfg);
 
     Node &src = stack.node(0);
@@ -81,19 +83,19 @@ TEST(HlFinite, HeaderRejectionDefersStalledTransfer)
         src.mem().write(sbuf + i, 40 + i);
 
     int done = 0;
-    stack.hl(1).postTransfer(51, dbuf1, [&](Word) { ++done; });
-    stack.hl(1).postTransfer(52, dbuf2, [&](Word) { ++done; });
+    stack.cmam(1).postTransfer(51, dbuf1, [&](Word) { ++done; });
+    stack.cmam(1).postTransfer(52, dbuf2, [&](Word) { ++done; });
 
     // First transfer occupies the only slot by arriving but not being
     // polled yet; second transfer's header must be rejected.
-    stack.hl(0).xferSend(1, 51, sbuf, 8);
+    stack.cmam(0).xferSend(1, 51, sbuf, 8);
     stack.settle();
-    stack.hl(1).poll(); // transfer 51 completes, slot frees
+    stack.cmam(1).poll(); // transfer 51 completes, slot frees
     EXPECT_EQ(done, 1);
 
-    stack.hl(0).xferSend(1, 52, sbuf, 8);
+    stack.cmam(0).xferSend(1, 52, sbuf, 8);
     stack.settle();
-    stack.hl(1).poll();
+    stack.cmam(1).poll();
     EXPECT_EQ(done, 2);
     for (Word i = 0; i < 8; ++i)
         EXPECT_EQ(dst.mem().read(dbuf2 + i), 40 + i);
@@ -101,12 +103,11 @@ TEST(HlFinite, HeaderRejectionDefersStalledTransfer)
 
 TEST(HlFinite, ConcurrentHeadersWithRejection)
 {
-    // Two transfers in flight with a one-slot table: the CR hardware
+    // Two transfers in flight with a one-segment table: the CR hardware
     // serializes them by rejecting the second header until the first
     // completes.  Event mode drives polls from arrivals.
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
-    cfg.maxTransfers = 1;
-    cfg.rejectWhenFull = true;
+    cfg.maxSegments = 1;
     Stack stack(cfg);
 
     Node &src = stack.node(0);
@@ -118,20 +119,20 @@ TEST(HlFinite, ConcurrentHeadersWithRejection)
         src.mem().write(sbuf + i, 80 + i);
 
     int done = 0;
-    stack.hl(1).postTransfer(61, dbuf1, [&](Word) { ++done; });
-    stack.hl(1).postTransfer(62, dbuf2, [&](Word) { ++done; });
+    stack.cmam(1).postTransfer(61, dbuf1, [&](Word) { ++done; });
+    stack.cmam(1).postTransfer(62, dbuf2, [&](Word) { ++done; });
 
     // Start transfer 61 and poll only its first packet, so the single
     // table slot is occupied by a transfer in progress.
-    stack.hl(0).xferSend(1, 61, sbuf, 8);
+    stack.cmam(0).xferSend(1, 61, sbuf, 8);
     stack.sim().runUntil([&dst] { return dst.ni().hwRecvPending(); },
                          1'000'000);
-    stack.hl(1).poll();
-    EXPECT_EQ(stack.hl(1).activeTransfers(), 1);
+    stack.cmam(1).poll();
+    EXPECT_EQ(stack.cmam(1).segments().allocatedCount(), 1);
 
     // Transfer 62's header packet must now be rejected in hardware
     // and parked for retransmission — the source stays oblivious.
-    stack.hl(0).xferSend(1, 62, sbuf + 8, 8);
+    stack.cmam(0).xferSend(1, 62, sbuf + 8, 8);
     stack.sim().runUntil(
         [&stack] {
             return stack.machine().network().stats().deliveryRetries >
@@ -143,10 +144,10 @@ TEST(HlFinite, ConcurrentHeadersWithRejection)
 
     // Finishing transfer 61 frees the slot; the hardware retry then
     // lands transfer 62 in order.
-    stack.hl(1).poll();
+    stack.cmam(1).poll();
     EXPECT_EQ(done, 1);
     stack.settle();
-    stack.hl(1).poll();
+    stack.cmam(1).poll();
     EXPECT_EQ(done, 2);
     for (Word i = 0; i < 8; ++i) {
         EXPECT_EQ(dst.mem().read(dbuf1 + i), 80 + i);
@@ -180,6 +181,37 @@ TEST(HlStream, OrderedEvenUnderFaults)
     const auto res = runHlStream(stack, p);
     EXPECT_TRUE(res.dataOk);
     EXPECT_GT(stack.machine().network().stats().hwRetries, 0u);
+}
+
+TEST(HlStream, RejectsVolumeNotMultipleOfPacket)
+{
+    log_detail::throwOnError = true;
+    Stack stack(stackConfigFor(HostLayer::Hl));
+    RunParams p;
+    p.words = 6;
+    EXPECT_THROW(runHlStream(stack, p), log_detail::SimError);
+    log_detail::throwOnError = false;
+}
+
+TEST(HlStream, DispatchOpsMatchCmamStream)
+{
+    // Both layers run the same receive loop over the same NI: the
+    // dispatch mirror counts the same instructions for a 64-word
+    // calibration stream (poll entry, status reads, tag dispatch,
+    // handler linkage, back-edges).
+    Stack cm5(StackConfig{});
+    StreamProtocol proto(cm5);
+    StreamParams sp;
+    sp.words = 64;
+    ASSERT_TRUE(proto.run(sp).dataOk);
+
+    Stack hl(stackConfigFor(HostLayer::Hl));
+    RunParams hp;
+    hp.words = 64;
+    ASSERT_TRUE(runHlStream(hl, hp).dataOk);
+
+    EXPECT_EQ(cm5.dispatchOps(1), hl.dispatchOps(1));
+    EXPECT_EQ(hl.dispatchOps(1), 189u);
 }
 
 TEST(HlStream, EventModeDelivers)
