@@ -64,7 +64,7 @@ enum class Site : std::uint8_t
     SimStep,     ///< one event-loop iteration (self = dispatch cost)
     SimHeapPop,  ///< event-heap pop
     SimHandler,  ///< scheduled event execution
-    NetInject,   ///< Network::inject (stamp, seal, gate/substrate)
+    NetInject,   ///< Network::inject, injectParked (stamp, seal, hand off)
     NetDeliver,  ///< Network::presentToSink
     Cm5Route,    ///< CM-5 latency calc + scheduling the arrival
     Cm5Deliver,  ///< CM-5 edge arrival: order policy + delivery

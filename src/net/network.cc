@@ -37,6 +37,24 @@ bool
 Network::inject(Packet &&pkt)
 {
     hostprof::HostScope hs(hostprof::Site::NetInject);
+    const Slot slot = park(std::move(pkt));
+    if (launch(slot))
+        return true;
+    pkt = unpark(slot); // port busy: the caller keeps the packet
+    return false;
+}
+
+bool
+Network::injectParked(Slot slot)
+{
+    hostprof::HostScope hs(hostprof::Site::NetInject);
+    return launch(slot);
+}
+
+bool
+Network::launch(Slot slot)
+{
+    Packet &pkt = pool_[slot];
     std::uint64_t &flowCount = flowCounters_.at(pkt, sinks_.size());
     const NodeId flowDst = pkt.dst;
     pkt.injectSeq = nextInjectSeq_;
@@ -48,13 +66,9 @@ Network::inject(Packet &&pkt)
         // until it decides its fate through the gate*() re-entry
         // points.  Injection always succeeds (port backpressure is a
         // substrate behaviour the gate models explicitly, if at all).
-        gate_->capture(std::move(pkt));
-    } else {
-        const Slot slot = park(std::move(pkt));
-        if (!injectImpl(slot)) {
-            pkt = unpark(slot); // port busy: the caller keeps the packet
-            return false;
-        }
+        gate_->capture(unpark(slot));
+    } else if (!injectImpl(slot)) {
+        return false; // port busy: the slot stays with the caller
     }
     ++nextInjectSeq_;
     ++flowCount;
@@ -132,16 +146,33 @@ Network::presentToSink(Slot slot)
 }
 
 Network::Slot
+Network::takeSlot()
+{
+    if (freeSlots_.empty())
+        return pool_.fresh();
+    const Slot slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    return slot;
+}
+
+Network::Slot
 Network::park(Packet &&pkt)
 {
-    Slot slot;
-    if (freeSlots_.empty()) {
-        slot = pool_.fresh();
-    } else {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    }
+    const Slot slot = takeSlot();
     pool_[slot] = std::move(pkt);
+    return slot;
+}
+
+Network::Slot
+Network::stage(NodeId src, NodeId dst, HwTag tag, Word header,
+               unsigned vnet)
+{
+    // Every field as a freshly built packet has it: a recycled slot
+    // still holds its last packet's words, stamps and lineage.
+    const Slot slot = takeSlot();
+    Packet &pkt = pool_[slot];
+    pkt = Packet(src, dst, tag, header, Payload());
+    pkt.vnet = static_cast<std::uint8_t>(vnet);
     return slot;
 }
 

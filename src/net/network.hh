@@ -290,25 +290,42 @@ class Network
     }
 
     /**
-     * Inject a packet.  Stamps injection and flow sequence numbers.
-     * Returns false when the injection port is backpressured (the
-     * software must retry, like re-pushing a CM-5 packet whose
-     * send_ok read failed).
+     * Inject a packet: park() it, then injectParked().  Returns false
+     * when the injection port is backpressured, handing the packet
+     * back in @p pkt (the software must retry, like re-pushing a CM-5
+     * packet whose send_ok read failed).
      */
     bool inject(Packet &&pkt);
 
+    /**
+     * Inject the packet parked in @p slot.  Stamps injection and flow
+     * sequence numbers, seals it and hands it to the substrate (or,
+     * unparked, to an attached schedule gate).  Returns false when
+     * the injection port is backpressured, leaving the slot, and the
+     * packet in it, to the caller.
+     */
+    bool injectParked(Slot slot);
+
     // ------------------------------------------------------------
-    // Packet pool, shared by every substrate and the NIs.  Injection
-    // parks a packet once; from then on only its slot travels, through
-    // fabric events, order stages, flow queues and the NI receive
-    // FIFO, until the consumer reads its last word.  The pool grows to
-    // the high-water mark of packets alive at once, never moves a
-    // packet and recycles its slots, so carrying a packet from
-    // injection to consumption never allocates.
+    // Packet pool, shared by every substrate and the NIs.  A packet is
+    // parked once, when it is staged (or injected whole); from then on
+    // only its slot travels, through fabric events, order stages, flow
+    // queues and the NI receive FIFO, until the consumer reads its
+    // last word.  The pool grows to the high-water mark of packets
+    // alive at once, never moves a packet and recycles its slots, so
+    // carrying a packet from staging to consumption never allocates.
     // ------------------------------------------------------------
 
     /** Park @p pkt; it stays in its slot until release() or unpark(). */
     Slot park(Packet &&pkt);
+
+    /**
+     * Park a fresh packet from @p src to @p dst with no data words,
+     * for the caller to write in place and then injectParked() (the
+     * NI send FIFO, a NIC-built reply): a packet is born in its slot.
+     */
+    Slot stage(NodeId src, NodeId dst, HwTag tag, Word header,
+               unsigned vnet);
 
     /** Free @p slot: its packet was consumed or absorbed. */
     void release(Slot slot);
@@ -457,6 +474,12 @@ class Network
 
     /** Node @p id's sink, reset to unattached (sizes the counters). */
     Sink &sinkAt(NodeId id);
+
+    /** injectParked() without its host-profile scope. */
+    bool launch(Slot slot);
+
+    /** A free slot: a released one if any, else a fresh one. */
+    Slot takeSlot();
 
     ScheduleGate *gate_ = nullptr;
     std::vector<Sink> sinks_; ///< by node id

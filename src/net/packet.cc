@@ -37,16 +37,6 @@ Payload::operator=(const Payload &other)
     return *this;
 }
 
-Payload &
-Payload::operator=(Payload &&other) noexcept
-{
-    if (this != &other) {
-        release();
-        steal(other);
-    }
-    return *this;
-}
-
 void
 Payload::reserve(std::size_t n)
 {
@@ -58,28 +48,6 @@ Payload::reserve(std::size_t n)
         delete[] heap_;
     heap_ = block;
     cap_ = static_cast<std::uint32_t>(n);
-}
-
-void
-Payload::release()
-{
-    if (spilled())
-        delete[] heap_;
-    cap_ = inlineWords;
-    size_ = 0;
-}
-
-void
-Payload::steal(Payload &other) noexcept
-{
-    size_ = other.size_;
-    cap_ = other.cap_;
-    if (other.spilled())
-        heap_ = other.heap_;
-    else
-        std::copy(other.inline_, other.inline_ + other.size_, inline_);
-    other.cap_ = inlineWords;
-    other.size_ = 0;
 }
 
 bool

@@ -18,6 +18,7 @@
 #ifndef MSGSIM_NET_PACKET_HH
 #define MSGSIM_NET_PACKET_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -93,6 +94,41 @@ class Payload
     std::uint32_t size_ = 0;
     std::uint32_t cap_ = inlineWords;
 };
+
+// Inline: staging a packet moves an empty payload into its slot, and
+// a call per move costs as much as the move itself.
+
+inline void
+Payload::release()
+{
+    if (spilled())
+        delete[] heap_;
+    cap_ = inlineWords;
+    size_ = 0;
+}
+
+inline void
+Payload::steal(Payload &other) noexcept
+{
+    size_ = other.size_;
+    cap_ = other.cap_;
+    if (other.spilled())
+        heap_ = other.heap_;
+    else
+        std::copy(other.inline_, other.inline_ + other.size_, inline_);
+    other.cap_ = inlineWords;
+    other.size_ = 0;
+}
+
+inline Payload &
+Payload::operator=(Payload &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        steal(other);
+    }
+    return *this;
+}
 
 /** Hardware message tags, the NI's dispatch vector (4 bits on CM-5). */
 enum class HwTag : std::uint8_t

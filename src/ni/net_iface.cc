@@ -33,8 +33,11 @@ NetIface::writeSendCtl(Accounting &acct, NodeId dst, HwTag tag,
                      cfg_.dataWords, ")");
     if (vnet < 0 || vnet >= numVnets)
         msgsim_panic("bad virtual network ", vnet);
-    staged_.emplace(id_, dst, tag, header, Payload{});
-    staged_->vnet = static_cast<std::uint8_t>(vnet);
+    if (staged_ != nullptr)
+        net_.release(stagedSlot_); // a new control word drops it
+    stagedSlot_ = net_.stage(id_, dst, tag, header,
+                             static_cast<unsigned>(vnet));
+    staged_ = &net_.parked(stagedSlot_);
     staged_->data.reserve(static_cast<std::size_t>(lenWords));
     stagedLen_ = lenWords;
     // Packet birth: the lineage recorder stamps the id (and causal
@@ -44,16 +47,23 @@ NetIface::writeSendCtl(Accounting &acct, NodeId dst, HwTag tag,
         lh->packetBorn(*staged_, id_, net_.sim().now());
 }
 
+Packet &
+NetIface::stagedPacket(const char *what)
+{
+    if (staged_ == nullptr)
+        msgsim_panic(what, " with no packet staged");
+    return *staged_;
+}
+
 void
 NetIface::writeSendDouble(Accounting &acct, Word w0, Word w1)
 {
     hostprof::HostScope hs(hostprof::Site::NiSend);
     acct.charge(OpClass::DevStore);
-    if (!staged_)
-        msgsim_panic("send data pushed with no packet staged");
-    staged_->data.push_back(w0);
-    staged_->data.push_back(w1);
-    if (staged_->data.size() >= static_cast<std::size_t>(stagedLen_))
+    Payload &data = stagedPacket("send data pushed").data;
+    data.push_back(w0);
+    data.push_back(w1);
+    if (data.size() >= static_cast<std::size_t>(stagedLen_))
         launchStaged();
 }
 
@@ -62,43 +72,34 @@ NetIface::writeSendWord(Accounting &acct, Word w)
 {
     hostprof::HostScope hs(hostprof::Site::NiSend);
     acct.charge(OpClass::DevStore);
-    if (!staged_)
-        msgsim_panic("send data pushed with no packet staged");
-    staged_->data.push_back(w);
-    if (staged_->data.size() >= static_cast<std::size_t>(stagedLen_))
+    Payload &data = stagedPacket("send data pushed").data;
+    data.push_back(w);
+    if (data.size() >= static_cast<std::size_t>(stagedLen_))
         launchStaged();
 }
 
 void
 NetIface::launchStaged()
 {
-    lastSendOk_ = net_.inject(std::move(*staged_));
-    if (!lastSendOk_)
+    const Network::Slot slot = stagedSlot_;
+    staged_ = nullptr;
+    lastSendOk_ = net_.injectParked(slot);
+    if (!lastSendOk_) {
         ++sendBusyEvents_;
-    staged_.reset();
+        net_.release(slot); // software re-pushes the whole packet
+    }
 }
 
-int
-NetIface::pickServiceVnet() const
+void
+NetIface::refreshHead()
 {
-    // Reads of one packet stay on the latched queue; between packets
-    // the reply network (1) has priority — that is what lets replies
-    // drain past backed-up requests.
-    if (serviceVnet_ >= 0)
-        return serviceVnet_;
-    for (int v = numVnets - 1; v >= 0; --v)
-        if (!recvQueues_[static_cast<std::size_t>(v)].empty())
-            return v;
-    return -1;
-}
-
-const Packet *
-NetIface::hwPeekRecv() const
-{
-    const int v = pickServiceVnet();
-    if (v < 0)
-        return nullptr;
-    return &net_.parked(recvQueues_[static_cast<std::size_t>(v)].front());
+    for (std::size_t v = numVnets; v-- > 0;) {
+        if (!recvQueues_[v].empty()) {
+            head_ = &net_.parked(recvQueues_[v].front());
+            return;
+        }
+    }
+    head_ = nullptr;
 }
 
 Word
@@ -106,41 +107,36 @@ NetIface::readStatus(Accounting &acct)
 {
     hostprof::HostScope hs(hostprof::Site::NiRecv);
     acct.charge(OpClass::DevLoad);
-    Word status = 0;
-    if (lastSendOk_)
-        status |= ni_status::sendOk;
-    if (const Packet *head = hwPeekRecv()) {
-        status |= ni_status::recvReady;
-        status |= (static_cast<Word>(head->tag) & ni_status::tagMask)
-                  << ni_status::tagShift;
-    }
+    Word status = lastSendOk_ ? ni_status::sendOk : 0;
+    if (head_ != nullptr)
+        status |= ni_status::recvReady |
+                  (static_cast<Word>(head_->tag) & ni_status::tagMask)
+                      << ni_status::tagShift;
     return status;
 }
 
 const Packet &
 NetIface::headPacket(const char *what)
 {
-    const int v = pickServiceVnet();
-    if (v < 0)
+    if (head_ == nullptr)
         msgsim_panic("NI ", what, " with empty receive FIFO on node ",
                      id_);
-    serviceVnet_ = v; // latch until this packet is fully consumed
-    return net_.parked(recvQueues_[static_cast<std::size_t>(v)].front());
+    headLatched_ = true; // until this packet is fully consumed
+    return *head_;
 }
 
 void
 NetIface::consumeData(std::size_t nwords)
 {
-    if (serviceVnet_ < 0)
-        msgsim_panic("NI data consume with no packet in service");
-    auto &queue = recvQueues_[static_cast<std::size_t>(serviceVnet_)];
     recvReadIndex_ += nwords;
-    if (recvReadIndex_ >= net_.parked(queue.front()).data.size()) {
-        net_.release(queue.front()); // consumed: free the slot
-        queue.pop_front();
-        recvReadIndex_ = 0;
-        serviceVnet_ = -1;
-    }
+    if (recvReadIndex_ < head_->data.size())
+        return;
+    auto &queue = recvQueues_[head_->vnet % numVnets];
+    net_.release(queue.front()); // consumed: free the slot
+    queue.pop_front();
+    recvReadIndex_ = 0;
+    headLatched_ = false;
+    refreshHead();
 }
 
 Word
@@ -194,14 +190,13 @@ NetIface::writeSendDma(Accounting &acct, Addr src, int words)
     ++dmaTransfers_;
     if (mem_ == nullptr)
         msgsim_panic("DMA with no memory attached");
-    if (!staged_)
-        msgsim_panic("DMA gather with no packet staged");
-    if (static_cast<int>(staged_->data.size()) + words > stagedLen_)
+    Payload &data = stagedPacket("DMA gather").data;
+    if (static_cast<int>(data.size()) + words > stagedLen_)
         msgsim_panic("DMA gather overruns the staged packet");
     // The engine masters the bus: word movement is hardware work.
     for (int i = 0; i < words; ++i)
-        staged_->data.push_back(mem_->read(src + static_cast<Addr>(i)));
-    if (staged_->data.size() >= static_cast<std::size_t>(stagedLen_))
+        data.push_back(mem_->read(src + static_cast<Addr>(i)));
+    if (data.size() >= static_cast<std::size_t>(stagedLen_))
         launchStaged();
 }
 
@@ -249,6 +244,8 @@ NetIface::hwDeliver(Network::Slot slot)
         return Network::Take::Refused;
     }
     queue.push_back(slot);
+    if (!headLatched_)
+        refreshHead();
     if (ts) {
         std::size_t depth = 0;
         for (const auto &q : recvQueues_)

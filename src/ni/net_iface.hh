@@ -28,7 +28,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/accounting.hh"
@@ -109,8 +108,9 @@ class NetIface
      * single-packet active messages and protocol control packets are
      * always the 4-word CMAM_4 format regardless of the hardware
      * maximum.  @p vnet selects the data network (1 = the reply
-     * network).  The packet launches when the last data word is
-     * pushed.
+     * network).  The packet is staged in the network pool slot it
+     * travels in, the data pushes write it there, and it launches
+     * when the last data word is pushed.
      */
     void writeSendCtl(Accounting &acct, NodeId dst, HwTag tag,
                       Word header, int lenWords = 0, int vnet = 0);
@@ -206,7 +206,7 @@ class NetIface
      * (its last data word read), whatever is sent or delivered
      * meanwhile.
      */
-    const Packet *hwPeekRecv() const;
+    const Packet *hwPeekRecv() const { return head_; }
 
     /** Packets discarded by the hardware CRC check. */
     std::uint64_t crcDiscards() const { return crcDiscards_; }
@@ -221,7 +221,7 @@ class NetIface
     std::uint64_t sendBusyEvents() const { return sendBusyEvents_; }
 
     /** True while a send is staged but not yet launched (uncharged). */
-    bool hwSendStaged() const { return staged_.has_value(); }
+    bool hwSendStaged() const { return staged_ != nullptr; }
 
     /** Receive-FIFO capacity per virtual network (size_t(-1) = inf). */
     std::size_t recvCapacity() const { return cfg_.recvCapacity; }
@@ -240,32 +240,42 @@ class NetIface
                         const std::string &prefix = "ni") const;
 
   private:
+    /** The staged packet, which @p what needs (panics when none). */
+    Packet &stagedPacket(const char *what);
+
     /** Launch the staged packet once it is fully written. */
     void launchStaged();
 
-    /** Head of the service queue; latches the queue selection. */
+    /** The packet the next read services; latches it until consumed. */
     const Packet &headPacket(const char *what);
     void consumeData(std::size_t nwords);
+
+    /** Point head_ at the front of the highest non-empty queue. */
+    void refreshHead();
 
     NodeId id_;
     Network &net_;
     Config cfg_;
 
-    // Send staging area.
-    std::optional<Packet> staged_;
+    // Send staging: the packet being written, in the pool slot it
+    // will travel in (nullptr when no send is staged).
+    Packet *staged_ = nullptr;
+    Network::Slot stagedSlot_ = 0;
     int stagedLen_ = 0;
     bool lastSendOk_ = true;
 
-    // Receive FIFOs, one per virtual network.  Reads are latched to
-    // one queue for the duration of a packet (serviceVnet_), and the
-    // reply network (1) has drain priority between packets.
-    // Each entry is the network pool slot holding the packet.
+    // Receive FIFOs, one per virtual network; each entry is the
+    // network pool slot holding the packet.  head_ is the packet the
+    // next read services, at the front of its vnet's queue (nullptr
+    // when all are empty).  Between packets the reply network (1)
+    // has drain priority; once read, a packet is latched and keeps
+    // the service until its last word is read.  head_ changes only
+    // where the queues do: an accepted delivery while nothing is
+    // latched, and the consume that frees the head's slot.
     std::array<Ring<Network::Slot>, numVnets> recvQueues_;
+    const Packet *head_ = nullptr;
+    bool headLatched_ = false;
     std::size_t recvReadIndex_ = 0;
-    int serviceVnet_ = -1;
-
-    /** Queue the next read services (selection + latching rule). */
-    int pickServiceVnet() const;
 
     AcceptFn acceptFn_;
     std::function<void()> arrivalHook_;

@@ -103,18 +103,23 @@ NicamLayer::nicInject(NodeId dst, Word handler,
                       const std::vector<Word> &args)
 {
     // NIC-side send: no host instructions, but the packet is a real
-    // packet with lineage.
+    // packet with lineage, built in the pool slot it travels in.
     const int n = dataWords();
-    std::vector<Word> payload = args;
-    if (static_cast<int>(payload.size()) > n)
-        msgsim_panic("nic reply of ", payload.size(),
+    if (static_cast<int>(args.size()) > n)
+        msgsim_panic("nic reply of ", args.size(),
                      " words exceeds the packet size ", n);
-    payload.resize(static_cast<std::size_t>(n), 0);
-    Packet pkt(node_.id(), dst, HwTag::UserAm,
-               hdr::pack(handler, 0), std::move(payload));
+    const Network::Slot slot = net_.stage(node_.id(), dst, HwTag::UserAm,
+                                          hdr::pack(handler, 0), 0);
+    Packet &pkt = net_.parked(slot);
+    pkt.data.reserve(static_cast<std::size_t>(n));
+    for (Word w : args)
+        pkt.data.push_back(w);
+    while (pkt.data.size() < static_cast<std::size_t>(n))
+        pkt.data.push_back(0);
     if (LineageHooks *lh = LineageHooks::current())
         lh->packetBorn(pkt, node_.id(), net_.sim().now());
-    net_.inject(std::move(pkt));
+    if (!net_.injectParked(slot))
+        net_.release(slot); // port busy: the reply is lost
 }
 
 bool

@@ -115,10 +115,26 @@ TEST(HostProf, DisabledScopesAllocateNothing)
 
 TEST(HostProf, SteadyStatePacketPathAllocatesNothing)
 {
-    for (Substrate sub : allSubstrates) {
+    // Every substrate, then the two whose injection port can refuse a
+    // packet with the port busy half the time: a refused send's pool
+    // slot must come back for the re-push.
+    struct Case
+    {
+        Substrate sub;
+        double injectBusyRate;
+    };
+    std::vector<Case> cases;
+    for (Substrate sub : allSubstrates)
+        cases.push_back({sub, 0.0});
+    cases.push_back({Substrate::Cm5, 0.5});
+    cases.push_back({Substrate::Nicam, 0.5});
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.injectBusyRate);
+        const Substrate sub = c.sub;
         StackConfig cfg;
         cfg.substrate = sub;
         cfg.nodes = 2;
+        cfg.injectBusyRate = c.injectBusyRate;
         Stack stack(cfg);
         Cmam &src = stack.cmam(0);
         Cmam &dst = stack.cmam(1);
@@ -143,6 +159,10 @@ TEST(HostProf, SteadyStatePacketPathAllocatesNothing)
 
         EXPECT_EQ(allocs, 0u) << toString(sub);
         EXPECT_EQ(got, 1064u) << toString(sub);
+        if (c.injectBusyRate > 0) {
+            EXPECT_GT(stack.node(0).ni().sendBusyEvents(), 0u)
+                << toString(sub);
+        }
     }
 }
 

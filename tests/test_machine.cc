@@ -167,6 +167,52 @@ TEST(NetIface, RecvReadsConsumeThePacket)
     EXPECT_FALSE(n1.ni().hwRecvPending()); // popped after last word
 }
 
+TEST(NetIface, ReadsStayLatchedToTheirPacket)
+{
+    // The reply network drains first only between packets: once a
+    // read touches a request, a reply arriving meanwhile waits until
+    // the request's last word is read.
+    Machine::Config cfg;
+    cfg.nodes = 2;
+    Machine m(cfg, cm5Factory(2));
+    Node &n0 = m.node(0);
+    NetIface &ni = m.node(1).ni();
+    Accounting &a = m.node(1).acct();
+    const auto send = [&](HwTag tag, Word header, int vnet, Word w) {
+        n0.ni().writeSendCtl(n0.acct(), 1, tag, header, 0, vnet);
+        n0.ni().writeSendDouble(n0.acct(), w, w + 1);
+        n0.ni().writeSendDouble(n0.acct(), w + 2, w + 3);
+        m.sim().run();
+    };
+    const auto statusTag = [&] {
+        return static_cast<HwTag>(
+            (ni.readStatus(a) >> ni_status::tagShift) & ni_status::tagMask);
+    };
+
+    send(HwTag::UserAm, 0xa0, 0, 10);
+    EXPECT_EQ(ni.readRecvHeader(a), 0xa0u);
+    send(HwTag::Control, 0xb1, 1, 20);
+    ASSERT_EQ(ni.hwRecvDepth(0), 1u);
+    ASSERT_EQ(ni.hwRecvDepth(1), 1u);
+
+    EXPECT_EQ(ni.hwPeekRecv()->header, 0xa0u);
+    EXPECT_EQ(statusTag(), HwTag::UserAm);
+    const auto [w0, w1] = ni.readRecvDouble(a);
+    EXPECT_EQ(w0, 10u);
+    EXPECT_EQ(w1, 11u);
+    EXPECT_EQ(ni.hwPeekRecv()->header, 0xa0u);
+    const auto [w2, w3] = ni.readRecvDouble(a);
+    EXPECT_EQ(w2, 12u);
+    EXPECT_EQ(w3, 13u);
+
+    // The request is consumed; the reply is next.
+    ASSERT_NE(ni.hwPeekRecv(), nullptr);
+    EXPECT_EQ(ni.hwPeekRecv()->header, 0xb1u);
+    EXPECT_EQ(ni.hwPeekRecv()->vnet, 1u);
+    EXPECT_EQ(statusTag(), HwTag::Control);
+    EXPECT_EQ(ni.hwRecvDepth(0), 0u);
+}
+
 TEST(NetIface, CrcDiscardOnDelivery)
 {
     Machine::Config cfg;

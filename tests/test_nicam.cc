@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "hostprof/hostprof.hh"
 #include "nicam/nicam_network.hh"
 #include "prof/lineage.hh"
 #include "prof/profile.hh"
@@ -162,6 +163,36 @@ TEST(NicamLayer, OffloadReplyMayGrowThePoolUnderItsRequest)
         ASSERT_TRUE(res.dataOk);
         EXPECT_EQ(res.counts.dst.paperTotal(), 0u);
     }
+}
+
+TEST(NicamLayer, NicReplyIsBuiltInItsSlotWithoutAllocating)
+{
+    // Node 1's NIC injects replies that node 0's NIC consumes: once
+    // the pool and event heap are warm, not one heap allocation.
+    Stack stack(stackConfigFor(HostLayer::Offload));
+    const Word hRep = 6;
+    std::uint64_t got = 0;
+    Payload last;
+    ASSERT_TRUE(nicamFabric(stack).offloadHandler(
+        0, HwTag::UserAm, hRep, [&](const Packet &pkt) {
+            ++got;
+            last = pkt.data;
+        }));
+    NicamLayer &nic = stack.offload(1);
+    const std::vector<Word> args = {7, 8, 9};
+    const auto reply = [&] {
+        nic.nicInject(0, hRep, args);
+        stack.settle();
+    };
+
+    for (int i = 0; i < 16; ++i)
+        reply();
+    const std::uint64_t before = hostprof::globalAllocCount();
+    for (int i = 0; i < 100; ++i)
+        reply();
+    EXPECT_EQ(hostprof::globalAllocCount() - before, 0u);
+    EXPECT_EQ(got, 116u);
+    EXPECT_EQ(last, (Payload{7, 8, 9, 0})); // zero-padded to n = 4
 }
 
 TEST(NicamLayer, TableMissFallsBackToFullCostHostDispatch)

@@ -43,7 +43,10 @@
 #                                traced runs whose heap allocations
 #                                per packet must stay at or below
 #                                0.01 (am_single), 0.15 (incast) and
-#                                0.25 (wire_stream) on every substrate
+#                                0.25 (wire_stream), and whose
+#                                simulator events per packet must
+#                                stay at or below 1, on every
+#                                substrate
 set -euo pipefail
 
 repo_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -331,10 +334,10 @@ EOF
     echo "tele ok: counter timeline valid, bottlenecks attributed"
 }
 
-# gate_allocs WORKLOAD MAX: a short traced perfbench run of WORKLOAD
-# must be correct and report at most MAX heap allocations per packet
-# on every substrate.
-gate_allocs() {
+# gate_per_packet WORKLOAD MAX: a short traced perfbench run of
+# WORKLOAD must be correct and report, on every substrate, at most MAX
+# heap allocations and at most one simulator event per packet.
+gate_per_packet() {
     local result
     result="$(cd "$repo_dir" && python3 perfbench/run.py \
         --workload "$1" --seconds 1 --trace 1 | tail -n 1)"
@@ -347,23 +350,26 @@ for sub in ("cm5", "cr", "rdma", "nicam"):
     v = doc["metrics"][f"proc.allocs_per_pkt.{sub}"]["value"]
     assert v <= limit, \
         f"{workload} {sub}: {v} heap allocations per packet (max {limit})"
-    print(f"{workload} allocs/packet {sub}: {v:.4f}")
+    e = doc["metrics"][f"sim.events_per_pkt.{sub}"]["value"]
+    assert e <= 1, f"{workload} {sub}: {e} events per packet (max 1)"
+    print(f"{workload} {sub}: {v:.4f} allocs/packet, {e:g} events/packet")
 EOF
 }
 
 check_perfbench() {
     # The benchmark's self-test (every metric emitted with its unit,
-    # digest gate, a second seed), then the allocation gates: the
+    # digest gate, a second seed), then the per-packet gates: the
     # steady-state packet and framed-stream paths allocate nothing, so
     # what a traced run reports is only first-use sizing of the pools,
     # rings and buffers (an incast rep also builds its traffic engine
     # on 16 nodes and a deep event heap; a wire_stream rep its
-    # protocol channels and mux).
+    # protocol channels and mux); and a packet costs the event loop
+    # one typed event, no more.
     (cd "$repo_dir" && python3 perfbench/selftest.py)
-    gate_allocs am_single 0.01
-    gate_allocs incast 0.15
-    gate_allocs wire_stream 0.25
-    echo "perfbench ok: self-test passed, packet and stream paths allocation-free"
+    gate_per_packet am_single 0.01
+    gate_per_packet incast 0.15
+    gate_per_packet wire_stream 0.25
+    echo "perfbench ok: self-test passed, packet and stream paths allocation-free, one event per packet"
 }
 
 if [[ "${1:-}" == "--perfbench" ]]; then
