@@ -7,8 +7,15 @@ namespace msgsim
 {
 
 Cm5Network::Cm5Network(Simulator &sim, const Config &cfg)
-    : Network(sim), cfg_(cfg), tree_(cfg.nodes, cfg.arity),
-      faults_(cfg.faults), rng_(cfg.seed),
+    : Cm5Network(sim, cfg, hostprof::Site::Cm5Route,
+                 hostprof::Site::Cm5Deliver)
+{
+}
+
+Cm5Network::Cm5Network(Simulator &sim, const Config &cfg,
+                       hostprof::Site route, hostprof::Site deliver)
+    : Network(sim), cfg_(cfg), routeSite_(route), deliverSite_(deliver),
+      tree_(cfg.nodes, arity), faults_(cfg.faults), rng_(cfg.seed),
       order_(cfg.orderFactory, cfg.nodes)
 {
 }
@@ -33,7 +40,7 @@ Cm5Network::injectImpl(Slot slot)
       case FaultAction::Corrupt:
         ++stats_.corrupted;
         trace(TraceEvent::Corrupt, pkt);
-        break; // travels on; the NI's CRC check will reject it
+        break; // travels on; the edge's CRC check will reject it
       case FaultAction::Duplicate:
         // A ghost copy rides the network alongside the original
         // (speculative adaptive retry): route a clone independently,
@@ -54,10 +61,9 @@ Cm5Network::injectImpl(Slot slot)
 void
 Cm5Network::routeToEdge(Slot slot)
 {
-    hostprof::HostScope hs(hostprof::Site::Cm5Route);
+    hostprof::HostScope hs(routeSite_);
     const Packet &pkt = parked(slot);
-    Tick latency = cfg_.baseLatency +
-                   cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
+    Tick latency = baseLatency + hopLatency * tree_.hops(pkt.src, pkt.dst);
     if (cfg_.maxJitter > 0)
         latency += rng_.below(cfg_.maxJitter + 1);
 
@@ -75,7 +81,7 @@ Cm5Network::routeToEdge(Slot slot)
 void
 Cm5Network::arriveAtEdge(Slot slot)
 {
-    hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
+    hostprof::HostScope hs(deliverSite_);
     order_.arrive(parked(slot), slot, [this](Slot s) { tryDeliver(s); });
 }
 
@@ -84,14 +90,14 @@ Cm5Network::tryDeliver(Slot slot)
 {
     // Retry events re-enter here outside arriveAtEdge, so the
     // delivery scope opens here too (same-site nesting is fine).
-    hostprof::HostScope hs(hostprof::Site::Cm5Deliver);
-    if (presentToSink(slot))
+    hostprof::HostScope hs(deliverSite_);
+    if (takeAtEdge(slot) || presentToSink(slot))
         return;
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.
     ++stats_.deliveryRetries;
-    sim_.scheduleAt<&Cm5Network::tryDeliver>(sim_.now() + cfg_.retryDelay,
-                                             this, slot);
+    sim_.scheduleAt<&Cm5Network::tryDeliver>(sim_.now() + retryDelay, this,
+                                             slot);
 }
 
 void

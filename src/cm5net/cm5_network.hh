@@ -17,6 +17,9 @@
  *     packets silently or corrupt them; corrupted packets reach the NI
  *     where the CRC check discards them.  Nothing is retransmitted in
  *     hardware: recovery is the software's problem.
+ *
+ * NicamNetwork runs this engine and adds an on-NIC handler table at
+ * the destination edge (takeAtEdge()).
  */
 
 #ifndef MSGSIM_CM5NET_CM5_NETWORK_HH
@@ -35,6 +38,11 @@
 namespace msgsim
 {
 
+namespace hostprof
+{
+enum class Site : std::uint8_t;
+}
+
 /**
  * CM-5-style fat-tree network: out-of-order, finite-buffered,
  * detection-only.
@@ -45,11 +53,7 @@ class Cm5Network : public Network
     struct Config
     {
         std::uint32_t nodes = 4;     ///< leaf node count
-        std::uint32_t arity = 4;     ///< fat-tree arity (CM-5: 4)
-        Tick baseLatency = 10;       ///< fixed injection-to-edge time
-        Tick hopLatency = 2;         ///< per switch-to-switch hop
         Tick maxJitter = 0;          ///< random extra latency (OOO source)
-        Tick retryDelay = 8;         ///< redelivery period when sink full
         /// Link-bandwidth model: minimum spacing between packets
         /// leaving one node (0 = infinite injection bandwidth).
         Tick injectGap = 0;
@@ -60,6 +64,11 @@ class Cm5Network : public Network
         FaultInjector::Config faults;
         OrderPolicyFactory orderFactory; ///< default: FIFO
     };
+
+    static constexpr std::uint32_t arity = 4; ///< fat-tree arity (CM-5: 4)
+    static constexpr Tick baseLatency = 10;   ///< injection to edge
+    static constexpr Tick hopLatency = 2;     ///< per switch hop
+    static constexpr Tick retryDelay = 8;     ///< redelivery when sink full
 
     Cm5Network(Simulator &sim, const Config &cfg);
 
@@ -77,7 +86,19 @@ class Cm5Network : public Network
     FaultInjector &faults() { return faults_; }
 
   protected:
+    /** The engine, its host time charged to @p route and @p deliver. */
+    Cm5Network(Simulator &sim, const Config &cfg, hostprof::Site route,
+               hostprof::Site deliver);
+
     bool injectImpl(Slot slot) override;
+
+    /**
+     * The destination edge's look at a released packet before the
+     * sink is offered it, on every offer, retries included.  Returns
+     * true when the edge consumed the packet and freed its slot.  The
+     * CM-5's edge takes nothing; nicam's runs its handler table.
+     */
+    virtual bool takeAtEdge(Slot) { return false; }
 
   private:
     /** Route one packet to the destination edge (latency model). */
@@ -90,6 +111,8 @@ class Cm5Network : public Network
     void tryDeliver(Slot slot);
 
     Config cfg_;
+    hostprof::Site routeSite_;
+    hostprof::Site deliverSite_;
     FatTree tree_;
     FaultInjector faults_;
     Rng rng_;

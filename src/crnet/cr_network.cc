@@ -7,18 +7,24 @@ namespace msgsim
 {
 
 CrNetwork::CrNetwork(Simulator &sim, const Config &cfg)
-    : Network(sim), cfg_(cfg), tree_(cfg.nodes, cfg.arity),
-      faults_(cfg.faults)
+    : CrNetwork(sim, cfg, hostprof::Site::CrRoute,
+                hostprof::Site::CrDeliver)
+{
+}
+
+CrNetwork::CrNetwork(Simulator &sim, const Config &cfg,
+                     hostprof::Site route, hostprof::Site deliver)
+    : Network(sim), cfg_(cfg), routeSite_(route), deliverSite_(deliver),
+      tree_(cfg.nodes, arity), faults_(cfg.faults)
 {
 }
 
 bool
 CrNetwork::injectImpl(Slot slot)
 {
-    hostprof::HostScope hs(hostprof::Site::CrRoute);
+    hostprof::HostScope hs(routeSite_);
     const Packet &pkt = parked(slot);
-    Tick latency = cfg_.baseLatency +
-                   cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
+    Tick latency = baseLatency + hopLatency * tree_.hops(pkt.src, pkt.dst);
 
     // Packet-level fault tolerance: probe the injector on a copy; every
     // hit (drop, corruption, or a would-be duplicate) models a
@@ -31,7 +37,7 @@ CrNetwork::injectImpl(Slot slot)
             break;
         ++stats_.hwRetries;
         trace(TraceEvent::HwRetry, pkt);
-        latency += cfg_.hwRetryDelay;
+        latency += hwRetryDelay;
     }
 
     // Link-bandwidth serialization at both endpoints.
@@ -53,7 +59,7 @@ CrNetwork::injectImpl(Slot slot)
 void
 CrNetwork::arrive(Slot slot)
 {
-    hostprof::HostScope hs(hostprof::Site::CrDeliver);
+    hostprof::HostScope hs(deliverSite_);
     const Packet &pkt = parked(slot);
     const NodeId src = pkt.src;
     const std::uint32_t lane = flowLane(pkt.dst, pkt.vnet);
@@ -65,7 +71,7 @@ void
 CrNetwork::drain(NodeId src, std::uint32_t lane)
 {
     // Reject-retry closures re-enter here outside arrive().
-    hostprof::HostScope hs(hostprof::Site::CrDeliver);
+    hostprof::HostScope hs(deliverSite_);
     FlowState &state = flows_.at(src, lane, cfg_.nodes);
     state.drainScheduled = false;
     while (!state.queue.empty()) {
@@ -76,7 +82,7 @@ CrNetwork::drain(NodeId src, std::uint32_t lane)
             ++stats_.deliveryRetries;
             if (!state.drainScheduled) {
                 state.drainScheduled = true;
-                sim_.schedule(cfg_.rejectRetryDelay,
+                sim_.schedule(rejectRetryDelay,
                               [this, src, lane] { drain(src, lane); });
             }
             return;

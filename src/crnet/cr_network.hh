@@ -1,6 +1,6 @@
 /**
  * @file
- * Compressionless-Routing-style network.
+ * Compressionless-Routing-style network: the in-order engine.
  *
  * Models the three high-level hardware services of Section 4 (after
  * Kim, Liu & Chien's Compressionless Routing):
@@ -16,6 +16,9 @@
  *  3. *Packet-level fault tolerance* — acceptance of the last flit
  *     acts as an end-to-end acknowledgement; injected faults trigger
  *     hardware retransmission and never become visible to software.
+ *
+ * RdmaNetwork runs this engine unchanged: a verbs fabric's per-QP
+ * in-order reliable delivery is the same three services.
  */
 
 #ifndef MSGSIM_CRNET_CR_NETWORK_HH
@@ -33,6 +36,11 @@
 namespace msgsim
 {
 
+namespace hostprof
+{
+enum class Site : std::uint8_t;
+}
+
 /**
  * In-order, reliable, acceptance-independent network substrate.
  */
@@ -42,15 +50,16 @@ class CrNetwork : public Network
     struct Config
     {
         std::uint32_t nodes = 4;   ///< leaf node count
-        std::uint32_t arity = 4;   ///< fat-tree arity
-        Tick baseLatency = 10;     ///< fixed injection-to-edge time
-        Tick hopLatency = 2;       ///< per switch-to-switch hop
-        Tick hwRetryDelay = 6;     ///< path teardown + retransmit time
-        Tick rejectRetryDelay = 12;///< retry period after header reject
         Tick injectGap = 0;        ///< link-bandwidth: per-source spacing
         Tick deliverGap = 0;       ///< link-bandwidth: per-dest spacing
         FaultInjector::Config faults; ///< faults corrected in hardware
     };
+
+    static constexpr std::uint32_t arity = 4;    ///< fat-tree arity
+    static constexpr Tick baseLatency = 10;      ///< injection to edge
+    static constexpr Tick hopLatency = 2;        ///< per switch hop
+    static constexpr Tick hwRetryDelay = 6;      ///< teardown + resend
+    static constexpr Tick rejectRetryDelay = 12; ///< after a rejection
 
     CrNetwork(Simulator &sim, const Config &cfg);
 
@@ -66,6 +75,10 @@ class CrNetwork : public Network
     FaultInjector &faults() { return faults_; }
 
   protected:
+    /** The engine, its host time charged to @p route and @p deliver. */
+    CrNetwork(Simulator &sim, const Config &cfg, hostprof::Site route,
+              hostprof::Site deliver);
+
     bool injectImpl(Slot slot) override;
 
   private:
@@ -84,6 +97,8 @@ class CrNetwork : public Network
     void drain(NodeId src, std::uint32_t lane);
 
     Config cfg_;
+    hostprof::Site routeSite_;
+    hostprof::Site deliverSite_;
     FatTree tree_;
     FaultInjector faults_;
     FlowTable<FlowState> flows_;

@@ -81,12 +81,12 @@ enum class Site : std::uint8_t
     ProtoXfer,   ///< finite-xfer protocol driver
     ProtoStream, ///< stream protocol driver
     ProtoSocket, ///< socket protocol driver
-    RdmaRoute,   ///< RDMA inject: fault absorption, QP ordering
-    RdmaDeliver, ///< RDMA edge arrival: QP queue drain, CQ push
+    RdmaRoute,   ///< CrRoute's work on an rdma fabric
+    RdmaDeliver, ///< CrDeliver's work on an rdma fabric
     RdmaPost,    ///< RDMA host layer: WQE build + doorbell
     RdmaPoll,    ///< RDMA host layer: CQ poll / completion harvest
-    NicamRoute,  ///< nicam inject: fault switch + latency model
-    NicamDeliver,///< nicam edge arrival: handler table / fallback
+    NicamRoute,  ///< Cm5Route's work on a nicam fabric
+    NicamDeliver,///< Cm5Deliver's work + the on-NIC handler table
     NicamSend,   ///< nicam host layer: send paths
     TrafficSend, ///< traffic engine: one injection round
     TrafficDrain,///< traffic engine: settle + poll sweep

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -131,23 +132,37 @@ usSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** A bare 16-node fabric of type @p Net. */
+template <class Net>
+std::unique_ptr<Network>
+fabric(Simulator &sim)
+{
+    typename Net::Config cfg;
+    cfg.nodes = 16;
+    return std::make_unique<Net>(sim, cfg);
+}
+
+/** Pump 4-word packets from node 0 to node 1 of @p s's fabric. */
 WorkloadRun
-pumpNetwork(bool cm5, std::uint64_t packets)
+pumpFabric(Substrate s, std::uint64_t packets)
 {
     WorkloadRun run;
-    run.label = cm5 ? "cm5 network" : "cr network";
+    run.label = std::string(toString(s)) + " network";
     Simulator sim;
     std::unique_ptr<Network> net;
-    if (cm5) {
-        Cm5Network::Config cfg;
-        cfg.nodes = 16;
-        net = std::make_unique<Cm5Network>(sim, cfg);
-    } else {
-        CrNetwork::Config cfg;
-        cfg.nodes = 16;
-        net = std::make_unique<CrNetwork>(sim, cfg);
+    switch (s) {
+      case Substrate::Cm5:   net = fabric<Cm5Network>(sim); break;
+      case Substrate::Cr:    net = fabric<CrNetwork>(sim); break;
+      case Substrate::Rdma:  net = fabric<RdmaNetwork>(sim); break;
+      case Substrate::Nicam: net = fabric<NicamNetwork>(sim); break;
     }
     std::uint64_t delivered = 0;
+    // On nicam every packet hits the on-NIC handler table: the pump
+    // measures the offload dispatch path, not the host fallback.
+    if (s == Substrate::Nicam)
+        static_cast<NicamNetwork &>(*net).offloadHandler(
+            1, HwTag::UserAm, 0,
+            [&delivered](const Packet &) { ++delivered; });
     net->attach(1, [&delivered](Packet &) {
         ++delivered;
         return true;
@@ -155,55 +170,6 @@ pumpNetwork(bool cm5, std::uint64_t packets)
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < packets; ++i) {
         net->inject(Packet(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4}));
-        sim.run();
-    }
-    run.wallUs = usSince(t0);
-    run.packets = delivered;
-    return run;
-}
-
-WorkloadRun
-pumpRdma(std::uint64_t packets)
-{
-    WorkloadRun run;
-    run.label = "rdma network";
-    Simulator sim;
-    RdmaNetwork::Config cfg;
-    cfg.nodes = 16;
-    RdmaNetwork net(sim, cfg);
-    std::uint64_t delivered = 0;
-    net.attach(1, [&delivered](Packet &) {
-        ++delivered;
-        return true;
-    });
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < packets; ++i) {
-        net.inject(Packet(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4}));
-        sim.run();
-    }
-    run.wallUs = usSince(t0);
-    run.packets = delivered;
-    return run;
-}
-
-WorkloadRun
-pumpNicam(std::uint64_t packets)
-{
-    WorkloadRun run;
-    run.label = "nicam network";
-    Simulator sim;
-    NicamNetwork::Config cfg;
-    cfg.nodes = 16;
-    NicamNetwork net(sim, cfg);
-    std::uint64_t delivered = 0;
-    // Every packet hits the on-NIC handler table: the pump measures
-    // the offload dispatch path, not the host fallback.
-    net.offloadHandler(1, HwTag::UserAm, 0,
-                       [&delivered](const Packet &) { ++delivered; });
-    net.attach(1, [](Packet &) { return true; });
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < packets; ++i) {
-        net.inject(Packet(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4}));
         sim.run();
     }
     run.wallUs = usSince(t0);
@@ -277,18 +243,13 @@ runWorkloads(const Options &opt)
 {
     std::vector<WorkloadRun> runs;
     const std::uint64_t n = opt.packets;
+    Substrate fabricOnly = Substrate::Cm5;
     if (opt.workload == "p1") {
-        runs.push_back(pumpNetwork(true, n));
-        runs.push_back(pumpNetwork(false, n));
+        runs.push_back(pumpFabric(Substrate::Cm5, n));
+        runs.push_back(pumpFabric(Substrate::Cr, n));
         runs.push_back(pumpAm4(n / 4));
-    } else if (opt.workload == "cm5") {
-        runs.push_back(pumpNetwork(true, n));
-    } else if (opt.workload == "cr") {
-        runs.push_back(pumpNetwork(false, n));
-    } else if (opt.workload == "rdma") {
-        runs.push_back(pumpRdma(n));
-    } else if (opt.workload == "nicam") {
-        runs.push_back(pumpNicam(n));
+    } else if (substrateFromString(opt.workload, fabricOnly)) {
+        runs.push_back(pumpFabric(fabricOnly, n));
     } else if (opt.workload == "am4") {
         runs.push_back(pumpAm4(n / 4));
     } else if (opt.workload == "xfer" || opt.workload == "stream") {

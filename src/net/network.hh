@@ -3,27 +3,26 @@
  * Abstract routing-network interface.
  *
  * A Network moves packets between attached delivery sinks (the NIs).
- * The concrete substrates differ exactly along the axes the paper
- * studies — plus the modern-NIC capabilities the rdma/nicam family
- * adds — summarized in NetFeatures:
+ * The paper's two networks are the two engines: Cm5Network
+ * (arbitrary delivery order, finite buffering with backpressure,
+ * fault detection without correction) and CrNetwork (in-order
+ * delivery, deadlock freedom independent of packet acceptance by
+ * header rejection + hardware retransmission, packet-level fault
+ * tolerance by hardware retry).  Each of the other two substrates
+ * runs the engine it is indented under.  Their NetFeatures:
  *
- *  substrate     | inOrder | reliable | acceptInd | zeroCopy | offload | complQ
- *  ------------- | ------- | -------- | --------- | -------- | ------- | ------
- *  Cm5Network    |   no    |    no    |    no     |    no    |   no    |  no
- *  CrNetwork     |   yes   |   yes    |    yes    |    no    |   no    |  no
- *  RdmaNetwork   |   yes   |   yes    |    yes    |   yes    |   no    |  yes
- *  NicamNetwork  |   no    |    no    |    no     |    no    |   yes   |  no
+ *  substrate      | inOrder reliable acceptInd | zeroCopy offload complQ
+ *  -------------- | -------------------------- | -----------------------
+ *  Cm5Network     |   no      no       no      |   no       no      no
+ *    NicamNetwork |   no      no       no      |   no       yes     no
+ *  CrNetwork      |   yes     yes      yes     |   no       no      no
+ *    RdmaNetwork  |   yes     yes      yes     |   yes      no      yes
  *
- *  - Cm5Network: arbitrary delivery order, finite buffering
- *    (backpressure), fault detection without correction;
- *  - CrNetwork: in-order delivery, deadlock freedom independent of
- *    packet acceptance (header rejection + hardware retransmission),
- *    packet-level fault tolerance (hardware retry);
- *  - RdmaNetwork: CR-like guarantees per queue pair, plus zero-copy
- *    DMA into registered regions and host-polled completion queues;
- *  - NicamNetwork: CM-5-like unreliable/unordered fabric whose NIC
- *    runs registered AM handlers itself (bounded on-NIC handler
- *    table, host-dispatch fallback on miss).
+ *  - NicamNetwork: an on-NIC handler table at the destination edge
+ *    runs registered AM handlers (host-dispatch fallback on a miss);
+ *  - RdmaNetwork: per-QP in-order reliable delivery is CR's; the
+ *    RdmaNic host layer uses the zero-copy placement into registered
+ *    regions and the host-polled completion queues it advertises.
  *
  * The model checker reads the first three bits (scheduling and fault
  * choices); the last three are capability advertisements consumed by

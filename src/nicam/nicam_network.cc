@@ -8,11 +8,11 @@ namespace msgsim
 {
 
 NicamNetwork::NicamNetwork(Simulator &sim, const Config &cfg)
-    : Network(sim), cfg_(cfg), tree_(cfg.nodes, cfg.arity),
-      faults_(cfg.faults), rng_(cfg.seed),
-      order_(cfg.orderFactory, cfg.nodes)
+    : Cm5Network(sim, cfg, hostprof::Site::NicamRoute,
+                 hostprof::Site::NicamDeliver),
+      maxOffloadEntries_(cfg.maxOffloadEntries)
 {
-    if (cfg_.maxOffloadEntries < 1)
+    if (maxOffloadEntries_ < 1)
         msgsim_fatal("nicam handler table needs at least one entry");
 }
 
@@ -23,7 +23,7 @@ NicamNetwork::offloadHandler(NodeId dst, HwTag tag, Word selector,
     auto &table = tables_[dst];
     const TableKey key{static_cast<int>(tag), selector};
     if (!table.count(key) &&
-        static_cast<int>(table.size()) >= cfg_.maxOffloadEntries)
+        static_cast<int>(table.size()) >= maxOffloadEntries_)
         return false; // table full: the host must dispatch this one
     table[key] = OffloadEntry{std::move(fn), 0};
     return true;
@@ -58,73 +58,10 @@ NicamNetwork::offloadEntries(NodeId dst) const
 }
 
 bool
-NicamNetwork::injectImpl(Slot slot)
+NicamNetwork::takeAtEdge(Slot slot)
 {
-    if (cfg_.injectBusyRate > 0.0 && rng_.chance(cfg_.injectBusyRate))
-        return false; // send_ok will read 0; software retries the push
-
-    Packet &pkt = parked(slot);
-    // An unarmed injector would answer None with no side effects.
-    const FaultAction action =
-        faults_.armed() ? faults_.apply(pkt) : FaultAction::None;
-    switch (action) {
-      case FaultAction::Drop:
-        ++stats_.dropped;
-        noteAbsorbed(pkt.dst);
-        trace(TraceEvent::Drop, pkt);
-        release(slot);
-        return true; // accepted by the network, silently lost inside
-      case FaultAction::Corrupt:
-        ++stats_.corrupted;
-        trace(TraceEvent::Corrupt, pkt);
-        break; // travels on; CRC is checked at the edge (NIC or NI)
-      case FaultAction::Duplicate:
-        ++stats_.duplicated;
-        trace(TraceEvent::Duplicate, pkt);
-        routeToEdge(park(Packet(pkt)));
-        break;
-      case FaultAction::None:
-        break;
-    }
-
-    routeToEdge(slot);
-    return true;
-}
-
-void
-NicamNetwork::routeToEdge(Slot slot)
-{
-    hostprof::HostScope hs(hostprof::Site::NicamRoute);
-    const Packet &pkt = parked(slot);
-    Tick latency = cfg_.baseLatency +
-                   cfg_.hopLatency * tree_.hops(pkt.src, pkt.dst);
-    if (cfg_.maxJitter > 0)
-        latency += rng_.below(cfg_.maxJitter + 1);
-
-    const Tick departure = serialize(nextDeparture_, pkt.src, sim_.now(),
-                                     cfg_.injectGap);
-    const Tick arrival = serialize(nextArrival_, pkt.dst,
-                                   departure + latency, cfg_.deliverGap);
-
-    sim_.scheduleAt<&NicamNetwork::arriveAtEdge>(arrival, this, slot);
-}
-
-void
-NicamNetwork::arriveAtEdge(Slot slot)
-{
-    hostprof::HostScope hs(hostprof::Site::NicamDeliver);
-    order_.arrive(parked(slot), slot, [this](Slot s) { tryDeliver(s); });
-}
-
-void
-NicamNetwork::tryDeliver(Slot slot)
-{
-    // Retry events re-enter here outside arriveAtEdge, so the
-    // delivery scope opens here too (same-site nesting is fine).
-    hostprof::HostScope hs(hostprof::Site::NicamDeliver);
-    const Packet &pkt = parked(slot);
-
     // NIC handler-table lookup (hardware match-action; uncharged).
+    const Packet &pkt = parked(slot);
     auto nt = tables_.find(pkt.dst);
     if (nt != tables_.end() && !nt->second.empty()) {
         const TableKey key{static_cast<int>(pkt.tag),
@@ -137,7 +74,7 @@ NicamNetwork::tryDeliver(Slot slot)
                 ++offloadCrcDrops_;
                 noteAbsorbed(pkt.dst);
                 release(slot);
-                return; // consumed and dropped, as the NI would
+                return true; // consumed and dropped, as the NI would
             }
             ++stats_.delivered;
             noteDelivered(pkt.dst);
@@ -154,24 +91,11 @@ NicamNetwork::tryDeliver(Slot slot)
             if (lh)
                 lh->handlerEnd(pkt.dst, sim_.now());
             release(slot);
-            return;
+            return true;
         }
         ++offloadMisses_; // non-empty table, no match: host fallback
     }
-
-    if (presentToSink(slot))
-        return;
-    // Sink full: the packet occupies network buffers and is offered
-    // again later — backpressure.
-    ++stats_.deliveryRetries;
-    sim_.scheduleAt<&NicamNetwork::tryDeliver>(
-        sim_.now() + cfg_.retryDelay, this, slot);
-}
-
-void
-NicamNetwork::flushHeldPackets()
-{
-    order_.flush([this](Slot s) { tryDeliver(s); });
+    return false;
 }
 
 } // namespace msgsim

@@ -9,7 +9,8 @@
  * network-accelerated active-message model of arXiv 2509.07431).
  * A matched packet never enters the receive FIFO and never costs the
  * host a single instruction; the host's poll/decode/linkage bill —
- * the paper's per-message dispatch overhead — vanishes.
+ * the paper's per-message dispatch overhead — vanishes.  So this is
+ * Cm5Network's engine with the table behind its edge hook.
  *
  * The table is small, like real offload engines.  A packet that
  * misses falls back to the normal NI path and pays full host
@@ -24,15 +25,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
-#include <vector>
 
-#include "net/fault.hh"
-#include "net/network.hh"
-#include "net/order.hh"
-#include "net/topology.hh"
-#include "sim/rng.hh"
+#include "cm5net/cm5_network.hh"
 
 namespace msgsim
 {
@@ -40,24 +35,12 @@ namespace msgsim
 /**
  * CM-5-style fabric with an on-NIC handler table at each edge.
  */
-class NicamNetwork : public Network
+class NicamNetwork : public Cm5Network
 {
   public:
-    struct Config
+    struct Config : Cm5Network::Config
     {
-        std::uint32_t nodes = 4;     ///< leaf node count
-        std::uint32_t arity = 4;     ///< fat-tree arity
-        Tick baseLatency = 10;       ///< fixed injection-to-edge time
-        Tick hopLatency = 2;         ///< per switch-to-switch hop
-        Tick maxJitter = 0;          ///< random extra latency (OOO source)
-        Tick retryDelay = 8;         ///< redelivery period when sink full
-        Tick injectGap = 0;          ///< link bandwidth: source spacing
-        Tick deliverGap = 0;         ///< link bandwidth: dest spacing
-        double injectBusyRate = 0.0; ///< P(injection port busy) per try
-        std::uint64_t seed = 0xc0ffeeULL;
-        int maxOffloadEntries = 8;   ///< on-NIC handler-table size
-        FaultInjector::Config faults;
-        OrderPolicyFactory orderFactory; ///< default: FIFO
+        int maxOffloadEntries = 8; ///< on-NIC handler-table size
     };
 
     /**
@@ -72,11 +55,6 @@ class NicamNetwork : public Network
     static constexpr NetFeatures hwFeatures{.offloadDispatch = true};
 
     NetFeatures features() const override { return hwFeatures; }
-
-    void flushHeldPackets() override;
-
-    const FatTree &topology() const { return tree_; }
-    FaultInjector &faults() { return faults_; }
 
     /**
      * Install an on-NIC handler at @p dst for packets whose hardware
@@ -104,7 +82,8 @@ class NicamNetwork : public Network
     int offloadEntries(NodeId dst) const;
 
   protected:
-    bool injectImpl(Slot slot) override;
+    /** NIC-table lookup; a miss leaves the packet to the sink. */
+    bool takeAtEdge(Slot slot) override;
 
   private:
     using TableKey = std::pair<int, Word>; ///< (tag, selector)
@@ -115,21 +94,8 @@ class NicamNetwork : public Network
         std::uint64_t hits = 0;
     };
 
-    void routeToEdge(Slot slot);
-    void arriveAtEdge(Slot slot);
-
-    /** NIC-table lookup, then the normal sink path on a miss. */
-    void tryDeliver(Slot slot);
-
-    Config cfg_;
-    FatTree tree_;
-    FaultInjector faults_;
-    Rng rng_;
-    OrderStage order_;
+    int maxOffloadEntries_;
     std::map<NodeId, std::map<TableKey, OffloadEntry>> tables_;
-    /// Earliest next departure / arrival per node (link serialization).
-    std::vector<Tick> nextDeparture_;
-    std::vector<Tick> nextArrival_;
     std::uint64_t offloadHits_ = 0;
     std::uint64_t offloadMisses_ = 0;
     std::uint64_t offloadCrcDrops_ = 0;

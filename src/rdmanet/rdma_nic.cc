@@ -235,23 +235,24 @@ RdmaNic::postSend(Word qp, Addr laddr, std::uint32_t words, Word userTag)
         a.charge(OpClass::DevStore);
     }
 
-    // ---- NIC engine (uncharged): DMA-read the payload, fragment,
-    // inject.  The first fragment's header carries the total size.
+    // ---- NIC engine (uncharged): DMA-read each fragment into the
+    // pool slot it travels in, inject it there.  The first fragment's
+    // header carries the total size.
     Memory &mem = node_.mem();
-    bool first = true;
     for (std::uint32_t off = 0; off < words;
          off += static_cast<std::uint32_t>(n)) {
-        Payload payload;
-        payload.reserve(static_cast<std::size_t>(n));
+        const Network::Slot slot =
+            net_.stage(node_.id(), it->second.peer, HwTag::XferData,
+                       hdr::pack(qp, off == 0 ? words : 0), 0);
+        Packet &pkt = net_.parked(slot);
+        pkt.data.reserve(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i)
-            payload.push_back(mem.read(laddr + off + static_cast<Addr>(i)));
-        Packet pkt(node_.id(), it->second.peer, HwTag::XferData,
-                   hdr::pack(qp, first ? words : 0),
-                   std::move(payload));
-        first = false;
+            pkt.data.push_back(mem.read(laddr + off + static_cast<Addr>(i)));
         if (LineageHooks *lh = LineageHooks::current())
             lh->packetBorn(pkt, node_.id(), net_.sim().now());
-        net_.inject(std::move(pkt));
+        // The in-order engine has no busy port: a refusal is a bug.
+        if (!net_.injectParked(slot))
+            msgsim_panic("rdma fabric refused a fragment of qp ", qp);
     }
     pushCqe(Completion{Completion::Kind::Send, qp, it->second.peer,
                        words, userTag});

@@ -1,19 +1,24 @@
 /**
  * @file
- * Behavioural tests of the two routing substrates: the CM-5-like
+ * Behavioural tests of the two routing engines: the CM-5-like
  * network really delivers out of order, backpressures, and only
  * *detects* faults; the CR network really delivers in order, rejects
- * and retries in hardware, and corrects faults invisibly.
+ * and retries in hardware, and corrects faults invisibly.  nicam
+ * runs the first engine and rdma the second.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "cm5net/cm5_network.hh"
 #include "crnet/cr_network.hh"
+#include "nicam/nicam_network.hh"
 #include "protocols/stack.hh"
+#include "rdmanet/rdma_network.hh"
 #include "sim/event.hh"
 
 namespace msgsim
@@ -175,7 +180,6 @@ TEST(Cm5Network, FartherNodesTakeLonger)
     Simulator sim;
     Cm5Network::Config cfg;
     cfg.nodes = 16;
-    cfg.arity = 4;
     Cm5Network net(sim, cfg);
 
     std::map<NodeId, Tick> arrival;
@@ -380,6 +384,143 @@ TEST(CrNetwork, AcceptPredicateRefusalDeliversBitIdenticalPayload)
         EXPECT_EQ(stack.node(1).ni().acceptRefusals(), 1u);
         EXPECT_EQ(stack.network().stats().deliveryRetries, 1u);
         EXPECT_EQ(got, args) << toString(sub);
+    }
+}
+
+// --- One engine per pair of substrates ------------------------------
+
+/** One delivery as its sink saw it. */
+struct Seen
+{
+    NodeId src;
+    NodeId dst;
+    Word header;
+    Tick at;
+    bool intact;
+
+    bool operator==(const Seen &) const = default;
+};
+
+void
+PrintTo(const Seen &s, std::ostream *os)
+{
+    *os << s.src << "->" << s.dst << " #" << s.header << " @" << s.at
+        << (s.intact ? "" : " corrupt");
+}
+
+/** A train's deliveries in order, and what the fabric counted. */
+struct TrainRun
+{
+    std::vector<Seen> seen;
+    NetStats stats;
+    int busy = 0;   ///< injections the port refused
+    int offers = 0; ///< sink offers, refused ones included
+};
+
+/**
+ * Four sources send 160 packets to nodes 5 and 6, one every 3 ticks;
+ * the sinks refuse every fourth offer.
+ */
+TrainRun
+runTrain(Simulator &sim, Network &net)
+{
+    TrainRun run;
+    for (NodeId d : {5u, 6u})
+        net.attach(d, [&run, &sim](Packet &p) {
+            if (++run.offers % 4 == 0)
+                return false;
+            run.seen.push_back(
+                {p.src, p.dst, p.header, sim.now(), p.checksumOk()});
+            return true;
+        });
+    for (Word i = 0; i < 160; ++i)
+        sim.schedule(3 * i, [&net, &run, i] {
+            if (!net.inject(mkPacket(i % 4, 5 + (i / 4) % 2, i)))
+                ++run.busy;
+        });
+    sim.run();
+    run.stats = net.stats();
+    return run;
+}
+
+void
+expectSameRun(const TrainRun &a, const TrainRun &b)
+{
+    EXPECT_EQ(a.seen, b.seen);
+    EXPECT_EQ(a.busy, b.busy);
+    EXPECT_EQ(a.offers, b.offers);
+    EXPECT_EQ(a.stats.injected, b.stats.injected);
+    EXPECT_EQ(a.stats.delivered, b.stats.delivered);
+    EXPECT_EQ(a.stats.dropped, b.stats.dropped);
+    EXPECT_EQ(a.stats.corrupted, b.stats.corrupted);
+    EXPECT_EQ(a.stats.duplicated, b.stats.duplicated);
+    EXPECT_EQ(a.stats.deliveryRetries, b.stats.deliveryRetries);
+    EXPECT_EQ(a.stats.hwRetries, b.stats.hwRetries);
+}
+
+/** Jitter, adjacent swaps, a busy port and one fault of each kind. */
+template <class Net>
+TrainRun
+unorderedTrain()
+{
+    Simulator sim;
+    typename Net::Config cfg;
+    cfg.nodes = 8;
+    cfg.maxJitter = 20;
+    cfg.injectBusyRate = 0.1;
+    cfg.seed = 29;
+    cfg.orderFactory = swapAdjacentFactory();
+    Net net(sim, cfg);
+    net.faults().scriptDrop(7);
+    net.faults().scriptCorrupt(19);
+    net.faults().scriptDuplicate(33);
+    return runTrain(sim, net);
+}
+
+/** Random faults, all retried in hardware, over a gapped link. */
+template <class Net>
+TrainRun
+orderedTrain()
+{
+    Simulator sim;
+    typename Net::Config cfg;
+    cfg.nodes = 8;
+    cfg.injectGap = 1;
+    cfg.faults.dropRate = 0.2;
+    cfg.faults.corruptRate = 0.1;
+    cfg.faults.duplicateRate = 0.05;
+    cfg.faults.seed = 13;
+    Net net(sim, cfg);
+    return runTrain(sim, net);
+}
+
+TEST(Network, EachPairOfSubstratesRunsOneEngine)
+{
+    // nicam with an empty handler table is the CM-5 fabric, and rdma
+    // is the CR fabric: the same seeded train gives the same
+    // deliveries at the same ticks and the same counters.
+    const TrainRun cm5 = unorderedTrain<Cm5Network>();
+    EXPECT_GT(cm5.busy, 0);
+    EXPECT_EQ(cm5.stats.dropped, 1u);
+    EXPECT_EQ(cm5.stats.corrupted, 1u);
+    EXPECT_EQ(cm5.stats.duplicated, 1u);
+    EXPECT_GT(cm5.stats.deliveryRetries, 0u);
+    EXPECT_FALSE(std::is_sorted(
+        cm5.seen.begin(), cm5.seen.end(),
+        [](const Seen &a, const Seen &b) { return a.header < b.header; }));
+    {
+        SCOPED_TRACE("cm5 vs nicam");
+        expectSameRun(cm5, unorderedTrain<NicamNetwork>());
+    }
+
+    const TrainRun cr = orderedTrain<CrNetwork>();
+    EXPECT_EQ(cr.busy, 0);
+    EXPECT_EQ(cr.seen.size(), 160u);
+    EXPECT_GT(cr.stats.hwRetries, 0u);
+    EXPECT_GT(cr.stats.deliveryRetries, 0u);
+    {
+        SCOPED_TRACE("cr vs rdma");
+        expectSameRun(cr, orderedTrain<RdmaNetwork>());
     }
 }
 

@@ -29,7 +29,10 @@
 #                                the rdma / nicam matrix columns
 #   ./verify.sh --hostprof       only the host self-profiler gate:
 #                                msgsim-selfprof on its p1 workload
-#                                (share sum, top-3, folded grammar)
+#                                (share sum, top-3, folded grammar),
+#                                then its rdma and nicam pumps, whose
+#                                host time must land in the rdma and
+#                                nicam subsystems, none in cr or cm5
 #   ./verify.sh --traffic        only the traffic gate: msgsim-traffic
 #                                --predict smokes on every substrate
 #   ./verify.sh --wire           only the wire-layer gate: a
@@ -224,7 +227,30 @@ assert "shares sum" in text, "selfprof report lacks the share sum"
 print(f"selfprof ok: {len(active)} active subsystems, "
       f"share sum {share:.4f}, {scopes['enters']} scopes")
 EOF
-    echo "hostprof ok: shares ~100%, top-3 and folded stacks well-formed"
+
+    # rdma runs CR's engine and nicam the CM-5's: each fabric's host
+    # time must still land in its own subsystem, none in the engine's.
+    local pair fabric engine
+    for pair in rdma:cr nicam:cm5; do
+        fabric="${pair%%:*}"
+        engine="${pair##*:}"
+        "$selfprof" --workload="$fabric" --packets=2000 \
+            --json-out="$tmpdir/$fabric.json" > /dev/null
+        python3 - "$tmpdir/$fabric.json" "$fabric" "$engine" <<'EOF'
+import json, sys
+
+doc = json.load(open(sys.argv[1]))
+fabric, engine = sys.argv[2], sys.argv[3]
+enters = {s["subsystem"]: s["enters"] for s in doc["profile"]["subsystems"]}
+assert enters[fabric] > 0, f"{fabric} pump entered no {fabric} scope"
+assert enters[engine] == 0, \
+    f"{fabric} pump charged {enters[engine]} scopes to {engine}"
+print(f"selfprof ok: {fabric} pump, {enters[fabric]} {fabric} scopes, "
+      f"0 {engine}")
+EOF
+    done
+    echo "hostprof ok: shares ~100%, top-3 and folded stacks well-formed;" \
+        "rdma and nicam charged to their own subsystems"
 }
 
 check_traffic() {
