@@ -57,26 +57,25 @@ ScheduleController::~ScheduleController()
 {
     if (net_.scheduleGate() == this)
         net_.setScheduleGate(nullptr);
+    for (const InFlight &f : flight_)
+        net_.release(f.slot);
 }
 
 void
-ScheduleController::capture(Packet &&pkt)
+ScheduleController::capture(Network::Slot slot)
 {
-    InFlight f;
-    f.id = nextId_++;
-    f.pkt = std::move(pkt);
-    flight_.push_back(std::move(f));
+    flight_.push_back({nextId_++, slot});
 }
 
 bool
 ScheduleController::flowHead(const InFlight &f) const
 {
+    const Packet &pkt = net_.parked(f.slot);
     for (const auto &other : flight_) {
         if (other.id >= f.id)
             continue;
-        if (other.pkt.src == f.pkt.src &&
-            other.pkt.dst == f.pkt.dst &&
-            other.pkt.vnet == f.pkt.vnet)
+        const Packet &o = net_.parked(other.slot);
+        if (o.src == pkt.src && o.dst == pkt.dst && o.vnet == pkt.vnet)
             return false;
     }
     return true;
@@ -113,43 +112,31 @@ ScheduleController::apply(const Choice &choice)
                            });
     if (it == flight_.end())
         return false;
+    const Network::Slot slot = it->slot;
     if (hook_)
-        hook_(choice, it->pkt);
+        hook_(choice, net_.parked(slot));
 
     switch (choice.kind) {
-      case ChoiceKind::Deliver: {
-        Packet pkt = std::move(it->pkt);
+      case ChoiceKind::Corrupt:
+        // Corrupt-and-deliver as one action: the packet still
+        // traverses the network; the destination NI's CRC check is
+        // what actually discards it.
+        net_.corrupt(slot);
+        [[fallthrough]];
+      case ChoiceKind::Deliver:
         flight_.erase(it);
-        if (!net_.gateDeliver(pkt))
+        if (!net_.deliver(slot))
             msgsim_panic("schedule gate: sink refused a delivery "
                          "(bounded receive capacity under a gate "
                          "is not modeled)");
         break;
-      }
       case ChoiceKind::Drop:
-        net_.gateDrop(it->pkt);
         flight_.erase(it);
+        net_.drop(slot);
         break;
-      case ChoiceKind::Corrupt: {
-        // Corrupt-and-deliver as one action: the packet still
-        // traverses the network; the destination NI's CRC check is
-        // what actually discards it.
-        net_.gateCorrupt(it->pkt);
-        Packet pkt = std::move(it->pkt);
-        flight_.erase(it);
-        if (!net_.gateDeliver(pkt))
-            msgsim_panic("schedule gate: sink refused a corrupted "
-                         "delivery");
+      case ChoiceKind::Duplicate:
+        flight_.push_back({nextId_++, net_.duplicate(slot)});
         break;
-      }
-      case ChoiceKind::Duplicate: {
-        net_.gateDuplicate(it->pkt);
-        InFlight clone;
-        clone.id = nextId_++;
-        clone.pkt = it->pkt;
-        flight_.push_back(std::move(clone));
-        break;
-      }
     }
     return true;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * The delivery-schedule controller: a ScheduleGate that holds every
- * injected packet in a visible in-flight set and executes explicit
- * Choice decisions against it.
+ * injected packet's slot in a visible in-flight set and executes
+ * explicit Choice decisions against it, through the network's
+ * deliver(), drop(), corrupt() and duplicate().
  *
  * Substrate semantics are respected through NetFeatures:
  *  - an in-order substrate (CR) only exposes each flow's *oldest*
@@ -28,8 +29,8 @@ namespace msgsim::check
 /** One captured packet awaiting a scheduling decision. */
 struct InFlight
 {
-    std::uint64_t id = 0; ///< controller-assigned, capture order
-    Packet pkt;
+    std::uint64_t id = 0;   ///< controller-assigned, capture order
+    Network::Slot slot = 0; ///< where the packet stays parked meanwhile
 };
 
 class ScheduleController : public ScheduleGate
@@ -39,11 +40,15 @@ class ScheduleController : public ScheduleGate
     using DecisionHook =
         std::function<void(const Choice &, const Packet &)>;
 
-    /** Attaches itself to @p net; detaches on destruction. */
+    /**
+     * Attaches itself to @p net.  On destruction it detaches and
+     * releases the slots of the packets still in flight, so it must
+     * not outlive @p net.
+     */
     explicit ScheduleController(Network &net);
     ~ScheduleController() override;
 
-    void capture(Packet &&pkt) override;
+    void capture(Network::Slot slot) override;
 
     /**
      * The schedulable decisions right now, in canonical order: for

@@ -82,6 +82,8 @@ class ScenarioHarness
 
     ScenarioConfig cfg_;
     std::unique_ptr<Stack> stack_;
+    /// Declared after stack_, so it is destroyed first: it releases
+    /// the slots of packets still in flight into a live network.
     std::unique_ptr<ScheduleController> controller_;
 };
 

@@ -26,29 +26,21 @@ Cm5Network::injectImpl(Slot slot)
     if (cfg_.injectBusyRate > 0.0 && rng_.chance(cfg_.injectBusyRate))
         return false; // send_ok will read 0; software retries the push
 
-    Packet &pkt = parked(slot);
     // An unarmed injector would answer None with no side effects.
-    const FaultAction action =
-        faults_.armed() ? faults_.apply(pkt) : FaultAction::None;
-    switch (action) {
+    switch (faults_.armed() ? faults_.apply(parked(slot))
+                            : FaultAction::None) {
       case FaultAction::Drop:
-        ++stats_.dropped;
-        noteAbsorbed(pkt.dst);
-        trace(TraceEvent::Drop, pkt);
-        release(slot);
+        drop(slot);
         return true; // accepted by the network, silently lost inside
       case FaultAction::Corrupt:
-        ++stats_.corrupted;
-        trace(TraceEvent::Corrupt, pkt);
+        corrupt(slot);
         break; // travels on; the edge's CRC check will reject it
       case FaultAction::Duplicate:
         // A ghost copy rides the network alongside the original
         // (speculative adaptive retry): route a clone independently,
         // so it takes its own jitter and arrives whenever.  The
         // sequence-number machinery upstairs must suppress it.
-        ++stats_.duplicated;
-        trace(TraceEvent::Duplicate, pkt);
-        routeToEdge(park(Packet(pkt)));
+        routeToEdge(duplicate(slot));
         break;
       case FaultAction::None:
         break;
@@ -91,7 +83,7 @@ Cm5Network::tryDeliver(Slot slot)
     // Retry events re-enter here outside arriveAtEdge, so the
     // delivery scope opens here too (same-site nesting is fine).
     hostprof::HostScope hs(deliverSite_);
-    if (takeAtEdge(slot) || presentToSink(slot))
+    if (deliver(slot))
         return;
     // Sink full: the packet occupies network buffers and is offered
     // again later — backpressure.

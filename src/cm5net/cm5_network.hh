@@ -19,7 +19,7 @@
  *     hardware: recovery is the software's problem.
  *
  * NicamNetwork runs this engine and adds an on-NIC handler table at
- * the destination edge (takeAtEdge()).
+ * the destination edge (its deliver()).
  */
 
 #ifndef MSGSIM_CM5NET_CM5_NETWORK_HH
@@ -91,14 +91,6 @@ class Cm5Network : public Network
                hostprof::Site deliver);
 
     bool injectImpl(Slot slot) override;
-
-    /**
-     * The destination edge's look at a released packet before the
-     * sink is offered it, on every offer, retries included.  Returns
-     * true when the edge consumed the packet and freed its slot.  The
-     * CM-5's edge takes nothing; nicam's runs its handler table.
-     */
-    virtual bool takeAtEdge(Slot) { return false; }
 
   private:
     /** Route one packet to the destination edge (latency model). */

@@ -26,15 +26,12 @@ CrNetwork::injectImpl(Slot slot)
     const Packet &pkt = parked(slot);
     Tick latency = baseLatency + hopLatency * tree_.hops(pkt.src, pkt.dst);
 
-    // Packet-level fault tolerance: probe the injector on a copy; every
-    // hit (drop, corruption, or a would-be duplicate) models a
+    // Packet-level fault tolerance: every injector hit (drop,
+    // corruption, or a would-be duplicate) models a
     // killed-and-retransmitted packet.  The payload that finally
     // arrives is always intact, exactly once.  An unarmed injector
-    // can only answer None, so no probe is copied for it.
-    while (faults_.armed()) {
-        Packet probe = pkt;
-        if (faults_.apply(probe) == FaultAction::None)
-            break;
+    // can only answer None, so it is not asked.
+    while (faults_.armed() && faults_.apply(pkt) != FaultAction::None) {
         ++stats_.hwRetries;
         trace(TraceEvent::HwRetry, pkt);
         latency += hwRetryDelay;
@@ -63,28 +60,38 @@ CrNetwork::arrive(Slot slot)
     const Packet &pkt = parked(slot);
     const NodeId src = pkt.src;
     const std::uint32_t lane = flowLane(pkt.dst, pkt.vnet);
-    flows_.at(src, lane, cfg_.nodes).queue.push_back(slot);
-    drain(src, lane);
+    FlowState &flow = flows_.at(src, lane, cfg_.nodes);
+    flow.queue.push_back(slot);
+    // While a reject-retry is pending its head waits for it, and so
+    // does every packet behind it.
+    if (!flow.retryPending)
+        drain(src, lane);
+}
+
+void
+CrNetwork::retryHead(Slot slot)
+{
+    const Packet &pkt = parked(slot);
+    drain(pkt.src, flowLane(pkt.dst, pkt.vnet));
 }
 
 void
 CrNetwork::drain(NodeId src, std::uint32_t lane)
 {
-    // Reject-retry closures re-enter here outside arrive().
+    // Reject retries re-enter here outside arrive().
     hostprof::HostScope hs(deliverSite_);
     FlowState &state = flows_.at(src, lane, cfg_.nodes);
-    state.drainScheduled = false;
+    state.retryPending = false;
     while (!state.queue.empty()) {
-        if (!presentToSink(state.queue.front())) {
+        const Slot head = state.queue.front();
+        if (!deliver(head)) {
             // Header rejected: hardware tears the path down and
             // retransmits later; younger packets wait behind, so
             // order is preserved.
             ++stats_.deliveryRetries;
-            if (!state.drainScheduled) {
-                state.drainScheduled = true;
-                sim_.schedule(rejectRetryDelay,
-                              [this, src, lane] { drain(src, lane); });
-            }
+            state.retryPending = true;
+            sim_.scheduleAt<&CrNetwork::retryHead>(
+                sim_.now() + rejectRetryDelay, this, head);
             return;
         }
         state.queue.pop_front();

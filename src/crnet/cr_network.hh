@@ -86,11 +86,17 @@ class CrNetwork : public Network
     {
         Ring<Slot> queue;     ///< arrived, not yet accepted
         Tick nextArrival = 0; ///< order: earliest arrival of the next
-        bool drainScheduled = false;
+        bool retryPending = false; ///< the head awaits retryHead()
     };
 
-    /** Enqueue an arrived packet and try to drain its flow. */
+    /**
+     * Enqueue an arrived packet and drain its flow, unless the flow's
+     * head awaits a reject-retry.
+     */
     void arrive(Slot slot);
+
+    /** The reject-retry of the flow head parked in @p slot. */
+    void retryHead(Slot slot);
 
     /** Deliver queued packets of flow (src, lane) in order until one
      *  rejects (lane: see flowLane()). */

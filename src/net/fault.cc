@@ -4,42 +4,25 @@ namespace msgsim
 {
 
 FaultAction
-FaultInjector::apply(Packet &pkt)
+FaultInjector::apply(const Packet &pkt)
 {
-    auto corrupt = [&] {
-        // Flip one bit of the first data word (or the header when the
-        // packet carries no data) and mark the packet so the NI-side
-        // CRC check fails deterministically.
-        if (!pkt.data.empty())
-            pkt.data[0] ^= 0x1u << (pkt.injectSeq % 32);
-        else
-            pkt.header ^= 0x1u;
-        pkt.corrupted = true;
-        ++corruptions_;
-        return FaultAction::Corrupt;
+    const auto hit = [](std::uint64_t &count, FaultAction action) {
+        ++count;
+        return action;
     };
-
-    if (scriptedDrops_.erase(pkt.injectSeq)) {
-        ++drops_;
-        return FaultAction::Drop;
-    }
+    if (scriptedDrops_.erase(pkt.injectSeq))
+        return hit(drops_, FaultAction::Drop);
     if (scriptedCorrupts_.erase(pkt.injectSeq))
-        return corrupt();
-    if (scriptedDuplicates_.erase(pkt.injectSeq)) {
-        ++duplications_;
-        return FaultAction::Duplicate;
-    }
+        return hit(corruptions_, FaultAction::Corrupt);
+    if (scriptedDuplicates_.erase(pkt.injectSeq))
+        return hit(duplications_, FaultAction::Duplicate);
 
-    if (cfg_.dropRate > 0.0 && rng_.chance(cfg_.dropRate)) {
-        ++drops_;
-        return FaultAction::Drop;
-    }
+    if (cfg_.dropRate > 0.0 && rng_.chance(cfg_.dropRate))
+        return hit(drops_, FaultAction::Drop);
     if (cfg_.corruptRate > 0.0 && rng_.chance(cfg_.corruptRate))
-        return corrupt();
-    if (cfg_.duplicateRate > 0.0 && rng_.chance(cfg_.duplicateRate)) {
-        ++duplications_;
-        return FaultAction::Duplicate;
-    }
+        return hit(corruptions_, FaultAction::Corrupt);
+    if (cfg_.duplicateRate > 0.0 && rng_.chance(cfg_.duplicateRate))
+        return hit(duplications_, FaultAction::Duplicate);
     return FaultAction::None;
 }
 

@@ -32,7 +32,9 @@ enum class FaultAction : std::uint8_t
 };
 
 /**
- * Seeded, per-network fault injector.
+ * Seeded, per-network fault injector.  It only decides; the network
+ * carries a decision out on the parked packet (Network::drop,
+ * corrupt, duplicate).
  */
 class FaultInjector
 {
@@ -56,10 +58,10 @@ class FaultInjector
     }
 
     /**
-     * Decide the fate of @p pkt and apply corruption in place.
-     * Scripted faults (by injectSeq) take precedence over rates.
+     * Decide the fate of @p pkt, leaving it untouched.  Scripted
+     * faults (by injectSeq) take precedence over rates.
      */
-    FaultAction apply(Packet &pkt);
+    FaultAction apply(const Packet &pkt);
 
     /**
      * True when apply() can return anything but None: a scripted fault

@@ -6,8 +6,8 @@
 namespace msgsim
 {
 
-Network::Sink &
-Network::sinkAt(NodeId id)
+void
+Network::attach(NodeId id, SlotSinkFn fn)
 {
     // Boot-time sizing of the per-destination link counters: the hot
     // paths below only ever increment, never allocate.
@@ -16,21 +16,7 @@ Network::sinkAt(NodeId id)
         settledTo_.resize(id + 1, 0);
         deliveredTo_.resize(id + 1, 0);
     }
-    Sink &sink = growTo(sinks_, id);
-    sink = Sink();
-    return sink;
-}
-
-void
-Network::attach(NodeId id, DeliverFn fn)
-{
-    sinkAt(id).packet = std::move(fn);
-}
-
-void
-Network::attach(NodeId id, SlotSinkFn fn)
-{
-    sinkAt(id).slot = std::move(fn);
+    growTo(sinks_, id) = std::move(fn);
 }
 
 bool
@@ -40,7 +26,8 @@ Network::inject(Packet &&pkt)
     const Slot slot = park(std::move(pkt));
     if (launch(slot))
         return true;
-    pkt = unpark(slot); // port busy: the caller keeps the packet
+    pkt = std::move(pool_[slot]); // port busy: the caller keeps it
+    release(slot);
     return false;
 }
 
@@ -62,11 +49,12 @@ Network::launch(Slot slot)
     pkt.seal();
     trace(TraceEvent::Inject, pkt);
     if (gate_ != nullptr) {
-        // A schedule gate replaces the substrate: it owns the packet
-        // until it decides its fate through the gate*() re-entry
-        // points.  Injection always succeeds (port backpressure is a
-        // substrate behaviour the gate models explicitly, if at all).
-        gate_->capture(unpark(slot));
+        // A schedule gate replaces the substrate: it holds the slot
+        // until it decides the packet's fate through the same acts an
+        // engine performs.  Injection always succeeds (port
+        // backpressure is a substrate behaviour the gate models
+        // explicitly, if at all).
+        gate_->capture(slot);
     } else if (!injectImpl(slot)) {
         return false; // port busy: the slot stays with the caller
     }
@@ -78,27 +66,20 @@ Network::launch(Slot slot)
     return true;
 }
 
-bool
-Network::gateDeliver(Packet &pkt)
-{
-    const Slot slot = park(std::move(pkt));
-    if (presentToSink(slot))
-        return true;
-    pkt = unpark(slot);
-    return false;
-}
-
 void
-Network::gateDrop(const Packet &pkt)
+Network::drop(Slot slot)
 {
+    const Packet &pkt = pool_[slot];
     ++stats_.dropped;
     noteAbsorbed(pkt.dst);
     trace(TraceEvent::Drop, pkt);
+    release(slot);
 }
 
 void
-Network::gateCorrupt(Packet &pkt)
+Network::corrupt(Slot slot)
 {
+    Packet &pkt = pool_[slot];
     if (!pkt.data.empty())
         pkt.data[0] ^= 0x1u << (pkt.injectSeq % 32);
     else
@@ -108,11 +89,15 @@ Network::gateCorrupt(Packet &pkt)
     trace(TraceEvent::Corrupt, pkt);
 }
 
-void
-Network::gateDuplicate(const Packet &pkt)
+Network::Slot
+Network::duplicate(Slot slot)
 {
+    const Packet &pkt = pool_[slot];
     ++stats_.duplicated;
     trace(TraceEvent::Duplicate, pkt);
+    if (pkt.dst < injectedTo_.size())
+        ++injectedTo_[pkt.dst]; // the copy is in flight too
+    return park(Packet(pkt));
 }
 
 bool
@@ -121,15 +106,9 @@ Network::presentToSink(Slot slot)
     hostprof::HostScope hs(hostprof::Site::NetDeliver);
     Packet &pkt = pool_[slot];
     const NodeId dst = pkt.dst;
-    if (dst >= sinks_.size())
+    if (dst >= sinks_.size() || !sinks_[dst])
         msgsim_panic("no sink attached for node ", dst);
-    Take took;
-    if (const Sink &sink = sinks_[dst]; sink.slot)
-        took = sink.slot(slot);
-    else if (sink.packet)
-        took = sink.packet(pkt) ? Take::Consumed : Take::Refused;
-    else
-        msgsim_panic("no sink attached for node ", dst);
+    const Take took = sinks_[dst](slot);
     // The packet is still in its slot (a Kept one sits in the sink's
     // queue; a consuming sink moved at most its payload out), so the
     // trace reads its envelope from there.
@@ -183,14 +162,6 @@ Network::release(Slot slot)
     if (pkt.data.spilled())
         pkt.data = Payload(); // free a large payload's block now
     freeSlots_.push_back(slot);
-}
-
-Packet
-Network::unpark(Slot slot)
-{
-    Packet pkt = std::move(pool_[slot]);
-    freeSlots_.push_back(slot);
-    return pkt;
 }
 
 } // namespace msgsim

@@ -204,23 +204,7 @@ struct NetStats
     std::uint64_t hwRetries = 0;     ///< CR hardware retransmissions
 };
 
-/**
- * Delivery-schedule interception point (the `src/check` model
- * checker's hook).  When a gate is attached to a Network, every
- * injected packet is handed to the gate *instead of* the substrate:
- * latency models, order policies, and the fault injector are all
- * replaced by the gate's explicit decisions.  The gate re-enters the
- * network through the gate*() operations below, so delivery
- * statistics and packet tracing stay coherent with normal runs.
- */
-class ScheduleGate
-{
-  public:
-    virtual ~ScheduleGate() = default;
-
-    /** Take ownership of an injected (sealed, stamped) packet. */
-    virtual void capture(Packet &&pkt) = 0;
-};
+class ScheduleGate;
 
 /**
  * Base class of routing substrates.
@@ -231,18 +215,7 @@ class Network
     /** Handle of a parked packet. */
     using Slot = std::uint32_t;
 
-    /**
-     * Delivery sink.  Returns false when the destination cannot accept
-     * the packet right now (receive queue full or, on CR,
-     * resource-based header rejection).  The packet is offered in its
-     * pool slot; a sink moves from it only when it accepts it, and the
-     * network frees the slot after an acceptance.  A refused packet is
-     * left intact, so the fabric offers the same packet again later
-     * without moving it.
-     */
-    using DeliverFn = std::function<bool(Packet &)>;
-
-    /** What a slot sink did with an offered packet. */
+    /** What a sink did with an offered packet. */
     enum class Take : std::uint8_t
     {
         Refused,  ///< not accepted; the fabric keeps the slot
@@ -251,9 +224,13 @@ class Network
     };
 
     /**
-     * Delivery sink that queues accepted packets by slot (the NI
-     * receive FIFO): a Kept packet stays parked until the sink
-     * releases its slot.
+     * Delivery sink, offered the packet parked in a slot (read it with
+     * parked()).  Refused means the destination cannot accept it right
+     * now (receive queue full or, on CR, resource-based header
+     * rejection): the packet is left intact, and the fabric offers the
+     * same packet again later without moving it.  A sink may move from
+     * the packet only when it accepts it.  A Kept packet stays parked
+     * until the sink releases its slot (the NI receive FIFO).
      */
     using SlotSinkFn = std::function<Take(Slot)>;
 
@@ -264,27 +241,30 @@ class Network
     Network &operator=(const Network &) = delete;
 
     /** Register the delivery sink of node @p id. */
-    void attach(NodeId id, DeliverFn fn);
-
-    /** Register a slot sink as the delivery sink of node @p id. */
     void attach(NodeId id, SlotSinkFn fn);
 
     /**
-     * Register a sink written against the consuming signature
-     * bool(Packet &&).  It is held to the same contract: it may move
-     * from the packet only when it accepts it.  Kept only for the
-     * bare-fabric probe in perfbench/perfbench.cc, which is written
-     * against bool(Packet &&); remove it once that probe takes
-     * Packet &.
+     * Register a sink written against the packet, bool(Packet &) or
+     * bool(Packet &&): true consumes the packet, false refuses it,
+     * under the same contract (it may move from the packet only when
+     * it accepts it).  For sinks that keep nothing parked: test sinks,
+     * selfprof's fabric pump, perfbench's bare-fabric probe.
      */
     template <typename Fn>
-        requires(!std::is_invocable_v<Fn &, Packet &> &&
-                 std::is_invocable_r_v<bool, Fn &, Packet &&>)
+        requires(!std::is_invocable_v<Fn &, Slot> &&
+                 (std::is_invocable_r_v<bool, Fn &, Packet &> ||
+                  std::is_invocable_r_v<bool, Fn &, Packet &&>))
     void
     attach(NodeId id, Fn fn)
     {
-        attach(id, DeliverFn([fn = std::move(fn)](Packet &pkt) mutable {
-                   return fn(std::move(pkt));
+        attach(id, SlotSinkFn([this, fn = std::move(fn)](Slot slot) mutable {
+                   Packet &pkt = parked(slot);
+                   bool accepted;
+                   if constexpr (std::is_invocable_v<Fn &, Packet &>)
+                       accepted = fn(pkt);
+                   else
+                       accepted = fn(std::move(pkt));
+                   return accepted ? Take::Consumed : Take::Refused;
                }));
     }
 
@@ -298,8 +278,8 @@ class Network
 
     /**
      * Inject the packet parked in @p slot.  Stamps injection and flow
-     * sequence numbers, seals it and hands it to the substrate (or,
-     * unparked, to an attached schedule gate).  Returns false when
+     * sequence numbers, seals it and hands the slot to the substrate
+     * (or to an attached schedule gate).  Returns false when
      * the injection port is backpressured, leaving the slot, and the
      * packet in it, to the caller.
      */
@@ -315,7 +295,7 @@ class Network
     // carrying a packet from staging to consumption never allocates.
     // ------------------------------------------------------------
 
-    /** Park @p pkt; it stays in its slot until release() or unpark(). */
+    /** Park @p pkt; it stays in its slot until release(). */
     Slot park(Packet &&pkt);
 
     /**
@@ -328,9 +308,6 @@ class Network
 
     /** Free @p slot: its packet was consumed or absorbed. */
     void release(Slot slot);
-
-    /** Take a parked packet out, freeing its slot. */
-    Packet unpark(Slot slot);
 
     /** The packet in @p slot, at one address until the slot is freed. */
     Packet &parked(Slot slot) { return pool_[slot]; }
@@ -381,7 +358,8 @@ class Network
     /**
      * Attach (or detach, with nullptr) a schedule gate.  While a gate
      * is attached the substrate never sees injected packets: the gate
-     * owns them and decides delivery order and faults explicitly.
+     * holds their slots and decides delivery order and faults
+     * explicitly, through the four acts below.
      */
     void setScheduleGate(ScheduleGate *gate) { gate_ = gate; }
 
@@ -389,25 +367,37 @@ class Network
     ScheduleGate *scheduleGate() const { return gate_; }
 
     // ------------------------------------------------------------
-    // Gate-side re-entry points.  Only meaningful while a gate is
-    // attached; they keep NetStats and the packet trace coherent so
-    // invariants (packet conservation etc.) read the same counters
-    // in checked and unchecked runs.
+    // The fabric's four acts on a parked packet.  An engine performs
+    // them from its latency, order and fault machinery, and a schedule
+    // gate from its explicit decisions, so NetStats, the link counters
+    // and the packet trace read the same in checked and unchecked runs.
     // ------------------------------------------------------------
 
-    /** Deliver a gated packet to its sink now, through the same
-     *  presentation as a fabric's.  Returns the sink's acceptance
-     *  result (false = refused, @p pkt handed back intact). */
-    bool gateDeliver(Packet &pkt);
+    /**
+     * Hand the packet in @p slot to its destination.  True when it
+     * left the fabric (its sink accepted it, or the edge took it:
+     * nicam's handler table); false when the sink refused it, and it
+     * stays in its slot, intact, to be offered again.  The base
+     * presents it to the sink.
+     */
+    virtual bool deliver(Slot slot) { return presentToSink(slot); }
 
-    /** Account a gate decision to drop @p pkt. */
-    void gateDrop(const Packet &pkt);
+    /** Lose the packet in @p slot inside the fabric; frees the slot. */
+    void drop(Slot slot);
 
-    /** Corrupt @p pkt in place (flip a bit, mark it) and account. */
-    void gateCorrupt(Packet &pkt);
+    /**
+     * Flip one bit of the packet in @p slot (of its first data word,
+     * or of the header when it carries none) and mark it, so the
+     * destination's CRC check fails.  It travels on.
+     */
+    void corrupt(Slot slot);
 
-    /** Account a gate decision to duplicate @p pkt. */
-    void gateDuplicate(const Packet &pkt);
+    /**
+     * Park a ghost copy of the packet in @p slot (a speculative
+     * adaptive retry) and return the copy's slot.  The copy is in
+     * flight toward the same destination as the original.
+     */
+    Slot duplicate(Slot slot);
 
   protected:
     /** Record a packet event if a tracer or lineage hooks are attached. */
@@ -464,16 +454,6 @@ class Network
     NetStats stats_;
 
   private:
-    /** A node's sink: one of the two kinds, or neither (unattached). */
-    struct Sink
-    {
-        DeliverFn packet;
-        SlotSinkFn slot;
-    };
-
-    /** Node @p id's sink, reset to unattached (sizes the counters). */
-    Sink &sinkAt(NodeId id);
-
     /** injectParked() without its host-profile scope. */
     bool launch(Slot slot);
 
@@ -481,7 +461,7 @@ class Network
     Slot takeSlot();
 
     ScheduleGate *gate_ = nullptr;
-    std::vector<Sink> sinks_; ///< by node id
+    std::vector<SlotSinkFn> sinks_; ///< by node id; empty = unattached
     /// Per-destination link counters (boot-sized in attach()).
     std::vector<std::uint64_t> injectedTo_;
     std::vector<std::uint64_t> settledTo_;
@@ -490,6 +470,29 @@ class Network
     FlowTable<std::uint64_t> flowCounters_;
     PacketPool pool_;             ///< parked packets, by slot
     std::vector<Slot> freeSlots_; ///< released slots, reused first
+};
+
+/**
+ * Delivery-schedule interception point (the `src/check` model
+ * checker's hook).  When a gate is attached to a Network, every
+ * injected packet's slot is handed to the gate *instead of* the
+ * substrate: latency models, order policies and the fault injector
+ * are all replaced by the gate's explicit decisions.  The packet stays
+ * parked meanwhile, and the gate acts on it through the network's
+ * deliver(), drop(), corrupt() and duplicate(), the same calls an
+ * engine makes.
+ */
+class ScheduleGate
+{
+  public:
+    virtual ~ScheduleGate() = default;
+
+    /**
+     * Take the slot of an injected (sealed, stamped) packet.  The gate
+     * holds it until it delivers or drops the packet through the
+     * network, which then frees the slot, or releases it itself.
+     */
+    virtual void capture(Network::Slot slot) = 0;
 };
 
 /** Element @p i of @p v, growing @p v (value-initialized) to reach it. */

@@ -58,12 +58,13 @@ NicamNetwork::offloadEntries(NodeId dst) const
 }
 
 bool
-NicamNetwork::takeAtEdge(Slot slot)
+NicamNetwork::deliver(Slot slot)
 {
     // NIC handler-table lookup (hardware match-action; uncharged).
     const Packet &pkt = parked(slot);
     auto nt = tables_.find(pkt.dst);
-    if (nt != tables_.end() && !nt->second.empty()) {
+    const bool tabled = nt != tables_.end() && !nt->second.empty();
+    if (tabled) {
         const TableKey key{static_cast<int>(pkt.tag),
                            hdr::fieldA(pkt.header)};
         auto entry = nt->second.find(key);
@@ -93,9 +94,12 @@ NicamNetwork::takeAtEdge(Slot slot)
             release(slot);
             return true;
         }
-        ++offloadMisses_; // non-empty table, no match: host fallback
     }
-    return false;
+    if (!presentToSink(slot))
+        return false; // offered again later: not a miss yet
+    if (tabled)
+        ++offloadMisses_; // non-empty table, no match: host fallback
+    return true;
 }
 
 } // namespace msgsim

@@ -10,7 +10,8 @@
  * A matched packet never enters the receive FIFO and never costs the
  * host a single instruction; the host's poll/decode/linkage bill —
  * the paper's per-message dispatch overhead — vanishes.  So this is
- * Cm5Network's engine with the table behind its edge hook.
+ * Cm5Network's engine with the table in front of the sink
+ * (deliver()), which a schedule gate's deliveries pass too.
  *
  * The table is small, like real offload engines.  A packet that
  * misses falls back to the normal NI path and pays full host
@@ -81,9 +82,11 @@ class NicamNetwork : public Cm5Network
     /** Live table entries at @p dst. */
     int offloadEntries(NodeId dst) const;
 
-  protected:
-    /** NIC-table lookup; a miss leaves the packet to the sink. */
-    bool takeAtEdge(Slot slot) override;
+    /**
+     * The NIC-table lookup, then the host sink on a miss.  A miss is
+     * counted once, when the sink accepts the packet.
+     */
+    bool deliver(Slot slot) override;
 
   private:
     using TableKey = std::pair<int, Word>; ///< (tag, selector)

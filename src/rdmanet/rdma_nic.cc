@@ -42,8 +42,10 @@ RdmaNic::RdmaNic(Node &node, Network &net, const Config &cfg)
 
     // The NIC is the delivery sink: zero-copy DMA placement replaces
     // the NI receive FIFO entirely.
-    net_.attach(node_.id(),
-                [this](Packet &pkt) { return nicDeliver(pkt); });
+    net_.attach(node_.id(), [this](Network::Slot slot) {
+        return nicDeliver(net_.parked(slot)) ? Network::Take::Consumed
+                                             : Network::Take::Refused;
+    });
 }
 
 void

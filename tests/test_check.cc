@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests of the schedule-space model checker (PR 4): controller
- * eligibility under both substrates, bounded-exhaustive exploration
+ * eligibility under both substrates, the gate acting on parked slots
+ * (in place, ghost copies, nicam's handler table, release on
+ * destruction), bounded-exhaustive exploration
  * with invariants holding, determinism of reports, the seeded
  * ack-before-insert stream bug being caught / shrunk / replayed
  * through its JSON counterexample end to end, and tolerant replay of
@@ -10,10 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "check/explorer.hh"
 #include "check/harness.hh"
 #include "check/replay.hh"
 #include "check/shrink.hh"
+#include "cm5net/cm5_network.hh"
+#include "nicam/nicam_network.hh"
+#include "sim/event.hh"
 
 namespace msgsim::check
 {
@@ -88,11 +96,143 @@ TEST(Controller, DuplicateClonesWithFreshId)
     // The clone got the next fresh id; the original is untouched.
     const auto &pkts = h->controller().packets();
     EXPECT_EQ(pkts.back().id, 3u);
-    EXPECT_EQ(pkts.back().pkt.flowIndex, pkts[1].pkt.flowIndex);
+    const Network &net = h->controller().network();
+    EXPECT_EQ(net.parked(pkts.back().slot).flowIndex,
+              net.parked(pkts[1].slot).flowIndex);
     EXPECT_EQ(h->controller().network().stats().duplicated, 1u);
 
     // A stale choice (unknown id) is refused, not fatal.
     EXPECT_FALSE(h->controller().apply({ChoiceKind::Deliver, 99}));
+}
+
+// --- The gate holds slots -----------------------------------------
+
+/** A bare 2-node fabric config (node 1 is the destination). */
+template <typename Net>
+typename Net::Config
+twoNodes()
+{
+    typename Net::Config cfg;
+    cfg.nodes = 2;
+    return cfg;
+}
+
+TEST(Controller, DeliversACapturedPacketInPlace)
+{
+    // The gate holds the slot, not a copy: the sink is offered the
+    // packet where it was parked when captured, as an engine offers
+    // it (Network.RefusedPacketIsOfferedInPlace).
+    Simulator sim;
+    Cm5Network net(sim, twoNodes<Cm5Network>());
+    ScheduleController ctl(net);
+    const Packet *offered = nullptr;
+    net.attach(1, [&offered](Packet &p) {
+        offered = &p;
+        return true;
+    });
+    ASSERT_TRUE(net.inject(Packet(0, 1, HwTag::UserAm, 7, {1, 2, 3, 4})));
+    ASSERT_EQ(ctl.inFlight(), 1u);
+    const Packet *captured = &net.parked(ctl.packets()[0].slot);
+    EXPECT_EQ(captured->header, 7u);
+    ASSERT_TRUE(ctl.apply({ChoiceKind::Deliver, 0}));
+    EXPECT_EQ(offered, captured);
+    EXPECT_EQ(ctl.inFlight(), 0u);
+    EXPECT_EQ(net.stats().delivered, 1u);
+}
+
+TEST(Controller, DuplicateIsAGhostCopyInItsOwnSlot)
+{
+    Simulator sim;
+    Cm5Network net(sim, twoNodes<Cm5Network>());
+    ScheduleController ctl(net);
+    int got = 0;
+    net.attach(1, [&got](Packet &p) {
+        EXPECT_TRUE(p.checksumOk());
+        ++got;
+        return true;
+    });
+    const Payload words{1, 2, 3, 4, 5, 6, 7, 8}; // spills to the heap
+    ASSERT_TRUE(net.inject(Packet(0, 1, HwTag::XferData, 7, words)));
+    ASSERT_TRUE(ctl.apply({ChoiceKind::Duplicate, 0}));
+    ASSERT_EQ(ctl.inFlight(), 2u);
+    const Packet &orig = net.parked(ctl.packets()[0].slot);
+    const Packet &ghost = net.parked(ctl.packets()[1].slot);
+    EXPECT_NE(&ghost, &orig);
+    EXPECT_EQ(ghost.src, orig.src);
+    EXPECT_EQ(ghost.dst, orig.dst);
+    EXPECT_EQ(ghost.tag, orig.tag);
+    EXPECT_EQ(ghost.vnet, orig.vnet);
+    EXPECT_EQ(ghost.header, orig.header);
+    EXPECT_EQ(ghost.injectSeq, orig.injectSeq);
+    EXPECT_EQ(ghost.flowIndex, orig.flowIndex);
+    EXPECT_EQ(ghost.data, words);
+    EXPECT_EQ(orig.data, words);
+    EXPECT_EQ(ghost.crc, orig.crc);
+    // The ghost is in flight too, until it is delivered.
+    EXPECT_EQ(net.inFlightTo(1), 2u);
+    ASSERT_TRUE(ctl.apply({ChoiceKind::Deliver, 1}));
+    ASSERT_TRUE(ctl.apply({ChoiceKind::Deliver, 0}));
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(net.inFlightTo(1), 0u);
+    EXPECT_EQ(net.stats().duplicated, 1u);
+    EXPECT_EQ(net.stats().delivered, 2u);
+}
+
+TEST(Controller, GatedNicamDeliveryRunsTheNicHandlerTable)
+{
+    // A gated delivery takes the same way out as an engine's: a
+    // packet whose selector hits the table is dispatched on the NIC
+    // and never reaches the host sink; a miss falls back to it.
+    Simulator sim;
+    NicamNetwork net(sim, twoNodes<NicamNetwork>());
+    ScheduleController ctl(net);
+    int nicRuns = 0;
+    std::vector<Word> hostGot;
+    net.offloadHandler(1, HwTag::UserAm, 5,
+                       [&nicRuns](const Packet &) { ++nicRuns; });
+    net.attach(1, [&hostGot](Packet &p) {
+        hostGot.push_back(p.header);
+        return true;
+    });
+    ASSERT_TRUE(net.inject(
+        Packet(0, 1, HwTag::UserAm, hdr::pack(5, 0), {1, 2, 3, 4})));
+    ASSERT_TRUE(net.inject(
+        Packet(0, 1, HwTag::UserAm, hdr::pack(6, 0), {5, 6, 7, 8})));
+    ASSERT_TRUE(ctl.apply({ChoiceKind::Deliver, 0}));
+    EXPECT_EQ(nicRuns, 1);
+    EXPECT_TRUE(hostGot.empty());
+    ASSERT_TRUE(ctl.apply({ChoiceKind::Deliver, 1}));
+    EXPECT_EQ(nicRuns, 1);
+    ASSERT_EQ(hostGot.size(), 1u);
+    EXPECT_EQ(hdr::fieldA(hostGot[0]), 6u);
+    EXPECT_EQ(net.offloadHits(), 1u);
+    EXPECT_EQ(net.offloadMisses(), 1u);
+    EXPECT_EQ(net.stats().delivered, 2u);
+}
+
+TEST(Controller, ReleasesHeldSlotsWhenDestroyed)
+{
+    Simulator sim;
+    Cm5Network net(sim, twoNodes<Cm5Network>());
+    net.attach(1, [](Packet &) { return true; });
+    std::vector<Network::Slot> held;
+    {
+        ScheduleController ctl(net);
+        for (Word i = 0; i < 2; ++i)
+            ASSERT_TRUE(
+                net.inject(Packet(0, 1, HwTag::UserAm, i, {1, 2, 3, 4})));
+        ASSERT_EQ(ctl.inFlight(), 2u);
+        for (const InFlight &f : ctl.packets())
+            held.push_back(f.slot);
+    }
+    EXPECT_EQ(net.scheduleGate(), nullptr);
+    // Both slots went back to the pool: the next stages reuse them.
+    std::vector<Network::Slot> staged;
+    for (int i = 0; i < 2; ++i)
+        staged.push_back(net.stage(0, 1, HwTag::UserAm, 0, 0));
+    std::sort(held.begin(), held.end());
+    std::sort(staged.begin(), staged.end());
+    EXPECT_EQ(staged, held);
 }
 
 // --- Exploration ---------------------------------------------------

@@ -127,20 +127,26 @@ TEST(Payload, FaultCorruptionOnASpilledPayload)
     EXPECT_TRUE(f.armed());
     EXPECT_EQ(f.apply(p), FaultAction::Corrupt);
     EXPECT_FALSE(f.armed());
-    EXPECT_EQ(p.data[0], 100u ^ (1u << 5));
-    EXPECT_FALSE(p.checksumOk());
 
+    // The injector only decides; the network flips the bit.
     Simulator sim;
     Cm5Network net(sim, Cm5Network::Config{});
+    const Network::Slot ps = net.park(std::move(p));
+    net.corrupt(ps);
+    EXPECT_EQ(net.parked(ps).data[0], 100u ^ (1u << 5));
+    EXPECT_FALSE(net.parked(ps).checksumOk());
+
     Packet q(0, 1, HwTag::XferData, 3, sequence(8));
     q.injectSeq = 33;
     q.seal();
-    net.gateCorrupt(q);
-    EXPECT_EQ(q.data[0], 100u ^ (1u << 1));
-    EXPECT_EQ(q.data[7], 107u);
-    EXPECT_TRUE(q.corrupted);
-    EXPECT_FALSE(q.checksumOk());
-    EXPECT_EQ(net.stats().corrupted, 1u);
+    const Network::Slot qs = net.park(std::move(q));
+    net.corrupt(qs);
+    const Packet &c = net.parked(qs);
+    EXPECT_EQ(c.data[0], 100u ^ (1u << 1));
+    EXPECT_EQ(c.data[7], 107u);
+    EXPECT_TRUE(c.corrupted);
+    EXPECT_FALSE(c.checksumOk());
+    EXPECT_EQ(net.stats().corrupted, 2u);
 }
 
 TEST(Payload, CrcIsPinned)
@@ -231,6 +237,8 @@ TEST(FaultInjector, RatesRoughlyCalibrated)
 
 TEST(FaultInjector, ScriptedFaultsFireOnce)
 {
+    Simulator sim;
+    Cm5Network net(sim, Cm5Network::Config{});
     FaultInjector fi;
     fi.scriptDrop(5);
     fi.scriptCorrupt(7);
@@ -243,7 +251,10 @@ TEST(FaultInjector, ScriptedFaultsFireOnce)
             EXPECT_EQ(action, FaultAction::Drop);
         } else if (i == 7) {
             EXPECT_EQ(action, FaultAction::Corrupt);
-            EXPECT_FALSE(p.checksumOk());
+            // The injector only decides; the network flips the bit.
+            const Network::Slot slot = net.park(std::move(p));
+            net.corrupt(slot);
+            EXPECT_FALSE(net.parked(slot).checksumOk());
         } else {
             EXPECT_EQ(action, FaultAction::None);
         }

@@ -296,9 +296,39 @@ TEST(CrNetwork, IndependentFlowsDontBlockEachOther)
     ASSERT_EQ(got.size(), 2u);
 }
 
+TEST(CrNetwork, PacketsBehindARejectedHeadAddNoRetries)
+{
+    // One reject-retry per flow: packets that arrive behind a
+    // rejected head wait for its retry instead of each starting
+    // another, so the train's length does not change the retries.
+    const auto retriesFor = [](Word packets) {
+        Simulator sim;
+        CrNetwork::Config cfg;
+        cfg.nodes = 2;
+        cfg.injectGap = 3; // arrivals 3 ticks apart
+        CrNetwork net(sim, cfg);
+        std::vector<Word> got;
+        net.attach(1, [&](Packet &p) {
+            if (sim.now() < 2000)
+                return false;
+            got.push_back(p.header);
+            return true;
+        });
+        for (Word i = 0; i < packets; ++i)
+            EXPECT_TRUE(net.inject(mkPacket(0, 1, i)));
+        sim.run();
+        EXPECT_EQ(got.size(), packets);
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+        return net.stats().deliveryRetries;
+    };
+    const std::uint64_t one = retriesFor(1);
+    EXPECT_GT(one, 100u);
+    EXPECT_EQ(retriesFor(8), one);
+}
+
 TEST(CrNetwork, RefusingSinkIsOfferedTheSamePacketAgain)
 {
-    // The DeliverFn contract: a sink that refuses leaves the packet
+    // The sink contract: a sink that refuses leaves the packet
     // intact, so the fabric re-offers it without having kept a copy.
     Simulator sim;
     CrNetwork::Config cfg;
@@ -324,6 +354,31 @@ TEST(CrNetwork, RefusingSinkIsOfferedTheSamePacketAgain)
     EXPECT_TRUE(offers[1].checksumOk());
     EXPECT_EQ(accepted.data, words);
     EXPECT_EQ(net.stats().deliveryRetries, 1u);
+}
+
+TEST(Network, GhostCopyCountsAsInFlight)
+{
+    Simulator sim;
+    Cm5Network::Config cfg;
+    cfg.nodes = 2;
+    Cm5Network net(sim, cfg);
+    net.faults().scriptDuplicate(0);
+    int got = 0;
+    net.attach(1, [&got](Packet &) {
+        ++got;
+        return true;
+    });
+    ASSERT_TRUE(net.inject(mkPacket(0, 1, 0)));
+    EXPECT_EQ(net.stats().duplicated, 1u);
+    EXPECT_EQ(net.inFlightTo(1), 2u); // the packet and its ghost
+    sim.run();
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(net.inFlightTo(1), 0u);
+    ASSERT_TRUE(net.inject(mkPacket(0, 1, 1)));
+    EXPECT_EQ(net.inFlightTo(1), 1u);
+    sim.run();
+    EXPECT_EQ(net.inFlightTo(1), 0u);
+    EXPECT_EQ(net.deliveredTo(1), 3u);
 }
 
 TEST(Network, RefusedPacketIsOfferedInPlace)

@@ -93,6 +93,27 @@ TEST(NicamNetwork, HitsRunOnNicMissesFallToHost)
     EXPECT_FALSE(f.reliableDelivery);
 }
 
+TEST(NicamNetwork, AMissIsCountedOncePerPacket)
+{
+    // A refused miss is offered again; it is one miss, counted when
+    // the host sink accepts it.
+    Simulator sim;
+    NicamNetwork::Config cfg;
+    cfg.nodes = 2;
+    cfg.maxOffloadEntries = 1;
+    NicamNetwork net(sim, cfg);
+    net.offloadHandler(1, HwTag::UserAm, 5, [](const Packet &) {});
+    int offers = 0;
+    net.attach(1, [&offers](Packet &) { return ++offers > 3; });
+    net.inject(Packet(0, 1, HwTag::UserAm, hdr::pack(6, 0),
+                      {1, 2, 3, 4}));
+    sim.run();
+    EXPECT_EQ(offers, 4);
+    EXPECT_EQ(net.stats().deliveryRetries, 3u);
+    EXPECT_EQ(net.offloadMisses(), 1u);
+    EXPECT_EQ(net.offloadHits(), 0u);
+}
+
 TEST(NicamNetwork, NicCrcCheckDiscardsCorruptPackets)
 {
     Simulator sim;

@@ -21,8 +21,10 @@
 #                                first warning
 #   ./verify.sh --check          only the model-checker gate, against
 #                                an already-built build/ tree: report
-#                                determinism, the seeded bug caught and
-#                                replayed, and every committed replay
+#                                determinism (stream on cm5, and on
+#                                nicam with all three fault kinds), the
+#                                seeded bug caught and replayed, and
+#                                every committed replay
 #   ./verify.sh --prof           only the profiler gate, against an
 #                                already-built build/ tree: msgsim-prof
 #                                artifacts on all four substrates, and
@@ -114,12 +116,18 @@ check_model_checker() {
     tmpdir="$(mktemp -d)"
     trap 'rm -rf "$tmpdir"' RETURN
 
-    # The report must be byte-deterministic ...
-    "$chk" --protocol=stream --packets=3 --faults=2 --depth=5 \
-        --walks=50 --seed=7 --quiet --json-out="$tmpdir/a.json"
-    "$chk" --protocol=stream --packets=3 --faults=2 --depth=5 \
-        --walks=50 --seed=7 --quiet --json-out="$tmpdir/b.json"
-    cmp "$tmpdir/a.json" "$tmpdir/b.json"
+    # The report must be byte-deterministic, on cm5 and on nicam with
+    # all three fault kinds (duplicates included) ...
+    local extra run
+    for extra in "" "--substrate=nicam --fault-kinds=7"; do
+        for run in a b; do
+            # shellcheck disable=SC2086 # $extra is a list of flags
+            "$chk" --protocol=stream $extra --packets=3 --faults=2 \
+                --depth=5 --walks=50 --seed=7 --quiet \
+                --json-out="$tmpdir/$run.json"
+        done
+        cmp "$tmpdir/a.json" "$tmpdir/b.json"
+    done
 
     # ... the seeded bug must be caught and shrunk ...
     if "$chk" --protocol=stream --packets=3 --faults=1 --depth=8 \
