@@ -46,7 +46,9 @@ Network::launch(Slot slot)
     const NodeId flowDst = pkt.dst;
     pkt.injectSeq = nextInjectSeq_;
     pkt.flowIndex = flowCount;
-    pkt.seal();
+#ifdef MSGSIM_CHECKED
+    pkt.seal(); // what the destination's check compares (packet.hh)
+#endif
     trace(TraceEvent::Inject, pkt);
     if (gate_ != nullptr) {
         // A schedule gate replaces the substrate: it holds the slot

@@ -197,7 +197,7 @@ struct NetStats
 {
     std::uint64_t injected = 0;      ///< packets accepted at injection
     std::uint64_t delivered = 0;     ///< packets presented to a sink
-    std::uint64_t dropped = 0;       ///< silently lost (faults)
+    std::uint64_t dropped = 0;       ///< lost in the fabric or at its edge
     std::uint64_t corrupted = 0;     ///< delivered with bad CRC
     std::uint64_t duplicated = 0;    ///< ghost copies created (faults)
     std::uint64_t deliveryRetries = 0; ///< sink-full redelivery attempts
@@ -278,10 +278,12 @@ class Network
 
     /**
      * Inject the packet parked in @p slot.  Stamps injection and flow
-     * sequence numbers, seals it and hands the slot to the substrate
-     * (or to an attached schedule gate).  Returns false when
-     * the injection port is backpressured, leaving the slot, and the
-     * packet in it, to the caller.
+     * sequence numbers and hands the slot to the substrate (or to an
+     * attached schedule gate).  The checked build (MSGSIM_CHECKED)
+     * also seals the packet's CRC here, for the destination's check
+     * to verify; otherwise that check reads only the corruption mark.
+     * Returns false when the injection port is backpressured, leaving
+     * the slot, and the packet in it, to the caller.
      */
     bool injectParked(Slot slot);
 

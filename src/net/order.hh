@@ -151,7 +151,7 @@ class OrderStage
     using Slot = Network::Slot;
 
     /** @p nodes sizes each source's flow row (the fabric's nodes). */
-    OrderStage(OrderPolicyFactory factory, std::size_t nodes)
+    OrderStage(OrderPolicyFactory factory, std::uint32_t nodes)
         : factory_(factory ? std::move(factory) : fifoOrderFactory()),
           nodes_(nodes)
     {
@@ -167,16 +167,20 @@ class OrderStage
         if (!policy)
             policy = factory_();
         OrderPolicy &p = *policy;
+        ++held_;
         release([&](std::vector<Slot> &out) { p.arrive(slot, out); },
                 deliver);
     }
 
     /** Release every held packet, flow by flow in (src, dst, vnet)
-     *  order (teardown). */
+     *  order (teardown).  Holding none, it visits no policy: an empty
+     *  policy releases nothing and draws no random numbers. */
     template <typename Deliver>
     void
     flush(Deliver deliver)
     {
+        if (held_ == 0)
+            return;
         policies_.forEach([&](std::unique_ptr<OrderPolicy> &policy) {
             if (policy)
                 release([&](std::vector<Slot> &out) {
@@ -197,12 +201,17 @@ class OrderStage
     {
         ScratchPool<std::vector<Slot>>::Lease out(buffers_);
         fill(*out);
+        held_ -= static_cast<std::uint32_t>(out->size());
         for (const Slot s : *out)
             deliver(s);
     }
 
     OrderPolicyFactory factory_;
-    std::size_t nodes_;
+    // Two 32-bit fields in one word, so counting costs the stage no
+    // size: node ids are 32 bits, and no more slots exist than a
+    // 32-bit Slot names.
+    std::uint32_t nodes_;
+    std::uint32_t held_ = 0; ///< arrivals minus released slots
     FlowTable<std::unique_ptr<OrderPolicy>> policies_;
     ScratchPool<std::vector<Slot>> buffers_;
 };

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/types.hh"
+#include "sim/log.hh"
 
 namespace msgsim
 {
@@ -161,9 +162,11 @@ struct Packet
     Word header = 0;           ///< messaging-layer header word
     Payload data;              ///< n data words
 
-    /// CRC over header+data, computed at injection (hardware).
+    /// CRC over header+data.  Only the checked build (MSGSIM_CHECKED)
+    /// seals it at injection; elsewhere it stays as built (0 if staged).
     std::uint32_t crc = 0;
-    /// Set by the fault injector; detected by the receiving NI.
+    /// Set by Network::corrupt, the one corruption path; this mark is
+    /// what the destination's hardware CRC check reads.
     bool corrupted = false;
     /// Global injection sequence, for tracing and scripted faults.
     std::uint64_t injectSeq = 0;
@@ -184,11 +187,28 @@ struct Packet
     /** Wire size in words: header plus data. */
     std::size_t sizeWords() const { return 1 + data.size(); }
 
-    /** Recompute the stored CRC from current contents. */
+    /** Store the CRC of the current contents (launch, checked build). */
     void seal() { crc = computeCrc(); }
 
-    /** True when the stored CRC matches the contents. */
-    bool checksumOk() const { return !corrupted && crc == computeCrc(); }
+    /**
+     * The destination's hardware CRC check: true unless the fabric
+     * corrupted the packet.  Network::corrupt marks every bit it flips,
+     * so the check reads the mark.  The checked build also compares
+     * the CRC sealed at launch and panics when an unmarked packet's
+     * words changed: only a stray host write into a packet in flight
+     * does that, a simulator bug rather than a network fault.
+     */
+    bool
+    checksumOk() const
+    {
+#ifdef MSGSIM_CHECKED
+        if (!corrupted && crc != computeCrc())
+            msgsim_panic("packet ", injectSeq, " (node ", src, " -> ", dst,
+                         ") was written in flight: its CRC no longer "
+                         "matches and no fault corrupted it");
+#endif
+        return !corrupted;
+    }
 
     /** CRC32-like hash of header and data words. */
     std::uint32_t computeCrc() const;

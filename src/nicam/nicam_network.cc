@@ -70,9 +70,11 @@ NicamNetwork::deliver(Slot slot)
         auto entry = nt->second.find(key);
         if (entry != nt->second.end()) {
             // NIC CRC check: detection as on the NI, but the discard
-            // happens before the handler fires.
+            // happens before the handler fires, so the packet is lost
+            // at the edge, never delivered.
             if (!pkt.checksumOk()) {
                 ++offloadCrcDrops_;
+                ++stats_.dropped;
                 noteAbsorbed(pkt.dst);
                 release(slot);
                 return true; // consumed and dropped, as the NI would

@@ -85,6 +85,71 @@ TEST(Processor, DoubleOpsMoveTwoWordsForOneCharge)
     EXPECT_EQ(p.acct().counter().categoryTotal(Category::Mem), 2u);
 }
 
+/** FIFO order that counts the flushes it is asked for. */
+class FlushCountingOrder : public OrderPolicy
+{
+  public:
+    explicit FlushCountingOrder(int &flushes) : flushes_(flushes) {}
+
+    void
+    arrive(Slot pkt, std::vector<Slot> &release) override
+    {
+        release.push_back(pkt);
+    }
+
+    void flush(std::vector<Slot> &) override { ++flushes_; }
+
+  private:
+    int &flushes_;
+};
+
+/** Send one am4-sized packet from node 0 to node 1 through the NI. */
+void
+sendOne(Machine &m)
+{
+    Node &n0 = m.node(0);
+    n0.ni().writeSendCtl(n0.acct(), 1, HwTag::UserAm, hdr::pack(3, 0));
+    n0.ni().writeSendDouble(n0.acct(), 1, 2);
+    n0.ni().writeSendDouble(n0.acct(), 3, 4);
+}
+
+TEST(Machine, SettleSkipsTheFlushWhileNothingIsHeld)
+{
+    int flushes = 0;
+    Machine::Config cfg;
+    cfg.nodes = 2;
+    Cm5Network::Config nc;
+    nc.nodes = 2;
+    nc.orderFactory = [&flushes] {
+        return std::make_unique<FlushCountingOrder>(flushes);
+    };
+    Machine m(cfg, [&nc](Simulator &sim) {
+        return std::make_unique<Cm5Network>(sim, nc);
+    });
+    sendOne(m);
+    m.settle();
+    EXPECT_EQ(m.node(1).ni().hwRecvDepth(0), 1u);
+    EXPECT_EQ(flushes, 0); // the policy holds nothing
+}
+
+TEST(Machine, SettleReleasesAHeldPacket)
+{
+    Machine::Config cfg;
+    cfg.nodes = 2;
+    Cm5Network::Config nc;
+    nc.nodes = 2;
+    nc.orderFactory = swapAdjacentFactory();
+    Machine m(cfg, [&nc](Simulator &sim) {
+        return std::make_unique<Cm5Network>(sim, nc);
+    });
+    sendOne(m);
+    m.sim().run();
+    EXPECT_FALSE(m.node(1).ni().hwRecvPending()); // held for a partner
+    m.settle();
+    EXPECT_EQ(m.node(1).ni().hwRecvDepth(0), 1u);
+    EXPECT_EQ(m.node(1).ni().hwPeekRecv()->data, (Payload{1, 2, 3, 4}));
+}
+
 TEST(Machine, BuildsNodesAndNetwork)
 {
     Machine::Config cfg;
@@ -235,6 +300,38 @@ TEST(NetIface, CrcDiscardOnDelivery)
     EXPECT_FALSE(n1.ni().hwRecvPending()); // detected and discarded
     EXPECT_EQ(n1.ni().crcDiscards(), 1u);
 }
+
+#ifdef MSGSIM_CHECKED
+TEST(NetIface, PacketWrittenInFlightPanics)
+{
+    // The checked build seals each packet at launch, and the NI's CRC
+    // check panics on one whose words changed with no fault marking
+    // them: a stray host write, not a network fault.
+    Machine::Config cfg;
+    cfg.nodes = 2;
+    Machine m(cfg, cm5Factory(2));
+    Network &net = m.network();
+    auto launch = [&net] {
+        const Network::Slot slot =
+            net.stage(0, 1, HwTag::UserAm, hdr::pack(3, 0), 0);
+        net.parked(slot).data = Payload{1, 2, 3, 4};
+        EXPECT_TRUE(net.injectParked(slot));
+        return slot;
+    };
+    launch();
+    m.sim().run(); // an untouched packet passes the check
+    EXPECT_EQ(m.node(1).ni().hwRecvDepth(0), 1u);
+
+    const Network::Slot slot = launch();
+    net.parked(slot).data[2] ^= 0x100u;
+    {
+        ThrowOnError guard;
+        EXPECT_THROW(m.sim().run(), log_detail::SimError);
+    }
+    EXPECT_EQ(m.node(1).ni().hwRecvDepth(0), 1u);
+    EXPECT_EQ(m.node(1).ni().crcDiscards(), 0u);
+}
+#endif
 
 TEST(NetIface, CapacityRefusalTriggersBackpressure)
 {

@@ -350,7 +350,7 @@ TEST(CrNetwork, RefusingSinkIsOfferedTheSamePacketAgain)
     ASSERT_EQ(offers.size(), 2u);
     EXPECT_EQ(offers[1].data, words);
     EXPECT_EQ(offers[1].header, offers[0].header);
-    EXPECT_EQ(offers[1].crc, offers[0].crc);
+    EXPECT_EQ(offers[1].computeCrc(), offers[0].computeCrc());
     EXPECT_TRUE(offers[1].checksumOk());
     EXPECT_EQ(accepted.data, words);
     EXPECT_EQ(net.stats().deliveryRetries, 1u);

@@ -129,10 +129,49 @@ TEST(NicamNetwork, NicCrcCheckDiscardsCorruptPackets)
     net.inject(Packet(0, 1, HwTag::UserAm, hdr::pack(5, 0),
                       {1, 2, 3, 4}));
     sim.run();
-    // Detection without correction, same as the NI — but on the NIC.
+    // Detection without correction, same as the NI — but on the NIC,
+    // so the packet is lost at the edge: dropped, never delivered.
     EXPECT_EQ(nicRuns, 0);
     EXPECT_EQ(net.offloadCrcDrops(), 1u);
+    EXPECT_EQ(net.stats().dropped, 1u);
+    EXPECT_EQ(net.stats().delivered, 0u);
+    EXPECT_EQ(net.inFlightTo(1), 0u);
 }
+
+#ifdef MSGSIM_CHECKED
+TEST(NicamNetwork, PacketWrittenInFlightPanics)
+{
+    // The checked build seals each packet at launch, and the NIC's
+    // CRC check panics on one whose words changed with no fault
+    // marking them: a stray host write, not a network fault.
+    Simulator sim;
+    NicamNetwork::Config cfg;
+    cfg.nodes = 2;
+    NicamNetwork net(sim, cfg);
+    int nicRuns = 0;
+    net.offloadHandler(1, HwTag::UserAm, 5,
+                       [&nicRuns](const Packet &) { ++nicRuns; });
+    net.attach(1, [](Packet &) { return true; });
+    auto launch = [&net] {
+        const Network::Slot slot =
+            net.stage(0, 1, HwTag::UserAm, hdr::pack(5, 0), 0);
+        net.parked(slot).data = Payload{1, 2, 3, 4};
+        EXPECT_TRUE(net.injectParked(slot));
+        return slot;
+    };
+    launch();
+    sim.run(); // an untouched packet passes the check
+    EXPECT_EQ(nicRuns, 1);
+
+    const Network::Slot slot = launch();
+    net.parked(slot).data[0] ^= 0x1u;
+    log_detail::throwOnError = true;
+    EXPECT_THROW(sim.run(), log_detail::SimError);
+    log_detail::throwOnError = false;
+    EXPECT_EQ(nicRuns, 1);
+    EXPECT_EQ(net.offloadCrcDrops(), 0u);
+}
+#endif
 
 // ----------------------------------------------------------------
 // The host layer: offloaded protocols.

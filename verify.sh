@@ -11,8 +11,15 @@
 #                                already-built bulk_transfer binary
 #                                (this is what the CTest hook uses;
 #                                it must NOT recurse into ctest)
-#   ./verify.sh --sanitize       build tier-1 tests under ASan+UBSan
-#                                in a separate build tree and run them
+#   ./verify.sh --sanitize       the checked lane: build tier-1 tests
+#                                under ASan+UBSan in a separate build
+#                                tree, which also defines MSGSIM_CHECKED
+#                                (launch seals each packet's CRC, and
+#                                the CRC check panics on a packet
+#                                written in flight); fail unless ctest
+#                                lists the two checked-only
+#                                *.PacketWrittenInFlightPanics tests,
+#                                then run them all
 #   ./verify.sh --tsan           build msgsim-lab and the threaded tests
 #                                under ThreadSanitizer in a separate
 #                                build tree; run those tests and a
@@ -460,6 +467,15 @@ if [[ "${1:-}" == "--sanitize" ]]; then
     cmake -B build-sanitize -S . \
         -DMSGSIM_ASAN=ON -DMSGSIM_UBSAN=ON > /dev/null
     cmake --build build-sanitize -j"$(nproc)"
+    # Compiled only under MSGSIM_CHECKED: a build that lost the
+    # definition would otherwise pass without checking anything.
+    checked="$(cd build-sanitize && ctest -N |
+        grep -c '\.PacketWrittenInFlightPanics$' || true)"
+    if [[ "$checked" -ne 2 ]]; then
+        echo "verify --sanitize: ctest lists $checked of the 2" \
+            "checked-build tests; is MSGSIM_CHECKED defined?" >&2
+        exit 1
+    fi
     (cd build-sanitize && ctest --output-on-failure -j"$(nproc)")
     echo "verify --sanitize: OK"
     exit 0
