@@ -31,18 +31,7 @@ ScenarioHarness::progress()
     // are captured by the controller, so this loop reaches a
     // fixpoint once every already-delivered packet is consumed.
     for (int round = 0; round < 256; ++round) {
-        stack_->settle();
-        bool any = false;
-        for (NodeId id = 0; id < stack_->machine().nodeCount();
-             ++id) {
-            Node &nd = stack_->node(id);
-            if (!nd.ni().hwRecvPending())
-                continue;
-            any = true;
-            FeatureScope fs(nd.acct(), Feature::BaseCost);
-            stack_->cmam(id).poll();
-        }
-        if (!any) {
+        if (stack_->pollPending() == 0) {
             stack_->settle();
             return;
         }

@@ -165,20 +165,9 @@ Collectives::progress(const std::function<bool()> &done)
     for (int round = 0; round < 256; ++round) {
         if (done())
             return true;
-        stack_.settle();
-        bool any = false;
-        for (NodeId id = 0; id < nodes(); ++id) {
-            Node &node = stack_.node(id);
-            if (!node.ni().hwRecvPending())
-                continue;
-            any = true;
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-            ++polls_;
-        }
-        if (!any && done())
-            return true;
-        if (!any)
+        const std::uint32_t polled = stack_.pollPending();
+        polls_ += polled;
+        if (polled == 0)
             return done();
     }
     return done();

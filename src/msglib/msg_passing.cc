@@ -251,14 +251,7 @@ MsgPassing::progressUntil(const std::function<bool()> &done,
     for (int round = 0; round < maxRounds; ++round) {
         if (done())
             return true;
-        stack_.settle();
-        for (NodeId id = 0; id < stack_.machine().nodeCount(); ++id) {
-            Node &node = stack_.node(id);
-            if (!node.ni().hwRecvPending())
-                continue;
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-        }
+        stack_.pollPending();
     }
     return done();
 }

@@ -226,7 +226,10 @@ class NetIface
     /** Receive-FIFO capacity per virtual network (size_t(-1) = inf). */
     std::size_t recvCapacity() const { return cfg_.recvCapacity; }
 
-    /** Optional hook invoked after a packet is queued (event mode). */
+    /**
+     * Optional hook invoked after a packet is queued (event mode:
+     * Stack::pollOnArrival installs it).
+     */
     void setArrivalHook(std::function<void()> fn)
     {
         arrivalHook_ = std::move(fn);

@@ -74,9 +74,7 @@ NicamNetwork::deliver(Slot slot)
             // at the edge, never delivered.
             if (!pkt.checksumOk()) {
                 ++offloadCrcDrops_;
-                ++stats_.dropped;
-                noteAbsorbed(pkt.dst);
-                release(slot);
+                drop(slot);
                 return true; // consumed and dropped, as the NI would
             }
             ++stats_.delivered;

@@ -124,50 +124,26 @@ FiniteXfer::onAck(Word transferId)
 }
 
 void
-FiniteXfer::schedulePoll(NodeId id)
+FiniteXfer::armTimer(Word transferId)
 {
-    if (pollPending_[id])
-        return;
-    pollPending_[id] = true;
-    stack_.sim().schedule(1, [this, id] {
-        pollPending_[id] = false;
-        Node &n = stack_.node(id);
-        FeatureScope fs(n.acct(), Feature::BaseCost);
-        if (runDiscipline_ == RecvDiscipline::Interrupt)
-            stack_.cmam(id).interruptService();
-        else
-            stack_.cmam(id).poll();
-    });
+    stack_.sim().scheduleAt<&FiniteXfer::onAckTimeout>(
+        stack_.sim().now() + ackTimeout_, this, transferId);
 }
 
 void
-FiniteXfer::armTimer(Word transferId, const FiniteXferParams &params)
+FiniteXfer::onAckTimeout(std::uint32_t transferId)
 {
-    stack_.sim().schedule(params.ackTimeout, [this, transferId, params] {
-        Transfer &t = transfers_.at(transferId);
-        if (t.gotAck)
-            return;
-        ++t.restarts;
-        if (t.restarts > params.maxRestarts) {
-            msgsim_warn("finite xfer ", transferId, " gave up after ",
-                        params.maxRestarts, " restarts");
-            return;
-        }
-        // Recovery: re-run the whole handshake; the destination will
-        // retire the stale segment and allocate a fresh one.
-        Node &s = stack_.node(t.src);
-        FeatureScope fs(s.acct(), Feature::FaultTolerance);
-        t.gotReply = false;
-        if (TraceSession *ts = TraceSession::current())
-            ts->instant(t.src, "finite_xfer", "restart",
-                        static_cast<double>(t.restarts));
-        {
-            ScopedSpan sp(t.src, "finite_xfer", "alloc_req");
-            stack_.cmam(t.src).sendControl(t.dst, CtrlOp::XferAllocReq,
-                                           transferId, {t.packets});
-        }
-        armTimer(transferId, params);
-    });
+    auto it = transfers_.find(transferId);
+    if (it == transfers_.end() || it->second.gotAck)
+        return;
+    if (restartTransfer(transferId, maxRestarts_)) {
+        armTimer(transferId);
+        return;
+    }
+    // Past the bound: one more restart counted ends run()'s wait.
+    ++it->second.restarts;
+    msgsim_warn("finite xfer ", transferId, " gave up after ",
+                maxRestarts_, " restarts");
 }
 
 void
@@ -208,23 +184,24 @@ FiniteXfer::newTransfer(const FiniteXferParams &params)
     return tid;
 }
 
+void
+FiniteXfer::requestAlloc(Word transferId)
+{
+    const Transfer &t = transfers_.at(transferId);
+    FeatureScope fs(stack_.node(t.src).acct(), Feature::BufferMgmt);
+    ScopedSpan sp(t.src, "finite_xfer", "alloc_req");
+    stack_.cmam(t.src).sendControl(t.dst, CtrlOp::XferAllocReq,
+                                   transferId, {t.packets});
+}
+
 Word
 FiniteXfer::beginTransfer(const FiniteXferParams &params)
 {
     const Word tid = newTransfer(params);
-    const Transfer &t = transfers_[tid];
-    Node &src = stack_.node(params.src);
-
     // Reactive mode: the polled alloc reply triggers the data phase
     // (the checker drives polls from its schedule, not from timers).
     eventMode_ = true;
-    {
-        // Step 1.
-        FeatureScope fs(src.acct(), Feature::BufferMgmt);
-        ScopedSpan sp(params.src, "finite_xfer", "alloc_req");
-        stack_.cmam(params.src).sendControl(
-            params.dst, CtrlOp::XferAllocReq, tid, {t.packets});
-    }
+    requestAlloc(tid);
     return tid;
 }
 
@@ -295,13 +272,7 @@ FiniteXfer::run(const FiniteXferParams &params)
     if (!params.eventMode) {
         // ---- Calibration mode: the paper's minimum execution path,
         // one explicitly sequenced phase at a time.
-        {
-            // Step 1.
-            FeatureScope fs(src.acct(), Feature::BufferMgmt);
-            ScopedSpan sp(params.src, "finite_xfer", "alloc_req");
-            csrc.sendControl(params.dst, CtrlOp::XferAllocReq, tid,
-                             {t.packets});
-        }
+        requestAlloc(tid); // step 1
         stack_.settle();
         {
             // Steps 2 + 3.
@@ -336,30 +307,24 @@ FiniteXfer::run(const FiniteXferParams &params)
         }
         done_at = stack_.sim().now();
     } else {
-        // ---- Event mode: arrival-hook-driven polling, timers, and
+        // ---- Event mode: arrival-driven polling, timers, and
         // restart recovery.
-        runDiscipline_ = params.discipline;
-        src.ni().setArrivalHook([this, id = params.src] {
-            schedulePoll(id);
-        });
-        dst.ni().setArrivalHook([this, id = params.dst] {
-            schedulePoll(id);
-        });
-        {
-            FeatureScope fs(src.acct(), Feature::BufferMgmt);
-            ScopedSpan sp(params.src, "finite_xfer", "alloc_req");
-            csrc.sendControl(params.dst, CtrlOp::XferAllocReq, tid,
-                             {t.packets});
-        }
-        armTimer(tid, params);
+        stack_.pollOnArrival(params.src, ArrivalPoll::Coalesced,
+                             params.discipline);
+        stack_.pollOnArrival(params.dst, ArrivalPoll::Coalesced,
+                             params.discipline);
+        requestAlloc(tid);
+        ackTimeout_ = params.ackTimeout;
+        maxRestarts_ = params.maxRestarts;
+        armTimer(tid);
         stack_.sim().runUntil(
             [&] {
                 return t.gotAck || t.restarts > params.maxRestarts;
             },
             50'000'000);
         done_at = stack_.sim().now();
-        src.ni().setArrivalHook(nullptr);
-        dst.ni().setArrivalHook(nullptr);
+        stack_.stopArrivalPolls(params.src);
+        stack_.stopArrivalPolls(params.dst);
     }
 
     frame.finish(res, done_at);
@@ -372,6 +337,9 @@ FiniteXfer::run(const FiniteXferParams &params)
     for (std::uint32_t i = 0; res.dataOk && i < params.words; ++i)
         if (dst.mem().read(t.dstBuf + i) != src.mem().read(t.srcBuf + i))
             res.dataOk = false;
+    // Leave nothing queued: the ack timer must not outlive the engine.
+    if (params.eventMode)
+        stack_.settle();
     return res;
 }
 

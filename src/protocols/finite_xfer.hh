@@ -115,16 +115,18 @@ class FiniteXfer
 
     /** Validate @p params and register a transfer, source filled. */
     Word newTransfer(const FiniteXferParams &params);
+    /** Step 1: ask the destination for a segment (BufferMgmt). */
+    void requestAlloc(Word transferId);
     void installSinks();
     void onAllocReq(NodeId dstNode, NodeId srcNode, Word transferId,
                     const std::vector<Word> &args);
     void onAllocReply(Word transferId, const std::vector<Word> &args);
     void onAck(Word transferId);
 
-    /** Event mode: coalesced poll scheduling. */
-    void schedulePoll(NodeId id);
     /** Event mode: (re)arm the restart timer for a transfer. */
-    void armTimer(Word transferId, const FiniteXferParams &params);
+    void armTimer(Word transferId);
+    /** The restart timer: re-run the handshake unless acked. */
+    void onAckTimeout(std::uint32_t transferId);
     /** Event mode: data phase (handshake done) for a transfer. */
     void sendData(Word transferId);
 
@@ -132,10 +134,11 @@ class FiniteXfer
     std::map<Word, Transfer> transfers_;
     /// (dstNode, transferId) -> active destination segment.
     std::map<std::pair<NodeId, Word>, Word> dstSegments_;
-    std::map<NodeId, bool> pollPending_;
     Word nextTransferId_ = 1;
     bool eventMode_ = false;
-    RecvDiscipline runDiscipline_ = RecvDiscipline::Poll;
+    // The event-mode run's restart timer (only run() arms one).
+    Tick ackTimeout_ = 0;
+    int maxRestarts_ = 0;
 };
 
 } // namespace msgsim

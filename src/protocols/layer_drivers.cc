@@ -1,6 +1,7 @@
 #include "protocols/layer_drivers.hh"
 
 #include <algorithm>
+#include <functional>
 #include <initializer_list>
 
 #include "sim/log.hh"
@@ -14,33 +15,6 @@ namespace
 
 /** Event-mode polling period of the verbs and offload drivers. */
 constexpr Tick kPollGap = 8;
-
-struct PollState
-{
-    Stack &stack;
-    NodeId id;
-    Tick gap;
-    std::shared_ptr<bool> stop;
-    std::function<bool()> step;
-};
-
-void
-armPoll(const std::shared_ptr<PollState> &loop, Tick delay)
-{
-    loop->stack.sim().schedule(delay, [loop] {
-        if (*loop->stop)
-            return;
-        {
-            Node &nd = loop->stack.node(loop->id);
-            FeatureScope fs(nd.acct(), Feature::BaseCost);
-            if (loop->step()) {
-                *loop->stop = true;
-                return;
-            }
-        }
-        armPoll(loop, loop->gap);
-    });
-}
 
 bool
 sameWords(Node &a, Addr abuf, Node &b, Addr bbuf, std::uint32_t words)
@@ -113,13 +87,7 @@ hlExchange(Stack &stack, const RunParams &params,
     Node &src = stack.node(params.src);
     Node &dst = stack.node(params.dst);
     if (params.eventMode)
-        dst.ni().setArrivalHook([&stack, id = params.dst] {
-            stack.sim().schedule(1, [&stack, id] {
-                Node &nd = stack.node(id);
-                FeatureScope fs(nd.acct(), Feature::BaseCost);
-                stack.cmam(id).poll();
-            });
-        });
+        stack.pollOnArrival(params.dst, ArrivalPoll::PerArrival);
     {
         FeatureScope fs(src.acct(), Feature::BaseCost);
         send();
@@ -132,7 +100,7 @@ hlExchange(Stack &stack, const RunParams &params,
     }
     stack.sim().runUntil(done, 50'000'000);
     stack.settle();
-    dst.ni().setArrivalHook(nullptr);
+    stack.stopArrivalPolls(params.dst);
 }
 
 /**
@@ -153,15 +121,13 @@ verbsComplete(Stack &stack, bool eventMode,
         }
         return;
     }
-    auto stop = std::make_shared<bool>(false);
     for (NodeId id : pollers)
-        pollLoop(stack, id, stop, kPollGap, kPollGap, [&stack, id] {
+        stack.startProgress(id, kPollGap, kPollGap, [&stack, id] {
             stack.nic(id).pollCq();
             return false;
         });
     stack.sim().runUntil(done, 50'000'000);
-    *stop = true;
-    stack.settle();
+    stack.stopProgress();
 }
 
 /**
@@ -178,11 +144,11 @@ offloadComplete(Stack &stack, bool eventMode, NodeId at,
         FeatureScope fs(stack.node(at).acct(), Feature::BaseCost);
         return probe();
     }
-    auto stop = std::make_shared<bool>(false);
-    pollLoop(stack, at, stop, kPollGap, kPollGap, probe);
-    stack.sim().runUntil([&stop] { return *stop; }, 50'000'000);
-    stack.settle();
-    return *stop;
+    stack.startProgress(at, kPollGap, kPollGap, probe);
+    const bool done = stack.sim().runUntil(
+        [&stack, at] { return !stack.progressing(at); }, 50'000'000);
+    stack.stopProgress();
+    return done;
 }
 
 /**
@@ -254,15 +220,6 @@ rdmaOneWay(Stack &stack, const RunParams &params, std::uint32_t words,
 }
 
 } // namespace
-
-void
-pollLoop(Stack &stack, NodeId id, std::shared_ptr<bool> stop,
-         Tick first, Tick gap, std::function<bool()> step)
-{
-    armPoll(std::make_shared<PollState>(PollState{
-                stack, id, gap, std::move(stop), std::move(step)}),
-            first);
-}
 
 void
 fillWords(Node &node, Addr buf, std::uint32_t words, std::uint64_t seed)

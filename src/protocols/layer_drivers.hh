@@ -17,9 +17,6 @@
 #ifndef MSGSIM_PROTOCOLS_LAYER_DRIVERS_HH
 #define MSGSIM_PROTOCOLS_LAYER_DRIVERS_HH
 
-#include <functional>
-#include <memory>
-
 #include "protocols/result.hh"
 #include "protocols/stack.hh"
 
@@ -35,16 +32,6 @@ struct RunParams
     std::uint64_t fillSeed = 0x11d0'beefULL; ///< picks payload words
     bool eventMode = false; ///< poll from the simulated clock instead
 };
-
-/**
- * Event-mode progress loop: run @p step on node @p id under BaseCost
- * every @p gap ticks, the first @p first ticks from now, until @p
- * stop is set or @p step returns true (which sets it).  Models the
- * progress thread an application runs instead of an arrival
- * interrupt.
- */
-void pollLoop(Stack &stack, NodeId id, std::shared_ptr<bool> stop,
-              Tick first, Tick gap, std::function<bool()> step);
 
 /** Fill @p words of @p node's memory at @p buf from @p seed. */
 void fillWords(Node &node, Addr buf, std::uint32_t words,

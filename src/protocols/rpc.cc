@@ -114,14 +114,7 @@ RpcEngine::wait(CallHandle h, int maxRounds)
     for (int round = 0; round < maxRounds; ++round) {
         if (done(h))
             return true;
-        stack_.settle();
-        for (NodeId id = 0; id < stack_.machine().nodeCount(); ++id) {
-            Node &node = stack_.node(id);
-            if (!node.ni().hwRecvPending())
-                continue;
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-        }
+        stack_.pollPending();
     }
     return done(h);
 }

@@ -118,12 +118,18 @@ factoryOf(const typename Net::Config &nc)
     return [nc](Simulator &sim) { return std::make_unique<Net>(sim, nc); };
 }
 
-/** Layer @p v's entry for node @p id; panics when @p v was not built. */
+/**
+ * Layer @p v's entry for node @p id; panics when @p v was not built,
+ * naming the layer @p built that was.
+ */
 template <class Layer>
 Layer &
 layerAt(const std::vector<std::unique_ptr<Layer>> &v, NodeId id,
-        const char *name)
+        const char *name, HostLayer built)
 {
+    if (v.empty())
+        msgsim_panic(name, "(", id, "): the stack was built with the ",
+                     toString(built), " layer only");
     if (id >= v.size())
         msgsim_panic(name, ": node id ", id, " out of range");
     return *v[id];
@@ -211,24 +217,25 @@ Stack::Stack(const StackConfig &cfg) : cfg_(cfg)
         break;
       }
     }
+    progress_.resize(nodes);
 }
 
 Cmam &
 Stack::cmam(NodeId id)
 {
-    return layerAt(cmams_, id, "cmam");
+    return layerAt(cmams_, id, "cmam", cfg_.layer);
 }
 
 RdmaNic &
 Stack::nic(NodeId id)
 {
-    return layerAt(nics_, id, "verbs");
+    return layerAt(nics_, id, "verbs", cfg_.layer);
 }
 
 NicamLayer &
 Stack::offload(NodeId id)
 {
-    return layerAt(offloads_, id, "offload");
+    return layerAt(offloads_, id, "offload", cfg_.layer);
 }
 
 std::uint64_t
@@ -258,6 +265,100 @@ Stack::connectQp(NodeId a, NodeId b)
     nic(a).bindQp(qp, b);
     nic(b).bindQp(qp, a);
     return qp;
+}
+
+std::uint32_t
+Stack::pollPending()
+{
+    settle();
+    std::uint32_t polled = 0;
+    for (NodeId id = 0; id < machine_->nodeCount(); ++id) {
+        Node &nd = node(id);
+        if (!nd.ni().hwRecvPending())
+            continue;
+        ++polled;
+        FeatureScope fs(nd.acct(), Feature::BaseCost);
+        cmam(id).poll();
+    }
+    return polled;
+}
+
+void
+Stack::pollOnArrival(NodeId id, ArrivalPoll policy,
+                     RecvDiscipline discipline)
+{
+    NetIface &ni = node(id).ni(); // range-checks id
+    progress_[id].policy = policy;
+    progress_[id].discipline = discipline;
+    ni.setArrivalHook([this, id] { arrived(id); });
+}
+
+void
+Stack::stopArrivalPolls(NodeId id)
+{
+    node(id).ni().setArrivalHook(nullptr);
+}
+
+void
+Stack::arrived(NodeId id)
+{
+    NodeProgress &np = progress_[id];
+    if (np.policy == ArrivalPoll::Coalesced) {
+        if (np.entryQueued)
+            return;
+        np.entryQueued = true;
+    }
+    sim().scheduleAt<&Stack::serviceArrivals>(sim().now() + 1, this, id);
+}
+
+void
+Stack::serviceArrivals(std::uint32_t id)
+{
+    NodeProgress &np = progress_[id];
+    np.entryQueued = false;
+    FeatureScope fs(node(id).acct(), Feature::BaseCost);
+    if (np.discipline == RecvDiscipline::Interrupt)
+        cmam(id).interruptService();
+    else
+        cmam(id).poll();
+}
+
+void
+Stack::startProgress(NodeId id, Tick first, Tick gap,
+                     std::function<bool()> step)
+{
+    node(id); // range-checks id
+    NodeProgress &np = progress_[id];
+    if (np.step)
+        msgsim_panic("node ", id, " already runs a progress loop");
+    np.step = std::move(step);
+    np.gap = gap;
+    sim().scheduleAt<&Stack::progressTick>(sim().now() + first, this, id);
+}
+
+void
+Stack::progressTick(std::uint32_t id)
+{
+    NodeProgress &np = progress_[id];
+    if (!np.step)
+        return; // stopped: the tick dies
+    {
+        FeatureScope fs(node(id).acct(), Feature::BaseCost);
+        if (np.step()) {
+            np.step = nullptr;
+            return;
+        }
+    }
+    sim().scheduleAt<&Stack::progressTick>(sim().now() + np.gap, this,
+                                           id);
+}
+
+void
+Stack::stopProgress()
+{
+    for (NodeProgress &np : progress_)
+        np.step = nullptr;
+    settle();
 }
 
 } // namespace msgsim

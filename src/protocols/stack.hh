@@ -10,6 +10,7 @@
 #ifndef MSGSIM_PROTOCOLS_STACK_HH
 #define MSGSIM_PROTOCOLS_STACK_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,6 +107,21 @@ enum class RecvDiscipline
 const char *toString(RecvDiscipline d);
 
 /**
+ * How many service entries an event-mode node takes for its
+ * arrivals.  Each entry runs one tick after the arrival that queued
+ * it, under BaseCost.
+ */
+enum class ArrivalPoll
+{
+    /// One entry per node while one is queued: arrivals in the same
+    /// tick share it (FiniteXfer, StreamProtocol).
+    Coalesced,
+    /// One poll entry per arrival: the §4 layer's accounting, which
+    /// X2 pins (hl instr 12032 = 47 × 256 packets).
+    PerArrival,
+};
+
+/**
  * Configuration of a whole protocol stack.
  */
 struct StackConfig
@@ -149,6 +165,10 @@ class Stack
   public:
     /** Fatal unless (cfg.substrate, cfg.layer) is in stackPairs. */
     explicit Stack(const StackConfig &cfg);
+    // Poll and progress events and the NI arrival hooks hold the
+    // stack's address.
+    Stack(const Stack &) = delete;
+    Stack &operator=(const Stack &) = delete;
 
     Machine &machine() { return *machine_; }
     Simulator &sim() { return machine_->sim(); }
@@ -195,7 +215,65 @@ class Stack
     /** Run the simulation to quiescence (flushing order stages). */
     void settle() { machine_->settle(); }
 
+    // ------------------------------------------------------------
+    // Progress: every decision of when a node polls.
+    // ------------------------------------------------------------
+
+    /**
+     * Settle, then poll CMAM once under BaseCost on each node whose
+     * NI holds a packet, in node order.  Returns the nodes polled.
+     */
+    std::uint32_t pollPending();
+
+    /**
+     * Event mode: from now on, every packet landing at node @p id
+     * queues a service entry one tick later, as @p policy says.  The
+     * entry polls CMAM, or with RecvDiscipline::Interrupt takes the
+     * interrupt service.
+     */
+    void pollOnArrival(NodeId id, ArrivalPoll policy,
+                       RecvDiscipline discipline = RecvDiscipline::Poll);
+
+    /** End pollOnArrival on node @p id; a queued entry still runs. */
+    void stopArrivalPolls(NodeId id);
+
+    /**
+     * Event-mode progress loop: @p first ticks from now, then every
+     * @p gap ticks, run @p step on node @p id under BaseCost until it
+     * returns true or stopProgress().  Models the progress thread an
+     * application runs instead of an arrival interrupt.  One loop per
+     * node at a time.
+     */
+    void startProgress(NodeId id, Tick first, Tick gap,
+                       std::function<bool()> step);
+
+    /** True while node @p id's progress loop runs. */
+    bool progressing(NodeId id) const { return bool(progress_[id].step); }
+
+    /**
+     * Stop every progress loop and settle, so no loop tick is left
+     * queued to run a later loop's step.
+     */
+    void stopProgress();
+
   private:
+    /// One node's event-mode progress state.
+    struct NodeProgress
+    {
+        std::function<bool()> step; ///< the running loop's; empty: none
+        Tick gap = 0;
+        RecvDiscipline discipline = RecvDiscipline::Poll;
+        ArrivalPoll policy = ArrivalPoll::Coalesced;
+        bool entryQueued = false; ///< a coalesced entry waits to run
+    };
+
+    /** The arrival hook of pollOnArrival: queue a service entry. */
+    void arrived(NodeId id);
+    /** The service entry: poll (or interrupt) node @p id. */
+    void serviceArrivals(std::uint32_t id);
+    /** One progress-loop tick on node @p id. */
+    void progressTick(std::uint32_t id);
+
     StackConfig cfg_;
     std::unique_ptr<Machine> machine_;
     // Per-node layers; only cfg_.layer's vector is filled (CMAM's
@@ -203,6 +281,7 @@ class Stack
     std::vector<std::unique_ptr<Cmam>> cmams_;
     std::vector<std::unique_ptr<RdmaNic>> nics_;
     std::vector<std::unique_ptr<NicamLayer>> offloads_;
+    std::vector<NodeProgress> progress_;
     Word nextId_ = 1;
 };
 

@@ -541,14 +541,7 @@ StreamProtocol::openPersistent(NodeId src, NodeId dst, int groupAck,
 void
 StreamProtocol::progressOnce()
 {
-    stack_.settle();
-    for (NodeId id = 0; id < stack_.machine().nodeCount(); ++id) {
-        Node &node = stack_.node(id);
-        if (!node.ni().hwRecvPending())
-            continue;
-        FeatureScope fs(node.acct(), Feature::BaseCost);
-        stack_.cmam(id).poll();
-    }
+    stack_.pollPending();
     stack_.settle();
 }
 
@@ -711,40 +704,28 @@ StreamProtocol::publishMetrics(MetricsRegistry &reg,
 }
 
 void
-StreamProtocol::armFlushTimer(Word chanId, Tick period)
+StreamProtocol::armFlushTimer(Word chanId)
 {
     // Group-ack flush timer (event mode): an indefinite stream's
     // receiver cannot know when the last group will complete, so it
     // periodically flushes a cumulative acknowledgement while the
     // channel is live.
-    stack_.sim().schedule(period, [this, chanId, period] {
-        auto it = channels_.find(chanId);
-        if (it == channels_.end())
-            return;
-        Channel &ch = it->second;
-        if (ch.groupCount > 0)
-            flushGroupAck(ch);
-        if (!ch.unacked.empty() ||
-            ch.nextToSend < ch.sendQueue.size() || ch.groupCount > 0)
-            armFlushTimer(chanId, period);
-    });
+    stack_.sim().scheduleAt<&StreamProtocol::onFlushTimeout>(
+        stack_.sim().now() + retxTimeout_ / 2, this, chanId);
 }
 
 void
-StreamProtocol::schedulePoll(NodeId id)
+StreamProtocol::onFlushTimeout(std::uint32_t chanId)
 {
-    if (pollPending_[id])
+    auto it = channels_.find(chanId);
+    if (it == channels_.end())
         return;
-    pollPending_[id] = true;
-    stack_.sim().schedule(1, [this, id] {
-        pollPending_[id] = false;
-        Node &nd = stack_.node(id);
-        FeatureScope fs(nd.acct(), Feature::BaseCost);
-        if (runDiscipline_ == RecvDiscipline::Interrupt)
-            stack_.cmam(id).interruptService();
-        else
-            stack_.cmam(id).poll();
-    });
+    Channel &ch = it->second;
+    if (ch.groupCount > 0)
+        flushGroupAck(ch);
+    if (!ch.unacked.empty() || ch.nextToSend < ch.sendQueue.size() ||
+        ch.groupCount > 0)
+        armFlushTimer(chanId);
 }
 
 void
@@ -756,28 +737,32 @@ StreamProtocol::pumpWindow(Channel &ch, std::uint32_t window)
 }
 
 void
-StreamProtocol::armRetxTimer(Word chanId, const StreamParams &params)
+StreamProtocol::armRetxTimer(Word chanId)
 {
-    stack_.sim().schedule(params.retxTimeout, [this, chanId, params] {
-        auto it = channels_.find(chanId);
-        if (it == channels_.end())
-            return;
-        Channel &ch = it->second;
-        if (ch.unacked.empty() &&
-            ch.nextToSend >= ch.sendQueue.size())
-            return; // stream fully acknowledged: timer dies
-        if (ch.retx >= static_cast<std::uint64_t>(params.maxRetx)) {
-            msgsim_warn("stream channel ", chanId,
-                        " exceeded retransmission bound");
-            return;
-        }
-        const Tick now = stack_.sim().now();
-        for (InFlight &pkt : ch.unacked)
-            if (now - pkt.sentAt >= params.retxTimeout)
-                retransmit(ch, pkt);
-        pumpWindow(ch, params.window);
-        armRetxTimer(chanId, params);
-    });
+    stack_.sim().scheduleAt<&StreamProtocol::onRetxTimeout>(
+        stack_.sim().now() + retxTimeout_, this, chanId);
+}
+
+void
+StreamProtocol::onRetxTimeout(std::uint32_t chanId)
+{
+    auto it = channels_.find(chanId);
+    if (it == channels_.end())
+        return;
+    Channel &ch = it->second;
+    if (ch.unacked.empty() && ch.nextToSend >= ch.sendQueue.size())
+        return; // stream fully acknowledged: timer dies
+    if (ch.retx >= static_cast<std::uint64_t>(maxRetx_)) {
+        msgsim_warn("stream channel ", chanId,
+                    " exceeded retransmission bound");
+        return;
+    }
+    const Tick now = stack_.sim().now();
+    for (InFlight &pkt : ch.unacked)
+        if (now - pkt.sentAt >= retxTimeout_)
+            retransmit(ch, pkt);
+    pumpWindow(ch, ch.window);
+    armRetxTimer(chanId);
 }
 
 RunResult
@@ -796,7 +781,6 @@ StreamProtocol::run(const StreamParams &params)
     Channel &ch = openChannel(params, nullptr);
     ch.journal = true;
     ch.deliveredWords.reserve(params.words);
-    Node &src = stack_.node(params.src);
     Node &dst = stack_.node(params.dst);
 
     // Generate the stream contents (register-resident application
@@ -826,17 +810,18 @@ StreamProtocol::run(const StreamParams &params)
         consumeAcks(ch);
         done_at = stack_.sim().now();
     } else {
-        // ---- Event mode: hooks, window pump, retransmission.
-        runDiscipline_ = params.discipline;
-        src.ni().setArrivalHook(
-            [this, id = params.src] { schedulePoll(id); });
-        dst.ni().setArrivalHook(
-            [this, id = params.dst] { schedulePoll(id); });
+        // ---- Event mode: arrival polls, window pump, retransmission.
+        stack_.pollOnArrival(params.src, ArrivalPoll::Coalesced,
+                             params.discipline);
+        stack_.pollOnArrival(params.dst, ArrivalPoll::Coalesced,
+                             params.discipline);
         ch.sendQueue = data;
-        pumpWindow(ch, params.window);
-        armRetxTimer(ch.id, params);
+        retxTimeout_ = params.retxTimeout;
+        maxRetx_ = params.maxRetx;
+        pumpWindow(ch, ch.window);
+        armRetxTimer(ch.id);
         if (params.groupAck > 1)
-            armFlushTimer(ch.id, params.retxTimeout / 2);
+            armFlushTimer(ch.id);
         stack_.sim().runUntil(
             [&] {
                 return (ch.deliveredPackets >= packets &&
@@ -851,8 +836,8 @@ StreamProtocol::run(const StreamParams &params)
         // run past the completion instant; they don't count toward
         // the exchange's latency).
         stack_.settle();
-        src.ni().setArrivalHook(nullptr);
-        dst.ni().setArrivalHook(nullptr);
+        stack_.stopArrivalPolls(params.src);
+        stack_.stopArrivalPolls(params.dst);
     }
 
     frame.finish(res, done_at);

@@ -274,19 +274,18 @@ class StreamProtocol
 
     /** Event mode: window pump + retransmission timer. */
     void pumpWindow(Channel &ch, std::uint32_t window);
-    void armRetxTimer(Word chanId, const StreamParams &params);
+    void armRetxTimer(Word chanId);
+    void onRetxTimeout(std::uint32_t chanId);
 
     Node &srcNode(Channel &ch) { return stack_.node(ch.src); }
     Node &dstNode(Channel &ch) { return stack_.node(ch.dst); }
-
-    /** Event mode: coalesced poll scheduling. */
-    void schedulePoll(NodeId id);
 
     /** One settle + machine-wide poll round (persistent channels). */
     void progressOnce();
 
     /** Event mode: periodic group-ack flush for a live channel. */
-    void armFlushTimer(Word chanId, Tick period);
+    void armFlushTimer(Word chanId);
+    void onFlushTimeout(std::uint32_t chanId);
 
     /** Modeled memory regions of a retired channel, for reuse. */
     struct ChannelResources
@@ -308,8 +307,10 @@ class StreamProtocol
     Totals totals_;
     bool bugAckBeforeInsert_ = false;
     std::map<Word, Channel> channels_;
-    std::map<NodeId, bool> pollPending_;
-    RecvDiscipline runDiscipline_ = RecvDiscipline::Poll;
+    // The event-mode run's timers (only run() arms them); the group-ack
+    // flush runs every retxTimeout_ / 2.
+    Tick retxTimeout_ = 0;
+    int maxRetx_ = 0;
     std::vector<Word> freeIds_;
     std::vector<ChannelResources> resourcePool_;
     Word nextChanId_ = 1;

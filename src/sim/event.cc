@@ -55,31 +55,6 @@ EventQueue::pop(Tick &when)
     return top.event;
 }
 
-std::uint32_t
-EventQueue::stash(Action &&action)
-{
-    if (freeClosures_.empty()) {
-        closures_.push_back(std::move(action));
-        return static_cast<std::uint32_t>(closures_.size() - 1);
-    }
-    const std::uint32_t index = freeClosures_.back();
-    freeClosures_.pop_back();
-    closures_[index] = std::move(action);
-    return index;
-}
-
-void
-EventQueue::runClosure(void *queue, std::uint32_t index)
-{
-    // Move the closure out and free its entry before running it: the
-    // closure may schedule more closures, which may reuse the entry or
-    // grow the slab.
-    EventQueue &q = *static_cast<EventQueue *>(queue);
-    const Action action = std::move(q.closures_[index]);
-    q.freeClosures_.push_back(index);
-    action();
-}
-
 bool
 Simulator::step()
 {

@@ -3,13 +3,13 @@
  * Discrete-event simulation kernel.
  *
  * A single EventQueue orders events by (tick, insertion sequence);
- * ties break FIFO so the simulation is deterministic.  An event is a
- * trivially copyable record: a handler function, its target and one
- * 32-bit argument (the fabrics' packet events carry a pool slot).
- * Protocol timers and other closures wait in a free-listed slab and
- * their record carries the slab index.  The Simulator owns the queue
- * and the global clock and provides run-to-completion and
- * run-until-predicate drivers.
+ * ties break FIFO so the simulation is deterministic.  Every event is
+ * a trivially copyable typed record: a handler function, its target
+ * and one 32-bit argument (a fabric's packet event carries a pool
+ * slot, a protocol timer its transfer or channel id, a Stack poll or
+ * progress tick its node).  There are no closure events.  The
+ * Simulator owns the queue and the global clock and provides
+ * run-to-completion and run-until-predicate drivers.
  */
 
 #ifndef MSGSIM_SIM_EVENT_HH
@@ -37,8 +37,6 @@ class MetricsRegistry;
 class EventQueue
 {
   public:
-    using Action = std::function<void()>;
-
     /** A typed event's handler: called as fn(target, arg). */
     using Handler = void (*)(void *target, std::uint32_t arg);
 
@@ -52,23 +50,11 @@ class EventQueue
         void operator()() const { fn(target, arg); }
     };
 
-    EventQueue() = default;
-    // Closure records point back at the queue that holds the closure.
-    EventQueue(const EventQueue &) = delete;
-    EventQueue &operator=(const EventQueue &) = delete;
-
     /** Schedule fn(target, arg) at absolute time @p when. */
     void
     schedule(Tick when, Handler fn, void *target, std::uint32_t arg)
     {
         push(Entry{when, nextSeq_++, Event{fn, target, arg}});
-    }
-
-    /** Schedule @p action at absolute time @p when. */
-    void
-    schedule(Tick when, Action action)
-    {
-        schedule(when, &runClosure, this, stash(std::move(action)));
     }
 
     /** Events scheduled over the queue's lifetime. */
@@ -116,15 +102,7 @@ class EventQueue
 
     void push(const Entry &entry);
 
-    /** Put @p action in the closure slab; returns its index. */
-    std::uint32_t stash(Action &&action);
-
-    /** The closure kind's handler: run and free slab entry @p index. */
-    static void runClosure(void *queue, std::uint32_t index);
-
     std::vector<Entry> heap_; ///< 4-ary heap: children of i are 4i+1..4i+4
-    std::vector<Action> closures_;           ///< closure slab
-    std::vector<std::uint32_t> freeClosures_; ///< free slab indexes
     std::uint64_t nextSeq_ = 0;
 };
 
@@ -134,23 +112,13 @@ class EventQueue
 class Simulator
 {
   public:
+    Simulator() = default;
+    // Fabrics and observers hold the simulator's address.
+    Simulator(const Simulator &) = delete;
+    Simulator &operator=(const Simulator &) = delete;
+
     /** Current simulation time. */
     Tick now() const { return now_; }
-
-    /** Schedule an action @p delay ticks from now. */
-    void
-    schedule(Tick delay, EventQueue::Action action)
-    {
-        queue_.schedule(now_ + delay, std::move(action));
-    }
-
-    /** Schedule an action at absolute time @p when (>= now). */
-    void
-    scheduleAt(Tick when, EventQueue::Action action)
-    {
-        checkNotPast(when);
-        queue_.schedule(when, std::move(action));
-    }
 
     /**
      * At absolute time @p when (>= now), call (target->*Method)(arg):

@@ -1,7 +1,6 @@
 #include "tele/tele_run.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "protocols/layer_drivers.hh"
 #include "sim/log.hh"
@@ -189,16 +188,14 @@ runVerbsIncast(const ScenarioOptions &opt, TeleSession *tele)
             msgsim_panic("tele verbs incast: sender CQ full");
     }
     // Node 0's simulated CQ-drain loop (the verbs progress thread).
-    auto stop = std::make_shared<bool>(false);
-    pollLoop(stack, 0, stop, kFirstPoll, kPollGap, [&stack] {
+    stack.startProgress(0, kFirstPoll, kPollGap, [&stack] {
         stack.nic(0).pollCq();
         return false;
     });
     stack.sim().runUntil(
         [&recvDone, total] { return recvDone == total; },
         50'000'000);
-    *stop = true;
-    stack.settle();
+    stack.stopProgress();
 
     if (tele) {
         tele->sampleAt(stack.sim().now());

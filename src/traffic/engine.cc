@@ -315,18 +315,9 @@ TrafficEngine::run(const TrafficSpec &spec)
 
     const auto drainOnce = [&]() -> bool {
         hostprof::HostScope hs(hostprof::Site::TrafficDrain);
-        stack_.settle();
-        bool any = false;
-        for (NodeId id = 0; id < n; ++id) {
-            Node &node = stack_.node(id);
-            if (!node.ni().hwRecvPending())
-                continue;
-            any = true;
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-            ++shape_.polls;
-        }
-        return any;
+        const std::uint32_t polled = stack_.pollPending();
+        shape_.polls += polled;
+        return polled > 0;
     };
 
     for (std::uint32_t k = 0; k < spec.messagesPerNode; ++k) {

@@ -174,23 +174,9 @@ TrafficRunner::run(TrafficGen &gen, std::uint32_t messagesPerNode,
             ++res.messages;
         }
         // Drain as we go so receive FIFOs stay shallow.
-        stack_.settle();
-        for (NodeId id = 0; id < n; ++id) {
-            Node &node = stack_.node(id);
-            if (!node.ni().hwRecvPending())
-                continue;
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-        }
+        stack_.pollPending();
     }
-    stack_.settle();
-    for (NodeId id = 0; id < n; ++id) {
-        Node &node = stack_.node(id);
-        if (node.ni().hwRecvPending()) {
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-        }
-    }
+    stack_.pollPending();
 
     double max_instr = 0;
     for (NodeId id = 0; id < n; ++id) {

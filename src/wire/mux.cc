@@ -633,14 +633,7 @@ StreamMux::flush()
     int idle = 0;
     std::uint64_t lastProgress = 0;
     while (!quiescent()) {
-        stack_.settle();
-        for (NodeId id = 0; id < stack_.machine().nodeCount(); ++id) {
-            Node &node = stack_.node(id);
-            if (!node.ni().hwRecvPending())
-                continue;
-            FeatureScope fs(node.acct(), Feature::BaseCost);
-            stack_.cmam(id).poll();
-        }
+        stack_.pollPending();
         stack_.settle();
         const std::uint64_t progress =
             stats_.dataDelivered + stats_.wireAcks +

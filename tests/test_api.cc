@@ -199,5 +199,32 @@ TEST(Api, AccessorOfAnUnbuiltLayerPanics)
     log_detail::throwOnError = false;
 }
 
+TEST(Stack, UnbuiltLayerAccessorPanics)
+{
+    // The panic names the layer the stack did build, not an index.
+    log_detail::throwOnError = true;
+    const auto message = [](const std::function<void()> &access) {
+        try {
+            access();
+        } catch (const log_detail::SimError &e) {
+            return e.message;
+        }
+        return std::string("no panic");
+    };
+    Stack verbs(stackConfigFor(HostLayer::Verbs));
+    Stack offload(stackConfigFor(HostLayer::Offload));
+    Stack cmam(StackConfig{});
+    EXPECT_EQ(message([&] { verbs.cmam(0); }),
+              "cmam(0): the stack was built with the verbs layer only");
+    EXPECT_EQ(message([&] { offload.nic(1); }),
+              "verbs(1): the stack was built with the offload layer only");
+    EXPECT_EQ(message([&] { cmam.offload(0); }),
+              "offload(0): the stack was built with the cmam layer only");
+    // A built layer still range-checks its node id.
+    EXPECT_EQ(message([&] { cmam.cmam(99); }),
+              "cmam: node id 99 out of range");
+    log_detail::throwOnError = false;
+}
+
 } // namespace
 } // namespace msgsim

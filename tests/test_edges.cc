@@ -32,14 +32,22 @@ TEST(Edges, EventQueuePopEmptyPanics)
     EXPECT_THROW(q.nextTick(), log_detail::SimError);
 }
 
+/** A typed-event target that does nothing. */
+struct Nop
+{
+    void run(std::uint32_t) {}
+};
+
 TEST(Edges, ScheduleInThePastPanics)
 {
     ThrowOnError guard;
     Simulator sim;
-    sim.schedule(10, [] {});
+    Nop nop;
+    sim.scheduleAt<&Nop::run>(10, &nop, 0);
     sim.run();
     EXPECT_EQ(sim.now(), 10u);
-    EXPECT_THROW(sim.scheduleAt(5, [] {}), log_detail::SimError);
+    EXPECT_THROW(sim.scheduleAt<&Nop::run>(5, &nop, 0),
+                 log_detail::SimError);
 }
 
 TEST(Edges, SegmentDoubleFreePanics)

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "protocols/finite_xfer.hh"
 #include "protocols/stream.hh"
@@ -294,6 +296,131 @@ TEST(EventMode, QueueDepthCounterSamplesLandInAnAttachedSession)
             std::string(rec.name) == "sim.queue_depth")
             ++depthSamples;
     EXPECT_GT(depthSamples, 0u);
+}
+
+TEST(EventMode, RunsLeaveNothingQueued)
+{
+    // The ack timer is due long after the ack arrives; run() settles
+    // it, so nothing queued outlives the engine that scheduled it.
+    Stack stack(cleanConfig());
+    {
+        FiniteXfer proto(stack);
+        FiniteXferParams p;
+        p.eventMode = true;
+        ASSERT_TRUE(proto.run(p).dataOk);
+        EXPECT_TRUE(stack.sim().idle());
+    }
+    {
+        StreamProtocol proto(stack);
+        StreamParams p;
+        p.eventMode = true;
+        p.groupAck = 4;
+        ASSERT_TRUE(proto.run(p).dataOk);
+        EXPECT_TRUE(stack.sim().idle());
+    }
+    // Both engines are gone: settling runs nothing of theirs (the
+    // sanitizer build checks that no event reaches freed memory).
+    stack.settle();
+    EXPECT_TRUE(stack.sim().idle());
+}
+
+/** What node 1 paid for two am4s from node 0 landing in one tick. */
+struct TwoArrivals
+{
+    std::uint64_t instr = 0;  ///< node 1's instructions
+    std::uint64_t events = 0; ///< simulator events scheduled
+    std::vector<Tick> handledAt;
+};
+
+/**
+ * Two am4s 0 -> 1, serviced by @p policy; with no policy, settle and
+ * poll node 1 once by hand.
+ */
+TwoArrivals
+twoArrivals(std::optional<ArrivalPoll> policy)
+{
+    Stack stack(cleanConfig());
+    TwoArrivals out;
+    Node &dst = stack.node(1);
+    const int h = stack.cmam(1).registerHandler(
+        [&](NodeId, const std::vector<Word> &) {
+            out.handledAt.push_back(stack.sim().now());
+        });
+    if (policy)
+        stack.pollOnArrival(1, *policy);
+    const std::uint64_t instr0 = dst.acct().counter().paperTotal();
+    const std::uint64_t events0 = stack.sim().eventsScheduled();
+    stack.cmam(0).am4(1, h, {1, 2, 3, 4});
+    stack.cmam(0).am4(1, h, {5, 6, 7, 8});
+    stack.settle();
+    if (policy) {
+        stack.stopArrivalPolls(1);
+    } else {
+        FeatureScope fs(dst.acct(), Feature::BaseCost);
+        stack.cmam(1).poll();
+    }
+    out.instr = dst.acct().counter().paperTotal() - instr0;
+    out.events = stack.sim().eventsScheduled() - events0;
+    return out;
+}
+
+/** Instructions of one poll entry that finds the FIFO empty. */
+std::uint64_t
+emptyPollEntry()
+{
+    Stack stack(cleanConfig());
+    Node &nd = stack.node(1);
+    const std::uint64_t before = nd.acct().counter().paperTotal();
+    FeatureScope fs(nd.acct(), Feature::BaseCost);
+    stack.cmam(1).poll();
+    return nd.acct().counter().paperTotal() - before;
+}
+
+TEST(Stack, CoalescedArrivalsShareOnePollEntry)
+{
+    const TwoArrivals byHand = twoArrivals(std::nullopt);
+    const TwoArrivals co = twoArrivals(ArrivalPoll::Coalesced);
+    const TwoArrivals each = twoArrivals(ArrivalPoll::PerArrival);
+    ASSERT_EQ(byHand.handledAt.size(), 2u);
+    // Both packets land in one tick, and the first entry handles both.
+    ASSERT_EQ(co.handledAt.size(), 2u);
+    EXPECT_EQ(co.handledAt[0], co.handledAt[1]);
+    EXPECT_EQ(each.handledAt, co.handledAt);
+    // Coalesced: one poll entry, as one settled poll by hand.
+    EXPECT_EQ(co.instr, byHand.instr);
+    EXPECT_EQ(co.events, byHand.events + 1);
+    // Per arrival: a second entry, which finds the FIFO empty.
+    EXPECT_GT(emptyPollEntry(), 0u);
+    EXPECT_EQ(each.instr, co.instr + emptyPollEntry());
+    EXPECT_EQ(each.events, byHand.events + 2);
+}
+
+TEST(Stack, StoppedProgressLoopLeavesTheQueueIdle)
+{
+    Stack stack(cleanConfig());
+    int steps = 0;
+    for (NodeId id : {0u, 1u})
+        stack.startProgress(id, 8, 8, [&steps] {
+            ++steps;
+            return false;
+        });
+    stack.sim().runUntil([&steps] { return steps == 6; });
+    EXPECT_EQ(stack.sim().now(), 24u);
+    EXPECT_TRUE(stack.progressing(0));
+    stack.stopProgress();
+    EXPECT_TRUE(stack.sim().idle());
+    EXPECT_FALSE(stack.progressing(0));
+    EXPECT_FALSE(stack.progressing(1));
+
+    // A later loop on the same node runs only its own step, and ends
+    // itself when the step reports done.
+    int later = 0;
+    stack.startProgress(0, 8, 8, [&later] { return ++later == 2; });
+    stack.settle();
+    EXPECT_EQ(later, 2);
+    EXPECT_EQ(steps, 6);
+    EXPECT_FALSE(stack.progressing(0));
+    EXPECT_TRUE(stack.sim().idle());
 }
 
 } // namespace

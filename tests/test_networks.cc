@@ -472,6 +472,20 @@ struct TrainRun
     int offers = 0; ///< sink offers, refused ones included
 };
 
+/** Typed-event target: inject packet i of a train. */
+struct TrainSource
+{
+    Network &net;
+    TrainRun &run;
+
+    void
+    send(std::uint32_t i)
+    {
+        if (!net.inject(mkPacket(i % 4, 5 + (i / 4) % 2, i)))
+            ++run.busy;
+    }
+};
+
 /**
  * Four sources send 160 packets to nodes 5 and 6, one every 3 ticks;
  * the sinks refuse every fourth offer.
@@ -488,11 +502,9 @@ runTrain(Simulator &sim, Network &net)
                 {p.src, p.dst, p.header, sim.now(), p.checksumOk()});
             return true;
         });
+    TrainSource source{net, run};
     for (Word i = 0; i < 160; ++i)
-        sim.schedule(3 * i, [&net, &run, i] {
-            if (!net.inject(mkPacket(i % 4, 5 + (i / 4) % 2, i)))
-                ++run.busy;
-        });
+        sim.scheduleAt<&TrainSource::send>(3 * i, &source, i);
     sim.run();
     run.stats = net.stats();
     return run;

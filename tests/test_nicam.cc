@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "hostprof/hostprof.hh"
+#include "net/tracer.hh"
 #include "nicam/nicam_network.hh"
 #include "prof/lineage.hh"
 #include "prof/profile.hh"
@@ -126,9 +127,12 @@ TEST(NicamNetwork, NicCrcCheckDiscardsCorruptPackets)
     net.offloadHandler(1, HwTag::UserAm, 5,
                        [&nicRuns](const Packet &) { ++nicRuns; });
     net.attach(1, [](Packet &) { return true; });
+    PacketTracer tracer;
+    tracer.attach();
     net.inject(Packet(0, 1, HwTag::UserAm, hdr::pack(5, 0),
                       {1, 2, 3, 4}));
     sim.run();
+    tracer.detach();
     // Detection without correction, same as the NI — but on the NIC,
     // so the packet is lost at the edge: dropped, never delivered.
     EXPECT_EQ(nicRuns, 0);
@@ -136,6 +140,9 @@ TEST(NicamNetwork, NicCrcCheckDiscardsCorruptPackets)
     EXPECT_EQ(net.stats().dropped, 1u);
     EXPECT_EQ(net.stats().delivered, 0u);
     EXPECT_EQ(net.inFlightTo(1), 0u);
+    // The discard is the fabric's one drop path, so the trace sees it.
+    EXPECT_EQ(tracer.observed(TraceEvent::Drop), 1u);
+    EXPECT_EQ(tracer.observed(TraceEvent::Deliver), 0u);
 }
 
 #ifdef MSGSIM_CHECKED

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <functional>
 #include <vector>
 
 #include "sim/event.hh"
@@ -20,67 +18,74 @@ namespace msgsim
 namespace
 {
 
+/** Typed-event handler: append the event's argument to a log. */
+void
+logArg(void *log, std::uint32_t arg)
+{
+    static_cast<std::vector<std::uint32_t> *>(log)->push_back(arg);
+}
+
 TEST(EventQueue, OrdersByTimeThenFifo)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(5, [&] { order.push_back(2); });
-    q.schedule(10, [&] { order.push_back(3); });
-    q.schedule(1, [&] { order.push_back(4); });
+    std::vector<std::uint32_t> order;
+    q.schedule(10, &logArg, &order, 1);
+    q.schedule(5, &logArg, &order, 2);
+    q.schedule(10, &logArg, &order, 3);
+    q.schedule(1, &logArg, &order, 4);
 
     while (!q.empty()) {
         Tick t;
         q.pop(t)();
     }
-    EXPECT_EQ(order, (std::vector<int>{4, 2, 1, 3}));
+    EXPECT_EQ(order, (std::vector<std::uint32_t>{4, 2, 1, 3}));
 }
 
-TEST(EventQueue, MatchesReferenceOrder)
+/**
+ * MatchesReferenceOrder's workload: typed records, some of which
+ * schedule another record from inside their own run.
+ */
+struct ReferenceRun
 {
-    // Typed records and closures, many same-tick ties, pops
-    // interleaved with pushes, and closures that schedule from inside
-    // a running closure (reusing the slab entry the running one just
-    // left): the pop order must be a stable sort on (tick, insertion).
     struct Scheduled
     {
         Tick when;
         std::uint32_t id;
     };
+
     EventQueue q;
-    Rng rng(2024);
+    Rng rng{2024};
     std::vector<Scheduled> scheduled; // in insertion order
     std::vector<std::uint32_t> popped;
-    std::vector<Tick> poppedAt;
-    const EventQueue::Handler record = [](void *log, std::uint32_t id) {
-        static_cast<std::vector<std::uint32_t> *>(log)->push_back(id);
-    };
-    std::function<void(Tick)> push = [&](Tick when) {
+
+    void
+    push(Tick when)
+    {
         const auto id = static_cast<std::uint32_t>(scheduled.size());
         scheduled.push_back({when, id});
-        if (rng.chance(0.5)) {
-            q.schedule(when, record, &popped, id);
-            return;
-        }
-        const bool nests = rng.chance(0.3);
-        if (rng.chance(0.5)) {
-            q.schedule(when, [&, id, when, nests] {
-                popped.push_back(id);
-                if (nests)
-                    push(when + rng.below(3));
-            });
-        } else {
-            // Too big for std::function's in-place buffer.
-            const std::array<Tick, 6> pad{when, when, when, when, when,
-                                          when};
-            q.schedule(when, [&, id, pad, nests] {
-                popped.push_back(id);
-                if (nests)
-                    push(pad[5] + rng.below(3));
-            });
-        }
-    };
+        const bool nests = !rng.chance(0.5) && rng.chance(0.3);
+        q.schedule(when, nests ? &nest : &logArg,
+                   nests ? static_cast<void *>(this) : &popped, id);
+    }
 
+    /** Log @p id, then schedule a record 0-2 ticks after its own. */
+    static void
+    nest(void *run, std::uint32_t id)
+    {
+        ReferenceRun &r = *static_cast<ReferenceRun *>(run);
+        r.popped.push_back(id);
+        r.push(r.scheduled[id].when + r.rng.below(3));
+    }
+};
+
+TEST(EventQueue, MatchesReferenceOrder)
+{
+    // Many same-tick ties, pops interleaved with pushes, and records
+    // that schedule from inside a running record: the pop order must
+    // be a stable sort on (tick, insertion).
+    ReferenceRun run;
+    EventQueue &q = run.q;
+    std::vector<Tick> poppedAt;
     Tick now = 0;
     const auto popOne = [&] {
         Tick t = 0;
@@ -91,37 +96,71 @@ TEST(EventQueue, MatchesReferenceOrder)
         ev();
     };
     for (int round = 0; round < 400; ++round) {
-        const auto batch = rng.below(6);
+        const auto batch = run.rng.below(6);
         for (std::uint64_t i = 0; i < batch; ++i)
-            push(now + rng.below(5));
-        const auto pops = rng.below(q.size() + 1);
+            run.push(now + run.rng.below(5));
+        const auto pops = run.rng.below(q.size() + 1);
         for (std::uint64_t i = 0; i < pops; ++i)
             popOne();
     }
     while (!q.empty())
         popOne();
 
-    std::vector<Scheduled> reference = scheduled;
+    std::vector<ReferenceRun::Scheduled> reference = run.scheduled;
     std::stable_sort(reference.begin(), reference.end(),
-                     [](const Scheduled &a, const Scheduled &b) {
+                     [](const ReferenceRun::Scheduled &a,
+                        const ReferenceRun::Scheduled &b) {
                          return a.when < b.when;
                      });
-    ASSERT_EQ(popped.size(), reference.size());
+    ASSERT_EQ(run.popped.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(popped[i], reference[i].id) << "pop " << i;
+        EXPECT_EQ(run.popped[i], reference[i].id) << "pop " << i;
         EXPECT_EQ(poppedAt[i], reference[i].when) << "pop " << i;
     }
-    EXPECT_EQ(q.scheduled(), scheduled.size());
-    EXPECT_GT(scheduled.size(), 1000u);
+    EXPECT_EQ(q.scheduled(), run.scheduled.size());
+    EXPECT_GT(run.scheduled.size(), 1000u);
 }
+
+/** A typed-event target on a simulator: counts and timestamps runs. */
+struct Ticker
+{
+    explicit Ticker(Simulator &s) : sim(s) {}
+
+    Simulator &sim;
+    int fired = 0;
+    std::vector<Tick> seen;
+
+    void
+    mark(std::uint32_t)
+    {
+        ++fired;
+        seen.push_back(sim.now());
+    }
+
+    /** Run, then schedule @p more further runs one tick apart. */
+    void
+    chain(std::uint32_t more)
+    {
+        mark(0);
+        if (more > 0)
+            sim.scheduleAt<&Ticker::chain>(sim.now() + 1, this, more - 1);
+    }
+
+    /** Reschedule itself one tick on, forever. */
+    void
+    forever(std::uint32_t)
+    {
+        sim.scheduleAt<&Ticker::forever>(sim.now() + 1, this, 0);
+    }
+};
 
 TEST(Simulator, ClockAdvancesToEventTime)
 {
     Simulator sim;
-    Tick seen = 0;
-    sim.schedule(42, [&] { seen = sim.now(); });
+    Ticker t(sim);
+    sim.scheduleAt<&Ticker::mark>(42, &t, 0);
     sim.run();
-    EXPECT_EQ(seen, 42u);
+    EXPECT_EQ(t.seen, (std::vector<Tick>{42}));
     EXPECT_EQ(sim.now(), 42u);
     EXPECT_TRUE(sim.idle());
 }
@@ -129,29 +168,23 @@ TEST(Simulator, ClockAdvancesToEventTime)
 TEST(Simulator, NestedScheduling)
 {
     Simulator sim;
-    int fired = 0;
-    sim.schedule(1, [&] {
-        ++fired;
-        sim.schedule(1, [&] {
-            ++fired;
-            sim.schedule(1, [&] { ++fired; });
-        });
-    });
+    Ticker t(sim);
+    sim.scheduleAt<&Ticker::chain>(1, &t, 2);
     const auto executed = sim.run();
     EXPECT_EQ(executed, 3u);
-    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(t.fired, 3);
     EXPECT_EQ(sim.now(), 3u);
 }
 
 TEST(Simulator, RunUntilPredicate)
 {
     Simulator sim;
-    int count = 0;
+    Ticker t(sim);
     for (int i = 0; i < 10; ++i)
-        sim.schedule(static_cast<Tick>(i + 1), [&] { ++count; });
-    const bool hit = sim.runUntil([&] { return count == 4; });
+        sim.scheduleAt<&Ticker::mark>(static_cast<Tick>(i + 1), &t, 0);
+    const bool hit = sim.runUntil([&] { return t.fired == 4; });
     EXPECT_TRUE(hit);
-    EXPECT_EQ(count, 4);
+    EXPECT_EQ(t.fired, 4);
     // Remaining events still pending.
     EXPECT_FALSE(sim.idle());
 }
@@ -160,8 +193,8 @@ TEST(Simulator, MaxEventsBound)
 {
     Simulator sim;
     // A self-perpetuating event chain: the bound must stop it.
-    std::function<void()> loop = [&] { sim.schedule(1, loop); };
-    sim.schedule(1, loop);
+    Ticker t(sim);
+    sim.scheduleAt<&Ticker::forever>(1, &t, 0);
     const auto executed = sim.run(1000);
     EXPECT_EQ(executed, 1000u);
 }

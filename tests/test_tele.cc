@@ -111,20 +111,28 @@ TEST(WindowedHistogramTest, WindowsAndMergeRange)
 // Sampling engine mechanics on a bare simulator.
 // ------------------------------------------------------------------
 
+/** A probed level that typed events set (arg) or merely touch. */
+struct Level
+{
+    double value = 0;
+    void set(std::uint32_t v) { value = v; }
+    void touch(std::uint32_t) {}
+};
+
 TEST(TeleSession, SamplesAtPeriodBoundariesOnly)
 {
     Simulator sim;
     tele::TeleSession s({10, 64});
-    double level = 0;
+    Level level;
     s.addProbe({"t", "level", invalidNode, tele::ProbeKind::Gauge},
-               [&level] { return level; });
+               [&level] { return level.value; });
     s.bindClock(&sim);
     s.attach();
     // Clock advances 0 -> 7 -> 23 -> 23 (no advance) -> 40.
-    sim.scheduleAt(7, [&level] { level = 1; });
-    sim.scheduleAt(23, [&level] { level = 2; });
-    sim.scheduleAt(23, [&level] { level = 3; });
-    sim.scheduleAt(40, [] {});
+    sim.scheduleAt<&Level::set>(7, &level, 1);
+    sim.scheduleAt<&Level::set>(23, &level, 2);
+    sim.scheduleAt<&Level::set>(23, &level, 3);
+    sim.scheduleAt<&Level::touch>(40, &level, 0);
     sim.run();
     s.detach();
 
@@ -148,8 +156,9 @@ TEST(TeleSession, RingEvictsOldestAndCounts)
                [&sim] { return double(sim.now()); });
     s.bindClock(&sim);
     s.attach();
+    Level idle;
     for (Tick t = 1; t <= 10; ++t)
-        sim.scheduleAt(t, [] {});
+        sim.scheduleAt<&Level::touch>(t, &idle, 0);
     sim.run();
     s.detach();
 
@@ -168,13 +177,13 @@ TEST(TeleSession, RetiredProbesKeepTheirSamples)
     tele::TeleSession s({1, 16});
     {
         // Short-lived probed object, destroyed before the session.
-        auto counter = std::make_unique<int>(0);
+        auto counter = std::make_unique<Level>();
         s.addProbe({"t", "x", invalidNode, tele::ProbeKind::Gauge},
-                   [p = counter.get()] { return double(*p); });
+                   [p = counter.get()] { return p->value; });
         s.bindClock(&sim);
         s.attach();
-        sim.scheduleAt(1, [p = counter.get()] { *p = 7; });
-        sim.scheduleAt(2, [] {});
+        sim.scheduleAt<&Level::set>(1, counter.get(), 7);
+        sim.scheduleAt<&Level::touch>(2, counter.get(), 0);
         sim.run();
         s.retireProbesFrom(0); // then the object may die
     }

@@ -281,6 +281,14 @@ TEST(TraceSession, AttachDetachControlsCurrent)
     { ScopedSpan span(0, "s", "ignored"); }
 }
 
+/** Typed-event target: opens and closes a span on the node in arg. */
+struct SpanEvents
+{
+    TraceSession &ts;
+    void begin(std::uint32_t node) { ts.beginSpan(node, "c", "work"); }
+    void end(std::uint32_t node) { ts.endSpan(node); }
+};
+
 TEST(TraceSession, ClockBindingTimestampsSpans)
 {
     Simulator sim;
@@ -288,8 +296,9 @@ TEST(TraceSession, ClockBindingTimestampsSpans)
     ts.bindClock(&sim);
     EXPECT_TRUE(ts.clockIs(&sim));
 
-    sim.schedule(5, [&] { ts.beginSpan(0, "c", "work"); });
-    sim.schedule(12, [&] { ts.endSpan(0); });
+    SpanEvents work{ts};
+    sim.scheduleAt<&SpanEvents::begin>(5, &work, 0);
+    sim.scheduleAt<&SpanEvents::end>(12, &work, 0);
     sim.run();
 
     const auto recs = ts.snapshot();
