@@ -23,12 +23,10 @@ Machine::Machine(const Config &cfg, const NetworkFactory &makeNetwork)
                                                 ni_cfg));
 }
 
-Node &
-Machine::node(NodeId id)
+void
+Machine::nodeOutOfRange(NodeId id) const
 {
-    if (id >= nodes_.size())
-        msgsim_panic("node id ", id, " out of range ", nodes_.size());
-    return *nodes_[id];
+    msgsim_panic("node id ", id, " out of range ", nodes_.size());
 }
 
 void

@@ -50,7 +50,13 @@ class Machine
         return static_cast<std::uint32_t>(nodes_.size());
     }
 
-    Node &node(NodeId id);
+    Node &
+    node(NodeId id)
+    {
+        if (id >= nodes_.size()) [[unlikely]]
+            nodeOutOfRange(id);
+        return *nodes_[id];
+    }
 
     /** Packet data words per hardware packet. */
     int dataWords() const { return cfg_.dataWords; }
@@ -62,6 +68,8 @@ class Machine
     void settle(std::uint64_t maxEvents = 10'000'000);
 
   private:
+    [[noreturn, gnu::cold]] void nodeOutOfRange(NodeId id) const;
+
     Config cfg_;
     Simulator sim_;
     std::unique_ptr<Network> net_;

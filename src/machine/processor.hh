@@ -12,6 +12,9 @@
  *  - loadWord/storeWord and the double variants:  memory class —
  *    note a SPARC ldd/std moves TWO words in ONE instruction, which
  *    is why a 4-word packet body costs 2 memory operations;
+ *  - loadSpan/zeroSpan:  n memory-class instructions over one span,
+ *    for a modeled table or buffer walk (charged exactly as n
+ *    loadWord/storeWord calls would be, checked once);
  *  - device (NI) loads/stores are charged by the NetIface itself.
  */
 
@@ -101,6 +104,34 @@ class Processor
         acct_.charge(OpClass::MemStore);
         mem_.write(addr, w0);
         mem_.write(addr + 1, w1);
+    }
+
+    /**
+     * Charge @p n loads (ld) that all fall in [@p base, @p base +
+     * @p span): a modeled walk over a table or buffer whose values
+     * the host computes itself.  The span is bounds-checked once; with
+     * @p n = 0 nothing is charged or checked.
+     */
+    void
+    loadSpan(Addr base, std::size_t span, std::uint64_t n)
+    {
+        if (n == 0)
+            return;
+        acct_.charge(OpClass::MemLoad, n);
+        mem_.check(base, span);
+    }
+
+    /**
+     * Charge @p n stores (st) that zero [@p base, @p base + @p span),
+     * and zero it.  With @p n = 0 nothing is charged or written.
+     */
+    void
+    zeroSpan(Addr base, std::size_t span, std::uint64_t n)
+    {
+        if (n == 0)
+            return;
+        acct_.charge(OpClass::MemStore, n);
+        mem_.fill(base, span, 0);
     }
 
   private:

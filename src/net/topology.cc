@@ -1,5 +1,7 @@
 #include "net/topology.hh"
 
+#include <bit>
+
 #include "sim/log.hh"
 
 namespace msgsim
@@ -10,8 +12,15 @@ FatTree::FatTree(std::uint32_t nodes, std::uint32_t arity)
 {
     if (nodes == 0)
         msgsim_fatal("fat tree needs at least one node");
-    if (arity < 2)
-        msgsim_fatal("fat tree arity must be >= 2, got ", arity);
+    if (arity < 2 || !std::has_single_bit(arity))
+        msgsim_fatal("fat tree arity must be a power of two >= 2, got ",
+                     arity);
+    // Leaves a and b share their level-L ancestor when they agree
+    // above their low L * log2(arity) bits, so the lca level is
+    // ceil(bit_width(a ^ b) / log2(arity)): tabulated by bit width.
+    const auto shift = static_cast<std::uint32_t>(std::countr_zero(arity));
+    for (std::uint32_t w = 0; w < levelOfWidth_.size(); ++w)
+        levelOfWidth_[w] = static_cast<std::uint8_t>((w + shift - 1) / shift);
     levels_ = 1;
     std::uint64_t reach = arity_;
     while (reach < nodes_) {
@@ -25,15 +34,7 @@ FatTree::lca(NodeId a, NodeId b) const
 {
     if (a >= nodes_ || b >= nodes_)
         msgsim_panic("node id out of range: ", a, ", ", b, " of ", nodes_);
-    if (a == b)
-        return 0;
-    std::uint32_t level = 1;
-    std::uint64_t span = arity_;
-    while (a / span != b / span) {
-        span *= arity_;
-        ++level;
-    }
-    return level;
+    return levelOfWidth_[std::bit_width(a ^ b)];
 }
 
 std::uint32_t

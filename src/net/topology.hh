@@ -1,6 +1,7 @@
 /**
  * @file
- * k-ary fat-tree topology model (the CM-5 data network shape).
+ * Power-of-two-ary fat-tree topology model (the CM-5 data network
+ * shape).
  *
  * The CM-5 data network is a 4-ary fat tree: a packet ascends to the
  * least common ancestor of source and destination (choosing among
@@ -13,6 +14,7 @@
 #ifndef MSGSIM_NET_TOPOLOGY_HH
 #define MSGSIM_NET_TOPOLOGY_HH
 
+#include <array>
 #include <cstdint>
 
 #include "core/types.hh"
@@ -21,14 +23,16 @@ namespace msgsim
 {
 
 /**
- * Geometry of a k-ary fat tree over a set of leaf nodes.
+ * Geometry of a fat tree of power-of-two arity over a set of leaf
+ * nodes.
  */
 class FatTree
 {
   public:
     /**
      * @param nodes  number of leaf (compute) nodes, >= 1
-     * @param arity  children per switch, >= 2 (CM-5: 4)
+     * @param arity  children per switch, a power of two >= 2 (CM-5:
+     *               4); any other arity is fatal
      */
     FatTree(std::uint32_t nodes, std::uint32_t arity = 4);
 
@@ -59,6 +63,8 @@ class FatTree
     std::uint32_t nodes_;
     std::uint32_t arity_;
     std::uint32_t levels_;
+    /// lca level by bit width of a ^ b (index 0: a == b, level 0).
+    std::array<std::uint8_t, 33> levelOfWidth_{};
 };
 
 } // namespace msgsim

@@ -65,17 +65,38 @@ cobsDecode(const std::uint8_t *p, std::size_t n, Bytes &out)
 namespace
 {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables: crcTables[0] is the bytewise (Sarwate) table
+ * of the reflected IEEE polynomial, and crcTables[k][b] is the CRC
+ * contribution of byte b followed by k zero bytes, so eight lookups
+ * fold in eight input bytes at once.
+ */
+constexpr std::array<std::array<std::uint32_t, 256>, 8>
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        t[i] = c;
+        t[0][i] = c;
     }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
     return t;
+}
+
+constexpr auto crcTables = makeCrcTables();
+
+/// Four wire bytes as a little-endian word, whatever the host order.
+std::uint32_t
+le32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -83,10 +104,18 @@ makeCrcTable()
 std::uint32_t
 crc32(const std::uint8_t *p, std::size_t n)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    const auto &t = crcTables;
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = c ^ le32(p);
+        const std::uint32_t hi = le32(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * COBS (consistent-overhead byte stuffing) and table-driven CRC32,
- * per the umsg exemplar (SNIPPETS.md §3).
+ * COBS (consistent-overhead byte stuffing) and CRC32, per the umsg
+ * exemplar (SNIPPETS.md §3).
  *
  * COBS maps arbitrary bytes onto a zero-free encoding so that 0x00
  * can serve as an unambiguous frame delimiter on a byte stream:
@@ -10,6 +10,13 @@
  * strictly bounds-checked — a truncated or corrupted encoding makes
  * cobsDecode return false, never read out of range (the fuzz test
  * pins this under ASan/UBSan).
+ *
+ * The CRC is computed slicing-by-8: eight constexpr tables fold in
+ * eight bytes per step, and a bytewise tail takes the rest.  It is
+ * the same CRC as the one-table (Sarwate) loop, which the tests keep
+ * as the reference.  What the *modeled* processor is charged for the
+ * checksum is a separate matter (StreamMux::chargeTxFrame bills the
+ * bytewise table walk).
  */
 
 #ifndef MSGSIM_WIRE_COBS_HH

@@ -35,9 +35,23 @@ FrameDecoder::push(const std::uint8_t *p, std::size_t n)
 void
 FrameDecoder::pushWords(const std::uint32_t *w, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t v = w[i];
+        // A word with no zero byte holds no delimiter: append its four
+        // bytes to the block at once.  Only a word holding a zero goes
+        // byte by byte (the test is exact, not just a hint).
+        if (((v - 0x01010101u) & ~v & 0x80808080u) == 0) {
+            const std::size_t at = buf_.size();
+            buf_.resize(at + 4);
+            buf_[at] = static_cast<std::uint8_t>(v);
+            buf_[at + 1] = static_cast<std::uint8_t>(v >> 8);
+            buf_[at + 2] = static_cast<std::uint8_t>(v >> 16);
+            buf_[at + 3] = static_cast<std::uint8_t>(v >> 24);
+            continue;
+        }
         for (int k = 0; k < 32; k += 8)
-            feed(static_cast<std::uint8_t>(w[i] >> k));
+            feed(static_cast<std::uint8_t>(v >> k));
+    }
 }
 
 void

@@ -8,7 +8,8 @@
  *
  * These are *host-side* codecs: they build and parse the real bytes
  * that travel the modeled wire.  The modeled instruction cost of
- * doing so is charged separately (wire/cost.hh) so the byte logic
+ * doing so is charged separately (StreamMux::chargeTxFrame,
+ * chargeRxChunk and chargeRxFrame in wire/mux.cc) so the byte logic
  * stays testable in isolation (the fuzz round-trip test).
  */
 

@@ -11,6 +11,13 @@ namespace msgsim::wire
 namespace
 {
 
+// Modeled scratch sizes in words: the CRC table, the staging buffer
+// (header at its first two words) and its payload body area, which
+// starts at word 3.
+constexpr std::size_t crcTableWords = 256;
+constexpr std::size_t bufWords = 64;
+constexpr std::size_t bodyAreaWords = 48;
+
 /// Pack wire bytes into Words (4 bytes per word, little-endian),
 /// zero-padded to a multiple of @p packetWords.  Padding zeros are
 /// empty COBS blocks, which the decoder skips silently.
@@ -21,8 +28,12 @@ bytesToWords(const Bytes &b, int packetWords, std::vector<Word> &out)
     const std::size_t n = static_cast<std::size_t>(packetWords);
     words = ((words + n - 1) / n) * n;
     out.assign(words, 0);
-    for (std::size_t i = 0; i < b.size(); ++i)
-        out[i / 4] |= static_cast<Word>(b[i]) << (8 * (i % 4));
+    const std::size_t whole = b.size() / 4;
+    Reader r(b);
+    for (std::size_t i = 0; i < whole; ++i)
+        out[i] = r.u32();
+    for (int k = 0; r.remaining() > 0; k += 8)
+        out[whole] |= static_cast<Word>(r.u8()) << k;
 }
 
 } // namespace
@@ -68,11 +79,11 @@ StreamMux::StreamMux(Stack &stack, StreamProtocol &proto, NodeId sender,
     // connection establishment, like the channel rings): the CRC
     // table, a staging buffer large enough for any frame, and the
     // two-word NIC descriptor the offloaded path uses instead.
-    txScratch_.crcTable = stack_.node(sender_).mem().alloc(256);
-    txScratch_.buf = stack_.node(sender_).mem().alloc(64);
+    txScratch_.crcTable = stack_.node(sender_).mem().alloc(crcTableWords);
+    txScratch_.buf = stack_.node(sender_).mem().alloc(bufWords);
     txScratch_.desc = stack_.node(sender_).mem().alloc(2);
-    rxScratch_.crcTable = stack_.node(receiver_).mem().alloc(256);
-    rxScratch_.buf = stack_.node(receiver_).mem().alloc(64);
+    rxScratch_.crcTable = stack_.node(receiver_).mem().alloc(crcTableWords);
+    rxScratch_.buf = stack_.node(receiver_).mem().alloc(bufWords);
     rxScratch_.desc = stack_.node(receiver_).mem().alloc(2);
 
     fwdChan_ = proto_.openPersistent(
@@ -96,7 +107,11 @@ StreamMux::StreamMux(Stack &stack, StreamProtocol &proto, NodeId sender,
 // COBS stuffing pass (1 reg per body byte + 1 st per output word).
 // The receive side mirrors it: a delimiter scan over every wire byte
 // (1 reg + 1 ld per ring word), then per frame the CRC verify, the
-// header parse (6 reg + 2 ld) and the payload unmarshal.
+// header parse (6 reg + 2 ld) and the payload unmarshal.  Each walk
+// over the CRC table or the staging buffer is one charged span
+// (Processor::loadSpan/zeroSpan): n ops, billed exactly as n single
+// loads or stores, over the words the walk cycles through.  Both
+// directions share these helpers; each node uses its own scratch.
 //
 // On rdma the NIC gathers, stuffs and checksums inline (zero-copy):
 // the host builds one two-word descriptor per frame on send (4 reg +
@@ -104,14 +119,19 @@ StreamMux::StreamMux(Stack &stack, StreamProtocol &proto, NodeId sender,
 // but vanishes from the processor's bill.
 // ------------------------------------------------------------------
 
+const StreamMux::Scratch &
+StreamMux::scratchAt(NodeId at) const
+{
+    return at == sender_ ? txScratch_ : rxScratch_;
+}
+
 void
 StreamMux::chargeTxFrame(NodeId at, std::size_t bodyBytes,
                          std::size_t wireBytes,
                          std::size_t payloadWords)
 {
-    Node &nd = stack_.node(at);
-    Processor &p = nd.proc();
-    const Scratch &sc = at == sender_ ? txScratch_ : rxScratch_;
+    Processor &p = stack_.node(at).proc();
+    const Scratch &sc = scratchAt(at);
     if (offloaded_) {
         p.regOps(4); // descriptor fields, doorbell address
         p.storeDouble(sc.desc, static_cast<Word>(bodyBytes),
@@ -122,58 +142,56 @@ StreamMux::chargeTxFrame(NodeId at, std::size_t bodyBytes,
     p.regOps(6);
     p.storeWord(sc.buf + 0, 0); // mem 1
     p.storeWord(sc.buf + 1, 0); // mem 2
-    // Payload marshal.
+    // Payload marshal: one store per word, cycling the body area.
     p.regOps(2 * payloadWords);
-    for (std::size_t w = 0; w < payloadWords; ++w)
-        p.storeWord(sc.buf + 3 + static_cast<Addr>(w % 48), 0);
+    p.zeroSpan(sc.buf + 3, std::min(payloadWords, bodyAreaWords),
+               payloadWords);
     // CRC accumulate: xor/index per byte + one table load.
     p.regOps(bodyBytes);
-    for (std::size_t i = 0; i < bodyBytes; ++i)
-        (void)p.loadWord(sc.crcTable + static_cast<Addr>(i & 0xff));
+    p.loadSpan(sc.crcTable, std::min(bodyBytes, crcTableWords),
+               bodyBytes);
     // COBS stuffing pass + output stores.
     p.regOps(bodyBytes + 2);
     const std::size_t wireWords = (wireBytes + 3) / 4;
-    for (std::size_t w = 0; w < wireWords; ++w)
-        p.storeWord(sc.buf + static_cast<Addr>(w % 64), 0);
+    p.zeroSpan(sc.buf, std::min(wireWords, bufWords), wireWords);
 }
 
 void
-StreamMux::chargeRxChunk(std::size_t bytes)
+StreamMux::chargeRxChunk(NodeId at, std::size_t bytes)
 {
     if (offloaded_)
         return; // the NIC scatters verified frames directly
-    Processor &p = stack_.node(receiver_).proc();
+    Processor &p = stack_.node(at).proc();
     p.regOps(bytes); // delimiter scan
     const std::size_t words = (bytes + 3) / 4;
-    for (std::size_t w = 0; w < words; ++w)
-        (void)p.loadWord(rxScratch_.buf + static_cast<Addr>(w % 64));
+    p.loadSpan(scratchAt(at).buf, std::min(words, bufWords), words);
 }
 
 void
-StreamMux::chargeRxFrame(const Frame &f)
+StreamMux::chargeRxFrame(NodeId at, const Frame &f)
 {
-    Processor &p = stack_.node(receiver_).proc();
+    Processor &p = stack_.node(at).proc();
+    const Scratch &sc = scratchAt(at);
     if (offloaded_) {
         p.regOps(4); // completion harvest, header extract
-        (void)p.loadDouble(rxScratch_.desc); // mem 1
+        (void)p.loadDouble(sc.desc); // mem 1
         return;
     }
     const std::size_t bodyBytes =
         StreamHeader::encodedSize(f.header.type) + f.payload.size() + 4;
     // CRC verify.
     p.regOps(bodyBytes);
-    for (std::size_t i = 0; i < bodyBytes; ++i)
-        (void)p.loadWord(rxScratch_.crcTable +
-                         static_cast<Addr>(i & 0xff));
+    p.loadSpan(sc.crcTable, std::min(bodyBytes, crcTableWords),
+               bodyBytes);
     // Header parse.
     p.regOps(6);
-    (void)p.loadWord(rxScratch_.buf + 0); // mem 1
-    (void)p.loadWord(rxScratch_.buf + 1); // mem 2
-    // Payload unmarshal into words.
+    (void)p.loadWord(sc.buf + 0); // mem 1
+    (void)p.loadWord(sc.buf + 1); // mem 2
+    // Payload unmarshal into words (none on the control channel: ACK
+    // and RESET frames carry no payload).
     const std::size_t words = f.payload.size() / 4;
     p.regOps(2 * words);
-    for (std::size_t w = 0; w < words; ++w)
-        p.storeWord(rxScratch_.buf + 3 + static_cast<Addr>(w % 48), 0);
+    p.zeroSpan(sc.buf + 3, std::min(words, bodyAreaWords), words);
 }
 
 // ------------------------------------------------------------------
@@ -350,7 +368,7 @@ StreamMux::onFwdPacket(const std::vector<Word> &words)
 {
     hostprof::HostScope hs(hostprof::Site::WireDecode);
     FeatureScope fs(stack_.node(receiver_).acct(), Feature::Framing);
-    chargeRxChunk(words.size() * 4);
+    chargeRxChunk(receiver_, words.size() * 4);
     rxDecoder_.pushWords(words.data(), words.size());
 }
 
@@ -359,14 +377,7 @@ StreamMux::onRevPacket(const std::vector<Word> &words)
 {
     hostprof::HostScope hs(hostprof::Site::WireDecode);
     FeatureScope fs(stack_.node(sender_).acct(), Feature::Framing);
-    if (!offloaded_) {
-        // Control-channel delimiter scan at the sender.
-        Processor &p = stack_.node(sender_).proc();
-        p.regOps(words.size() * 4);
-        for (std::size_t i = 0; i < words.size(); ++i)
-            (void)p.loadWord(txScratch_.buf +
-                             static_cast<Addr>(i % 64));
-    }
+    chargeRxChunk(sender_, words.size() * 4);
     txDecoder_.pushWords(words.data(), words.size());
 }
 
@@ -376,7 +387,7 @@ StreamMux::onFwdFrame(const Frame &f)
     hostprof::HostScope hs(hostprof::Site::WireMux);
     Node &rcv = stack_.node(receiver_);
     FeatureScope fs(rcv.acct(), Feature::Framing);
-    chargeRxFrame(f);
+    chargeRxFrame(receiver_, f);
     rcv.proc().regOps(3); // type dispatch + sid table probe
     const std::uint16_t sid = f.header.sid;
     switch (f.header.type) {
@@ -491,22 +502,7 @@ StreamMux::onRevFrame(const Frame &f)
     hostprof::HostScope hs(hostprof::Site::WireMux);
     Node &snd = stack_.node(sender_);
     FeatureScope fs(snd.acct(), Feature::Framing);
-    if (!offloaded_) {
-        Processor &p = snd.proc();
-        const std::size_t bodyBytes =
-            StreamHeader::encodedSize(f.header.type) +
-            f.payload.size() + 4;
-        p.regOps(bodyBytes); // CRC verify
-        for (std::size_t i = 0; i < bodyBytes; ++i)
-            (void)p.loadWord(txScratch_.crcTable +
-                             static_cast<Addr>(i & 0xff));
-        p.regOps(6); // header parse
-        (void)p.loadWord(txScratch_.buf + 0);
-        (void)p.loadWord(txScratch_.buf + 1);
-    } else {
-        snd.proc().regOps(4);
-        (void)snd.proc().loadDouble(txScratch_.desc);
-    }
+    chargeRxFrame(sender_, f);
     snd.proc().regOps(3); // dispatch + sid probe
     auto it = send_.find(f.header.sid);
     if (it == send_.end())

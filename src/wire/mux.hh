@@ -268,8 +268,9 @@ class StreamMux
     // Modeled-cost charging (Feature::Framing).
     void chargeTxFrame(NodeId at, std::size_t bodyBytes,
                        std::size_t wireBytes, std::size_t payloadWords);
-    void chargeRxChunk(std::size_t bytes);
-    void chargeRxFrame(const Frame &f);
+    void chargeRxChunk(NodeId at, std::size_t bytes);
+    void chargeRxFrame(NodeId at, const Frame &f);
+    const Scratch &scratchAt(NodeId at) const;
 
     Stack &stack_;
     StreamProtocol &proto_;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cm5net/cm5_network.hh"
 #include "machine/machine.hh"
 #include "sim/log.hh"
@@ -52,6 +54,36 @@ TEST(Memory, OutOfBoundsPanics)
     EXPECT_THROW(m.write(100, 1), log_detail::SimError);
 }
 
+TEST(Memory, PagesMaterializeOnFirstWrite)
+{
+    ThrowOnError guard;
+    const std::size_t words = 3 * Memory::pageWords + 5;
+    Memory m(words);
+    EXPECT_EQ(m.read(Memory::pageWords + 7), 0u); // untouched page
+    // The last word of page 0 and the first of page 1.
+    const Addr edge = Memory::pageWords - 1;
+    m.write(edge, 0xaaaa);
+    m.write(edge + 1, 0xbbbb);
+    EXPECT_EQ(m.read(edge), 0xaaaau);
+    EXPECT_EQ(m.read(edge + 1), 0xbbbbu);
+    EXPECT_EQ(m.read(edge - 1), 0u); // a fresh page is zero-filled
+    EXPECT_EQ(m.read(edge + 2), 0u);
+    // A fill across the boundary writes both pages.
+    m.fill(edge - 1, 3, 7);
+    EXPECT_EQ(m.read(edge - 1), 7u);
+    EXPECT_EQ(m.read(edge + 1), 7u);
+    EXPECT_EQ(m.read(edge + 2), 0u);
+    // The last word of memory lives on the partial fourth page.
+    const Addr last = static_cast<Addr>(words - 1);
+    EXPECT_EQ(m.read(last), 0u);
+    m.write(last, 0xcccc);
+    EXPECT_EQ(m.read(last), 0xccccu);
+    EXPECT_EQ(m.read(last - 1), 0u);
+    EXPECT_THROW(m.write(last + 1, 1), log_detail::SimError);
+    EXPECT_THROW((void)m.read(last + 1), log_detail::SimError);
+    EXPECT_THROW(m.fill(last, 2, 1), log_detail::SimError);
+}
+
 TEST(Processor, ChargesByClass)
 {
     Memory mem(128);
@@ -83,6 +115,77 @@ TEST(Processor, DoubleOpsMoveTwoWordsForOneCharge)
     EXPECT_EQ(w0, 111u);
     EXPECT_EQ(w1, 222u);
     EXPECT_EQ(p.acct().counter().categoryTotal(Category::Mem), 2u);
+}
+
+/** Every (feature, class) cell and every row total of two processors. */
+void
+expectSameBill(const Processor &a, const Processor &b)
+{
+    for (int f = 0; f < numFeatures; ++f)
+        for (int c = 0; c < numOpClasses; ++c)
+            EXPECT_EQ(a.acct().counter().get(static_cast<Feature>(f),
+                                             static_cast<OpClass>(c)),
+                      b.acct().counter().get(static_cast<Feature>(f),
+                                             static_cast<OpClass>(c)))
+                << "feature " << f << " class " << c;
+    EXPECT_EQ(a.acct().rowTotals(), b.acct().rowTotals());
+}
+
+TEST(Processor, SpansChargeLikeTheirLoops)
+{
+    // A modeled table walk (ld per byte, cycling 256 words) and a
+    // buffer walk (st per word, cycling 48): the loop a span replaces,
+    // charged op by op on one processor, against the span on another.
+    for (const std::uint64_t n : {0u, 1u, 47u, 48u, 300u}) {
+        Memory loopMem(1024);
+        Memory spanMem(1024);
+        Processor loop(loopMem);
+        Processor span(spanMem);
+        for (Addr a = 0; a < 1024; ++a) {
+            loopMem.write(a, a + 1);
+            spanMem.write(a, a + 1);
+        }
+        {
+            FeatureScope lf(loop.acct(), Feature::Framing);
+            RowScope lr(loop.acct(), CostRow::ControlFlow);
+            FeatureScope sf(span.acct(), Feature::Framing);
+            RowScope sr(span.acct(), CostRow::ControlFlow);
+            for (std::uint64_t i = 0; i < n; ++i)
+                (void)loop.loadWord(100 + static_cast<Addr>(i & 0xff));
+            span.loadSpan(100, std::min<std::uint64_t>(n, 256), n);
+            for (std::uint64_t i = 0; i < n; ++i)
+                loop.storeWord(500 + static_cast<Addr>(i % 48), 0);
+            span.zeroSpan(500, std::min<std::uint64_t>(n, 48), n);
+        }
+        SCOPED_TRACE(n);
+        expectSameBill(loop, span);
+        EXPECT_EQ(span.acct().counter().get(Feature::Framing,
+                                            OpClass::MemLoad),
+                  n);
+        EXPECT_EQ(span.acct().rowTotal(CostRow::ControlFlow), 2 * n);
+        // Memory ends up word-for-word the same: the span is zero.
+        for (Addr a = 0; a < 1024; ++a)
+            ASSERT_EQ(spanMem.read(a), loopMem.read(a)) << "word " << a;
+        EXPECT_EQ(spanMem.read(500), n == 0 ? 501u : 0u);
+    }
+
+    // The span check panics exactly when a per-op address would.
+    ThrowOnError guard;
+    Memory mem(64);
+    Processor p(mem);
+    EXPECT_NO_THROW(p.loadSpan(60, 4, 4));
+    EXPECT_NO_THROW(p.zeroSpan(60, 4, 4));
+    EXPECT_NO_THROW(p.loadSpan(60, 5, 0)); // n = 0: nothing checked
+    EXPECT_NO_THROW(p.zeroSpan(60, 5, 0));
+    try {
+        p.loadSpan(60, 5, 5);
+        ADD_FAILURE() << "a span one word past memory must panic";
+    } catch (const log_detail::SimError &e) {
+        EXPECT_TRUE(e.isPanic);
+        EXPECT_EQ(e.message, "memory access out of bounds: 64 >= 64");
+    }
+    EXPECT_THROW(p.zeroSpan(60, 5, 5), log_detail::SimError);
+    EXPECT_THROW(p.loadSpan(70, 1, 1), log_detail::SimError);
 }
 
 /** FIFO order that counts the flushes it is asked for. */
@@ -160,6 +263,22 @@ TEST(Machine, BuildsNodesAndNetwork)
     for (NodeId i = 0; i < 8; ++i)
         EXPECT_EQ(m.node(i).id(), i);
     EXPECT_FALSE(m.network().features().inOrderDelivery);
+}
+
+TEST(Machine, NodeOutOfRangePanics)
+{
+    ThrowOnError guard;
+    Machine::Config cfg;
+    cfg.nodes = 2;
+    Machine m(cfg, cm5Factory(2));
+    EXPECT_EQ(m.node(1).id(), 1u);
+    try {
+        (void)m.node(2);
+        ADD_FAILURE() << "node 2 of 2 must panic";
+    } catch (const log_detail::SimError &e) {
+        EXPECT_TRUE(e.isPanic);
+        EXPECT_EQ(e.message, "node id 2 out of range 2");
+    }
 }
 
 TEST(NetIface, SendAssemblesAndLaunchesPacket)

@@ -16,6 +16,7 @@
 #include "net/order.hh"
 #include "net/packet.hh"
 #include "net/topology.hh"
+#include "sim/log.hh"
 
 namespace msgsim
 {
@@ -208,6 +209,55 @@ TEST(FatTree, NonPowerNodeCounts)
     FatTree t(10, 2);
     EXPECT_EQ(t.levels(), 4u); // 2^4 = 16 >= 10
     EXPECT_EQ(t.lca(0, 9), 4u);
+}
+
+/// lca as a division loop: the lowest level whose subtree holds both.
+std::uint32_t
+lcaByDivision(std::uint32_t arity, NodeId a, NodeId b)
+{
+    if (a == b)
+        return 0;
+    std::uint32_t level = 1;
+    std::uint64_t span = arity;
+    while (a / span != b / span) {
+        span *= arity;
+        ++level;
+    }
+    return level;
+}
+
+TEST(FatTree, LcaMatchesTheDivisionLoop)
+{
+    for (const std::uint32_t arity : {2u, 4u, 8u, 16u}) {
+        const FatTree t(1024, arity);
+        std::uint64_t mismatches = 0;
+        for (NodeId a = 0; a < 1024; ++a)
+            for (NodeId b = 0; b < 1024; ++b)
+                mismatches += t.lca(a, b) != lcaByDivision(arity, a, b);
+        EXPECT_EQ(mismatches, 0u) << "arity " << arity;
+    }
+}
+
+struct ThrowOnError
+{
+    ThrowOnError() { log_detail::throwOnError = true; }
+    ~ThrowOnError() { log_detail::throwOnError = false; }
+};
+
+TEST(FatTree, NonPowerOfTwoArityIsFatal)
+{
+    ThrowOnError guard;
+    for (const std::uint32_t arity : {0u, 1u, 3u, 6u, 12u}) {
+        try {
+            FatTree t(8, arity);
+            ADD_FAILURE() << "arity " << arity << " must be fatal";
+        } catch (const log_detail::SimError &e) {
+            EXPECT_FALSE(e.isPanic) << "arity " << arity;
+        }
+    }
+    const FatTree t(8, 8);
+    EXPECT_EQ(t.levels(), 1u);
+    EXPECT_THROW(t.lca(0, 8), log_detail::SimError);
 }
 
 TEST(FaultInjector, CleanByDefault)

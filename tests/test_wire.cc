@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 #include "hostprof/hostprof.hh"
@@ -125,6 +126,41 @@ TEST(WireCobs, Crc32MatchesKnownVector)
               0xcbf43926u);
 }
 
+/// The bytewise (Sarwate) table CRC-32 the sliced one must equal.
+std::uint32_t
+crc32Bytewise(const std::uint8_t *p, std::size_t n)
+{
+    static const auto table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i)
+        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+TEST(WireCobs, Crc32MatchesBytewiseReference)
+{
+    // Every length across the 8-byte blocks and the bytewise tail, at
+    // every start alignment.
+    Rng rng(0xc3c32032ULL);
+    Bytes data(8 + 300);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 300; ++len)
+            ASSERT_EQ(wire::crc32(data.data() + off, len),
+                      crc32Bytewise(data.data() + off, len))
+                << "offset " << off << " length " << len;
+}
+
 // ----------------------------------------------------------------
 // Typed headers.
 // ----------------------------------------------------------------
@@ -226,6 +262,101 @@ TEST(WireFrame, DecoderSplitsChunksAndSkipsPadding)
         dec.push(&b, 1);
     EXPECT_EQ(seqs, (std::vector<std::uint32_t>{9, 10}));
     EXPECT_EQ(dec.malformed(), 0u);
+}
+
+TEST(WireFrame, PushWordsMatchesPushBytes)
+{
+    // Valid frames, CRC-corrupted frames, padding zeros and garbage,
+    // each piece shifted by 0-3 bytes so that zero bytes (delimiters,
+    // padding, garbage) land in every lane of a word.  One decoder
+    // takes the words in random chunks, the other the bytes.
+    using Seen = std::vector<std::pair<StreamHeader, Bytes>>;
+    const auto recorder = [](Seen &seen) {
+        return [&seen](const Frame &f) {
+            seen.emplace_back(f.header,
+                              Bytes(f.payload.begin(), f.payload.end()));
+        };
+    };
+    Rng rng(0x0dec0de5ULL);
+    unsigned zeroLanes = 0;
+    std::uint64_t frames = 0, rejects = 0, malformed = 0;
+    for (int iter = 0; iter < 60; ++iter) {
+        Bytes stream;
+        for (int piece = 0; piece < 30; ++piece) {
+            stream.insert(stream.end(), rng.below(4), 0x00); // shift
+            const auto kind = rng.below(4);
+            switch (kind) {
+              case 0:
+              case 1: { // a frame, CRC-corrupted on case 1
+                const bool corrupt = kind == 1;
+                StreamHeader h;
+                h.sid = static_cast<std::uint16_t>(rng.below(8));
+                h.type = PacketType::Data;
+                h.window = static_cast<std::uint8_t>(rng.below(16));
+                h.seq = static_cast<std::uint32_t>(rng.below(1000));
+                Bytes body;
+                wire::Writer w(body);
+                h.encode(w);
+                for (auto k = rng.below(70); k > 0; --k)
+                    w.u8(static_cast<std::uint8_t>(
+                        rng.below(3) == 0 ? 0 : rng.below(256)));
+                wire::sealFrame(body, corrupt, stream);
+                break;
+              }
+              case 2: // padding zeros
+                stream.insert(stream.end(), 1 + rng.below(9), 0x00);
+                break;
+              default: // garbage, zeros included
+                for (auto k = 1 + rng.below(40); k > 0; --k)
+                    stream.push_back(
+                        static_cast<std::uint8_t>(rng.below(256)));
+                break;
+            }
+        }
+        while (stream.size() % 4 != 0)
+            stream.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        std::vector<std::uint32_t> words(stream.size() / 4, 0);
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            words[i / 4] |= static_cast<std::uint32_t>(stream[i])
+                            << (8 * (i % 4));
+            if (stream[i] == 0)
+                zeroLanes |= 1u << (i % 4);
+        }
+
+        Seen byWords, byBytes;
+        FrameDecoder wd(recorder(byWords));
+        FrameDecoder bd(recorder(byBytes));
+        for (std::size_t i = 0; i < words.size();) {
+            const std::size_t k = std::min<std::size_t>(
+                1 + rng.below(9), words.size() - i);
+            wd.pushWords(words.data() + i, k);
+            i += k;
+        }
+        bd.push(stream);
+
+        SCOPED_TRACE(iter);
+        ASSERT_EQ(byWords.size(), byBytes.size());
+        for (std::size_t i = 0; i < byWords.size(); ++i) {
+            const StreamHeader &a = byWords[i].first;
+            const StreamHeader &b = byBytes[i].first;
+            EXPECT_EQ(a.sid, b.sid);
+            EXPECT_EQ(a.type, b.type);
+            EXPECT_EQ(a.window, b.window);
+            EXPECT_EQ(a.seq, b.seq);
+            EXPECT_EQ(byWords[i].second, byBytes[i].second);
+        }
+        EXPECT_EQ(wd.frames(), bd.frames());
+        EXPECT_EQ(wd.crcRejects(), bd.crcRejects());
+        EXPECT_EQ(wd.malformed(), bd.malformed());
+        EXPECT_EQ(wd.pendingBytes(), bd.pendingBytes());
+        frames += bd.frames();
+        rejects += bd.crcRejects();
+        malformed += bd.malformed();
+    }
+    EXPECT_EQ(zeroLanes, 0xfu) << "a zero byte in each of the 4 lanes";
+    EXPECT_GT(frames, 0u);
+    EXPECT_GT(rejects, 0u);
+    EXPECT_GT(malformed, 0u);
 }
 
 // The satellite fuzz property: random payloads, encode, corrupt one
