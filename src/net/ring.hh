@@ -13,6 +13,7 @@
 #define MSGSIM_NET_RING_HH
 
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,20 +41,33 @@ class Ring
 
     void push_back(const T &value) { push_back(T(value)); }
 
-    void
-    push_back(T &&value)
+    void push_back(T &&value) { claim_back() = std::move(value); }
+
+    /**
+     * Append a slot and return it as it is: default-constructed, or
+     * holding whatever trivially destructible value was last popped
+     * from it.  The caller writes what it will read, and a large
+     * value is not reset only to be overwritten.
+     */
+    T &
+    claim_back()
     {
         if (size_ == slots_.size())
             grow();
-        slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(value);
         ++size_;
+        return back();
     }
 
-    /** Remove the front value (resetting its slot, so it holds nothing). */
+    /**
+     * Remove the front value.  A slot of a type with a destructor is
+     * reset, so it holds nothing (a popped shared_ptr is released); a
+     * trivially destructible one is left for claim_back() to reuse.
+     */
     void
     pop_front()
     {
-        slots_[head_] = T();
+        if constexpr (!std::is_trivially_destructible_v<T>)
+            slots_[head_] = T();
         head_ = (head_ + 1) & (slots_.size() - 1);
         --size_;
     }

@@ -9,7 +9,9 @@
  * (chunked at 254), the decoder inverts that.  Both directions are
  * strictly bounds-checked — a truncated or corrupted encoding makes
  * cobsDecode return false, never read out of range (the fuzz test
- * pins this under ASan/UBSan).
+ * pins this under ASan/UBSan).  The encoder tests and copies eight
+ * bytes at a time between zeros; it is the same encoding as the
+ * byte-at-a-time loop, which the tests keep as the reference.
  *
  * The CRC is computed slicing-by-8: eight constexpr tables fold in
  * eight bytes per step, and a bytewise tail takes the rest.  It is

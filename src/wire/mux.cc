@@ -277,8 +277,10 @@ StreamMux::send(std::uint16_t sid, const std::vector<Word> &payload)
 void
 StreamMux::hold(Ring<HeldFrame> &q, const std::vector<Word> &payload)
 {
-    q.push_back(HeldFrame{});
-    HeldFrame &f = q.back();
+    // The slot may hold a frame popped earlier: write every field
+    // read later (nothing reads words past size).
+    HeldFrame &f = q.claim_back();
+    f.seq = 0;
     f.size = static_cast<std::uint32_t>(payload.size());
     std::copy(payload.begin(), payload.end(), f.words.begin());
 }

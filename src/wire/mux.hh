@@ -210,7 +210,9 @@ class StreamMux
 
   private:
     /// A DATA payload the sender holds: fixed-size, so a ring slot
-    /// never owns heap and popping one frees nothing.
+    /// never owns heap and popping one frees nothing.  Only the first
+    /// size words are the payload; a reused slot keeps stale words
+    /// past them, which nothing reads.
     struct HeldFrame
     {
         std::uint32_t seq = 0; ///< wire sequence, once transmitted

@@ -8,10 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "cm5net/cm5_network.hh"
+#include "hostprof/hostprof.hh"
 #include "machine/machine.hh"
+#include "protocols/stack.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
+#include "traffic/engine.hh"
 
 namespace msgsim
 {
@@ -54,34 +60,181 @@ TEST(Memory, OutOfBoundsPanics)
     EXPECT_THROW(m.write(100, 1), log_detail::SimError);
 }
 
-TEST(Memory, PagesMaterializeOnFirstWrite)
+/** The message a call panics with, or "" when it returns. */
+template <typename Fn>
+std::string
+panicOf(Fn &&fn)
 {
     ThrowOnError guard;
-    const std::size_t words = 3 * Memory::pageWords + 5;
+    try {
+        fn();
+    } catch (const log_detail::SimError &e) {
+        EXPECT_TRUE(e.isPanic);
+        return e.message;
+    }
+    return "";
+}
+
+/**
+ * The first word whose write makes a fresh @p words-word memory,
+ * after @p writes, allocate: the edge of the prefix those writes
+ * backed.  Found by probing, so the test does not fix the growth rule.
+ */
+Addr
+firstUnbacked(std::size_t words, std::initializer_list<Addr> writes)
+{
+    for (Addr k = 0; k + 1 < words; ++k) {
+        Memory m(words);
+        for (const Addr w : writes)
+            m.write(w, 1);
+        const std::uint64_t allocs = hostprof::globalAllocCount();
+        m.write(k, 1);
+        if (hostprof::globalAllocCount() != allocs)
+            return k;
+    }
+    return static_cast<Addr>(words);
+}
+
+TEST(Memory, MatchesAFlatReference)
+{
+    // Seeded reads, writes and fills (zero and non-zero) against an
+    // eagerly zeroed array of the same capacity, which is what node
+    // memory must behave as however little of it is backed.
+    for (const std::size_t words : {1u, 255u, 257u, 3u * 16384u + 5u}) {
+        SCOPED_TRACE(words);
+        Memory m(words);
+        std::vector<Word> ref(words, 0);
+        const Addr last = static_cast<Addr>(words - 1);
+        EXPECT_EQ(m.read(last), 0u); // untouched: reads 0
+        Rng rng(0x3e3041ULL + words);
+        for (std::size_t op = 0; op < 4000; ++op) {
+            // Writes and fills creep up the address space, so the
+            // backed prefix grows step by step under them; reads go
+            // anywhere, mostly past it.
+            const std::size_t reach =
+                std::max<std::size_t>(1, words * (op + 1) / 3000);
+            const Addr at = static_cast<Addr>(
+                rng.below(std::min(reach, words)));
+            switch (rng.below(4)) {
+            case 0: {
+                const Addr any = static_cast<Addr>(rng.below(words));
+                ASSERT_EQ(m.read(any), ref[any]) << "read " << any;
+                break;
+            }
+            case 1: {
+                const Word v = static_cast<Word>(rng.next());
+                m.write(at, v);
+                ref[at] = v;
+                break;
+            }
+            default: {
+                const std::size_t span = rng.below(
+                    std::min<std::size_t>(words - at, 40) + 1);
+                const Word v = rng.below(2) ? 0 : static_cast<Word>(
+                                                      rng.next());
+                m.fill(at, span, v);
+                std::fill_n(ref.begin() + at, span, v);
+                break;
+            }
+            }
+        }
+        for (std::size_t a = 0; a < words; ++a)
+            ASSERT_EQ(m.read(static_cast<Addr>(a)), ref[a]) << a;
+    }
+
+    // A write either side of the backed edge, and a fill across it.
+    const std::size_t words = 3 * 16384 + 5;
+    const Addr edge = firstUnbacked(words, {0});
     Memory m(words);
-    EXPECT_EQ(m.read(Memory::pageWords + 7), 0u); // untouched page
-    // The last word of page 0 and the first of page 1.
-    const Addr edge = Memory::pageWords - 1;
-    m.write(edge, 0xaaaa);
-    m.write(edge + 1, 0xbbbb);
-    EXPECT_EQ(m.read(edge), 0xaaaau);
-    EXPECT_EQ(m.read(edge + 1), 0xbbbbu);
-    EXPECT_EQ(m.read(edge - 1), 0u); // a fresh page is zero-filled
-    EXPECT_EQ(m.read(edge + 2), 0u);
-    // A fill across the boundary writes both pages.
-    m.fill(edge - 1, 3, 7);
-    EXPECT_EQ(m.read(edge - 1), 7u);
-    EXPECT_EQ(m.read(edge + 1), 7u);
-    EXPECT_EQ(m.read(edge + 2), 0u);
-    // The last word of memory lives on the partial fourth page.
+    m.write(0, 0xaaaa);
+    m.write(edge - 1, 0xbbbb);
+    m.write(edge, 0xcccc);
+    EXPECT_EQ(m.read(0), 0xaaaau);
+    EXPECT_EQ(m.read(edge - 1), 0xbbbbu);
+    EXPECT_EQ(m.read(edge), 0xccccu);
+    EXPECT_EQ(m.read(edge - 2), 0u); // grown storage is zero-filled
+    EXPECT_EQ(m.read(edge + 1), 0u);
+    const Addr next = firstUnbacked(words, {0, edge});
+    ASSERT_GT(next, edge + 1);
+    m.fill(next - 1, 3, 7);
+    EXPECT_EQ(m.read(next - 2), 0u);
+    EXPECT_EQ(m.read(next - 1), 7u);
+    EXPECT_EQ(m.read(next + 1), 7u);
+    EXPECT_EQ(m.read(next + 2), 0u);
+    EXPECT_EQ(m.read(edge), 0xccccu);
+
+    // The last word is writable; one past it panics on every access,
+    // naming the first bad word.
+    Memory fresh(words);
     const Addr last = static_cast<Addr>(words - 1);
-    EXPECT_EQ(m.read(last), 0u);
-    m.write(last, 0xcccc);
-    EXPECT_EQ(m.read(last), 0xccccu);
-    EXPECT_EQ(m.read(last - 1), 0u);
-    EXPECT_THROW(m.write(last + 1, 1), log_detail::SimError);
-    EXPECT_THROW((void)m.read(last + 1), log_detail::SimError);
-    EXPECT_THROW(m.fill(last, 2, 1), log_detail::SimError);
+    fresh.write(last, 0xcccc);
+    EXPECT_EQ(fresh.read(last), 0xccccu);
+    EXPECT_EQ(fresh.read(last - 1), 0u);
+    const std::string past =
+        "memory access out of bounds: " + std::to_string(words) +
+        " >= " + std::to_string(words);
+    EXPECT_EQ(panicOf([&] { (void)fresh.read(last + 1); }), past);
+    EXPECT_EQ(panicOf([&] { fresh.write(last + 1, 1); }), past);
+    EXPECT_EQ(panicOf([&] { fresh.fill(last, 2, 1); }), past);
+    EXPECT_EQ(panicOf([&] { fresh.fill(last, 2, 0); }), past);
+    EXPECT_EQ(panicOf([&] { fresh.check(last, 2); }), past);
+    EXPECT_EQ(panicOf([&] { (void)Memory(words).read(last + 1); }), past);
+    EXPECT_EQ(panicOf([&] { fresh.check(last, 1); }), "");
+}
+
+TEST(Memory, CapacityCostsNothing)
+{
+    // A 16M-word node that is only read allocates no host memory.
+    const std::uint64_t bytes0 = hostprof::globalAllocBytes();
+    {
+        Memory m(1u << 24);
+        Word sum = 0;
+        for (const Addr a : {0u, 1u, 4097u, (1u << 24) - 1})
+            sum += m.read(a);
+        const std::uint64_t bytes = hostprof::globalAllocBytes() - bytes0;
+        EXPECT_EQ(bytes, 0u);
+        EXPECT_EQ(sum, 0u);
+    }
+    // The first write at word k backs the prefix up to it in one
+    // allocation of at most max(k + 1, 256) words (256: the smallest
+    // block the growth rule makes).
+    for (const Addr k : {0u, 7u, 255u, 256u, 1000u, 40000u}) {
+        Memory m(1u << 24);
+        const std::uint64_t count0 = hostprof::globalAllocCount();
+        const std::uint64_t bytes1 = hostprof::globalAllocBytes();
+        m.write(k, 1);
+        const std::uint64_t count = hostprof::globalAllocCount() - count0;
+        const std::uint64_t bytes = hostprof::globalAllocBytes() - bytes1;
+        EXPECT_EQ(count, 1u) << "k " << k;
+        EXPECT_LE(bytes, std::max<std::uint64_t>(k + 1, 256) * sizeof(Word))
+            << "k " << k;
+        EXPECT_EQ(m.read(k), 1u);
+    }
+}
+
+TEST(Stack, ConstructionHeapScalesWithUse)
+{
+    // A 16-node incast stack carves a few hundred words per node out
+    // of a capacity of millions: building it costs the host about
+    // what it writes, not a page per node.
+    TrafficSpec spec;
+    spec.pattern = TrafficPattern::Incast;
+    spec.proto = TrafficProto::Acked;
+    spec.nodes = 16;
+    spec.messagesPerNode = 16;
+    spec.sizeWords = 8;
+    for (const Substrate s : {Substrate::Cm5, Substrate::Cr,
+                              Substrate::Rdma, Substrate::Nicam}) {
+        const StackConfig cfg = trafficStackConfig(spec, s);
+        const std::uint64_t bytes0 = hostprof::globalAllocBytes();
+        {
+            Stack stack(cfg);
+            TrafficEngine engine(stack);
+            const std::uint64_t bytes =
+                hostprof::globalAllocBytes() - bytes0;
+            EXPECT_LE(bytes, 16u * 16384u) << toString(s);
+        }
+    }
 }
 
 TEST(Processor, ChargesByClass)

@@ -8,15 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <deque>
+#include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "cm5net/cm5_network.hh"
 #include "net/fault.hh"
 #include "net/order.hh"
 #include "net/packet.hh"
+#include "net/ring.hh"
 #include "net/topology.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 
 namespace msgsim
 {
@@ -493,6 +499,117 @@ TEST(OrderPolicy, FactoriesProduceIndependentFlows)
     const auto o2 = runPolicy(*p2, 32);
     EXPECT_EQ(o1.size(), 32u);
     EXPECT_EQ(o2.size(), 32u);
+}
+
+// --- Ring -----------------------------------------------------------
+
+/** A trivially destructible 200-byte value, shaped like a held frame. */
+struct WideValue
+{
+    std::uint32_t seq = 0;
+    std::uint32_t size = 0;
+    std::array<Word, 48> words{};
+
+    bool operator==(const WideValue &) const = default;
+};
+static_assert(sizeof(WideValue) == 200);
+static_assert(std::is_trivially_destructible_v<WideValue>);
+
+/**
+ * Seeded pushes and pops on a Ring and a std::deque, checking size,
+ * front, back and every index after each step.  The push share swings
+ * between 3/4 and 1/4 every 300 steps, so the ring doubles to its
+ * high-water mark and then drains with its head wrapping around.
+ */
+template <typename T, typename Make>
+void
+expectRingMatchesDeque(Make make, std::uint64_t seed)
+{
+    Ring<T> ring;
+    std::deque<T> ref;
+    Rng rng(seed);
+    std::uint32_t made = 0;
+    for (int step = 0; step < 3000; ++step) {
+        const std::uint64_t pushShare = (step / 300) % 2 == 0 ? 3 : 1;
+        if (ref.empty() || rng.below(4) < pushShare) {
+            const T v = make(made++, rng);
+            ring.push_back(v);
+            ref.push_back(v);
+        } else {
+            ASSERT_TRUE(ring.front() == ref.front()) << "step " << step;
+            ring.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        ASSERT_EQ(ring.empty(), ref.empty());
+        if (ref.empty())
+            continue;
+        ASSERT_TRUE(ring.back() == ref.back()) << "step " << step;
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_TRUE(ring[i] == ref[i]) << "step " << step << " at " << i;
+    }
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, MatchesADequeOfSlots)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u})
+        expectRingMatchesDeque<Network::Slot>(
+            [](std::uint32_t i, Rng &) { return Network::Slot{i}; }, seed);
+}
+
+TEST(Ring, MatchesADequeOfWideValues)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u})
+        expectRingMatchesDeque<WideValue>(
+            [](std::uint32_t i, Rng &rng) {
+                WideValue v;
+                v.seq = i;
+                v.size = static_cast<std::uint32_t>(rng.below(49));
+                for (Word &w : v.words)
+                    w = static_cast<Word>(rng.next());
+                return v;
+            },
+            seed);
+}
+
+TEST(Ring, ClaimBackReusesATrivialSlotAsItWasLeft)
+{
+    // The slot claim_back() hands out keeps what was last popped from
+    // it: the caller writes every field it reads.
+    Ring<WideValue> ring;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        WideValue v;
+        v.seq = i;
+        v.words[47] = 100 + i;
+        ring.push_back(v);
+    }
+    ring.pop_front();
+    WideValue &reused = ring.claim_back(); // the capacity-4 ring wraps
+    EXPECT_EQ(reused.words[47], 100u);
+    reused.seq = 9;
+    EXPECT_EQ(ring.size(), 4u);
+    EXPECT_EQ(ring.front().seq, 1u);
+    EXPECT_EQ(ring.back().seq, 9u);
+}
+
+TEST(Ring, PopAndClearReleaseWhatTheyHold)
+{
+    const auto obj = std::make_shared<int>(7);
+    Ring<std::shared_ptr<int>> ring;
+    for (int i = 0; i < 5; ++i) // past the first capacity: doubles
+        ring.push_back(obj);
+    EXPECT_EQ(obj.use_count(), 6);
+    ring.pop_front();
+    EXPECT_EQ(obj.use_count(), 5);
+    ring.pop_front();
+    EXPECT_EQ(obj.use_count(), 4);
+    ring.clear();
+    EXPECT_EQ(obj.use_count(), 1);
+    // Every slot was reset: a claimed one holds nothing.
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(ring.claim_back(), nullptr) << i;
 }
 
 } // namespace

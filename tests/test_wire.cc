@@ -105,6 +105,82 @@ TEST(WireCobs, RoundTripsRepresentativePayloads)
     }
 }
 
+/// The byte-at-a-time encoder the word-scan one must equal.
+Bytes
+cobsEncodeBytewise(const std::uint8_t *p, std::size_t n)
+{
+    Bytes o(wire::cobsMaxEncoded(n));
+    std::size_t codeAt = 0;
+    std::size_t at = 1;
+    std::uint8_t code = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (p[i] == 0) {
+            o[codeAt] = code;
+            codeAt = at++;
+            code = 1;
+            continue;
+        }
+        o[at++] = p[i];
+        if (++code == 0xff) {
+            o[codeAt] = code;
+            codeAt = at++;
+            code = 1;
+        }
+    }
+    o[codeAt] = code;
+    o.resize(at);
+    return o;
+}
+
+/// Append-encode [p, p+n) after a 3-byte prefix, as the mux appends.
+Bytes
+cobsEncodeAfterPrefix(const std::uint8_t *p, std::size_t n)
+{
+    Bytes out = {0xaa, 0xbb, 0xcc};
+    wire::cobsEncode(p, n, out);
+    EXPECT_EQ(Bytes(out.begin(), out.begin() + 3),
+              Bytes({0xaa, 0xbb, 0xcc}));
+    return Bytes(out.begin() + 3, out.end());
+}
+
+TEST(WireCobs, EncodeMatchesBytewiseReference)
+{
+    // Every length across the 8-byte scan and the bytewise tail, at
+    // every start alignment, on bytes that hold a zero about one in
+    // eight, so zeros land in every lane of the scanned words.
+    Rng rng(0xc0b5e2c0ULL);
+    Bytes data(8 + 600);
+    for (auto &b : data)
+        b = rng.below(8) == 0
+                ? 0
+                : static_cast<std::uint8_t>(1 + rng.below(255));
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 600; ++len)
+            ASSERT_EQ(cobsEncodeAfterPrefix(data.data() + off, len),
+                      cobsEncodeBytewise(data.data() + off, len))
+                << "offset " << off << " length " << len;
+
+    // Zero-free runs either side of the 254-byte block limit, alone,
+    // after a zero, and followed by nothing, a zero, or more bytes.
+    const std::vector<Bytes> tails = {{}, {0x00}, {0x00, 0x11}, {0x11}};
+    for (const std::size_t run : {253u, 254u, 255u})
+        for (const std::size_t lead : {0u, 1u})
+            for (const Bytes &tail : tails)
+                for (std::size_t off = 0; off < 8; ++off) {
+                    Bytes in(off + lead, 0x00);
+                    for (std::size_t i = 0; i < run; ++i)
+                        in.push_back(
+                            static_cast<std::uint8_t>(1 + rng.below(255)));
+                    in.insert(in.end(), tail.begin(), tail.end());
+                    const std::uint8_t *p = in.data() + off;
+                    const std::size_t n = in.size() - off;
+                    ASSERT_EQ(cobsEncodeAfterPrefix(p, n),
+                              cobsEncodeBytewise(p, n))
+                        << "run " << run << " lead " << lead << " tail "
+                        << tail.size() << " offset " << off;
+                }
+}
+
 TEST(WireCobs, RejectsMalformedEncodings)
 {
     Bytes out;

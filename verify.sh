@@ -58,7 +58,10 @@
 #                                0.25 (wire_stream), and whose
 #                                simulator events per packet must
 #                                stay at or below 1, on every
-#                                substrate
+#                                substrate; then short untraced runs
+#                                whose peak heap per rep must stay at
+#                                or below 0.02 MB (am_single), 0.30 MB
+#                                (incast) and 0.12 MB (wire_stream)
 set -euo pipefail
 
 repo_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -397,6 +400,24 @@ for sub in ("cm5", "cr", "rdma", "nicam"):
 EOF
 }
 
+# gate_peak_heap WORKLOAD MAX_MB: a short untraced perfbench run of
+# WORKLOAD must be correct and report a peak heap per rep
+# (peak_heap_mb, the same on every run of a build) of at most MAX_MB.
+gate_peak_heap() {
+    local result
+    result="$(cd "$repo_dir" && python3 perfbench/run.py \
+        --workload "$1" --seconds 1 --trace 0 | tail -n 1)"
+    python3 - "$1" "$2" "$result" <<'EOF'
+import json, sys
+workload, limit = sys.argv[1], float(sys.argv[2])
+doc = json.loads(sys.argv[3])
+assert doc["correct"], f"{workload} failed its correctness gate: {doc}"
+v = doc["metrics"]["peak_heap_mb"]["value"]
+assert v <= limit, f"{workload}: peak heap {v:.4f} MB per rep (max {limit})"
+print(f"{workload}: peak heap {v:.4f} MB per rep")
+EOF
+}
+
 check_perfbench() {
     # The benchmark's self-test (every metric emitted with its unit,
     # digest gate, a second seed), then the per-packet gates: the
@@ -405,12 +426,18 @@ check_perfbench() {
     # rings and buffers (an incast rep also builds its traffic engine
     # on 16 nodes and a deep event heap; a wire_stream rep its
     # protocol channels and mux); and a packet costs the event loop
-    # one typed event, no more.
+    # one typed event, no more.  Last, the heap gates: node memory is
+    # backed only as far as it is written, so a rep's peak heap is
+    # what its stack uses, not its capacity (a zeroed 64 KB page per
+    # node put incast at 1.2 MB).
     (cd "$repo_dir" && python3 perfbench/selftest.py)
     gate_per_packet am_single 0.01
     gate_per_packet incast 0.15
     gate_per_packet wire_stream 0.25
-    echo "perfbench ok: self-test passed, packet and stream paths allocation-free, one event per packet"
+    gate_peak_heap am_single 0.02
+    gate_peak_heap incast 0.30
+    gate_peak_heap wire_stream 0.12
+    echo "perfbench ok: self-test passed, packet and stream paths allocation-free, one event per packet, peak heap per rep within its ceiling"
 }
 
 if [[ "${1:-}" == "--perfbench" ]]; then
