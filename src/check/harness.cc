@@ -869,31 +869,48 @@ class WireAttachScenario : public WireScenarioBase
     }
 };
 
+/** A @p S harness: one row of the scenario table. */
+template <class S>
+std::unique_ptr<ScenarioHarness>
+build(const ScenarioConfig &cfg)
+{
+    return std::make_unique<S>(cfg);
+}
+
+/** Every checker protocol: its name and its harness. */
+constexpr struct
+{
+    const char *name;
+    std::unique_ptr<ScenarioHarness> (*make)(const ScenarioConfig &);
+} scenarios[] = {
+    {"single_packet", build<SinglePacketScenario>},
+    {"incast", build<IncastScenario>},
+    {"finite_xfer", build<FiniteXferScenario>},
+    {"stream", build<StreamScenario>},
+    {"socket", build<SocketScenario>},
+    {"wire_window", build<WireWindowScenario>},
+    {"wire_reset", build<WireResetScenario>},
+    {"wire_attach", build<WireAttachScenario>},
+};
+
 } // namespace
+
+std::vector<std::string>
+ScenarioHarness::protocols()
+{
+    std::vector<std::string> names;
+    for (const auto &s : scenarios)
+        names.emplace_back(s.name);
+    return names;
+}
 
 std::unique_ptr<ScenarioHarness>
 ScenarioHarness::make(const ScenarioConfig &cfg)
 {
-    if (cfg.protocol == "single_packet")
-        return std::make_unique<SinglePacketScenario>(cfg);
-    if (cfg.protocol == "incast")
-        return std::make_unique<IncastScenario>(cfg);
-    if (cfg.protocol == "finite_xfer")
-        return std::make_unique<FiniteXferScenario>(cfg);
-    if (cfg.protocol == "stream")
-        return std::make_unique<StreamScenario>(cfg);
-    if (cfg.protocol == "socket")
-        return std::make_unique<SocketScenario>(cfg);
-    if (cfg.protocol == "wire_window")
-        return std::make_unique<WireWindowScenario>(cfg);
-    if (cfg.protocol == "wire_reset")
-        return std::make_unique<WireResetScenario>(cfg);
-    if (cfg.protocol == "wire_attach")
-        return std::make_unique<WireAttachScenario>(cfg);
-    msgsim_fatal("unknown checker protocol '", cfg.protocol,
-                 "' (single_packet | incast | finite_xfer | stream | "
-                 "socket | wire_window | wire_reset | wire_attach)");
-    return nullptr;
+    for (const auto &s : scenarios)
+        if (cfg.protocol == s.name)
+            return s.make(cfg);
+    msgsim_fatal("unknown checker protocol '", cfg.protocol, "'");
 }
 
 } // namespace msgsim::check

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "check/controller.hh"
 #include "check/schedule.hh"
@@ -34,6 +35,9 @@ class ScenarioHarness
     /** Build the harness for @p cfg; fatal on unknown protocol. */
     static std::unique_ptr<ScenarioHarness>
     make(const ScenarioConfig &cfg);
+
+    /** Every protocol make() builds, in its table's order. */
+    static std::vector<std::string> protocols();
 
     ScheduleController &controller() { return *controller_; }
     const ScheduleController &controller() const

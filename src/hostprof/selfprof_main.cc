@@ -20,8 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,8 +33,8 @@
 #include "hostprof/hw_counters.hh"
 #include "prof/profile.hh"
 #include "protocols/stack.hh"
+#include "sim/flag_table.hh"
 #include "sim/metrics.hh"
-#include "sim/obs_cli.hh"
 #include "traffic/engine.hh"
 
 namespace
@@ -43,78 +42,7 @@ namespace
 
 using namespace msgsim;
 
-void
-usage(std::FILE *out)
-{
-    std::fputs(
-        "usage: msgsim-selfprof [options]\n"
-        "\n"
-        "  --workload=W       p1 (default: cm5 + cr + am4), or one of\n"
-        "                     cm5 | cr | rdma | nicam | am4 | xfer | "
-        "stream | incast\n"
-        "  --packets=N        packets per network workload "
-        "(default 200000)\n"
-        "  --words=N          transfer volume for xfer/stream "
-        "(default 64)\n"
-        "  --hw               enable perf_event_open hardware "
-        "counters\n"
-        "  --flame-out=F      write folded flamegraph stacks "
-        "(self cycles)\n"
-        "  --json-out=F       write the full profile report\n"
-        "  --smoke            small run + internal self-checks "
-        "(CTest)\n"
-        "  --trace-out=F / --metrics-out=F   PR 1 observability\n",
-        out);
-}
-
-struct Options
-{
-    std::string workload = "p1";
-    std::uint64_t packets = 200'000;
-    std::uint32_t words = 64;
-    bool hw = false;
-    bool smoke = false;
-    std::string flameOut;
-    std::string jsonOut;
-};
-
-bool
-parse(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto valueOf = [&arg](const char *prefix) {
-            return arg.substr(std::strlen(prefix));
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(stdout);
-            std::exit(0);
-        } else if (arg.rfind("--workload=", 0) == 0) {
-            opt.workload = valueOf("--workload=");
-        } else if (arg.rfind("--packets=", 0) == 0) {
-            opt.packets = std::strtoull(
-                valueOf("--packets=").c_str(), nullptr, 10);
-        } else if (arg.rfind("--words=", 0) == 0) {
-            opt.words = static_cast<std::uint32_t>(std::strtoul(
-                valueOf("--words=").c_str(), nullptr, 10));
-        } else if (arg == "--hw") {
-            opt.hw = true;
-        } else if (arg == "--smoke") {
-            opt.smoke = true;
-        } else if (arg.rfind("--flame-out=", 0) == 0) {
-            opt.flameOut = valueOf("--flame-out=");
-        } else if (arg.rfind("--json-out=", 0) == 0) {
-            opt.jsonOut = valueOf("--json-out=");
-        } else {
-            std::fprintf(stderr,
-                         "msgsim-selfprof: unknown argument '%s'\n",
-                         arg.c_str());
-            usage(stderr);
-            return false;
-        }
-    }
-    return true;
-}
+constexpr const char *kTool = "msgsim-selfprof";
 
 /** One profiled workload's wall-clock result. */
 struct WorkloadRun
@@ -238,42 +166,40 @@ runProfProtocol(const std::string &protocol, std::uint32_t words)
     return run;
 }
 
-std::vector<WorkloadRun>
-runWorkloads(const Options &opt)
-{
-    std::vector<WorkloadRun> runs;
-    const std::uint64_t n = opt.packets;
-    Substrate fabricOnly = Substrate::Cm5;
-    if (opt.workload == "p1") {
-        runs.push_back(pumpFabric(Substrate::Cm5, n));
-        runs.push_back(pumpFabric(Substrate::Cr, n));
-        runs.push_back(pumpAm4(n / 4));
-    } else if (substrateFromString(opt.workload, fabricOnly)) {
-        runs.push_back(pumpFabric(fabricOnly, n));
-    } else if (opt.workload == "am4") {
-        runs.push_back(pumpAm4(n / 4));
-    } else if (opt.workload == "xfer" || opt.workload == "stream") {
-        runs.push_back(runProfProtocol(opt.workload, opt.words));
-    } else if (opt.workload == "incast") {
-        runs.push_back(runIncast(n));
-    }
-    return runs;
-}
+using Runs = std::vector<WorkloadRun>;
 
-bool
-writeFile(const std::string &path, const std::string &text,
-          const char *what)
+/** One --workload: its name and what it runs for (packets, words). */
+struct Workload
 {
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr,
-                     "msgsim-selfprof: cannot write %s to %s\n",
-                     what, path.c_str());
-        return false;
-    }
-    out << text;
-    std::printf("%s written to %s\n", what, path.c_str());
-    return true;
+    std::string name;
+    std::function<Runs(std::uint64_t, std::uint32_t)> run;
+};
+
+/** Every workload, in --help order. */
+std::vector<Workload>
+workloads()
+{
+    std::vector<Workload> all = {
+        {"p1", [](std::uint64_t n, std::uint32_t) {
+             return Runs{pumpFabric(Substrate::Cm5, n),
+                         pumpFabric(Substrate::Cr, n), pumpAm4(n / 4)};
+         }}};
+    for (Substrate s : allSubstrates)
+        all.push_back({toString(s), [s](std::uint64_t n, std::uint32_t) {
+                           return Runs{pumpFabric(s, n)};
+                       }});
+    all.push_back({"am4", [](std::uint64_t n, std::uint32_t) {
+                       return Runs{pumpAm4(n / 4)};
+                   }});
+    for (const char *protocol : {"xfer", "stream"})
+        all.push_back({protocol, [protocol](std::uint64_t,
+                                            std::uint32_t words) {
+                           return Runs{runProfProtocol(protocol, words)};
+                       }});
+    all.push_back({"incast", [](std::uint64_t n, std::uint32_t) {
+                       return Runs{runIncast(n)};
+                   }});
+    return all;
 }
 
 /** Check the folded-stack grammar: space-free ';' frames + count. */
@@ -340,26 +266,37 @@ smokeChecks(const hostprof::HostProfiler &hp, double shareSum)
 int
 main(int argc, char **argv)
 {
-    obs::Options obsOpts = obs::parseArgs(argc, argv);
+    const std::vector<Workload> all = workloads();
+    std::vector<std::string> names;
+    for (const Workload &w : all)
+        names.push_back(w.name);
 
-    Options opt;
-    if (!parse(argc, argv, opt))
-        return 2;
-    if (opt.smoke && opt.packets == 200'000)
-        opt.packets = 2'000;
-    const bool known =
-        opt.workload == "p1" || opt.workload == "cm5" ||
-        opt.workload == "cr" || opt.workload == "rdma" ||
-        opt.workload == "nicam" || opt.workload == "am4" ||
-        opt.workload == "xfer" || opt.workload == "stream" ||
-        opt.workload == "incast";
-    if (!known) {
-        std::fprintf(stderr,
-                     "msgsim-selfprof: unknown workload '%s'\n",
-                     opt.workload.c_str());
-        usage(stderr);
-        return 2;
-    }
+    std::string workload = "p1";
+    std::uint64_t packets = 200'000;
+    std::uint32_t words = 64;
+    bool wantHw = false, smoke = false;
+    std::string flameOut, jsonOut;
+    obs::Options obsOpts;
+
+    cli::FlagTable flags(kTool,
+                         "Profile the simulator itself: where its host "
+                         "time goes, per subsystem.");
+    flags
+        .choice("--workload=NAME", workload, names,
+                "what to run (p1 = the cm5 and cr pumps and a CMAM am4 "
+                "round)")
+        .number("--packets=N", packets,
+                "packets per network workload (--smoke: 2000)")
+        .number("--words=N", words, "transfer volume for xfer/stream")
+        .toggle("--hw", wantHw, "enable perf_event_open hardware counters")
+        .text("--flame-out=FILE", flameOut,
+              "write folded flamegraph stacks (self cycles)")
+        .text("--json-out=FILE", jsonOut, "write the full profile report")
+        .toggle("--smoke", smoke, "small run + internal self-checks (CTest)")
+        .observability(obsOpts);
+    flags.parse(argc, argv);
+    if (smoke && packets == 200'000)
+        packets = 2'000;
 
     obs::Scope scope(obsOpts);
     auto &metrics = MetricsRegistry::global();
@@ -369,7 +306,7 @@ main(int argc, char **argv)
     hostprof::HwCounters hw;
     std::string hwReason = "not requested";
     bool hwRunning = false;
-    if (opt.hw) {
+    if (wantHw) {
         hwRunning = hw.start();
         hwReason = hw.reason();
         if (!hwRunning)
@@ -379,8 +316,11 @@ main(int argc, char **argv)
                          hwReason.c_str());
     }
 
+    const Workload &chosen = *std::find_if(
+        all.begin(), all.end(),
+        [&workload](const Workload &w) { return w.name == workload; });
     hp.attach();
-    const std::vector<WorkloadRun> runs = runWorkloads(opt);
+    const Runs runs = chosen.run(packets, words);
     hp.detach();
     hw.stop();
     const hostprof::HwSample hwSample = hw.sample();
@@ -390,7 +330,7 @@ main(int argc, char **argv)
     // ---------------- report ----------------
 
     std::printf("host self-profile (%s workload)\n\n",
-                opt.workload.c_str());
+                workload.c_str());
     for (const WorkloadRun &run : runs)
         std::printf("  %-16s %9llu packets  %12.0f us\n",
                     run.label.c_str(),
@@ -435,7 +375,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(hp.totalExits()),
                 static_cast<unsigned long long>(hp.scopedAllocs()),
                 static_cast<unsigned long long>(hp.unscopedAllocs()));
-    if (opt.hw) {
+    if (wantHw) {
         if (hwSample.ok)
             std::printf("hw counters: %llu instructions, %llu cache "
                         "misses, %llu branch misses\n",
@@ -451,11 +391,11 @@ main(int argc, char **argv)
     }
 
     bool ok = true;
-    if (!opt.flameOut.empty())
-        ok = writeFile(opt.flameOut, hp.foldedStacks(),
-                       "folded stacks") &&
+    if (!flameOut.empty())
+        ok = cli::writeFile(kTool, flameOut, hp.foldedStacks(),
+                            "folded stacks") &&
              ok;
-    if (!opt.jsonOut.empty()) {
+    if (!jsonOut.empty()) {
         Json doc = Json::object();
         Json wl = Json::array();
         for (const WorkloadRun &run : runs) {
@@ -465,12 +405,12 @@ main(int argc, char **argv)
             j.set("wall_us", run.wallUs);
             wl.push(std::move(j));
         }
-        doc.set("workload", opt.workload);
+        doc.set("workload", workload);
         doc.set("runs", std::move(wl));
         Json hwj = Json::object();
-        hwj.set("requested", opt.hw);
+        hwj.set("requested", wantHw);
         hwj.set("available", hwSample.ok);
-        hwj.set("reason", opt.hw ? hwReason : "not requested");
+        hwj.set("reason", wantHw ? hwReason : "not requested");
         if (hwSample.ok) {
             hwj.set("instructions", hwSample.instructions);
             hwj.set("cache_misses", hwSample.cacheMisses);
@@ -478,10 +418,11 @@ main(int argc, char **argv)
         }
         doc.set("hw", std::move(hwj));
         doc.set("profile", hp.toJson());
-        ok = writeFile(opt.jsonOut, doc.dump(2) + "\n", "report") &&
+        ok = cli::writeFile(kTool, jsonOut, doc.dump(2) + "\n",
+                            "report") &&
              ok;
     }
-    if (opt.smoke)
+    if (smoke)
         return smokeChecks(hp, shareSum);
     return ok ? 0 : 1;
 }

@@ -1,8 +1,8 @@
 #include "lab/reporter.hh"
 
 #include <filesystem>
-#include <fstream>
 
+#include "sim/flag_table.hh"
 #include "sim/log.hh"
 
 namespace msgsim::lab
@@ -18,17 +18,6 @@ Reporter::markdown(const std::vector<ResultTable> &tables)
         out += tables[i].markdown();
     }
     return out;
-}
-
-void
-Reporter::writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        msgsim_fatal("cannot open for writing: ", path);
-    out << content;
-    if (!out)
-        msgsim_fatal("write failed: ", path);
 }
 
 namespace
@@ -48,7 +37,8 @@ writeAll(const std::string &dir,
     paths.reserve(tables.size());
     for (const auto &t : tables) {
         const std::string path = dir + "/" + t.name + ext;
-        Reporter::writeFile(path, (t.*render)());
+        if (!cli::writeFile("msgsim-lab", path, (t.*render)()))
+            msgsim_fatal("write failed: ", path);
         paths.push_back(path);
     }
     return paths;

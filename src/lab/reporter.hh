@@ -36,10 +36,6 @@ class Reporter
     static std::vector<std::string>
     writeCsv(const std::string &dir,
              const std::vector<ResultTable> &tables);
-
-    /** Write one file; fatal on failure. */
-    static void writeFile(const std::string &path,
-                          const std::string &content);
 };
 
 } // namespace msgsim::lab

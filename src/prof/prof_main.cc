@@ -21,94 +21,67 @@
  */
 
 #include <cstdio>
-#include <fstream>
+#include <optional>
 
-#include "prof/prof_cli.hh"
 #include "prof/profile.hh"
 #include "prof/profiler.hh"
-#include "sim/obs_cli.hh"
+#include "sim/flag_table.hh"
 
-namespace
-{
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: msgsim-prof [--protocol=single|am4|xfer|stream|wire]\n"
-        "                   [--substrate=cm5|cr|rdma|nicam]\n"
-        "                   [--baseline=cm5|cr|rdma|nicam]\n"
-        "                   [--baseline]  (bare: cm5 vs --substrate)\n"
-        "                   [--words=N] [--nodes=N] [--group-ack=G]\n"
-        "                   [--flame-out=F] [--waterfall-out=F]\n"
-        "                   [--json-out=F] [--trace-out=F]\n"
-        "                   [--metrics-out=F]\n");
-}
-
-bool
-writeFile(const std::string &path, const std::string &text,
-          const char *what)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "msgsim-prof: cannot write %s to %s\n",
-                     what, path.c_str());
-        return false;
-    }
-    out << text;
-    std::printf("%s written to %s\n", what, path.c_str());
-    return true;
-}
-
-} // namespace
+constexpr const char *kTool = "msgsim-prof";
 
 int
 main(int argc, char **argv)
 {
     using namespace msgsim;
 
-    obs::Options obsOpts = obs::parseArgs(argc, argv);
-    prof::CliOptions cli = prof::parseArgs(argc, argv);
-    if (argc > 1) {
-        std::fprintf(stderr, "msgsim-prof: unknown argument '%s'\n",
-                     argv[1]);
-        usage();
-        return 2;
-    }
+    prof::ProfConfig primaryCfg;
+    std::optional<Substrate> baseline;
+    bool bareBaseline = false;
+    std::string flameOut, waterfallOut, jsonOut;
+    obs::Options obsOpts;
 
-    Substrate primarySub;
-    if (!substrateFromString(cli.substrate, primarySub)) {
-        std::fprintf(stderr, "msgsim-prof: unknown substrate '%s'\n",
-                     cli.substrate.c_str());
-        usage();
-        return 2;
-    }
-    Substrate baselineSub = Substrate::Cr;
-    if (!cli.baseline.empty() &&
-        !substrateFromString(cli.baseline, baselineSub)) {
-        std::fprintf(stderr, "msgsim-prof: unknown baseline '%s'\n",
-                     cli.baseline.c_str());
-        usage();
-        return 2;
-    }
-    if (cli.baselineBare) {
+    cli::FlagTable flags(
+        kTool, "Profile one protocol run: latency waterfall, flamegraph "
+               "folded stacks and, with --baseline, the differential "
+               "table against a second substrate.");
+    flags
+        .choice("--protocol=NAME", primaryCfg.protocol, prof::protocols(),
+                "what to run")
+        .choice("--substrate=NAME", primaryCfg.substrate, allSubstrates,
+                substrateFromString, "primary substrate")
+        .choice("--baseline=NAME", baseline, allSubstrates,
+                substrateFromString,
+                "run a second time on this substrate and print the "
+                "differential table")
+        .toggle("--baseline", bareBaseline,
+                "diff cm5 against the --substrate run (that "
+                "substrate's column of the substrate x feature matrix)")
+        .number("--words=N", primaryCfg.words, "transfer volume")
+        .number("--nodes=N", primaryCfg.nodes, "machine size", 2)
+        .number("--group-ack=G", primaryCfg.groupAck,
+                "stream ack grouping")
+        .text("--flame-out=FILE", flameOut,
+              "write folded stacks (flamegraph.pl)")
+        .text("--waterfall-out=FILE", waterfallOut,
+              "write the latency waterfall text")
+        .text("--json-out=FILE", jsonOut,
+              "write the machine-readable report")
+        .observability(obsOpts,
+                       "Chrome trace-event timeline of the primary run, "
+                       "with per-packet lineage flow arrows");
+    flags.parse(argc, argv);
+
+    Substrate baselineSub = baseline.value_or(Substrate::Cr);
+    if (bareBaseline) {
         // Bare --baseline: the classic cm5 column is the primary and
         // the named substrate the baseline, so its saved overheads
         // read "vanishes" and its new costs read "appears".
-        baselineSub = primarySub;
-        primarySub = Substrate::Cm5;
+        baselineSub = primaryCfg.substrate;
+        primaryCfg.substrate = Substrate::Cm5;
     }
-    const bool wantDiff = cli.baselineBare || !cli.baseline.empty();
+    const bool wantDiff = bareBaseline || baseline.has_value();
 
     obs::Scope scope(obsOpts);
-
-    prof::ProfConfig primaryCfg;
-    primaryCfg.protocol = cli.protocol;
-    primaryCfg.substrate = primarySub;
-    primaryCfg.nodes = cli.nodes;
-    primaryCfg.words = cli.words;
-    primaryCfg.groupAck = cli.groupAck;
 
     const prof::ProfRun primary = prof::runProfiled(primaryCfg);
     bool ok = primary.result.dataOk;
@@ -125,13 +98,13 @@ main(int argc, char **argv)
                     primary.lineageEdges));
     std::printf("\n%s", primary.waterfall.render().c_str());
 
-    if (!cli.flameOut.empty())
-        ok = writeFile(cli.flameOut, primary.folded,
-                       "folded stacks") &&
+    if (!flameOut.empty())
+        ok = cli::writeFile(kTool, flameOut, primary.folded,
+                            "folded stacks") &&
              ok;
-    if (!cli.waterfallOut.empty())
-        ok = writeFile(cli.waterfallOut, primary.waterfall.render(),
-                       "waterfall") &&
+    if (!waterfallOut.empty())
+        ok = cli::writeFile(kTool, waterfallOut,
+                            primary.waterfall.render(), "waterfall") &&
              ok;
 
     Json report = Json::object();
@@ -170,9 +143,9 @@ main(int argc, char **argv)
         report.set("run", std::move(run));
         report.set("waterfall", primary.waterfall.toJson());
     }
-    if (!cli.jsonOut.empty())
-        ok = writeFile(cli.jsonOut, report.dump(2) + "\n",
-                       "report") &&
+    if (!jsonOut.empty())
+        ok = cli::writeFile(kTool, jsonOut, report.dump(2) + "\n",
+                            "report") &&
              ok;
 
     if (!ok)

@@ -142,6 +142,17 @@ isModern(Substrate s)
 
 } // namespace
 
+std::vector<std::string>
+protocols()
+{
+    // CMAM runs every protocol, so its rows name them all.
+    std::vector<std::string> names;
+    for (const DriverEntry &d : drivers)
+        if (d.layer == HostLayer::Cmam)
+            names.emplace_back(d.protocol);
+    return names;
+}
+
 RunResult
 runProtocol(const ProfConfig &cfg,
             const std::function<void(Machine &)> &onStack)
@@ -157,8 +168,7 @@ runProtocol(const ProfConfig &cfg,
         d = findDriver(sc.layer, cfg.protocol);
     }
     if (d == nullptr)
-        msgsim_fatal("unknown protocol '", cfg.protocol,
-                     "' (single | am4 | xfer | stream | wire)");
+        msgsim_fatal("unknown protocol '", cfg.protocol, "'");
     sc.nodes = cfg.nodes;
     sc.dataWords = cfg.dataWords;
     Stack stack(sc);

@@ -66,6 +66,9 @@ struct ProfRun
     std::uint64_t lineageEdges = 0;
 };
 
+/** Every protocol runProtocol() runs, in its driver table's order. */
+std::vector<std::string> protocols();
+
 /**
  * Run @p cfg's protocol on a fresh stack of its substrate, attaching
  * nothing.  @p onStack, when set, sees the stack's machine once it

@@ -2,7 +2,8 @@
  * @file
  * Command-line wiring for the observability layer.
  *
- * The per-run CLIs and the examples accept
+ * The per-run CLIs (through cli::FlagTable::observability(),
+ * sim/flag_table.hh) and the examples accept
  *
  *     --trace-out=<file>     write a Chrome trace-event JSON timeline
  *     --metrics-out=<file>   write the metrics registry as JSON

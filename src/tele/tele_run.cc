@@ -281,26 +281,43 @@ runWireScenario(const ScenarioOptions &opt, TeleSession *tele)
     return out;
 }
 
+/** The incast storm: verbs on a completion-queue fabric, else traffic. */
+ScenarioResult
+runIncast(const ScenarioOptions &opt, TeleSession *tele)
+{
+    return netFeatures(opt.substrate).completionQueue
+               ? runVerbsIncast(opt, tele)
+               : runTrafficIncast(opt, tele);
+}
+
+/** Every scenario: its name and its runner. */
+constexpr struct
+{
+    const char *name;
+    ScenarioResult (*run)(const ScenarioOptions &, TeleSession *);
+} scenarios[] = {
+    {"incast", runIncast},
+    {"wire", runWireScenario},
+};
+
 } // namespace
 
-bool
-knownScenario(const std::string &name)
+std::vector<std::string>
+scenarioNames()
 {
-    return name == "incast" || name == "wire";
+    std::vector<std::string> names;
+    for (const auto &s : scenarios)
+        names.emplace_back(s.name);
+    return names;
 }
 
 ScenarioResult
 runScenario(const ScenarioOptions &opt, TeleSession *tele)
 {
-    if (opt.scenario == "incast")
-        return netFeatures(opt.substrate).completionQueue
-                   ? runVerbsIncast(opt, tele)
-                   : runTrafficIncast(opt, tele);
-    if (opt.scenario == "wire")
-        return runWireScenario(opt, tele);
-    msgsim_fatal("unknown tele scenario '", opt.scenario,
-                 "' (want incast | wire)");
-    return {};
+    for (const auto &s : scenarios)
+        if (opt.scenario == s.name)
+            return s.run(opt, tele);
+    msgsim_fatal("unknown tele scenario '", opt.scenario, "'");
 }
 
 } // namespace msgsim::tele

@@ -23,6 +23,7 @@
 #define MSGSIM_TELE_TELE_RUN_HH
 
 #include <string>
+#include <vector>
 
 #include "protocols/stack.hh"
 #include "tele/report.hh"
@@ -75,8 +76,8 @@ struct ScenarioResult
     double peakFraction = 0;      ///< max occupancy/capacity anywhere
 };
 
-/** True when @p name is a known scenario. */
-bool knownScenario(const std::string &name);
+/** Every scenario runScenario() runs, in its table's order. */
+std::vector<std::string> scenarioNames();
 
 /**
  * Run @p opt's scenario, sampling into @p tele when non-null (the

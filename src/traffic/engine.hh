@@ -53,6 +53,10 @@ enum class TrafficProto : std::uint8_t
     Acked, ///< per-message acks + source retransmit hold
 };
 
+/** Every message protocol, in declaration order. */
+inline constexpr TrafficProto allTrafficProtos[] = {
+    TrafficProto::Am, TrafficProto::Seq, TrafficProto::Acked};
+
 const char *toString(TrafficProto p);
 
 /** Parse "am" / "seq" / "acked"; false = unknown. */

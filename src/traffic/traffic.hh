@@ -38,10 +38,20 @@ enum class TrafficPattern : std::uint8_t
     AllToAll,      ///< per-source rotation over every other node
 };
 
+/** Every pattern, in declaration order. */
+inline constexpr TrafficPattern allTrafficPatterns[] = {
+    TrafficPattern::UniformRandom, TrafficPattern::Permutation,
+    TrafficPattern::Hotspot,       TrafficPattern::Ring,
+    TrafficPattern::Transpose,     TrafficPattern::Incast,
+    TrafficPattern::AllToAll};
+
 /** Printable name of a pattern. */
 const char *toString(TrafficPattern p);
 
-/** Parse a pattern name ("uniform", "incast", ...); false = unknown. */
+/**
+ * Parse a pattern name: its toString() name, or "uniform" or
+ * "all-to-all"; false = unknown.
+ */
 bool patternFromString(const std::string &name, TrafficPattern &out);
 
 /**

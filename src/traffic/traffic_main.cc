@@ -13,14 +13,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "lab/reporter.hh"
 #include "lab/result_table.hh"
 #include "model/traffic_model.hh"
-#include "sim/obs_cli.hh"
+#include "sim/flag_table.hh"
 #include "traffic/engine.hh"
 
 namespace
@@ -28,102 +25,7 @@ namespace
 
 using namespace msgsim;
 
-struct Options
-{
-    std::string pattern = "incast";
-    std::string proto = "am";
-    std::string substrate = "cm5";
-    std::uint32_t nodes = 16;
-    std::uint32_t msgs = 8;
-    std::uint32_t size = 2;
-    double hot = 0.5;
-    std::uint64_t seed = 1;
-    std::uint64_t jitter = 0;
-    std::uint64_t injectGap = 0;
-    std::uint64_t deliverGap = 0;
-    bool predict = false;
-    bool quiet = false;
-    std::string jsonOut;
-};
-
-void
-usage(std::FILE *to)
-{
-    std::fputs(
-        "usage: msgsim-traffic [options]\n"
-        "\n"
-        "  --pattern=<p>      uniform | permutation | hotspot | ring |\n"
-        "                     transpose | incast | alltoall  [incast]\n"
-        "  --protocol=<p>     am | seq | acked               [am]\n"
-        "  --substrate=<s>    cm5 | cr | rdma | nicam        [cm5]\n"
-        "  --nodes=<n>        machine size                   [16]\n"
-        "  --msgs=<n>         messages per node              [8]\n"
-        "  --size=<w>         payload words per message      [2]\n"
-        "  --hot=<f>          hotspot fraction               [0.5]\n"
-        "  --seed=<n>         pattern / payload seed         [1]\n"
-        "  --jitter=<t>       cm5/nicam routing jitter       [0]\n"
-        "  --inject-gap=<t>   ticks between injections       [0]\n"
-        "  --deliver-gap=<t>  delivery pacing at the sink    [0]\n"
-        "  --predict          gate measured against the analytic\n"
-        "                     predictor; exit 1 on drift\n"
-        "  --quiet            suppress the stdout tables\n"
-        "  --json-out=<file>  write the run table as JSON\n"
-        "  --trace-out=<file>, --metrics-out=<file>  (observability)\n",
-        to);
-}
-
-bool
-eat(const std::string &arg, const char *key, std::string &out)
-{
-    const std::size_t n = std::strlen(key);
-    if (arg.compare(0, n, key) != 0)
-        return false;
-    out = arg.substr(n);
-    return true;
-}
-
-bool
-parse(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string v;
-        if (arg == "--help" || arg == "-h") {
-            usage(stdout);
-            std::exit(0);
-        } else if (arg == "--predict") {
-            opt.predict = true;
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
-        } else if (eat(arg, "--pattern=", opt.pattern) ||
-                   eat(arg, "--protocol=", opt.proto) ||
-                   eat(arg, "--substrate=", opt.substrate) ||
-                   eat(arg, "--json-out=", opt.jsonOut)) {
-        } else if (eat(arg, "--nodes=", v)) {
-            opt.nodes = static_cast<std::uint32_t>(std::stoul(v));
-        } else if (eat(arg, "--msgs=", v)) {
-            opt.msgs = static_cast<std::uint32_t>(std::stoul(v));
-        } else if (eat(arg, "--size=", v)) {
-            opt.size = static_cast<std::uint32_t>(std::stoul(v));
-        } else if (eat(arg, "--hot=", v)) {
-            opt.hot = std::stod(v);
-        } else if (eat(arg, "--seed=", v)) {
-            opt.seed = std::stoull(v);
-        } else if (eat(arg, "--jitter=", v)) {
-            opt.jitter = std::stoull(v);
-        } else if (eat(arg, "--inject-gap=", v)) {
-            opt.injectGap = std::stoull(v);
-        } else if (eat(arg, "--deliver-gap=", v)) {
-            opt.deliverGap = std::stoull(v);
-        } else {
-            std::fprintf(stderr, "msgsim-traffic: unknown flag '%s'\n",
-                         arg.c_str());
-            usage(stderr);
-            return false;
-        }
-    }
-    return true;
-}
+constexpr const char *kTool = "msgsim-traffic";
 
 /** Predicted-vs-measured comparison with an exact-intent tolerance. */
 bool
@@ -141,39 +43,42 @@ agree(double predicted, double measured)
 int
 main(int argc, char **argv)
 {
-    auto obsOpts = obs::parseArgs(argc, argv);
-    obs::Scope scope(obsOpts);
-
-    Options opt;
-    if (!parse(argc, argv, opt))
-        return 2;
-
     TrafficSpec spec;
-    if (!patternFromString(opt.pattern, spec.pattern)) {
-        std::fprintf(stderr, "msgsim-traffic: unknown pattern '%s'\n",
-                     opt.pattern.c_str());
-        return 2;
-    }
-    if (!protoFromString(opt.proto, spec.proto)) {
-        std::fprintf(stderr, "msgsim-traffic: unknown protocol '%s'\n",
-                     opt.proto.c_str());
-        return 2;
-    }
-    Substrate substrate;
-    if (!substrateFromString(opt.substrate, substrate)) {
-        std::fprintf(stderr,
-                     "msgsim-traffic: unknown substrate '%s'\n",
-                     opt.substrate.c_str());
-        return 2;
-    }
-    spec.nodes = opt.nodes;
-    spec.messagesPerNode = opt.msgs;
-    spec.sizeWords = opt.size;
-    spec.hotFraction = opt.hot;
-    spec.seed = opt.seed;
-    spec.maxJitter = opt.jitter;
-    spec.injectGap = opt.injectGap;
-    spec.deliverGap = opt.deliverGap;
+    std::string pattern = "incast"; // as given, for the run table
+    Substrate substrate = Substrate::Cm5;
+    bool predict = false, quiet = false;
+    std::string jsonOut;
+    obs::Options obsOpts;
+
+    cli::FlagTable flags(
+        kTool, "Run one declarative traffic scenario on any substrate; "
+               "with --predict, gate it against the analytic predictor.");
+    flags
+        .choice("--pattern=NAME", pattern, allTrafficPatterns,
+                patternFromString, "destination pattern")
+        .choice("--protocol=NAME", spec.proto, allTrafficProtos,
+                protoFromString, "per-message protocol")
+        .choice("--substrate=NAME", substrate, allSubstrates,
+                substrateFromString, "routing substrate")
+        .number("--nodes=N", spec.nodes, "machine size", 2)
+        .number("--msgs=N", spec.messagesPerNode, "messages per node", 1)
+        .number("--size=W", spec.sizeWords, "payload words per message")
+        .number("--hot=F", spec.hotFraction, "hotspot fraction")
+        .number("--seed=N", spec.seed, "pattern / payload seed")
+        .number("--jitter=T", spec.maxJitter, "cm5/nicam routing jitter")
+        .number("--inject-gap=T", spec.injectGap,
+                "ticks between injections")
+        .number("--deliver-gap=T", spec.deliverGap,
+                "delivery pacing at the sink")
+        .toggle("--predict", predict,
+                "gate measured against the analytic predictor; exit 1 "
+                "on drift")
+        .toggle("--quiet", quiet, "suppress the stdout tables")
+        .text("--json-out=FILE", jsonOut, "write the run table as JSON")
+        .observability(obsOpts);
+    flags.parse(argc, argv);
+    patternFromString(pattern, spec.pattern); // the table accepted it
+    obs::Scope scope(obsOpts);
 
     Stack stack(trafficStackConfig(spec, substrate));
     scope.bindClock(stack.sim());
@@ -184,17 +89,17 @@ main(int argc, char **argv)
 
     lab::ResultTable t;
     t.name = "traffic";
-    t.title = "Traffic run: " + opt.pattern + " / " + opt.proto +
-              " on " + opt.substrate;
+    t.title = "Traffic run: " + pattern + " / " + toString(spec.proto) +
+              " on " + toString(substrate);
     t.columns = {"substrate", "pattern",  "protocol", "nodes",
                  "msgs/node", "frags",    "polls",    "ooo",
                  "acks",      "ticks",    "instr/node", "max/mean",
                  "hw retries", "lat p50",  "lat p95",  "lat p99",
                  "ok"};
     const Histogram lat = res.latencyHistogram(0).total();
-    t.addRow({lab::Cell::text(opt.substrate),
-              lab::Cell::text(opt.pattern),
-              lab::Cell::text(opt.proto),
+    t.addRow({lab::Cell::text(toString(substrate)),
+              lab::Cell::text(pattern),
+              lab::Cell::text(toString(spec.proto)),
               lab::Cell::integer(spec.nodes),
               lab::Cell::integer(spec.messagesPerNode),
               lab::Cell::integer(res.shape.fragmentsSent),
@@ -209,11 +114,11 @@ main(int argc, char **argv)
               lab::Cell::real(lat.percentile(95)),
               lab::Cell::real(lat.percentile(99)),
               lab::Cell::text(res.ok ? "ok" : "FAIL")});
-    if (!opt.quiet)
+    if (!quiet)
         std::fputs(t.markdown().c_str(), stdout);
 
     bool gateOk = res.ok;
-    if (opt.predict) {
+    if (predict) {
         const TrafficPrediction pred = predictTraffic(res.shape);
         lab::ResultTable pt;
         pt.name = "traffic-predict";
@@ -238,7 +143,7 @@ main(int argc, char **argv)
                            lab::Cell::text(ok ? "ok" : "DRIFT")});
             }
         }
-        if (!opt.quiet) {
+        if (!quiet) {
             std::fputs("\n", stdout);
             std::fputs(pt.markdown().c_str(), stdout);
             std::printf("\npredicted total %.0f, measured total "
@@ -248,8 +153,8 @@ main(int argc, char **argv)
         }
     }
 
-    if (!opt.jsonOut.empty())
-        lab::Reporter::writeFile(opt.jsonOut, t.jsonText());
+    const bool written =
+        jsonOut.empty() || cli::writeFile(kTool, jsonOut, t.jsonText());
 
     if (!res.ok)
         std::fprintf(stderr, "msgsim-traffic: run FAILED "
@@ -257,5 +162,5 @@ main(int argc, char **argv)
     else if (!gateOk)
         std::fprintf(stderr, "msgsim-traffic: predicted-vs-measured "
                              "DRIFT\n");
-    return gateOk ? 0 : 1;
+    return gateOk && written ? 0 : 1;
 }

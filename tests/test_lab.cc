@@ -2,14 +2,13 @@
  * @file
  * Tests of the src/lab experiment engine: JSON round-tripping, glob
  * selection, deterministic parallel sweeps (-j 1 vs -j 8 must be
- * byte-identical), golden-cell mismatch reporting, the committed
- * golden files themselves, and the obs::parseArgs edge cases the
- * lab CLI depends on.
+ * byte-identical), golden-cell mismatch reporting, and the committed
+ * golden files themselves.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -18,7 +17,7 @@
 #include "lab/registry.hh"
 #include "lab/reporter.hh"
 #include "lab/runner.hh"
-#include "sim/obs_cli.hh"
+#include "sim/log.hh"
 
 using namespace msgsim;
 using namespace msgsim::lab;
@@ -170,6 +169,35 @@ TEST(LabRunner, WorkerExceptionsPropagate)
     SweepRunner runner(opts);
     std::vector<const Experiment *> sel{&bad};
     EXPECT_THROW(runner.run(sel), std::runtime_error);
+}
+
+// ------------------------------------------------------------------
+// Reporter
+// ------------------------------------------------------------------
+
+TEST(LabReporter, WritesOneArtifactPerTableAndFailsLoudly)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "lab_reporter";
+    std::filesystem::remove_all(dir);
+    ResultTable t;
+    t.name = "t";
+    t.columns = {"x"};
+    t.addRow({Cell::integer(1)});
+    const auto paths = Reporter::writeCsv(dir.string(), {t});
+    ASSERT_EQ(paths.size(), 1u);
+    std::ifstream in(paths[0]);
+    std::stringstream got;
+    got << in.rdbuf();
+    EXPECT_EQ(got.str(), t.csv());
+
+    // A directory where t.json should go: the write fails, fatally.
+    std::filesystem::create_directories(dir / "t.json");
+    log_detail::throwOnError = true;
+    EXPECT_THROW(Reporter::writeJson(dir.string(), {t}),
+                 log_detail::SimError);
+    log_detail::throwOnError = false;
+    std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------------
@@ -393,79 +421,4 @@ TEST(LabExperiments, ResultTableRendersMarkdownAndCsv)
     const auto csv = t.csv();
     EXPECT_NE(csv.find("row,n,f"), std::string::npos);
     EXPECT_NE(csv.find("alpha,7,0.5"), std::string::npos);
-}
-
-// ------------------------------------------------------------------
-// obs::parseArgs edge cases (the lab CLI routes argv through it).
-// ------------------------------------------------------------------
-
-namespace
-{
-
-/** argv fixture with stable storage. */
-struct Argv
-{
-    explicit Argv(std::vector<std::string> args) : strings(std::move(args))
-    {
-        for (auto &s : strings)
-            ptrs.push_back(s.data());
-        ptrs.push_back(nullptr);
-        argc = static_cast<int>(strings.size());
-    }
-
-    std::vector<std::string> strings;
-    std::vector<char *> ptrs;
-    int argc;
-
-    char **argv() { return ptrs.data(); }
-
-    std::vector<std::string>
-    remaining() const
-    {
-        std::vector<std::string> out;
-        for (int i = 0; i < argc; ++i)
-            out.emplace_back(ptrs[static_cast<std::size_t>(i)]);
-        return out;
-    }
-};
-
-} // namespace
-
-TEST(ObsParseArgs, UnknownFlagsStayPositional)
-{
-    Argv a({"prog", "--unknown=x", "pos", "--trace-out=t.json"});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_EQ(opts.traceOut, "t.json");
-    EXPECT_TRUE(opts.wanted());
-    EXPECT_EQ(a.remaining(),
-              (std::vector<std::string>{"prog", "--unknown=x", "pos"}));
-}
-
-TEST(ObsParseArgs, FlagWithoutEqualsIsNotConsumed)
-{
-    // "--trace-out" (no '=') is not the flag; it must survive.
-    Argv a({"prog", "--trace-out", "t.json"});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_TRUE(opts.traceOut.empty());
-    EXPECT_FALSE(opts.wanted());
-    EXPECT_EQ(a.argc, 3);
-}
-
-TEST(ObsParseArgs, EmptyPathMeansOff)
-{
-    Argv a({"prog", "--trace-out=", "--metrics-out="});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_TRUE(opts.traceOut.empty());
-    EXPECT_TRUE(opts.metricsOut.empty());
-    EXPECT_FALSE(opts.wanted());
-    EXPECT_EQ(a.argc, 1); // the flags are still consumed
-}
-
-TEST(ObsParseArgs, RepeatedFlagLastWins)
-{
-    Argv a({"prog", "--metrics-out=first.json",
-            "--metrics-out=second.json"});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_EQ(opts.metricsOut, "second.json");
-    EXPECT_EQ(a.argc, 1);
 }

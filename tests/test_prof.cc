@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
@@ -20,11 +19,9 @@
 #include "core/accounting.hh"
 #include "core/json.hh"
 #include "prof/lineage.hh"
-#include "prof/prof_cli.hh"
 #include "prof/profile.hh"
 #include "prof/profiler.hh"
 #include "protocols/finite_xfer.hh"
-#include "sim/obs_cli.hh"
 #include "sim/stats.hh"
 #include "sim/trace_session.hh"
 
@@ -382,41 +379,6 @@ TEST(HistogramEdge, AllEqualSamplesCollapseThePercentiles)
     EXPECT_EQ(h.percentile(1), h.percentile(99));
     EXPECT_GE(h.percentile(50), 7.0);
     EXPECT_LE(h.percentile(50), 8.0);
-}
-
-// ----------------------------------------------------------------
-// CLI flag parsing: prof::parseArgs composes with obs::parseArgs.
-// ----------------------------------------------------------------
-
-TEST(ProfCli, StripsItsFlagsAndComposesWithObs)
-{
-    std::vector<std::string> args = {
-        "msgsim-prof",          "--trace-out=t.json",
-        "--protocol=stream",    "--baseline=cr",
-        "--words=128",          "--group-ack=4",
-        "--flame-out=f.folded", "leftover",
-        "--json-out=r.json"};
-    std::vector<char *> argv;
-    for (auto &a : args)
-        argv.push_back(a.data());
-    int argc = static_cast<int>(argv.size());
-
-    const auto obsOpts = obs::parseArgs(argc, argv.data());
-    EXPECT_EQ(obsOpts.traceOut, "t.json");
-
-    const auto cli = prof::parseArgs(argc, argv.data());
-    EXPECT_EQ(cli.protocol, "stream");
-    EXPECT_EQ(cli.baseline, "cr");
-    EXPECT_EQ(cli.words, 128u);
-    EXPECT_EQ(cli.groupAck, 4);
-    EXPECT_EQ(cli.flameOut, "f.folded");
-    EXPECT_EQ(cli.jsonOut, "r.json");
-    EXPECT_EQ(cli.substrate, "cm5"); // default survives
-
-    // Only the program name and the positional argument remain.
-    ASSERT_EQ(argc, 2);
-    EXPECT_STREQ(argv[0], "msgsim-prof");
-    EXPECT_STREQ(argv[1], "leftover");
 }
 
 } // namespace
