@@ -2,9 +2,9 @@
  * @file
  * Bulk memory-to-memory transfer — the workload that motivates the
  * paper's finite-sequence protocol.  Moves a buffer from node 0 to
- * node 1 twice: once over the CMAM/CM-5 stack (handshake + offsets +
- * ack) and once over the high-level-features stack (just send it),
- * then compares the bills.
+ * node 1 twice with one FiniteXfer engine: once over the CMAM/CM-5
+ * stack (handshake + offsets + ack) and once over the
+ * high-level-features stack (just send it), then compares the bills.
  *
  *   $ ./bulk_transfer [words] [--trace-out=trace.json]
  *                             [--metrics-out=metrics.json]
@@ -21,7 +21,6 @@
 #include "core/report.hh"
 #include "net/tracer.hh"
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "sim/obs_cli.hh"
 
 using namespace msgsim;
@@ -79,9 +78,7 @@ main(int argc, char **argv)
     // The second stack has its own simulator: rebind the trace clock
     // so its spans stay on a consistent timeline.
     scope.bindClock(hl.sim());
-    RunParams hp;
-    hp.words = words;
-    const auto rh = runHlFinite(hl, hp);
+    const auto rh = FiniteXfer(hl).run(p);
     std::printf("%s", featureTable("High-level-features protocol "
                                    "(just inject; the header packet "
                                    "sizes the buffer)",

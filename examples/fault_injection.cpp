@@ -14,7 +14,6 @@
 
 #include <cstdio>
 
-#include "protocols/layer_drivers.hh"
 #include "protocols/stream.hh"
 
 using namespace msgsim;
@@ -77,9 +76,9 @@ main()
         cfg.faults.corruptRate = 0.10;
         cfg.faults.seed = 99;
         Stack stack(cfg);
-        RunParams p;
+        StreamParams p;
         p.words = 64;
-        const auto res = runHlStream(stack, p);
+        const auto res = StreamProtocol(stack).run(p);
 
         std::printf("the hardware retried %llu time(s); software "
                     "executed ZERO fault-tolerance instructions "

@@ -217,7 +217,8 @@ main(int argc, char **argv)
     flags.parse(argc, argv);
     obs::Scope scope(obsOpts);
 
-    if (!replayFile.empty())
-        return runReplay(replayFile, limits, quiet, scope);
-    return runExplore(scenario, limits, jsonOut, ceOut, quiet);
+    return scope.finish(
+        !replayFile.empty()
+            ? runReplay(replayFile, limits, quiet, scope)
+            : runExplore(scenario, limits, jsonOut, ceOut, quiet));
 }

@@ -285,18 +285,15 @@ main(int argc, char **argv)
         .choice("--workload=NAME", workload, names,
                 "what to run (p1 = the cm5 and cr pumps and a CMAM am4 "
                 "round)")
-        .number("--packets=N", packets,
-                "packets per network workload (--smoke: 2000)")
+        .number("--packets=N", packets, "packets per network workload")
         .number("--words=N", words, "transfer volume for xfer/stream")
         .toggle("--hw", wantHw, "enable perf_event_open hardware counters")
         .text("--flame-out=FILE", flameOut,
               "write folded flamegraph stacks (self cycles)")
         .text("--json-out=FILE", jsonOut, "write the full profile report")
-        .toggle("--smoke", smoke, "small run + internal self-checks (CTest)")
+        .toggle("--smoke", smoke, "run the internal self-checks (CTest)")
         .observability(obsOpts);
     flags.parse(argc, argv);
-    if (smoke && packets == 200'000)
-        packets = 2'000;
 
     obs::Scope scope(obsOpts);
     auto &metrics = MetricsRegistry::global();
@@ -422,7 +419,5 @@ main(int argc, char **argv)
                             "report") &&
              ok;
     }
-    if (smoke)
-        return smokeChecks(hp, shareSum);
-    return ok ? 0 : 1;
+    return scope.finish(smoke ? smokeChecks(hp, shareSum) : ok ? 0 : 1);
 }

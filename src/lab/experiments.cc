@@ -22,7 +22,6 @@
 #include "lab/registry.hh"
 #include "model/analytic.hh"
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "model/traffic_model.hh"
@@ -302,9 +301,7 @@ makeF6()
             p.words = words;
             rc = proto.run(p);
             Stack hl(stackConfigFor(HostLayer::Hl));
-            RunParams hp;
-            hp.words = words;
-            rh = runHlFinite(hl, hp);
+            rh = FiniteXfer(hl).run(p);
         } else {
             Stack cm5(paperCm5(/*halfOoo=*/true));
             StreamProtocol proto(cm5);
@@ -312,9 +309,7 @@ makeF6()
             p.words = words;
             rc = proto.run(p);
             Stack hl(stackConfigFor(HostLayer::Hl));
-            RunParams hp;
-            hp.words = words;
-            rh = runHlStream(hl, hp);
+            rh = StreamProtocol(hl).run(p);
         }
         const double imp =
             1.0 - static_cast<double>(rh.counts.paperTotal()) /
@@ -588,10 +583,7 @@ makeX2()
         hcfg.faults.dropRate = rate;
         hcfg.faults.seed = 404;
         Stack hl(hcfg);
-        RunParams hp;
-        hp.words = 1024;
-        hp.eventMode = true;
-        const auto rh = runHlStream(hl, hp);
+        const auto rh = StreamProtocol(hl).run(p);
 
         return std::vector<Row>{
             {R(rate * 100), I(rc.counts.paperTotal()),
@@ -919,10 +911,7 @@ makeX6()
         hcfg.injectGap = 5;
         hcfg.deliverGap = 5;
         Stack hl(hcfg);
-        RunParams hp;
-        hp.words = words;
-        hp.eventMode = true;
-        const auto rh = runHlStream(hl, hp);
+        const auto rh = StreamProtocol(hl).run(p);
 
         const CostModel m = CostModel::cm5();
         const double swC = m.cycles(rc.counts);

@@ -134,7 +134,7 @@ main(int argc, char **argv)
                         e.points.size(),
                         e.points.size() == 1 ? " " : "s",
                         e.title.c_str());
-        return 0;
+        return scope.finish(0);
     }
 
     bool selectionError = false;
@@ -205,5 +205,5 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(stats.pointsRun),
                  static_cast<unsigned long long>(stats.rowsEmitted),
                  stats.wallMs, opts.jobs);
-    return status;
+    return scope.finish(status);
 }

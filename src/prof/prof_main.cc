@@ -151,5 +151,5 @@ main(int argc, char **argv)
     if (!ok)
         std::fprintf(stderr, "msgsim-prof: FAILED (data integrity "
                              "or output error)\n");
-    return ok ? 0 : 1;
+    return scope.finish(ok ? 0 : 1);
 }

@@ -54,7 +54,28 @@ runAm4Round(Stack &stack)
 
 using Driver = RunResult (*)(Stack &, const ProfConfig &);
 
-/** A hl, verbs or offload driver, run on @p cfg's volume. */
+/** The finite-sequence engine on @p cfg's volume (CMAM or hl). */
+RunResult
+runXfer(Stack &stack, const ProfConfig &cfg)
+{
+    FiniteXfer fx(stack);
+    FiniteXferParams p;
+    p.words = cfg.words;
+    return fx.run(p);
+}
+
+/** The indefinite-sequence engine on @p cfg's volume (CMAM or hl). */
+RunResult
+runStream(Stack &stack, const ProfConfig &cfg)
+{
+    StreamProtocol sp(stack);
+    StreamParams p;
+    p.words = cfg.words;
+    p.groupAck = cfg.groupAck;
+    return sp.run(p);
+}
+
+/** A verbs or offload driver, run on @p cfg's volume. */
 template <RunResult (*Run)(Stack &, const RunParams &)>
 RunResult
 layerDriver(Stack &stack, const ProfConfig &cfg)
@@ -85,21 +106,8 @@ constexpr DriverEntry drivers[] = {
      }},
     {HostLayer::Cmam, "am4",
      [](Stack &s, const ProfConfig &) { return runAm4Round(s); }},
-    {HostLayer::Cmam, "xfer",
-     [](Stack &s, const ProfConfig &cfg) {
-         FiniteXfer fx(s);
-         FiniteXferParams p;
-         p.words = cfg.words;
-         return fx.run(p);
-     }},
-    {HostLayer::Cmam, "stream",
-     [](Stack &s, const ProfConfig &cfg) {
-         StreamProtocol sp(s);
-         StreamParams p;
-         p.words = cfg.words;
-         p.groupAck = cfg.groupAck;
-         return sp.run(p);
-     }},
+    {HostLayer::Cmam, "xfer", runXfer},
+    {HostLayer::Cmam, "stream", runStream},
     {HostLayer::Cmam, "wire",
      [](Stack &s, const ProfConfig &cfg) {
          wire::WireWorkload w;
@@ -110,8 +118,8 @@ constexpr DriverEntry drivers[] = {
                  : cfg.words / (w.streams * w.payloadWords);
          return wire::runWireWorkload(s, w).run;
      }},
-    {HostLayer::Hl, "xfer", layerDriver<runHlFinite>},
-    {HostLayer::Hl, "stream", layerDriver<runHlStream>},
+    {HostLayer::Hl, "xfer", runXfer},
+    {HostLayer::Hl, "stream", runStream},
     {HostLayer::Verbs, "single", layerDriver<runRdmaSingle>},
     {HostLayer::Verbs, "am4", layerDriver<runRdmaAm4>},
     {HostLayer::Verbs, "xfer", layerDriver<runRdmaFinite>},

@@ -8,12 +8,12 @@
 namespace msgsim
 {
 
-FiniteXfer::FiniteXfer(Stack &stack) : stack_(stack)
+FiniteXfer::FiniteXfer(Stack &stack)
+    : stack_(stack),
+      handshake_(!stack.cmam(0).trusted().acceptanceIndependent)
 {
-    if (stack_.config().layer != HostLayer::Cmam)
-        msgsim_fatal("the finite-xfer handshake needs the cmam layer, "
-                     "not ", toString(stack_.config().layer));
-    installSinks();
+    if (handshake_)
+        installSinks();
 }
 
 void
@@ -155,7 +155,10 @@ FiniteXfer::sendData(Word transferId)
         t.restarts ? Feature::FaultTolerance : Feature::BaseCost;
     FeatureScope fs(s.acct(), feat);
     ScopedSpan sp(t.src, "finite_xfer", "data");
-    stack_.cmam(t.src).xferSend(t.dst, t.segId, t.srcBuf, t.words);
+    // A trusting layer's packets name the posted transfer.
+    stack_.cmam(t.src).xferSend(
+        t.dst, handshake_ ? t.segId : transferId & hdr::maxFieldA,
+        t.srcBuf, t.words);
     if (t.restarts)
         t.retransmitted += t.packets;
 }
@@ -185,9 +188,22 @@ FiniteXfer::newTransfer(const FiniteXferParams &params)
 }
 
 void
-FiniteXfer::requestAlloc(Word transferId)
+FiniteXfer::startTransfer(Word transferId)
 {
     const Transfer &t = transfers_.at(transferId);
+    if (!handshake_) {
+        // Steps 1-3 are the fabric's: the header packet binds the
+        // posted buffer, and CR refuses a header the segment table
+        // cannot hold until it can.  The header's id field wraps, so
+        // at most 256 transfers can be posted at once.
+        stack_.cmam(t.dst).postTransfer(
+            transferId & hdr::maxFieldA, t.dstBuf,
+            [this, transferId](Word) {
+                transfers_.at(transferId).gotAck = true;
+            });
+        sendData(transferId);
+        return;
+    }
     FeatureScope fs(stack_.node(t.src).acct(), Feature::BufferMgmt);
     ScopedSpan sp(t.src, "finite_xfer", "alloc_req");
     stack_.cmam(t.src).sendControl(t.dst, CtrlOp::XferAllocReq,
@@ -201,7 +217,7 @@ FiniteXfer::beginTransfer(const FiniteXferParams &params)
     // Reactive mode: the polled alloc reply triggers the data phase
     // (the checker drives polls from its schedule, not from timers).
     eventMode_ = true;
-    requestAlloc(tid);
+    startTransfer(tid);
     return tid;
 }
 
@@ -230,7 +246,7 @@ bool
 FiniteXfer::restartTransfer(Word tid, int maxRestarts)
 {
     Transfer &t = transfers_.at(tid);
-    if (t.gotAck || t.restarts >= maxRestarts)
+    if (t.gotAck || !handshake_ || t.restarts >= maxRestarts)
         return false;
     ++t.restarts;
     Node &s = stack_.node(t.src);
@@ -272,25 +288,22 @@ FiniteXfer::run(const FiniteXferParams &params)
     if (!params.eventMode) {
         // ---- Calibration mode: the paper's minimum execution path,
         // one explicitly sequenced phase at a time.
-        requestAlloc(tid); // step 1
-        stack_.settle();
-        {
-            // Steps 2 + 3.
-            FeatureScope fs(dst.acct(), Feature::BufferMgmt);
-            cdst.poll();
-        }
-        stack_.settle();
-        {
-            FeatureScope fs(src.acct(), Feature::BufferMgmt);
-            csrc.poll();
-        }
-        if (!t.gotReply || t.segId == invalidSegment)
-            msgsim_panic("finite xfer handshake failed");
-        {
-            // Step 4, source side.
-            FeatureScope fs(src.acct(), Feature::BaseCost);
-            ScopedSpan sp(params.src, "finite_xfer", "data");
-            csrc.xferSend(params.dst, t.segId, t.srcBuf, params.words);
+        startTransfer(tid); // step 1 (trusting layer: step 4)
+        if (handshake_) {
+            stack_.settle();
+            {
+                // Steps 2 + 3.
+                FeatureScope fs(dst.acct(), Feature::BufferMgmt);
+                cdst.poll();
+            }
+            stack_.settle();
+            {
+                FeatureScope fs(src.acct(), Feature::BufferMgmt);
+                csrc.poll();
+            }
+            if (!t.gotReply || t.segId == invalidSegment)
+                msgsim_panic("finite xfer handshake failed");
+            sendData(tid); // step 4, source side
         }
         stack_.settle();
         {
@@ -299,8 +312,8 @@ FiniteXfer::run(const FiniteXferParams &params)
             FeatureScope fs(dst.acct(), Feature::BaseCost);
             cdst.poll();
         }
-        stack_.settle();
-        {
+        if (handshake_) {
+            stack_.settle();
             // Step 6, source side.
             FeatureScope fs(src.acct(), Feature::FaultTolerance);
             csrc.poll();
@@ -309,27 +322,26 @@ FiniteXfer::run(const FiniteXferParams &params)
     } else {
         // ---- Event mode: arrival-driven polling, timers, and
         // restart recovery.
-        stack_.pollOnArrival(params.src, ArrivalPoll::Coalesced,
-                             params.discipline);
-        stack_.pollOnArrival(params.dst, ArrivalPoll::Coalesced,
-                             params.discipline);
-        requestAlloc(tid);
+        stack_.pollOnArrival(params.src, params.discipline);
+        stack_.pollOnArrival(params.dst, params.discipline);
         ackTimeout_ = params.ackTimeout;
         maxRestarts_ = params.maxRestarts;
-        armTimer(tid);
+        startTransfer(tid);
+        if (handshake_)
+            armTimer(tid);
         stack_.sim().runUntil(
             [&] {
                 return t.gotAck || t.restarts > params.maxRestarts;
             },
             50'000'000);
         done_at = stack_.sim().now();
-        stack_.stopArrivalPolls(params.src);
-        stack_.stopArrivalPolls(params.dst);
+        stack_.stopPollOnArrival(params.src);
+        stack_.stopPollOnArrival(params.dst);
     }
 
     frame.finish(res, done_at);
     res.packets = t.packets;
-    res.acksSent = 1;
+    res.acksSent = handshake_ ? 1 : 0;
     res.retransmissions = t.retransmitted;
 
     // End-to-end integrity.

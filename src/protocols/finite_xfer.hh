@@ -21,6 +21,12 @@
  * does not arrive, the source re-runs the handshake (the receiver
  * frees the stale segment) and resends every packet — exercising the
  * "fault-detection but no fault-tolerance" network property.
+ *
+ * On a layer that trusts acceptanceIndependent (the paper's Section 4
+ * layer on CR) steps 1-3, 5 and 6 vanish: the destination posts its
+ * buffer, the source sends the data at once, the header packet binds
+ * the buffer, and the fabric refuses and retransmits what cannot be
+ * placed, so there is no ack, timer or restart either.
  */
 
 #ifndef MSGSIM_PROTOCOLS_FINITE_XFER_HH
@@ -51,9 +57,11 @@ struct FiniteXferParams
 };
 
 /**
- * The finite-sequence protocol engine for one stack.  Installs its
- * control sinks on every node's CMAM layer at construction; multiple
- * transfers (sequential or concurrent in event mode) are supported.
+ * The finite-sequence protocol engine for one stack.  Reads the
+ * features the stack's CMAM layer trusts once, at construction, and
+ * installs its handshake sinks on every node unless the fabric makes
+ * them unneeded; multiple transfers (sequential or concurrent in
+ * event mode) are supported.
  */
 class FiniteXfer
 {
@@ -71,13 +79,17 @@ class FiniteXfer
     // ------------------------------------------------------------
 
     /**
-     * Set up a transfer and issue step 1 (the alloc request).
-     * Returns the transfer id; the data phase fires reactively when
-     * the reply is polled at the source.
+     * Set up a transfer and issue step 1 (the alloc request), or on a
+     * trusting layer post the buffer and send the data.  Returns the
+     * transfer id; the data phase fires reactively when the reply is
+     * polled at the source.
      */
     Word beginTransfer(const FiniteXferParams &params);
 
-    /** True once the end-to-end ack (step 6) has arrived. */
+    /**
+     * True once the end-to-end ack (step 6) has arrived, or on a
+     * trusting layer once the last packet has landed.
+     */
     bool transferComplete(Word tid) const;
 
     /** True when the destination buffer matches the source's. */
@@ -86,8 +98,8 @@ class FiniteXfer
     /**
      * Timeout recovery: re-run the whole handshake (the destination
      * retires its stale segment).  Returns false when @p maxRestarts
-     * is exhausted or the transfer already completed (no restart
-     * issued).
+     * is exhausted, the transfer already completed or the fabric
+     * recovers in hardware (no restart issued).
      */
     bool restartTransfer(Word tid, int maxRestarts = 16);
 
@@ -108,15 +120,19 @@ class FiniteXfer
         std::uint32_t packets = 0;
         Word segId = invalidSegment; ///< source's view after reply
         bool gotReply = false;
-        bool gotAck = false;
+        bool gotAck = false; ///< trusting layer: the last packet landed
         int restarts = 0;
         std::uint64_t retransmitted = 0;
     };
 
     /** Validate @p params and register a transfer, source filled. */
     Word newTransfer(const FiniteXferParams &params);
-    /** Step 1: ask the destination for a segment (BufferMgmt). */
-    void requestAlloc(Word transferId);
+    /**
+     * Step 1: ask the destination for a segment (BufferMgmt); on a
+     * trusting layer, post the destination buffer (uncharged) and
+     * send the data.
+     */
+    void startTransfer(Word transferId);
     void installSinks();
     void onAllocReq(NodeId dstNode, NodeId srcNode, Word transferId,
                     const std::vector<Word> &args);
@@ -131,6 +147,9 @@ class FiniteXfer
     void sendData(Word transferId);
 
     Stack &stack_;
+    /// False when the layer trusts acceptanceIndependent: no step 1,
+    /// 2, 3, 5 or 6.
+    const bool handshake_;
     std::map<Word, Transfer> transfers_;
     /// (dstNode, transferId) -> active destination segment.
     std::map<std::pair<NodeId, Word>, Word> dstSegments_;

@@ -1,6 +1,5 @@
 #include "protocols/layer_drivers.hh"
 
-#include <algorithm>
 #include <functional>
 #include <initializer_list>
 
@@ -72,35 +71,6 @@ seededWords(std::uint32_t words, std::uint64_t seed)
     for (Word &w : out)
         w = static_cast<Word>(splitMix64(seed));
     return out;
-}
-
-/**
- * The hl exchange: run @p send at the source, then poll the
- * destination once after a settle — or, in event mode, one tick
- * after every arrival until @p done.
- */
-void
-hlExchange(Stack &stack, const RunParams &params,
-           const std::function<void()> &send,
-           const std::function<bool()> &done)
-{
-    Node &src = stack.node(params.src);
-    Node &dst = stack.node(params.dst);
-    if (params.eventMode)
-        stack.pollOnArrival(params.dst, ArrivalPoll::PerArrival);
-    {
-        FeatureScope fs(src.acct(), Feature::BaseCost);
-        send();
-    }
-    if (!params.eventMode) {
-        stack.settle();
-        FeatureScope fs(dst.acct(), Feature::BaseCost);
-        stack.cmam(params.dst).poll();
-        return;
-    }
-    stack.sim().runUntil(done, 50'000'000);
-    stack.settle();
-    stack.stopArrivalPolls(params.dst);
 }
 
 /**
@@ -226,83 +196,6 @@ fillWords(Node &node, Addr buf, std::uint32_t words, std::uint64_t seed)
 {
     for (std::uint32_t i = 0; i < words; ++i)
         node.mem().write(buf + i, static_cast<Word>(splitMix64(seed)));
-}
-
-RunResult
-runHlFinite(Stack &stack, const RunParams &params)
-{
-    const auto n = static_cast<std::uint32_t>(stack.dataWords());
-    const std::uint32_t packets =
-        packetsOf("hl finite transfer", params.words, n);
-    Node &src = stack.node(params.src);
-    Node &dst = stack.node(params.dst);
-
-    const Word tid = stack.allocId();
-    const Addr src_buf = src.mem().alloc(params.words);
-    const Addr dst_buf = dst.mem().alloc(params.words);
-    fillWords(src, src_buf, params.words, params.fillSeed);
-
-    bool done = false;
-    stack.cmam(params.dst).postTransfer(tid, dst_buf,
-                                        [&done](Word) { done = true; });
-
-    const RunFrame frame(stack, params.src, params.dst);
-    hlExchange(
-        stack, params,
-        [&] {
-            stack.cmam(params.src).xferSend(params.dst, tid, src_buf,
-                                            params.words);
-        },
-        [&done] { return done; });
-
-    RunResult res;
-    frame.finish(res);
-    res.packets = packets;
-    res.dataOk =
-        done && sameWords(src, src_buf, dst, dst_buf, params.words);
-    return res;
-}
-
-RunResult
-runHlStream(Stack &stack, const RunParams &params)
-{
-    const auto n = static_cast<std::uint32_t>(stack.dataWords());
-    const std::uint32_t packets =
-        packetsOf("hl stream", params.words, n);
-    const std::vector<Word> data = seededWords(params.words, params.fillSeed);
-
-    // Order and reliability are the fabric's: the layer's base receive
-    // hands each packet's words straight to the application.
-    std::vector<Word> received;
-    stack.cmam(params.dst).setStreamDataSink(
-        [&received](NodeId, Word, const std::vector<Word> &words) {
-            received.insert(received.end(), words.begin(), words.end());
-        });
-
-    const RunFrame frame(stack, params.src, params.dst);
-    const Word chan = 7;
-    hlExchange(
-        stack, params,
-        [&] {
-            // Each packet is exactly a single-packet send (20 at
-            // n = 4): no sequence number, no source buffering.
-            std::vector<Word> pkt(n);
-            for (std::uint32_t p = 0; p < packets; ++p) {
-                std::copy_n(data.begin() + p * n, n, pkt.begin());
-                stack.cmam(params.src).sendTagged(
-                    HwTag::StreamData, params.dst, hdr::pack(chan, 0),
-                    pkt, 0);
-            }
-        },
-        [&] { return received.size() == params.words; });
-
-    RunResult res;
-    frame.finish(res);
-    res.packets = packets;
-    // Integrity: exact content in exact transmission order (the
-    // network provides the ordering; the test proves it).
-    res.dataOk = received.size() == params.words && received == data;
-    return res;
 }
 
 RunResult

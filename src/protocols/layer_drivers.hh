@@ -1,11 +1,10 @@
 /**
  * @file
- * The paper's protocols on the host layers other than CMAM: the
- * Section 4 layer's finite and indefinite sequences (CMAM trusting
- * CR, one poll per arrival in event mode), and all four protocols
- * re-expressed in verbs (rdma) and with the receive side offloaded
- * to the NIC (nicam).  Each driver takes a Stack built with the
- * matching HostLayer.
+ * The paper's protocols on the host layers that are not CMAM: all
+ * four re-expressed in verbs (rdma) and with the receive side
+ * offloaded to the NIC (nicam).  Each driver takes a Stack built with
+ * the matching HostLayer.  (The Section 4 layer is CMAM trusting CR,
+ * so FiniteXfer and StreamProtocol run it.)
  *
  * On rdma the 1994 overheads (buffering, in-order, fault tolerance)
  * are zero by construction, while two columns that do not exist on
@@ -23,7 +22,7 @@
 namespace msgsim
 {
 
-/** Parameters shared by the hl, verbs and offload drivers. */
+/** Parameters shared by the verbs and offload drivers. */
 struct RunParams
 {
     NodeId src = 0;
@@ -36,12 +35,6 @@ struct RunParams
 /** Fill @p words of @p node's memory at @p buf from @p seed. */
 void fillWords(Node &node, Addr buf, std::uint32_t words,
                std::uint64_t seed);
-
-/** hl finite sequence: the header packet sizes the buffer. */
-RunResult runHlFinite(Stack &stack, const RunParams &params);
-
-/** hl indefinite sequence: the network keeps the order. */
-RunResult runHlStream(Stack &stack, const RunParams &params);
 
 /** Verbs protocol 1: one message of n words over a connected QP. */
 RunResult runRdmaSingle(Stack &stack, const RunParams &params);

@@ -284,17 +284,15 @@ Stack::pollPending()
 }
 
 void
-Stack::pollOnArrival(NodeId id, ArrivalPoll policy,
-                     RecvDiscipline discipline)
+Stack::pollOnArrival(NodeId id, RecvDiscipline discipline)
 {
     NetIface &ni = node(id).ni(); // range-checks id
-    progress_[id].policy = policy;
     progress_[id].discipline = discipline;
     ni.setArrivalHook([this, id] { arrived(id); });
 }
 
 void
-Stack::stopArrivalPolls(NodeId id)
+Stack::stopPollOnArrival(NodeId id)
 {
     node(id).ni().setArrivalHook(nullptr);
 }
@@ -302,8 +300,10 @@ Stack::stopArrivalPolls(NodeId id)
 void
 Stack::arrived(NodeId id)
 {
+    // The layer's accounting: CMAM's arrivals share an entry that has
+    // not run yet, the §4 layer takes one each.
     NodeProgress &np = progress_[id];
-    if (np.policy == ArrivalPoll::Coalesced) {
+    if (cfg_.layer != HostLayer::Hl) {
         if (np.entryQueued)
             return;
         np.entryQueued = true;

@@ -107,21 +107,6 @@ enum class RecvDiscipline
 const char *toString(RecvDiscipline d);
 
 /**
- * How many service entries an event-mode node takes for its
- * arrivals.  Each entry runs one tick after the arrival that queued
- * it, under BaseCost.
- */
-enum class ArrivalPoll
-{
-    /// One entry per node while one is queued: arrivals in the same
-    /// tick share it (FiniteXfer, StreamProtocol).
-    Coalesced,
-    /// One poll entry per arrival: the §4 layer's accounting, which
-    /// X2 pins (hl instr 12032 = 47 × 256 packets).
-    PerArrival,
-};
-
-/**
  * Configuration of a whole protocol stack.
  */
 struct StackConfig
@@ -227,15 +212,18 @@ class Stack
 
     /**
      * Event mode: from now on, every packet landing at node @p id
-     * queues a service entry one tick later, as @p policy says.  The
+     * queues a service entry one tick later, under BaseCost.  The
      * entry polls CMAM, or with RecvDiscipline::Interrupt takes the
-     * interrupt service.
+     * interrupt service.  How many entries is the layer's accounting:
+     * CMAM takes one per node while one is queued (arrivals in the
+     * same tick share it), the §4 layer one per arrival (X2 pins hl
+     * instr 12032 = 47 × 256 packets).
      */
-    void pollOnArrival(NodeId id, ArrivalPoll policy,
+    void pollOnArrival(NodeId id,
                        RecvDiscipline discipline = RecvDiscipline::Poll);
 
     /** End pollOnArrival on node @p id; a queued entry still runs. */
-    void stopArrivalPolls(NodeId id);
+    void stopPollOnArrival(NodeId id);
 
     /**
      * Event-mode progress loop: @p first ticks from now, then every
@@ -263,7 +251,6 @@ class Stack
         std::function<bool()> step; ///< the running loop's; empty: none
         Tick gap = 0;
         RecvDiscipline discipline = RecvDiscipline::Poll;
-        ArrivalPoll policy = ArrivalPoll::Coalesced;
         bool entryQueued = false; ///< a coalesced entry waits to run
     };
 

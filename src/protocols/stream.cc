@@ -20,7 +20,9 @@ constexpr Word nilLink = ~Word(0);
 constexpr std::uint32_t maxSeqHeader = hdr::maxFieldB;
 } // namespace
 
-StreamProtocol::StreamProtocol(Stack &stack) : stack_(stack)
+StreamProtocol::StreamProtocol(Stack &stack)
+    : stack_(stack), ordered_(stack.cmam(0).trusted().inOrderDelivery &&
+                              stack.cmam(0).trusted().reliableDelivery)
 {
     for (NodeId id = 0; id < stack_.machine().nodeCount(); ++id) {
         stack_.cmam(id).setStreamDataSink(
@@ -143,22 +145,26 @@ StreamProtocol::sendPacket(Channel &ch, const std::vector<Word> &data)
     const int n = stack_.dataWords();
     ScopedSpan span(ch.src, "stream", "send_data");
 
-    std::uint32_t seq;
-    {
-        // In-order delivery, source side (2 reg + 3 mem): load the
-        // channel's sequence counter, increment, store back, pack it
-        // into the header, and record the last sequence injected.
-        FeatureScope io(a, Feature::InOrderDelivery);
-        seq = p.loadWord(ch.seqAddr);                    // mem 1
-        p.regOps(1);                                     // increment
-        p.storeWord(ch.seqAddr, seq + 1);                // mem 2
-        p.regOps(1);                                     // header pack
-        p.storeWord(ch.lastSentAddr, seq);               // mem 3
-    }
-    if (seq > maxSeqHeader)
-        msgsim_fatal("stream sequence ", seq, " exceeds header field");
+    // A trusting layer keeps no modeled counter: the host's mirror
+    // numbers the packet, uncharged.
+    std::uint32_t seq = ch.nextSeq;
+    if (!ordered_) {
+        {
+            // In-order delivery, source side (2 reg + 3 mem): load the
+            // channel's sequence counter, increment, store back, pack
+            // it into the header, and record the last sequence
+            // injected.
+            FeatureScope io(a, Feature::InOrderDelivery);
+            seq = p.loadWord(ch.seqAddr);                // mem 1
+            p.regOps(1);                                 // increment
+            p.storeWord(ch.seqAddr, seq + 1);            // mem 2
+            p.regOps(1);                                 // header pack
+            p.storeWord(ch.lastSentAddr, seq);           // mem 3
+        }
+        if (seq > maxSeqHeader)
+            msgsim_fatal("stream sequence ", seq,
+                         " exceeds header field");
 
-    {
         // Fault tolerance, source side (6 reg + n/2 mem): copy the
         // outgoing payload into the retransmission ring so it can be
         // resent until acknowledged.
@@ -231,6 +237,11 @@ StreamProtocol::onStreamData(NodeId self, Word header,
     if (it == channels_.end())
         msgsim_panic("stream data for unknown channel ", chan);
     Channel &ch = it->second;
+    if (ordered_) {
+        // The fabric kept the order and lost nothing.
+        deliverInSeq(ch, ch.expected, data);
+        return;
+    }
 
     std::uint32_t seq;
     {
@@ -591,6 +602,10 @@ void
 StreamProtocol::flushChannel(Word chan)
 {
     Channel &ch = channels_.at(chan);
+    // A trusting layer waits for no ack, only for the fabric to
+    // deliver what was sent.
+    while (ordered_ && ch.deliveredPackets < ch.nextSeq)
+        progressOnce();
     int idle_rounds = 0;
     while (!ch.unacked.empty()) {
         const std::size_t before = ch.unacked.size();
@@ -811,17 +826,17 @@ StreamProtocol::run(const StreamParams &params)
         done_at = stack_.sim().now();
     } else {
         // ---- Event mode: arrival polls, window pump, retransmission.
-        stack_.pollOnArrival(params.src, ArrivalPoll::Coalesced,
-                             params.discipline);
-        stack_.pollOnArrival(params.dst, ArrivalPoll::Coalesced,
-                             params.discipline);
+        stack_.pollOnArrival(params.src, params.discipline);
+        stack_.pollOnArrival(params.dst, params.discipline);
         ch.sendQueue = data;
         retxTimeout_ = params.retxTimeout;
         maxRetx_ = params.maxRetx;
         pumpWindow(ch, ch.window);
-        armRetxTimer(ch.id);
-        if (params.groupAck > 1)
-            armFlushTimer(ch.id);
+        if (!ordered_) {
+            armRetxTimer(ch.id);
+            if (params.groupAck > 1)
+                armFlushTimer(ch.id);
+        }
         stack_.sim().runUntil(
             [&] {
                 return (ch.deliveredPackets >= packets &&
@@ -836,8 +851,8 @@ StreamProtocol::run(const StreamParams &params)
         // run past the completion instant; they don't count toward
         // the exchange's latency).
         stack_.settle();
-        stack_.stopArrivalPolls(params.src);
-        stack_.stopArrivalPolls(params.dst);
+        stack_.stopPollOnArrival(params.src);
+        stack_.stopPollOnArrival(params.dst);
     }
 
     frame.finish(res, done_at);

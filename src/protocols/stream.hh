@@ -27,6 +27,12 @@
  * Event mode adds timeout-driven selective retransmission, duplicate
  * suppression with re-acknowledgement, and optional window flow
  * control — end-to-end reliability over the detection-only network.
+ *
+ * On a layer that trusts inOrderDelivery and reliableDelivery (the
+ * paper's Section 4 layer on CR) the in-order and fault-tolerance
+ * steps vanish: each packet is a single-packet send with no sequence
+ * step or retransmission copy, the base receive delivers it, and
+ * there are no acks and no timers.
  */
 
 #ifndef MSGSIM_PROTOCOLS_STREAM_HH
@@ -64,7 +70,8 @@ struct StreamParams
 };
 
 /**
- * The indefinite-sequence protocol engine for one stack.
+ * The indefinite-sequence protocol engine for one stack.  Reads the
+ * features the stack's CMAM layer trusts once, at construction.
  */
 class StreamProtocol
 {
@@ -96,7 +103,10 @@ class StreamProtocol
      */
     void sendOn(Word chan, const std::vector<Word> &words);
 
-    /** Progress until the channel is fully delivered and acked. */
+    /**
+     * Progress until the channel is fully delivered and acked (on a
+     * trusting layer: delivered).
+     */
     void flushChannel(Word chan);
 
     /** Flush and retire a persistent channel. */
@@ -304,6 +314,9 @@ class StreamProtocol
     };
 
     Stack &stack_;
+    /// The layer trusts the fabric's order and reliability: no
+    /// sequence, reorder, retransmission or ack step runs.
+    const bool ordered_;
     Totals totals_;
     bool bugAckBeforeInsert_ = false;
     std::map<Word, Channel> channels_;

@@ -38,6 +38,13 @@ Scope::Scope(const Options &opts) : opts_(opts)
 
 Scope::~Scope()
 {
+    finish(0);
+}
+
+int
+Scope::finish(int status)
+{
+    bool written = true;
     if (session_) {
         // Phase counters double as metrics so a single --metrics-out
         // run still reports how often each protocol step ran.
@@ -51,22 +58,28 @@ Scope::~Scope()
         reg.gauge("trace.oldest_retained_tick") =
             static_cast<double>(session_->oldestRetainedTick());
 
-        if (session_->writeChromeTrace(opts_.traceOut))
+        written = session_->writeChromeTrace(opts_.traceOut);
+        if (written)
             msgsim_inform("trace written to ", opts_.traceOut);
         else
             msgsim_warn("could not write trace to ", opts_.traceOut);
         session_->detach();
+        session_.reset();
     }
     if (!opts_.metricsOut.empty()) {
         std::ofstream out(opts_.metricsOut);
+        out << metrics().dumpJson();
+        out.close();
         if (out) {
-            out << metrics().dumpJson();
             msgsim_inform("metrics written to ", opts_.metricsOut);
         } else {
             msgsim_warn("could not write metrics to ",
                         opts_.metricsOut);
+            written = false;
         }
+        opts_.metricsOut.clear();
     }
+    return written || status != 0 ? status : 1;
 }
 
 void

@@ -19,7 +19,8 @@
  *         scope.bindClock(stack.sim());       // timestamps
  *         ...
  *         scope.collect(stack.sim(), "sim");  // event-loop metrics
- *     }   // <- files written here
+ *         return scope.finish(status);        // <- files written here
+ *     }
  */
 
 #ifndef MSGSIM_SIM_OBS_CLI_HH
@@ -61,7 +62,8 @@ Options parseArgs(int &argc, char **argv);
 /**
  * RAII wiring: owns the TraceSession (attached for the scope's
  * lifetime when tracing was requested) and writes the requested
- * output files on destruction.
+ * output files at finish(), or on destruction when it was not
+ * called.
  */
 class Scope
 {
@@ -87,6 +89,13 @@ class Scope
     /** Snapshot @p sim's event-loop counters into the registry. */
     void collect(const Simulator &sim,
                  const std::string &prefix = "sim");
+
+    /**
+     * Write the requested files and detach the session.  Returns the
+     * run's exit @p status, or 1 when a file could not be written and
+     * @p status was 0.
+     */
+    int finish(int status);
 
   private:
     Options opts_;

@@ -146,5 +146,5 @@ main(int argc, char **argv)
     if (!res.ok)
         std::fprintf(stderr,
                      "msgsim-tele: scenario FAILED verification\n");
-    return res.ok && written ? 0 : 1;
+    return scope.finish(res.ok && written ? 0 : 1);
 }

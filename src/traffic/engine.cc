@@ -14,6 +14,7 @@ namespace
 constexpr Word kMagic = 0x5a5a5a5au;
 constexpr std::uint32_t kSeqBits = 20;
 constexpr std::uint32_t kSeqMask = (1u << kSeqBits) - 1;
+static_assert(maxTrafficNodes == (1u << (32 - kSeqBits)) - 1);
 
 /** Data fragment meta: (source node << 20) | fragment sequence. */
 Word
@@ -263,7 +264,7 @@ TrafficEngine::run(const TrafficSpec &spec)
     if (spec.nodes != n)
         msgsim_fatal("traffic spec wants ", spec.nodes,
                      " nodes but the stack has ", n);
-    if (n >= (1u << (32 - kSeqBits)))
+    if (n > maxTrafficNodes)
         msgsim_fatal("traffic: too many nodes for the meta format");
     const std::uint32_t frags = spec.fragmentsPerMessage();
     const std::uint64_t totalFrags =

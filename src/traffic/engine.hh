@@ -63,6 +63,12 @@ const char *toString(TrafficProto p);
 bool protoFromString(const std::string &name, TrafficProto &out);
 
 /**
+ * The largest machine the engine runs: a data fragment's meta word
+ * is (source node << 20) | fragment sequence.
+ */
+inline constexpr std::uint32_t maxTrafficNodes = (1u << 12) - 1;
+
+/**
  * One declarative traffic scenario.
  */
 struct TrafficSpec

@@ -60,7 +60,8 @@ main(int argc, char **argv)
                 protoFromString, "per-message protocol")
         .choice("--substrate=NAME", substrate, allSubstrates,
                 substrateFromString, "routing substrate")
-        .number("--nodes=N", spec.nodes, "machine size", 2)
+        .number("--nodes=N", spec.nodes, "machine size", 2,
+                maxTrafficNodes)
         .number("--msgs=N", spec.messagesPerNode, "messages per node", 1)
         .number("--size=W", spec.sizeWords, "payload words per message")
         .number("--hot=F", spec.hotFraction, "hotspot fraction")
@@ -162,5 +163,5 @@ main(int argc, char **argv)
     else if (!gateOk)
         std::fprintf(stderr, "msgsim-traffic: predicted-vs-measured "
                              "DRIFT\n");
-    return gateOk && written ? 0 : 1;
+    return scope.finish(gateOk && written ? 0 : 1);
 }

@@ -113,5 +113,5 @@ main(int argc, char **argv)
     if (!res.run.dataOk)
         std::fprintf(stderr,
                      "msgsim-wire: run FAILED (delivery check)\n");
-    return res.run.dataOk && written ? 0 : 1;
+    return scope.finish(res.run.dataOk && written ? 0 : 1);
 }

@@ -67,9 +67,9 @@ TEST(Api, HlFiniteUnitCosts)
     // bind 13.
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    FiniteXferParams p;
     p.words = 4;
-    const auto res = runHlFinite(stack, p);
+    const auto res = FiniteXfer(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     EXPECT_EQ(res.counts.src.paperTotal(), 25u);
     EXPECT_EQ(res.counts.dst.featureTotal(Feature::BaseCost),
@@ -81,9 +81,9 @@ TEST(Api, HlStreamUnitCosts)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    StreamParams p;
     p.words = 4;
-    const auto res = runHlStream(stack, p);
+    const auto res = StreamProtocol(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     EXPECT_EQ(res.counts.src.paperTotal(), 20u);
     EXPECT_EQ(res.counts.dst.paperTotal(), 27u);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 
@@ -311,9 +310,9 @@ TEST(HighLevel, FiniteReducesToBaseCost)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    FiniteXferParams p;
     p.words = 1024;
-    const auto res = runHlFinite(stack, p);
+    const auto res = FiniteXfer(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     const auto &s = res.counts.src;
     const auto &d = res.counts.dst;
@@ -333,9 +332,9 @@ TEST(HighLevel, StreamIsPureBaseCost)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    StreamParams p;
     p.words = 1024;
-    const auto res = runHlStream(stack, p);
+    const auto res = StreamProtocol(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     const auto &s = res.counts.src;
     const auto &d = res.counts.dst;
@@ -359,9 +358,9 @@ TEST(HighLevel, SeventyPercentReductionForStreams)
 
         StackConfig cfg = stackConfigFor(HostLayer::Hl);
         Stack hl(cfg);
-        RunParams hp;
+        StreamParams hp;
         hp.words = words;
-        const auto better = runHlStream(hl, hp);
+        const auto better = StreamProtocol(hl).run(hp);
 
         const double reduction =
             1.0 - static_cast<double>(better.counts.paperTotal()) /

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "protocols/layer_drivers.hh"
+#include "protocols/finite_xfer.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "sim/event.hh"
@@ -142,9 +142,9 @@ TEST(Edges, HlSinglePacketTransfer)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    FiniteXferParams p;
     p.words = 4; // header packet IS the only packet
-    const auto res = runHlFinite(stack, p);
+    const auto res = FiniteXfer(stack).run(p);
     EXPECT_TRUE(res.dataOk);
     EXPECT_EQ(res.packets, 1u);
 }

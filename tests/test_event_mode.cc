@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -333,28 +332,32 @@ struct TwoArrivals
 };
 
 /**
- * Two am4s 0 -> 1, serviced by @p policy; with no policy, settle and
- * poll node 1 once by hand.
+ * Two am4s 0 -> 1 on the cr fabric under @p layer, serviced by
+ * arrival polls; with @p onArrival false, settle and poll node 1 once
+ * by hand.
  */
 TwoArrivals
-twoArrivals(std::optional<ArrivalPoll> policy)
+twoArrivals(HostLayer layer, bool onArrival)
 {
-    Stack stack(cleanConfig());
+    StackConfig cfg = cleanConfig();
+    cfg.substrate = Substrate::Cr;
+    cfg.layer = layer;
+    Stack stack(cfg);
     TwoArrivals out;
     Node &dst = stack.node(1);
     const int h = stack.cmam(1).registerHandler(
         [&](NodeId, const std::vector<Word> &) {
             out.handledAt.push_back(stack.sim().now());
         });
-    if (policy)
-        stack.pollOnArrival(1, *policy);
+    if (onArrival)
+        stack.pollOnArrival(1);
     const std::uint64_t instr0 = dst.acct().counter().paperTotal();
     const std::uint64_t events0 = stack.sim().eventsScheduled();
     stack.cmam(0).am4(1, h, {1, 2, 3, 4});
     stack.cmam(0).am4(1, h, {5, 6, 7, 8});
     stack.settle();
-    if (policy) {
-        stack.stopArrivalPolls(1);
+    if (onArrival) {
+        stack.stopPollOnArrival(1);
     } else {
         FeatureScope fs(dst.acct(), Feature::BaseCost);
         stack.cmam(1).poll();
@@ -378,9 +381,11 @@ emptyPollEntry()
 
 TEST(Stack, CoalescedArrivalsShareOnePollEntry)
 {
-    const TwoArrivals byHand = twoArrivals(std::nullopt);
-    const TwoArrivals co = twoArrivals(ArrivalPoll::Coalesced);
-    const TwoArrivals each = twoArrivals(ArrivalPoll::PerArrival);
+    // The layer decides: CMAM coalesces, the §4 layer takes an entry
+    // per arrival.
+    const TwoArrivals byHand = twoArrivals(HostLayer::Cmam, false);
+    const TwoArrivals co = twoArrivals(HostLayer::Cmam, true);
+    const TwoArrivals each = twoArrivals(HostLayer::Hl, true);
     ASSERT_EQ(byHand.handledAt.size(), 2u);
     // Both packets land in one tick, and the first entry handles both.
     ASSERT_EQ(co.handledAt.size(), 2u);

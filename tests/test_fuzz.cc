@@ -10,7 +10,6 @@
 
 #include "net/tracer.hh"
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "protocols/stream.hh"
 #include "sim/rng.hh"
 
@@ -170,9 +169,9 @@ TEST(Determinism, HlRunsAreDeterministicUnderFaults)
         cfg.faults.corruptRate = 0.1;
         cfg.faults.seed = 5;
         Stack stack(cfg);
-        RunParams p;
+        StreamParams p;
         p.words = 256;
-        return runHlStream(stack, p);
+        return StreamProtocol(stack).run(p);
     };
     const auto a = run();
     const auto b = run();

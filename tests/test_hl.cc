@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "protocols/layer_drivers.hh"
+#include "protocols/finite_xfer.hh"
 #include "protocols/stream.hh"
 #include "sim/log.hh"
 
@@ -22,9 +22,9 @@ TEST(HlFinite, IntegrityAcrossSizes)
     for (std::uint32_t words : {4u, 16u, 64u, 1024u}) {
         StackConfig cfg = stackConfigFor(HostLayer::Hl);
         Stack stack(cfg);
-        RunParams p;
+        FiniteXferParams p;
         p.words = words;
-        const auto res = runHlFinite(stack, p);
+        const auto res = FiniteXfer(stack).run(p);
         EXPECT_TRUE(res.dataOk) << words;
     }
 }
@@ -33,9 +33,9 @@ TEST(HlFinite, NoHandshakeNoAckNoOrderingCosts)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    FiniteXferParams p;
     p.words = 64;
-    const auto res = runHlFinite(stack, p);
+    const auto res = FiniteXfer(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     // Source: pure base cost — not a single instruction of buffer
     // management, sequencing, or fault tolerance.
@@ -55,9 +55,9 @@ TEST(HlFinite, SurvivesHeavyFaultsViaHardwareRetry)
     cfg.faults.corruptRate = 0.1;
     cfg.faults.seed = 31;
     Stack stack(cfg);
-    RunParams p;
+    FiniteXferParams p;
     p.words = 256;
-    const auto res = runHlFinite(stack, p);
+    const auto res = FiniteXfer(stack).run(p);
     EXPECT_TRUE(res.dataOk);
     EXPECT_GT(stack.machine().network().stats().hwRetries, 0u);
     // Software never paid for any of it.
@@ -159,9 +159,9 @@ TEST(HlStream, OrderedWithoutAnySoftwareHelp)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    StreamParams p;
     p.words = 256;
-    const auto res = runHlStream(stack, p);
+    const auto res = StreamProtocol(stack).run(p);
     ASSERT_TRUE(res.dataOk); // order verified by content comparison
     EXPECT_EQ(res.counts.src.featureTotal(Feature::InOrderDelivery), 0u);
     EXPECT_EQ(res.counts.dst.featureTotal(Feature::InOrderDelivery), 0u);
@@ -176,9 +176,9 @@ TEST(HlStream, OrderedEvenUnderFaults)
     cfg.faults.corruptRate = 0.1;
     cfg.faults.seed = 77;
     Stack stack(cfg);
-    RunParams p;
+    StreamParams p;
     p.words = 512;
-    const auto res = runHlStream(stack, p);
+    const auto res = StreamProtocol(stack).run(p);
     EXPECT_TRUE(res.dataOk);
     EXPECT_GT(stack.machine().network().stats().hwRetries, 0u);
 }
@@ -187,9 +187,9 @@ TEST(HlStream, RejectsVolumeNotMultipleOfPacket)
 {
     log_detail::throwOnError = true;
     Stack stack(stackConfigFor(HostLayer::Hl));
-    RunParams p;
+    StreamParams p;
     p.words = 6;
-    EXPECT_THROW(runHlStream(stack, p), log_detail::SimError);
+    EXPECT_THROW(StreamProtocol(stack).run(p), log_detail::SimError);
     log_detail::throwOnError = false;
 }
 
@@ -206,22 +206,48 @@ TEST(HlStream, DispatchOpsMatchCmamStream)
     ASSERT_TRUE(proto.run(sp).dataOk);
 
     Stack hl(stackConfigFor(HostLayer::Hl));
-    RunParams hp;
+    StreamParams hp;
     hp.words = 64;
-    ASSERT_TRUE(runHlStream(hl, hp).dataOk);
+    ASSERT_TRUE(StreamProtocol(hl).run(hp).dataOk);
 
     EXPECT_EQ(cm5.dispatchOps(1), hl.dispatchOps(1));
     EXPECT_EQ(hl.dispatchOps(1), 189u);
+}
+
+TEST(HlStream, PersistentChannelDeliversByClose)
+{
+    // No acks on the hl layer: flushing waits for delivery itself.
+    Stack stack(stackConfigFor(HostLayer::Hl));
+    StreamProtocol proto(stack);
+    std::vector<Word> got;
+    std::vector<std::uint32_t> seqs;
+    const Word chan = proto.openPersistent(
+        0, 1, 1, 4,
+        [&](std::uint32_t seq, const std::vector<Word> &words) {
+            seqs.push_back(seq);
+            got.insert(got.end(), words.begin(), words.end());
+        });
+    std::vector<Word> sent(64);
+    for (std::size_t i = 0; i < sent.size(); ++i)
+        sent[i] = static_cast<Word>(1000 + i);
+    proto.sendOn(chan, sent);
+    EXPECT_EQ(proto.channelUnacked(chan), 0u);
+    proto.closePersistent(chan);
+    EXPECT_EQ(got, sent);
+    ASSERT_EQ(seqs.size(), 16u);
+    EXPECT_EQ(seqs.back(), 15u);
+    EXPECT_EQ(proto.totals().acksSent, 0u);
+    EXPECT_FALSE(proto.channelOpen(chan));
 }
 
 TEST(HlStream, EventModeDelivers)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    StreamParams p;
     p.words = 128;
     p.eventMode = true;
-    const auto res = runHlStream(stack, p);
+    const auto res = StreamProtocol(stack).run(p);
     EXPECT_TRUE(res.dataOk);
 }
 
@@ -229,11 +255,42 @@ TEST(HlFinite, EventModeDelivers)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack stack(cfg);
-    RunParams p;
+    FiniteXferParams p;
     p.words = 128;
     p.eventMode = true;
-    const auto res = runHlFinite(stack, p);
+    const auto res = FiniteXfer(stack).run(p);
     EXPECT_TRUE(res.dataOk);
+}
+
+TEST(HlFinite, StepwiseTransferNeedsNoHandshake)
+{
+    // The checker's stepwise API on the hl layer: beginTransfer posts
+    // the buffer and sends the data, so one settled poll round
+    // completes the transfer.
+    Stack stack(stackConfigFor(HostLayer::Hl));
+    FiniteXfer fx(stack);
+    FiniteXferParams p;
+    p.words = 64;
+    const Word tid = fx.beginTransfer(p);
+    stack.pollPending();
+    EXPECT_TRUE(fx.transferComplete(tid));
+    EXPECT_TRUE(fx.transferDataOk(tid));
+    EXPECT_EQ(fx.activeDstSegments(), 0u);
+    EXPECT_EQ(stack.cmam(1).segments().allocatedCount(), 0);
+    // Recovery is the fabric's: there is nothing to restart.
+    EXPECT_FALSE(fx.restartTransfer(tid));
+    EXPECT_EQ(fx.transferRestarts(tid), 0);
+}
+
+TEST(HlFinite, OneEngineRunsMoreTransfersThanTheIdField)
+{
+    // A posted transfer's id rides in the 8-bit header field.
+    Stack stack(stackConfigFor(HostLayer::Hl));
+    FiniteXfer fx(stack);
+    FiniteXferParams p;
+    p.words = 4;
+    for (int i = 0; i < 300; ++i)
+        ASSERT_TRUE(fx.run(p).dataOk) << i;
 }
 
 TEST(HlFinite, Figure6ImprovementShape)
@@ -247,12 +304,12 @@ TEST(HlFinite, Figure6ImprovementShape)
     };
     StackConfig cfg = stackConfigFor(HostLayer::Hl);
     Stack small(cfg), big(cfg);
-    RunParams ps;
+    FiniteXferParams ps;
     ps.words = 16;
-    const auto rs = runHlFinite(small, ps);
-    RunParams pb;
+    const auto rs = FiniteXfer(small).run(ps);
+    FiniteXferParams pb;
     pb.words = 1024;
-    const auto rb = runHlFinite(big, pb);
+    const auto rb = FiniteXfer(big).run(pb);
 
     const double imp_small =
         1.0 - static_cast<double>(rs.counts.paperTotal()) /

@@ -10,7 +10,6 @@
 #include <map>
 
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "sim/rng.hh"
@@ -150,9 +149,9 @@ TEST(Integration, SubstrateComparisonEndToEnd)
     StackConfig hcfg = stackConfigFor(HostLayer::Hl);
     hcfg.nodes = 2;
     Stack hl(hcfg);
-    RunParams hp;
+    StreamParams hp;
     hp.words = words;
-    const auto r_hl = runHlStream(hl, hp);
+    const auto r_hl = StreamProtocol(hl).run(hp);
     ASSERT_TRUE(r_hl.dataOk);
 
     EXPECT_LT(r_hl.counts.paperTotal() * 2,

@@ -12,7 +12,6 @@
 
 #include "model/analytic.hh"
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 
@@ -148,9 +147,9 @@ TEST_P(ModelSweep, HlFinite)
     cfg.nodes = 2;
     cfg.dataWords = n;
     Stack stack(cfg);
-    RunParams hp;
+    FiniteXferParams hp;
     hp.words = words;
-    const auto res = runHlFinite(stack, hp);
+    const auto res = FiniteXfer(stack).run(hp);
     ASSERT_TRUE(res.dataOk);
 
     ProtoParams pp;
@@ -169,9 +168,9 @@ TEST_P(ModelSweep, HlStream)
     cfg.nodes = 2;
     cfg.dataWords = n;
     Stack stack(cfg);
-    RunParams hp;
+    StreamParams hp;
     hp.words = words;
-    const auto res = runHlStream(stack, hp);
+    const auto res = StreamProtocol(stack).run(hp);
     ASSERT_TRUE(res.dataOk);
 
     ProtoParams pp;

@@ -174,6 +174,10 @@ check_prof() {
         grep -q '"ph":"s"' "$tmpdir/$sub.trace.json"
         grep -q '"bp":"e"' "$tmpdir/$sub.trace.json"
     done
+    # CMAM (cm5) and the hl layer (cr) run the one FiniteXfer engine.
+    for sub in cm5 cr; do
+        grep -q 'finite_xfer/data;cmam/xfer_send' "$tmpdir/$sub.folded"
+    done
 
     # The modern columns of the substrate x feature matrix: on rdma
     # the 1994 overheads vanish while completion-poll and
