@@ -13,12 +13,37 @@
 namespace msgsim::check
 {
 
+namespace
+{
+
+/** Nodes in a scenario's machine: two at least. */
+std::uint32_t
+machineNodes(const ScenarioConfig &cfg)
+{
+    return std::max<std::uint32_t>(2, cfg.nodes);
+}
+
+/**
+ * Word @p word of packet (or frame) @p pkt from source @p src, a
+ * sending node or a wire stream: distinct per source, packet and
+ * word (below 256 sources, 65,536 packets and 256 words), and rising
+ * with the packet index, so a delivered word tells which source sent
+ * it and where it stands in that source's order.
+ */
+constexpr Word
+payloadWord(std::uint32_t src, std::uint32_t pkt, std::uint32_t word = 0)
+{
+    return src << 24 | pkt << 8 | word;
+}
+
+} // namespace
+
 ScenarioHarness::ScenarioHarness(const ScenarioConfig &cfg)
     : cfg_(cfg)
 {
     StackConfig sc;
     sc.substrate = cfg.substrate;
-    sc.nodes = cfg.nodes < 2 ? 2 : cfg.nodes;
+    sc.nodes = machineNodes(cfg);
     stack_ = std::make_unique<Stack>(sc);
     controller_ =
         std::make_unique<ScheduleController>(stack_->network());
@@ -43,22 +68,26 @@ namespace
 {
 
 // ----------------------------------------------------------------
-// Protocol 1: single-packet active messages.  No software recovery
-// exists, so the specification is fault-aware: every message is
-// delivered exactly once, minus the ones the schedule explicitly
-// destroyed (dropped or corrupted), in order on an in-order
-// substrate.
+// Contract 1, active messages: nodes [first, end) each fire
+// `packets` am4s at one sink (single_packet: node 0 at node 1;
+// incast: every other node at node 0, the fan-in storm).  No
+// software recovery exists, so the specification is fault-aware:
+// every message is delivered exactly once, minus the copies the
+// schedule destroyed (dropped or corrupted), plus the ones it
+// duplicated; and an in-order substrate keeps each source's
+// messages in order (fan-in may interleave sources freely).
 // ----------------------------------------------------------------
-class SinglePacketScenario : public ScenarioHarness
+class AmScenario : public ScenarioHarness
 {
   public:
-    explicit SinglePacketScenario(const ScenarioConfig &cfg)
-        : ScenarioHarness(cfg)
+    AmScenario(const ScenarioConfig &cfg, NodeId first, NodeId end,
+               NodeId sink)
+        : ScenarioHarness(cfg), first_(first), end_(end), sink_(sink)
     {
         for (NodeId id = 0; id < stack_->machine().nodeCount(); ++id)
             handler_ = stack_->cmam(id).registerHandler(
-                [this](NodeId, const std::vector<Word> &args) {
-                    delivered_.push_back(args.empty() ? 0 : args[0]);
+                [this](NodeId src, const std::vector<Word> &args) {
+                    delivered_.emplace_back(src, args[0]);
                 });
         controller_->setDecisionHook(
             [this](const Choice &c, const Packet &pkt) {
@@ -75,13 +104,14 @@ class SinglePacketScenario : public ScenarioHarness
     void
     start() override
     {
-        Node &src = stack_->node(0);
         for (std::uint32_t i = 0; i < cfg_.packets; ++i) {
-            const Word value = 0xc0de0000u + i;
-            sent_.push_back(value);
-            expected_[value] = 1;
-            FeatureScope fs(src.acct(), Feature::BaseCost);
-            stack_->cmam(0).am4(1, handler_, {value, i, 0, 0});
+            for (NodeId src = first_; src < end_; ++src) {
+                const Word value = payloadWord(src, i);
+                expected_[value] = 1;
+                FeatureScope fs(stack_->node(src).acct(),
+                                Feature::BaseCost);
+                stack_->cmam(src).am4(sink_, handler_, {value, 0, 0, 0});
+            }
         }
     }
 
@@ -90,8 +120,7 @@ class SinglePacketScenario : public ScenarioHarness
     {
         std::uint64_t want = 0;
         for (const auto &[value, count] : expected_)
-            if (count > 0)
-                want += static_cast<std::uint64_t>(count);
+            want += static_cast<std::uint64_t>(std::max(count, 0));
         return delivered_.size() == want;
     }
 
@@ -99,8 +128,8 @@ class SinglePacketScenario : public ScenarioHarness
     protocolInvariant() const override
     {
         std::map<Word, int> seen;
-        for (Word v : delivered_)
-            ++seen[v];
+        for (const auto &[src, value] : delivered_)
+            ++seen[value];
         for (const auto &[value, count] : seen) {
             auto it = expected_.find(value);
             const int want = it == expected_.end()
@@ -114,10 +143,18 @@ class SinglePacketScenario : public ScenarioHarness
                 return os.str();
             }
         }
-        if (stack_->network().features().inOrderDelivery &&
-            !std::is_sorted(delivered_.begin(), delivered_.end())) {
-            return "in-order substrate delivered messages out of "
-                   "order";
+        if (stack_->network().features().inOrderDelivery) {
+            std::map<NodeId, Word> last;
+            for (const auto &[src, value] : delivered_) {
+                const auto [it, first] = last.try_emplace(src, value);
+                if (!first && value < it->second) {
+                    std::ostringstream os;
+                    os << "in-order substrate reordered source " << src
+                       << "'s messages";
+                    return os.str();
+                }
+                it->second = value;
+            }
         }
         return "";
     }
@@ -138,122 +175,7 @@ class SinglePacketScenario : public ScenarioHarness
     }
 
   private:
-    int handler_ = 0;
-    std::vector<Word> sent_;
-    std::vector<Word> delivered_;
-    std::map<Word, int> expected_; ///< per-value surviving copies
-};
-
-// ----------------------------------------------------------------
-// Incast: every non-zero node fires `packets` active messages at
-// node 0 — the datacenter fan-in storm as a checked scenario.  Like
-// single_packet the specification is fault-aware (exactly-once
-// among the surviving copies), plus per-source monotonic delivery
-// on an in-order substrate: fan-in may interleave sources freely,
-// but no fabric may reorder any one of them.
-// ----------------------------------------------------------------
-class IncastScenario : public ScenarioHarness
-{
-  public:
-    explicit IncastScenario(const ScenarioConfig &cfg)
-        : ScenarioHarness(cfg)
-    {
-        for (NodeId id = 0; id < stack_->machine().nodeCount(); ++id)
-            handler_ = stack_->cmam(id).registerHandler(
-                [this](NodeId src, const std::vector<Word> &args) {
-                    delivered_.emplace_back(
-                        src, args.empty() ? 0 : args[0]);
-                });
-        controller_->setDecisionHook(
-            [this](const Choice &c, const Packet &pkt) {
-                if (pkt.tag != HwTag::UserAm || pkt.data.empty())
-                    return;
-                if (c.kind == ChoiceKind::Drop ||
-                    c.kind == ChoiceKind::Corrupt)
-                    --expected_[pkt.data[0]];
-                else if (c.kind == ChoiceKind::Duplicate)
-                    ++expected_[pkt.data[0]];
-            });
-    }
-
-    void
-    start() override
-    {
-        const std::uint32_t n = stack_->machine().nodeCount();
-        for (std::uint32_t i = 0; i < cfg_.packets; ++i) {
-            for (NodeId src = 1; src < n; ++src) {
-                const Word value =
-                    (static_cast<Word>(src) << 16) | i;
-                expected_[value] = 1;
-                Node &nd = stack_->node(src);
-                FeatureScope fs(nd.acct(), Feature::BaseCost);
-                stack_->cmam(src).am4(0, handler_, {value, i, 0, 0});
-            }
-        }
-    }
-
-    bool
-    done() const override
-    {
-        std::uint64_t want = 0;
-        for (const auto &[value, count] : expected_)
-            if (count > 0)
-                want += static_cast<std::uint64_t>(count);
-        return delivered_.size() == want;
-    }
-
-    std::string
-    protocolInvariant() const override
-    {
-        std::map<Word, int> seen;
-        for (const auto &[src, v] : delivered_)
-            ++seen[v];
-        for (const auto &[value, count] : seen) {
-            auto it = expected_.find(value);
-            const int want = it == expected_.end()
-                                 ? 0
-                                 : std::max(0, it->second);
-            if (count > want) {
-                std::ostringstream os;
-                os << "value " << std::hex << value << std::dec
-                   << " delivered " << count << "x, expected "
-                   << want;
-                return os.str();
-            }
-        }
-        if (stack_->network().features().inOrderDelivery) {
-            std::map<NodeId, Word> last;
-            for (const auto &[src, v] : delivered_) {
-                auto it = last.find(src);
-                if (it != last.end() && v < it->second) {
-                    std::ostringstream os;
-                    os << "in-order substrate reordered source "
-                       << src << "'s fan-in stream";
-                    return os.str();
-                }
-                last[src] = std::max(
-                    it == last.end() ? v : it->second, v);
-            }
-        }
-        return "";
-    }
-
-    std::string
-    protocolFinal() const override
-    {
-        const std::string step = protocolInvariant();
-        if (!step.empty())
-            return step;
-        if (!done()) {
-            std::ostringstream os;
-            os << "only " << delivered_.size()
-               << " of the surviving fan-in messages were delivered";
-            return os.str();
-        }
-        return "";
-    }
-
-  private:
+    NodeId first_, end_, sink_;
     int handler_ = 0;
     /// (source, value) in delivery order at the sink.
     std::vector<std::pair<NodeId, Word>> delivered_;
@@ -261,13 +183,13 @@ class IncastScenario : public ScenarioHarness
 };
 
 // ----------------------------------------------------------------
-// Protocol 2: the finite-sequence transfer, with explicit restart
+// Contract 2, the finite-sequence transfer, with explicit restart
 // recovery as the kick.
 // ----------------------------------------------------------------
-class FiniteXferScenario : public ScenarioHarness
+class TransferScenario : public ScenarioHarness
 {
   public:
-    explicit FiniteXferScenario(const ScenarioConfig &cfg)
+    explicit TransferScenario(const ScenarioConfig &cfg)
         : ScenarioHarness(cfg)
     {
         xfer_ = std::make_unique<FiniteXfer>(*stack_);
@@ -320,10 +242,12 @@ class FiniteXferScenario : public ScenarioHarness
 };
 
 // ----------------------------------------------------------------
-// Protocol 3: the indefinite-sequence stream on a persistent
-// channel.  Exactly-once in-order delivery must hold under drops,
-// corruption, AND duplication; the kick is the timeout model
-// (flush partial group acks, retransmit unacked).
+// Contract 3, the indefinite-sequence stream on a persistent
+// channel from node 0 to node 1.  Exactly-once in-order delivery
+// must hold under drops, corruption, AND duplication, with the
+// reorder buffer and retransmission ring within their bounds; the
+// kick is the timeout model (flush partial group acks, retransmit
+// unacked).
 // ----------------------------------------------------------------
 class StreamScenario : public ScenarioHarness
 {
@@ -333,26 +257,19 @@ class StreamScenario : public ScenarioHarness
     {
         proto_ = std::make_unique<StreamProtocol>(*stack_);
         proto_->setBugAckBeforeInsert(cfg.bugAckBeforeInsert);
-        chan_ = proto_->openPersistent(
-            0, 1, cfg.groupAck, /*ringPackets=*/cfg.packets,
-            [this](std::uint32_t seq, const std::vector<Word> &w) {
-                deliveredSeqs_.push_back(seq);
-                deliveredFirstWords_.push_back(w.empty() ? 0 : w[0]);
-            });
     }
 
     void
     start() override
     {
-        const int n = stack_->dataWords();
-        std::vector<Word> words;
-        words.reserve(cfg_.packets * static_cast<std::uint32_t>(n));
-        for (std::uint32_t i = 0; i < cfg_.packets; ++i)
-            for (int j = 0; j < n; ++j)
-                words.push_back(value(i, j));
+        chan_ = proto_->openPersistent(
+            0, 1, cfg_.groupAck, /*ringPackets=*/cfg_.packets,
+            [this](std::uint32_t, const std::vector<Word> &w) {
+                delivered_.push_back(w[0]);
+            });
         // The ring has as many slots as packets, so this never
         // blocks on the (gated, schedule-driven) progress loop.
-        proto_->sendOn(chan_, words);
+        proto_->sendOn(chan_, payload());
     }
 
     bool
@@ -371,24 +288,28 @@ class StreamScenario : public ScenarioHarness
     bool
     done() const override
     {
-        return proto_->channelDelivered(chan_) == cfg_.packets &&
+        return delivered_.size() == cfg_.packets &&
                proto_->channelUnacked(chan_) == 0;
     }
 
     std::string
     protocolInvariant() const override
     {
-        if (proto_->channelDelivered(chan_) > cfg_.packets)
+        if (delivered_.size() > cfg_.packets)
             return "more packets delivered than were sent";
-        for (std::size_t i = 0; i < deliveredSeqs_.size(); ++i) {
-            if (deliveredSeqs_[i] != i)
-                return "delivery sequence broke in-order "
-                       "exactly-once contract";
-            if (deliveredFirstWords_[i] !=
-                value(static_cast<std::uint32_t>(i), 0))
-                return "delivered payload does not match what was "
-                       "sent";
+        for (std::size_t i = 0; i < delivered_.size(); ++i) {
+            if (delivered_[i] !=
+                payloadWord(0, static_cast<std::uint32_t>(i))) {
+                std::ostringstream os;
+                os << "stream broke in-order exactly-once delivery "
+                      "at packet "
+                   << i;
+                return os.str();
+            }
         }
+        // A closed channel holds nothing to bound: close() drained it.
+        if (!proto_->channelOpen(chan_))
+            return "";
         if (proto_->channelPending(chan_) >
             proto_->channelArenaSlots(chan_))
             return "reorder buffer exceeded its arena";
@@ -404,13 +325,14 @@ class StreamScenario : public ScenarioHarness
         const std::string step = protocolInvariant();
         if (!step.empty())
             return step;
-        if (proto_->channelDelivered(chan_) != cfg_.packets) {
+        if (delivered_.size() != cfg_.packets) {
             std::ostringstream os;
-            os << "stream delivered "
-               << proto_->channelDelivered(chan_) << " of "
+            os << "stream delivered " << delivered_.size() << " of "
                << cfg_.packets << " packets";
             return os.str();
         }
+        if (!proto_->channelOpen(chan_))
+            return "";
         if (proto_->channelUnacked(chan_) != 0)
             return "sender retains unacknowledged packets at "
                    "quiescence";
@@ -420,140 +342,85 @@ class StreamScenario : public ScenarioHarness
     }
 
   protected:
-    static Word
-    value(std::uint32_t pkt, int word)
+    /** Every packet's words, in send order. */
+    std::vector<Word>
+    payload() const
     {
-        return 0xab000000u + pkt * 64u +
-               static_cast<std::uint32_t>(word);
+        const auto n = static_cast<std::uint32_t>(stack_->dataWords());
+        std::vector<Word> words;
+        words.reserve(cfg_.packets * n);
+        for (std::uint32_t i = 0; i < cfg_.packets; ++i)
+            for (std::uint32_t j = 0; j < n; ++j)
+                words.push_back(payloadWord(0, i, j));
+        return words;
     }
 
     std::unique_ptr<StreamProtocol> proto_;
     Word chan_ = 0;
-    std::vector<std::uint32_t> deliveredSeqs_;
-    std::vector<Word> deliveredFirstWords_;
+    /// First word of each delivered packet, in delivery order.
+    std::vector<Word> delivered_;
 };
 
-// ----------------------------------------------------------------
-// Protocol 4: the socket API over the stream engine, including the
-// explicit close()/drain() teardown once the schedule completes.
-// ----------------------------------------------------------------
-class SocketScenario : public ScenarioHarness
+// The socket API over the same channel: opened and written through
+// StreamSocket, and closed (drained, then retired) once the schedule
+// completes, so the teardown is verified too.
+class SocketScenario : public StreamScenario
 {
   public:
-    explicit SocketScenario(const ScenarioConfig &cfg)
-        : ScenarioHarness(cfg)
-    {
-        proto_ = std::make_unique<StreamProtocol>(*stack_);
-        proto_->setBugAckBeforeInsert(cfg.bugAckBeforeInsert);
-        StreamSocket::Options opts;
-        opts.groupAck = cfg.groupAck;
-        opts.ringPackets = cfg.packets;
-        socket_ = std::make_unique<StreamSocket>(
-            *proto_, 0, 1,
-            [this](const std::vector<Word> &w) {
-                deliveredFirstWords_.push_back(w.empty() ? 0 : w[0]);
-            },
-            opts);
-    }
+    using StreamScenario::StreamScenario;
 
     void
     start() override
     {
-        const int n = stack_->dataWords();
-        std::vector<Word> words;
-        words.reserve(cfg_.packets * static_cast<std::uint32_t>(n));
-        for (std::uint32_t i = 0; i < cfg_.packets; ++i)
-            for (int j = 0; j < n; ++j)
-                words.push_back(value(i, j));
-        socket_->write(words);
+        StreamSocket::Options opts;
+        opts.groupAck = cfg_.groupAck;
+        opts.ringPackets = cfg_.packets;
+        socket_ = std::make_unique<StreamSocket>(
+            *proto_, 0, 1,
+            [this](const std::vector<Word> &w) {
+                delivered_.push_back(w[0]);
+            },
+            opts);
+        chan_ = socket_->channel();
+        socket_->write(payload());
     }
 
-    bool
-    kick() override
-    {
-        if (!socket_->isOpen())
-            return false;
-        const auto acksBefore = proto_->totals().acksSent;
-        proto_->flushGroupAcks(socket_->channel());
-        bool acted = proto_->totals().acksSent != acksBefore;
-        if (socket_->unacked() > 0) {
-            proto_->retransmitUnacked(socket_->channel());
-            acted = true;
-        }
-        return acted;
-    }
-
-    bool
-    done() const override
-    {
-        return deliveredFirstWords_.size() == cfg_.packets &&
-               socket_->unacked() == 0;
-    }
-
-    void
-    finish() override
-    {
-        // Everything is delivered and acked; teardown must be clean
-        // and instantaneous.
-        socket_->close();
-    }
-
-    std::string
-    protocolInvariant() const override
-    {
-        if (deliveredFirstWords_.size() > cfg_.packets)
-            return "more packets delivered than were written";
-        for (std::size_t i = 0; i < deliveredFirstWords_.size(); ++i)
-            if (deliveredFirstWords_[i] !=
-                value(static_cast<std::uint32_t>(i), 0))
-                return "socket delivered data out of order or "
-                       "corrupted";
-        return "";
-    }
+    void finish() override { socket_->close(); }
 
     std::string
     protocolFinal() const override
     {
-        const std::string step = protocolInvariant();
-        if (!step.empty())
-            return step;
-        if (deliveredFirstWords_.size() != cfg_.packets) {
-            std::ostringstream os;
-            os << "socket delivered " << deliveredFirstWords_.size()
-               << " of " << cfg_.packets << " packets";
-            return os.str();
-        }
         if (socket_->isOpen())
             return "socket still open after teardown";
-        return "";
+        return StreamScenario::protocolFinal();
     }
 
   private:
-    static Word
-    value(std::uint32_t pkt, int word)
-    {
-        return 0xcd000000u + pkt * 64u +
-               static_cast<std::uint32_t>(word);
-    }
-
-    std::unique_ptr<StreamProtocol> proto_;
     std::unique_ptr<StreamSocket> socket_;
-    std::vector<Word> deliveredFirstWords_;
 };
 
 // ----------------------------------------------------------------
-// Protocols 5-7: the wire layer's StreamMux — framed multi-stream
+// Contract 4, the wire layer's StreamMux: framed multi-stream
 // transport with per-stream sliding-window flow control, riding a
-// reliable channel pair.  Shared base: the mux, the per-stream
-// delivery journal, and the wire safety contract (in-order
-// exactly-once per stream, intact payloads, window bound, and no
-// delivery on a reset stream).
+// reliable channel pair.  Streams open in batches; each batch sends
+// every frame round-robin over its streams, then closes them, before
+// the next batch opens.  One batch of --streams streams is the
+// window-stall/refill race (wire_window: sends defer to the backlog
+// and only cumulative acks, which the schedule orders freely, pump
+// them out; with --wire-corrupt-every the CRC-reject resend path
+// joins in); two batches of one are the attach-while-detaching race
+// (wire_attach: stream A closes with frames still unacked, then B
+// attaches and pushes data while A tears down).  Safety, per step:
+// in-order exactly-once intact delivery per stream, the window
+// bound, and no delivery on a reset stream; at the end every stream
+// delivered all its frames and is detached on both sides.
 // ----------------------------------------------------------------
-class WireScenarioBase : public ScenarioHarness
+class WireScenario : public ScenarioHarness
 {
-  protected:
-    explicit WireScenarioBase(const ScenarioConfig &cfg)
-        : ScenarioHarness(cfg)
+  public:
+    WireScenario(const ScenarioConfig &cfg,
+                 std::vector<std::uint32_t> batches)
+        : ScenarioHarness(cfg), batches_(std::move(batches))
     {
         proto_ = std::make_unique<StreamProtocol>(*stack_);
         wire::MuxOptions mo;
@@ -577,47 +444,46 @@ class WireScenarioBase : public ScenarioHarness
         mux_->setBugResetDeliver(cfg.bugWireResetDeliver);
     }
 
-    virtual void
-    onDeliver(std::uint16_t sid, std::uint32_t seq,
-              const std::vector<Word> &payload)
+    void
+    start() override
     {
-        seqs_[sid].push_back(seq);
-        firstWords_[sid].push_back(payload.empty() ? 0 : payload[0]);
+        for (const std::uint32_t n : batches_) {
+            const std::size_t first = sids_.size();
+            for (std::uint32_t s = 0; s < n; ++s)
+                sids_.push_back(mux_->openStream());
+            for (std::uint32_t i = 0; i < cfg_.packets; ++i)
+                for (std::size_t k = first; k < sids_.size(); ++k)
+                    mux_->send(sids_[k], payloadFor(sids_[k], i));
+            for (std::size_t k = first; k < sids_.size(); ++k)
+                mux_->closeStream(sids_[k]);
+        }
     }
 
-    static Word
-    value(std::uint16_t sid, std::uint32_t frame, int word)
+    bool kick() override { return mux_->kick(); }
+
+    bool
+    done() const override
     {
-        return 0xef000000u + (static_cast<Word>(sid) << 16) +
-               frame * 8u + static_cast<Word>(word);
+        for (const std::uint16_t sid : sids_) {
+            if (mux_->sendState(sid) != wire::SendState::Detached)
+                return false;
+            if (mux_->deliveredOn(sid) != cfg_.packets)
+                return false;
+        }
+        return mux_->quiescent();
     }
 
-    std::vector<Word>
-    payloadFor(std::uint16_t sid, std::uint32_t frame) const
-    {
-        return {value(sid, frame, 0), value(sid, frame, 1)};
-    }
-
-    /** The wire layer's core safety contract, checked per step. */
     std::string
-    wireSafety() const
+    protocolInvariant() const override
     {
-        for (const auto &[sid, seqs] : seqs_) {
-            const auto &words = firstWords_.at(sid);
-            for (std::size_t i = 0; i < seqs.size(); ++i) {
-                if (seqs[i] != i) {
+        for (const auto &[sid, words] : delivered_) {
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                if (words[i] !=
+                    payloadWord(sid, static_cast<std::uint32_t>(i))) {
                     std::ostringstream os;
                     os << "stream " << sid
                        << " broke in-order exactly-once delivery "
                           "at frame "
-                       << i;
-                    return os.str();
-                }
-                if (words[i] !=
-                    value(sid, static_cast<std::uint32_t>(i), 0)) {
-                    std::ostringstream os;
-                    os << "stream " << sid
-                       << " delivered a corrupted payload at frame "
                        << i;
                     return os.str();
                 }
@@ -638,83 +504,22 @@ class WireScenarioBase : public ScenarioHarness
         return "";
     }
 
-  public:
-    bool kick() override { return mux_->kick(); }
-
-  protected:
-    std::unique_ptr<StreamProtocol> proto_;
-    std::unique_ptr<wire::StreamMux> mux_;
-    std::vector<std::uint16_t> sids_;
-    /// Per-stream delivery journal at the receiver.
-    std::map<std::uint16_t, std::vector<std::uint32_t>> seqs_;
-    std::map<std::uint16_t, std::vector<Word>> firstWords_;
-};
-
-// The window-stall/refill race: several streams round-robin more
-// frames than the window admits, so sends defer to the backlog and
-// only cumulative acks (which the schedule orders freely) pump them
-// out.  With --wire-corrupt-every the CRC-reject resend path joins
-// the exploration.
-class WireWindowScenario : public WireScenarioBase
-{
-  public:
-    explicit WireWindowScenario(const ScenarioConfig &cfg)
-        : WireScenarioBase(cfg)
-    {
-    }
-
-    void
-    start() override
-    {
-        const std::uint32_t n = cfg_.streams < 1 ? 1 : cfg_.streams;
-        for (std::uint32_t s = 0; s < n; ++s)
-            sids_.push_back(mux_->openStream());
-        for (std::uint32_t i = 0; i < cfg_.packets; ++i)
-            for (const std::uint16_t sid : sids_)
-                mux_->send(sid, payloadFor(sid, i));
-        for (const std::uint16_t sid : sids_)
-            mux_->closeStream(sid);
-    }
-
-    bool
-    done() const override
-    {
-        for (const std::uint16_t sid : sids_) {
-            if (mux_->sendState(sid) != wire::SendState::Detached)
-                return false;
-            if (mux_->deliveredOn(sid) != cfg_.packets)
-                return false;
-        }
-        return mux_->quiescent();
-    }
-
-    std::string
-    protocolInvariant() const override
-    {
-        return wireSafety();
-    }
-
     std::string
     protocolFinal() const override
     {
-        const std::string step = wireSafety();
+        const std::string step = protocolInvariant();
         if (!step.empty())
             return step;
         for (const std::uint16_t sid : sids_) {
-            if (mux_->deliveredOn(sid) != cfg_.packets) {
-                std::ostringstream os;
-                os << "stream " << sid << " delivered "
-                   << mux_->deliveredOn(sid) << " of "
-                   << cfg_.packets << " frames";
-                return os.str();
-            }
-            if (mux_->sendState(sid) != wire::SendState::Detached ||
+            if (mux_->deliveredOn(sid) != cfg_.packets ||
+                mux_->sendState(sid) != wire::SendState::Detached ||
                 mux_->recvState(sid) != wire::RecvState::Detached) {
                 std::ostringstream os;
                 os << "stream " << sid << " ended "
                    << toString(mux_->sendState(sid)) << "/"
-                   << toString(mux_->recvState(sid))
-                   << ", expected detached/detached";
+                   << toString(mux_->recvState(sid)) << " with "
+                   << mux_->deliveredOn(sid) << " of "
+                   << cfg_.packets << " frames";
                 return os.str();
             }
         }
@@ -722,18 +527,39 @@ class WireWindowScenario : public WireScenarioBase
             return "wire layer not quiescent at end of schedule";
         return "";
     }
+
+  protected:
+    virtual void
+    onDeliver(std::uint16_t sid, std::uint32_t,
+              const std::vector<Word> &payload)
+    {
+        delivered_[sid].push_back(payload[0]);
+    }
+
+    static std::vector<Word>
+    payloadFor(std::uint16_t sid, std::uint32_t frame)
+    {
+        return {payloadWord(sid, frame, 0), payloadWord(sid, frame, 1)};
+    }
+
+    std::unique_ptr<StreamProtocol> proto_;
+    std::unique_ptr<wire::StreamMux> mux_;
+    std::vector<std::uint32_t> batches_; ///< streams per batch
+    std::vector<std::uint16_t> sids_;
+    /// Per-stream first payload words, in delivery order.
+    std::map<std::uint16_t, std::vector<Word>> delivered_;
 };
 
-// The reset-vs-inflight-data race: the receiver aborts the stream
-// from inside the first delivery, with the rest of the window still
-// in the network.  The contract says every later DATA frame is
-// discarded; the seeded bug (--bug-wire-reset) keeps delivering and
-// the checker must catch it.
-class WireResetScenario : public WireScenarioBase
+// The reset-vs-inflight-data race: one stream, never closed; the
+// receiver aborts it from inside the first delivery, with the rest
+// of the window still in the network.  The contract says every
+// later DATA frame is discarded; the seeded bug (--bug-wire-reset)
+// keeps delivering and the checker must catch it.
+class WireResetScenario : public WireScenario
 {
   public:
     explicit WireResetScenario(const ScenarioConfig &cfg)
-        : WireScenarioBase(cfg)
+        : WireScenario(cfg, {})
     {
     }
 
@@ -744,7 +570,6 @@ class WireResetScenario : public WireScenarioBase
         sids_.push_back(sid_);
         for (std::uint32_t i = 0; i < cfg_.packets; ++i)
             mux_->send(sid_, payloadFor(sid_, i));
-        // No close: the receiver aborts mid-stream instead.
     }
 
     bool
@@ -756,15 +581,9 @@ class WireResetScenario : public WireScenarioBase
     }
 
     std::string
-    protocolInvariant() const override
-    {
-        return wireSafety();
-    }
-
-    std::string
     protocolFinal() const override
     {
-        const std::string step = wireSafety();
+        const std::string step = protocolInvariant();
         if (!step.empty())
             return step;
         if (mux_->deliveredOn(sid_) != 1) {
@@ -786,7 +605,7 @@ class WireResetScenario : public WireScenarioBase
     onDeliver(std::uint16_t sid, std::uint32_t seq,
               const std::vector<Word> &payload) override
     {
-        WireScenarioBase::onDeliver(sid, seq, payload);
+        WireScenario::onDeliver(sid, seq, payload);
         if (!resetIssued_) {
             resetIssued_ = true;
             mux_->resetStream(sid);
@@ -798,99 +617,49 @@ class WireResetScenario : public WireScenarioBase
     bool resetIssued_ = false;
 };
 
-// The attach-while-detaching race: stream A is closed with frames
-// still unacked (DETACH deferred in state Closing), then stream B
-// attaches and pushes data through the same channel while A is
-// still tearing down.  Per-stream in-order exactly-once must hold
-// for both, and both must end fully detached.
-class WireAttachScenario : public WireScenarioBase
-{
-  public:
-    explicit WireAttachScenario(const ScenarioConfig &cfg)
-        : WireScenarioBase(cfg)
-    {
-    }
-
-    void
-    start() override
-    {
-        const std::uint16_t a = mux_->openStream();
-        sids_.push_back(a);
-        for (std::uint32_t i = 0; i < cfg_.packets; ++i)
-            mux_->send(a, payloadFor(a, i));
-        mux_->closeStream(a); // Closing: frames still unacked
-        const std::uint16_t b = mux_->openStream();
-        sids_.push_back(b);
-        for (std::uint32_t i = 0; i < cfg_.packets; ++i)
-            mux_->send(b, payloadFor(b, i));
-        mux_->closeStream(b);
-    }
-
-    bool
-    done() const override
-    {
-        for (const std::uint16_t sid : sids_) {
-            if (mux_->sendState(sid) != wire::SendState::Detached)
-                return false;
-            if (mux_->deliveredOn(sid) != cfg_.packets)
-                return false;
-        }
-        return mux_->quiescent();
-    }
-
-    std::string
-    protocolInvariant() const override
-    {
-        return wireSafety();
-    }
-
-    std::string
-    protocolFinal() const override
-    {
-        const std::string step = wireSafety();
-        if (!step.empty())
-            return step;
-        for (const std::uint16_t sid : sids_) {
-            if (mux_->deliveredOn(sid) != cfg_.packets ||
-                mux_->sendState(sid) != wire::SendState::Detached ||
-                mux_->recvState(sid) != wire::RecvState::Detached) {
-                std::ostringstream os;
-                os << "stream " << sid << " ended "
-                   << toString(mux_->sendState(sid)) << "/"
-                   << toString(mux_->recvState(sid)) << " with "
-                   << mux_->deliveredOn(sid) << " of "
-                   << cfg_.packets << " frames";
-                return os.str();
-            }
-        }
-        if (!mux_->quiescent())
-            return "wire layer not quiescent at end of schedule";
-        return "";
-    }
-};
+using Harness = std::unique_ptr<ScenarioHarness>;
 
 /** A @p S harness: one row of the scenario table. */
 template <class S>
-std::unique_ptr<ScenarioHarness>
+Harness
 build(const ScenarioConfig &cfg)
 {
     return std::make_unique<S>(cfg);
 }
 
-/** Every checker protocol: its name and its harness. */
+/**
+ * Every checker protocol: its name and its harness, one of the four
+ * contracts above with the row's senders, sink or stream batches.
+ */
 constexpr struct
 {
     const char *name;
-    std::unique_ptr<ScenarioHarness> (*make)(const ScenarioConfig &);
+    Harness (*make)(const ScenarioConfig &);
 } scenarios[] = {
-    {"single_packet", build<SinglePacketScenario>},
-    {"incast", build<IncastScenario>},
-    {"finite_xfer", build<FiniteXferScenario>},
+    {"single_packet",
+     [](const ScenarioConfig &c) -> Harness {
+         return std::make_unique<AmScenario>(c, /*first=*/0, /*end=*/1,
+                                             /*sink=*/1);
+     }},
+    {"incast",
+     [](const ScenarioConfig &c) -> Harness {
+         return std::make_unique<AmScenario>(c, /*first=*/1,
+                                             machineNodes(c), /*sink=*/0);
+     }},
+    {"finite_xfer", build<TransferScenario>},
     {"stream", build<StreamScenario>},
     {"socket", build<SocketScenario>},
-    {"wire_window", build<WireWindowScenario>},
+    {"wire_window",
+     [](const ScenarioConfig &c) -> Harness {
+         return std::make_unique<WireScenario>(
+             c, std::vector<std::uint32_t>{std::max(1u, c.streams)});
+     }},
     {"wire_reset", build<WireResetScenario>},
-    {"wire_attach", build<WireAttachScenario>},
+    {"wire_attach",
+     [](const ScenarioConfig &c) -> Harness {
+         return std::make_unique<WireScenario>(
+             c, std::vector<std::uint32_t>{1, 1});
+     }},
 };
 
 } // namespace

@@ -21,14 +21,9 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cm5net/cm5_network.hh"
-#include "crnet/cr_network.hh"
-#include "nicam/nicam_network.hh"
-#include "rdmanet/rdma_network.hh"
 #include "hostprof/hostprof.hh"
 #include "hostprof/hw_counters.hh"
 #include "prof/profile.hh"
@@ -60,45 +55,36 @@ usSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** A bare 16-node fabric of type @p Net. */
-template <class Net>
-std::unique_ptr<Network>
-fabric(Simulator &sim)
-{
-    typename Net::Config cfg;
-    cfg.nodes = 16;
-    return std::make_unique<Net>(sim, cfg);
-}
-
-/** Pump 4-word packets from node 0 to node 1 of @p s's fabric. */
+/**
+ * Pump 4-word packets from node 0 to node 1 through @p s's fabric
+ * alone: a 16-node Stack's network with node 1's NI sink replaced by
+ * a counter, so neither the NI nor CMAM is on the path.
+ */
 WorkloadRun
 pumpFabric(Substrate s, std::uint64_t packets)
 {
     WorkloadRun run;
     run.label = std::string(toString(s)) + " network";
-    Simulator sim;
-    std::unique_ptr<Network> net;
-    switch (s) {
-      case Substrate::Cm5:   net = fabric<Cm5Network>(sim); break;
-      case Substrate::Cr:    net = fabric<CrNetwork>(sim); break;
-      case Substrate::Rdma:  net = fabric<RdmaNetwork>(sim); break;
-      case Substrate::Nicam: net = fabric<NicamNetwork>(sim); break;
-    }
+    StackConfig cfg;
+    cfg.substrate = s;
+    cfg.nodes = 16;
+    Stack stack(cfg);
+    Network &net = stack.network();
     std::uint64_t delivered = 0;
     // On nicam every packet hits the on-NIC handler table: the pump
     // measures the offload dispatch path, not the host fallback.
     if (s == Substrate::Nicam)
-        static_cast<NicamNetwork &>(*net).offloadHandler(
+        static_cast<NicamNetwork &>(net).offloadHandler(
             1, HwTag::UserAm, 0,
             [&delivered](const Packet &) { ++delivered; });
-    net->attach(1, [&delivered](Packet &) {
+    net.attach(1, [&delivered](Packet &) {
         ++delivered;
         return true;
     });
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < packets; ++i) {
-        net->inject(Packet(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4}));
-        sim.run();
+        net.inject(Packet(0, 1, HwTag::UserAm, 0, {1, 2, 3, 4}));
+        stack.sim().run();
     }
     run.wallUs = usSince(t0);
     run.packets = delivered;

@@ -54,6 +54,11 @@ StreamProtocol::openChannel(const StreamParams &params, DeliverFn cb)
     ch.groupAck = params.groupAck < 1 ? 1 : params.groupAck;
     ch.window = params.window;
     ch.userCb = std::move(cb);
+    // A trusting layer keeps no sequence words, retransmission ring
+    // or reorder arena, so it carves none (its retxSlots of 0 never
+    // bounds sendOn: nothing is ever left unacknowledged).
+    if (ordered_)
+        return ch;
 
     const int n = stack_.dataWords();
     const std::uint32_t packets =
@@ -119,19 +124,22 @@ StreamProtocol::closeChannel(Word id)
     if (it == channels_.end())
         return;
     const Channel &ch = it->second;
-    ChannelResources res;
-    res.src = ch.src;
-    res.dst = ch.dst;
-    res.seqAddr = ch.seqAddr;
-    res.lastSentAddr = ch.lastSentAddr;
-    res.retxBase = ch.retxBase;
-    res.retxSlots = ch.retxSlots;
-    res.arenaBase = ch.arenaBase;
-    res.arenaSlots = ch.arenaSlots;
-    res.listHeadAddr = ch.listHeadAddr;
-    res.pendingCountAddr = ch.pendingCountAddr;
-    res.lastDeliveredAddr = ch.lastDeliveredAddr;
-    resourcePool_.push_back(res);
+    // A trusting layer's channel carved nothing to hand back.
+    if (!ordered_) {
+        ChannelResources res;
+        res.src = ch.src;
+        res.dst = ch.dst;
+        res.seqAddr = ch.seqAddr;
+        res.lastSentAddr = ch.lastSentAddr;
+        res.retxBase = ch.retxBase;
+        res.retxSlots = ch.retxSlots;
+        res.arenaBase = ch.arenaBase;
+        res.arenaSlots = ch.arenaSlots;
+        res.listHeadAddr = ch.listHeadAddr;
+        res.pendingCountAddr = ch.pendingCountAddr;
+        res.lastDeliveredAddr = ch.lastDeliveredAddr;
+        resourcePool_.push_back(res);
+    }
     freeIds_.push_back(id);
     channels_.erase(it);
 }

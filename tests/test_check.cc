@@ -6,13 +6,16 @@
  * destruction), bounded-exhaustive exploration
  * with invariants holding, determinism of reports, the seeded
  * ack-before-insert stream bug being caught / shrunk / replayed
- * through its JSON counterexample end to end, and tolerant replay of
- * stale schedules.
+ * through its JSON counterexample end to end, tolerant replay of
+ * stale schedules, and a small exploration of every scenario on
+ * every fabric.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "check/explorer.hh"
@@ -419,6 +422,38 @@ TEST(Explorer, FaultSchedulesExerciseRecovery)
                                    .replay({{ChoiceKind::Drop, 0}});
     EXPECT_FALSE(res.violated) << res.invariant << ": " << res.detail;
 }
+
+// --- Every contract on every fabric --------------------------------
+
+class Contracts
+    : public ::testing::TestWithParam<std::tuple<std::string, Substrate>>
+{
+};
+
+TEST_P(Contracts, SmallExplorationIsCleanAndDeterministic)
+{
+    ScenarioConfig sc;
+    sc.protocol = std::get<0>(GetParam());
+    sc.substrate = std::get<1>(GetParam());
+    sc.packets = 2;
+    sc.faults = 1;
+    ExploreLimits lim;
+    lim.depth = 6;
+    lim.budget = 500;
+    const CheckReport rep = Explorer(sc, lim).run();
+    EXPECT_EQ(rep.violations, 0u) << rep.counterexample.invariant
+                                  << ": " << rep.counterexample.detail;
+    EXPECT_EQ(reportToJson(rep), reportToJson(Explorer(sc, lim).run()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFabrics, Contracts,
+    ::testing::Combine(::testing::ValuesIn(ScenarioHarness::protocols()),
+                       ::testing::ValuesIn(allSubstrates)),
+    [](const ::testing::TestParamInfo<Contracts::ParamType> &info) {
+        return std::get<0>(info.param) + "_" +
+               toString(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace msgsim::check

@@ -240,6 +240,37 @@ TEST(HlStream, PersistentChannelDeliversByClose)
     EXPECT_FALSE(proto.channelOpen(chan));
 }
 
+TEST(HlStream, ChannelsCarveNoNodeMemory)
+{
+    // The fabric orders and delivers, so an hl channel has no
+    // sequence words, retransmission ring or reorder arena to carve.
+    Stack stack(stackConfigFor(HostLayer::Hl));
+    const Memory &src = stack.node(0).mem();
+    const Memory &dst = stack.node(1).mem();
+    const std::size_t srcBefore = src.allocated();
+    const std::size_t dstBefore = dst.allocated();
+    StreamProtocol proto(stack);
+    StreamParams p;
+    p.words = 1024;
+    ASSERT_TRUE(proto.run(p).dataOk);
+    const Word chan = proto.openPersistent(0, 1, 1, 64, nullptr);
+    proto.sendOn(chan, std::vector<Word>(256, 7));
+    proto.closePersistent(chan);
+    EXPECT_EQ(src.allocated(), srcBefore);
+    EXPECT_EQ(dst.allocated(), dstBefore);
+
+    // CMAM carves them: a 256-packet channel holds two sequence words
+    // and a 257-packet ring at the source, and a 258-slot arena of
+    // (seq, link, 4 words) plus three list words at the destination.
+    Stack cm5(StackConfig{});
+    const std::size_t cmSrcBefore = cm5.node(0).mem().allocated();
+    const std::size_t cmDstBefore = cm5.node(1).mem().allocated();
+    StreamProtocol cmam(cm5);
+    ASSERT_TRUE(cmam.run(p).dataOk);
+    EXPECT_EQ(cm5.node(0).mem().allocated() - cmSrcBefore, 1030u);
+    EXPECT_EQ(cm5.node(1).mem().allocated() - cmDstBefore, 1551u);
+}
+
 TEST(HlStream, EventModeDelivers)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Hl);

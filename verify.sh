@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Repo verification: build, run the test suite, then drive one traced
-# example end-to-end and check that the exported Chrome trace is
-# valid JSON containing the six finite-xfer protocol steps and the
-# bridged hardware packet events.
+# Repo verification: build, run the test suite, then the gates no
+# ctest makes.  The suite already drives one traced example end to
+# end through --quick (the exported Chrome trace must be valid JSON
+# holding the six finite-xfer protocol steps and the bridged
+# hardware packet events), two traffic --predict smokes, the golden
+# gate and every committed model-checker replay.
 #
-#   ./verify.sh                  full: configure + build + ctest (which
-#                                includes the lab_golden gate) + traced
-#                                run + every stage below
+#   ./verify.sh                  full: configure + build + ctest, then
+#                                the lab -j 1 / -j 8 determinism pair
+#                                and the --check, --prof, --hostprof,
+#                                --wire, --tele and --perfbench stages
 #   ./verify.sh --quick <binary> only the traced-run check, against an
 #                                already-built bulk_transfer binary
 #                                (this is what the CTest hook uses;
@@ -29,9 +32,9 @@
 #   ./verify.sh --check          only the model-checker gate, against
 #                                an already-built build/ tree: report
 #                                determinism (stream on cm5, and on
-#                                nicam with all three fault kinds), the
-#                                seeded bug caught and replayed, and
-#                                every committed replay
+#                                nicam with all three fault kinds), and
+#                                the seeded bug caught, written with
+#                                --ce-out and replayed
 #   ./verify.sh --prof           only the profiler gate, against an
 #                                already-built build/ tree: msgsim-prof
 #                                artifacts on all four substrates, and
@@ -42,8 +45,6 @@
 #                                then its rdma and nicam pumps, whose
 #                                host time must land in the rdma and
 #                                nicam subsystems, none in cr or cm5
-#   ./verify.sh --traffic        only the traffic gate: msgsim-traffic
-#                                --predict smokes on every substrate
 #   ./verify.sh --wire           only the wire-layer gate: a
 #                                CRC-corruption recovery smoke and the
 #                                rdma framing-vanishes assertion
@@ -139,19 +140,14 @@ check_model_checker() {
         cmp "$tmpdir/a.json" "$tmpdir/b.json"
     done
 
-    # ... the seeded bug must be caught and shrunk ...
+    # ... and the seeded bug must be caught, shrunk, written out and
+    # replayed (the committed replays are ctest's check_replay_*).
     if "$chk" --protocol=stream --packets=3 --faults=1 --depth=8 \
         --bug --quiet --ce-out="$tmpdir/ce.json"; then
         echo "model checker FAILED to catch the seeded bug" >&2
         return 1
     fi
     "$chk" --replay="$tmpdir/ce.json" --quiet
-
-    # ... and every committed counterexample must still reproduce.
-    local replay
-    for replay in "$repo_dir"/tests/replays/*.json; do
-        "$chk" --replay="$replay" --quiet
-    done
     echo "check ok: deterministic, bug caught + replayed"
 }
 
@@ -273,23 +269,6 @@ EOF
     done
     echo "hostprof ok: shares ~100%, top-3 and folded stacks well-formed;" \
         "rdma and nicam charged to their own subsystems"
-}
-
-check_traffic() {
-    local traffic="$repo_dir/build/src/traffic/msgsim-traffic"
-
-    # The CLI gate on every substrate: --predict exits non-zero on
-    # any disagreement between the charged run and the model.
-    local sub
-    for sub in cm5 cr rdma nicam; do
-        "$traffic" --pattern=incast --substrate="$sub" \
-            --protocol=acked --nodes=8 --msgs=4 --size=5 \
-            --predict --quiet
-        "$traffic" --pattern=alltoall --substrate="$sub" \
-            --protocol=seq --nodes=8 --msgs=4 --size=3 --jitter=5 \
-            --predict --quiet
-    done
-    echo "traffic ok: CLI gate green on all substrates"
 }
 
 check_wire() {
@@ -462,12 +441,6 @@ if [[ "${1:-}" == "--wire" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "--traffic" ]]; then
-    check_traffic
-    echo "verify --traffic: OK"
-    exit 0
-fi
-
 if [[ "${1:-}" == "--check" ]]; then
     check_model_checker
     echo "verify --check: OK"
@@ -533,12 +506,10 @@ cd "$repo_dir"
 cmake -B build -S . > /dev/null
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
-check_traced_run "$repo_dir/build/examples/bulk_transfer"
 check_lab
 check_model_checker
 check_prof
 check_hostprof
-check_traffic
 check_wire
 check_tele
 check_perfbench
