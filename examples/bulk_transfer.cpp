@@ -18,7 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/report.hh"
+#include "lab/paper_tables.hh"
 #include "net/tracer.hh"
 #include "protocols/finite_xfer.hh"
 #include "sim/obs_cli.hh"
@@ -42,6 +42,18 @@ main(int argc, char **argv)
 
     obs::Scope scope(obsOpts);
 
+    // One run's bill as Table 2's feature breakdown, then its integrity.
+    auto report = [words](const char *name, const char *title,
+                          const RunResult &res) {
+        const lab::ResultTable table{
+            .name = name,
+            .title = title,
+            .columns = lab::featureColumns("words"),
+            .rows = lab::featureRows(std::to_string(words), res.counts)};
+        std::printf("%sintegrity: %s\n\n", table.markdown().c_str(),
+                    res.dataOk ? "ok" : "FAILED");
+    };
+
     // One tracer records the hardware events of both stacks' networks
     // (it observes every network driven on this thread).
     PacketTracer tracer(1u << 14);
@@ -60,12 +72,8 @@ main(int argc, char **argv)
     FiniteXferParams p;
     p.words = words;
     const auto rc = proto.run(p);
-    std::printf("%s", featureTable("CMAM finite-sequence protocol "
-                                   "(6 steps: request, allocate, "
-                                   "reply, data, free, ack)",
-                                   rc.counts)
-                          .c_str());
-    std::printf("integrity: %s\n\n", rc.dataOk ? "ok" : "FAILED");
+    report("CMAM finite-sequence protocol",
+           "6 steps: request, allocate, reply, data, free, ack", rc);
     scope.collect(cm5.sim(), "sim.cm5");
     for (NodeId id = 0; id < 2; ++id)
         cm5.node(id).ni().publishMetrics(scope.metrics(), "ni.cm5");
@@ -79,12 +87,8 @@ main(int argc, char **argv)
     // so its spans stay on a consistent timeline.
     scope.bindClock(hl.sim());
     const auto rh = FiniteXfer(hl).run(p);
-    std::printf("%s", featureTable("High-level-features protocol "
-                                   "(just inject; the header packet "
-                                   "sizes the buffer)",
-                                   rh.counts)
-                          .c_str());
-    std::printf("integrity: %s\n\n", rh.dataOk ? "ok" : "FAILED");
+    report("High-level-features protocol",
+           "just inject; the header packet sizes the buffer", rh);
     scope.collect(hl.sim(), "sim.hl");
     for (NodeId id = 0; id < 2; ++id)
         hl.node(id).ni().publishMetrics(scope.metrics(), "ni.hl");

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/report.hh"
+#include "lab/paper_tables.hh"
 #include "protocols/single_packet.hh"
 
 using namespace msgsim;
@@ -47,18 +47,24 @@ main()
 
     // 4. Where did the time go?  (Table 1 of Karamcheti & Chien:
     //    20 instructions to send, 27 to receive.)
-    std::printf("\n%s", rowTable("single-packet delivery",
-                                 stack.node(0).acct(),
-                                 stack.node(1).acct())
-                            .c_str());
+    const lab::ResultTable rows{
+        .name = "Table 1",
+        .title = "single-packet delivery",
+        .columns = lab::costColumns("run"),
+        .rows = lab::costRows("am4", stack.node(0).acct().rowTotals(),
+                              stack.node(1).acct().rowTotals())};
+    std::printf("\n%s", rows.markdown().c_str());
 
     // 5. The same counts, under the Appendix A cycle model where a
     //    memory-mapped NI access costs 5 cycles.
     BreakdownCounter bd;
     bd.src = stack.node(0).acct().counter();
     bd.dst = stack.node(1).acct().counter();
-    std::printf("\n%s", cycleTable("modeled cycles", bd,
-                                   CostModel::cm5())
-                            .c_str());
+    const lab::ResultTable cycles{
+        .name = "Appendix A",
+        .title = "modeled cycles",
+        .columns = lab::cycleColumns("run"),
+        .rows = {lab::cycleRow("am4", bd, CostModel::cm5())}};
+    std::printf("\n%s", cycles.markdown().c_str());
     return 0;
 }

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/report.hh"
+#include "lab/paper_tables.hh"
 #include "protocols/stream.hh"
 
 using namespace msgsim;
@@ -56,9 +56,12 @@ main(int argc, char **argv)
                 words, drop * 100, drop * 50);
     const auto res = proto.run(p);
 
-    std::printf("%s\n", featureTable("indefinite-sequence stream",
-                                     res.counts)
-                            .c_str());
+    const lab::ResultTable table{
+        .name = "indefinite-sequence stream",
+        .title = "feature breakdown (Table 2)",
+        .columns = lab::featureColumns("words"),
+        .rows = lab::featureRows(std::to_string(words), res.counts)};
+    std::printf("%s\n", table.markdown().c_str());
     std::printf("packets:            %llu\n",
                 static_cast<unsigned long long>(res.packets));
     std::printf("out-of-order:       %llu\n",

@@ -385,6 +385,15 @@ class SocketScenario : public StreamScenario
         socket_->write(payload());
     }
 
+    // A schedule cut short (a violation, the step bound) leaves the
+    // channel mid-flight behind the gate, where closing it would
+    // drive a network that cannot move.
+    ~SocketScenario() override
+    {
+        if (socket_)
+            socket_->abort();
+    }
+
     void finish() override { socket_->close(); }
 
     std::string

@@ -19,6 +19,7 @@
 #include "hostprof/hostprof.hh"
 #include "prof/profile.hh"
 #include "core/cost_model.hh"
+#include "lab/paper_tables.hh"
 #include "lab/registry.hh"
 #include "model/analytic.hh"
 #include "protocols/finite_xfer.hh"
@@ -36,37 +37,6 @@ namespace msgsim::lab
 namespace
 {
 
-Cell
-I(std::uint64_t v)
-{
-    return Cell::integer(v);
-}
-
-Cell
-R(double v)
-{
-    return Cell::real(v);
-}
-
-Cell
-T(std::string v)
-{
-    return Cell::text(std::move(v));
-}
-
-/** Paper cell convention: zero renders (and pins) as null ("–"). */
-Cell
-paperCount(std::uint64_t v)
-{
-    return v == 0 ? Cell::null() : Cell::integer(v);
-}
-
-Cell
-okCell(bool ok)
-{
-    return T(ok ? "ok" : "FAILED");
-}
-
 /** The paper's measurement setup: CM-5 substrate, n = 4. */
 StackConfig
 paperCm5(bool halfOoo = false)
@@ -80,6 +50,33 @@ paperCm5(bool halfOoo = false)
     return cfg;
 }
 
+// The paper's three calibration runs, each on a fresh stack: Table 1's
+// single packet, Table 2's finite transfer (top) and indefinite
+// stream with half the packets out of order (bottom).  An experiment
+// that varies one passes its own params or StackConfig.
+
+SinglePacketResult
+singlePacket(const StackConfig &cfg = paperCm5())
+{
+    Stack stack(cfg);
+    return runSinglePacket(stack, {});
+}
+
+RunResult
+finiteRun(const FiniteXferParams &p, const StackConfig &cfg = paperCm5())
+{
+    Stack stack(cfg);
+    return FiniteXfer(stack).run(p);
+}
+
+RunResult
+streamRun(const StreamParams &p,
+          const StackConfig &cfg = paperCm5(/*halfOoo=*/true))
+{
+    Stack stack(cfg);
+    return StreamProtocol(stack).run(p);
+}
+
 // ------------------------------------------------------------------
 // T1 — Table 1: single-packet delivery.
 // ------------------------------------------------------------------
@@ -91,33 +88,18 @@ makeT1()
     e.name = "T1";
     e.title = "Table 1: single-packet delivery instruction counts "
               "(paper: src 20, dst 27)";
-    e.columns = {"substrate", "row", "src", "dst"};
+    e.columns = costColumns("substrate");
     e.points = {"cm5", "cr"};
     e.notes = {"Identical on both substrates (paper section 4.1) — "
                "but on CR the packet is ordered, overflow-safe, and "
                "reliable."};
-    e.runPoint = [](std::size_t pi) {
+    e.runPoint = [points = e.points](std::size_t pi) {
         StackConfig cfg = paperCm5();
         cfg.substrate = pi == 0 ? Substrate::Cm5 : Substrate::Cr;
-        Stack stack(cfg);
-        const auto res = runSinglePacket(stack, {});
-        const std::string sub = toString(cfg.substrate);
-        std::vector<Row> rows;
-        for (int r = 0; r < numCostRows; ++r) {
-            const auto row = static_cast<CostRow>(r);
-            const auto s = res.srcRows[static_cast<std::size_t>(r)];
-            const auto d = res.dstRows[static_cast<std::size_t>(r)];
-            if (row == CostRow::Other && s == 0 && d == 0)
-                continue;
-            rows.push_back({T(sub), T(toString(row)), paperCount(s),
-                            paperCount(d)});
-        }
-        rows.push_back({T(sub), T("Total"),
-                        I(res.counts.src.paperTotal()),
-                        I(res.counts.dst.paperTotal())});
-        rows.push_back(
-            {T(sub), T("integrity"), Cell::null(),
-             okCell(res.dataOk)});
+        const auto res = singlePacket(cfg);
+        auto rows = costRows(points[pi], res.srcRows, res.dstRows);
+        rows.push_back({T(points[pi]), T("integrity"), Cell::null(),
+                        okCell(res.dataOk)});
         return rows;
     };
     return e;
@@ -127,22 +109,6 @@ makeT1()
 // T2a/T2b — Table 2: multi-packet feature breakdowns.
 // ------------------------------------------------------------------
 
-std::vector<Row>
-featureRows(const std::string &label, const BreakdownCounter &bd)
-{
-    std::vector<Row> rows;
-    for (int f = 0; f < numPaperFeatures; ++f) {
-        const auto feat = static_cast<Feature>(f);
-        const auto s = bd.src.featureTotal(feat);
-        const auto d = bd.dst.featureTotal(feat);
-        rows.push_back({T(label), T(toString(feat)), paperCount(s),
-                        paperCount(d), paperCount(s + d)});
-    }
-    rows.push_back({T(label), T("Total"), I(bd.src.paperTotal()),
-                    I(bd.dst.paperTotal()), I(bd.paperTotal())});
-    return rows;
-}
-
 Experiment
 makeT2a()
 {
@@ -150,22 +116,16 @@ makeT2a()
     e.name = "T2a";
     e.title = "Table 2 (top): finite sequence, multi-packet delivery "
               "(16/1024 words, n = 4)";
-    e.columns = {"words", "feature", "src", "dst", "total"};
+    e.columns = featureColumns("words");
     e.points = {"16", "1024"};
     e.notes = {"Paper totals: 173/224/397 at 16 words (see "
                "EXPERIMENTS.md on the prose's 285), "
                "6221/5516/11737 at 1024 words."};
-    e.runPoint = [](std::size_t pi) {
-        const std::uint32_t words = pi == 0 ? 16u : 1024u;
-        Stack stack(paperCm5());
-        FiniteXfer proto(stack);
-        FiniteXferParams p;
-        p.words = words;
-        const auto res = proto.run(p);
-        auto rows = featureRows(std::to_string(words), res.counts);
-        rows.push_back({T(std::to_string(words)), T("integrity"),
-                        Cell::null(), Cell::null(),
-                        okCell(res.dataOk)});
+    e.runPoint = [points = e.points](std::size_t pi) {
+        const auto res = finiteRun({.words = pi == 0 ? 16u : 1024u});
+        auto rows = featureRows(points[pi], res.counts);
+        rows.push_back({T(points[pi]), T("integrity"), Cell::null(),
+                        Cell::null(), okCell(res.dataOk)});
         return rows;
     };
     return e;
@@ -178,19 +138,14 @@ makeT2b()
     e.name = "T2b";
     e.title = "Table 2 (bottom): indefinite sequence, multi-packet "
               "delivery, half the packets out of order";
-    e.columns = {"words", "feature", "src", "dst", "total"};
+    e.columns = featureColumns("words");
     e.points = {"16", "1024"};
     e.notes = {"Paper totals: 216/265/481 at 16 words, "
                "13824/16141/29965 at 1024 words; overhead ~70% "
                "independent of size."};
-    e.runPoint = [](std::size_t pi) {
-        const std::uint32_t words = pi == 0 ? 16u : 1024u;
-        Stack stack(paperCm5(/*halfOoo=*/true));
-        StreamProtocol proto(stack);
-        StreamParams p;
-        p.words = words;
-        const auto res = proto.run(p);
-        const std::string w = std::to_string(words);
+    e.runPoint = [points = e.points](std::size_t pi) {
+        const auto res = streamRun({.words = pi == 0 ? 16u : 1024u});
+        const std::string &w = points[pi];
         auto rows = featureRows(w, res.counts);
         rows.push_back({T(w), T("ooo arrivals"), Cell::null(),
                         Cell::null(), I(res.oooArrivals)});
@@ -217,56 +172,14 @@ makeT3()
     e.name = "T3";
     e.title = "Table 3 (Appendix A): instruction subcategories "
               "(reg/mem/dev) per feature";
-    e.columns = {"run",     "feature", "src reg", "src mem",
-                 "src dev", "dst reg", "dst mem", "dst dev"};
+    e.columns = categoryColumns("run");
     e.points = {"finite 16", "finite 1024", "indefinite 16",
                 "indefinite 1024"};
     e.runPoint = [points = e.points](std::size_t pi) {
-        const bool finite = pi < 2;
         const std::uint32_t words = (pi % 2 == 0) ? 16u : 1024u;
-        BreakdownCounter counts;
-        if (finite) {
-            Stack stack(paperCm5());
-            FiniteXfer proto(stack);
-            FiniteXferParams p;
-            p.words = words;
-            counts = proto.run(p).counts;
-        } else {
-            Stack stack(paperCm5(/*halfOoo=*/true));
-            StreamProtocol proto(stack);
-            StreamParams p;
-            p.words = words;
-            counts = proto.run(p).counts;
-        }
-        const std::string &label = points[pi];
-        std::vector<Row> rows;
-        for (int f = 0; f < numPaperFeatures; ++f) {
-            const auto feat = static_cast<Feature>(f);
-            rows.push_back(
-                {T(label), T(toString(feat)),
-                 paperCount(counts.src.category(feat, Category::Reg)),
-                 paperCount(counts.src.category(feat, Category::Mem)),
-                 paperCount(counts.src.category(feat, Category::Dev)),
-                 paperCount(counts.dst.category(feat, Category::Reg)),
-                 paperCount(counts.dst.category(feat, Category::Mem)),
-                 paperCount(
-                     counts.dst.category(feat, Category::Dev))});
-        }
-        auto catTotal = [](const InstrCounter &c, Category cat) {
-            std::uint64_t sum = 0;
-            for (int f = 0; f < numPaperFeatures; ++f)
-                sum += c.category(static_cast<Feature>(f), cat);
-            return sum;
-        };
-        rows.push_back(
-            {T(label), T("Total"),
-             I(catTotal(counts.src, Category::Reg)),
-             I(catTotal(counts.src, Category::Mem)),
-             I(catTotal(counts.src, Category::Dev)),
-             I(catTotal(counts.dst, Category::Reg)),
-             I(catTotal(counts.dst, Category::Mem)),
-             I(catTotal(counts.dst, Category::Dev))});
-        return rows;
+        const RunResult res = pi < 2 ? finiteRun({.words = words})
+                                     : streamRun({.words = words});
+        return categoryRows(points[pi], res.counts);
     };
     return e;
 }
@@ -292,25 +205,11 @@ makeF6()
     e.runPoint = [](std::size_t pi) {
         const bool finite = pi < 2;
         const std::uint32_t words = (pi % 2 == 0) ? 16u : 1024u;
-
-        RunResult rc, rh;
-        if (finite) {
-            Stack cm5(paperCm5());
-            FiniteXfer proto(cm5);
-            FiniteXferParams p;
-            p.words = words;
-            rc = proto.run(p);
-            Stack hl(stackConfigFor(HostLayer::Hl));
-            rh = FiniteXfer(hl).run(p);
-        } else {
-            Stack cm5(paperCm5(/*halfOoo=*/true));
-            StreamProtocol proto(cm5);
-            StreamParams p;
-            p.words = words;
-            rc = proto.run(p);
-            Stack hl(stackConfigFor(HostLayer::Hl));
-            rh = StreamProtocol(hl).run(p);
-        }
+        const StackConfig hl = stackConfigFor(HostLayer::Hl);
+        const RunResult rc = finite ? finiteRun({.words = words})
+                                    : streamRun({.words = words});
+        const RunResult rh = finite ? finiteRun({.words = words}, hl)
+                                    : streamRun({.words = words}, hl);
         const double imp =
             1.0 - static_cast<double>(rh.counts.paperTotal()) /
                       static_cast<double>(rc.counts.paperTotal());
@@ -355,19 +254,10 @@ makeF8()
 
         StackConfig cfg = paperCm5();
         cfg.dataWords = n;
-        Stack s1(cfg);
-        FiniteXfer finP(s1);
-        FiniteXferParams fp;
-        fp.words = 1024;
-        const auto rf = finP.run(fp);
-
+        const auto rf = finiteRun({.words = 1024}, cfg);
         StackConfig cfg2 = paperCm5(/*halfOoo=*/true);
         cfg2.dataWords = n;
-        Stack s2(cfg2);
-        StreamProtocol strP(s2);
-        StreamParams sp;
-        sp.words = 1024;
-        const auto rs = strP.run(sp);
+        const auto rs = streamRun({.words = 1024}, cfg2);
 
         return std::vector<Row>{
             {I(static_cast<std::uint64_t>(n)), R(fin.grandTotal()),
@@ -398,12 +288,7 @@ makeD1()
     e.runPoint = [](std::size_t pi) {
         static constexpr int gs[] = {1, 2, 4, 8, 16, 32, 64, 256};
         const int g = gs[pi];
-        Stack stack(paperCm5(/*halfOoo=*/true));
-        StreamProtocol proto(stack);
-        StreamParams p;
-        p.words = 1024;
-        p.groupAck = g;
-        const auto res = proto.run(p);
+        const auto res = streamRun({.words = 1024, .groupAck = g});
         const auto ft =
             res.counts.src.featureTotal(Feature::FaultTolerance) +
             res.counts.dst.featureTotal(Feature::FaultTolerance);
@@ -458,8 +343,7 @@ makeA1()
     e.name = "A1";
     e.title = "Appendix A cycle model: unit weighting vs CM-5 "
               "weighting (reg = mem = 1, dev = 5)";
-    e.columns = {"run",      "model",     "base",  "buffer mgmt",
-                 "in-order", "fault-tol", "total", "overhead"};
+    e.columns = cycleColumns("run");
     e.points = {"single packet", "finite 16", "finite 1024",
                 "indefinite 1024"};
     e.notes = {"The 47-instruction single-packet exchange becomes 87 "
@@ -467,40 +351,14 @@ makeA1()
                "cost inflates, so the overhead *fraction* drops — "
                "which reverses as NIs improve (X3a)."};
     e.runPoint = [points = e.points](std::size_t pi) {
-        BreakdownCounter counts;
-        if (pi == 0) {
-            Stack stack(paperCm5());
-            counts = runSinglePacket(stack, {}).counts;
-        } else if (pi == 3) {
-            Stack stack(paperCm5(/*halfOoo=*/true));
-            StreamProtocol proto(stack);
-            StreamParams p;
-            p.words = 1024;
-            counts = proto.run(p).counts;
-        } else {
-            Stack stack(paperCm5());
-            FiniteXfer proto(stack);
-            FiniteXferParams p;
-            p.words = pi == 1 ? 16u : 1024u;
-            counts = proto.run(p).counts;
-        }
-        std::vector<Row> rows;
-        for (const CostModel &m :
-             {CostModel::unit(), CostModel::cm5()}) {
-            auto feat = [&](Feature f) {
-                return m.cycles(counts.src, f) +
-                       m.cycles(counts.dst, f);
-            };
-            const double total = m.cycles(counts);
-            const double base = feat(Feature::BaseCost);
-            rows.push_back(
-                {T(points[pi]), T(m.name), R(base),
-                 R(feat(Feature::BufferMgmt)),
-                 R(feat(Feature::InOrderDelivery)),
-                 R(feat(Feature::FaultTolerance)), R(total),
-                 R(total > 0 ? (total - base) / total : 0.0)});
-        }
-        return rows;
+        const BreakdownCounter counts =
+            pi == 0   ? singlePacket().counts
+            : pi == 3 ? streamRun({.words = 1024}).counts
+                      : finiteRun({.words = pi == 1 ? 16u : 1024u})
+                            .counts;
+        return std::vector<Row>{
+            cycleRow(points[pi], counts, CostModel::unit()),
+            cycleRow(points[pi], counts, CostModel::cm5())};
     };
     return e;
 }
@@ -527,11 +385,7 @@ makeX1()
         StackConfig cfg = paperCm5();
         if (f > 0)
             cfg.order = pairSwapChanceFactory(f / (1.0 - f), 987);
-        Stack stack(cfg);
-        StreamProtocol proto(stack);
-        StreamParams p;
-        p.words = 4096;
-        const auto res = proto.run(p);
+        const auto res = streamRun({.words = 4096}, cfg);
         const double actual = static_cast<double>(res.oooArrivals) /
                               static_cast<double>(res.packets);
         ProtoParams pp;
@@ -570,14 +424,11 @@ makeX2()
         StackConfig cfg = paperCm5();
         cfg.faults.dropRate = rate;
         cfg.faults.seed = 404;
-        Stack cm5(cfg);
-        StreamProtocol proto(cm5);
-        StreamParams p;
-        p.words = 1024;
-        p.eventMode = true;
-        p.retxTimeout = 800;
-        p.maxRetx = 4096;
-        const auto rc = proto.run(p);
+        const StreamParams p{.words = 1024,
+                             .eventMode = true,
+                             .retxTimeout = 800,
+                             .maxRetx = 4096};
+        const auto rc = streamRun(p, cfg);
 
         StackConfig hcfg = stackConfigFor(HostLayer::Hl);
         hcfg.faults.dropRate = rate;
@@ -674,17 +525,10 @@ makeX3b()
         const int n = ns[pi];
         StackConfig pioCfg = paperCm5();
         pioCfg.dataWords = n;
-        Stack pio(pioCfg);
-        FiniteXfer p1(pio);
-        FiniteXferParams params;
-        params.words = 1024;
-        const auto r1 = p1.run(params);
-
+        const auto r1 = finiteRun({.words = 1024}, pioCfg);
         StackConfig dmaCfg = pioCfg;
         dmaCfg.dmaXfer = true;
-        Stack dma(dmaCfg);
-        FiniteXfer p2(dma);
-        const auto r2 = p2.run(params);
+        const auto r2 = finiteRun({.words = 1024}, dmaCfg);
 
         return std::vector<Row>{
             {I(static_cast<std::uint64_t>(n)),
@@ -718,54 +562,27 @@ makeX4a()
                "(12 reg + 1 dev each), and scattered arrivals defeat "
                "poll batching."};
     e.runPoint = [points = e.points](std::size_t pi) {
+        static constexpr std::uint32_t ws[] = {16, 256, 1024};
+        static constexpr Tick jitters[] = {0, 40, 200};
         const std::string &label = points[pi];
-        std::uint64_t cal = 0, evt = 0;
-        bool ok = true;
+        const StackConfig inOrder = paperCm5();
+        RunResult rc, re;
         if (pi < 3) {
-            static constexpr std::uint32_t ws[] = {16, 256, 1024};
-            const std::uint32_t words = ws[pi];
-            Stack s1(paperCm5());
-            FiniteXfer pcal(s1);
-            FiniteXferParams p;
-            p.words = words;
-            cal = pcal.run(p).counts.paperTotal();
-            Stack s2(paperCm5());
-            FiniteXfer pevt(s2);
-            p.eventMode = true;
-            const auto re = pevt.run(p);
-            evt = re.counts.paperTotal();
-            ok = re.dataOk;
+            rc = finiteRun({.words = ws[pi]});
+            re = finiteRun({.words = ws[pi], .eventMode = true});
         } else if (pi < 6) {
-            static constexpr std::uint32_t ws[] = {16, 256, 1024};
-            const std::uint32_t words = ws[pi - 3];
-            Stack s1(paperCm5());
-            StreamProtocol pcal(s1);
-            StreamParams p;
-            p.words = words;
-            cal = pcal.run(p).counts.paperTotal();
-            Stack s2(paperCm5());
-            StreamProtocol pevt(s2);
-            p.eventMode = true;
-            const auto re = pevt.run(p);
-            evt = re.counts.paperTotal();
-            ok = re.dataOk;
+            rc = streamRun({.words = ws[pi - 3]}, inOrder);
+            re = streamRun({.words = ws[pi - 3], .eventMode = true},
+                           inOrder);
         } else {
-            static constexpr Tick jitters[] = {0, 40, 200};
-            const Tick jitter = jitters[pi - 6];
-            Stack s1(paperCm5());
-            StreamProtocol pcal(s1);
-            StreamParams p;
-            p.words = 256;
-            cal = pcal.run(p).counts.paperTotal();
-            StackConfig jcfg = paperCm5();
-            jcfg.maxJitter = jitter;
-            Stack s2(jcfg);
-            StreamProtocol pevt(s2);
-            p.eventMode = true;
-            const auto re = pevt.run(p);
-            evt = re.counts.paperTotal();
-            ok = re.dataOk;
+            StackConfig jcfg = inOrder;
+            jcfg.maxJitter = jitters[pi - 6];
+            rc = streamRun({.words = 256}, inOrder);
+            re = streamRun({.words = 256, .eventMode = true}, jcfg);
         }
+        const std::uint64_t cal = rc.counts.paperTotal();
+        const std::uint64_t evt = re.counts.paperTotal();
+        const bool ok = re.dataOk;
         const double extra = static_cast<double>(evt) /
                                  static_cast<double>(cal) -
                              1.0;
@@ -798,18 +615,11 @@ makeX4b()
         StackConfig cfg = paperCm5();
         cfg.maxJitter = jitter;
 
-        Stack s1(cfg);
-        StreamProtocol p1(s1);
-        StreamParams params;
-        params.words = 256;
-        params.eventMode = true;
-        params.discipline = RecvDiscipline::Poll;
-        const auto polled = p1.run(params);
-
+        StreamParams params{.words = 256, .eventMode = true};
+        const auto polled = streamRun(params, cfg);
         Stack s2(cfg);
-        StreamProtocol p2(s2);
         params.discipline = RecvDiscipline::Interrupt;
-        const auto intr = p2.run(params);
+        const auto intr = StreamProtocol(s2).run(params);
 
         const auto traps = s2.cmam(0).interruptsTaken() +
                            s2.cmam(1).interruptsTaken();
@@ -847,20 +657,12 @@ makeX5()
             StackConfig cfg =
                 paperCm5(/*halfOoo=*/pi == 3 || pi == 4);
             cfg.kernelMediated = kernel;
-            Stack stack(cfg);
-            if (pi == 0)
-                return runSinglePacket(stack, {})
-                    .counts.paperTotal();
-            if (pi == 1 || pi == 2) {
-                FiniteXfer proto(stack);
-                FiniteXferParams p;
-                p.words = pi == 1 ? 16u : 1024u;
-                return proto.run(p).counts.paperTotal();
-            }
-            StreamProtocol proto(stack);
-            StreamParams p;
-            p.words = pi == 3 ? 16u : 1024u;
-            return proto.run(p).counts.paperTotal();
+            const std::uint32_t words = pi % 2 == 1 ? 16u : 1024u;
+            const RunResult res =
+                pi == 0  ? singlePacket(cfg)
+                : pi < 3 ? finiteRun({.words = words}, cfg)
+                         : streamRun({.words = words}, cfg);
+            return res.counts.paperTotal();
         };
         const std::uint64_t user = runOne(false);
         const std::uint64_t kernel = runOne(true);
@@ -898,20 +700,14 @@ makeX6()
         cfg.memWords = 1u << 24;
         cfg.injectGap = 5;
         cfg.deliverGap = 5;
-        Stack cm5(cfg);
-        StreamProtocol proto(cm5);
-        StreamParams p;
-        p.words = words;
-        p.eventMode = true;
-        p.retxTimeout = 100'000;
-        const auto rc = proto.run(p);
-
+        const StreamParams p{
+            .words = words, .eventMode = true, .retxTimeout = 100'000};
+        const auto rc = streamRun(p, cfg);
         StackConfig hcfg = stackConfigFor(HostLayer::Hl);
         hcfg.memWords = 1u << 24;
         hcfg.injectGap = 5;
         hcfg.deliverGap = 5;
-        Stack hl(hcfg);
-        const auto rh = StreamProtocol(hl).run(p);
+        const auto rh = streamRun(p, hcfg);
 
         const CostModel m = CostModel::cm5();
         const double swC = m.cycles(rc.counts);
@@ -991,14 +787,11 @@ makeX8()
         cfg.memWords = 1u << 24;
         cfg.injectGap = 5;
         cfg.deliverGap = 5;
-        Stack stack(cfg);
-        StreamProtocol proto(stack);
-        StreamParams p;
-        p.words = 1024;
-        p.eventMode = true;
-        p.window = w;
-        p.retxTimeout = 200'000;
-        const auto res = proto.run(p);
+        const auto res = streamRun({.words = 1024,
+                                    .eventMode = true,
+                                    .retxTimeout = 200'000,
+                                    .window = w},
+                                   cfg);
         const double bw =
             res.elapsed
                 ? 1000.0 * 1024.0 / static_cast<double>(res.elapsed)
@@ -1095,8 +888,7 @@ makeX10()
         const auto depth1 = dst.ni().hwRecvDepth(1);
 
         // Calibration counts are unchanged by the dual-network NI.
-        Stack fresh(paperCm5());
-        const auto sp = runSinglePacket(fresh, {});
+        const auto sp = singlePacket();
 
         return std::vector<Row>{
             {T("request fifo depth (vnet 0) after fill"), I(depth0)},
@@ -1154,20 +946,8 @@ makeS1()
         else if (f > 0)
             cfg.order = pairSwapChanceFactory(f / (1.0 - f), 987);
 
-        RunResult res;
-        if (finite) {
-            Stack stack(cfg);
-            FiniteXfer proto(stack);
-            FiniteXferParams p;
-            p.words = words;
-            res = proto.run(p);
-        } else {
-            Stack stack(cfg);
-            StreamProtocol proto(stack);
-            StreamParams p;
-            p.words = words;
-            res = proto.run(p);
-        }
+        const RunResult res = finite ? finiteRun({.words = words}, cfg)
+                                     : streamRun({.words = words}, cfg);
         return std::vector<Row>{
             {T(finite ? "finite" : "indefinite"), I(words), R(f),
              I(res.counts.paperTotal()),
@@ -1421,22 +1201,13 @@ makeH1()
             StackConfig cfg = paperCm5();
             if (pi == 1)
                 cfg.substrate = Substrate::Cr;
-            Stack stack(cfg);
-            FiniteXfer proto(stack);
-            FiniteXferParams params;
-            params.words = 64;
-            proto.run(params);
+            finiteRun({.words = 64}, cfg);
             break;
         }
-        case 2: {
+        case 2:
             label = "stream cm5";
-            Stack stack(paperCm5());
-            StreamProtocol proto(stack);
-            StreamParams params;
-            params.words = 64;
-            proto.run(params);
+            streamRun({.words = 64}, paperCm5());
             break;
-        }
         default: {
             label = "am4 round";
             StackConfig cfg;

@@ -98,7 +98,7 @@ struct ResultTable
     std::string title; ///< one-line description
     std::vector<std::string> columns;
     std::vector<Row> rows;
-    std::vector<std::string> notes; ///< free-text caveats / context
+    std::vector<std::string> notes{}; ///< free-text caveats / context
 
     /** Append a row; it must match the column count. */
     void addRow(Row row);

@@ -19,7 +19,6 @@
 #include "core/cost_model.hh"
 #include "core/counter.hh"
 #include "core/op.hh"
-#include "core/report.hh"
 #include "core/row.hh"
 #include "core/types.hh"
 

@@ -1,5 +1,7 @@
 #include "protocols/finite_xfer.hh"
 
+#include <algorithm>
+
 #include "hostprof/hostprof.hh"
 #include "protocols/layer_drivers.hh"
 #include "sim/log.hh"
@@ -173,17 +175,37 @@ FiniteXfer::newTransfer(const FiniteXferParams &params)
                      " words: not a multiple of packet size ", n);
 
     Node &src = stack_.node(params.src);
+    Node &dst = stack_.node(params.dst);
     const Word tid = nextTransferId_++;
-    Transfer &t = transfers_[tid];
-    t.src = params.src;
-    t.dst = params.dst;
-    t.words = params.words;
-    t.packets = params.words / static_cast<std::uint32_t>(n);
-    t.srcBuf = src.mem().alloc(params.words);
-    t.dstBuf = stack_.node(params.dst).mem().alloc(params.words);
+    Transfer fresh;
+    fresh.src = params.src;
+    fresh.dst = params.dst;
+    fresh.words = params.words;
+    fresh.packets = params.words / static_cast<std::uint32_t>(n);
+    auto spare = std::find_if(
+        finished_.begin(), finished_.end(), [&](const auto &entry) {
+            const Transfer &f = entry.second;
+            return f.src == fresh.src && f.dst == fresh.dst &&
+                   f.words == fresh.words;
+        });
+    if (spare == finished_.end()) {
+        fresh.srcBuf = src.mem().alloc(params.words);
+        fresh.dstBuf = dst.mem().alloc(params.words);
+        transfers_[tid] = fresh;
+    } else {
+        auto node = finished_.extract(spare);
+        fresh.srcBuf = node.mapped().srcBuf;
+        fresh.dstBuf = node.mapped().dstBuf;
+        node.key() = tid;
+        node.mapped() = fresh;
+        transfers_.insert(std::move(node));
+        // The integrity check must see this run's data land, not the
+        // last run's.
+        dst.mem().fill(fresh.dstBuf, params.words, 0);
+    }
     // Fill the source buffer with a seeded pattern (application data;
     // uncharged setup).
-    fillWords(src, t.srcBuf, params.words, params.fillSeed);
+    fillWords(src, fresh.srcBuf, params.words, params.fillSeed);
     return tid;
 }
 
@@ -352,6 +374,10 @@ FiniteXfer::run(const FiniteXferParams &params)
     // Leave nothing queued: the ack timer must not outlive the engine.
     if (params.eventMode)
         stack_.settle();
+    // Nothing refers to a completed run's id again: recycle it.  A
+    // failed run keeps its buffers, where stray packets may still land.
+    if (t.gotAck)
+        finished_.insert(transfers_.extract(tid));
     return res;
 }
 

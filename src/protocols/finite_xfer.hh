@@ -68,7 +68,11 @@ class FiniteXfer
   public:
     explicit FiniteXfer(Stack &stack);
 
-    /** Execute one transfer and report its cost breakdown. */
+    /**
+     * Execute one transfer and report its cost breakdown.  A completed
+     * run's buffers serve the next run of the same (src, dst, words),
+     * so repeated runs on one engine stop growing node memory.
+     */
     RunResult run(const FiniteXferParams &params);
 
     // ------------------------------------------------------------
@@ -125,7 +129,10 @@ class FiniteXfer
         std::uint64_t retransmitted = 0;
     };
 
-    /** Validate @p params and register a transfer, source filled. */
+    /**
+     * Validate @p params and register a transfer, source filled: in a
+     * finished run's buffers of the same shape, else in new ones.
+     */
     Word newTransfer(const FiniteXferParams &params);
     /**
      * Step 1: ask the destination for a segment (BufferMgmt); on a
@@ -151,6 +158,10 @@ class FiniteXfer
     /// 2, 3, 5 or 6.
     const bool handshake_;
     std::map<Word, Transfer> transfers_;
+    /// Completed run() transfers whose buffers newTransfer reuses.
+    /// Their map nodes move between the two maps, so recycling a
+    /// transfer allocates nothing.
+    std::map<Word, Transfer> finished_;
     /// (dstNode, transferId) -> active destination segment.
     std::map<std::pair<NodeId, Word>, Word> dstSegments_;
     Word nextTransferId_ = 1;

@@ -34,8 +34,11 @@ StreamSocket::drain()
     ScopedSpan span(src_, "socket", "drain");
     hostprof::HostScope hps(hostprof::Site::ProtoSocket);
     // A partial ack group would leave the tail of the ring
-    // unacknowledged forever; flush it before waiting.
-    proto_.flushGroupAcks(chan_);
+    // unacknowledged forever; flush it before waiting.  With nothing
+    // unacknowledged no ack is needed, and one sent would be left in
+    // flight.
+    if (proto_.channelUnacked(chan_) > 0)
+        proto_.flushGroupAcks(chan_);
     proto_.flushChannel(chan_);
 }
 
@@ -48,6 +51,15 @@ StreamSocket::close()
     ScopedSpan span(src_, "socket", "close");
     hostprof::HostScope hps(hostprof::Site::ProtoSocket);
     proto_.closePersistent(chan_);
+    open_ = false;
+}
+
+void
+StreamSocket::abort()
+{
+    if (!open_)
+        return;
+    proto_.closeChannel(chan_);
     open_ = false;
 }
 

@@ -89,6 +89,14 @@ class StreamSocket
      */
     void close();
 
+    /**
+     * Abortive teardown: retire the channel at once without driving
+     * the machine, so what it still holds in flight is lost.  For a
+     * run whose network cannot make progress (a model-checker
+     * schedule cut short).  A no-op once the socket is closed.
+     */
+    void abort();
+
     /** True until close() completes. */
     bool isOpen() const { return open_; }
 

@@ -22,7 +22,7 @@
  * Group acknowledgements (ack every G packets) reduce the
  * fault-tolerance term at the price of holding source buffers
  * longer; the paper's §3.2 discussion claim (overhead stays ~40-50%)
- * is reproduced by bench_groupack.
+ * is reproduced by the lab experiment D1.
  *
  * Event mode adds timeout-driven selective retransmission, duplicate
  * suppression with re-acknowledgement, and optional window flow
@@ -111,6 +111,12 @@ class StreamProtocol
 
     /** Flush and retire a persistent channel. */
     void closePersistent(Word chan);
+
+    /**
+     * Retire a channel at once, without flushing: packets it still
+     * has in flight are lost.  A no-op on a retired channel.
+     */
+    void closeChannel(Word chan);
 
     /** Unacknowledged packets on a channel. */
     std::uint64_t channelUnacked(Word chan) const;
@@ -254,7 +260,6 @@ class StreamProtocol
     };
 
     Channel &openChannel(const StreamParams &params, DeliverFn cb);
-    void closeChannel(Word id);
 
     /** Source: send one packet (Base + InOrder + FaultTol charges). */
     void sendPacket(Channel &ch, const std::vector<Word> &data);

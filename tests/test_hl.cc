@@ -324,6 +324,27 @@ TEST(HlFinite, OneEngineRunsMoreTransfersThanTheIdField)
         ASSERT_TRUE(fx.run(p).dataOk) << i;
 }
 
+TEST(HlFinite, RepeatedRunsStopGrowingNodeMemory)
+{
+    // One engine, transfer after transfer: a completed run's buffers
+    // serve the next run of the same shape, on CMAM and on hl alike.
+    for (const HostLayer layer : {HostLayer::Cmam, HostLayer::Hl}) {
+        StackConfig cfg = stackConfigFor(layer);
+        cfg.nodes = 2;
+        Stack stack(cfg);
+        FiniteXfer fx(stack);
+        FiniteXferParams p;
+        p.words = 1024;
+        ASSERT_TRUE(fx.run(p).dataOk);
+        const std::size_t src = stack.node(0).mem().allocated();
+        const std::size_t dst = stack.node(1).mem().allocated();
+        for (int i = 1; i < 2000; ++i)
+            ASSERT_TRUE(fx.run(p).dataOk) << toString(layer) << " " << i;
+        EXPECT_EQ(stack.node(0).mem().allocated(), src) << toString(layer);
+        EXPECT_EQ(stack.node(1).mem().allocated(), dst) << toString(layer);
+    }
+}
+
 TEST(HlFinite, Figure6ImprovementShape)
 {
     // Figure 6 left: 10-50% improvement based on message size —

@@ -2,8 +2,8 @@
  * @file
  * Tests of the src/lab experiment engine: JSON round-tripping, glob
  * selection, deterministic parallel sweeps (-j 1 vs -j 8 must be
- * byte-identical), golden-cell mismatch reporting, and the committed
- * golden files themselves.
+ * byte-identical), golden-cell mismatch reporting, the committed
+ * golden files themselves, and the paper tables' row builders.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,9 @@
 #include <sstream>
 #include <vector>
 
+#include "core/accounting.hh"
 #include "lab/golden.hh"
+#include "lab/paper_tables.hh"
 #include "lab/registry.hh"
 #include "lab/reporter.hh"
 #include "lab/runner.hh"
@@ -421,4 +423,102 @@ TEST(LabExperiments, ResultTableRendersMarkdownAndCsv)
     const auto csv = t.csv();
     EXPECT_NE(csv.find("row,n,f"), std::string::npos);
     EXPECT_NE(csv.find("alpha,7,0.5"), std::string::npos);
+}
+
+// ------------------------------------------------------------------
+// The paper's tables (lab/paper_tables.hh)
+// ------------------------------------------------------------------
+
+namespace
+{
+
+BreakdownCounter
+sampleBreakdown()
+{
+    BreakdownCounter bd;
+    bd.src.add(Feature::BaseCost, OpClass::Reg, 14);
+    bd.src.add(Feature::BaseCost, OpClass::MemLoad, 1);
+    bd.src.add(Feature::BaseCost, OpClass::DevStore, 5);
+    bd.dst.add(Feature::BaseCost, OpClass::Reg, 22);
+    bd.dst.add(Feature::BaseCost, OpClass::DevLoad, 5);
+    bd.src.add(Feature::FaultTolerance, OpClass::Reg, 3);
+    return bd;
+}
+
+} // namespace
+
+TEST(PaperTables, CostRowsShowOtherOnlyWhenCharged)
+{
+    Accounting src, dst;
+    {
+        RowScope r(src, CostRow::NiSetup);
+        src.charge(OpClass::Reg, 5);
+    }
+    {
+        RowScope r(dst, CostRow::ReadNi);
+        dst.charge(OpClass::DevLoad, 3);
+    }
+    auto rows = costRows("x", src.rowTotals(), dst.rowTotals());
+    ASSERT_EQ(rows.size(), 7u); // six fast-path rows, then Total
+    EXPECT_EQ(rows[1][1].s, "NI setup");
+    EXPECT_EQ(rows[1][2].i, 5);
+    EXPECT_EQ(rows[1][3].kind, Cell::Kind::Null);
+    EXPECT_EQ(rows[6][1].s, "Total");
+    EXPECT_EQ(rows[6][2].i, 5);
+    EXPECT_EQ(rows[6][3].i, 3);
+
+    src.charge(OpClass::Reg, 2); // outside any row scope: Other
+    rows = costRows("x", src.rowTotals(), dst.rowTotals());
+    ASSERT_EQ(rows.size(), 8u);
+    EXPECT_EQ(rows[6][1].s, toString(CostRow::Other));
+    EXPECT_EQ(rows[7][2].i, 7);
+    for (const Row &row : rows)
+        EXPECT_EQ(row.size(), costColumns("x").size());
+}
+
+TEST(PaperTables, FeatureAndCategoryRowsSplitTheSameCounts)
+{
+    const BreakdownCounter bd = sampleBreakdown();
+    const auto features = featureRows("x", bd);
+    ASSERT_EQ(features.size(), 5u); // four paper features, then Total
+    EXPECT_EQ(features[1][1].s, toString(Feature::BufferMgmt));
+    EXPECT_EQ(features[1][4].kind, Cell::Kind::Null);
+    EXPECT_EQ(features[4][2].i, 23);
+    EXPECT_EQ(features[4][3].i, 27);
+    EXPECT_EQ(features[4][4].i, 50);
+
+    const auto cats = categoryRows("x", bd);
+    ASSERT_EQ(cats.size(), 5u);
+    // Base cost: src reg/mem/dev 14/1/5, dst 22/-/5.
+    EXPECT_EQ(cats[0][2].i, 14);
+    EXPECT_EQ(cats[0][3].i, 1);
+    EXPECT_EQ(cats[0][4].i, 5);
+    EXPECT_EQ(cats[0][5].i, 22);
+    EXPECT_EQ(cats[0][6].kind, Cell::Kind::Null);
+    EXPECT_EQ(cats[0][7].i, 5);
+    // Totals are integers, zero included; src reg adds fault-tol's 3.
+    EXPECT_EQ(cats[4][2].i, 17);
+    EXPECT_EQ(cats[4][6].kind, Cell::Kind::Int);
+    EXPECT_EQ(cats[4][6].i, 0);
+    for (const Row &row : features)
+        EXPECT_EQ(row.size(), featureColumns("x").size());
+    for (const Row &row : cats)
+        EXPECT_EQ(row.size(), categoryColumns("x").size());
+}
+
+TEST(PaperTables, CycleRowWeighsDeviceAccesses)
+{
+    const BreakdownCounter bd = sampleBreakdown();
+    const Row unit = cycleRow("x", bd, CostModel::unit());
+    const Row cm5 = cycleRow("x", bd, CostModel::cm5());
+    ASSERT_EQ(cm5.size(), cycleColumns("x").size());
+    EXPECT_EQ(unit[1].s, "unit");
+    EXPECT_EQ(unit[2].r, 47.0);
+    EXPECT_EQ(unit[6].r, 50.0);
+    // Ten device accesses at 5 cycles: base 87, as in Appendix A.
+    EXPECT_EQ(cm5[1].s, "cm5");
+    EXPECT_EQ(cm5[2].r, 87.0);
+    EXPECT_EQ(cm5[5].r, 3.0);
+    EXPECT_EQ(cm5[6].r, 90.0);
+    EXPECT_DOUBLE_EQ(cm5[7].r, 3.0 / 90.0);
 }

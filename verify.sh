@@ -4,11 +4,11 @@
 # end through --quick (the exported Chrome trace must be valid JSON
 # holding the six finite-xfer protocol steps and the bridged
 # hardware packet events), two traffic --predict smokes, the golden
-# gate and every committed model-checker replay.
+# gate, the lab's -j 1 / -j 8 determinism pair and every committed
+# model-checker replay.
 #
 #   ./verify.sh                  full: configure + build + ctest, then
-#                                the lab -j 1 / -j 8 determinism pair
-#                                and the --check, --prof, --hostprof,
+#                                the --check, --prof, --hostprof,
 #                                --wire, --tele and --perfbench stages
 #   ./verify.sh --quick <binary> only the traced-run check, against an
 #                                already-built bulk_transfer binary
@@ -105,20 +105,6 @@ assert any(n.endswith("events_dispatched") for n in mnames)
 print(f"trace ok: {len(events)} events, {len(spans)} spans, "
       f"{len(metrics)} metrics")
 EOF
-}
-
-check_lab() {
-    local lab="$repo_dir/build/src/lab/msgsim-lab"
-    local tmpdir
-    tmpdir="$(mktemp -d)"
-    trap 'rm -rf "$tmpdir"' RETURN
-
-    # Determinism gate: -j 1 and -j 8 artifacts must be byte-identical
-    # (the goldens themselves are the lab_golden ctest).
-    "$lab" --all -j 1 --quiet --json-out="$tmpdir/j1"
-    "$lab" --all -j 8 --quiet --json-out="$tmpdir/j8"
-    diff -r "$tmpdir/j1" "$tmpdir/j8"
-    echo "lab ok: byte-deterministic sweep"
 }
 
 check_model_checker() {
@@ -506,7 +492,6 @@ cd "$repo_dir"
 cmake -B build -S . > /dev/null
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
-check_lab
 check_model_checker
 check_prof
 check_hostprof
