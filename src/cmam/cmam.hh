@@ -128,8 +128,6 @@ class Cmam
     Node &node() { return node_; }
     int dataWords() const { return node_.ni().dataWords(); }
     SegmentTable &segments() { return segs_; }
-    /** The fabric services this layer leaves to the hardware. */
-    const NetFeatures &trusted() const { return cfg_.trusted; }
 
     /** Register a user AM handler; returns its index. */
     int registerHandler(AmHandler fn);

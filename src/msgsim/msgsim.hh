@@ -54,7 +54,6 @@
 
 // Protocols and stacks.
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "protocols/result.hh"
 #include "protocols/rpc.hh"
 #include "protocols/single_packet.hh"

@@ -10,11 +10,6 @@
 namespace msgsim
 {
 
-namespace
-{
-constexpr Word kMaxXferIds = 64;
-} // namespace
-
 NicamLayer::NicamLayer(Node &node, NicamNetwork &net)
     : node_(node), net_(net)
 {
@@ -22,7 +17,7 @@ NicamLayer::NicamLayer(Node &node, NicamNetwork &net)
     // xfer completion-flag table the NIC raises flags in.
     niBaseAddr_ = node_.mem().alloc(1);
     node_.mem().write(niBaseAddr_, 0x001ba5e0u);
-    flagTable_ = node_.mem().alloc(kMaxXferIds);
+    flagTable_ = node_.mem().alloc(maxXferIds);
 }
 
 // ----------------------------------------------------------------
@@ -55,7 +50,7 @@ NicamLayer::xferSend(NodeId dst, Word sid, Addr srcBuf,
 }
 
 void
-NicamLayer::streamSend(NodeId dst, Word chan,
+NicamLayer::streamSend(NodeId dst, Word chan, std::uint32_t seq,
                        const std::vector<Word> &data)
 {
     Processor &p = node_.proc();
@@ -65,7 +60,6 @@ NicamLayer::streamSend(NodeId dst, Word chan,
     if (chan > hdr::maxFieldA)
         msgsim_fatal("channel id ", chan, " exceeds the header field");
 
-    std::uint32_t &seq = streamSeq_[{dst, chan}];
     {
         // Source-stamped sequence number: the NIC reorder stage
         // needs it because the fabric does not keep order.
@@ -74,7 +68,6 @@ NicamLayer::streamSend(NodeId dst, Word chan,
     }
     singlePacketSend(node_, niBaseAddr_, HwTag::StreamData, dst,
                      hdr::pack(chan, seq), data, dataWords());
-    ++seq;
 }
 
 // ----------------------------------------------------------------
@@ -125,7 +118,7 @@ NicamLayer::nicInject(NodeId dst, Word handler,
 bool
 NicamLayer::postXfer(Word sid, Addr buf, std::uint32_t words)
 {
-    if (sid >= kMaxXferIds)
+    if (sid >= maxXferIds)
         msgsim_fatal("transfer id ", sid, " exceeds the flag table");
     if (xfers_.count(sid))
         msgsim_fatal("transfer ", sid, " already posted");
@@ -181,8 +174,11 @@ NicamLayer::nicXferArrive(Word sid, const Packet &pkt)
         mem.write(st.buf + offset + i,
                   pkt.data[static_cast<std::size_t>(i)]);
     st.received += n;
-    if (st.received >= st.words)
+    if (st.received >= st.words) {
         mem.write(st.flag, 1); // completion flag, raised by the NIC
+        if (arrivalHook_)
+            arrivalHook_();
+    }
 }
 
 bool
@@ -202,10 +198,17 @@ NicamLayer::openStream(Word chan, Addr ring, std::uint32_t slots)
     StreamState st;
     st.ring = ring;
     st.slots = slots;
-    st.countAddr = node_.mem().alloc(1);
+    st.countAddr = ring + slots * static_cast<Addr>(dataWords());
     node_.mem().write(st.countAddr, 0);
     streams_[chan] = st;
     return true;
+}
+
+void
+NicamLayer::closeStream(Word chan)
+{
+    net_.removeOffload(node_.id(), HwTag::StreamData, chan);
+    streams_.erase(chan);
 }
 
 void
@@ -222,6 +225,7 @@ NicamLayer::nicStreamArrive(Word chan, const Packet &pkt)
     // Release in sequence order into the host-visible ring.
     Memory &mem = node_.mem();
     const auto n = static_cast<std::uint32_t>(dataWords());
+    const std::uint32_t released = st.produced;
     while (true) {
         auto pit = st.pending.find(st.expect);
         if (pit == st.pending.end())
@@ -239,6 +243,8 @@ NicamLayer::nicStreamArrive(Word chan, const Packet &pkt)
         ++st.expect;
         mem.write(st.countAddr, st.produced);
     }
+    if (st.produced != released && arrivalHook_)
+        arrivalHook_();
 }
 
 // ----------------------------------------------------------------
@@ -259,22 +265,35 @@ NicamLayer::probeFlag(Addr flag)
 bool
 NicamLayer::xferDone(Word sid)
 {
-    const Addr flag = xferFlagAddr(sid);
+    if (!xfers_.count(sid))
+        msgsim_panic("done probe of unposted transfer ", sid);
     Processor &p = node_.proc();
     Accounting &a = p.acct();
     {
         RowScope r(a, CostRow::CallReturn);
         p.callRet(2);
     }
-    return probeFlag(flag);
+    if (!probeFlag(flagTable_ + sid))
+        return false;
+    // Landed: free the id and the NIC's table entry for the next one.
+    net_.removeOffload(node_.id(), HwTag::XferData, sid);
+    xfers_.erase(sid);
+    return true;
 }
 
-Addr
-NicamLayer::xferFlagAddr(Word sid) const
+bool
+NicamLayer::xferLanded(Word sid) const
 {
-    if (sid >= kMaxXferIds)
-        msgsim_panic("transfer id ", sid, " exceeds the flag table");
-    return flagTable_ + sid;
+    auto it = xfers_.find(sid);
+    return it != xfers_.end() && it->second.received >= it->second.words;
+}
+
+std::uint32_t
+NicamLayer::streamLanded(Word chan) const
+{
+    auto it = streams_.find(chan);
+    return it == streams_.end() ? 0
+                                : it->second.produced - it->second.consumed;
 }
 
 std::uint32_t

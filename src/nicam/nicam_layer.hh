@@ -45,6 +45,9 @@ class NicamLayer
     using AmFn = std::function<void(NodeId src, Word header,
                                     const std::vector<Word> &args)>;
 
+    /** Transfer ids the done-flag table holds. */
+    static constexpr Word maxXferIds = 64;
+
     NicamLayer(Node &node, NicamNetwork &net);
 
     NicamLayer(const NicamLayer &) = delete;
@@ -71,11 +74,11 @@ class NicamLayer
                   std::uint32_t words);
 
     /**
-     * One stream packet on @p chan, carrying a source-stamped
-     * sequence number (2 reg, in-order feature) the NIC's reorder
-     * stage consumes.
+     * Stream packet @p seq on @p chan, its sequence number stamped at
+     * the source (2 reg, in-order feature) for the NIC's reorder
+     * stage.
      */
-    void streamSend(NodeId dst, Word chan,
+    void streamSend(NodeId dst, Word chan, std::uint32_t seq,
                     const std::vector<Word> &data);
 
     // ------------------------------------------------------------
@@ -98,21 +101,35 @@ class NicamLayer
                    const std::vector<Word> &args);
 
     /**
-     * Post receive state for transfer @p sid: the NIC will place
-     * arriving fragments into [buf, buf+words) by header offset and
-     * raise the done flag after the last word.  The descriptor write
-     * is host work, charged under buffer management.  Returns false
-     * when the NIC table is full (transfer cannot be offloaded).
+     * Post receive state for transfer @p sid (below maxXferIds): the
+     * NIC will place arriving fragments into [buf, buf+words) by
+     * header offset and raise the done flag after the last word.  The
+     * descriptor write is host work, charged under buffer management.
+     * Returns false when the NIC table is full (transfer cannot be
+     * offloaded).
      */
     bool postXfer(Word sid, Addr buf, std::uint32_t words);
 
     /**
      * Open stream @p chan: the NIC reorders by sequence number into
-     * the @p slots-packet ring at @p ring and bumps a producer count
-     * in host memory.  Uncharged setup.  False when the table is
-     * full.
+     * the @p slots-packet ring at @p ring and bumps the producer count
+     * in the word after the ring.  Uncharged setup.  False when the
+     * table is full.
      */
     bool openStream(Word chan, Addr ring, std::uint32_t slots);
+
+    /** Retire stream @p chan and its NIC-table entry (uncharged). */
+    void closeStream(Word chan);
+
+    /**
+     * Run @p fn whenever the NIC raises a transfer's done flag or
+     * releases stream data into a ring (Stack::pollOnArrival
+     * installs it); null removes it.
+     */
+    void setArrivalHook(std::function<void()> fn)
+    {
+        arrivalHook_ = std::move(fn);
+    }
 
     // ------------------------------------------------------------
     // Host-side completion probes (charged).
@@ -121,11 +138,11 @@ class NicamLayer
     /** Probe a completion flag the NIC raises: 2 reg + 1 mem. */
     bool probeFlag(Addr flag);
 
-    /** True when transfer @p sid has fully landed. */
+    /**
+     * True when transfer @p sid has fully landed; the host then
+     * retires it, and the NIC its table entry.
+     */
     bool xferDone(Word sid);
-
-    /** The done-flag word of transfer @p sid (for event loops). */
-    Addr xferFlagAddr(Word sid) const;
 
     /**
      * Consume newly landed stream packets of @p chan into @p out.
@@ -136,6 +153,16 @@ class NicamLayer
 
     /** Host-fallback dispatch of packets that missed the NIC table. */
     int poll();
+
+    // ------------------------------------------------------------
+    // NIC-side state the host has not taken in yet (uncharged).
+    // ------------------------------------------------------------
+
+    /** True once posted transfer @p sid has fully landed. */
+    bool xferLanded(Word sid) const;
+
+    /** Packets of stream @p chan released but not yet harvested. */
+    std::uint32_t streamLanded(Word chan) const;
 
     // ------------------------------------------------------------
     // Diagnostics (plain counters, never charged).
@@ -164,7 +191,7 @@ class NicamLayer
     {
         Addr ring = 0;
         std::uint32_t slots = 0;
-        Addr countAddr = 0;
+        Addr countAddr = 0; ///< the word after the ring
         std::uint32_t expect = 0;   ///< next sequence to release
         std::uint32_t produced = 0; ///< packets placed in the ring
         std::uint32_t consumed = 0; ///< host-side harvest cursor
@@ -177,11 +204,11 @@ class NicamLayer
     Node &node_;
     NicamNetwork &net_;
     Addr niBaseAddr_ = 0;
-    Addr flagTable_ = 0; ///< per-sid xfer done flags (64 words)
+    Addr flagTable_ = 0; ///< per-sid xfer done flags
     std::map<Word, XferState> xfers_;
     std::map<Word, StreamState> streams_;
     std::map<Word, AmFn> hostHandlers_; ///< table-overflow fallback
-    std::map<std::pair<NodeId, Word>, std::uint32_t> streamSeq_;
+    std::function<void()> arrivalHook_;
     std::uint64_t hostDispatches_ = 0;
     std::uint64_t dispatchOps_ = 0;
 };

@@ -5,11 +5,11 @@
 
 #include "prof/profiler.hh"
 #include "protocols/finite_xfer.hh"
-#include "protocols/layer_drivers.hh"
 #include "protocols/rpc.hh"
 #include "protocols/single_packet.hh"
 #include "protocols/stream.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 #include "sim/trace_session.hh"
 #include "wire/wire_run.hh"
 
@@ -37,7 +37,7 @@ runAm4Round(Stack &stack)
         });
 
     RunResult res;
-    const RunFrame frame(stack, 0, 1, true);
+    const RunFrame frame(stack, 0, 1);
     const std::vector<Word> request{11, 22};
     const std::vector<Word> reply =
         rpc.callSync(0, 1, proc, request);
@@ -52,9 +52,126 @@ runAm4Round(Stack &stack)
     return res;
 }
 
+/** Picks the payload words of the verbs and offload exchanges. */
+constexpr std::uint64_t kFillSeed = 0x11d0'beefULL;
+
+/**
+ * The am4 round trip in verbs: the request and the reply each land in
+ * a posted receive, and the destination's completion handler builds
+ * the reply (args + 1) and sends it back.
+ */
+RunResult
+runVerbsAm4(Stack &stack, const ProfConfig &)
+{
+    const auto n = static_cast<std::uint32_t>(stack.dataWords());
+    Node &src = stack.node(0);
+    Node &dst = stack.node(1);
+    const Addr arg_buf = src.mem().alloc(n);  // request payload
+    const Addr rep_buf = src.mem().alloc(n);  // reply lands here
+    const Addr req_buf = dst.mem().alloc(n);  // request lands here
+    const Addr hrep_buf = dst.mem().alloc(n); // handler's reply source
+    fillWords(src, arg_buf, n, kFillSeed);
+
+    int served = 0;
+    int replied = 0;
+    RunResult res;
+    const RunFrame frame(stack, 0, 1);
+    stack.postTransfer(0, 1, 1, req_buf, n, [&](Word) {
+        FeatureScope fs(dst.acct(), Feature::BaseCost);
+        Processor &p = dst.proc();
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const Word w = p.loadWord(req_buf + i);
+            p.regOps(1);
+            p.storeWord(hrep_buf + i, w + 1);
+        }
+        stack.sendTransfer(1, 0, 2, hrep_buf, n);
+        ++served;
+    });
+    stack.postTransfer(1, 0, 2, rep_buf, n,
+                       [&replied](Word) { ++replied; });
+    {
+        FeatureScope fs(src.acct(), Feature::BaseCost);
+        stack.sendTransfer(0, 1, 1, arg_buf, n);
+    }
+    // The destination's CQ poll takes the request in and sends the
+    // reply; the source's takes the reply and the send completion.
+    for (const NodeId id : {NodeId{1}, NodeId{0}}) {
+        stack.settle();
+        FeatureScope fs(stack.node(id).acct(), Feature::BaseCost);
+        stack.nic(id).pollCq();
+    }
+    frame.finish(res);
+    res.packets = 2;
+    res.dataOk = served == 1 && replied == 1;
+    for (std::uint32_t i = 0; res.dataOk && i < n; ++i)
+        if (src.mem().read(rep_buf + i) != src.mem().read(arg_buf + i) + 1)
+            res.dataOk = false;
+    return res;
+}
+
+/**
+ * One active message from node 0, dispatched on node 1's NIC, which
+ * places it and raises a flag the host probes.  With @p reply (am4)
+ * the NIC answers instead (args + 1) and node 0's NIC lands the
+ * answer: no host instruction runs at node 1 either way.
+ */
+RunResult
+runOffloadAm(Stack &stack, bool reply)
+{
+    const auto n = static_cast<std::uint32_t>(stack.dataWords());
+    std::vector<Word> args(n);
+    std::uint64_t seed = kFillSeed;
+    for (Word &w : args)
+        w = static_cast<Word>(splitMix64(seed));
+    const NodeId lander = reply ? 0 : 1;
+    Memory &mem = stack.node(lander).mem();
+    const Addr buf = mem.alloc(n);
+    const Addr flag = mem.alloc(1);
+    const Word h = 5;
+    const Word hReply = 6;
+    bool installed = stack.offload(lander).installAmHandler(
+        reply ? hReply : h,
+        [&mem, buf, flag](NodeId, Word, const std::vector<Word> &a) {
+            for (std::size_t i = 0; i < a.size(); ++i)
+                mem.write(buf + static_cast<Addr>(i), a[i]);
+            mem.write(flag, 1);
+        });
+    if (reply) {
+        NicamLayer &nic = stack.offload(1);
+        installed &= nic.installAmHandler(
+            h, [&nic, hReply](NodeId from, Word,
+                              const std::vector<Word> &a) {
+                std::vector<Word> answer(a);
+                for (Word &w : answer)
+                    w += 1;
+                nic.nicInject(from, hReply, answer);
+            });
+    }
+    if (!installed)
+        msgsim_panic("offload am: handler table full");
+
+    RunResult res;
+    const RunFrame frame(stack, 0, 1);
+    {
+        FeatureScope fs(stack.node(0).acct(), Feature::BaseCost);
+        stack.offload(0).amSend(1, h, args);
+    }
+    stack.settle();
+    {
+        FeatureScope fs(stack.node(lander).acct(), Feature::BaseCost);
+        res.dataOk = stack.offload(lander).probeFlag(flag);
+    }
+    frame.finish(res);
+    res.packets = reply ? 2 : 1;
+    for (std::uint32_t i = 0; res.dataOk && i < n; ++i)
+        if (mem.read(buf + i) != args[i] + (reply ? 1 : 0))
+            res.dataOk = false;
+    return res;
+}
+
 using Driver = RunResult (*)(Stack &, const ProfConfig &);
 
-/** The finite-sequence engine on @p cfg's volume (CMAM or hl). */
+/** The finite-sequence engine on @p cfg's volume. */
 RunResult
 runXfer(Stack &stack, const ProfConfig &cfg)
 {
@@ -64,7 +181,7 @@ runXfer(Stack &stack, const ProfConfig &cfg)
     return fx.run(p);
 }
 
-/** The indefinite-sequence engine on @p cfg's volume (CMAM or hl). */
+/** The indefinite-sequence engine on @p cfg's volume. */
 RunResult
 runStream(Stack &stack, const ProfConfig &cfg)
 {
@@ -73,16 +190,6 @@ runStream(Stack &stack, const ProfConfig &cfg)
     p.words = cfg.words;
     p.groupAck = cfg.groupAck;
     return sp.run(p);
-}
-
-/** A verbs or offload driver, run on @p cfg's volume. */
-template <RunResult (*Run)(Stack &, const RunParams &)>
-RunResult
-layerDriver(Stack &stack, const ProfConfig &cfg)
-{
-    RunParams p;
-    p.words = cfg.words;
-    return Run(stack, p);
 }
 
 /** One (host layer, protocol) cell of the driver table. */
@@ -120,14 +227,23 @@ constexpr DriverEntry drivers[] = {
      }},
     {HostLayer::Hl, "xfer", runXfer},
     {HostLayer::Hl, "stream", runStream},
-    {HostLayer::Verbs, "single", layerDriver<runRdmaSingle>},
-    {HostLayer::Verbs, "am4", layerDriver<runRdmaAm4>},
-    {HostLayer::Verbs, "xfer", layerDriver<runRdmaFinite>},
-    {HostLayer::Verbs, "stream", layerDriver<runRdmaStream>},
-    {HostLayer::Offload, "single", layerDriver<runNicamSingle>},
-    {HostLayer::Offload, "am4", layerDriver<runNicamAm4>},
-    {HostLayer::Offload, "xfer", layerDriver<runNicamFinite>},
-    {HostLayer::Offload, "stream", layerDriver<runNicamStream>},
+    // verbs' single message is a one-packet transfer.
+    {HostLayer::Verbs, "single",
+     [](Stack &s, const ProfConfig &) {
+         FiniteXfer fx(s);
+         FiniteXferParams p;
+         p.words = static_cast<std::uint32_t>(s.dataWords());
+         return fx.run(p);
+     }},
+    {HostLayer::Verbs, "am4", runVerbsAm4},
+    {HostLayer::Verbs, "xfer", runXfer},
+    {HostLayer::Verbs, "stream", runStream},
+    {HostLayer::Offload, "single",
+     [](Stack &s, const ProfConfig &) { return runOffloadAm(s, false); }},
+    {HostLayer::Offload, "am4",
+     [](Stack &s, const ProfConfig &) { return runOffloadAm(s, true); }},
+    {HostLayer::Offload, "xfer", runXfer},
+    {HostLayer::Offload, "stream", runStream},
 };
 
 /** The driver table's entry for (@p layer, @p protocol), or null. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hostprof/hostprof.hh"
-#include "protocols/layer_drivers.hh"
 #include "sim/log.hh"
 #include "sim/trace_session.hh"
 
@@ -12,7 +11,7 @@ namespace msgsim
 
 FiniteXfer::FiniteXfer(Stack &stack)
     : stack_(stack),
-      handshake_(!stack.cmam(0).trusted().acceptanceIndependent)
+      handshake_(!stack.provided().acceptanceIndependent)
 {
     if (handshake_)
         installSinks();
@@ -158,9 +157,8 @@ FiniteXfer::sendData(Word transferId)
     FeatureScope fs(s.acct(), feat);
     ScopedSpan sp(t.src, "finite_xfer", "data");
     // A trusting layer's packets name the posted transfer.
-    stack_.cmam(t.src).xferSend(
-        t.dst, handshake_ ? t.segId : transferId & hdr::maxFieldA,
-        t.srcBuf, t.words);
+    stack_.sendTransfer(t.src, t.dst, handshake_ ? t.segId : transferId,
+                        t.srcBuf, t.words);
     if (t.restarts)
         t.retransmitted += t.packets;
 }
@@ -214,15 +212,13 @@ FiniteXfer::startTransfer(Word transferId)
 {
     const Transfer &t = transfers_.at(transferId);
     if (!handshake_) {
-        // Steps 1-3 are the fabric's: the header packet binds the
-        // posted buffer, and CR refuses a header the segment table
-        // cannot hold until it can.  The header's id field wraps, so
-        // at most 256 transfers can be posted at once.
-        stack_.cmam(t.dst).postTransfer(
-            transferId & hdr::maxFieldA, t.dstBuf,
-            [this, transferId](Word) {
-                transfers_.at(transferId).gotAck = true;
-            });
+        // Steps 1-3 are the hardware's: on hl the header packet binds
+        // the posted buffer, and CR refuses a header the segment table
+        // cannot hold until it can; verbs and offload place into it.
+        stack_.postTransfer(t.src, t.dst, transferId, t.dstBuf, t.words,
+                            [this, transferId](Word) {
+                                transfers_.at(transferId).gotAck = true;
+                            });
         sendData(transferId);
         return;
     }
@@ -300,8 +296,6 @@ FiniteXfer::run(const FiniteXferParams &params)
     Transfer &t = transfers_[tid];
     Node &src = stack_.node(params.src);
     Node &dst = stack_.node(params.dst);
-    Cmam &csrc = stack_.cmam(params.src);
-    Cmam &cdst = stack_.cmam(params.dst);
 
     const RunFrame frame(stack_, params.src, params.dst);
     Tick done_at = frame.t0();
@@ -316,29 +310,26 @@ FiniteXfer::run(const FiniteXferParams &params)
             {
                 // Steps 2 + 3.
                 FeatureScope fs(dst.acct(), Feature::BufferMgmt);
-                cdst.poll();
+                stack_.cmam(params.dst).poll();
             }
             stack_.settle();
             {
                 FeatureScope fs(src.acct(), Feature::BufferMgmt);
-                csrc.poll();
+                stack_.cmam(params.src).poll();
             }
             if (!t.gotReply || t.segId == invalidSegment)
                 msgsim_panic("finite xfer handshake failed");
             sendData(tid); // step 4, source side
         }
-        stack_.settle();
-        {
-            // Steps 4 + 5 + 6 destination side (completion fires the
-            // segment free and the ack inside the poll).
-            FeatureScope fs(dst.acct(), Feature::BaseCost);
-            cdst.poll();
-        }
+        // Steps 4 + 5 + 6 destination side (completion fires the
+        // segment free and the ack inside the poll); verbs also
+        // harvests the send completion.
+        stack_.pollPending();
         if (handshake_) {
             stack_.settle();
             // Step 6, source side.
             FeatureScope fs(src.acct(), Feature::FaultTolerance);
-            csrc.poll();
+            stack_.cmam(params.src).poll();
         }
         done_at = stack_.sim().now();
     } else {

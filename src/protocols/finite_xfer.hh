@@ -22,11 +22,13 @@
  * frees the stale segment) and resends every packet — exercising the
  * "fault-detection but no fault-tolerance" network property.
  *
- * On a layer that trusts acceptanceIndependent (the paper's Section 4
- * layer on CR) steps 1-3, 5 and 6 vanish: the destination posts its
- * buffer, the source sends the data at once, the header packet binds
- * the buffer, and the fabric refuses and retransmits what cannot be
- * placed, so there is no ack, timer or restart either.
+ * On a layer that provides acceptanceIndependent (the paper's Section
+ * 4 layer on CR, verbs, NIC offload) steps 1-3, 5 and 6 vanish: the
+ * destination posts its buffer and the source sends the data at once
+ * (Stack::postTransfer and sendTransfer).  On hl the header packet
+ * binds the buffer and the fabric refuses and retransmits what cannot
+ * be placed; verbs and offload place into it on the NIC.  So there is
+ * no ack, timer or restart either.
  */
 
 #ifndef MSGSIM_PROTOCOLS_FINITE_XFER_HH
@@ -57,11 +59,11 @@ struct FiniteXferParams
 };
 
 /**
- * The finite-sequence protocol engine for one stack.  Reads the
- * features the stack's CMAM layer trusts once, at construction, and
- * installs its handshake sinks on every node unless the fabric makes
- * them unneeded; multiple transfers (sequential or concurrent in
- * event mode) are supported.
+ * The finite-sequence protocol engine for one stack.  Reads what the
+ * stack's layer provides once, at construction, and installs its
+ * handshake sinks on every node unless the layer makes them unneeded;
+ * multiple transfers (sequential or concurrent in event mode) are
+ * supported.
  */
 class FiniteXfer
 {
@@ -136,8 +138,7 @@ class FiniteXfer
     Word newTransfer(const FiniteXferParams &params);
     /**
      * Step 1: ask the destination for a segment (BufferMgmt); on a
-     * trusting layer, post the destination buffer (uncharged) and
-     * send the data.
+     * trusting layer, post the destination buffer and send the data.
      */
     void startTransfer(Word transferId);
     void installSinks();

@@ -2,7 +2,7 @@
  * @file
  * Common result type of protocol runs — the per-role instruction
  * breakdown plus functional-integrity and dynamic-behaviour stats —
- * and the RunFrame every protocol driver measures one with.
+ * and the RunFrame every protocol run measures one with.
  */
 
 #ifndef MSGSIM_PROTOCOLS_RESULT_HH
@@ -40,38 +40,30 @@ struct RunResult
 
 /**
  * The measurement around one exchange.  Construction snapshots both
- * endpoints' instruction counters and the start tick (and, when
- * asked, the destination layer's dispatchOps()); finish() writes the
- * differences into a RunResult.
+ * endpoints' instruction counters and the start tick; finish() writes
+ * the differences into a RunResult.
  */
 class RunFrame
 {
   public:
-    RunFrame(Stack &stack, NodeId src, NodeId dst,
-             bool baselineDispatch = false)
+    RunFrame(Stack &stack, NodeId src, NodeId dst)
         : stack_(stack), src_(stack.node(src)), dst_(stack.node(dst)),
-          dstId_(dst), srcBefore_(src_.acct().counter()),
-          dstBefore_(dst_.acct().counter()),
-          baselined_(baselineDispatch),
-          dispatch0_(baselineDispatch ? stack.dispatchOps(dst) : 0),
-          t0_(stack.sim().now())
+          srcBefore_(src_.acct().counter()),
+          dstBefore_(dst_.acct().counter()), t0_(stack.sim().now())
     {
     }
 
     Tick t0() const { return t0_; }
 
     /**
-     * Fill @p res's counts, its dispatchOps when baselined, and
-     * elapsed = @p end - t0.  The CMAM drivers end at their
-     * completion instant, before any straggler settle.
+     * Fill @p res's counts and elapsed = @p end - t0.  The engines
+     * end at their completion instant, before any straggler settle.
      */
     void
     finish(RunResult &res, Tick end) const
     {
         res.counts.src = src_.acct().counter().diff(srcBefore_);
         res.counts.dst = dst_.acct().counter().diff(dstBefore_);
-        if (baselined_)
-            res.dispatchOps = stack_.dispatchOps(dstId_) - dispatch0_;
         res.elapsed = end - t0_;
     }
 
@@ -82,11 +74,8 @@ class RunFrame
     Stack &stack_;
     Node &src_;
     Node &dst_;
-    NodeId dstId_;
     InstrCounter srcBefore_;
     InstrCounter dstBefore_;
-    bool baselined_;
-    std::uint64_t dispatch0_;
     Tick t0_;
 };
 

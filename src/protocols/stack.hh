@@ -10,7 +10,9 @@
 #ifndef MSGSIM_PROTOCOLS_STACK_HH
 #define MSGSIM_PROTOCOLS_STACK_HH
 
+#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "nicam/nicam_network.hh"
 #include "rdmanet/rdma_network.hh"
 #include "rdmanet/rdma_nic.hh"
+#include "sim/scratch.hh"
 
 namespace msgsim
 {
@@ -142,6 +145,13 @@ struct StackConfig
 StackConfig stackConfigFor(HostLayer layer);
 
 /**
+ * Fill @p words of @p node's memory at @p buf from @p seed: the
+ * application's data, written uncharged.
+ */
+void fillWords(Node &node, Addr buf, std::uint32_t words,
+               std::uint64_t seed);
+
+/**
  * Machine + fabric + one host layer per node.  Only the configured
  * layer is built, so the accessor of any other layer panics.
  */
@@ -180,19 +190,73 @@ class Stack
     std::uint64_t dispatchOps(NodeId id);
 
     /**
-     * Next transfer or queue-pair id.  Ids live in the 8-bit header
-     * field and are recycled within it; the counter is per-stack so
-     * concurrent stacks (the lab's parallel sweeps) never share
-     * mutable state.
-     */
-    Word allocId();
-
-    /**
-     * Connect a verbs queue pair between @p a and @p b (uncharged
-     * control plane, like RDMA connection management).  Returns the
-     * qp id, valid at both ends.
+     * The verbs queue pair from @p a to @p b, its id valid at both
+     * ends, connected on first use (uncharged control plane, like
+     * RDMA connection management).
      */
     Word connectQp(NodeId a, NodeId b);
+
+    // ------------------------------------------------------------
+    // The steps of a transfer and a stream that differ by layer.
+    // FiniteXfer and StreamProtocol skip what provided() names and
+    // take the rest from here.
+    // ------------------------------------------------------------
+
+    /**
+     * What the layer leaves to the hardware: nothing on CMAM; the
+     * fabric's netFeatures() on hl and verbs; on offload, placement
+     * by posted descriptor and the NIC's reorder stage (and delivery:
+     * the NIC recovers no loss).
+     */
+    NetFeatures provided() const;
+
+    /**
+     * Post the buffer at @p dst that transfer @p tid from @p src lands
+     * in: the header packet binds it on hl (uncharged); verbs
+     * registers it and posts a receive, offload writes the NIC's
+     * descriptor (BaseCost).  @p done runs when a poll takes in the
+     * last word.  Not on CMAM, which handshakes instead.
+     */
+    void postTransfer(NodeId src, NodeId dst, Word tid, Addr buf,
+                      std::uint32_t words, Cmam::XferDoneFn done);
+
+    /**
+     * Send @p words at @p buf to @p dst: into the buffer posted for
+     * transfer @p id, or on CMAM into segment @p id.  The caller
+     * scopes the feature.
+     */
+    void sendTransfer(NodeId src, NodeId dst, Word id, Addr buf,
+                      std::uint32_t words);
+
+    /** Takes in one stream packet at its destination, in order. */
+    using StreamDeliverFn = std::function<void(const std::vector<Word> &)>;
+
+    /**
+     * Open channel @p chan of @p packets packets from @p src to @p dst
+     * on a layer that provides in-order reliable delivery; @p deliver
+     * takes them in.  verbs registers a send buffer and a landing
+     * ring and posts a receive per packet (BaseCost); offload opens
+     * the NIC's reorder ring; hl's CMAM stream sink delivers.
+     */
+    void openStream(NodeId src, NodeId dst, Word chan,
+                    std::uint32_t packets, StreamDeliverFn deliver);
+
+    /** Send packet @p seq of @p chan; the caller scopes the feature. */
+    void sendStream(NodeId src, NodeId dst, Word chan, std::uint32_t seq,
+                    const std::vector<Word> &data);
+
+    /** Close channel @p chan: offload retires its NIC-table entry. */
+    void closeStream(Word chan);
+
+    /**
+     * True on the verbs and offload layers: no CMAM, and the NIC
+     * lands data in host memory for pollPending() to take in.
+     */
+    bool nicLands() const
+    {
+        return cfg_.layer == HostLayer::Verbs ||
+               cfg_.layer == HostLayer::Offload;
+    }
 
     /** The node itself. */
     Node &node(NodeId id) { return machine_->node(id); }
@@ -205,19 +269,24 @@ class Stack
     // ------------------------------------------------------------
 
     /**
-     * Settle, then poll CMAM once under BaseCost on each node whose
-     * NI holds a packet, in node order.  Returns the nodes polled.
+     * Settle, then poll once under BaseCost on each node that holds
+     * something, in node order: a packet in the NI; on verbs a
+     * completion; on offload a raised done flag or released stream
+     * data (probed or harvested) or a NIC-table miss.  Returns the
+     * nodes polled.
      */
     std::uint32_t pollPending();
 
     /**
-     * Event mode: from now on, every packet landing at node @p id
-     * queues a service entry one tick later, under BaseCost.  The
-     * entry polls CMAM, or with RecvDiscipline::Interrupt takes the
-     * interrupt service.  How many entries is the layer's accounting:
-     * CMAM takes one per node while one is queued (arrivals in the
-     * same tick share it), the §4 layer one per arrival (X2 pins hl
-     * instr 12032 = 47 × 256 packets).
+     * Event mode: from now on, everything landing at node @p id (a
+     * packet, a verbs completion, a done flag or stream data) queues
+     * a service entry one tick later, under BaseCost.  The
+     * entry polls as pollPending() does, or on CMAM with
+     * RecvDiscipline::Interrupt takes the interrupt service.  How
+     * many entries is the layer's accounting: the §4 layer takes one
+     * per arrival (X2 pins hl instr 12032 = 47 × 256 packets), every
+     * other layer one per node while one is queued (arrivals in the
+     * same tick share it).
      */
     void pollOnArrival(NodeId id,
                        RecvDiscipline discipline = RecvDiscipline::Poll);
@@ -254,6 +323,27 @@ class Stack
         bool entryQueued = false; ///< a coalesced entry waits to run
     };
 
+    /// A verbs or offload stream channel; closed: no deliver.
+    struct StreamSlot
+    {
+        NodeId src = 0;
+        NodeId dst = 0;
+        Addr srcBuf = 0; ///< verbs: the registered send buffer
+        Addr ring = 0;   ///< where the packets land at dst
+        std::uint32_t packets = 0;
+        StreamDeliverFn deliver;
+    };
+
+    /**
+     * Take in what node @p id's NIC has landed for the host; false
+     * when it had nothing (and nothing was charged).
+     */
+    bool takeIn(NodeId id);
+    /** Point node @p id's arrival hooks at @p hook (null: remove). */
+    void hookArrivals(NodeId id, const std::function<void()> &hook);
+    /** verbs: run the landing of a receive harvested at node @p id. */
+    void completed(NodeId id, const RdmaNic::Completion &c);
+
     /** The arrival hook of pollOnArrival: queue a service entry. */
     void arrived(NodeId id);
     /** The service entry: poll (or interrupt) node @p id. */
@@ -269,7 +359,19 @@ class Stack
     std::vector<std::unique_ptr<RdmaNic>> nics_;
     std::vector<std::unique_ptr<NicamLayer>> offloads_;
     std::vector<NodeProgress> progress_;
-    Word nextId_ = 1;
+
+    // The NIC layers' transfer and stream state.
+    /// verbs: the queue pair of each ordered (src, dst) pair.
+    std::map<std::pair<NodeId, NodeId>, Word> qps_;
+    /// What a landing runs, by (node, qp) on verbs (its receives'
+    /// steps in posting order, as the QP matches them) and by (node,
+    /// transfer id) on offload.
+    std::map<std::pair<NodeId, Word>, std::deque<Cmam::XferDoneFn>>
+        landings_;
+    std::map<Word, StreamSlot> streams_; ///< by channel id
+    /// Landed packets on their way to a channel.  Leased: a delivery
+    /// may re-enter the stack.
+    ScratchPool<std::vector<Word>> wordBufs_;
 };
 
 } // namespace msgsim

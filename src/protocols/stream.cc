@@ -21,9 +21,13 @@ constexpr std::uint32_t maxSeqHeader = hdr::maxFieldB;
 } // namespace
 
 StreamProtocol::StreamProtocol(Stack &stack)
-    : stack_(stack), ordered_(stack.cmam(0).trusted().inOrderDelivery &&
-                              stack.cmam(0).trusted().reliableDelivery)
+    : stack_(stack), ordered_(stack.provided().inOrderDelivery &&
+                              stack.provided().reliableDelivery)
 {
+    // A NIC layer hands each channel's packets to openStream's
+    // callback.
+    if (stack_.nicLands())
+        return;
     for (NodeId id = 0; id < stack_.machine().nodeCount(); ++id) {
         stack_.cmam(id).setStreamDataSink(
             [this, id](NodeId, Word header, const std::vector<Word> &data) {
@@ -54,15 +58,22 @@ StreamProtocol::openChannel(const StreamParams &params, DeliverFn cb)
     ch.groupAck = params.groupAck < 1 ? 1 : params.groupAck;
     ch.window = params.window;
     ch.userCb = std::move(cb);
-    // A trusting layer keeps no sequence words, retransmission ring
-    // or reorder arena, so it carves none (its retxSlots of 0 never
-    // bounds sendOn: nothing is ever left unacknowledged).
-    if (ordered_)
-        return ch;
-
     const int n = stack_.dataWords();
     const std::uint32_t packets =
         params.words / static_cast<std::uint32_t>(n);
+    // A trusting layer keeps no sequence words, retransmission ring
+    // or reorder arena, so it carves none (its retxSlots of 0 never
+    // bounds sendOn: nothing is ever left unacknowledged).  What its
+    // NIC needs to land the packets, the stack opens.
+    if (ordered_) {
+        stack_.openStream(ch.src, ch.dst, id, packets,
+                          [this, id](const std::vector<Word> &data) {
+                              Channel &c = channels_.at(id);
+                              deliverInSeq(c, c.expected, data);
+                          });
+        return ch;
+    }
+
     const std::uint32_t slot_words = 2 + static_cast<std::uint32_t>(n);
 
     // Channel setup (uncharged, models connection establishment):
@@ -125,7 +136,9 @@ StreamProtocol::closeChannel(Word id)
         return;
     const Channel &ch = it->second;
     // A trusting layer's channel carved nothing to hand back.
-    if (!ordered_) {
+    if (ordered_) {
+        stack_.closeStream(id);
+    } else {
         ChannelResources res;
         res.src = ch.src;
         res.dst = ch.dst;
@@ -154,25 +167,28 @@ StreamProtocol::sendPacket(Channel &ch, const std::vector<Word> &data)
     ScopedSpan span(ch.src, "stream", "send_data");
 
     // A trusting layer keeps no modeled counter: the host's mirror
-    // numbers the packet, uncharged.
-    std::uint32_t seq = ch.nextSeq;
-    if (!ordered_) {
-        {
-            // In-order delivery, source side (2 reg + 3 mem): load the
-            // channel's sequence counter, increment, store back, pack
-            // it into the header, and record the last sequence
-            // injected.
-            FeatureScope io(a, Feature::InOrderDelivery);
-            seq = p.loadWord(ch.seqAddr);                // mem 1
-            p.regOps(1);                                 // increment
-            p.storeWord(ch.seqAddr, seq + 1);            // mem 2
-            p.regOps(1);                                 // header pack
-            p.storeWord(ch.lastSentAddr, seq);           // mem 3
-        }
-        if (seq > maxSeqHeader)
-            msgsim_fatal("stream sequence ", seq,
-                         " exceeds header field");
+    // numbers the packet, uncharged, and the stack sends it.
+    if (ordered_) {
+        stack_.sendStream(ch.src, ch.dst, ch.id, ch.nextSeq++, data);
+        return;
+    }
 
+    std::uint32_t seq;
+    {
+        // In-order delivery, source side (2 reg + 3 mem): load the
+        // channel's sequence counter, increment, store back, pack it
+        // into the header, and record the last sequence injected.
+        FeatureScope io(a, Feature::InOrderDelivery);
+        seq = p.loadWord(ch.seqAddr);                // mem 1
+        p.regOps(1);                                 // increment
+        p.storeWord(ch.seqAddr, seq + 1);            // mem 2
+        p.regOps(1);                                 // header pack
+        p.storeWord(ch.lastSentAddr, seq);           // mem 3
+    }
+    if (seq > maxSeqHeader)
+        msgsim_fatal("stream sequence ", seq, " exceeds header field");
+
+    {
         // Fault tolerance, source side (6 reg + n/2 mem): copy the
         // outgoing payload into the retransmission ring so it can be
         // resent until acknowledged.
@@ -547,6 +563,10 @@ Word
 StreamProtocol::openPersistent(NodeId src, NodeId dst, int groupAck,
                                std::uint32_t ringPackets, DeliverFn cb)
 {
+    if (stack_.nicLands())
+        msgsim_fatal("persistent stream channels run on the cmam and hl "
+                     "layers, not on ",
+                     toString(stack_.config().layer));
     StreamParams params;
     params.src = src;
     params.dst = dst;
@@ -801,11 +821,6 @@ StreamProtocol::run(const StreamParams &params)
     const std::uint32_t packets =
         params.words / static_cast<std::uint32_t>(n);
 
-    Channel &ch = openChannel(params, nullptr);
-    ch.journal = true;
-    ch.deliveredWords.reserve(params.words);
-    Node &dst = stack_.node(params.dst);
-
     // Generate the stream contents (register-resident application
     // data; uncharged).
     std::vector<std::vector<Word>> data(packets);
@@ -818,16 +833,16 @@ StreamProtocol::run(const StreamParams &params)
 
     const RunFrame frame(stack_, params.src, params.dst);
     Tick done_at = frame.t0();
+    // Inside the frame: a NIC layer registers and posts at open.
+    Channel &ch = openChannel(params, nullptr);
+    ch.journal = true;
+    ch.deliveredWords.reserve(params.words);
 
     if (!params.eventMode) {
         // ---- Calibration mode: minimum execution path.
         for (const auto &pkt : data)
             sendPacket(ch, pkt);
-        stack_.settle();
-        {
-            FeatureScope fs(dst.acct(), Feature::BaseCost);
-            stack_.cmam(params.dst).poll();
-        }
+        stack_.pollPending();
         flushGroupAck(ch);
         stack_.settle();
         consumeAcks(ch);

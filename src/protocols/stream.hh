@@ -28,11 +28,12 @@
  * suppression with re-acknowledgement, and optional window flow
  * control — end-to-end reliability over the detection-only network.
  *
- * On a layer that trusts inOrderDelivery and reliableDelivery (the
- * paper's Section 4 layer on CR) the in-order and fault-tolerance
- * steps vanish: each packet is a single-packet send with no sequence
- * step or retransmission copy, the base receive delivers it, and
- * there are no acks and no timers.
+ * On a layer that provides inOrderDelivery and reliableDelivery (the
+ * paper's Section 4 layer on CR, verbs, NIC offload) the in-order and
+ * fault-tolerance steps vanish: each packet is one send with no
+ * sequence step or retransmission copy (Stack::sendStream), the
+ * layer's receive delivers it, and there are no acks and no timers.
+ * Persistent channels run on CMAM and hl only.
  */
 
 #ifndef MSGSIM_PROTOCOLS_STREAM_HH
@@ -70,8 +71,8 @@ struct StreamParams
 };
 
 /**
- * The indefinite-sequence protocol engine for one stack.  Reads the
- * features the stack's CMAM layer trusts once, at construction.
+ * The indefinite-sequence protocol engine for one stack.  Reads what
+ * the stack's layer provides once, at construction.
  */
 class StreamProtocol
 {
@@ -90,8 +91,9 @@ class StreamProtocol
     // ------------------------------------------------------------
 
     /**
-     * Open a long-lived channel; @p ringPackets bounds the
-     * retransmission ring (and therefore the in-flight window).
+     * Open a long-lived channel (CMAM and hl only); @p ringPackets
+     * bounds the retransmission ring (and therefore the in-flight
+     * window).
      */
     Word openPersistent(NodeId src, NodeId dst, int groupAck,
                         std::uint32_t ringPackets, DeliverFn cb);

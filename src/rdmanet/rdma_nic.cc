@@ -274,6 +274,8 @@ RdmaNic::pushCqe(const Completion &c)
     mem.write(cqe + 3, c.userTag);
     mem.write(cqIndexAddr_, static_cast<Word>(++cqProducer_));
     cq_.push_back(c);
+    if (arrivalHook_)
+        arrivalHook_();
 }
 
 int

@@ -80,6 +80,16 @@ class RdmaNic
     /** Install the completion callback (application level). */
     void setCompletionFn(CompletionFn fn) { completionFn_ = std::move(fn); }
 
+    /**
+     * Run @p fn whenever a completion lands in the CQ, a send's too,
+     * so an event-mode host reaps both as settled polls do
+     * (Stack::pollOnArrival installs it); null removes it.
+     */
+    void setArrivalHook(std::function<void()> fn)
+    {
+        arrivalHook_ = std::move(fn);
+    }
+
     // ------------------------------------------------------------
     // Control plane (uncharged, like connection management).
     // ------------------------------------------------------------
@@ -193,6 +203,7 @@ class RdmaNic
     Network &net_;
     Config cfg_;
     CompletionFn completionFn_;
+    std::function<void()> arrivalHook_;
 
     std::map<Word, QpState> qps_;
     std::map<Word, std::deque<PostedRecv>> postedRecvs_;

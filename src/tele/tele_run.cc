@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "protocols/layer_drivers.hh"
 #include "sim/log.hh"
 #include "sim/trace_session.hh"
 #include "tele/probes.hh"

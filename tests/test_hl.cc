@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "protocols/finite_xfer.hh"
 #include "protocols/stream.hh"
 #include "sim/log.hh"
@@ -327,9 +329,15 @@ TEST(HlFinite, OneEngineRunsMoreTransfersThanTheIdField)
 TEST(HlFinite, RepeatedRunsStopGrowingNodeMemory)
 {
     // One engine, transfer after transfer: a completed run's buffers
-    // serve the next run of the same shape, on CMAM and on hl alike.
-    for (const HostLayer layer : {HostLayer::Cmam, HostLayer::Hl}) {
-        StackConfig cfg = stackConfigFor(layer);
+    // serve the next run of the same shape, on every pair alike (so
+    // verbs connects one queue pair, and offload's transfer ids and
+    // NIC-table entries are given back as each transfer lands).
+    for (const StackPair &pair : stackPairs) {
+        const std::string name = std::string(toString(pair.substrate)) +
+                                 "/" + toString(pair.layer);
+        StackConfig cfg;
+        cfg.substrate = pair.substrate;
+        cfg.layer = pair.layer;
         cfg.nodes = 2;
         Stack stack(cfg);
         FiniteXfer fx(stack);
@@ -339,9 +347,9 @@ TEST(HlFinite, RepeatedRunsStopGrowingNodeMemory)
         const std::size_t src = stack.node(0).mem().allocated();
         const std::size_t dst = stack.node(1).mem().allocated();
         for (int i = 1; i < 2000; ++i)
-            ASSERT_TRUE(fx.run(p).dataOk) << toString(layer) << " " << i;
-        EXPECT_EQ(stack.node(0).mem().allocated(), src) << toString(layer);
-        EXPECT_EQ(stack.node(1).mem().allocated(), dst) << toString(layer);
+            ASSERT_TRUE(fx.run(p).dataOk) << name << " " << i;
+        EXPECT_EQ(stack.node(0).mem().allocated(), src) << name;
+        EXPECT_EQ(stack.node(1).mem().allocated(), dst) << name;
     }
 }
 

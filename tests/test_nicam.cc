@@ -3,12 +3,14 @@
  * Tests of the NIC-offloaded AM substrate (src/nicam): the bounded
  * on-NIC handler table (hit = hardware dispatch, miss = host
  * fallback at full cost), per-handler offload accounting, NIC-side
- * CRC discard, the four protocol drivers, and the design rule that
- * observability never changes counts.
+ * CRC discard, the four protocols (the engines and prof's active-
+ * message exchanges), and the design rule that observability never
+ * changes counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "hostprof/hostprof.hh"
@@ -16,7 +18,8 @@
 #include "nicam/nicam_network.hh"
 #include "prof/lineage.hh"
 #include "prof/profile.hh"
-#include "protocols/layer_drivers.hh"
+#include "protocols/finite_xfer.hh"
+#include "protocols/stream.hh"
 #include "sim/event.hh"
 
 namespace msgsim
@@ -29,6 +32,17 @@ NicamNetwork &
 nicamFabric(Stack &stack)
 {
     return static_cast<NicamNetwork &>(stack.network());
+}
+
+/** prof's @p protocol row on nicam, on a fresh offload stack. */
+RunResult
+offloadRow(const char *protocol,
+           const std::function<void(Machine &)> &onStack = {})
+{
+    prof::ProfConfig cfg;
+    cfg.protocol = protocol;
+    cfg.substrate = Substrate::Nicam;
+    return prof::runProtocol(cfg, onStack);
 }
 
 // ----------------------------------------------------------------
@@ -186,22 +200,27 @@ TEST(NicamNetwork, PacketWrittenInFlightPanics)
 
 TEST(NicamLayer, SingleAmDispatchesOnNicWithZeroHostDispatch)
 {
-    StackConfig cfg = stackConfigFor(HostLayer::Offload);
-    Stack stack(cfg);
-    RunParams p;
-    const RunResult res = runNicamSingle(stack, p);
+    const RunResult res = offloadRow("single");
     ASSERT_TRUE(res.dataOk);
     EXPECT_EQ(res.dispatchOps, 0u); // the NIC did the dispatch
+
+    // The same message on a stack the test keeps: a table hit.
+    Stack stack(stackConfigFor(HostLayer::Offload));
+    int nicRuns = 0;
+    ASSERT_TRUE(stack.offload(1).installAmHandler(
+        5, [&nicRuns](NodeId, Word, const std::vector<Word> &) {
+            ++nicRuns;
+        }));
+    stack.offload(0).amSend(1, 5, {1, 2, 3, 4});
+    stack.settle();
+    EXPECT_EQ(nicRuns, 1);
     EXPECT_GT(nicamFabric(stack).offloadHits(), 0u);
-    EXPECT_EQ(stack.offload(p.dst).hostDispatches(), 0u);
+    EXPECT_EQ(stack.offload(1).hostDispatches(), 0u);
 }
 
 TEST(NicamLayer, Am4RoundTripNeverWakesTheDestinationHost)
 {
-    StackConfig cfg = stackConfigFor(HostLayer::Offload);
-    Stack stack(cfg);
-    RunParams p;
-    const RunResult res = runNicamAm4(stack, p);
+    const RunResult res = offloadRow("am4");
     ASSERT_TRUE(res.dataOk);
     // Request handled on dst's NIC, reply injected by the NIC: the
     // destination processor executes nothing at all.
@@ -221,12 +240,12 @@ TEST(NicamLayer, OffloadReplyMayGrowThePoolUnderItsRequest)
     // by the ASan build).
     for (std::uint32_t held = 0; held <= 48; ++held) {
         SCOPED_TRACE(held);
-        Stack stack(stackConfigFor(HostLayer::Offload));
-        for (std::uint32_t i = 0; i < held; ++i)
-            (void)stack.network().park(Packet());
         prof::LineageSession lineage;
         lineage.attach();
-        const RunResult res = runNicamAm4(stack, RunParams{});
+        const RunResult res = offloadRow("am4", [held](Machine &m) {
+            for (std::uint32_t i = 0; i < held; ++i)
+                (void)m.network().park(Packet());
+        });
         ASSERT_TRUE(res.dataOk);
         EXPECT_EQ(res.counts.dst.paperTotal(), 0u);
     }
@@ -293,49 +312,85 @@ TEST(NicamLayer, TableMissFallsBackToFullCostHostDispatch)
     // removed — its instruction mirror must be nonzero.
     EXPECT_GT(dst.dispatchOps(), 0u);
     EXPECT_EQ(nicamFabric(stack).offloadMisses(), 1u);
+
+    // The stack's settled sweep takes a miss in as well.
+    stack.offload(0).amSend(1, 2, {30, 31, 32, 33});
+    EXPECT_EQ(stack.pollPending(), 1u);
+    EXPECT_EQ(hostRuns, 2);
+    EXPECT_EQ(stack.pollPending(), 0u);
 }
 
 TEST(NicamLayer, FiniteXferPlacedByNicAndProbedByFlag)
 {
-    StackConfig cfg = stackConfigFor(HostLayer::Offload);
-    Stack stack(cfg);
-    RunParams p;
+    Stack stack(stackConfigFor(HostLayer::Offload));
+    FiniteXferParams p;
     p.words = 32;
-    const RunResult res = runNicamFinite(stack, p);
+    const RunResult res = FiniteXfer(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     EXPECT_EQ(res.packets, 8u);
-    EXPECT_EQ(res.dispatchOps, 0u);
+    EXPECT_EQ(stack.dispatchOps(p.dst), 0u);
+    EXPECT_EQ(nicamFabric(stack).offloadHits(), 8u);
+    EXPECT_EQ(stack.offload(p.dst).hostDispatches(), 0u);
     // Receive-side per-packet software is gone; what the host pays is
     // the descriptor post (buffer mgmt) and the completion probe.
     EXPECT_GT(res.counts.featureTotal(Feature::BufferMgmt), 0u);
     EXPECT_EQ(res.counts.featureTotal(Feature::FaultTolerance), 0u);
+    // The landed transfer gave its table entry back.
+    EXPECT_EQ(nicamFabric(stack).offloadEntries(p.dst), 0);
 }
 
 TEST(NicamLayer, StreamIsReorderedOnNicAndHarvestedInOrder)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Offload);
+    cfg.order = swapAdjacentFactory(); // the fabric swaps neighbours
     Stack stack(cfg);
-    RunParams p;
+    StreamParams p;
     p.words = 32;
-    const RunResult res = runNicamStream(stack, p);
+    const RunResult res = StreamProtocol(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     EXPECT_EQ(res.packets, 8u);
     // The source still pays for sequence stamping: the fabric is out
     // of order and ordering metadata is software's job at the source.
     EXPECT_GT(res.counts.featureTotal(Feature::InOrderDelivery), 0u);
-    EXPECT_EQ(res.dispatchOps, 0u);
+    EXPECT_EQ(stack.dispatchOps(p.dst), 0u);
+    EXPECT_EQ(nicamFabric(stack).offloadHits(), 8u);
+    // The closed channel gave its table entry back.
+    EXPECT_EQ(nicamFabric(stack).offloadEntries(p.dst), 0);
 }
 
-TEST(NicamLayer, AllFourProtocolsRunEventMode)
+TEST(NicamLayer, RunsGiveBackTheirTableEntries)
 {
-    StackConfig cfg = stackConfigFor(HostLayer::Offload);
-    Stack stack(cfg);
-    RunParams p;
-    p.eventMode = true;
-    EXPECT_TRUE(runNicamSingle(stack, p).dataOk);
-    EXPECT_TRUE(runNicamAm4(stack, p).dataOk);
-    EXPECT_TRUE(runNicamFinite(stack, p).dataOk);
-    EXPECT_TRUE(runNicamStream(stack, p).dataOk);
+    // Twice the table's eight entries of each, one after another on
+    // one engine: every landed transfer and closed channel retires
+    // its entry (and its id) for the next.
+    Stack stack(stackConfigFor(HostLayer::Offload));
+    FiniteXfer fx(stack);
+    StreamProtocol sp(stack);
+    for (int i = 0; i < 16; ++i) {
+        ASSERT_TRUE(fx.run(FiniteXferParams{}).dataOk) << i;
+        ASSERT_TRUE(sp.run(StreamParams{}).dataOk) << i;
+    }
+    EXPECT_EQ(nicamFabric(stack).offloadEntries(1), 0);
+}
+
+TEST(NicamLayer, AllFourProtocolsRun)
+{
+    // prof's rows: xfer is FiniteXfer, stream is StreamProtocol,
+    // single and am4 are active messages handled on the NIC.
+    for (const char *proto : {"single", "am4", "xfer", "stream"})
+        EXPECT_TRUE(offloadRow(proto).dataOk) << proto;
+    // The engines in both modes, one after another on one stack.
+    Stack stack(stackConfigFor(HostLayer::Offload));
+    FiniteXfer fx(stack);
+    StreamProtocol sp(stack);
+    for (const bool eventMode : {false, true}) {
+        FiniteXferParams xp;
+        xp.eventMode = eventMode;
+        EXPECT_TRUE(fx.run(xp).dataOk) << eventMode;
+        StreamParams sp_params;
+        sp_params.eventMode = eventMode;
+        EXPECT_TRUE(sp.run(sp_params).dataOk) << eventMode;
+    }
 }
 
 // ----------------------------------------------------------------

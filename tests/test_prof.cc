@@ -279,8 +279,9 @@ TEST(FoldedStacks, SelfCostExcludesChildSpans)
     const auto outer = stacks.find("t;node0;proto/outer");
     ASSERT_NE(inner, stacks.end());
     EXPECT_EQ(inner->second.total(), 5u);
-    if (outer != stacks.end())
+    if (outer != stacks.end()) {
         EXPECT_EQ(outer->second.total(), 0u);
+    }
     EXPECT_EQ(profiler.unboundSpans(), 0u);
 }
 

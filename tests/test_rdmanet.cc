@@ -12,7 +12,8 @@
 #include <vector>
 
 #include "prof/profile.hh"
-#include "protocols/layer_drivers.hh"
+#include "protocols/finite_xfer.hh"
+#include "protocols/stream.hh"
 #include "rdmanet/rdma_network.hh"
 #include "sim/event.hh"
 
@@ -114,11 +115,14 @@ TEST(RdmaNetwork, StalledFlowHoldsYoungerPackets)
 
 TEST(RdmaNic, SingleMessageLandsZeroCopy)
 {
-    StackConfig cfg = stackConfigFor(HostLayer::Verbs);
-    Stack stack(cfg);
-    RunParams p;
-    const RunResult res = runRdmaSingle(stack, p);
+    // One message is a one-packet transfer: a posted receive, one
+    // send, a CQ poll at each end.
+    Stack stack(stackConfigFor(HostLayer::Verbs));
+    FiniteXferParams p;
+    p.words = static_cast<std::uint32_t>(stack.dataWords());
+    const RunResult res = FiniteXfer(stack).run(p);
     ASSERT_TRUE(res.dataOk);
+    EXPECT_EQ(res.packets, 1u);
     // The 1994 overheads are hardware's problem now...
     EXPECT_EQ(res.counts.featureTotal(Feature::BufferMgmt), 0u);
     EXPECT_EQ(res.counts.featureTotal(Feature::InOrderDelivery), 0u);
@@ -129,17 +133,31 @@ TEST(RdmaNic, SingleMessageLandsZeroCopy)
     EXPECT_GT(res.counts.featureTotal(Feature::BaseCost), 0u);
 }
 
-TEST(RdmaNic, AllFourProtocolsRunEventAndSettledMode)
+TEST(RdmaNic, AllFourProtocolsRun)
 {
+    // prof's rows: single and xfer are FiniteXfer, stream is
+    // StreamProtocol, am4 is the verbs request/reply exchange.
+    for (const char *proto : {"single", "am4", "xfer", "stream"}) {
+        prof::ProfConfig cfg;
+        cfg.protocol = proto;
+        cfg.substrate = Substrate::Rdma;
+        EXPECT_TRUE(prof::runProtocol(cfg).dataOk) << proto;
+    }
+    // The engines in both modes, one after another on one stack.
+    Stack stack(stackConfigFor(HostLayer::Verbs));
+    FiniteXfer fx(stack);
+    StreamProtocol sp(stack);
     for (const bool eventMode : {false, true}) {
-        StackConfig cfg = stackConfigFor(HostLayer::Verbs);
-        Stack stack(cfg);
-        RunParams p;
-        p.eventMode = eventMode;
-        EXPECT_TRUE(runRdmaSingle(stack, p).dataOk);
-        EXPECT_TRUE(runRdmaAm4(stack, p).dataOk);
-        EXPECT_TRUE(runRdmaFinite(stack, p).dataOk);
-        EXPECT_TRUE(runRdmaStream(stack, p).dataOk);
+        FiniteXferParams xp;
+        xp.eventMode = eventMode;
+        EXPECT_TRUE(fx.run(xp).dataOk) << eventMode;
+        xp.words = static_cast<std::uint32_t>(stack.dataWords());
+        EXPECT_TRUE(fx.run(xp).dataOk) << eventMode;
+        StreamParams sp_params;
+        sp_params.eventMode = eventMode;
+        EXPECT_TRUE(sp.run(sp_params).dataOk) << eventMode;
+        // Either mode's polls reap the send completions too.
+        EXPECT_EQ(stack.nic(0).cqDepth(), 0u) << eventMode;
     }
 }
 
@@ -229,10 +247,10 @@ TEST(RdmaNic, CqOverflowBackpressuresInsteadOfDropping)
     StackConfig cfg = stackConfigFor(HostLayer::Verbs);
     cfg.cqCapacity = 2;
     Stack stack(cfg);
-    RunParams p;
+    StreamParams p;
     p.words = 32; // 8 messages of 4 words against a 2-slot CQ
     p.eventMode = true;
-    const RunResult res = runRdmaStream(stack, p);
+    const RunResult res = StreamProtocol(stack).run(p);
     ASSERT_TRUE(res.dataOk);
     // The sender hit the full send CQ and had to harvest first.
     EXPECT_GT(stack.nic(0).sendStalls(), 0u);

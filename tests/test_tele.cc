@@ -124,7 +124,7 @@ TEST(TeleSession, SamplesAtPeriodBoundariesOnly)
     Simulator sim;
     tele::TeleSession s({10, 64});
     Level level;
-    s.addProbe({"t", "level", invalidNode, tele::ProbeKind::Gauge},
+    s.addProbe({"t", "level", invalidNode, tele::ProbeKind::Gauge, 0.0, ""},
                [&level] { return level.value; });
     s.bindClock(&sim);
     s.attach();
@@ -152,7 +152,7 @@ TEST(TeleSession, RingEvictsOldestAndCounts)
 {
     Simulator sim;
     tele::TeleSession s({1, 4}); // tiny ring: 4 retained samples
-    s.addProbe({"t", "tick", invalidNode, tele::ProbeKind::Counter},
+    s.addProbe({"t", "tick", invalidNode, tele::ProbeKind::Counter, 0.0, ""},
                [&sim] { return double(sim.now()); });
     s.bindClock(&sim);
     s.attach();
@@ -178,7 +178,7 @@ TEST(TeleSession, RetiredProbesKeepTheirSamples)
     {
         // Short-lived probed object, destroyed before the session.
         auto counter = std::make_unique<Level>();
-        s.addProbe({"t", "x", invalidNode, tele::ProbeKind::Gauge},
+        s.addProbe({"t", "x", invalidNode, tele::ProbeKind::Gauge, 0.0, ""},
                    [p = counter.get()] { return p->value; });
         s.bindClock(&sim);
         s.attach();

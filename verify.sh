@@ -15,12 +15,12 @@
 #                                (this is what the CTest hook uses;
 #                                it must NOT recurse into ctest)
 #   ./verify.sh --sanitize       the checked lane: build tier-1 tests
-#                                under ASan+UBSan in a separate build
-#                                tree, which also defines MSGSIM_CHECKED
-#                                (launch seals each packet's CRC, and
-#                                the CRC check panics on a packet
-#                                written in flight); fail unless ctest
-#                                lists the two checked-only
+#                                under ASan+UBSan and -Werror in a
+#                                separate build tree, which also defines
+#                                MSGSIM_CHECKED (launch seals each
+#                                packet's CRC, and the CRC check panics
+#                                on a packet written in flight); fail
+#                                unless ctest lists the two checked-only
 #                                *.PacketWrittenInFlightPanics tests,
 #                                then run them all
 #   ./verify.sh --tsan           build msgsim-lab and the threaded tests
@@ -37,7 +37,8 @@
 #                                --ce-out and replayed
 #   ./verify.sh --prof           only the profiler gate, against an
 #                                already-built build/ tree: msgsim-prof
-#                                artifacts on all four substrates, and
+#                                artifacts on all four substrates, each
+#                                layer's transfer run by FiniteXfer, and
 #                                the rdma / nicam matrix columns
 #   ./verify.sh --hostprof       only the host self-profiler gate:
 #                                msgsim-selfprof on its p1 workload
@@ -145,7 +146,7 @@ check_prof() {
 
     # A profiled run on each substrate produces the full artifact
     # set: folded stacks, waterfall, trace with lineage flows.
-    local sub
+    local sub pair
     for sub in cm5 cr rdma nicam; do
         "$prof" --protocol=xfer --substrate="$sub" \
             --flame-out="$tmpdir/$sub.folded" \
@@ -156,9 +157,11 @@ check_prof() {
         grep -q '"ph":"s"' "$tmpdir/$sub.trace.json"
         grep -q '"bp":"e"' "$tmpdir/$sub.trace.json"
     done
-    # CMAM (cm5) and the hl layer (cr) run the one FiniteXfer engine.
-    for sub in cm5 cr; do
-        grep -q 'finite_xfer/data;cmam/xfer_send' "$tmpdir/$sub.folded"
+    # Each substrate's own layer runs the one FiniteXfer engine: CMAM
+    # on cm5, hl on cr, verbs on rdma and offload on nicam.
+    for pair in cm5:cmam/xfer_send cr:cmam/xfer_send \
+        rdma:rdma/post_send nicam:nicam/xfer_send; do
+        grep -q "finite_xfer/data;${pair#*:}" "$tmpdir/${pair%%:*}.folded"
     done
 
     # The modern columns of the substrate x feature matrix: on rdma
@@ -454,8 +457,10 @@ fi
 
 if [[ "${1:-}" == "--sanitize" ]]; then
     cd "$repo_dir"
+    # -Werror: a new compiler warning fails the checked lane.
     cmake -B build-sanitize -S . \
-        -DMSGSIM_ASAN=ON -DMSGSIM_UBSAN=ON > /dev/null
+        -DMSGSIM_ASAN=ON -DMSGSIM_UBSAN=ON -DCMAKE_CXX_FLAGS=-Werror \
+        > /dev/null
     cmake --build build-sanitize -j"$(nproc)"
     # Compiled only under MSGSIM_CHECKED: a build that lost the
     # definition would otherwise pass without checking anything.
