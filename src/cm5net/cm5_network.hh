@@ -62,7 +62,9 @@ class Cm5Network : public Network
         double injectBusyRate = 0.0; ///< P(injection port busy) per try
         std::uint64_t seed = 0xc0ffeeULL;
         FaultInjector::Config faults;
-        OrderPolicyFactory orderFactory; ///< default: FIFO
+        /// Per-flow scrambling; none: each packet is delivered as it
+        /// reaches the edge.
+        OrderPolicyFactory orderFactory;
     };
 
     static constexpr std::uint32_t arity = 4; ///< fat-tree arity (CM-5: 4)

@@ -62,7 +62,7 @@ namespace hostprof
 enum class Site : std::uint8_t
 {
     SimStep,     ///< one event-loop iteration (self = dispatch cost)
-    SimHeapPop,  ///< event-heap pop
+    SimHeapPop,  ///< event-queue pop (named sim.heap_pop)
     SimHandler,  ///< scheduled event execution
     NetInject,   ///< Network::inject, injectParked (stamp, seal, hand off)
     NetDeliver,  ///< Network::presentToSink

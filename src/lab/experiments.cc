@@ -1135,8 +1135,8 @@ makeM1()
                "itemized separately, as the paper itemizes its "
                "per-feature overheads."};
     e.runPoint = [](std::size_t pi) {
-        static const char *protos[] = {"single", "am4", "xfer",
-                                       "stream"};
+        static const char *const protos[] = {"single", "am4", "xfer",
+                                             "stream"};
         std::vector<Row> rows;
         for (const char *proto : protos) {
             prof::ProfConfig pc;
@@ -1345,7 +1345,7 @@ makeW1()
 
         // Collective algorithms: allreduce on 8 nodes (power of two
         // for recursive doubling), message counts analytic.
-        static const char *algos[] = {"tree", "ring", "rd"};
+        static const char *const algos[] = {"tree", "ring", "rd"};
         for (const char *name : algos) {
             Collectives::Algo algo;
             algoFromString(name, algo);
@@ -1496,7 +1496,7 @@ makeO1()
                "(every sample of every track), pinning the sampled "
                "series byte-for-byte."};
     e.runPoint = [](std::size_t pi) {
-        static const char *kScen[] = {"incast", "incast", "wire"};
+        static const char *const kScen[] = {"incast", "incast", "wire"};
         static constexpr Substrate kSub[] = {
             Substrate::Cm5, Substrate::Rdma, Substrate::Cm5};
         tele::ScenarioOptions opt;

@@ -71,12 +71,6 @@ RandomWindowOrder::flush(std::vector<Slot> &release)
 }
 
 OrderPolicyFactory
-fifoOrderFactory()
-{
-    return [] { return std::make_unique<FifoOrder>(); };
-}
-
-OrderPolicyFactory
 swapAdjacentFactory()
 {
     return [] { return std::make_unique<SwapAdjacentOrder>(); };

@@ -56,19 +56,6 @@ class OrderPolicy
 /** Factory producing a fresh policy instance per flow. */
 using OrderPolicyFactory = std::function<std::unique_ptr<OrderPolicy>()>;
 
-/** Transmission-order delivery (no scrambling). */
-class FifoOrder : public OrderPolicy
-{
-  public:
-    void
-    arrive(Slot pkt, std::vector<Slot> &release) override
-    {
-        release.push_back(pkt);
-    }
-
-    void flush(std::vector<Slot> &) override {}
-};
-
 /**
  * Deterministic pairwise swap: packets (2k, 2k+1) of every flow are
  * delivered as (2k+1, 2k).  Exactly half of the packets of a
@@ -133,7 +120,6 @@ class RandomWindowOrder : public OrderPolicy
 };
 
 /** Factory helpers. */
-OrderPolicyFactory fifoOrderFactory();
 OrderPolicyFactory swapAdjacentFactory();
 OrderPolicyFactory pairSwapChanceFactory(double swapChance,
                                          std::uint64_t seed);
@@ -143,7 +129,8 @@ OrderPolicyFactory randomWindowFactory(std::size_t window,
 /**
  * The order-scrambling destination edge of an out-of-order fabric
  * (cm5, nicam): one policy per (src, dst, vnet) flow, created on the
- * flow's first packet.
+ * flow's first packet.  With no factory the edge keeps no state and
+ * presents each packet as it arrives, in transmission order per flow.
  */
 class OrderStage
 {
@@ -152,8 +139,7 @@ class OrderStage
 
     /** @p nodes sizes each source's flow row (the fabric's nodes). */
     OrderStage(OrderPolicyFactory factory, std::uint32_t nodes)
-        : factory_(factory ? std::move(factory) : fifoOrderFactory()),
-          nodes_(nodes)
+        : factory_(std::move(factory)), nodes_(nodes)
     {
     }
 
@@ -163,6 +149,10 @@ class OrderStage
     void
     arrive(const Packet &pkt, Slot slot, Deliver deliver)
     {
+        if (!factory_) {
+            deliver(slot);
+            return;
+        }
         std::unique_ptr<OrderPolicy> &policy = policies_.at(pkt, nodes_);
         if (!policy)
             policy = factory_();

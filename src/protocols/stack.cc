@@ -123,7 +123,7 @@ typename Net::Config
 cm5ClassConfig(const StackConfig &cfg)
 {
     typename Net::Config nc = linkConfig<Net>(cfg);
-    nc.orderFactory = cfg.order; // OrderStage maps empty to FIFO
+    nc.orderFactory = cfg.order; // empty: the edge delivers on arrival
     nc.maxJitter = cfg.maxJitter;
     nc.injectBusyRate = cfg.injectBusyRate;
     nc.seed = cfg.seed;

@@ -127,7 +127,7 @@ struct StackConfig
     bool kernelMediated = false;
 
     // CM-5 substrate knobs.
-    OrderPolicyFactory order;          ///< default FIFO
+    OrderPolicyFactory order;          ///< default none: no scrambling
     FaultInjector::Config faults;      ///< default fault-free
     Tick maxJitter = 0;
     double injectBusyRate = 0.0;

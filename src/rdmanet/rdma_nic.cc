@@ -139,7 +139,8 @@ RdmaNic::regMr(Addr addr, std::uint32_t words)
         mrCacheNext_ % static_cast<std::uint64_t>(cfg_.mrCacheSlots))] =
         region;
     ++mrCacheNext_;
-    registered_.push_back(region);
+    if (!isRegistered(addr, words))
+        registered_.push_back(region);
     return false;
 }
 

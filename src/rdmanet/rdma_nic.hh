@@ -146,6 +146,9 @@ class RdmaNic
 
     std::uint64_t mrCacheHits() const { return mrCacheHits_; }
     std::uint64_t mrCacheMisses() const { return mrCacheMisses_; }
+    /** Distinct regions the NIC translates (a miss on a region it
+     *  still covers adds none). */
+    std::size_t registeredRegions() const { return registered_.size(); }
     std::uint64_t cqesHarvested() const { return cqesHarvested_; }
     /// Deliveries refused because the CQ had no free slot.
     std::uint64_t cqOverflowStalls() const { return cqOverflowStalls_; }
@@ -221,7 +224,7 @@ class RdmaNic
     std::uint64_t cqConsumer_ = 0;
 
     std::vector<MrRegion> mrCache_;    ///< bounded (FIFO eviction)
-    std::vector<MrRegion> registered_; ///< all regions ever pinned
+    std::vector<MrRegion> registered_; ///< every region pinned, once
     std::uint64_t mrCacheNext_ = 0;
 
     std::uint64_t mrCacheHits_ = 0;

@@ -1,5 +1,7 @@
 #include "sim/event.hh"
 
+#include <algorithm>
+
 #include "hostprof/hostprof.hh"
 #include "sim/metrics.hh"
 #include "sim/tick_hook.hh"
@@ -8,51 +10,86 @@
 namespace msgsim
 {
 
-void
-EventQueue::push(const Entry &entry)
+namespace
 {
-    std::size_t i = heap_.size();
-    heap_.push_back(entry);
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 4;
-        if (!entry.before(heap_[parent]))
-            break;
-        heap_[i] = heap_[parent];
-        i = parent;
+
+/** Heap order for far events: the earliest (when, seq) at the front. */
+struct Later
+{
+    template <typename Far>
+    bool
+    operator()(const Far &a, const Far &b) const
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
     }
-    heap_[i] = entry;
+};
+
+} // namespace
+
+void
+EventQueue::scheduleFar(Tick when, const Node &node)
+{
+    if (when < base_)
+        msgsim_panic("schedule() before the last popped tick: ", when,
+                     " < ", base_);
+    far_.push_back(Far{when, nextSeq_, allocNode(node)});
+    std::push_heap(far_.begin(), far_.end(), Later{});
+}
+
+EventQueue::Index
+EventQueue::growSlab(const Node &node)
+{
+    nodes_.push_back(node);
+    return static_cast<Index>(nodes_.size() - 1);
+}
+
+void
+EventQueue::admitFar()
+{
+    do {
+        append(far_.front().when, far_.front().node);
+        std::pop_heap(far_.begin(), far_.end(), Later{});
+        far_.pop_back();
+    } while (!far_.empty() && far_.front().when - base_ < window);
+}
+
+Tick
+EventQueue::nextTick() const
+{
+    if (size_ == 0)
+        msgsim_panic("nextTick() on empty event queue");
+    if (occupied_ == 0)
+        return far_.front().when;
+    return base_ + firstOccupied();
 }
 
 EventQueue::Event
 EventQueue::pop(Tick &when)
 {
-    if (heap_.empty())
+    if (size_ == 0)
         msgsim_panic("pop() on empty event queue");
-    const Entry top = heap_.front();
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n > 0) {
-        // Sift the old last entry down from the root.
-        std::size_t i = 0;
-        for (;;) {
-            const std::size_t first = 4 * i + 1;
-            if (first >= n)
-                break;
-            std::size_t best = first;
-            const std::size_t end = first + 4 < n ? first + 4 : n;
-            for (std::size_t c = first + 1; c < end; ++c)
-                if (heap_[c].before(heap_[best]))
-                    best = c;
-            if (!heap_[best].before(last))
-                break;
-            heap_[i] = heap_[best];
-            i = best;
-        }
-        heap_[i] = last;
-    }
-    when = top.when;
-    return top.event;
+    // Every far event lies beyond the window, so a non-empty bucket
+    // holds the earliest; with none, restart the window at the
+    // earliest far event.
+    if (occupied_ == 0)
+        advance(far_.front().when);
+    else if (const unsigned ahead = firstOccupied(); ahead != 0)
+        advance(base_ + ahead);
+    const unsigned b = static_cast<unsigned>(base_ % window);
+    Bucket &bucket = buckets_[b];
+    const Index n = bucket.head;
+    Node &node = nodes_[n];
+    if (n == bucket.tail)
+        occupied_ &= ~(std::uint64_t{1} << b);
+    else
+        bucket.head = node.next;
+    node.next = free_;
+    free_ = n;
+    --size_;
+    when = base_;
+    return Event{node.fn, node.target, node.arg};
 }
 
 bool
@@ -60,7 +97,7 @@ Simulator::step()
 {
     if (queue_.empty())
         return false;
-    // Host self-profiling phases: the heap pop and the handler run
+    // Host self-profiling phases: the queue pop and the handler run
     // get their own scopes, so sim.step's *self* cost is exactly the
     // dispatch bookkeeping between them.  One thread-local pointer
     // test each when no profiler is attached.

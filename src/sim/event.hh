@@ -15,6 +15,7 @@
 #ifndef MSGSIM_SIM_EVENT_HH
 #define MSGSIM_SIM_EVENT_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -31,8 +32,19 @@ namespace msgsim
 class MetricsRegistry;
 
 /**
- * Time-ordered queue of scheduled events: a 4-ary min-heap of
- * (tick, sequence) keyed records.
+ * Time-ordered queue of scheduled events: a calendar queue (Brown,
+ * CACM 31(10), 1988) with one bucket per tick.
+ *
+ * The window covers the 64 ticks from the last popped one.
+ * An event due inside it is appended to its tick's FIFO bucket, and a
+ * bitmap marks the non-empty buckets, so a pop is one rotate and one
+ * count-trailing-zeros.  An event due beyond the window waits in a
+ * small heap ordered by (tick, sequence).  When a pop moves the
+ * window, the waiting events it now covers are appended to their
+ * buckets in (tick, sequence) order, before the popped event runs:
+ * every event a bucket receives later was scheduled later, so each
+ * bucket stays in insertion order and the pop order is exactly
+ * (tick, insertion sequence), as a heap's would be.
  */
 class EventQueue
 {
@@ -50,30 +62,38 @@ class EventQueue
         void operator()() const { fn(target, arg); }
     };
 
-    /** Schedule fn(target, arg) at absolute time @p when. */
+    EventQueue() = default;
+    // The buckets are valid only where the bitmap says so.
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
+    /**
+     * Schedule fn(target, arg) at absolute time @p when, which must
+     * not precede the last popped event's.
+     */
     void
     schedule(Tick when, Handler fn, void *target, std::uint32_t arg)
     {
-        push(Entry{when, nextSeq_++, Event{fn, target, arg}});
+        // Unsigned: a tick before base_ wraps far beyond the window.
+        if (when - base_ < window)
+            append(when, allocNode(Node{fn, target, arg, none}));
+        else
+            scheduleFar(when, Node{fn, target, arg, none});
+        ++size_;
+        ++nextSeq_;
     }
 
     /** Events scheduled over the queue's lifetime. */
     std::uint64_t scheduled() const { return nextSeq_; }
 
     /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return size_ == 0; }
 
     /** Number of pending events. */
-    std::size_t size() const { return heap_.size(); }
+    std::size_t size() const { return size_; }
 
     /** Time of the earliest pending event; queue must be non-empty. */
-    Tick
-    nextTick() const
-    {
-        if (heap_.empty())
-            msgsim_panic("nextTick() on empty event queue");
-        return heap_.front().when;
-    }
+    Tick nextTick() const;
 
     /**
      * Pop and return the earliest event; queue must be non-empty.
@@ -82,28 +102,101 @@ class EventQueue
     Event pop(Tick &when);
 
   private:
-    struct Entry
+    /** Ticks the bucket window covers, one bucket (and bit) each. */
+    static constexpr unsigned window = 64;
+
+    using Index = std::uint32_t;
+    static constexpr Index none = ~Index{0};
+
+    /** A pending event; `next` links its bucket or the free list. */
+    struct Node
+    {
+        Handler fn;
+        void *target;
+        std::uint32_t arg;
+        Index next;
+    };
+
+    /** A tick's FIFO of nodes; valid only while its bit is set. */
+    struct Bucket
+    {
+        Index head;
+        Index tail;
+    };
+
+    /** An event due beyond the window. */
+    struct Far
     {
         Tick when;
         std::uint64_t seq;
-        Event event;
-
-        bool
-        before(const Entry &other) const
-        {
-            if (when != other.when)
-                return when < other.when;
-            return seq < other.seq;
-        }
+        Index node;
     };
 
-    static_assert(std::is_trivially_copyable_v<Entry>,
-                  "the heap moves events as plain records");
+    static_assert(sizeof(Node) == 24, "a node is three words");
+    static_assert(std::is_trivially_copyable_v<Node> &&
+                      std::is_trivially_copyable_v<Far>,
+                  "the slab and the far heap move plain records");
 
-    void push(const Entry &entry);
+    Index
+    allocNode(const Node &node)
+    {
+        if (free_ == none)
+            return growSlab(node);
+        const Index n = free_;
+        free_ = nodes_[n].next;
+        nodes_[n] = node;
+        return n;
+    }
 
-    std::vector<Entry> heap_; ///< 4-ary heap: children of i are 4i+1..4i+4
+    /** Append node @p n to the bucket of @p when, inside the window. */
+    void
+    append(Tick when, Index n)
+    {
+        const unsigned b = static_cast<unsigned>(when % window);
+        const std::uint64_t bit = std::uint64_t{1} << b;
+        if (occupied_ & bit) {
+            nodes_[buckets_[b].tail].next = n;
+            buckets_[b].tail = n;
+        } else {
+            buckets_[b] = Bucket{n, n};
+            occupied_ |= bit;
+        }
+    }
+
+    /** Offset from base_ of the earliest non-empty bucket. */
+    unsigned
+    firstOccupied() const
+    {
+        return static_cast<unsigned>(std::countr_zero(
+            std::rotr(occupied_, static_cast<int>(base_ % window))));
+    }
+
+    /** Store @p node in a new slab slot (no free node left). */
+    Index growSlab(const Node &node);
+
+    /** Queue @p node beyond the window; panics before base_. */
+    void scheduleFar(Tick when, const Node &node);
+
+    /** Move base_ to @p when and admit the far events it now covers. */
+    void
+    advance(Tick when)
+    {
+        base_ = when;
+        if (!far_.empty() && far_.front().when - base_ < window)
+            admitFar();
+    }
+
+    /** Append the far events inside the window to their buckets. */
+    void admitFar();
+
+    std::vector<Node> nodes_;  ///< slab; free nodes chain from free_
+    Index free_ = none;
+    std::uint64_t occupied_ = 0; ///< bit b: bucket b holds an event
+    Tick base_ = 0;              ///< the last popped tick
+    std::vector<Far> far_;       ///< min-heap on (when, seq)
+    std::size_t size_ = 0;
     std::uint64_t nextSeq_ = 0;
+    Bucket buckets_[window]; ///< bucket b: the window's tick = b mod 64
 };
 
 /**

@@ -32,6 +32,27 @@ TEST(Edges, EventQueuePopEmptyPanics)
     EXPECT_THROW(q.nextTick(), log_detail::SimError);
 }
 
+/** A typed-event handler that does nothing. */
+void
+nopHandler(void *, std::uint32_t)
+{
+}
+
+TEST(Edges, EventQueueScheduleBeforeLastPopPanics)
+{
+    ThrowOnError guard;
+    EventQueue q;
+    q.schedule(10, &nopHandler, nullptr, 0);
+    Tick t;
+    q.pop(t)();
+    EXPECT_THROW(q.schedule(9, &nopHandler, nullptr, 0),
+                 log_detail::SimError);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.scheduled(), 1u);
+    q.schedule(10, &nopHandler, nullptr, 0);
+    EXPECT_EQ(q.nextTick(), 10u);
+}
+
 /** A typed-event target that does nothing. */
 struct Nop
 {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <map>
 #include <memory>
 #include <set>
 #include <type_traits>
@@ -436,12 +437,52 @@ countOoo(const std::vector<std::uint64_t> &order)
     return ooo;
 }
 
-TEST(OrderPolicy, FifoPreservesOrder)
+TEST(OrderPolicy, NoneOnCm5PresentsEachFlowInTransmissionOrder)
 {
-    FifoOrder p;
-    const auto order = runPolicy(p, 10);
-    for (std::uint64_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
+    // No order factory: the edge presents each packet as it arrives.
+    // Four sources interleave packets to two destinations at
+    // different distances; each flow arrives in transmission order,
+    // and nothing is ever held for flushHeldPackets() to present.
+    Simulator sim;
+    Cm5Network::Config cfg;
+    cfg.nodes = 16;
+    Cm5Network net(sim, cfg);
+    std::map<NodeId, std::vector<std::pair<NodeId, Word>>> got;
+    for (const NodeId dst : {NodeId{5}, NodeId{9}})
+        net.attach(dst, [&got, dst](Packet &p) {
+            got[dst].push_back({p.src, p.header});
+            return true;
+        });
+    std::uint64_t injected = 0;
+    for (Word i = 0; i < 12; ++i)
+        for (const NodeId src : {0u, 4u, 6u, 13u}) {
+            ASSERT_TRUE(net.inject(
+                Packet(src, i % 2 ? 9 : 5, HwTag::UserAm, i, {i})));
+            ++injected;
+        }
+    const auto presented = [&] {
+        return got[5].size() + got[9].size();
+    };
+    net.flushHeldPackets();
+    EXPECT_EQ(presented(), 0u);
+    ASSERT_TRUE(sim.runUntil([&] { return presented() == injected / 2; }));
+    net.flushHeldPackets();
+    EXPECT_EQ(presented(), injected / 2);
+    sim.run();
+    net.flushHeldPackets();
+    EXPECT_TRUE(sim.idle());
+    ASSERT_EQ(presented(), injected);
+    EXPECT_EQ(net.stats().delivered, injected);
+    for (const auto &[dst, seen] : got) {
+        std::map<NodeId, Word> last;
+        for (const auto &[src, header] : seen) {
+            if (last.count(src)) {
+                EXPECT_LT(last[src], header) << src << " -> " << dst;
+            }
+            last[src] = header;
+        }
+        EXPECT_EQ(last.size(), 4u) << "sources seen at " << dst;
+    }
 }
 
 TEST(OrderPolicy, SwapAdjacentIsExactlyHalfOoo)

@@ -254,7 +254,7 @@ TEST(NicamLayer, OffloadReplyMayGrowThePoolUnderItsRequest)
 TEST(NicamLayer, NicReplyIsBuiltInItsSlotWithoutAllocating)
 {
     // Node 1's NIC injects replies that node 0's NIC consumes: once
-    // the pool and event heap are warm, not one heap allocation.
+    // the pool and event queue are warm, not one heap allocation.
     Stack stack(stackConfigFor(HostLayer::Offload));
     const Word hRep = 6;
     std::uint64_t got = 0;

@@ -181,6 +181,25 @@ TEST(RdmaNic, MrCacheHitsAndMissesAreAccounted)
     EXPECT_EQ(nic.mrCacheMisses(), 4u);
 }
 
+TEST(RdmaNic, RepeatedTransfersStopGrowingTheRegionList)
+{
+    // Five transfer shapes cycle through a 4-slot cache, so every
+    // run misses and pays the pinning bill again, but each buffer is
+    // one region the NIC already translates: the list stops at five
+    // per node instead of growing by one per run.
+    Stack stack(stackConfigFor(HostLayer::Verbs));
+    FiniteXfer fx(stack);
+    for (int i = 0; i < 1000; ++i) {
+        FiniteXferParams p;
+        p.words = 16 * static_cast<std::uint32_t>(1 + i % 5);
+        ASSERT_TRUE(fx.run(p).dataOk) << i;
+    }
+    for (NodeId n = 0; n < 2; ++n) {
+        EXPECT_LE(stack.nic(n).registeredRegions(), 5u) << n;
+        EXPECT_GE(stack.nic(n).mrCacheMisses(), 1000u) << n;
+    }
+}
+
 TEST(RdmaNic, RegistrationMissCostsMoreThanHit)
 {
     StackConfig cfg = stackConfigFor(HostLayer::Verbs);

@@ -68,43 +68,63 @@ struct ReferenceRun
                    nests ? static_cast<void *>(this) : &popped, id);
     }
 
-    /** Log @p id, then schedule a record 0-2 ticks after its own. */
+    /** A delay: mostly a few ticks, one in five up to 200, which
+     *  reaches past the queue's 64-tick window. */
+    Tick
+    delay()
+    {
+        return rng.chance(0.2) ? rng.below(200) : rng.below(5);
+    }
+
+    /** Log @p id, then schedule a record a delay() after its own. */
     static void
     nest(void *run, std::uint32_t id)
     {
         ReferenceRun &r = *static_cast<ReferenceRun *>(run);
         r.popped.push_back(id);
-        r.push(r.scheduled[id].when + r.rng.below(3));
+        r.push(r.scheduled[id].when + r.delay());
     }
 };
 
 TEST(EventQueue, MatchesReferenceOrder)
 {
-    // Many same-tick ties, pops interleaved with pushes, and records
-    // that schedule from inside a running record: the pop order must
-    // be a stable sort on (tick, insertion).
+    // Many same-tick ties, pops interleaved with pushes, records that
+    // schedule from inside a running record, delays past the window,
+    // and now and then a drained queue whose next record lies
+    // thousands of ticks ahead: the pop order must be a stable sort
+    // on (tick, insertion).
     ReferenceRun run;
     EventQueue &q = run.q;
     std::vector<Tick> poppedAt;
     Tick now = 0;
     const auto popOne = [&] {
+        const Tick next = q.nextTick();
         Tick t = 0;
         const EventQueue::Event ev = q.pop(t);
+        ASSERT_EQ(t, next);
         ASSERT_GE(t, now);
         now = t;
         poppedAt.push_back(t);
         ev();
     };
-    for (int round = 0; round < 400; ++round) {
+    int jumps = 0;
+    for (int round = 0; round < 800; ++round) {
+        if (run.rng.chance(0.03)) {
+            while (!q.empty())
+                popOne();
+            run.push(now + 1000 + run.rng.below(5000));
+            ++jumps;
+        }
         const auto batch = run.rng.below(6);
         for (std::uint64_t i = 0; i < batch; ++i)
-            run.push(now + run.rng.below(5));
+            run.push(now + run.delay());
         const auto pops = run.rng.below(q.size() + 1);
         for (std::uint64_t i = 0; i < pops; ++i)
             popOne();
     }
     while (!q.empty())
         popOne();
+    EXPECT_GT(jumps, 10);
 
     std::vector<ReferenceRun::Scheduled> reference = run.scheduled;
     std::stable_sort(reference.begin(), reference.end(),
@@ -119,6 +139,27 @@ TEST(EventQueue, MatchesReferenceOrder)
     }
     EXPECT_EQ(q.scheduled(), run.scheduled.size());
     EXPECT_GT(run.scheduled.size(), 1000u);
+}
+
+TEST(EventQueue, FarEventPopsBeforeALaterEventOfItsTick)
+{
+    // Tick 200 lies beyond the window when record 1 is scheduled.
+    // Popping record 2 at tick 150 brings 200 into the window, and
+    // record 3 is scheduled for 200 only then: record 1 must still
+    // pop first, as it was scheduled first.
+    EventQueue q;
+    std::vector<std::uint32_t> order;
+    q.schedule(200, &logArg, &order, 1);
+    q.schedule(150, &logArg, &order, 2);
+    Tick t = 0;
+    q.pop(t)();
+    EXPECT_EQ(t, 150u);
+    q.schedule(200, &logArg, &order, 3);
+    EXPECT_EQ(q.nextTick(), 200u);
+    while (!q.empty())
+        q.pop(t)();
+    EXPECT_EQ(t, 200u);
+    EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 1, 3}));
 }
 
 /** A typed-event target on a simulator: counts and timestamps runs. */
@@ -174,6 +215,24 @@ TEST(Simulator, NestedScheduling)
     EXPECT_EQ(executed, 3u);
     EXPECT_EQ(t.fired, 3);
     EXPECT_EQ(sim.now(), 3u);
+}
+
+TEST(Simulator, AdvanceToFarPastTheLastPop)
+{
+    // The clock jumps thousands of ticks past the last popped event,
+    // so everything scheduled next lies beyond the queue's window.
+    Simulator sim;
+    Ticker t(sim);
+    sim.scheduleAt<&Ticker::mark>(5, &t, 0);
+    sim.run();
+    sim.advanceTo(100000);
+    sim.scheduleAt<&Ticker::chain>(100003, &t, 2);
+    sim.scheduleAt<&Ticker::mark>(100000, &t, 0);
+    sim.scheduleAt<&Ticker::mark>(100003, &t, 0);
+    EXPECT_EQ(sim.run(), 5u);
+    EXPECT_EQ(t.seen, (std::vector<Tick>{5, 100000, 100003, 100003,
+                                         100004, 100005}));
+    EXPECT_EQ(sim.now(), 100005u);
 }
 
 TEST(Simulator, RunUntilPredicate)

@@ -396,7 +396,7 @@ check_perfbench() {
     # steady-state packet and framed-stream paths allocate nothing, so
     # what a traced run reports is only first-use sizing of the pools,
     # rings and buffers (an incast rep also builds its traffic engine
-    # on 16 nodes and a deep event heap; a wire_stream rep its
+    # on 16 nodes and a deep event queue; a wire_stream rep its
     # protocol channels and mux); and a packet costs the event loop
     # one typed event, no more.  Last, the heap gates: node memory is
     # backed only as far as it is written, so a rep's peak heap is
