@@ -12,29 +12,43 @@
  * With --trace-out the run records cross-layer spans (protocol
  * steps, CMAM send/poll, NI events) plus the hardware packet events
  * from a PacketTracer bridged onto the same timeline, and writes a
- * Chrome trace-event JSON loadable in Perfetto.
+ * Chrome trace-event JSON loadable in Perfetto.  A word count that
+ * is not a decimal multiple of 4 is a usage error (exit 2), as is
+ * any flag but those two.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "lab/paper_tables.hh"
 #include "net/tracer.hh"
 #include "protocols/finite_xfer.hh"
-#include "sim/obs_cli.hh"
+#include "sim/flag_table.hh"
 
 using namespace msgsim;
 
 int
 main(int argc, char **argv)
 {
-    const obs::Options obsOpts = obs::parseArgs(argc, argv);
+    std::vector<std::string> args;
+    obs::Options obsOpts;
+    cli::FlagTable flags("bulk_transfer",
+                         "Move a buffer from node 0 to node 1 on the "
+                         "CMAM/CM-5 stack and on the high-level-features "
+                         "stack, and compare the bills.");
+    flags.positionals("WORDS", args, "words to move [1024]")
+        .observability(obsOpts);
+    flags.parse(argc, argv);
     std::uint32_t words = 1024;
-    if (argc > 1)
-        words = static_cast<std::uint32_t>(std::atoi(argv[1]));
-    if (words == 0 || words % 4 != 0) {
-        std::fprintf(stderr, "words must be a positive multiple of 4\n");
-        return 1;
+    if (args.size() > 1 ||
+        (!args.empty() &&
+         !cli::parseNumber(args[0], words, 1, UINT32_MAX)) ||
+        words % 4 != 0) {
+        std::fprintf(stderr, "bulk_transfer: WORDS must be one positive "
+                             "decimal multiple of 4\n");
+        return 2;
     }
 
     std::printf("bulk transfer of %u words (%u packets)\n\n", words,

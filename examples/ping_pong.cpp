@@ -8,27 +8,42 @@
  *
  *   $ ./ping_pong [rounds] [--trace-out=trace.json]
  *                          [--metrics-out=metrics.json]
+ *
+ * A round count that is not a decimal integer >= 1 is a usage error
+ * (exit 2), as is any flag but those two.
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/cost_model.hh"
 #include "msglib/msg_passing.hh"
 #include "net/tracer.hh"
-#include "sim/obs_cli.hh"
+#include "sim/flag_table.hh"
 
 using namespace msgsim;
 
 int
 main(int argc, char **argv)
 {
-    const obs::Options obsOpts = obs::parseArgs(argc, argv);
-    obs::Scope scope(obsOpts);
+    std::vector<std::string> args;
+    obs::Options obsOpts;
+    cli::FlagTable flags("ping_pong",
+                         "Round trips over the tag-matched "
+                         "message-passing library, per message size.");
+    flags.positionals("ROUNDS", args, "round trips per size [8]")
+        .observability(obsOpts);
+    flags.parse(argc, argv);
     int rounds = 8;
-    if (argc > 1)
-        rounds = std::atoi(argv[1]);
+    if (args.size() > 1 ||
+        (!args.empty() && !cli::parseNumber(args[0], rounds, 1, INT_MAX))) {
+        std::fprintf(stderr, "ping_pong: ROUNDS must be one decimal "
+                             "integer >= 1\n");
+        return 2;
+    }
+    obs::Scope scope(obsOpts);
 
     // One tracer bridges the hardware events of every stack below.
     PacketTracer tracer(1u << 14);

@@ -30,8 +30,8 @@
 
 #include "net/fault.hh"
 #include "net/network.hh"
-#include "net/ring.hh"
 #include "net/topology.hh"
+#include "sim/ring.hh"
 
 namespace msgsim
 {

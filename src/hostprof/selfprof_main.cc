@@ -188,7 +188,10 @@ workloads()
     return all;
 }
 
-/** Check the folded-stack grammar: space-free ';' frames + count. */
+/**
+ * Check the folded-stack grammar: space-free ';' frames under the
+ * "host" root, one space, a count.
+ */
 bool
 foldedGrammarOk(const std::string &folded)
 {
@@ -210,7 +213,7 @@ foldedGrammarOk(const std::string &folded)
             return false;
         if (frames.find(' ') != std::string::npos)
             return false;
-        if (frames.front() == ';' || frames.back() == ';' ||
+        if (frames.rfind("host;", 0) != 0 || frames.back() == ';' ||
             frames.find(";;") != std::string::npos)
             return false;
     }
@@ -227,6 +230,10 @@ smokeChecks(const hostprof::HostProfiler &hp, double shareSum)
             ++failures;
         }
     };
+    const auto subs = hp.subsystems();
+    expect(std::count_if(subs.begin(), subs.end(),
+                         [](const auto &s) { return s.enters > 0; }) >= 3,
+           "at least 3 active subsystems");
     expect(hp.balanced(), "scopes balanced");
     expect(hp.totalEnters() > 0, "scopes entered");
     expect(hp.totalEnters() == hp.totalExits(),
@@ -236,7 +243,7 @@ smokeChecks(const hostprof::HostProfiler &hp, double shareSum)
            "subsystem shares sum to 100% +/- 1%");
     expect(hp.scopedAllocs() > 0, "scoped allocations attributed");
     expect(foldedGrammarOk(hp.foldedStacks()),
-           "folded-stack grammar");
+           "folded-stack grammar, every line under host;");
     std::string reason;
     const bool avail = hostprof::HwCounters::probe(&reason);
     std::printf("hw counter probe: %s (%s)\n",
@@ -282,7 +289,7 @@ main(int argc, char **argv)
     flags.parse(argc, argv);
 
     obs::Scope scope(obsOpts);
-    auto &metrics = MetricsRegistry::global();
+    MetricsRegistry &metrics = scope.metrics();
     hostprof::publishHwAvailability(metrics);
 
     hostprof::HostProfiler hp;

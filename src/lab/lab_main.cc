@@ -153,9 +153,9 @@ main(int argc, char **argv)
     const auto &stats = runner.stats();
 
     // The sweep itself is the subsystem's unit of work: publish its
-    // shape to the PR 1 metrics registry (post-sweep — the global
-    // registry is not touched by worker threads).
-    auto &metrics = MetricsRegistry::global();
+    // shape to the scope's metrics registry (post-sweep — worker
+    // threads never touch it).
+    MetricsRegistry &metrics = scope.metrics();
     metrics.counter("lab.experiments") += stats.experiments;
     metrics.counter("lab.points_run") += stats.pointsRun;
     metrics.counter("lab.rows_emitted") += stats.rowsEmitted;

@@ -1,35 +1,51 @@
 /**
  * @file
- * Packet-lineage instrumentation hooks.
+ * The packet hook: the one observer slot every packet event consults.
  *
  * LineageHooks is the narrow, dependency-free interface the hardware
- * and messaging layers consult to report packet lifecycle edges:
- * birth (software stages a packet at the NI), hardware events
- * (inject / deliver / reject / drop / corrupt / retry / duplicate),
- * and handler dispatch (a polled packet entering messaging-layer
- * software).  The concrete recorder lives in `src/prof`
- * (prof::LineageSession); keeping only this abstract base in
- * `src/net` lets the low layers stay free of any profiling
- * dependency.
+ * and messaging layers call to report packet lifecycle edges: birth
+ * (software stages a packet at the NI), hardware events (inject /
+ * deliver / reject / drop / corrupt / retry / duplicate, the
+ * TraceEvents below), and handler dispatch (a polled packet entering
+ * messaging-layer software).  Two observers implement it:
+ * prof::LineageSession (`src/prof`) records every edge, and
+ * PacketTracer (net/tracer.hh) keeps a bounded log of the hardware
+ * events alone.  A thread holds one of them at a time.
  *
  * Design rules (same as every observer): the hooks live in the
  * lineage slot of obs::context and attach by its one rule
  * (sim/obs_context.hh), so with nothing attached each site is one
  * thread-local load; and no hook implementation may ever touch an
- * Accounting object — lineage tracing can never perturb instruction
- * counts.
+ * Accounting object — observing packets can never perturb
+ * instruction counts.
  */
 
 #ifndef MSGSIM_NET_LINEAGE_HOOK_HH
 #define MSGSIM_NET_LINEAGE_HOOK_HH
 
+#include <cstdint>
+
 #include "core/types.hh"
 #include "net/packet.hh"
-#include "net/tracer.hh"
 #include "sim/obs_context.hh"
 
 namespace msgsim
 {
+
+/** Hardware-level packet event kinds. */
+enum class TraceEvent : std::uint8_t
+{
+    Inject,    ///< packet accepted at the injection port
+    Deliver,   ///< packet presented to and accepted by the NI
+    Drop,      ///< silently lost inside the network (fault)
+    Corrupt,   ///< payload corrupted in flight (fault)
+    Reject,    ///< NI refused the packet (full / acceptance check)
+    HwRetry,   ///< CR hardware retransmission
+    Duplicate, ///< ghost copy created inside the network (fault)
+};
+
+/** Printable name of a trace event. */
+const char *toString(TraceEvent ev);
 
 /**
  * Packet-lifecycle observer.  All methods are invoked synchronously

@@ -45,7 +45,6 @@
 #include "core/types.hh"
 #include "net/lineage_hook.hh"
 #include "net/packet.hh"
-#include "net/tracer.hh"
 #include "sim/event.hh"
 #include "sim/log.hh"
 
@@ -402,12 +401,13 @@ class Network
     Slot duplicate(Slot slot);
 
   protected:
-    /** Record a packet event if a tracer or lineage hooks are attached. */
+    /**
+     * Report a packet event to the thread's packet hook (a
+     * PacketTracer or a LineageSession), if one is attached.
+     */
     void
     trace(TraceEvent ev, const Packet &pkt)
     {
-        if (PacketTracer *pt = PacketTracer::current())
-            pt->record(sim_.now(), ev, pkt);
         if (LineageHooks *lh = LineageHooks::current())
             lh->hwEvent(ev, pkt, sim_.now());
     }

@@ -40,7 +40,6 @@ PacketTracer::PacketTracer(std::size_t capacity)
     : capacity_(capacity ? capacity : 1),
       perEvent_(8, 0)
 {
-    ring_.reserve(capacity_);
 }
 
 void
@@ -55,13 +54,9 @@ PacketTracer::record(Tick when, TraceEvent ev, const Packet &pkt)
     rec.injectSeq = pkt.injectSeq;
     rec.header = pkt.header;
 
-    if (ring_.size() < capacity_) {
-        ring_.push_back(rec);
-    } else {
-        ring_[head_] = rec;
-        wrapped_ = true;
-    }
-    head_ = (head_ + 1) % capacity_;
+    if (ring_.size() == capacity_)
+        ring_.pop_front();
+    ring_.push_back(rec);
     ++observed_;
     const auto evIdx = static_cast<std::size_t>(ev);
     if (evIdx >= perEvent_.size())
@@ -83,12 +78,8 @@ PacketTracer::snapshot() const
 {
     std::vector<TraceRecord> out;
     out.reserve(ring_.size());
-    if (!wrapped_) {
-        out = ring_;
-    } else {
-        for (std::size_t i = 0; i < ring_.size(); ++i)
-            out.push_back(ring_[(head_ + i) % capacity_]);
-    }
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+        out.push_back(ring_[i]);
     return out;
 }
 
@@ -110,14 +101,6 @@ PacketTracer::dump() const
     for (const auto &rec : snapshot())
         os << rec.format() << "\n";
     return os.str();
-}
-
-void
-PacketTracer::clear()
-{
-    ring_.clear();
-    head_ = 0;
-    wrapped_ = false;
 }
 
 void

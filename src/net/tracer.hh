@@ -8,9 +8,11 @@
  * event-level properties in tests (e.g. "every injected packet was
  * delivered or dropped", "no delivery precedes its injection").
  * Tracing is a pure observer: it never perturbs instruction counts
- * or simulation behaviour.  An attached tracer occupies the packets
- * slot of obs::context (sim/obs_context.hh) and records the events
- * of every Network driven on its thread.
+ * or simulation behaviour.  A PacketTracer is a LineageHooks
+ * (net/lineage_hook.hh) that keeps only the hardware events: an
+ * attached tracer holds the lineage slot of obs::context, so a
+ * thread runs either a tracer or a prof::LineageSession, and it
+ * records the events of every Network driven on its thread.
  */
 
 #ifndef MSGSIM_NET_TRACER_HH
@@ -22,26 +24,12 @@
 #include <vector>
 
 #include "core/types.hh"
+#include "net/lineage_hook.hh"
 #include "net/packet.hh"
-#include "sim/obs_context.hh"
+#include "sim/ring.hh"
 
 namespace msgsim
 {
-
-/** Hardware-level packet event kinds. */
-enum class TraceEvent : std::uint8_t
-{
-    Inject,    ///< packet accepted at the injection port
-    Deliver,   ///< packet presented to and accepted by the NI
-    Drop,      ///< silently lost inside the network (fault)
-    Corrupt,   ///< payload corrupted in flight (fault)
-    Reject,    ///< NI refused the packet (full / acceptance check)
-    HwRetry,   ///< CR hardware retransmission
-    Duplicate, ///< ghost copy created inside the network (fault)
-};
-
-/** Printable name of a trace event. */
-const char *toString(TraceEvent ev);
 
 /** One recorded packet event. */
 struct TraceRecord
@@ -63,23 +51,23 @@ class TraceSession;
 /**
  * Bounded ring of packet events.
  */
-class PacketTracer
+class PacketTracer : public LineageHooks
 {
   public:
     /** Callback fired synchronously for every recorded event. */
     using Observer = std::function<void(const TraceRecord &)>;
 
     explicit PacketTracer(std::size_t capacity = 1u << 16);
-    ~PacketTracer() { detach(); }
 
-    /** Record the calling thread's hardware packet events. */
-    void attach() { obs::attach(obs::context.packets, this, "PacketTracer"); }
-
-    /** Stop recording (no-op if not attached). */
-    void detach() { obs::detach(obs::context.packets, this); }
-
-    /** This thread's tracer, or nullptr (Network::trace's fast path). */
-    static PacketTracer *current() { return obs::context.packets; }
+    /** LineageHooks: record every hardware event, and nothing else. */
+    void packetBorn(Packet &, NodeId, Tick) override {}
+    void
+    hwEvent(TraceEvent ev, const Packet &pkt, Tick now) override
+    {
+        record(now, ev, pkt);
+    }
+    void handlerBegin(NodeId, const Packet &, Tick) override {}
+    void handlerEnd(NodeId, Tick) override {}
 
     /** Record one event (oldest entries are evicted when full). */
     void record(Tick when, TraceEvent ev, const Packet &pkt);
@@ -104,13 +92,11 @@ class PacketTracer
     std::string dump() const;
 
     /** Drop all retained records (counters keep accumulating). */
-    void clear();
+    void clear() { ring_.clear(); }
 
   private:
     std::size_t capacity_;
-    std::vector<TraceRecord> ring_;
-    std::size_t head_ = 0; ///< next write slot
-    bool wrapped_ = false;
+    Ring<TraceRecord> ring_;
     std::uint64_t observed_ = 0;
     std::vector<std::uint64_t> perEvent_;
     Observer observer_;

@@ -34,7 +34,7 @@
 #include "core/types.hh"
 #include "net/network.hh"
 #include "net/packet.hh"
-#include "net/ring.hh"
+#include "sim/ring.hh"
 
 namespace msgsim
 {

@@ -176,16 +176,13 @@ FlagTable &
 FlagTable::observability(obs::Options &target, const char *traceHelp,
                          const char *metricsHelp)
 {
-    obs_ = &target;
-    add(declare("--trace-out=FILE", traceHelp));
-    return add(declare("--metrics-out=FILE", metricsHelp));
+    text("--trace-out=FILE", target.traceOut, traceHelp);
+    return text("--metrics-out=FILE", target.metricsOut, metricsHelp);
 }
 
 FlagTable::Parsed
 FlagTable::read(int argc, char **argv, std::string &message)
 {
-    if (obs_)
-        *obs_ = obs::parseArgs(argc, argv);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {

@@ -28,8 +28,6 @@
  *    every value;
  *  - an unknown flag, or an argument that is not a flag where the
  *    tool takes none, is an error.
- * --trace-out= and --metrics-out= are read by obs::parseArgs alone;
- * observability() documents them and has read() call it first.
  */
 
 #ifndef MSGSIM_SIM_FLAG_TABLE_HH
@@ -47,6 +45,24 @@
 
 namespace msgsim::cli
 {
+
+/**
+ * Read @p text into @p target if the whole of it is a decimal integer
+ * in [@p min, @p max]; otherwise leave @p target and return false.
+ */
+template <std::integral T>
+bool
+parseNumber(const std::string &text, T &target,
+            std::type_identity_t<T> min, std::type_identity_t<T> max)
+{
+    T x{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, x);
+    if (ec != std::errc() || ptr != end || x < min || x > max)
+        return false;
+    target = x;
+    return true;
+}
 
 class FlagTable
 {
@@ -89,13 +105,7 @@ class FlagTable
         else if (min != Limits::min())
             f.note = ">= " + lo;
         f.set = [&target, min, max](const std::string &v) {
-            T x{};
-            const char *end = v.data() + v.size();
-            const auto [ptr, ec] = std::from_chars(v.data(), end, x);
-            if (ec != std::errc() || ptr != end || x < min || x > max)
-                return false;
-            target = x;
-            return true;
+            return parseNumber(v, target, min, max);
         };
         return add(std::move(f));
     }
@@ -142,9 +152,8 @@ class FlagTable
     }
 
     /**
-     * Accept --trace-out=FILE and --metrics-out=FILE: read() hands
-     * argv to obs::parseArgs first, which fills @p target (and
-     * compacts argv in place).
+     * --trace-out=FILE and --metrics-out=FILE, two text() flags into
+     * @p target (an empty value is off).
      */
     FlagTable &observability(
         obs::Options &target,
@@ -182,8 +191,7 @@ class FlagTable
         std::string note;  ///< the range, for --help ("" = none)
         std::string want;  ///< what a bad value should have been
         std::vector<std::string> names; ///< a choice's names
-        /// Store a value; false = malformed.  Empty for the
-        /// observability flags (obs::parseArgs reads those).
+        /// Store a value; false = malformed.
         std::function<bool(const std::string &)> set;
     };
 
@@ -196,7 +204,6 @@ class FlagTable
     std::vector<Flag> flags_;
     std::vector<std::string> *positionals_ = nullptr;
     std::string positionalMeta_;
-    obs::Options *obs_ = nullptr;
 };
 
 /**

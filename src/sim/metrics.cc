@@ -224,11 +224,4 @@ MetricsRegistry::dumpJson() const
     return os.str();
 }
 
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry registry;
-    return registry;
-}
-
 } // namespace msgsim

@@ -31,7 +31,8 @@ namespace msgsim
 {
 
 /**
- * A process-wide (or locally owned) collection of named metrics.
+ * A collection of named metrics, owned by whoever dumps it (a tool
+ * dumps the one its obs::Scope holds).
  */
 class MetricsRegistry
 {
@@ -92,9 +93,6 @@ class MetricsRegistry
 
     /** Drop every metric. */
     void clear() { metrics_.clear(); }
-
-    /** The process-wide registry. */
-    static MetricsRegistry &global();
 
   private:
     struct Metric

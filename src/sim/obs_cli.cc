@@ -1,6 +1,5 @@
 #include "sim/obs_cli.hh"
 
-#include <cstring>
 #include <fstream>
 
 #include "sim/event.hh"
@@ -8,25 +7,6 @@
 
 namespace msgsim::obs
 {
-
-Options
-parseArgs(int &argc, char **argv)
-{
-    Options opts;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-            opts.traceOut = arg + 12;
-        } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-            opts.metricsOut = arg + 14;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    return opts;
-}
 
 Scope::Scope(const Options &opts) : opts_(opts)
 {

@@ -2,18 +2,19 @@
  * @file
  * Command-line wiring for the observability layer.
  *
- * The per-run CLIs (through cli::FlagTable::observability(),
- * sim/flag_table.hh) and the examples accept
+ * The per-run CLIs and the examples declare, through
+ * cli::FlagTable::observability() (sim/flag_table.hh),
  *
  *     --trace-out=<file>     write a Chrome trace-event JSON timeline
  *     --metrics-out=<file>   write the metrics registry as JSON
  *
- * parseArgs() strips those flags from argv (leaving positional
- * arguments untouched) and Scope turns them into an attached
- * TraceSession plus an end-of-run dump:
+ * into an Options, and Scope turns them into an attached
+ * TraceSession plus an end-of-run dump of the registry it owns:
  *
  *     int main(int argc, char **argv) {
- *         auto obs = msgsim::obs::parseArgs(argc, argv);
+ *         msgsim::obs::Options obs;
+ *         msgsim::cli::FlagTable flags("tool", "what it does");
+ *         flags.observability(obs).parse(argc, argv);
  *         msgsim::obs::Scope scope(obs);
  *         ...
  *         scope.bindClock(stack.sim());       // timestamps
@@ -45,25 +46,13 @@ struct Options
 {
     std::string traceOut;   ///< --trace-out=<file> (empty = off)
     std::string metricsOut; ///< --metrics-out=<file> (empty = off)
-
-    bool
-    wanted() const
-    {
-        return !traceOut.empty() || !metricsOut.empty();
-    }
 };
 
 /**
- * Extract --trace-out= / --metrics-out= from argv, compacting the
- * remaining arguments (argc is updated in place).
- */
-Options parseArgs(int &argc, char **argv);
-
-/**
  * RAII wiring: owns the TraceSession (attached for the scope's
- * lifetime when tracing was requested) and writes the requested
- * output files at finish(), or on destruction when it was not
- * called.
+ * lifetime when tracing was requested) and the metrics registry, and
+ * writes the requested output files at finish(), or on destruction
+ * when it was not called.
  */
 class Scope
 {
@@ -81,7 +70,7 @@ class Scope
     TraceSession *session() { return session_.get(); }
 
     /** The registry the metrics dump will serialize. */
-    MetricsRegistry &metrics() { return MetricsRegistry::global(); }
+    MetricsRegistry &metrics() { return metrics_; }
 
     /** Bind the trace clock to @p sim (rebind when switching stacks). */
     void bindClock(const Simulator &sim);
@@ -100,6 +89,7 @@ class Scope
   private:
     Options opts_;
     std::unique_ptr<TraceSession> session_;
+    MetricsRegistry metrics_;
 };
 
 } // namespace obs

@@ -2,15 +2,21 @@
  * @file
  * The one attachment point for every observer.
  *
- * Five observer kinds watch a run without perturbing it: span
- * tracing (TraceSession), packet lineage (LineageHooks), host
- * self-profiling (hostprof::HostProfiler), clock-advance sampling
- * (TickHooks, i.e. the telemetry sampler) and the hardware packet
- * ring (PacketTracer).  Each kind owns one slot of obs::context, a
- * per-thread struct, and each attaches by the same rule:
+ * Five observer kinds watch a run without perturbing it, through four
+ * slots of obs::context, a per-thread struct:
+ *
+ *  - trace:   span tracing (TraceSession);
+ *  - lineage: the packet hook (LineageHooks, net/lineage_hook.hh),
+ *             held by a prof::LineageSession or a PacketTracer, never
+ *             both;
+ *  - host:    host self-profiling (hostprof::HostProfiler);
+ *  - tick:    clock-advance sampling (TickHooks, i.e. the telemetry
+ *             sampler).
+ *
+ * Every observer attaches by the same rule:
  *
  *  - attach() fills the calling thread's slot.  Attaching a second,
- *    different observer of the same kind on that thread is fatal;
+ *    different observer to the same slot on that thread is fatal;
  *    re-attaching the same one is a no-op;
  *  - detach() clears the slot only while it holds this observer, and
  *    every observer's destructor detaches.
@@ -32,7 +38,6 @@ namespace msgsim
 {
 
 class LineageHooks;
-class PacketTracer;
 class TickHooks;
 class TraceSession;
 
@@ -51,7 +56,6 @@ struct Context
     LineageHooks *lineage = nullptr;
     hostprof::HostProfiler *host = nullptr;
     TickHooks *tick = nullptr;
-    PacketTracer *packets = nullptr;
 };
 
 /** The calling thread's observers. */

@@ -1,16 +1,19 @@
 /**
  * @file
- * A growable FIFO ring for packet and frame queues.
+ * A growable FIFO ring: the packet and frame queues, and the bounded
+ * logs of the observers.
  *
  * std::deque allocates on construction and frees and re-allocates a
  * chunk every few elements as a queue slides forward.  A Ring grows
  * (doubling) to its high-water mark and never shrinks, so a queue in
  * steady state neither allocates nor frees, and an unused one holds no
- * heap at all.
+ * heap at all.  A bounded log (TraceSession, PacketTracer, a
+ * TeleSession track) pops its oldest record before it pushes at
+ * capacity.
  */
 
-#ifndef MSGSIM_NET_RING_HH
-#define MSGSIM_NET_RING_HH
+#ifndef MSGSIM_SIM_RING_HH
+#define MSGSIM_SIM_RING_HH
 
 #include <cstddef>
 #include <type_traits>
@@ -35,6 +38,12 @@ class Ring
     /** The @p i-th value from the front. */
     T &
     operator[](std::size_t i)
+    {
+        return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+
+    const T &
+    operator[](std::size_t i) const
     {
         return slots_[(head_ + i) & (slots_.size() - 1)];
     }
@@ -99,4 +108,4 @@ class Ring
 
 } // namespace msgsim
 
-#endif // MSGSIM_NET_RING_HH
+#endif // MSGSIM_SIM_RING_HH

@@ -17,7 +17,6 @@ TraceSession::TraceSession(const Config &cfg) : cfg_(cfg)
 {
     if (cfg_.capacity == 0)
         cfg_.capacity = 1;
-    ring_.reserve(cfg_.capacity);
 }
 
 Tick
@@ -29,14 +28,11 @@ TraceSession::now() const
 void
 TraceSession::push(const Record &rec)
 {
-    if (ring_.size() < cfg_.capacity) {
-        ring_.push_back(rec);
-    } else {
-        ring_[head_] = rec;
-        head_ = (head_ + 1) % cfg_.capacity;
-        wrapped_ = true;
+    if (ring_.size() == cfg_.capacity) {
+        ring_.pop_front();
         ++dropped_;
     }
+    ring_.push_back(rec);
     ++observed_;
 }
 
@@ -135,9 +131,7 @@ TraceSession::flowAt(Tick when, NodeId node, const char *cat,
 Tick
 TraceSession::oldestRetainedTick() const
 {
-    if (ring_.empty())
-        return 0;
-    return wrapped_ ? ring_[head_].start : ring_.front().start;
+    return ring_.empty() ? 0 : ring_.front().start;
 }
 
 std::size_t
@@ -154,12 +148,8 @@ TraceSession::snapshot() const
 {
     std::vector<Record> out;
     out.reserve(ring_.size());
-    if (!wrapped_) {
-        out = ring_;
-    } else {
-        for (std::size_t i = 0; i < ring_.size(); ++i)
-            out.push_back(ring_[(head_ + i) % cfg_.capacity]);
-    }
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+        out.push_back(ring_[i]);
     return out;
 }
 
@@ -167,8 +157,6 @@ void
 TraceSession::clear()
 {
     ring_.clear();
-    head_ = 0;
-    wrapped_ = false;
     open_.clear();
 }
 

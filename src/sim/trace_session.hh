@@ -28,6 +28,7 @@
 
 #include "core/types.hh"
 #include "sim/obs_context.hh"
+#include "sim/ring.hh"
 
 namespace msgsim
 {
@@ -241,9 +242,7 @@ class TraceSession
     Config cfg_;
     const Simulator *clock_ = nullptr;
 
-    std::vector<Record> ring_;
-    std::size_t head_ = 0; ///< next write slot once wrapped
-    bool wrapped_ = false;
+    Ring<Record> ring_;
     std::uint64_t observed_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t unmatchedEnds_ = 0;

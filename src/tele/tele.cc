@@ -54,7 +54,6 @@ TeleSession::addProbe(const TrackDesc &desc, ReadFn read)
     tr.desc = desc;
     tr.qual = desc.layer + "." + desc.name;
     tr.read = std::move(read);
-    tr.ring.reserve(cfg_.ringCapacity);
     tracks_.push_back(std::move(tr));
     return tracks_.size() - 1;
 }
@@ -71,16 +70,13 @@ TeleSession::record(Track &tr, Tick when, double value)
 {
     ++tr.observed;
     ++samplesObserved_;
-    if (tr.ring.size() < cfg_.ringCapacity) {
-        tr.ring.push_back(Sample{when, value});
-        return;
+    if (tr.ring.size() == cfg_.ringCapacity) {
+        // Ring full: evict the oldest retained sample.
+        tr.ring.pop_front();
+        ++tr.dropped;
+        ++samplesDropped_;
     }
-    // Ring full: overwrite the oldest retained sample.
-    tr.ring[tr.head] = Sample{when, value};
-    tr.head = (tr.head + 1) % cfg_.ringCapacity;
-    tr.wrapped = true;
-    ++tr.dropped;
-    ++samplesDropped_;
+    tr.ring.push_back(Sample{when, value});
 }
 
 void
@@ -120,12 +116,7 @@ TeleSession::samples(std::size_t t) const
     const Track &tr = tracks_.at(t);
     std::vector<Sample> out;
     out.reserve(tr.ring.size());
-    if (tr.wrapped)
-        for (std::size_t i = tr.head; i < tr.ring.size(); ++i)
-            out.push_back(tr.ring[i]);
-    for (std::size_t i = 0; i < (tr.wrapped ? tr.head
-                                            : tr.ring.size());
-         ++i)
+    for (std::size_t i = 0; i < tr.ring.size(); ++i)
         out.push_back(tr.ring[i]);
     return out;
 }
@@ -135,8 +126,8 @@ TeleSession::peakValue(std::size_t t) const
 {
     const Track &tr = tracks_.at(t);
     double peak = 0.0;
-    for (const Sample &s : tr.ring)
-        peak = std::max(peak, s.value);
+    for (std::size_t i = 0; i < tr.ring.size(); ++i)
+        peak = std::max(peak, tr.ring[i].value);
     return peak;
 }
 

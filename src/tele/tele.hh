@@ -45,6 +45,7 @@
 
 #include "core/json.hh"
 #include "core/types.hh"
+#include "sim/ring.hh"
 #include "sim/tick_hook.hh"
 
 namespace msgsim
@@ -109,9 +110,7 @@ class TeleSession : public TickHooks
         TrackDesc desc;
         std::string qual; ///< "layer.name" (stable for export)
         ReadFn read;      ///< cleared when the probe is retired
-        std::vector<Sample> ring;
-        std::size_t head = 0; ///< next write slot once wrapped
-        bool wrapped = false;
+        Ring<Sample> ring; ///< oldest first
         std::uint64_t observed = 0;
         std::uint64_t dropped = 0;
     };

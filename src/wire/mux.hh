@@ -38,8 +38,8 @@
 #include <map>
 #include <vector>
 
-#include "net/ring.hh"
 #include "protocols/stream.hh"
+#include "sim/ring.hh"
 #include "sim/scratch.hh"
 #include "wire/frame.hh"
 

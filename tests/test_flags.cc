@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the command-line flag table every msgsim tool parses with
- * (src/sim/flag_table.hh) and of obs::parseArgs, which reads the
- * observability flags for the table and for the examples.
+ * Tests of the command-line flag table every msgsim tool and the
+ * traced examples parse with (src/sim/flag_table.hh), observability
+ * flags included.
  */
 
 #include <gtest/gtest.h>
@@ -40,15 +40,6 @@ struct Argv
     int argc;
 
     char **argv() { return ptrs.data(); }
-
-    std::vector<std::string>
-    remaining() const
-    {
-        std::vector<std::string> out;
-        for (int i = 0; i < argc; ++i)
-            out.emplace_back(ptrs[static_cast<std::size_t>(i)]);
-        return out;
-    }
 };
 
 /** Parse @p args (after the program name) with @p flags. */
@@ -269,7 +260,7 @@ TEST(FlagTable, HelpShowsEveryFlagWithItsDeclaredDefault)
     EXPECT_EQ(flags.read(a.argc, a.argv(), msg), Parsed::Help);
 }
 
-TEST(FlagTable, ObservabilityFlagsGoThroughObsParseArgs)
+TEST(FlagTable, ObservabilityFlagsComposeWithOthers)
 {
     bool quiet = false;
     obs::Options obsOpts;
@@ -278,27 +269,80 @@ TEST(FlagTable, ObservabilityFlagsGoThroughObsParseArgs)
     std::string msg;
     EXPECT_EQ(readArgs(flags,
                        {"--trace-out=t.json", "--quiet",
-                        "--metrics-out=first.json",
-                        "--metrics-out=second.json"},
+                        "--metrics-out=m.json"},
                        msg),
               Parsed::Ok);
     EXPECT_EQ(obsOpts.traceOut, "t.json");
-    EXPECT_EQ(obsOpts.metricsOut, "second.json");
+    EXPECT_EQ(obsOpts.metricsOut, "m.json");
     EXPECT_TRUE(quiet);
-
-    EXPECT_EQ(readArgs(flags, {"--trace-out=", "--metrics-out="}, msg),
-              Parsed::Ok);
-    EXPECT_FALSE(obsOpts.wanted()); // an empty path is off
-
-    EXPECT_EQ(readArgs(flags, {"--trace-out", "t.json"}, msg),
-              Parsed::Error);
-    EXPECT_NE(msg.find("--trace-out=FILE"), std::string::npos) << msg;
     EXPECT_EQ(readArgs(flags, {"--unknown=x", "--trace-out=t.json"}, msg),
               Parsed::Error);
 
     // Without observability() they are unknown flags.
     FlagTable bare("prog", "");
     EXPECT_EQ(readArgs(bare, {"--trace-out=t.json"}, msg), Parsed::Error);
+}
+
+// The examples' table: a count as the positional argument, beside the
+// two observability flags.
+
+TEST(FlagTable, ObservabilityFlagsBesidePositionals)
+{
+    std::vector<std::string> args;
+    obs::Options obsOpts;
+    FlagTable flags("prog", "");
+    flags.positionals("COUNT", args, "how many").observability(obsOpts);
+    std::string msg;
+    EXPECT_EQ(readArgs(flags, {"pos", "--trace-out=t.json"}, msg),
+              Parsed::Ok)
+        << msg;
+    EXPECT_EQ(obsOpts.traceOut, "t.json");
+    EXPECT_EQ(args, std::vector<std::string>{"pos"});
+
+    // An unknown flag is not taken for a count.
+    EXPECT_EQ(readArgs(flags, {"--unknown=x", "pos"}, msg), Parsed::Error);
+    EXPECT_NE(msg.find("--unknown=x"), std::string::npos) << msg;
+}
+
+TEST(FlagTable, ObservabilityFlagWithoutEqualsIsAnError)
+{
+    std::vector<std::string> args;
+    obs::Options obsOpts;
+    FlagTable flags("prog", "");
+    flags.positionals("COUNT", args, "how many").observability(obsOpts);
+    std::string msg;
+    EXPECT_EQ(readArgs(flags, {"--trace-out", "t.json"}, msg),
+              Parsed::Error);
+    EXPECT_NE(msg.find("--trace-out=FILE"), std::string::npos) << msg;
+    EXPECT_TRUE(obsOpts.traceOut.empty());
+    EXPECT_EQ(readArgs(flags, {"--metrics-out"}, msg), Parsed::Error);
+    EXPECT_NE(msg.find("--metrics-out=FILE"), std::string::npos) << msg;
+}
+
+TEST(FlagTable, ObservabilityEmptyPathMeansOff)
+{
+    obs::Options obsOpts{"t.json", "m.json"};
+    FlagTable flags("prog", "");
+    flags.observability(obsOpts);
+    std::string msg;
+    EXPECT_EQ(readArgs(flags, {"--trace-out=", "--metrics-out="}, msg),
+              Parsed::Ok);
+    EXPECT_TRUE(obsOpts.traceOut.empty());
+    EXPECT_TRUE(obsOpts.metricsOut.empty());
+}
+
+TEST(FlagTable, ObservabilityRepeatedFlagLastWins)
+{
+    obs::Options obsOpts;
+    FlagTable flags("prog", "");
+    flags.observability(obsOpts);
+    std::string msg;
+    EXPECT_EQ(readArgs(flags,
+                       {"--metrics-out=first.json",
+                        "--metrics-out=second.json"},
+                       msg),
+              Parsed::Ok);
+    EXPECT_EQ(obsOpts.metricsOut, "second.json");
 }
 
 TEST(FlagTable, ProfFlagsComposeWithObs)
@@ -345,49 +389,6 @@ TEST(FlagTable, WriteFileReportsFailure)
 {
     EXPECT_FALSE(
         cli::writeFile("prog", "/nonexistent-dir/artifact.json", "{}"));
-}
-
-// ------------------------------------------------------------------
-// obs::parseArgs on its own, as the examples call it.
-// ------------------------------------------------------------------
-
-TEST(ObsParseArgs, UnknownFlagsStayPositional)
-{
-    Argv a({"prog", "--unknown=x", "pos", "--trace-out=t.json"});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_EQ(opts.traceOut, "t.json");
-    EXPECT_TRUE(opts.wanted());
-    EXPECT_EQ(a.remaining(),
-              (std::vector<std::string>{"prog", "--unknown=x", "pos"}));
-}
-
-TEST(ObsParseArgs, FlagWithoutEqualsIsNotConsumed)
-{
-    // "--trace-out" (no '=') is not the flag; it must survive.
-    Argv a({"prog", "--trace-out", "t.json"});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_TRUE(opts.traceOut.empty());
-    EXPECT_FALSE(opts.wanted());
-    EXPECT_EQ(a.argc, 3);
-}
-
-TEST(ObsParseArgs, EmptyPathMeansOff)
-{
-    Argv a({"prog", "--trace-out=", "--metrics-out="});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_TRUE(opts.traceOut.empty());
-    EXPECT_TRUE(opts.metricsOut.empty());
-    EXPECT_FALSE(opts.wanted());
-    EXPECT_EQ(a.argc, 1); // the flags are still consumed
-}
-
-TEST(ObsParseArgs, RepeatedFlagLastWins)
-{
-    Argv a({"prog", "--metrics-out=first.json",
-            "--metrics-out=second.json"});
-    const auto opts = obs::parseArgs(a.argc, a.argv());
-    EXPECT_EQ(opts.metricsOut, "second.json");
-    EXPECT_EQ(a.argc, 1);
 }
 
 } // namespace

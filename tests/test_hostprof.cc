@@ -337,33 +337,38 @@ TEST(HostProf, AttachmentIsThreadLocal)
     HostProfiler host;
     tele::TeleSession tick;
     PacketTracer packets;
-    auto forEachKind = [&](auto &&fn) {
-        fn(trace);
-        fn(lineage);
-        fn(host);
-        fn(tick);
-        fn(packets);
-    };
+    // The packet hook's slot holds one of lineage and packets: one
+    // pass with each.
+    LineageHooks *const hooks[] = {&lineage, &packets};
+    for (LineageHooks *hook : hooks) {
+        auto forEachKind = [&](auto &&fn) {
+            fn(trace);
+            fn(*hook);
+            fn(host);
+            fn(tick);
+        };
 
-    forEachKind([](auto &obs) {
-        obs.attach();
-        EXPECT_EQ(obs.current(), &obs);
-    });
-    std::thread other([&] {
-        // Another thread sees none of them, and its run feeds none.
-        forEachKind([](auto &obs) { EXPECT_EQ(obs.current(), nullptr); });
-        runXfer(16);
-    });
-    other.join();
-    EXPECT_TRUE(trace.spanCounts().empty());
-    EXPECT_TRUE(lineage.edges().empty());
-    EXPECT_EQ(host.totalEnters(), 0u);
-    EXPECT_EQ(packets.observed(), 0u);
+        forEachKind([](auto &obs) {
+            obs.attach();
+            EXPECT_EQ(obs.current(), &obs);
+        });
+        std::thread other([&] {
+            // Another thread sees none of them, and its run feeds none.
+            forEachKind(
+                [](auto &obs) { EXPECT_EQ(obs.current(), nullptr); });
+            runXfer(16);
+        });
+        other.join();
+        EXPECT_TRUE(trace.spanCounts().empty());
+        EXPECT_TRUE(lineage.edges().empty());
+        EXPECT_EQ(host.totalEnters(), 0u);
+        EXPECT_EQ(packets.observed(), 0u);
 
-    forEachKind([](auto &obs) {
-        obs.detach();
-        EXPECT_EQ(obs.current(), nullptr);
-    });
+        forEachKind([](auto &obs) {
+            obs.detach();
+            EXPECT_EQ(obs.current(), nullptr);
+        });
+    }
 }
 
 // ------------------------------------------------------------------

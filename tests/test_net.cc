@@ -20,9 +20,9 @@
 #include "net/fault.hh"
 #include "net/order.hh"
 #include "net/packet.hh"
-#include "net/ring.hh"
 #include "net/topology.hh"
 #include "sim/log.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 
 namespace msgsim

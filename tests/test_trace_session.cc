@@ -18,6 +18,7 @@
 #include "protocols/stream.hh"
 #include "sim/log.hh"
 #include "sim/metrics.hh"
+#include "sim/obs_cli.hh"
 #include "sim/trace_session.hh"
 
 namespace msgsim
@@ -548,14 +549,32 @@ TEST(Metrics, DumpsAreWellFormed)
     EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
-TEST(Metrics, GlobalRegistryIsAStableSingleton)
+TEST(Metrics, EachScopeDumpsItsOwnRegistry)
 {
-    MetricsRegistry &a = MetricsRegistry::global();
-    MetricsRegistry &b = MetricsRegistry::global();
-    EXPECT_EQ(&a, &b);
-    a.counter("test.global.probe") = 1;
-    EXPECT_TRUE(b.has("test.global.probe"));
-    a.clear();
+    // No registry is shared: what one scope's dump holds was
+    // published to that scope alone.
+    const std::string pathA = ::testing::TempDir() + "metrics_a.json";
+    const std::string pathB = ::testing::TempDir() + "metrics_b.json";
+    obs::Scope a(obs::Options{"", pathA});
+    obs::Scope b(obs::Options{"", pathB});
+    a.metrics().counter("test.scope.a") = 1;
+    b.metrics().counter("test.scope.b") = 2;
+    ASSERT_EQ(a.finish(0), 0);
+    ASSERT_EQ(b.finish(0), 0);
+
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string textA = slurp(pathA);
+    const std::string textB = slurp(pathB);
+    EXPECT_NE(textA.find("test.scope.a"), std::string::npos) << textA;
+    EXPECT_EQ(textA.find("test.scope.b"), std::string::npos) << textA;
+    EXPECT_NE(textB.find("test.scope.b"), std::string::npos) << textB;
+    EXPECT_EQ(textB.find("test.scope.a"), std::string::npos) << textB;
+    std::remove(pathA.c_str());
+    std::remove(pathB.c_str());
 }
 
 // ----------------------------------------------------------------

@@ -21,9 +21,7 @@ set(allowlist
     "msgsim::hostprof::(anonymous namespace)::g_allocCount"
     "msgsim::hostprof::(anonymous namespace)::g_allocBytes"
     # Built by a thread-safe static initializer, then only read.
-    "msgsim::lab::builtinRegistry()::reg"
-    # Used only by the tools' main threads (obs::Scope, lab_main).
-    "msgsim::MetricsRegistry::global()::registry")
+    "msgsim::lab::builtinRegistry()::reg")
 
 file(GLOB_RECURSE libs "${LIB_DIR}/libmsgsim_*.a")
 if(NOT libs)

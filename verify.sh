@@ -4,12 +4,14 @@
 # end through --quick (the exported Chrome trace must be valid JSON
 # holding the six finite-xfer protocol steps and the bridged
 # hardware packet events), two traffic --predict smokes, the golden
-# gate, the lab's -j 1 / -j 8 determinism pair and every committed
-# model-checker replay.
+# gate, the lab's -j 1 / -j 8 determinism pair, every committed
+# model-checker replay and the host self-profiler's checks (its
+# --smoke mode, its report's top-3 line, and each fabric's host time
+# in its own subsystem).
 #
 #   ./verify.sh                  full: configure + build + ctest, then
-#                                the --check, --prof, --hostprof,
-#                                --wire, --tele and --perfbench stages
+#                                the --check, --prof, --wire, --tele
+#                                and --perfbench stages
 #   ./verify.sh --quick <binary> only the traced-run check, against an
 #                                already-built bulk_transfer binary
 #                                (this is what the CTest hook uses;
@@ -40,12 +42,6 @@
 #                                artifacts on all four substrates, each
 #                                layer's transfer run by FiniteXfer, and
 #                                the rdma / nicam matrix columns
-#   ./verify.sh --hostprof       only the host self-profiler gate:
-#                                msgsim-selfprof on its p1 workload
-#                                (share sum, top-3, folded grammar),
-#                                then its rdma and nicam pumps, whose
-#                                host time must land in the rdma and
-#                                nicam subsystems, none in cr or cm5
 #   ./verify.sh --wire           only the wire-layer gate: a
 #                                CRC-corruption recovery smoke and the
 #                                rdma framing-vanishes assertion
@@ -191,73 +187,6 @@ assert disp["status"] == "vanishes", disp
 print("matrix ok: rdma columns appear, nicam dispatch vanishes")
 EOF
     echo "prof ok: artifacts produced, matrix columns hold"
-}
-
-check_hostprof() {
-    local selfprof="$repo_dir/build/src/hostprof/msgsim-selfprof"
-    local tmpdir
-    tmpdir="$(mktemp -d)"
-    trap 'rm -rf "$tmpdir"' RETURN
-
-    # The profiled p1 workload must produce a breakdown whose shares
-    # sum to 100% (+-1%), name a top-3, and export well-formed
-    # folded stacks and JSON.
-    "$selfprof" --workload=p1 --packets=50000 \
-        --flame-out="$tmpdir/host.folded" \
-        --json-out="$tmpdir/host.json" > "$tmpdir/stdout.txt"
-
-    python3 - "$tmpdir/host.json" "$tmpdir/host.folded" \
-        "$tmpdir/stdout.txt" <<'EOF'
-import json, re, sys
-
-doc = json.load(open(sys.argv[1]))
-subs = doc["profile"]["subsystems"]
-share = sum(s["share"] for s in subs)
-assert abs(share - 1.0) <= 0.01, f"shares sum to {share}, not 1"
-active = [s for s in subs if s["enters"] > 0]
-assert len(active) >= 3, f"only {len(active)} active subsystems"
-scopes = doc["profile"]["scopes"]
-assert scopes["balanced"] and scopes["enters"] == scopes["exits"]
-assert scopes["root_cycles"] > 0
-
-# Folded grammar: ';'-joined space-free frames, ONE space, a count.
-for line in open(sys.argv[2]):
-    line = line.rstrip("\n")
-    assert re.fullmatch(r"[^ ;]+(;[^ ;]+)+ \d+", line), \
-        f"bad folded line: {line!r}"
-    assert line.startswith("host;"), f"bad prefix: {line!r}"
-
-text = open(sys.argv[3]).read()
-assert "top cost centers:" in text, "selfprof report lacks a top-3"
-assert "shares sum" in text, "selfprof report lacks the share sum"
-
-print(f"selfprof ok: {len(active)} active subsystems, "
-      f"share sum {share:.4f}, {scopes['enters']} scopes")
-EOF
-
-    # rdma runs CR's engine and nicam the CM-5's: each fabric's host
-    # time must still land in its own subsystem, none in the engine's.
-    local pair fabric engine
-    for pair in rdma:cr nicam:cm5; do
-        fabric="${pair%%:*}"
-        engine="${pair##*:}"
-        "$selfprof" --workload="$fabric" --packets=2000 \
-            --json-out="$tmpdir/$fabric.json" > /dev/null
-        python3 - "$tmpdir/$fabric.json" "$fabric" "$engine" <<'EOF'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-fabric, engine = sys.argv[2], sys.argv[3]
-enters = {s["subsystem"]: s["enters"] for s in doc["profile"]["subsystems"]}
-assert enters[fabric] > 0, f"{fabric} pump entered no {fabric} scope"
-assert enters[engine] == 0, \
-    f"{fabric} pump charged {enters[engine]} scopes to {engine}"
-print(f"selfprof ok: {fabric} pump, {enters[fabric]} {fabric} scopes, "
-      f"0 {engine}")
-EOF
-    done
-    echo "hostprof ok: shares ~100%, top-3 and folded stacks well-formed;" \
-        "rdma and nicam charged to their own subsystems"
 }
 
 check_wire() {
@@ -442,12 +371,6 @@ if [[ "${1:-}" == "--prof" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "--hostprof" ]]; then
-    check_hostprof
-    echo "verify --hostprof: OK"
-    exit 0
-fi
-
 if [[ "${1:-}" == "--quick" ]]; then
     [[ $# -eq 2 ]] || { echo "usage: $0 --quick <bulk_transfer>" >&2; exit 2; }
     check_traced_run "$2"
@@ -499,7 +422,6 @@ cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
 check_model_checker
 check_prof
-check_hostprof
 check_wire
 check_tele
 check_perfbench
