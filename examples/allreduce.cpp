@@ -6,12 +6,17 @@
  * combining trees) on top of active messages.
  *
  *   $ ./allreduce [nodes]
+ *
+ * A node count that is not a decimal integer in [1, 1024] is a usage
+ * error (exit 2).
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "coll/collectives.hh"
+#include "sim/flag_table.hh"
 #include "sim/rng.hh"
 
 using namespace msgsim;
@@ -19,9 +24,19 @@ using namespace msgsim;
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    cli::FlagTable flags("allreduce",
+                         "Global sum across the machine with the "
+                         "collectives library.");
+    flags.positionals("NODES", args, "machine size [16]");
+    flags.parse(argc, argv);
     std::uint32_t nodes = 16;
-    if (argc > 1)
-        nodes = static_cast<std::uint32_t>(std::atoi(argv[1]));
+    if (args.size() > 1 ||
+        (!args.empty() && !cli::parseNumber(args[0], nodes, 1, 1024))) {
+        std::fprintf(stderr, "allreduce: NODES must be one decimal "
+                             "integer in [1, 1024]\n");
+        return 2;
+    }
 
     StackConfig cfg;
     cfg.nodes = nodes;

@@ -15,14 +15,19 @@
  * application paid for it.
  *
  *   $ ./jacobi [nodes] [cellsPerNode] [iterations]
+ *
+ * A count that is not a decimal integer in its range (nodes 1..1024,
+ * cells 1..2^20, iterations >= 1) is a usage error (exit 2).
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "coll/collectives.hh"
 #include "msglib/msg_passing.hh"
+#include "sim/flag_table.hh"
 
 using namespace msgsim;
 
@@ -37,15 +42,29 @@ constexpr Word fxOne = 1u << 16;
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    cli::FlagTable flags("jacobi",
+                         "1-D Jacobi relaxation partitioned across the "
+                         "machine: a halo exchange and an allreduce per "
+                         "iteration.");
+    flags.positionals("NODES CELLS ITERATIONS", args,
+                      "machine size [8], interior cells per node [64], "
+                      "iterations [30]");
+    flags.parse(argc, argv);
     std::uint32_t nodes = 8;
     std::uint32_t cells = 64; // interior cells per node
     int iterations = 30;
-    if (argc > 1)
-        nodes = static_cast<std::uint32_t>(std::atoi(argv[1]));
-    if (argc > 2)
-        cells = static_cast<std::uint32_t>(std::atoi(argv[2]));
-    if (argc > 3)
-        iterations = std::atoi(argv[3]);
+    if (args.size() > 3 ||
+        (args.size() > 0 && !cli::parseNumber(args[0], nodes, 1, 1024)) ||
+        (args.size() > 1 &&
+         !cli::parseNumber(args[1], cells, 1, 1u << 20)) ||
+        (args.size() > 2 &&
+         !cli::parseNumber(args[2], iterations, 1, INT_MAX))) {
+        std::fprintf(stderr, "jacobi: NODES must be a decimal integer in "
+                             "[1, 1024], CELLS in [1, 1048576] and "
+                             "ITERATIONS >= 1\n");
+        return 2;
+    }
 
     StackConfig cfg;
     cfg.nodes = nodes;

@@ -9,33 +9,49 @@
  * of order but my NI were on-chip?" style questions.
  *
  *   $ ./netdesign_explorer [packetWords] [messageWords] [devWeight]
+ *
+ * packetWords must be an even decimal integer >= 4, messageWords a
+ * positive multiple of it and devWeight a decimal number >= 0;
+ * anything else is a usage error (exit 2).
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "model/analytic.hh"
+#include "sim/flag_table.hh"
 
 using namespace msgsim;
 
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    cli::FlagTable flags("netdesign_explorer",
+                         "The modeled software bill of each protocol "
+                         "and substrate for one packet size, message "
+                         "size and NI access cost.");
+    flags.positionals("PACKET MESSAGE DEV", args,
+                      "packet words [4], message words [1024], NI "
+                      "access weight in cycles [5]");
+    flags.parse(argc, argv);
     int n = 4;
     std::uint32_t words = 1024;
     double dev_weight = 5.0;
-    if (argc > 1)
-        n = std::atoi(argv[1]);
-    if (argc > 2)
-        words = static_cast<std::uint32_t>(std::atoi(argv[2]));
-    if (argc > 3)
-        dev_weight = std::atof(argv[3]);
-    if (n < 4 || n % 2 != 0 ||
-        words % static_cast<std::uint32_t>(n) != 0) {
+    if (args.size() > 3 ||
+        (args.size() > 0 && !cli::parseNumber(args[0], n, 4, INT_MAX)) ||
+        (args.size() > 1 &&
+         !cli::parseNumber(args[1], words, 1, UINT32_MAX)) ||
+        (args.size() > 2 && !cli::parseNumber(args[2], dev_weight, 0)) ||
+        n % 2 != 0 || words % static_cast<std::uint32_t>(n) != 0) {
         std::fprintf(stderr,
-                     "need: even packetWords >= 4, messageWords a "
-                     "multiple of packetWords\n");
-        return 1;
+                     "netdesign_explorer: need an even packetWords >= 4, "
+                     "messageWords a positive multiple of packetWords "
+                     "and devWeight >= 0\n");
+        return 2;
     }
 
     const CostModel m{"custom", 1.0, 1.0, dev_weight};

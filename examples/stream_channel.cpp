@@ -9,29 +9,45 @@
  * shows what that costs.
  *
  *   $ ./stream_channel [words] [dropRate%]
+ *
+ * A word count that is not a decimal multiple of 4, or a drop rate
+ * that is not a decimal number in [0, 100], is a usage error (exit 2).
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "lab/paper_tables.hh"
 #include "protocols/stream.hh"
+#include "sim/flag_table.hh"
 
 using namespace msgsim;
 
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    cli::FlagTable flags("stream_channel",
+                         "An ordered stream over a network that drops, "
+                         "corrupts and reorders packets.");
+    flags.positionals("WORDS DROP%", args,
+                      "words to stream [512], drop rate in percent [5]");
+    flags.parse(argc, argv);
     std::uint32_t words = 512;
-    double drop = 0.05;
-    if (argc > 1)
-        words = static_cast<std::uint32_t>(std::atoi(argv[1]));
-    if (argc > 2)
-        drop = std::atof(argv[2]) / 100.0;
-    if (words == 0 || words % 4 != 0) {
-        std::fprintf(stderr, "words must be a positive multiple of 4\n");
-        return 1;
+    double dropPct = 5;
+    if (args.size() > 2 ||
+        (args.size() > 0 &&
+         !cli::parseNumber(args[0], words, 1, UINT32_MAX)) ||
+        words % 4 != 0 ||
+        (args.size() > 1 && !cli::parseNumber(args[1], dropPct, 0, 100))) {
+        std::fprintf(stderr, "stream_channel: WORDS must be a positive "
+                             "decimal multiple of 4 and DROP%% a decimal "
+                             "number in [0, 100]\n");
+        return 2;
     }
+    const double drop = dropPct / 100.0;
 
     StackConfig cfg;
     cfg.nodes = 2;

@@ -29,8 +29,8 @@ Cmam::Cmam(Node &node, const Config &cfg)
 int
 Cmam::registerHandler(AmHandler fn)
 {
-    if (static_cast<int>(handlers_.size()) >= cfg_.maxHandlers)
-        msgsim_fatal("handler table full (", cfg_.maxHandlers, ")");
+    if (static_cast<int>(handlers_.size()) >= maxHandlers)
+        msgsim_fatal("handler table full (", maxHandlers, ")");
     handlers_.push_back(std::move(fn));
     return static_cast<int>(handlers_.size()) - 1;
 }
@@ -46,7 +46,7 @@ Cmam::am4(NodeId dst, int handler, const std::vector<Word> &args)
 {
     // Handler indices name a slot in the *destination's* table; only
     // range-check against the (machine-wide) table size here.
-    if (handler < 0 || handler >= cfg_.maxHandlers)
+    if (handler < 0 || handler >= maxHandlers)
         msgsim_fatal("am4: handler index ", handler, " out of range");
     sendTagged(HwTag::UserAm, dst,
                hdr::pack(static_cast<std::uint32_t>(handler), 0), args);
@@ -55,7 +55,7 @@ Cmam::am4(NodeId dst, int handler, const std::vector<Word> &args)
 void
 Cmam::am4Reply(NodeId dst, int handler, const std::vector<Word> &args)
 {
-    if (handler < 0 || handler >= cfg_.maxHandlers)
+    if (handler < 0 || handler >= maxHandlers)
         msgsim_fatal("am4Reply: handler index ", handler,
                      " out of range");
     sendTagged(HwTag::UserAm, dst,
@@ -80,7 +80,7 @@ Cmam::chargeSyscall()
     // Kernel crossing: trap, dispatch, permission check, return.
     Accounting &a = node_.proc().acct();
     RowScope r(a, CostRow::Other);
-    node_.proc().regOps(static_cast<std::uint64_t>(cfg_.syscallRegOps));
+    node_.proc().regOps(syscallRegOps);
 }
 
 void
@@ -138,13 +138,11 @@ Cmam::interruptService()
     // acknowledge and cause-register accesses on the NI.
     {
         RowScope r(a, CostRow::Other);
-        p.regOps(static_cast<std::uint64_t>(cfg_.trapRegOps));
-        a.charge(OpClass::DevLoad,
-                 static_cast<std::uint64_t>(cfg_.trapDevOps));
+        p.regOps(trapRegOps);
+        a.charge(OpClass::DevLoad, trapDevOps);
     }
     ++interruptsTaken_;
-    dispatchOps_ += static_cast<std::uint64_t>(cfg_.trapRegOps) +
-                    static_cast<std::uint64_t>(cfg_.trapDevOps);
+    dispatchOps_ += trapRegOps + trapDevOps;
     // The handler's mask/shift constants are set up by the trap
     // vector, so the drain loop skips the poll-entry decode.
     return drain(/*pollEntry=*/false);
@@ -279,7 +277,6 @@ Cmam::handleXferData()
             RowScope r(a, CostRow::ReadNi);
             (void)ni.readRecvDouble(a);
         }
-        ++staleXferDrops_;
         return;
     }
     Addr dst;

@@ -87,16 +87,22 @@ class Cmam
     /** Completion of a posted transfer. */
     using XferDoneFn = std::function<void(Word tid)>;
 
+    /// Handler table size (machine-wide: am4 range-checks against it).
+    static constexpr int maxHandlers = 64;
+    /// Interrupt-driven reception (paper footnote 2): trap entry/exit
+    /// cost on a SPARC-class processor — full register window
+    /// spill/fill, PSR save/restore, vectoring.  "The cost for
+    /// interrupts is very high for the SPARC processor."
+    static constexpr std::uint64_t trapRegOps = 96;
+    /// Interrupt acknowledge + cause read.
+    static constexpr std::uint64_t trapDevOps = 2;
+    /// Kernel crossing per messaging call when Config::kernelMediated:
+    /// trap + dispatch + copyin/out glue.
+    static constexpr std::uint64_t syscallRegOps = 120;
+
     struct Config
     {
         int maxSegments = 64;
-        int maxHandlers = 64;
-        /// Interrupt-driven reception (paper footnote 2): trap entry/
-        /// exit cost on a SPARC-class processor — full register
-        /// window spill/fill, PSR save/restore, vectoring.  "The cost
-        /// for interrupts is very high for the SPARC processor."
-        int trapRegOps = 96;
-        int trapDevOps = 2; ///< interrupt acknowledge + cause read
         /// §5 extension: bulk-transfer payload moved by a DMA engine
         /// instead of per-word loads/stores.  Affects the xfer data
         /// path on both sides (the node's layer must match its
@@ -109,7 +115,6 @@ class Cmam
         /// essential for low-cost communication" — this knob shows
         /// why.
         bool kernelMediated = false;
-        int syscallRegOps = 120; ///< trap + dispatch + copyin/out glue
         /// The fabric services this layer leaves to the hardware
         /// (paper Section 4).  Empty for CMAM; the hl layer trusts
         /// CR's.  inOrderDelivery drops the per-packet offset step;
@@ -219,7 +224,7 @@ class Cmam
 
     /**
      * Interrupt-driven reception: the NI raised an interrupt; take
-     * the trap (Config::trapRegOps + trapDevOps — far more than a
+     * the trap (trapRegOps + trapDevOps — far more than a
      * poll entry), then drain the FIFO with the same per-packet
      * dispatch as poll().  Returns packets handled.
      */
@@ -227,9 +232,6 @@ class Cmam
 
     /** Interrupts taken via interruptService() so far. */
     std::uint64_t interruptsTaken() const { return interruptsTaken_; }
-
-    /** Stale xfer data packets discarded (restart recovery). */
-    std::uint64_t staleXferDrops() const { return staleXferDrops_; }
 
     /**
      * Instructions spent on host handler dispatch so far: poll/trap
@@ -280,7 +282,6 @@ class Cmam
     /// may poll (and so re-enter genericReceive) while it still reads
     /// its own arguments; reused, so receiving never allocates.
     ScratchPool<std::vector<Word>> argBufs_;
-    std::uint64_t staleXferDrops_ = 0;
     std::uint64_t interruptsTaken_ = 0;
     std::uint64_t dispatchOps_ = 0;
 };

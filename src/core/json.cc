@@ -93,6 +93,18 @@ jsonReal(double v)
     return s;
 }
 
+std::string
+jsonNumber(double v)
+{
+    char buf[40];
+    if (v == static_cast<double>(static_cast<long long>(v)))
+        std::snprintf(buf, sizeof(buf), "%lld",
+                      static_cast<long long>(v));
+    else
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {

@@ -55,11 +55,6 @@ class Json
     static Json object();
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isNumber() const
-    {
-        return kind_ == Kind::Int || kind_ == Kind::Real;
-    }
 
     bool asBool() const { return bool_; }
     std::int64_t asInt() const { return int_; }
@@ -79,10 +74,6 @@ class Json
     void set(const std::string &key, Json v);
     /** Member lookup; nullptr when absent or not an object. */
     const Json *find(const std::string &key) const;
-    const std::vector<std::pair<std::string, Json>> &members() const
-    {
-        return fields_;
-    }
 
     /** Serialize; @p indent 0 = compact, else pretty with that step. */
     std::string dump(int indent = 0) const;
@@ -111,6 +102,10 @@ std::string jsonEscape(const std::string &s);
 
 /** Deterministic formatting of a real number ("%.10g"). */
 std::string jsonReal(double v);
+
+/** Exact formatting of a number: an integral value prints as an
+ *  integer, any other as "%.17g" (round-trips). */
+std::string jsonNumber(double v);
 
 } // namespace msgsim
 

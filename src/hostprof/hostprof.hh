@@ -223,9 +223,6 @@ class HostProfiler
         return unscopedAllocBytes_;
     }
 
-    /** The profiler's own bookkeeping allocations (tree growth). */
-    std::uint64_t overheadAllocs() const { return overheadAllocs_; }
-
     /**
      * Folded flamegraph stacks (counts = self cycles):
      *

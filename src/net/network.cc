@@ -42,10 +42,8 @@ bool
 Network::launch(Slot slot)
 {
     Packet &pkt = pool_[slot];
-    std::uint64_t &flowCount = flowCounters_.at(pkt, sinks_.size());
     const NodeId flowDst = pkt.dst;
     pkt.injectSeq = nextInjectSeq_;
-    pkt.flowIndex = flowCount;
 #ifdef MSGSIM_CHECKED
     pkt.seal(); // what the destination's check compares (packet.hh)
 #endif
@@ -61,7 +59,6 @@ Network::launch(Slot slot)
         return false; // port busy: the slot stays with the caller
     }
     ++nextInjectSeq_;
-    ++flowCount;
     ++stats_.injected;
     if (flowDst < injectedTo_.size())
         ++injectedTo_[flowDst];

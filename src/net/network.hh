@@ -469,7 +469,6 @@ class Network
     std::vector<std::uint64_t> settledTo_;
     std::vector<std::uint64_t> deliveredTo_;
     std::uint64_t nextInjectSeq_ = 0;
-    FlowTable<std::uint64_t> flowCounters_;
     PacketPool pool_;             ///< parked packets, by slot
     std::vector<Slot> freeSlots_; ///< released slots, reused first
 };

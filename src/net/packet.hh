@@ -170,8 +170,6 @@ struct Packet
     bool corrupted = false;
     /// Global injection sequence, for tracing and scripted faults.
     std::uint64_t injectSeq = 0;
-    /// Per-(src,dst) flow index, assigned at injection.
-    std::uint64_t flowIndex = 0;
     /// Causal lineage id, assigned at birth when a prof::LineageSession
     /// is attached (0 = untracked).  Purely observational: never read
     /// by the hardware model or the messaging layers.
@@ -214,7 +212,7 @@ struct Packet
     std::uint32_t computeCrc() const;
 };
 
-static_assert(sizeof(Payload) <= 24 && sizeof(Packet) <= 72,
+static_assert(sizeof(Payload) <= 24 && sizeof(Packet) <= 64,
               "the inline payload must not grow the packet");
 
 /**

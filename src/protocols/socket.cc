@@ -69,8 +69,6 @@ StreamSocket::write(const std::vector<Word> &words)
     ScopedSpan span(src_, "socket", "write");
     hostprof::HostScope hps(hostprof::Site::ProtoSocket);
     proto_.sendOn(chan_, words);
-    packetsWritten_ += words.size() /
-                       static_cast<std::size_t>(proto_.packetWords());
 }
 
 void

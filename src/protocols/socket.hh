@@ -103,9 +103,6 @@ class StreamSocket
     /** The underlying protocol channel id (for instrumentation). */
     Word channel() const { return chan_; }
 
-    /** Packets written so far. */
-    std::uint64_t packetsWritten() const { return packetsWritten_; }
-
     /** Packets currently unacknowledged. */
     std::uint64_t unacked() const;
 
@@ -117,7 +114,6 @@ class StreamSocket
     NodeId src_ = invalidNode;
     Word chan_ = 0;
     bool open_ = false;
-    std::uint64_t packetsWritten_ = 0;
 };
 
 } // namespace msgsim

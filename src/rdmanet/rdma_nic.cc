@@ -323,7 +323,6 @@ RdmaNic::pollCq(int max)
             p.callRet(4); // completion-callback linkage
         }
         ++harvested;
-        ++cqesHarvested_;
         if (completionFn_)
             completionFn_(c);
     }

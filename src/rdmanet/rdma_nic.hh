@@ -149,7 +149,6 @@ class RdmaNic
     /** Distinct regions the NIC translates (a miss on a region it
      *  still covers adds none). */
     std::size_t registeredRegions() const { return registered_.size(); }
-    std::uint64_t cqesHarvested() const { return cqesHarvested_; }
     /// Deliveries refused because the CQ had no free slot.
     std::uint64_t cqOverflowStalls() const { return cqOverflowStalls_; }
     /// Deliveries refused because no receive was posted (RNR).
@@ -229,7 +228,6 @@ class RdmaNic
 
     std::uint64_t mrCacheHits_ = 0;
     std::uint64_t mrCacheMisses_ = 0;
-    std::uint64_t cqesHarvested_ = 0;
     std::uint64_t cqOverflowStalls_ = 0;
     std::uint64_t rnrNoRecv_ = 0;
     std::uint64_t sendStalls_ = 0;

@@ -53,6 +53,19 @@ wrapInto(std::string &out, std::size_t indent, const std::string &text)
 
 } // namespace
 
+bool
+parseNumber(const std::string &text, double &target, double min, double max)
+{
+    double x = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, x);
+    if (ec != std::errc() || ptr != end || !std::isfinite(x) || x < min ||
+        x > max)
+        return false;
+    target = x;
+    return true;
+}
+
 FlagTable::FlagTable(std::string tool, std::string about)
     : tool_(std::move(tool)), about_(std::move(about))
 {
@@ -142,13 +155,7 @@ FlagTable::number(const char *spelling, double &target, const char *help)
     f.shown = shown;
     f.want = "a finite decimal number";
     f.set = [&target](const std::string &v) {
-        double x = 0;
-        const char *end = v.data() + v.size();
-        const auto [ptr, ec] = std::from_chars(v.data(), end, x);
-        if (ec != std::errc() || ptr != end || !std::isfinite(x))
-            return false;
-        target = x;
-        return true;
+        return parseNumber(v, target);
     };
     return add(std::move(f));
 }

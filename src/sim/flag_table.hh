@@ -64,6 +64,15 @@ parseNumber(const std::string &text, T &target,
     return true;
 }
 
+/**
+ * Read @p text into @p target if the whole of it is a finite decimal
+ * number in [@p min, @p max]; otherwise leave @p target and return
+ * false.
+ */
+bool parseNumber(const std::string &text, double &target,
+                 double min = std::numeric_limits<double>::lowest(),
+                 double max = std::numeric_limits<double>::max());
+
 class FlagTable
 {
   public:

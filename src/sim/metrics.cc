@@ -1,8 +1,8 @@
 #include "sim/metrics.hh"
 
-#include <cstdio>
 #include <sstream>
 
+#include "core/json.hh"
 #include "sim/log.hh"
 
 namespace msgsim
@@ -10,41 +10,6 @@ namespace msgsim
 
 namespace
 {
-
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-num(double v)
-{
-    char buf[40];
-    if (v == static_cast<double>(static_cast<long long>(v)))
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    else
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 const char *
 kindName(MetricsRegistry::MetricKind k)
@@ -143,21 +108,21 @@ MetricsRegistry::dumpText() const
             os << "counter  " << m.counter;
             break;
           case MetricKind::Gauge:
-            os << "gauge  " << num(m.gauge);
+            os << "gauge  " << jsonNumber(m.gauge);
             break;
           case MetricKind::Stat:
             os << "stat  count=" << m.stat.count()
-               << " mean=" << num(m.stat.mean())
-               << " min=" << num(m.stat.min())
-               << " max=" << num(m.stat.max())
-               << " stddev=" << num(m.stat.stddev());
+               << " mean=" << jsonNumber(m.stat.mean())
+               << " min=" << jsonNumber(m.stat.min())
+               << " max=" << jsonNumber(m.stat.max())
+               << " stddev=" << jsonNumber(m.stat.stddev());
             break;
           case MetricKind::Histogram:
             if (m.hist) {
                 os << "histogram  count=" << m.hist->stat().count()
-                   << " mean=" << num(m.hist->stat().mean())
-                   << " p50=" << num(m.hist->percentile(50.0))
-                   << " p99=" << num(m.hist->percentile(99.0))
+                   << " mean=" << jsonNumber(m.hist->stat().mean())
+                   << " p50=" << jsonNumber(m.hist->percentile(50.0))
+                   << " p99=" << jsonNumber(m.hist->percentile(99.0))
                    << "  " << m.hist->renderAscii();
             }
             break;
@@ -177,13 +142,13 @@ MetricsRegistry::dumpJson() const
         if (!first)
             os << ",";
         first = false;
-        os << "\n{\"name\":\"" << escape(m.name) << "\",\"labels\":{";
+        os << "\n{\"name\":\"" << jsonEscape(m.name) << "\",\"labels\":{";
         bool lf = true;
         for (const auto &[k, v] : m.labels) {
             if (!lf)
                 os << ",";
             lf = false;
-            os << "\"" << escape(k) << "\":\"" << escape(v) << "\"";
+            os << "\"" << jsonEscape(k) << "\":\"" << jsonEscape(v) << "\"";
         }
         os << "},\"type\":\"" << kindName(m.kind) << "\"";
         switch (m.kind) {
@@ -191,21 +156,21 @@ MetricsRegistry::dumpJson() const
             os << ",\"value\":" << m.counter;
             break;
           case MetricKind::Gauge:
-            os << ",\"value\":" << num(m.gauge);
+            os << ",\"value\":" << jsonNumber(m.gauge);
             break;
           case MetricKind::Stat:
             os << ",\"count\":" << m.stat.count()
-               << ",\"mean\":" << num(m.stat.mean())
-               << ",\"min\":" << num(m.stat.min())
-               << ",\"max\":" << num(m.stat.max())
-               << ",\"stddev\":" << num(m.stat.stddev());
+               << ",\"mean\":" << jsonNumber(m.stat.mean())
+               << ",\"min\":" << jsonNumber(m.stat.min())
+               << ",\"max\":" << jsonNumber(m.stat.max())
+               << ",\"stddev\":" << jsonNumber(m.stat.stddev());
             break;
           case MetricKind::Histogram:
             if (m.hist) {
                 os << ",\"count\":" << m.hist->stat().count()
-                   << ",\"mean\":" << num(m.hist->stat().mean())
-                   << ",\"p50\":" << num(m.hist->percentile(50.0))
-                   << ",\"p99\":" << num(m.hist->percentile(99.0))
+                   << ",\"mean\":" << jsonNumber(m.hist->stat().mean())
+                   << ",\"p50\":" << jsonNumber(m.hist->percentile(50.0))
+                   << ",\"p99\":" << jsonNumber(m.hist->percentile(99.0))
                    << ",\"bins\":[";
                 bool bf = true;
                 for (std::uint64_t b : m.hist->bins()) {

@@ -1,11 +1,10 @@
 #include "sim/trace_session.hh"
 
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "core/json.hh"
 #include "sim/event.hh"
 
 namespace msgsim
@@ -159,49 +158,6 @@ TraceSession::clear()
     ring_.clear();
     open_.clear();
 }
-
-namespace
-{
-
-/** JSON string escaping for names that may carry punctuation. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Render a double compactly; integral values print as integers. */
-std::string
-jsonNumber(double v)
-{
-    char buf[40];
-    if (v == static_cast<double>(static_cast<long long>(v)))
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    else
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 std::string
 TraceSession::chromeTraceJson()

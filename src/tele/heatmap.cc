@@ -128,9 +128,9 @@ Heatmap::renderAscii() const
             }
             out += levels[lvl];
         }
-        out += "| peak=" + formatValue(row.peak);
+        out += "| peak=" + jsonNumber(row.peak);
         if (row.capacity > 0)
-            out += "/" + formatValue(row.capacity);
+            out += "/" + jsonNumber(row.capacity);
         out += "\n";
     }
     return out;

@@ -157,7 +157,7 @@ BottleneckReport::renderText() const
         if (w.node != invalidNode)
             out += "node " + std::to_string(w.node) + " ";
         out += w.label + " " + percent(w.fraction) + " of " +
-               formatValue(w.capacity) + " — " + w.resource +
+               jsonNumber(w.capacity) + " — " + w.resource +
                " saturated\n";
     }
     out += "  top bottleneck: " + topResourceLabel + " (" +

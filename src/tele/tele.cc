@@ -21,19 +21,6 @@ toString(ProbeKind k)
     }
 }
 
-std::string
-formatValue(double v)
-{
-    const std::int64_t i = static_cast<std::int64_t>(v);
-    char buf[64];
-    if (static_cast<double>(i) == v) {
-        std::snprintf(buf, sizeof(buf), "%" PRId64, i);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    }
-    return buf;
-}
-
 TeleSession::TeleSession() : TeleSession(Config{}) {}
 
 TeleSession::TeleSession(const Config &cfg) : cfg_(cfg)
@@ -135,7 +122,7 @@ std::string
 TeleSession::tracksText() const
 {
     std::string out;
-    out += "tele period=" + formatValue(
+    out += "tele period=" + jsonNumber(
                static_cast<double>(cfg_.period)) +
            " snapshots=" + std::to_string(snapshots_) + "\n";
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
@@ -145,12 +132,12 @@ TeleSession::tracksText() const
             out += " node=" + std::to_string(tr.desc.node);
         out += std::string(" kind=") + toString(tr.desc.kind);
         if (tr.desc.capacity > 0)
-            out += " cap=" + formatValue(tr.desc.capacity);
+            out += " cap=" + jsonNumber(tr.desc.capacity);
         out += " observed=" + std::to_string(tr.observed) +
                " dropped=" + std::to_string(tr.dropped) + "\n";
         for (const Sample &s : samples(t))
-            out += formatValue(static_cast<double>(s.tick)) + ":" +
-                   formatValue(s.value) + " ";
+            out += jsonNumber(static_cast<double>(s.tick)) + ":" +
+                   jsonNumber(s.value) + " ";
         out += "\n";
     }
     return out;

@@ -226,9 +226,6 @@ class TeleSession : public TickHooks
     std::uint64_t samplesDropped_ = 0;
 };
 
-/** Format @p v exactly: integers without decimals, else shortest. */
-std::string formatValue(double v);
-
 } // namespace tele
 } // namespace msgsim
 

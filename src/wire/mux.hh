@@ -203,7 +203,6 @@ class StreamMux
     NodeId sender() const { return sender_; }
     NodeId receiver() const { return receiver_; }
     Word fwdChannel() const { return fwdChan_; }
-    Word revChannel() const { return revChan_; }
 
     /** Largest payload send() accepts, in words. */
     static constexpr std::size_t maxPayloadWords = 48;

@@ -106,12 +106,13 @@ TEST(Lineage, EdgeRingCapDropsInsteadOfGrowing)
 
 /** Run one profiled protocol under a trace and parse the timeline. */
 Json
-tracedTimeline(const std::string &protocol)
+tracedTimeline(const std::string &protocol, Substrate substrate)
 {
     TraceSession ts;
     ts.attach();
     prof::ProfConfig cfg;
     cfg.protocol = protocol;
+    cfg.substrate = substrate;
     const auto run = prof::runProfiled(cfg);
     ts.detach();
     EXPECT_TRUE(run.result.dataOk);
@@ -186,12 +187,18 @@ checkTimelineInvariants(const Json &doc)
 
 TEST(TraceSchema, SinglePacketTimelineIsValid)
 {
-    checkTimelineInvariants(tracedTimeline("single"));
+    for (const Substrate sub : allSubstrates) {
+        SCOPED_TRACE(toString(sub));
+        checkTimelineInvariants(tracedTimeline("single", sub));
+    }
 }
 
 TEST(TraceSchema, FiniteXferTimelineIsValid)
 {
-    checkTimelineInvariants(tracedTimeline("xfer"));
+    for (const Substrate sub : allSubstrates) {
+        SCOPED_TRACE(toString(sub));
+        checkTimelineInvariants(tracedTimeline("xfer", sub));
+    }
 }
 
 // ----------------------------------------------------------------
@@ -200,26 +207,30 @@ TEST(TraceSchema, FiniteXferTimelineIsValid)
 
 TEST(Waterfall, HasFiveSegmentsInPipelineOrder)
 {
-    prof::ProfConfig cfg;
-    const auto run = prof::runProfiled(cfg);
-    const auto &wf = run.waterfall;
-    ASSERT_EQ(wf.segments.size(), 5u);
-    const char *expected[] = {"send_sw", "wire", "queue_wait",
-                              "recv_sw", "ack_wait"};
-    for (std::size_t i = 0; i < 5; ++i)
-        EXPECT_EQ(wf.segments[i].name, expected[i]);
-    EXPECT_GT(wf.lineages, 0u);
-    // Every data packet contributes a wire-transit sample.
-    EXPECT_EQ(wf.segments[1].samples.size(), run.packetsTracked);
+    for (const Substrate sub : allSubstrates) {
+        SCOPED_TRACE(toString(sub));
+        prof::ProfConfig cfg;
+        cfg.substrate = sub;
+        const auto run = prof::runProfiled(cfg);
+        const auto &wf = run.waterfall;
+        ASSERT_EQ(wf.segments.size(), 5u);
+        const char *expected[] = {"send_sw", "wire", "queue_wait",
+                                  "recv_sw", "ack_wait"};
+        for (std::size_t i = 0; i < 5; ++i)
+            EXPECT_EQ(wf.segments[i].name, expected[i]);
+        EXPECT_GT(wf.lineages, 0u);
+        // Every data packet contributes a wire-transit sample.
+        EXPECT_EQ(wf.segments[1].samples.size(), run.packetsTracked);
 
-    const std::string text = wf.render();
-    for (const char *name : expected)
-        EXPECT_NE(text.find(name), std::string::npos) << name;
+        const std::string text = wf.render();
+        for (const char *name : expected)
+            EXPECT_NE(text.find(name), std::string::npos) << name;
 
-    const Json j = wf.toJson();
-    const Json *segs = j.find("segments");
-    ASSERT_NE(segs, nullptr);
-    EXPECT_EQ(segs->size(), 5u);
+        const Json j = wf.toJson();
+        const Json *segs = j.find("segments");
+        ASSERT_NE(segs, nullptr);
+        EXPECT_EQ(segs->size(), 5u);
+    }
 }
 
 // ----------------------------------------------------------------
@@ -228,32 +239,51 @@ TEST(Waterfall, HasFiveSegmentsInPipelineOrder)
 
 TEST(FoldedStacks, LinesAreFlamegraphGrammar)
 {
-    prof::ProfConfig cfg;
-    const auto run = prof::runProfiled(cfg);
-    ASSERT_FALSE(run.folded.empty());
+    // Each substrate's own layer sends the transfer's data packets
+    // inside the one FiniteXfer engine's data step: CMAM on cm5, hl
+    // (a CMAM) on cr, verbs on rdma and offload on nicam.
+    const std::map<Substrate, std::string> layerSend = {
+        {Substrate::Cm5, "cmam/xfer_send"},
+        {Substrate::Cr, "cmam/xfer_send"},
+        {Substrate::Rdma, "rdma/post_send"},
+        {Substrate::Nicam, "nicam/xfer_send"}};
+    for (const Substrate sub : allSubstrates) {
+        SCOPED_TRACE(toString(sub));
+        prof::ProfConfig cfg;
+        cfg.substrate = sub;
+        const auto run = prof::runProfiled(cfg);
+        ASSERT_FALSE(run.folded.empty());
 
-    std::istringstream is(run.folded);
-    std::string line;
-    std::uint64_t lines = 0;
-    bool sawBase = false;
-    while (std::getline(is, line)) {
-        ++lines;
-        // "<frame>;<frame>;...;<feature>;<category> <count>"
-        const auto space = line.rfind(' ');
-        ASSERT_NE(space, std::string::npos) << line;
-        const std::string path = line.substr(0, space);
-        const std::string count = line.substr(space + 1);
-        EXPECT_NE(path.find(';'), std::string::npos) << line;
-        EXPECT_EQ(path.rfind("cm5;node", 0), 0u) << line;
-        EXPECT_GT(std::stoull(count), 0u) << line;
-        if (path.find(";base_cost;") != std::string::npos)
-            sawBase = true;
+        std::istringstream is(run.folded);
+        std::string line;
+        std::uint64_t lines = 0;
+        bool sawBase = false;
+        const std::string prefix = std::string(toString(sub)) + ";node";
+        while (std::getline(is, line)) {
+            ++lines;
+            // "<frame>;<frame>;...;<feature>;<category> <count>"
+            const auto space = line.rfind(' ');
+            ASSERT_NE(space, std::string::npos) << line;
+            const std::string path = line.substr(0, space);
+            const std::string count = line.substr(space + 1);
+            EXPECT_NE(path.find(';'), std::string::npos) << line;
+            EXPECT_EQ(path.rfind(prefix, 0), 0u) << line;
+            EXPECT_GT(std::stoull(count), 0u) << line;
+            if (path.find(";base_cost;") != std::string::npos)
+                sawBase = true;
+        }
+        // On nicam the NIC places every packet and the receiver's
+        // few host instructions run outside any span, so only the
+        // sends' four stacks fold.
+        EXPECT_GT(lines, sub == Substrate::Nicam ? 3u : 4u);
+        EXPECT_TRUE(sawBase);
+        EXPECT_NE(run.folded.find("finite_xfer/data;" + layerSend.at(sub)),
+                  std::string::npos);
+        // The feature names are slugs — never the spaced display
+        // names, which would break the "space separates the count"
+        // grammar.
+        EXPECT_EQ(run.folded.find("Base Cost"), std::string::npos);
     }
-    EXPECT_GT(lines, 4u);
-    EXPECT_TRUE(sawBase);
-    // The feature names are slugs — never the spaced display names,
-    // which would break the "space separates the count" grammar.
-    EXPECT_EQ(run.folded.find("Base Cost"), std::string::npos);
 }
 
 TEST(FoldedStacks, SelfCostExcludesChildSpans)

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
+#include "core/json.hh"
 #include "sim/event.hh"
 #include "sim/stats.hh"
 #include "sim/trace_session.hh"
@@ -346,6 +349,27 @@ TEST(TeleExport, CounterTracksMergeOntoATimeline)
     const std::string json = ts.chromeTraceJson();
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("ni.recv_ring"), std::string::npos);
+
+    // Every counter sample is well formed, and every layer the
+    // sampler probes has counter tracks on the timeline: a track
+    // "node3/link.delivered" is layer "link".
+    Json doc;
+    ASSERT_TRUE(Json::parse(json, doc));
+    const Json &events = *doc.find("traceEvents");
+    std::set<std::string> layers;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const Json &ev = events.at(i);
+        if (ev.find("ph")->asString() != "C")
+            continue;
+        ASSERT_NE(ev.find("ts"), nullptr);
+        ASSERT_NE(ev.find("args"), nullptr);
+        ASSERT_NE(ev.find("name"), nullptr);
+        std::string name = ev.find("name")->asString();
+        name = name.substr(name.rfind('/') + 1);
+        layers.insert(name.substr(0, name.find('.')));
+    }
+    for (const char *layer : {"sim", "link", "ni", "traffic"})
+        EXPECT_TRUE(layers.count(layer)) << layer;
 }
 
 // ------------------------------------------------------------------
